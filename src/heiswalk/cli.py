@@ -406,12 +406,12 @@ def _run_zd_eit(cfg, claims):
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
         min_count=cfg["min_count"], threads=cfg["threads"],
     )
+    exc_theta, exc_se, _exc_r2, exc_range = est.excursion_fit(cfg["min_count"])
+    if exc_theta is None:
+        raise ConfigError("samples too small: fewer than 3 re-meet levels reach min_count")
     theta, censoring = reference.theta_d_estimate(
         cfg["d"], cfg["horizon"], cfg["samples"], split_seed(cfg["seed"], 1),
         threads=cfg["threads"],
-    )
-    exc_theta, exc_se, exc_r2, exc_range, _ = paths._fit_tail(
-        est.excursion_counts, cfg["samples"], cfg["min_count"]
     )
     rows = []
     for n in sorted(est.counts):

@@ -1,4 +1,5 @@
-"""Oriented paths on the Heisenberg Cayley graph as 0/1 words.
+"""Oriented paths on the Heisenberg Cayley graph as 0/1 words, and the
+difference-walk Monte Carlo engine shared with the Z^d controls.
 
 A word alpha_0 .. alpha_{k-1} encodes a directed path from the identity:
 bit 0 takes the A-edge, bit 1 the B-edge.  After t steps the position is
@@ -6,24 +7,30 @@ bit 0 takes the A-edge, bit 1 the B-edge.  After t steps the position is
     x = #zeros, y = #ones, z = -sum over zero bits j < t of (#ones before j)
 
 and two paths occupy the same vertex at time t exactly when their prefix
-bit counts and prefix weighted sums sum_{j<t} j*alpha_j both agree, so
-pair statistics reduce to integer comparisons that vectorize over large
-Monte Carlo batches.
+bit counts and prefix weighted sums sum_{j<t} j*alpha_j both agree.
 
-The intersection-tail estimator counts shared directed edges between
-independent uniform path pairs (a shared edge at step t needs coinciding
-positions at t plus equal bits at index t).  Vertex coincidences and
-fresh re-meets after separation are tallied alongside; all three tails
-feed the exponential-tail and memorylessness checks.
+Two walks meet exactly when their difference walk is at its origin.  The
+engine packs its position into exact int64 keys in mixed radix 2h+1 for
+horizon h: on G_H step j adds (u_j - v_j)(1 + (2h+1) j), which fits one
+word up to HEISENBERG_HORIZON_CAP = 2^21 steps (CapExceededError, exit 3,
+beyond); on Z^d each letter count gets its own digit (lattice_pair_keys).
+A chunk draws its letters from stream(seed, chunk index), takes running
+sums of the per-step keys and reads coincidences off `key == 0`;
+map_chunks merges chunks in order, so no result depends on the thread
+count.  The tails count shared directed edges of path pairs (coinciding
+positions at t and equal letters at t), vertex coincidences, and fresh
+re-meets after separation.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CapExceededError
 from .fitting import LineFit, fit_exponential
 from .heisenberg import GroupElement
 from .rng import stream
@@ -40,6 +47,10 @@ __all__ = [
     "endpoint_collision_frequency",
     "continuation_ratios",
     "DEFAULT_MIN_FIT_COUNT",
+    "HEISENBERG_HORIZON_CAP",
+    # the difference-walk engine, shared with reference
+    "map_chunks", "lattice_pair_keys", "lattice_steps", "heisenberg_steps",
+    "at_origin", "pair_histograms", "pair_tail",
 ]
 
 DEFAULT_MIN_FIT_COUNT = 50
@@ -138,12 +149,17 @@ class TailEstimate:
     std_errors: dict[int, float] = field(default_factory=dict)
     censoring_bound: float = 0.0
 
+    def excursion_fit(self, min_count: int = DEFAULT_MIN_FIT_COUNT):
+        """(theta, theta_se, r_squared, fit_range) of the re-meet tail, fitted like theta_hat."""
+        return _fit_tail(self.excursion_counts, self.samples, min_count)[:4]
 
-def _survivors(values: np.ndarray) -> dict[int, int]:
-    """values -> survivor counts {n: #values >= n} for n = 0..max."""
-    hist = np.bincount(values)
-    tail = np.cumsum(hist[::-1])[::-1]
-    return {n: int(tail[n]) for n in range(tail.size)}
+
+def _survivor_counts(hist: np.ndarray) -> dict[int, int]:
+    """Histogram -> survivor counts {n: #values >= n} up to the largest value."""
+    nz = np.flatnonzero(hist)
+    top = int(nz[-1]) if nz.size else 0
+    tail = np.cumsum(hist[: top + 1][::-1])[::-1]
+    return {n: int(tail[n]) for n in range(top + 1)}
 
 
 def _fit_tail(counts: dict[int, int], samples: int, min_count: int):
@@ -162,29 +178,120 @@ def _fit_tail(counts: dict[int, int], samples: int, min_count: int):
     return theta, theta * fit.slope_se, fit.r_squared, ns, std_errors
 
 
-def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
-    """Shared-edge / vertex / re-meet counts for one deterministic chunk."""
+# ---------------------------------------------------------------- engine
+
+HEISENBERG_HORIZON_CAP = 2**21  # largest h with h + (2h+1) h(h-1)/2 < 2^63
+
+
+def map_chunks(fn, total: int, chunk: int, threads: int) -> list:
+    """[fn(size, index) for each fixed-size chunk of `total`], in chunk order."""
+    sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, sizes, range(len(sizes))))
+    return [fn(size, index) for index, size in enumerate(sizes)]
+
+
+def lattice_pair_keys(d: int, horizon: int) -> np.ndarray:
+    """Z^d step keys by letter pair, one row per int64 key word.
+
+    Entry [w, a*d + b] is what a step with letters a and b adds to word w.
+    Letter c < d-1 counts (2h+1)^(c mod m) in word c // m, where m is the
+    most coordinates with (2h+1)^m < 2^64, so |key| <= ((2h+1)^m - 1)/2
+    < 2^63; letter d-1 counts nothing.
+    """
+    base, m = 2 * horizon + 1, 1
+    while base ** (m + 1) < 2**64:
+        m += 1
+    letter = np.zeros((max(1, -(-(d - 1) // m)), d), dtype=np.int64)
+    for c in range(d - 1):
+        letter[c // m, c] = base ** (c % m)
+    return (letter[:, :, None] - letter[:, None, :]).reshape(len(letter), d * d)
+
+
+def lattice_steps(keys: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Per-word int64 step keys keys[w, u*d + v] of the Z^d difference walk."""
+    d = math.isqrt(keys.shape[1])
+    pair = u.astype(np.uint8 if d <= 16 else np.uint16) * d + v  # narrow index: faster lookup
+    return (row[pair] for row in keys)
+
+
+def heisenberg_steps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """int64 step keys (u_j - v_j)(1 + (2h+1) j) of the G_H difference walk."""
+    weights = 1 + (2 * u.shape[1] + 1) * np.arange(u.shape[1], dtype=np.int64)
+    return (u.view(np.int8) - v.view(np.int8)) * weights
+
+
+def at_origin(steps, carry: np.ndarray | None = None) -> np.ndarray:
+    """Where the difference walk is at its origin after each step.
+
+    `steps` yields the (n, T) step keys of each key word, which are
+    overwritten by running sums.  `carry`, of shape (words, n), holds the
+    keys before the first step and is advanced past the last.
+    """
+    origin = None
+    for w, key in enumerate(steps):
+        if carry is not None:
+            key[:, 0] += carry[w]
+        np.cumsum(key, axis=1, out=key)
+        if carry is not None:
+            carry[w] = key[:, -1]
+        origin = key == 0 if origin is None else origin & (key == 0)
+    return origin
+
+
+def pair_histograms(met: np.ndarray, same: np.ndarray):
+    """Shared-edge, vertex and re-meet histograms of one chunk of pairs, from
+    met[:, i] (walks coincide after step i) and same[:, i] (equal letters)."""
+    shared = same[:, 0] + np.count_nonzero(met[:, :-1] & same[:, 1:], axis=1)
+    vertices = np.count_nonzero(met, axis=1)
+    remeets = np.count_nonzero(met[:, 1:] > met[:, :-1], axis=1)
+    return [np.bincount(c, minlength=met.shape[1] + 1) for c in (shared, vertices, remeets)]
+
+
+def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: int,
+              chunk: int, decay_exponent: float) -> TailEstimate:
+    """TailEstimate from the pair_histograms of chunk_fn(size, index).
+
+    decay_exponent beta is the per-step meeting decay behind the horizon
+    censoring bound sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1),
+    vacuous (inf) for beta <= 1.
+    """
+    if horizon < 1 or samples < 1:
+        raise ValueError("horizon and samples must be positive")
+    parts = map_chunks(chunk_fn, samples, chunk, threads)
+    shared, vertices, remeets = (np.sum(hists, axis=0) for hists in zip(*parts))
+    counts = _survivor_counts(shared)
+    theta, theta_se, r2, fit_range, std_errors = _fit_tail(counts, samples, min_count)
+    beta = float(decay_exponent)
+    return TailEstimate(
+        horizon=horizon,
+        samples=samples,
+        counts=counts,
+        vertex_counts=_survivor_counts(vertices),
+        excursion_counts=_survivor_counts(remeets),
+        theta_hat=theta,
+        theta_se=theta_se,
+        r_squared=r2,
+        fit_range=fit_range,
+        std_errors=std_errors,
+        censoring_bound=math.inf if beta <= 1.0 else horizon ** (1.0 - beta) / (beta - 1.0),
+    )
+
+
+def _heisenberg_pairs(horizon: int, n: int, seed: int, index: int):
+    if horizon > HEISENBERG_HORIZON_CAP:
+        raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the "
+                               "largest with an exact int64 position key")
     rng = stream(seed, index)
-    u = rng.integers(0, 2, size=(n_pairs, horizon), dtype=np.uint8)
-    v = rng.integers(0, 2, size=(n_pairs, horizon), dtype=np.uint8)
-    jr = np.arange(horizon, dtype=np.int32)
-    cu = np.cumsum(u, axis=1, dtype=np.int32)
-    cv = np.cumsum(v, axis=1, dtype=np.int32)
-    wu = np.cumsum(u * jr, axis=1, dtype=np.int64)
-    wv = np.cumsum(v * jr, axis=1, dtype=np.int64)
-    # eq[:, i] <=> positions coincide at time i+1
-    eq = (cu == cv) & (wu == wv)
-    bits_eq = u == v
-    vertices = eq.sum(axis=1, dtype=np.int64)
-    shared = bits_eq[:, 0].astype(np.int64) + (eq[:, :-1] & bits_eq[:, 1:]).sum(
-        axis=1, dtype=np.int64
-    )
-    remeets = (eq[:, 1:] & ~eq[:, :-1]).sum(axis=1, dtype=np.int64)
-    return (
-        np.bincount(shared, minlength=horizon + 1),
-        np.bincount(vertices, minlength=horizon + 1),
-        np.bincount(remeets, minlength=horizon + 1),
-    )
+    u = rng.integers(0, 2, size=(n, horizon), dtype=np.uint8)
+    return u, rng.integers(0, 2, size=(n, horizon), dtype=np.uint8)
+
+
+def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
+    """Shared-edge / vertex / re-meet histograms for one deterministic chunk."""
+    u, v = _heisenberg_pairs(horizon, n_pairs, seed, index)
+    return pair_histograms(at_origin([heisenberg_steps(u, v)]), u == v)
 
 
 def tail_estimate(
@@ -202,66 +309,24 @@ def tail_estimate(
     Pairs are drawn in fixed chunks with one counter-based stream per
     chunk, so the result depends only on (horizon, samples, seed) and
     never on the thread count.  decay_exponent is the per-step collision
-    decay rate used for the horizon-censoring bound
-    sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1).
+    decay rate used for the horizon-censoring bound (see pair_tail).
+    Horizons above HEISENBERG_HORIZON_CAP raise CapExceededError.
     """
-    if horizon < 1 or samples < 1:
-        raise ValueError("horizon and samples must be positive")
-    if horizon * (horizon - 1) // 2 > np.iinfo(np.int32).max:
-        raise ValueError("horizon too large for 32-bit prefix weights")
-    n_chunks = (samples + chunk - 1) // chunk
-    sizes = [min(chunk, samples - i * chunk) for i in range(n_chunks)]
-    jobs = [(horizon, sizes[i], seed, i) for i in range(n_chunks)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda a: _pair_statistics_chunk(*a), jobs))
-    else:
-        parts = [_pair_statistics_chunk(*a) for a in jobs]
-    shared_hist = np.sum([p[0] for p in parts], axis=0)
-    vertex_hist = np.sum([p[1] for p in parts], axis=0)
-    remeet_hist = np.sum([p[2] for p in parts], axis=0)
-
-    def survivors(hist: np.ndarray) -> dict[int, int]:
-        nz = np.flatnonzero(hist)
-        top = int(nz[-1]) if nz.size else 0
-        tail = np.cumsum(hist[: top + 1][::-1])[::-1]
-        return {n: int(tail[n]) for n in range(top + 1)}
-
-    counts = survivors(shared_hist)
-    theta, theta_se, r2, fit_range, std_errors = _fit_tail(counts, samples, min_count)
-    beta = float(decay_exponent)
-    return TailEstimate(
-        horizon=horizon,
-        samples=samples,
-        counts=counts,
-        vertex_counts=survivors(vertex_hist),
-        excursion_counts=survivors(remeet_hist),
-        theta_hat=theta,
-        theta_se=theta_se,
-        r_squared=r2,
-        fit_range=fit_range,
-        std_errors=std_errors,
-        censoring_bound=horizon ** (1.0 - beta) / (beta - 1.0),
+    return pair_tail(
+        lambda size, index: _pair_statistics_chunk(horizon, size, seed, index),
+        horizon, samples, min_count=min_count, threads=threads, chunk=chunk,
+        decay_exponent=decay_exponent,
     )
 
 
 def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4096) -> float:
     """Fraction of independent pairs of length-k words meeting at time k."""
-    hits = 0
-    done = 0
-    index = 0
-    jr = np.arange(k, dtype=np.int64)
-    while done < samples:
-        n = min(chunk, samples - done)
-        rng = stream(seed, index)
-        u = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-        v = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-        same_count = u.sum(axis=1, dtype=np.int64) == v.sum(axis=1, dtype=np.int64)
-        same_weight = (u @ jr) == (v @ jr)
-        hits += int(np.count_nonzero(same_count & same_weight))
-        done += n
-        index += 1
-    return hits / samples
+
+    def hits(size: int, index: int) -> int:
+        u, v = _heisenberg_pairs(k, size, seed, index)
+        return int(np.count_nonzero(heisenberg_steps(u, v).sum(axis=1) == 0))
+
+    return sum(map_chunks(hits, samples, chunk, 1)) / samples
 
 
 def continuation_ratios(survivor_counts: dict[int, int], min_count: int = DEFAULT_MIN_FIT_COUNT):

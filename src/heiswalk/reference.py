@@ -15,6 +15,8 @@ answers are classical:
   edge_collision_rate is the exact geometric ratio of the shared-edge
   tail implied by a renewal argument at each shared edge.
 * zd_eit_tail -- the same shared-edge tail statistic as on G_H.
+  It and theta_d_estimate run on the difference-walk engine of `paths`;
+  their letters are uint8, so d above ZD_MAX_D = 256 is a ConfigError.
 * srw_return_probability -- exact return probabilities of simple random
   walk on G_H (uniform on a, a^-1, b, b^-1) by dense convolution,
   n^(-2) scale at even times.
@@ -31,8 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError
-from .paths import DEFAULT_MIN_FIT_COUNT, TailEstimate, _fit_tail
+from .errors import CapExceededError, ConfigError
+from .paths import DEFAULT_MIN_FIT_COUNT, TailEstimate, at_origin, lattice_pair_keys
+from .paths import lattice_steps, map_chunks, pair_histograms, pair_tail
 from .rng import stream
 
 __all__ = [
@@ -48,10 +51,12 @@ __all__ = [
     "srw_mutual_intersections",
     "IntersectionGrowth",
     "ZD_COLLISION_K_CAP",
+    "ZD_MAX_D",
     "SRW_TIME_CAP",
 ]
 
 ZD_COLLISION_K_CAP = 2048
+ZD_MAX_D = 256  # Monte Carlo letters are drawn as uint8
 SRW_TIME_CAP = 128  # walk steps; memory grows like the cube of this
 
 
@@ -114,33 +119,24 @@ _THETA_BLOCK = 256
 def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndarray:
     """First-return times (0 = none by horizon) for one stream of walks."""
     rng = stream(seed, index)
-    pos = np.zeros((n, d), dtype=np.int32)
+    keys = lattice_pair_keys(d, horizon)
+    carry = np.zeros((keys.shape[0], n), dtype=np.int64)
     has_left = np.zeros(n, dtype=bool)
     return_time = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    t0 = 0
-    while t0 < horizon:
+    for t0 in range(0, horizon, _THETA_BLOCK):
         block = min(_THETA_BLOCK, horizon - t0)
         # always draw full blocks so runs at different horizons share a
         # sample path prefix; theta_hat is then monotone in horizon pathwise
         inc_i = rng.integers(0, d, size=(n, _THETA_BLOCK), dtype=np.uint8)[:, :block]
         inc_j = rng.integers(0, d, size=(n, _THETA_BLOCK), dtype=np.uint8)[:, :block]
-        at_origin = np.ones((n, block), dtype=bool)
-        for c in range(d):
-            coord = pos[:, c : c + 1] + np.cumsum(
-                (inc_i == c).astype(np.int32) - (inc_j == c), axis=1, dtype=np.int32
-            )
-            at_origin &= coord == 0
-            pos[:, c] = coord[:, -1]
-        left_by = np.cumsum(~at_origin, axis=1) > 0
-        ret = at_origin & (has_left[:, None] | left_by)
-        ret[done] = False
+        home = at_origin(lattice_steps(keys, inc_i, inc_j), carry)
+        # only walks at the origin somewhere in the block can return in it
+        rows = np.flatnonzero(home.any(axis=1) & (return_time == 0))
+        left_by = np.logical_or.accumulate(~home[rows], axis=1)
+        ret = home[rows] & (left_by | has_left[rows, None])
         hit = ret.any(axis=1)
-        first = np.argmax(ret, axis=1)
-        return_time[hit] = t0 + first[hit] + 1
-        done |= hit
-        has_left |= left_by[:, -1]
-        t0 += block
+        return_time[rows[hit]] = t0 + np.argmax(ret[hit], axis=1) + 1
+        has_left |= ~home.all(axis=1)
     return return_time
 
 
@@ -162,16 +158,13 @@ def theta_d_estimate(
     under the t^(-(d-1)/2) first-return tail, vacuous (inf) for d <= 3
     where the difference walk is recurrent.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2 for a nondegenerate difference walk")
+    if not 2 <= d <= ZD_MAX_D:
+        raise ConfigError(f"d must be in 2..{ZD_MAX_D} for a nondegenerate difference walk")
     if horizon < 1 or samples < 1:
         raise ValueError("horizon and samples must be positive")
-    times = _map_chunks(
-        lambda size, idx: _theta_chunk(d, horizon, size, seed, idx),
-        samples,
-        chunk,
-        threads,
-    )
+    parts = map_chunks(lambda size, idx: _theta_chunk(d, horizon, size, seed, idx),
+                       samples, chunk, threads)
+    times = np.concatenate(parts)
     returned = int(np.count_nonzero(times))
     theta_hat = returned / samples
     beta = (d - 1) / 2.0
@@ -180,20 +173,6 @@ def theta_d_estimate(
     late = int(np.count_nonzero(times > horizon // 2))
     censoring = (late / samples) / (2.0 ** (beta - 1.0) - 1.0)
     return theta_hat, censoring
-
-
-def _map_chunks(fn, total: int, chunk: int, threads: int) -> np.ndarray:
-    """Run fn(size, index) over fixed-size chunks; order-stable merge."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_chunks = (total + chunk - 1) // chunk
-    sizes = [min(chunk, total - i * chunk) for i in range(n_chunks)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda i: fn(sizes[i], i), range(n_chunks)))
-    else:
-        parts = [fn(sizes[i], i) for i in range(n_chunks)]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def difference_walk_return_by(d: int, horizon: int) -> float:
@@ -271,25 +250,11 @@ def difference_walk_return_by(d: int, horizon: int) -> float:
 
 
 def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):
+    """Shared-edge / vertex / re-meet histograms for one chunk of Z^d pairs."""
     rng = stream(seed, index)
     u = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
     v = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
-    eq = np.ones((n, horizon), dtype=bool)
-    for c in range(d - 1):  # counts of d-1 letters pin the count vector
-        eq &= np.cumsum(u == c, axis=1, dtype=np.int32) == np.cumsum(
-            v == c, axis=1, dtype=np.int32
-        )
-    bits_eq = u == v
-    vertices = eq.sum(axis=1, dtype=np.int64)
-    shared = bits_eq[:, 0].astype(np.int64) + (eq[:, :-1] & bits_eq[:, 1:]).sum(
-        axis=1, dtype=np.int64
-    )
-    remeets = (eq[:, 1:] & ~eq[:, :-1]).sum(axis=1, dtype=np.int64)
-    return (
-        np.bincount(shared, minlength=horizon + 1),
-        np.bincount(vertices, minlength=horizon + 1),
-        np.bincount(remeets, minlength=horizon + 1),
-    )
+    return pair_histograms(at_origin(lattice_steps(lattice_pair_keys(d, horizon), u, v)), u == v)
 
 
 def zd_eit_tail(
@@ -310,44 +275,12 @@ def zd_eit_tail(
     statistic whose geometric ratio equals the embedded return
     probability; the shared-edge ratio equals edge_collision_rate of it.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_chunks = (samples + chunk - 1) // chunk
-    sizes = [min(chunk, samples - i * chunk) for i in range(n_chunks)]
-    jobs = list(range(n_chunks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda i: _zd_pair_chunk(d, horizon, sizes[i], seed, i), jobs))
-    else:
-        parts = [_zd_pair_chunk(d, horizon, sizes[i], seed, i) for i in jobs]
-    shared_hist = np.sum([p[0] for p in parts], axis=0)
-    vertex_hist = np.sum([p[1] for p in parts], axis=0)
-    remeet_hist = np.sum([p[2] for p in parts], axis=0)
-
-    def survivors(hist: np.ndarray) -> dict[int, int]:
-        nz = np.flatnonzero(hist)
-        top = int(nz[-1]) if nz.size else 0
-        tail = np.cumsum(hist[: top + 1][::-1])[::-1]
-        return {i: int(tail[i]) for i in range(top + 1)}
-
-    counts = survivors(shared_hist)
-    theta, theta_se, r2, fit_range, std_errors = _fit_tail(counts, samples, min_count)
-    beta = (d - 1) / 2.0
-    censoring = float("inf") if beta <= 1.0 else horizon ** (1.0 - beta) / (beta - 1.0)
-    return TailEstimate(
-        horizon=horizon,
-        samples=samples,
-        counts=counts,
-        vertex_counts=survivors(vertex_hist),
-        excursion_counts=survivors(remeet_hist),
-        theta_hat=theta,
-        theta_se=theta_se,
-        r_squared=r2,
-        fit_range=fit_range,
-        std_errors=std_errors,
-        censoring_bound=censoring,
+    if not 2 <= d <= ZD_MAX_D:
+        raise ConfigError(f"d must be in 2..{ZD_MAX_D}")
+    return pair_tail(
+        lambda size, idx: _zd_pair_chunk(d, horizon, size, seed, idx),
+        horizon, samples, min_count=min_count, threads=threads, chunk=chunk,
+        decay_exponent=(d - 1) / 2.0,
     )
 
 

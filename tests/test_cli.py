@@ -75,12 +75,29 @@ def test_bad_value_is_config_error(workdir, capsys):
     assert run("eit-tail", "--samples", "-5") == 2
     assert run("resistance-profile", "--p", "1.7") == 2
     assert run("theta-d", "--d", "2") == 2
+    # letters are drawn as uint8, so d is capped at 256
+    assert run("theta-d", "--d", "300") == 2
+    assert run("zd-eit", "--d", "300") == 2
 
 
 def test_cap_exceeded_exit_code(workdir, capsys):
     code = run("collision-exact", "--k-list", "4,600")
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
+    # 70000 steps tripped a stale 32-bit guard; the int64 key holds 2^21
+    assert run("eit-tail", "--horizon", "70000", "--samples", "128") == 0
+    assert run("eit-tail", "--horizon", str(2**21 + 1), "--samples", "1") == 3
+    assert "exact int64 position key" in capsys.readouterr().err
+
+
+def test_zd_eit_thin_tail_is_config_error(workdir, capsys):
+    # at d=6 too few re-meet levels reach min_count for the excursion fit
+    code = run("zd-eit", "--d", "6", "--horizon", "300", "--samples", "4000")
+    assert code == 2
+    assert "samples too small" in capsys.readouterr().err
 
 
 def test_failed_claim_exit_code(workdir, capsys):

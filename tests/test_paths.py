@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import IDENTITY, Generator, word_eval
 from heiswalk.paths import (
+    HEISENBERG_HORIZON_CAP,
     coincides,
     continuation_ratios,
     endpoint_collision_frequency,
+    heisenberg_steps,
     position,
     sample_word,
     shared_edges,
@@ -94,6 +97,33 @@ def test_endpoint_frequency_tracks_exact_value():
     freq = endpoint_collision_frequency(8, 40_000, seed=11)
     sigma = np.sqrt(p * (1 - p) / 40_000)
     assert abs(freq - p) < 4 * sigma
+
+
+def test_endpoint_hits_match_group_positions():
+    k, n = 10, 600
+    freq = endpoint_collision_frequency(k, n, seed=12, chunk=4096)
+    rng = stream(12, 0)
+    u = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+    v = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+    hits = sum(1 for i in range(n) if position(u[i]) == position(v[i]))
+    assert hits > 0
+    assert freq * n == hits
+
+
+def test_packed_key_exact_up_to_horizon_cap():
+    # the extreme difference walk (all ones against all zeros) reaches
+    # D = h, E = h(h-1)/2, the largest key, without leaving int64
+    h = HEISENBERG_HORIZON_CAP
+    assert h + (2 * h + 1) * (h * (h - 1) // 2) < 2**63
+    g = h + 1
+    assert g + (2 * g + 1) * (g * (g - 1) // 2) >= 2**63
+    ones = np.ones((1, h), dtype=np.uint8)
+    keys = np.cumsum(heisenberg_steps(ones, np.zeros_like(ones)), axis=1)
+    assert int(keys[0, -1]) == h + (2 * h + 1) * (h * (h - 1) // 2)
+    with pytest.raises(CapExceededError):
+        tail_estimate(h + 1, 1, seed=1)
+    with pytest.raises(CapExceededError):
+        endpoint_collision_frequency(h + 1, 1, seed=1)
 
 
 def test_tail_estimate_basic_shape():

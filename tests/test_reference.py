@@ -7,7 +7,9 @@ import pytest
 
 from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import Generator, word_eval
+from heiswalk.paths import lattice_pair_keys
 from heiswalk.reference import (
+    _theta_chunk,
     difference_walk_return_by,
     edge_collision_rate,
     lazy_return_probability,
@@ -18,6 +20,7 @@ from heiswalk.reference import (
     zd_collision_probability,
     zd_eit_tail,
 )
+from heiswalk.rng import stream
 
 
 def test_zd_collision_degenerate_dimension():
@@ -182,3 +185,68 @@ def test_zd_eit_excursion_ratio_estimates_theta():
 def test_zd_eit_validation():
     with pytest.raises(ValueError):
         zd_eit_tail(1, 16, 100, seed=1)
+
+
+def _brute_pair_counts(u, v):
+    """Per-pair loop: (shared edges, vertex coincidences, re-meets) on Z^d."""
+    diff = {}
+    together = True  # both walks start at the origin
+    shared = vertices = remeets = 0
+    for a, b in zip(u.tolist(), v.tolist()):
+        shared += together and a == b
+        diff[a] = diff.get(a, 0) + 1
+        diff[b] = diff.get(b, 0) - 1
+        now = not any(diff.values())
+        vertices += now
+        remeets += now and not together
+        together = now
+    return shared, vertices, remeets
+
+
+def _survivors(values):
+    return {n: sum(1 for x in values if x >= n) for n in range(max(values) + 1)}
+
+
+# key words: 601^3 < 2^63 <= 601^7, and 121^19 needs three words
+@pytest.mark.parametrize("d, horizon, words", [(4, 300, 1), (8, 300, 2), (20, 60, 3)])
+def test_zd_pair_counts_match_per_pair_loop(d, horizon, words):
+    assert lattice_pair_keys(d, horizon).shape[0] == words
+    n = 48
+    est = zd_eit_tail(d, horizon, n, seed=31, chunk=1024)
+    rng = stream(31, 0)
+    u = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
+    v = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
+    shared, vertices, remeets = zip(*(_brute_pair_counts(u[i], v[i]) for i in range(n)))
+    assert est.counts == _survivors(shared)
+    assert est.vertex_counts == _survivors(vertices)
+    assert est.excursion_counts == _survivors(remeets)
+
+
+def _brute_first_return(inc_i, inc_j):
+    """Per-walk loop: first time back at the origin after leaving it, else 0."""
+    diff = {}
+    left = False
+    for t, (a, b) in enumerate(zip(inc_i.tolist(), inc_j.tolist()), start=1):
+        diff[a] = diff.get(a, 0) + 1
+        diff[b] = diff.get(b, 0) - 1
+        if any(diff.values()):
+            left = True
+        elif left:
+            return t
+    return 0
+
+
+# horizons off the 256-step block grid; (8, 300) needs two key words
+@pytest.mark.parametrize("d, horizon, n", [(2, 300, 4000), (3, 600, 400), (4, 300, 400),
+                                           (8, 300, 400), (5, 37, 400)])
+def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
+    times = _theta_chunk(d, horizon, n, 19, 0)
+    rng = stream(19, 0)
+    blocks = -(-horizon // 256)
+    draws = [rng.integers(0, d, size=(n, 256), dtype=np.uint8) for _ in range(2 * blocks)]
+    inc_i = np.concatenate(draws[0::2], axis=1)[:, :horizon]
+    inc_j = np.concatenate(draws[1::2], axis=1)[:, :horizon]
+    expected = [_brute_first_return(inc_i[w], inc_j[w]) for w in range(n)]
+    assert times.tolist() == expected
+    if d == 2:  # a first return on block 2's first step needs the carried has_left
+        assert 257 in expected
