@@ -2,8 +2,9 @@
 
 Each subcommand runs one experiment, writes its rows to a CSV or JSON
 file, prints a JSON summary to stdout, and records the pass/fail state
-of any claims it checked in a status file.  `heiswalk claims` prints the
-accumulated status table.
+of any claims it checked in a status file, replaced atomically.
+`heiswalk claims` prints the accumulated status table.  A corrupt status
+file is a configuration error on both paths and is never overwritten.
 
 Exit codes: 0 success, 2 configuration error, 3 resource cap exceeded,
 4 solver or quadrature failure, 5 at least one claim failed.
@@ -20,6 +21,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -605,16 +607,27 @@ def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dic
     return summary
 
 
-def _record_status(cfg: dict, fits) -> None:
+def _load_status(path: Path, claims: dict) -> dict:
+    """The status file's entries ({} when absent); a corrupt file is a ConfigError."""
+    if not path.exists():
+        return {}
+    try:
+        status = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"unreadable status file {path}: {exc}") from exc
+    if not isinstance(status, dict):
+        raise ConfigError(f"status file {path} does not hold a JSON object")
+    for cid in status:
+        if cid not in claims:
+            raise ConfigError(f"status file references unknown claim id {cid!r}")
+    return status
+
+
+def _record_status(cfg: dict, fits, claims: dict) -> None:
     if not fits:
         return
     path = Path(cfg["status_file"])
-    status = {}
-    if path.exists():
-        try:
-            status = json.loads(path.read_text())
-        except ValueError:
-            status = {}
+    status = _load_status(path, claims)
     when = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for f in fits:
         status[f.claim_id] = {
@@ -623,7 +636,13 @@ def _record_status(cfg: dict, fits) -> None:
             "experiment": cfg["experiment"],
             "when": when,
         }
-    path.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
+    # write a sibling temp file, then rename it over: no reader sees half a file
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _print_claims_table(status_file: str) -> None:
@@ -631,16 +650,7 @@ def _print_claims_table(status_file: str) -> None:
     for cid, c in claims.items():
         if c["experiment"] not in _RUNNERS:
             raise ConfigError(f"claim {cid} names unknown experiment {c['experiment']!r}")
-    status = {}
-    path = Path(status_file)
-    if path.exists():
-        try:
-            status = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ConfigError(f"unreadable status file {status_file}: {exc}") from exc
-    for cid in status:
-        if cid not in claims:
-            raise ConfigError(f"status file references unknown claim id {cid!r}")
+    status = _load_status(Path(status_file), claims)
     widths = (max(len(c) for c in claims) + 2, 10, 12, 12, 22, 10)
     print("".join(h.ljust(w) for h, w in zip(
         ("claim", "kind", "target", "tolerance", "experiment", "status"), widths)))
@@ -685,11 +695,12 @@ def main(argv=None) -> int:
             return 0
         cfg = _resolve_config(args.experiment, args)
         claims = load_claims()
+        _load_status(Path(cfg["status_file"]), claims)  # a corrupt file fails before the run
         start = time.perf_counter()
         header, rows, fits, extras = _RUNNERS[args.experiment](cfg, claims)
         runtime = time.perf_counter() - start
         summary = _write_outputs(cfg, header, rows, fits, extras, runtime)
-        _record_status(cfg, fits)
+        _record_status(cfg, fits, claims)
         print(json.dumps(summary, indent=2))
         return 5 if any(not f.passed for f in fits) else 0
     except ConfigError as exc:

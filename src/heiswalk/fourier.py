@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import CapExceededError, QuadratureError
 
 __all__ = [
     "QuadratureResult",
@@ -41,6 +41,7 @@ __all__ = [
     "cf_magnitude_integral",
     "folding_distance",
     "DEFAULT_COS_GAUSSIAN_C",
+    "FOURIER_K_CAP",
 ]
 
 DEFAULT_COS_GAUSSIAN_C = 0.5
@@ -48,6 +49,7 @@ DEFAULT_COS_GAUSSIAN_C = 0.5
 _TOL_ABS = 1e-10
 _TOL_REL = 1e-4
 _MAX_PANELS = 400_000
+FOURIER_K_CAP = 2048  # work grows like k^2: `fourier --k-list 2048` takes about 4 s
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,11 @@ def _initial_edges(k: int, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([fine, coarse[1:]])
 
 
+def _check_cap(k: int) -> None:
+    if k > FOURIER_K_CAP:
+        raise CapExceededError(f"k={k} exceeds cap {FOURIER_K_CAP}")
+
+
 def _assert_symmetries(k: int) -> None:
     """Spot-check the period/evenness/reflection identities used to fold."""
     rng = np.random.default_rng(k + 12345)
@@ -179,6 +186,7 @@ def cos_product_integral(k: int, *, tol_abs: float = _TOL_ABS, tol_rel: float = 
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_cap(k)
     _assert_symmetries(k)
     if k == 1:
         return QuadratureResult(2.0 * math.pi, 0.0, 0)
@@ -198,6 +206,7 @@ def head_integral(k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_cap(k)
     assert (k - 1) / k < math.pi
     if k == 1:
         return 1.0
@@ -219,6 +228,7 @@ def tail_integral_decay(k: int, grid_points: int | None = None) -> tuple[float, 
     """
     if k < 2:
         raise ValueError("k must be >= 2 so the tail interval is nonempty")
+    _check_cap(k)
     res = _adaptive_simpson(
         lambda x: cos_product(k, x),
         _initial_edges(k, 1.0 / k, 0.5 * math.pi),
@@ -267,6 +277,7 @@ def verify_cos_gaussian_bound(c: float, grid_points: int = 100_000) -> bool:
 
 @functools.lru_cache(maxsize=16)
 def _inversion_marginal_cached(k: int) -> np.ndarray:
+    _check_cap(k)
     # trapezoid nodes over one period; p_n = (1/M) sum_m phi(x_m) e^{-i n x_m}
     w_max = k * (k - 1) // 2
     m = w_max + 1
@@ -302,6 +313,7 @@ def cf_magnitude_integral(k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_cap(k)
     if k == 1:
         return 1.0
     # |phi(x)| = prod |cos(jx/2)|: even, period 2*pi -> integrate [0, pi]

@@ -14,7 +14,8 @@ engine packs its position into exact int64 keys in mixed radix 2h+1 for
 horizon h: on G_H step j adds (u_j - v_j)(1 + (2h+1) j), which fits one
 word up to HEISENBERG_HORIZON_CAP = 2^21 steps (CapExceededError, exit 3,
 beyond); on Z^d each letter count gets its own digit (lattice_pair_keys).
-A chunk draws its letters from stream(seed, chunk index), takes running
+A chunk holds at most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond) and
+draws its letters from stream(seed, chunk index), takes running
 sums of the per-step keys and reads coincidences off `key == 0`;
 map_chunks merges chunks in order, so no result depends on the thread
 count.  The tails count shared directed edges of path pairs (coinciding
@@ -48,6 +49,7 @@ __all__ = [
     "continuation_ratios",
     "DEFAULT_MIN_FIT_COUNT",
     "HEISENBERG_HORIZON_CAP",
+    "PAIR_CHUNK_CELLS_CAP",
     # the difference-walk engine, shared with reference
     "map_chunks", "lattice_pair_keys", "lattice_steps", "heisenberg_steps",
     "at_origin", "pair_histograms", "pair_tail",
@@ -181,6 +183,9 @@ def _fit_tail(counts: dict[int, int], samples: int, min_count: int):
 # ---------------------------------------------------------------- engine
 
 HEISENBERG_HORIZON_CAP = 2**21  # largest h with h + (2h+1) h(h-1)/2 < 2^63
+# pair-steps in one chunk of pair_tail: an int64 key and a few bytes each, so a
+# chunk at the cap peaks near 200 MiB per thread
+PAIR_CHUNK_CELLS_CAP = 2**24
 
 
 def map_chunks(fn, total: int, chunk: int, threads: int) -> list:
@@ -255,10 +260,15 @@ def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: 
 
     decay_exponent beta is the per-step meeting decay behind the horizon
     censoring bound sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1),
-    vacuous (inf) for beta <= 1.
+    vacuous (inf) for beta <= 1.  A chunk of more than PAIR_CHUNK_CELLS_CAP
+    pair-steps raises CapExceededError before anything is drawn.
     """
     if horizon < 1 or samples < 1:
         raise ValueError("horizon and samples must be positive")
+    cells = min(chunk, samples) * horizon
+    if cells > PAIR_CHUNK_CELLS_CAP:
+        raise CapExceededError(f"a chunk of {min(chunk, samples)} pairs x {horizon} steps is "
+                               f"{cells} cells, above the cap {PAIR_CHUNK_CELLS_CAP}")
     parts = map_chunks(chunk_fn, samples, chunk, threads)
     shared, vertices, remeets = (np.sum(hists, axis=0) for hists in zip(*parts))
     counts = _survivor_counts(shared)

@@ -18,10 +18,13 @@ answers are classical:
   It and theta_d_estimate run on the difference-walk engine of `paths`;
   their letters are uint8, so d above ZD_MAX_D = 256 is a ConfigError.
 * srw_return_probability -- exact return probabilities of simple random
-  walk on G_H (uniform on a, a^-1, b, b^-1) by dense convolution,
-  n^(-2) scale at even times.
+  walk on G_H (uniform on a, a^-1, b, b^-1), n^(-2) scale at even times.
+  The step law is symmetric, so P_2n(e) = sum_g P_n(g)^2: a dense
+  convolution runs only to n = t_max // 2, in a box sized for n, and the
+  box clipping error stays below the reported dropped mass.
 * srw_mutual_intersections -- Monte Carlo range intersections of two
-  independent SRWs at doubling time checkpoints (unbounded growth).
+  independent SRWs at doubling time checkpoints (unbounded growth);
+  fewer than two sample pairs is a ConfigError.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ __all__ = [
 
 ZD_COLLISION_K_CAP = 2048
 ZD_MAX_D = 256  # Monte Carlo letters are drawn as uint8
-SRW_TIME_CAP = 128  # walk steps; memory grows like the cube of this
+SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
 
 
 def zd_collision_probability(d: int, k: int) -> float:
@@ -288,9 +291,18 @@ def zd_eit_tail(
 class SrwReturnProfile:
     """P[SRW on G_H is at the identity at time t] for t = 0..len-1.
 
-    `dropped_mass` is the total probability clipped at the box boundary
-    over the whole evolution; it bounds the absolute error of every
-    entry.  Odd times are exactly zero by parity.
+    The step law is symmetric, so P_2n(e) = sum_g P_n(g)^2, and only the
+    time-n law P_n is evolved, on a box clipped to the likely region.
+    The clipped evolution P~_n is a sub-probability with P~_n <= P_n
+    pointwise, and `dropped_mass` = 1 - sum_g P~_m(g) at m = t_max // 2
+    is nondecreasing in m.  Every P_n(g) <= 1/4 for n >= 1, being a
+    quarter of the time-(n-1) mass of four distinct points, so
+
+        0 <= P_2n(e) - sum_g P~_n(g)^2
+          = sum_g (P_n - P~_n)(g) (P_n + P~_n)(g) <= dropped_mass / 2,
+
+    and `dropped_mass` bounds the absolute error of every entry.  Odd
+    times are exactly zero by parity.
     """
 
     probabilities: np.ndarray
@@ -299,41 +311,34 @@ class SrwReturnProfile:
 
 @lru_cache(maxsize=4)
 def _srw_profile_cached(t_max: int) -> SrwReturnProfile:
-    n = t_max
-    # z tails decay like exp(-c|z|/t): a box linear in t suffices, and 6.4t
-    # keeps the total clipped mass below 1e-10 out to t=96 (measured)
+    n = t_max // 2
+    # z tails decay like exp(-c|z|/n): a box linear in n suffices, and 6.4n
+    # keeps the total clipped mass below 1e-10 out to n=64 (measured)
     b_xy = min(n, int(math.ceil(7.5 * math.sqrt(max(n, 1) / 2.0))) + 2)
     b_z = min(n * (n - 1) // 2 + 1, int(math.ceil(6.4 * n)) + 4)
     nx = 2 * b_xy + 1
     nz = 2 * b_z + 1
-    cur = np.zeros((nx, nx, nz))
+    cur = np.zeros((nx, nx, nz))  # axes (y, x, z)
     cur[b_xy, b_xy, b_z] = 1.0
-    nxt = np.zeros_like(cur)
+    nxt = np.empty_like(cur)
     probs = np.zeros(t_max + 1)
     probs[0] = 1.0
-    mass = 1.0
-    for t in range(1, t_max + 1):
-        nxt[:] = 0.0
+    for s in range(1, n + 1):
         # b step: (x, y+1, z); b inverse: (x, y-1, z)
-        nxt[:, 1:, :] += 0.25 * cur[:, :-1, :]
-        nxt[:, :-1, :] += 0.25 * cur[:, 1:, :]
+        nxt[0] = 0.0
+        nxt[1:] = cur[:-1]
+        nxt[:-1] += cur[1:]
         # a step: (x+1, y, z-y); a inverse: (x-1, y, z+y)
         for yi in range(nx):
             y = yi - b_xy
-            if y > 0:
-                nxt[1:, yi, : nz - y] += 0.25 * cur[:-1, yi, y:]
-                nxt[:-1, yi, y:] += 0.25 * cur[1:, yi, : nz - y]
-            elif y < 0:
-                nxt[1:, yi, -y :] += 0.25 * cur[:-1, yi, : nz + y]
-                nxt[:-1, yi, : nz + y] += 0.25 * cur[1:, yi, -y :]
-            else:
-                nxt[1:, yi, :] += 0.25 * cur[:-1, yi, :]
-                nxt[:-1, yi, :] += 0.25 * cur[1:, yi, :]
+            lo = slice(max(0, -y), nz - max(0, y))
+            hi = slice(max(0, y), nz - max(0, -y))
+            nxt[yi, 1:, lo] += cur[yi, :-1, hi]
+            nxt[yi, :-1, hi] += cur[yi, 1:, lo]
+        nxt *= 0.25
         cur, nxt = nxt, cur
-        new_mass = float(cur.sum())
-        probs[t] = cur[b_xy, b_xy, b_z]
-        mass = new_mass
-    return SrwReturnProfile(probs, max(0.0, 1.0 - mass))
+        probs[2 * s] = np.vdot(cur, cur)
+    return SrwReturnProfile(probs, max(0.0, 1.0 - float(cur.sum())))
 
 
 def srw_return_profile(t_max: int) -> SrwReturnProfile:
@@ -384,9 +389,12 @@ def srw_mutual_intersections(
 
     Checkpoints are 0, n_base, 2*n_base, ..., 2^num_doublings * n_base;
     at time 0 both ranges are {identity}, so the mean there is exactly 1.
+    Fewer than two samples leave no standard error: ConfigError.
     """
-    if n_base < 1 or samples < 1:
-        raise ValueError("n_base and samples must be positive")
+    if n_base < 1:
+        raise ValueError("n_base must be positive")
+    if samples < 2:
+        raise ConfigError(f"samples={samples}: a standard error needs at least 2 pairs")
     times = (0,) + tuple(n_base * 2**i for i in range(num_doublings + 1))
     t_max = times[-1]
     values = np.zeros((samples, len(times)), dtype=np.int64)

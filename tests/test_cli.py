@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -78,12 +79,20 @@ def test_bad_value_is_config_error(workdir, capsys):
     # letters are drawn as uint8, so d is capped at 256
     assert run("theta-d", "--d", "300") == 2
     assert run("zd-eit", "--d", "300") == 2
+    # one pair has no standard error, so no growth z-score can certify a claim
+    assert run("srw-intersections", "--samples", "1", "--n-base", "8") == 2
 
 
 def test_cap_exceeded_exit_code(workdir, capsys):
     code = run("collision-exact", "--k-list", "4,600")
     assert code == 3
     assert "cap" in capsys.readouterr().err
+    assert run("fourier", "--k-list", "100000") == 3
+    # 1024 pairs x 2^21 steps of int64 keys would be 16 GiB in one chunk
+    start = time.perf_counter()
+    assert run("eit-tail", "--horizon", str(2**21), "--samples", "1024") == 3
+    assert time.perf_counter() - start < 5.0
+    assert "cells, above the cap" in capsys.readouterr().err
 
 
 def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
@@ -114,6 +123,8 @@ def test_status_recorded_and_reported(workdir, capsys):
     status = json.loads(Path(STATUS_FILE).read_text())
     assert status["dyadic-uniformity"]["pass"] is True
     assert status["dyadic-uniformity"]["experiment"] == "dyadic"
+    # the file is replaced through a sibling temp file, which must not linger
+    assert sorted(p.name for p in workdir.iterdir()) == ["dyadic.csv", STATUS_FILE]
     capsys.readouterr()
     assert run("claims") == 0
     table = capsys.readouterr().out
@@ -156,3 +167,12 @@ def test_ball_growth_smoke(workdir, capsys):
     assert 3.7 <= fit["slope"] <= 4.3
     sizes = {r["radius"]: r["ball_size"] for r in summary["results"]}
     assert sizes[1] == 5 and sizes[2] == 17
+
+
+@pytest.mark.parametrize("corrupt", ['{"dyadic-uniformity": ', "[1, 2]",
+                                     '{"no-such-claim": {"pass": true}}'])
+def test_record_status_rejects_corrupt_file(workdir, capsys, corrupt):
+    Path(STATUS_FILE).write_text(corrupt)
+    assert run("dyadic", "--k-list", "8,16") == 2
+    assert "status file" in capsys.readouterr().err
+    assert Path(STATUS_FILE).read_text() == corrupt

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from heiswalk.errors import CapExceededError
 from heiswalk.fourier import (
+    FOURIER_K_CAP,
     cf_magnitude_integral,
     cos_product,
     cos_product_integral,
@@ -115,3 +117,8 @@ def test_validation():
         tail_integral_decay(1)
     with pytest.raises(ValueError):
         verify_cos_gaussian_bound(0.5, grid_points=2)
+    # checked before any quadrature work, so these return at once
+    for fn in (cos_product_integral, head_integral, tail_integral_decay,
+               cf_magnitude_integral, inversion_marginal):
+        with pytest.raises(CapExceededError):
+            fn(FOURIER_K_CAP + 1)

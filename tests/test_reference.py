@@ -7,7 +7,7 @@ import pytest
 
 from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import Generator, word_eval
-from heiswalk.paths import lattice_pair_keys
+from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
 from heiswalk.reference import (
     _theta_chunk,
     difference_walk_return_by,
@@ -117,12 +117,12 @@ def test_srw_return_spot_values():
 
 
 def test_srw_return_matches_word_enumeration():
-    # all 4^6 generator words, exact probabilities
+    # all 4^8 generator words, exact probabilities
     import itertools
 
     gens = list(Generator)
-    profile = srw_return_profile(6)
-    for t in (2, 4, 6):
+    profile = srw_return_profile(8)
+    for t in (2, 4, 6, 8):
         hits = sum(
             1
             for word in itertools.product(gens, repeat=t)
@@ -131,11 +131,67 @@ def test_srw_return_matches_word_enumeration():
         assert profile.probabilities[t] == pytest.approx(hits / 4**t, abs=1e-12)
 
 
+def _direct_return_profile(t_max):
+    """P[SRW at e at time t], t <= t_max, by convolving all t_max steps.
+
+    A walk at g at time s that is back at e by time t_max has
+    d(e, g) <= t_max/2 = m, so |x|, |y| <= m and |z| <= m^2/4: the box
+    clips nothing that can return, and the values are exact up to
+    rounding.  Axes (x, y, z); a: (x+1, y, z-y), b: (x, y+1, z).
+    """
+    m = t_max // 2
+    bz = m * m // 4
+    nx, nz = 2 * m + 1, 2 * bz + 1
+
+    def shift_z(a, s):
+        out = np.zeros_like(a)
+        if s >= 0:
+            out[..., s:] = a[..., : nz - s]
+        else:
+            out[..., :s] = a[..., -s:]
+        return out
+
+    cur = np.zeros((nx, nx, nz))
+    cur[m, m, bz] = 1.0
+    probs = [1.0]
+    for _ in range(t_max):
+        nxt = np.zeros_like(cur)
+        nxt[:, 1:] += 0.25 * cur[:, :-1]
+        nxt[:, :-1] += 0.25 * cur[:, 1:]
+        for yi in range(nx):
+            y = yi - m
+            nxt[1:, yi] += 0.25 * shift_z(cur[:-1, yi], -y)
+            nxt[:-1, yi] += 0.25 * shift_z(cur[1:, yi], y)
+        cur = nxt
+        probs.append(cur[m, m, bz])
+    return np.array(probs)
+
+
+def test_srw_half_time_matches_direct_convolution():
+    direct = _direct_return_profile(32)
+    profile = srw_return_profile(32)
+    assert direct[1::2].max() == 0.0
+    for t in range(0, 33, 2):
+        got = profile.probabilities[t]
+        assert got == pytest.approx(direct[t], rel=1e-14, abs=0.0)
+        # clipping only lowers sum P_n^2, by at most dropped_mass / 2
+        assert -1e-15 <= direct[t] - got <= profile.dropped_mass + 1e-15
+
+
+def test_srw_profile_odd_t_max():
+    profile = srw_return_profile(7)
+    assert profile.probabilities.shape == (8,)
+    assert not profile.probabilities[1::2].any()
+    assert np.array_equal(profile.probabilities[:7], srw_return_profile(6).probabilities)
+
+
 def test_srw_profile_mass_accounting():
     profile = srw_return_profile(32)
     assert profile.dropped_mass < 1e-9
     probs = profile.probabilities[::2]
     assert all(a > b for a, b in zip(probs[1:], probs[2:]))
+    # at t_max 96 the box clips a little mass, and the clip stays small
+    assert 0.0 < srw_return_profile(96).dropped_mass < 1e-10
 
 
 def test_srw_time_cap():
@@ -185,6 +241,10 @@ def test_zd_eit_excursion_ratio_estimates_theta():
 def test_zd_eit_validation():
     with pytest.raises(ValueError):
         zd_eit_tail(1, 16, 100, seed=1)
+    # one chunk of 1024 pairs x 2^15 steps is above the cell cap
+    assert 1024 * 2**15 > PAIR_CHUNK_CELLS_CAP
+    with pytest.raises(CapExceededError):
+        zd_eit_tail(4, 2**15, 4096, seed=1)
 
 
 def _brute_pair_counts(u, v):
