@@ -6,18 +6,21 @@ holds the joint distribution of
     S = sum_j alpha_j        (number of ones)
     W = sum_j j * alpha_j    (position-weighted sum)
 
-as a dense (k+1) x (k(k-1)/2 + 1) float64 matrix built by k convolution
-steps, one bit per step, renormalized by 1/2 each step (exact: powers of
-two).  Two words of length k land on the same Cayley-graph vertex exactly
-when their (S, W) pairs agree, so every endpoint-collision statistic for
-oriented walk pairs is a quadratic functional of this table:
+Row s counts the words with s ones by W: it is the Gaussian binomial
+[k choose s]_q on w = s(s-1)/2 + (0..s(k-s)).  In these offset
+coordinates row k-s equals row s, so only the rows s <= k//2 are stored,
+as ragged float64 counts grown in place one bit per step; the exact 2^-k
+is applied when a statistic is taken.  Two words of length k land on the
+same Cayley-graph vertex exactly when their (S, W) pairs agree, so every
+endpoint-collision statistic for oriented walk pairs is a quadratic
+functional of this table:
 
     collision_probability      sum over (s,w) of mass^2
-    count_match_probability    sum over s of (S-marginal)^2
+    count_match_probability    sum over s of (S-marginal)^2 = C(2k,k)/4^k
     weighted_match_probability sum over w of (W-marginal)^2
     max_point_mass             max of the W-marginal
 
-Memory is the binding constraint, roughly 4(k^3) bytes (k=512 is ~540 MB);
+Memory is the binding constraint, about k^3/12 cells (k=512 is ~90 MB);
 build_table refuses k above a cap, default 512, overridable with the
 HEISWALK_TABLE_CAP environment variable.
 """
@@ -27,11 +30,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ConfigError
 
 __all__ = [
     "CountWeightTable",
@@ -52,6 +56,9 @@ __all__ = [
 
 DEFAULT_TABLE_CAP = 512
 _CAP_ENV = "HEISWALK_TABLE_CAP"
+# Stored counts stay below 2^_RESCALE_BITS: at 512 every sum of squared
+# counts a statistic takes stays finite, and the default cap never rescales.
+_RESCALE_BITS = 512
 
 
 def table_cap() -> int:
@@ -62,9 +69,9 @@ def table_cap() -> int:
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise ValueError(f"{_CAP_ENV} must be positive, got {cap}")
+        raise ConfigError(f"{_CAP_ENV} must be positive, got {cap}")
     return cap
 
 
@@ -73,12 +80,28 @@ def weight_bounds(k: int, s: int) -> tuple[int, int]:
     return s * (s - 1) // 2, s * (2 * k - s - 1) // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountWeightTable:
-    """Joint law of (S, W); mass[s, w] = P[S == s, W == w]."""
+    """Joint law of (S, W) at word length k, as half ragged rows.
+
+    rows[s] (s <= k//2) holds 2^-shift times the number of words with s ones
+    and W = s(s-1)/2 + offset, offset 0..s(k-s); row k-s is the same array.
+    """
 
     k: int
-    mass: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    shift: int = 0
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Dense read-only mass[s, w] = P[S == s, W == w], built on request."""
+        k = self.k
+        mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
+        for s in range(k + 1):
+            row = self.rows[min(s, k - s)]
+            mass[s, s * (s - 1) // 2 :][: row.size] = row * math.ldexp(1.0, self.shift - k)
+        mass.flags.writeable = False
+        return mass
 
     def s_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
@@ -87,59 +110,44 @@ class CountWeightTable:
         return self.mass.sum(axis=0)
 
 
-def _check_cap(k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cap = table_cap()
-    if k > cap:
-        raise CapExceededError(
-            f"k={k} exceeds the table cap {cap}; raise {_CAP_ENV} to allow more memory"
-        )
-
-
-def _advance(mass: np.ndarray, j: int) -> None:
-    """Add bit j (weight j) to the table in place: new = avg(stay, shift).
-
-    The shift moves (s, w) -> (s+1, w+j); iterating s downward keeps the
-    source row s-1 untouched until it is read.  Before the step rows
-    0..j hold the length-j table; afterwards rows 0..j+1 hold length j+1.
-    """
-    for s in range(j + 1, 0, -1):
-        lo_src, hi_src = weight_bounds(j, s - 1)
-        lo_new = s * (s - 1) // 2
-        # stay part: whole reachable span of the new row (untouched cells are 0)
-        mass[s, lo_new : hi_src + j + 1] *= 0.5
-        mass[s, lo_src + j : hi_src + j + 1] += 0.5 * mass[s - 1, lo_src : hi_src + 1]
-    mass[0, 0] *= 0.5
-
-
 def iter_tables(k_max: int) -> Iterator[CountWeightTable]:
     """Yield the table for k = 1, 2, ..., k_max.
 
-    The yielded tables share one growing buffer; each is a read-only view
-    valid until the next iteration.  Copy the mass to keep it.
+    The yielded tables share one set of growing row buffers; each is a
+    read-only view valid until the next iteration.  Copy the rows to keep them.
     """
-    _check_cap(k_max)
-    w_size = k_max * (k_max - 1) // 2 + 1
-    mass = np.zeros((k_max + 1, w_size), dtype=np.float64)
-    mass[0, 0] = 0.5
-    mass[1, 0] = 0.5
-    view = mass[:2, :1]
-    view.flags.writeable = False
-    yield CountWeightTable(1, view)
-    for j in range(1, k_max):
-        _advance(mass, j)
-        k = j + 1
-        view = mass[: k + 1, : k * (k - 1) // 2 + 1]
+    if k_max < 1:
+        raise ValueError("k must be >= 1")
+    if k_max > (cap := table_cap()):
+        raise CapExceededError(f"k={k_max} exceeds the table cap {cap}; raise {_CAP_ENV}")
+    bufs = [np.zeros(s * (k_max - s) + 1) for s in range(k_max // 2 + 1)]
+    bufs[0][0] = 1.0
+    frozen = [buf.view() for buf in bufs]
+    for view in frozen:
         view.flags.writeable = False
-        yield CountWeightTable(k, view)
+    shift = 0
+    for k in range(1, k_max + 1):
+        # add bit k-1 (weight k-1): row s gains row s-1 shifted by k-1 in w,
+        # which is k-s in offset coordinates; downward s reads row s-1 intact
+        if k - shift > _RESCALE_BITS:
+            for buf in bufs:
+                buf *= math.ldexp(1.0, -_RESCALE_BITS)
+            shift += _RESCALE_BITS
+        half = k // 2
+        if k % 2 == 0:
+            # row k/2 of length k-1 is not stored; it mirrors row k/2-1
+            n = half * (half - 1) + 1
+            bufs[half][:n] = bufs[half - 1][:n]
+        for s in range(half, 0, -1):
+            n = (s - 1) * (k - s) + 1
+            bufs[s][k - s : k - s + n] += bufs[s - 1][:n]
+        rows = tuple(frozen[s][: s * (k - s) + 1] for s in range(half + 1))
+        yield CountWeightTable(k, rows, shift)
 
 
 def build_table(k: int) -> CountWeightTable:
     """Exact (S, W) table for word length k."""
-    for table in iter_tables(k):
-        pass
-    return table
+    return next(table for table in iter_tables(k) if table.k == k)
 
 
 @dataclass(frozen=True)
@@ -153,21 +161,29 @@ class TableStatistics:
 
 
 def _statistics(table: CountWeightTable) -> TableStatistics:
-    m = table.mass
-    s_marg = m.sum(axis=1)
-    w_marg = m.sum(axis=0)
-    flat = m.ravel()
-    collision = float(flat @ flat)
-    row_sq = np.einsum("sw,sw->s", m, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(s_marg > 0, row_sq / s_marg, 0.0)
+    """Every statistic from one pass over the stored rows.
+
+    A row s < k-s also stands for its mirror k-s, so it counts twice and
+    lands in the W-marginal at both offsets.
+    """
+    k = table.k
+    e = table.shift - k  # probability = stored count * 2^e
+    w_marg = np.zeros(k * (k - 1) // 2 + 1)
+    squares, conditional = [], []
+    for s, row in enumerate(table.rows):
+        ones = (s, k - s) if 2 * s < k else (s,)
+        square = float(row @ row)
+        squares.append(len(ones) * square)
+        conditional.append(len(ones) * square / float(row.sum()))
+        for c in ones:
+            w_marg[c * (c - 1) // 2 :][: row.size] += row
     return TableStatistics(
-        k=table.k,
-        collision=collision,
-        count_match=float(s_marg @ s_marg),
-        weighted_match=float(w_marg @ w_marg),
-        max_point_mass=float(w_marg.max()),
-        conditional_match=float(cond.sum()),
+        k=k,
+        collision=math.ldexp(math.fsum(squares), 2 * e),
+        count_match=math.comb(2 * k, k) / 4**k,
+        weighted_match=math.ldexp(float(w_marg @ w_marg), 2 * e),
+        max_point_mass=math.ldexp(float(w_marg.max()), e),
+        conditional_match=math.ldexp(math.fsum(conditional), e),
     )
 
 
@@ -176,11 +192,7 @@ def scan_statistics(k_values) -> dict[int, TableStatistics]:
     wanted = {int(k) for k in k_values}
     if not wanted:
         return {}
-    out: dict[int, TableStatistics] = {}
-    for table in iter_tables(max(wanted)):
-        if table.k in wanted:
-            out[table.k] = _statistics(table)
-    return out
+    return {t.k: _statistics(t) for t in iter_tables(max(wanted)) if t.k in wanted}
 
 
 def _as_table(k_or_table) -> CountWeightTable:
@@ -191,25 +203,22 @@ def _as_table(k_or_table) -> CountWeightTable:
 
 def collision_probability(k_or_table) -> float:
     """P[two independent words of length k share both S and W]."""
-    m = _as_table(k_or_table).mass.ravel()
-    return float(m @ m)
+    return _statistics(_as_table(k_or_table)).collision
 
 
 def count_match_probability(k_or_table) -> float:
-    """P[equal counts]; equals C(2k, k) / 4^k."""
-    s = _as_table(k_or_table).s_marginal()
-    return float(s @ s)
+    """P[equal counts]; equals C(2k, k) / 4^k, computed in integers."""
+    return _statistics(_as_table(k_or_table)).count_match
 
 
 def weighted_match_probability(k_or_table) -> float:
     """P[equal weighted sums], ignoring counts."""
-    w = _as_table(k_or_table).w_marginal()
-    return float(w @ w)
+    return _statistics(_as_table(k_or_table)).weighted_match
 
 
 def max_point_mass(k_or_table) -> float:
     """Largest single point mass of the weighted sum W."""
-    return float(_as_table(k_or_table).w_marginal().max())
+    return _statistics(_as_table(k_or_table)).max_point_mass
 
 
 def conditional_match_probability(k_or_table) -> float:
@@ -218,26 +227,17 @@ def conditional_match_probability(k_or_table) -> float:
     Computed as sum_s P[S=s] * sum_w P[W=w|S=s]^2, the match probability
     when the common count is drawn from the count law itself.
     """
-    t = _as_table(k_or_table)
-    s_marg = t.s_marginal()
-    row_sq = np.einsum("sw,sw->s", t.mass, t.mass)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(s_marg > 0, row_sq / s_marg, 0.0)
-    return float(cond.sum())
+    return _statistics(_as_table(k_or_table)).conditional_match
 
 
 def conditional_match_at_count(k_or_table, s: int | None = None) -> float:
-    """P[equal weighted sums | both counts equal s]; s defaults to round(k/2)."""
+    """P[equal weighted sums | both counts equal s]; s defaults to k//2."""
     t = _as_table(k_or_table)
-    if s is None:
-        s = t.k // 2
+    s = t.k // 2 if s is None else s
     if not 0 <= s <= t.k:
         raise ValueError(f"count s={s} outside 0..{t.k}")
-    row = t.mass[s]
-    total = row.sum()
-    if total == 0.0:
-        raise ValueError(f"count s={s} has zero probability")
-    p = row / total
+    row = t.rows[min(s, t.k - s)]
+    p = row / row.sum()
     return float(p @ p)
 
 

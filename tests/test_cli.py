@@ -72,7 +72,7 @@ def test_empty_k_list_is_config_error(workdir, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_value_is_config_error(workdir, capsys):
+def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     assert run("eit-tail", "--samples", "-5") == 2
     assert run("resistance-profile", "--p", "1.7") == 2
     assert run("theta-d", "--d", "2") == 2
@@ -81,6 +81,11 @@ def test_bad_value_is_config_error(workdir, capsys):
     assert run("zd-eit", "--d", "300") == 2
     # one pair has no standard error, so no growth z-score can certify a claim
     assert run("srw-intersections", "--samples", "1", "--n-base", "8") == 2
+    # a malformed table cap is a config error, not a traceback
+    for cap in ("banana", "0"):
+        monkeypatch.setenv("HEISWALK_TABLE_CAP", cap)
+        assert run("collision-exact", "--k-list", "4,8") == 2
+        assert "HEISWALK_TABLE_CAP" in capsys.readouterr().err
 
 
 def test_cap_exceeded_exit_code(workdir, capsys):

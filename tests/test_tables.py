@@ -1,13 +1,14 @@
-"""Exact count/weight DP against exhaustive word enumeration."""
+"""Exact count/weight DP against exhaustive word enumeration and integer counts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heiswalk.errors import CapExceededError
+from heiswalk import tables
+from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.tables import (
-    CountWeightTable,
     build_table,
     collision_probability,
     conditional_match_at_count,
@@ -35,15 +36,15 @@ def brute_table(k):
     n_w = k * (k - 1) // 2 + 1
     counts = np.zeros((k + 1, n_w), dtype=np.int64)
     np.add.at(counts, (s.astype(np.int64), w.astype(np.int64)), 1)
-    return CountWeightTable(k, counts / float(2**k))
+    return counts / float(2**k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
 def test_dp_equals_enumeration_exactly(k):
     dp = build_table(k)
     brute = brute_table(k)
-    assert dp.mass.shape == brute.mass.shape
-    assert np.array_equal(dp.mass, brute.mass)
+    assert dp.mass.shape == brute.shape
+    assert np.array_equal(dp.mass, brute)
 
 
 def test_collision_spot_values():
@@ -67,6 +68,13 @@ def test_count_match_is_central_binomial():
     for k in (1, 2, 5, 10, 20):
         exact = math.comb(2 * k, k) / 4**k
         assert count_match_probability(k) == exact
+        # the table's own S-marginal agrees (every term is exact at this size)
+        s_marg = build_table(k).s_marginal()
+        assert float(s_marg @ s_marg) == exact
+    ks = list(range(1, 65)) + [128, 256, 512]
+    stats = scan_statistics(ks)
+    for k in ks:
+        assert stats[k].count_match == math.comb(2 * k, k) / 4**k
 
 
 def test_mass_is_a_probability_law():
@@ -149,6 +157,8 @@ def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("HEISWALK_TABLE_CAP", "banana")
     with pytest.raises(ValueError):
         table_cap()
+    with pytest.raises(ConfigError):
+        table_cap()
     monkeypatch.setenv("HEISWALK_TABLE_CAP", "0")
     with pytest.raises(ValueError):
         table_cap()
@@ -157,3 +167,71 @@ def test_cap_env_override(monkeypatch):
 def test_k_validation():
     with pytest.raises(ValueError):
         build_table(0)
+
+
+def exact_tables(k_max):
+    """Oracle: yield (k, rows) for k = 1..k_max with Python-int counts.
+
+    rows[s] (s = 0..k, object dtype) counts the words of length k with s
+    ones by W - s(s-1)/2: the Gaussian binomial [k choose s]_q, built by
+    the q-Pascal rule on every row, without the mirror symmetry.
+    """
+    rows = [np.array([1], dtype=object)]
+    for k in range(1, k_max + 1):
+        nxt = []
+        for s in range(k + 1):
+            row = np.zeros(s * (k - s) + 1, dtype=object)
+            if s < k:
+                row[: rows[s].size] += rows[s]
+            if s > 0:
+                row[k - s : k - s + rows[s - 1].size] += rows[s - 1]
+            nxt.append(row)
+        rows = nxt
+        yield k, rows
+
+
+def exact_statistics(k, rows):
+    """The five TableStatistics fields as exact rationals."""
+    w_marg = np.zeros(k * (k - 1) // 2 + 1, dtype=object)
+    for s, row in enumerate(rows):
+        w_marg[s * (s - 1) // 2 :][: row.size] += row
+    return {
+        "collision": Fraction(sum(int(r.dot(r)) for r in rows), 4**k),
+        "count_match": Fraction(sum(int(r.sum()) ** 2 for r in rows), 4**k),
+        "weighted_match": Fraction(int(w_marg.dot(w_marg)), 4**k),
+        "max_point_mass": Fraction(int(w_marg.max()), 2**k),
+        "conditional_match": sum(Fraction(int(r.dot(r)), int(r.sum())) for r in rows)
+        / 2**k,
+    }
+
+
+def test_mass_equals_integer_counts_through_k56():
+    # every count stays below 2^53 up to k = 56, so the float table is exact
+    for (k, rows), table in zip(exact_tables(56), iter_tables(56)):
+        assert max(int(r.max()) for r in rows) < 2**53
+        mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
+        for s, row in enumerate(rows):
+            mass[s, s * (s - 1) // 2 :][: row.size] = row.astype(float) / 2.0**k
+        assert np.array_equal(table.mass, mass), k
+
+
+def test_statistics_near_exact_rationals_beyond_k56():
+    ks = (57, 100, 128)
+    stats = scan_statistics(ks)
+    exact = {k: exact_statistics(k, rows) for k, rows in exact_tables(128) if k in ks}
+    for k in ks:
+        assert exact[k]["count_match"] == Fraction(math.comb(2 * k, k), 4**k)
+        for field, value in exact[k].items():
+            rel = abs(Fraction(getattr(stats[k], field)) - value) / value
+            assert rel <= 1e-15, (k, field, float(rel))
+
+
+def test_rescale_keeps_statistics_bit_identical(monkeypatch):
+    ks = range(1, 81)
+    plain = scan_statistics(ks)
+    plain_mass = build_table(40).mass
+    monkeypatch.setattr(tables, "_RESCALE_BITS", 12)
+    table = build_table(40)
+    assert table.shift > 0  # the rescale path ran
+    assert np.array_equal(table.mass, plain_mass)
+    assert scan_statistics(ks) == plain
