@@ -372,7 +372,13 @@ def _run_eit_tail(cfg, claims):
                           weights=[est.counts[n] for n in fit_ns])
     fits = [_report(claims, "eit-tail-linearity", fit.r_squared, fit_ns, fit.r_squared,
                     fit.intercept)]
-    worst = max((abs(r - pooled) / se for _n, r, se in ratios if se > 0), default=0.0)
+    spreads = [abs(r - pooled) / se for _n, r, se in ratios if se > 0]
+    if len(spreads) < 2:
+        raise ConfigError(
+            f"samples too small: {len(spreads)} continuation ratio(s) with a standard error, "
+            "memorylessness needs at least 2"
+        )
+    worst = max(spreads)
     fits.append(_report(claims, "eit-memorylessness", worst, [n for n, _r, _se in ratios]))
     extras = {
         "theta_hat": est.theta_hat,
@@ -473,10 +479,16 @@ def _run_ball_growth(cfg, claims):
     return ["radius", "ball_size"], rows, fits, {}
 
 
+def _check_radii(radii):
+    if radii != sorted(set(radii)):
+        raise ConfigError("--radii must be strictly increasing")
+    if radii[0] < 1:
+        raise ConfigError(f"--radii must be >= 1, got {radii[0]}")
+
+
 def _run_resistance_profile(cfg, claims):
     radii, seeds = cfg["radii"], cfg["seeds"]
-    if radii != sorted(set(radii)):
-        raise ConfigError("radii must be strictly increasing")
+    _check_radii(radii)
     if cfg["family"] == "heisenberg":
         graph = percolation.heisenberg_box(radii[-1])
     else:
@@ -500,8 +512,7 @@ def _run_resistance_profile(cfg, claims):
 
 def _run_flow_energy(cfg, claims):
     radii, seeds, p = cfg["radii"], cfg["seeds"], cfg["p"]
-    if radii != sorted(set(radii)):
-        raise ConfigError("radii must be strictly increasing")
+    _check_radii(radii)
     rows = []
     thomson_ok = True
     means = []

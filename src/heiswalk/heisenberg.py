@@ -22,6 +22,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import CapExceededError, CoordinateOverflowError
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "word_eval",
     "out_edges",
     "ball",
+    "ball_levels",
     "ball_with_distances",
     "ball_sizes",
     "DEFAULT_BALL_CAP",
@@ -127,33 +130,58 @@ def out_edges(g: GroupElement) -> tuple[DirectedEdge, DirectedEdge]:
     )
 
 
-def ball_with_distances(radius: int, cap: int = DEFAULT_BALL_CAP) -> dict[GroupElement, int]:
-    """Word-metric distances for every element within `radius` of identity.
+def ball_levels(radius: int, cap: int = DEFAULT_BALL_CAP) -> list[np.ndarray]:
+    """Coordinates of every sphere of the ball of `radius` about the identity.
 
-    Breadth-first search over all four generators.  The cap guards
+    Level r is an (n_r, 3) int64 array of the elements at word distance r,
+    in lexicographic order.  One frontier search over packed int64 keys:
+    in a Cayley graph with a symmetric generating set the neighbours of
+    sphere r lie in spheres r-1, r and r+1, so each new level is the set
+    of frontier neighbours minus the last two levels.  The cap guards
     memory: the ball grows like the fourth power of the radius.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > cap:
         raise CapExceededError(f"ball radius {radius} exceeds cap {cap}")
-    dist: dict[GroupElement, int] = {IDENTITY: 0}
-    frontier = [IDENTITY]
-    for r in range(1, radius + 1):
-        next_frontier: list[GroupElement] = []
-        for g in frontier:
-            n, m, k = g
-            for h in (
-                GroupElement(n + 1, m, k - m),
-                GroupElement(n - 1, m, k + m),
-                GroupElement(n, m + 1, k),
-                GroupElement(n, m - 1, k),
-            ):
-                if h not in dist:
-                    dist[h] = r
-                    next_frontier.append(h)
-        frontier = next_frontier
-    return dist
+    # |n|, |m| <= r and |k| <= r^2 inside the ball: mixed-radix digits
+    z_half = radius * radius
+    z_base = 2 * z_half + 1
+    m_base = 2 * radius + 1
+    n_step = m_base * z_base
+    levels = [np.array([(radius * m_base + radius) * z_base + z_half], dtype=np.int64)]
+    previous = levels[0][:0]
+    for _ in range(radius):
+        frontier = levels[-1]
+        m = (frontier // z_base) % m_base - radius
+        # a: (n+1, m, k-m); a^-1: (n-1, m, k+m); b, b^-1: (n, m +- 1, k)
+        a_step = n_step - m
+        near = np.sort(np.concatenate(
+            [frontier + a_step, frontier - a_step, frontier + z_base, frontier - z_base]
+        ))
+        near = near[np.concatenate(([True], near[1:] != near[:-1]))]  # faster than np.unique
+        known = np.isin(near, previous, assume_unique=True)
+        known |= np.isin(near, frontier, assume_unique=True)
+        previous = frontier
+        levels.append(near[~known])
+    out = []
+    for keys in levels:
+        n, rest = np.divmod(keys, n_step)
+        m, k = np.divmod(rest, z_base)
+        out.append(np.column_stack([n - radius, m - radius, k - z_half]))
+    return out
+
+
+def ball_with_distances(radius: int, cap: int = DEFAULT_BALL_CAP) -> dict[GroupElement, int]:
+    """Word-metric distances for every element within `radius` of identity.
+
+    A dict view of ball_levels, for callers that look elements up.
+    """
+    return {
+        GroupElement(*g): r
+        for r, level in enumerate(ball_levels(radius, cap))
+        for g in level.tolist()
+    }
 
 
 def ball(radius: int, cap: int = DEFAULT_BALL_CAP) -> set[GroupElement]:
@@ -163,13 +191,4 @@ def ball(radius: int, cap: int = DEFAULT_BALL_CAP) -> set[GroupElement]:
 
 def ball_sizes(radius: int, cap: int = DEFAULT_BALL_CAP) -> list[int]:
     """|ball(r)| for r = 0..radius, from a single search."""
-    dist = ball_with_distances(radius, cap)
-    counts = [0] * (radius + 1)
-    for r in dist.values():
-        counts[r] += 1
-    sizes = []
-    total = 0
-    for r in range(radius + 1):
-        total += counts[r]
-        sizes.append(total)
-    return sizes
+    return np.cumsum([len(level) for level in ball_levels(radius, cap)]).tolist()

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CapExceededError, ConfigError, SolverConvergenceError
-from .heisenberg import DEFAULT_BALL_CAP, ball_with_distances
+from .heisenberg import DEFAULT_BALL_CAP, ball_levels
 from .rng import edge_uniforms, stream
 
 __all__ = [
@@ -61,41 +62,26 @@ class BoxGraph:
 
     Vertices are coordinate tuples in a fixed canonical order (by
     distance, then coordinates), so every derived array is reproducible.
-    Each edge carries a 64-bit key built from the tail coordinates and
-    the generator label only; the key is independent of the box radius,
-    which is what couples masks across nested boxes.
+    Edges are ordered by (tail, label).  Each edge carries a 64-bit key
+    built from the tail coordinates and the generator label only; the
+    key is independent of the box radius, which is what couples masks
+    across nested boxes.
     """
 
-    def __init__(self, family, radius, vertices, dist, edges, n_labels):
+    def __init__(self, family, radius, vertices, dist, tails, heads, labels, keys, n_labels):
         self.family = family
         self.radius = radius
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.dist = np.asarray(dist, dtype=np.int32)
         self.n_labels = n_labels
-        n = len(self.vertices)
-        if edges:
-            arr = np.asarray(edges, dtype=np.int64)
-            self.tails = arr[:, 0].astype(np.int32)
-            self.heads = arr[:, 1].astype(np.int32)
-            self.labels = arr[:, 2].astype(np.uint8)
-            self.keys = arr[:, 3].astype(np.uint64)
-        else:
-            self.tails = np.zeros(0, dtype=np.int32)
-            self.heads = np.zeros(0, dtype=np.int32)
-            self.labels = np.zeros(0, dtype=np.uint8)
-            self.keys = np.zeros(0, dtype=np.uint64)
+        self.tails = np.asarray(tails, dtype=np.int32)
+        self.heads = np.asarray(heads, dtype=np.int32)
+        self.labels = np.asarray(labels, dtype=np.uint8)
+        self.keys = np.asarray(keys, dtype=np.uint64)
         # out_edge[v, label] = edge index or -1; each label leaves v at most once
-        self.out_edge = np.full((n, n_labels), -1, dtype=np.int64)
+        self.out_edge = np.full((len(self.vertices), n_labels), -1, dtype=np.int64)
         self.out_edge[self.tails, self.labels] = np.arange(len(self.tails))
-        # undirected incidence in CSR form for connectivity and Laplacians
-        ends = np.concatenate([self.tails, self.heads])
-        other = np.concatenate([self.heads, self.tails])
-        eid = np.concatenate([np.arange(len(self.tails))] * 2)
-        order = np.argsort(ends, kind="stable")
-        self._adj_vertex = other[order].astype(np.int32)
-        self._adj_edge = eid[order].astype(np.int64)
-        self._adj_ptr = np.searchsorted(ends[order], np.arange(n + 1))
 
     @property
     def n_vertices(self) -> int:
@@ -110,32 +96,16 @@ class BoxGraph:
     def n_edges(self) -> int:
         return len(self.tails)
 
-    def neighbors(self, i: int):
-        """(vertex, edge) pairs incident to i, orientation ignored."""
-        lo, hi = self._adj_ptr[i], self._adj_ptr[i + 1]
-        return self._adj_vertex[lo:hi], self._adj_edge[lo:hi]
-
 
 def heisenberg_box(radius: int, cap: int = DEFAULT_BALL_CAP) -> BoxGraph:
     """Word-metric ball of G_H with its a- and b-edges (labels 0, 1)."""
-    dist_map = ball_with_distances(radius, cap)
-    vertices = sorted(dist_map, key=lambda g: (dist_map[g], g))
-    index = {v: i for i, v in enumerate(vertices)}
-    dist = [dist_map[v] for v in vertices]
-    edges = []
-    for i, (n, m, k) in enumerate(vertices):
-        key_base = _pack_heis(n, m, k)
-        for label, head in ((0, (n + 1, m, k - m)), (1, (n, m + 1, k))):
-            j = index.get(head)
-            if j is not None:
-                edges.append((i, j, label, key_base | (label << 41)))
-    return BoxGraph("heisenberg", radius, vertices, dist, edges, 2)
-
-
-def _pack_heis(n: int, m: int, k: int) -> int:
-    # 10+10+21 bits; ball coordinates stay far inside these ranges
-    assert -512 <= n < 512 and -512 <= m < 512 and -(1 << 20) <= k < (1 << 20)
-    return (n + 512) | ((m + 512) << 10) | ((k + (1 << 20)) << 20)
+    levels = ball_levels(radius, cap)
+    coords = np.concatenate(levels)
+    dist = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    n, m, k = coords.T
+    heads = [np.column_stack([n + 1, m, k - m]), np.column_stack([n, m + 1, k])]
+    # edge keys: 10+10+21 bit fields; the ball cap keeps coordinates far inside them
+    return _box_graph("heisenberg", radius, coords, dist, heads, (10, 10, 21))
 
 
 def lattice_box(d: int, radius: int) -> BoxGraph:
@@ -147,36 +117,61 @@ def lattice_box(d: int, radius: int) -> BoxGraph:
     size_bound = (2 * radius + 1) ** d
     if size_bound > 8 * LATTICE_VERTEX_CAP:
         raise CapExceededError(f"lattice box radius {radius} too large")
-    from itertools import product
-
-    vertices = []
-    for v in product(range(-radius, radius + 1), repeat=d):
-        dd = sum(abs(c) for c in v)
-        if dd <= radius:
-            vertices.append((dd, v))
-    if len(vertices) > LATTICE_VERTEX_CAP:
-        raise CapExceededError(f"lattice box has {len(vertices)} vertices")
-    vertices.sort()
-    dist = [dd for dd, _ in vertices]
-    verts = [v for _, v in vertices]
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for i, v in enumerate(verts):
-        key_base = _pack_lattice(v)
-        for axis in range(d):
-            head = v[:axis] + (v[axis] + 1,) + v[axis + 1 :]
-            j = index.get(head)
-            if j is not None:
-                edges.append((i, j, axis, key_base | (axis << (12 * d))))
-    return BoxGraph(f"z{d}", radius, verts, dist, edges, d)
+    # grow the ball one axis at a time; `room` is the L1 budget left
+    coords = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([radius], dtype=np.int64)
+    for _axis in range(d):
+        width = 2 * room + 1
+        row = np.repeat(np.arange(len(room)), width)
+        c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width) - room[row]
+        coords = np.column_stack([coords[row], c])
+        room = room[row] - np.abs(c)
+    if len(coords) > LATTICE_VERTEX_CAP:
+        raise CapExceededError(f"lattice box has {len(coords)} vertices")
+    heads = [coords + np.eye(d, dtype=np.int64)[axis] for axis in range(d)]
+    return _box_graph(f"z{d}", radius, coords, radius - room, heads, (12,) * d)
 
 
-def _pack_lattice(v: tuple) -> int:
-    key = 0
-    for pos, c in enumerate(v):
-        assert -2048 <= c < 2048
-        key |= (c + 2048) << (12 * pos)
-    return key
+def _box_graph(family, radius, coords, dist, heads, widths) -> BoxGraph:
+    """BoxGraph of the vertices `coords` at distances `dist`.
+
+    heads[label] holds each vertex's head along that label; the edge exists
+    when the head is a vertex.  Vertex lookups and edge keys use the tail
+    coordinates packed into signed fields of the given bit widths, with
+    the label above them.
+    """
+    order = np.lexsort(np.vstack([coords.T[::-1], dist]))
+    coords, dist, heads = coords[order], dist[order], [head[order] for head in heads]
+    vertex_key = _pack(coords, widths)
+    if (vertex_key < 0).any():
+        raise CapExceededError(f"{family} box of radius {radius} does not fit the edge keys")
+    by_key = np.argsort(vertex_key)
+    sorted_key = vertex_key[by_key]
+    head_index = np.full((len(coords), len(heads)), -1, dtype=np.int64)
+    for label, head in enumerate(heads):
+        head_key = _pack(head, widths)
+        pos = np.minimum(np.searchsorted(sorted_key, head_key), len(sorted_key) - 1)
+        head_index[:, label] = np.where(sorted_key[pos] == head_key, by_key[pos], -1)
+    tails, labels = np.nonzero(head_index >= 0)
+    keys = vertex_key[tails] | (labels << sum(widths))
+    return BoxGraph(family, radius, map(tuple, coords.tolist()), dist, tails,
+                    head_index[tails, labels], labels, keys, len(heads))
+
+
+def _pack(coords: np.ndarray, widths) -> np.ndarray:
+    """Each row's coordinates in signed bit fields, first coordinate lowest.
+
+    -1 marks a row with a coordinate outside its field.
+    """
+    key = np.zeros(len(coords), dtype=np.int64)
+    fits = np.ones(len(coords), dtype=bool)
+    shift = 0
+    for col, width in zip(coords.T, widths):
+        half = 1 << (width - 1)
+        fits &= (-half <= col) & (col < half)
+        key |= (col + half) << shift
+        shift += width
+    return np.where(fits, key, -1)
 
 
 def build_custom_graph(vertices, dist, directed_edges) -> BoxGraph:
@@ -187,12 +182,13 @@ def build_custom_graph(vertices, dist, directed_edges) -> BoxGraph:
     never coupled across radii.
     """
     index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    n_labels = 1
-    for tail, head, label in directed_edges:
-        n_labels = max(n_labels, label + 1)
-        edges.append((index[tail], index[head], label, (index[tail] << 8) | label))
-    return BoxGraph("custom", max(dist), vertices, dist, edges, n_labels)
+    edges = np.array(
+        [(index[tail], index[head], label) for tail, head, label in directed_edges], dtype=np.int64
+    ).reshape(-1, 3)
+    tails, heads, labels = edges.T
+    n_labels = int(labels.max(initial=0)) + 1
+    return BoxGraph("custom", max(dist), vertices, dist, tails, heads, labels,
+                    (tails << 8) | labels, n_labels)
 
 
 @dataclass(frozen=True)
@@ -245,39 +241,19 @@ def oriented_cluster(mask: SubgraphMask, v=None, max_dist: int | None = None) ->
     limit = graph.radius if max_dist is None else max_dist
     if graph.dist[start] > limit:
         raise ConfigError(f"vertex {v!r} is outside radius {limit}")
-    seen = {start}
-    stack = [start]
-    out_edge = graph.out_edge
-    heads = graph.heads
-    dist = graph.dist
-    is_open = mask.open
-    while stack:
-        i = stack.pop()
-        for e in out_edge[i]:
-            if e >= 0 and is_open[e]:
-                j = heads[e]
-                if j not in seen and dist[j] <= limit:
-                    seen.add(int(j))
-                    stack.append(int(j))
-    return {graph.vertices[i] for i in seen}
+    return {graph.vertices[i] for i in _reachable(mask, start, limit, directed=True).tolist()}
 
 
-def _component(mask: SubgraphMask, start: int, limit: int) -> np.ndarray:
-    """Undirected open component of start within the radius limit."""
+def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np.ndarray:
+    """Vertices reached from start over open edges inside the radius limit."""
     graph = mask.graph
-    seen = np.zeros(graph.n_vertices, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    is_open = mask.open
     dist = graph.dist
-    while stack:
-        i = stack.pop()
-        nbr, eid = graph.neighbors(i)
-        keep = is_open[eid] & ~seen[nbr] & (dist[nbr] <= limit)
-        for j in nbr[keep]:
-            seen[j] = True
-            stack.append(int(j))
-    return seen
+    keep = mask.open & (dist[graph.tails] <= limit) & (dist[graph.heads] <= limit)
+    n = graph.n_vertices
+    adjacency = scipy.sparse.csr_matrix(
+        (np.ones(int(keep.sum())), (graph.tails[keep], graph.heads[keep])), shape=(n, n)
+    )
+    return breadth_first_order(adjacency, start, directed=directed, return_predecessors=False)
 
 
 def effective_resistance(mask: SubgraphMask, source=None, sink_radius: int | None = None) -> float:
@@ -298,7 +274,8 @@ def effective_resistance(mask: SubgraphMask, source=None, sink_radius: int | Non
     src = graph.index.get(tuple(source))
     if src is None or graph.dist[src] >= r:
         raise ConfigError("source must lie strictly inside the sink sphere")
-    comp = _component(mask, src, r)
+    comp = np.zeros(graph.n_vertices, dtype=bool)
+    comp[_reachable(mask, src, r, directed=False)] = True
     shell = comp & (graph.dist == r)
     if not shell.any():
         return float("inf")
@@ -468,30 +445,24 @@ def path_flow_assignment(
     r = graph.radius
     rng = stream(seed, 0)
     words = rng.integers(0, 2, size=(num_paths, max(2 * r, 1)), dtype=np.uint8)
-    counts = np.zeros(graph.n_edges)
-    surviving = 0
-    sinks = set()
-    origin = graph.index[tuple(graph.origin)]
-    for w in words:
-        edge_ids = []
-        i = origin
-        ok = True
-        for t in range(r):
-            e = graph.out_edge[i, w[t]]
-            if e < 0 or not mask.open[e]:
-                ok = False
-                break
-            edge_ids.append(e)
-            i = graph.heads[e]
-        if ok:
-            surviving += 1
-            counts[edge_ids] += 1.0
-            sinks.add(graph.vertices[i])
-    if surviving == 0:
+    # advance every word one letter at a time, keeping the ones still open
+    alive = np.arange(num_paths)
+    at = np.full(num_paths, int(np.argmin(graph.dist)))
+    used = np.zeros((num_paths, r), dtype=np.int64)
+    for t in range(r):
+        e = graph.out_edge[at, words[alive, t]]
+        ok = e >= 0
+        ok[ok] = mask.open[e[ok]]
+        alive, at, e = alive[ok], graph.heads[e[ok]], e[ok]
+        used[alive, t] = e
+    if len(alive) == 0:
         return None
-    flow = counts / surviving
+    # an oriented path never repeats an edge, so counting edge uses is exact
+    counts = np.bincount(used[alive].ravel(), minlength=graph.n_edges)
+    flow = counts / len(alive)
     flow.flags.writeable = False
-    return FlowAssignment(graph, flow, tuple(graph.origin), frozenset(sinks), surviving)
+    sinks = frozenset(graph.vertices[i] for i in np.unique(at).tolist())
+    return FlowAssignment(graph, flow, tuple(graph.origin), sinks, len(alive))
 
 
 def path_flow_energy(

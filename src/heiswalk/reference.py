@@ -23,7 +23,8 @@ answers are classical:
   convolution runs only to n = t_max // 2, in a box sized for n, and the
   box clipping error stays below the reported dropped mass.
 * srw_mutual_intersections -- Monte Carlo range intersections of two
-  independent SRWs at doubling time checkpoints (unbounded growth);
+  independent SRWs at doubling time checkpoints (unbounded growth),
+  from each walk's first visit time to every vertex of its range;
   fewer than two sample pairs is a ConfigError.
 """
 
@@ -56,11 +57,13 @@ __all__ = [
     "ZD_COLLISION_K_CAP",
     "ZD_MAX_D",
     "SRW_TIME_CAP",
+    "INTERSECTION_TIME_CAP",
 ]
 
 ZD_COLLISION_K_CAP = 2048
 ZD_MAX_D = 256  # Monte Carlo letters are drawn as uint8
 SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
+INTERSECTION_TIME_CAP = 2**15  # walk steps; positions pack exactly into int64 keys
 
 
 def zd_collision_probability(d: int, k: int) -> float:
@@ -379,9 +382,6 @@ class IntersectionGrowth:
         return float(diff.mean() / se) if se > 0 else float("inf")
 
 
-_SRW_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-
-
 def srw_mutual_intersections(
     n_base: int, samples: int, seed: int, num_doublings: int = 2
 ) -> IntersectionGrowth:
@@ -389,7 +389,9 @@ def srw_mutual_intersections(
 
     Checkpoints are 0, n_base, 2*n_base, ..., 2^num_doublings * n_base;
     at time 0 both ranges are {identity}, so the mean there is exactly 1.
-    Fewer than two samples leave no standard error: ConfigError.
+    A vertex is common at time T when both walks have visited it by T.
+    Fewer than two samples leave no standard error: ConfigError; a last
+    checkpoint above INTERSECTION_TIME_CAP is a CapExceededError.
     """
     if n_base < 1:
         raise ValueError("n_base must be positive")
@@ -397,57 +399,35 @@ def srw_mutual_intersections(
         raise ConfigError(f"samples={samples}: a standard error needs at least 2 pairs")
     times = (0,) + tuple(n_base * 2**i for i in range(num_doublings + 1))
     t_max = times[-1]
+    if t_max > INTERSECTION_TIME_CAP:
+        raise CapExceededError(f"last checkpoint {t_max} exceeds cap {INTERSECTION_TIME_CAP}")
     values = np.zeros((samples, len(times)), dtype=np.int64)
     for i in range(samples):
         rng = stream(seed, i)
-        gu = rng.integers(0, 4, size=t_max, dtype=np.uint8)
-        gv = rng.integers(0, 4, size=t_max, dtype=np.uint8)
-        seen_u = {(0, 0, 0)}
-        seen_v = {(0, 0, 0)}
-        common = 1
-        xu = yu = zu = 0
-        xv = yv = zv = 0
-        col = 0
-        for t in range(t_max + 1):
-            if t == times[col]:
-                values[i, col] = common
-                col += 1
-            if t == t_max:
-                break
-            g = gu[t]
-            if g == 0:
-                zu -= yu
-                xu += 1
-            elif g == 1:
-                zu += yu
-                xu -= 1
-            elif g == 2:
-                yu += 1
-            else:
-                yu -= 1
-            p = (xu, yu, zu)
-            if p not in seen_u:
-                seen_u.add(p)
-                if p in seen_v:
-                    common += 1
-            g = gv[t]
-            if g == 0:
-                zv -= yv
-                xv += 1
-            elif g == 1:
-                zv += yv
-                xv -= 1
-            elif g == 2:
-                yv += 1
-            else:
-                yv -= 1
-            p = (xv, yv, zv)
-            if p not in seen_v:
-                seen_v.add(p)
-                if p in seen_u:
-                    common += 1
-        if col < len(times):
-            values[i, col:] = common
+        keys_u, first_u = _first_visits(rng.integers(0, 4, size=t_max, dtype=np.uint8), t_max)
+        keys_v, first_v = _first_visits(rng.integers(0, 4, size=t_max, dtype=np.uint8), t_max)
+        _common, iu, iv = np.intersect1d(keys_u, keys_v, assume_unique=True, return_indices=True)
+        both = np.sort(np.maximum(first_u[iu], first_v[iv]))
+        values[i] = np.searchsorted(both, times, side="right")
     means = values.mean(axis=0)
     ses = values.std(axis=0, ddof=1) / math.sqrt(samples)
     return IntersectionGrowth(times, means, ses, values)
+
+
+def _first_visits(letters: np.ndarray, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted position keys of a walk's range and the first visit time of each.
+
+    Letters 0..3 step by a, a^-1, b, b^-1.  Within t_max steps |x|, |y| <= t_max
+    and |z| <= t_max^2 / 4, so the mixed-radix key is exact in int64 up to
+    INTERSECTION_TIME_CAP.
+    """
+    dx = (letters == 0).astype(np.int64) - (letters == 1)
+    dy = (letters == 2).astype(np.int64) - (letters == 3)
+    y = np.cumsum(dy)
+    # a moves z by -y and a^-1 by +y; y does not change on those steps
+    z = np.cumsum(-dx * y)
+    z_half = t_max * t_max // 4
+    xy_base = 2 * t_max + 1
+    keys = ((np.cumsum(dx) + t_max) * xy_base + y + t_max) * (2 * z_half + 1) + z + z_half
+    origin = (t_max * xy_base + t_max) * (2 * z_half + 1) + z_half
+    return np.unique(np.concatenate(([origin], keys)), return_index=True)

@@ -52,6 +52,7 @@ __all__ = [
     "conditional_match_at_count",
     "dyadic_uniformity",
     "weight_bounds",
+    "DYADIC_K_CAP",
 ]
 
 DEFAULT_TABLE_CAP = 512
@@ -59,6 +60,8 @@ _CAP_ENV = "HEISWALK_TABLE_CAP"
 # Stored counts stay below 2^_RESCALE_BITS: at 512 every sum of squared
 # counts a statistic takes stays finite, and the default cap never rescales.
 _RESCALE_BITS = 512
+# dyadic_uniformity's law has 2^floor(log2 k) float64 cells: below 2^21, at most 8 MiB
+DYADIC_K_CAP = 2**21
 
 
 def table_cap() -> int:
@@ -247,10 +250,13 @@ def dyadic_uniformity(k: int) -> tuple[int, bool]:
     Restrict W to the bit positions 2^0, 2^1, ..., 2^(m-1) with
     m = floor(log2 k).  Those weights are distinct powers of two, so the
     sub-sum should be exactly uniform on {0, ..., 2^m - 1}; this computes
-    the law by convolution and checks rather than assumes it.
+    the law by convolution and checks rather than assumes it.  k at or
+    above DYADIC_K_CAP is a CapExceededError.
     """
     if k < 2:
         raise ValueError("k must be >= 2 so that some dyadic position exists")
+    if k >= DYADIC_K_CAP:
+        raise CapExceededError(f"k={k} is not below the dyadic cap {DYADIC_K_CAP}")
     m = int(math.floor(math.log2(k)))
     law = np.array([1.0])
     for j in range(m):

@@ -1,0 +1,183 @@
+"""Brute-force references for the array kernels of heisenberg, percolation
+and reference: one vertex, one edge or one step at a time in plain Python.
+
+Each returns what the kernel it checks returns (or the arrays it builds),
+so the tests can demand exact equality.
+"""
+
+from itertools import product
+
+import numpy as np
+
+from heiswalk.heisenberg import IDENTITY, GroupElement
+from heiswalk.rng import stream
+
+
+def ball_distances(radius):
+    """Word distance of every element of the ball, by a dict BFS."""
+    dist = {IDENTITY: 0}
+    frontier = [IDENTITY]
+    for r in range(1, radius + 1):
+        next_frontier = []
+        for n, m, k in frontier:
+            for h in (
+                GroupElement(n + 1, m, k - m),
+                GroupElement(n - 1, m, k + m),
+                GroupElement(n, m + 1, k),
+                GroupElement(n, m - 1, k),
+            ):
+                if h not in dist:
+                    dist[h] = r
+                    next_frontier.append(h)
+        frontier = next_frontier
+    return dist
+
+
+def _pack_heis(n, m, k):
+    return (n + 512) | ((m + 512) << 10) | ((k + (1 << 20)) << 20)
+
+
+def _pack_lattice(v):
+    return sum((c + 2048) << (12 * pos) for pos, c in enumerate(v))
+
+
+def box_arrays(family, radius):
+    """The arrays of a BoxGraph, built vertex by vertex.
+
+    family is "heisenberg" or "z<d>"; returns vertices, dist, tails,
+    heads, labels, keys and out_edge.
+    """
+    if family == "heisenberg":
+        dist_map = ball_distances(radius)
+        n_labels = 2
+
+        def steps(v):
+            n, m, k = v
+            return ((0, (n + 1, m, k - m)), (1, (n, m + 1, k)))
+
+        def key_of(v, label):
+            return _pack_heis(*v) | (label << 41)
+    else:
+        d = int(family[1:])
+        dist_map = {
+            v: sum(abs(c) for c in v)
+            for v in product(range(-radius, radius + 1), repeat=d)
+            if sum(abs(c) for c in v) <= radius
+        }
+        n_labels = d
+
+        def steps(v):
+            return [(axis, v[:axis] + (v[axis] + 1,) + v[axis + 1 :]) for axis in range(d)]
+
+        def key_of(v, label):
+            return _pack_lattice(v) | (label << (12 * d))
+
+    vertices = sorted((tuple(v) for v in dist_map), key=lambda v: (dist_map[v], v))
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = []
+    for i, v in enumerate(vertices):
+        for label, head in steps(v):
+            j = index.get(head)
+            if j is not None:
+                edges.append((i, j, label, key_of(v, label)))
+    out_edge = np.full((len(vertices), n_labels), -1, dtype=np.int64)
+    for e, (i, _j, label, _key) in enumerate(edges):
+        out_edge[i, label] = e
+    cols = list(zip(*edges)) if edges else [(), (), (), ()]
+    return {
+        "vertices": tuple(vertices),
+        "dist": np.array([dist_map[v] for v in vertices]),
+        "tails": np.array(cols[0], dtype=np.int64),
+        "heads": np.array(cols[1], dtype=np.int64),
+        "labels": np.array(cols[2], dtype=np.int64),
+        "keys": np.array(cols[3], dtype=np.uint64),
+        "out_edge": out_edge,
+    }
+
+
+def component(mask, start, limit):
+    """Undirected open component of start within the radius limit, by DFS."""
+    graph = mask.graph
+    adjacent = [[] for _ in range(graph.n_vertices)]
+    for e, (t, h) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist())):
+        if mask.open[e]:
+            adjacent[t].append(h)
+            adjacent[h].append(t)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in adjacent[stack.pop()]:
+            if j not in seen and graph.dist[j] <= limit:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def oriented_cluster(mask, start, limit):
+    """Vertices reachable from start along open directed edges, by DFS."""
+    graph = mask.graph
+    seen = {start}
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for e in graph.out_edge[i]:
+            if e >= 0 and mask.open[e]:
+                j = int(graph.heads[e])
+                if j not in seen and graph.dist[j] <= limit:
+                    seen.add(j)
+                    stack.append(j)
+    return {graph.vertices[i] for i in seen}
+
+
+def path_flow(graph, mask, num_paths, seed):
+    """(edge use counts, surviving paths, sinks), one word at a time."""
+    r = graph.radius
+    words = stream(seed, 0).integers(0, 2, size=(num_paths, max(2 * r, 1)), dtype=np.uint8)
+    counts = np.zeros(graph.n_edges)
+    surviving = 0
+    sinks = set()
+    origin = graph.index[tuple(graph.origin)]
+    for w in words:
+        edge_ids = []
+        i = origin
+        for t in range(r):
+            e = graph.out_edge[i, w[t]]
+            if e < 0 or not mask.open[e]:
+                break
+            edge_ids.append(e)
+            i = graph.heads[e]
+        else:
+            surviving += 1
+            counts[edge_ids] += 1.0
+            sinks.add(graph.vertices[i])
+    return counts, surviving, frozenset(sinks)
+
+
+def srw_intersection_values(n_base, samples, seed, num_doublings):
+    """The values matrix of srw_mutual_intersections, one step at a time."""
+    times = (0,) + tuple(n_base * 2**i for i in range(num_doublings + 1))
+    t_max = times[-1]
+    moves = ((1, 0), (-1, 0), (0, 1), (0, -1))  # (dx, dy) of a, a^-1, b, b^-1
+    values = np.zeros((samples, len(times)), dtype=np.int64)
+    for i in range(samples):
+        rng = stream(seed, i)
+        letters = [rng.integers(0, 4, size=t_max, dtype=np.uint8) for _ in range(2)]
+        walkers = [[0, 0, 0], [0, 0, 0]]
+        seen = [{(0, 0, 0)}, {(0, 0, 0)}]
+        common = 1
+        col = 0
+        for t in range(t_max + 1):
+            if t == times[col]:
+                values[i, col] = common
+                col += 1
+            if t == t_max:
+                break
+            for w in (0, 1):
+                dx, dy = moves[letters[w][t]]
+                x, y, z = walkers[w]
+                walkers[w] = [x + dx, y + dy, z - dx * y]
+                p = tuple(walkers[w])
+                if p not in seen[w]:
+                    seen[w].add(p)
+                    common += p in seen[1 - w]
+    return values

@@ -81,6 +81,12 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     assert run("zd-eit", "--d", "300") == 2
     # one pair has no standard error, so no growth z-score can certify a claim
     assert run("srw-intersections", "--samples", "1", "--n-base", "8") == 2
+    # one continuation ratio cannot show memorylessness
+    assert run("eit-tail", "--samples", "60", "--horizon", "256") == 2
+    assert "continuation ratio" in capsys.readouterr().err
+    for experiment in ("resistance-profile", "flow-energy"):
+        assert run(experiment, "--radii", "0,4") == 2
+        assert "--radii" in capsys.readouterr().err
     # a malformed table cap is a config error, not a traceback
     for cap in ("banana", "0"):
         monkeypatch.setenv("HEISWALK_TABLE_CAP", cap)
@@ -98,6 +104,11 @@ def test_cap_exceeded_exit_code(workdir, capsys):
     assert run("eit-tail", "--horizon", str(2**21), "--samples", "1024") == 3
     assert time.perf_counter() - start < 5.0
     assert "cells, above the cap" in capsys.readouterr().err
+    # the last intersection checkpoint and the dyadic law are capped before any work
+    start = time.perf_counter()
+    assert run("srw-intersections", "--doublings", "60", "--samples", "2") == 3
+    assert run("dyadic", "--k-list", "2147483648") == 3
+    assert time.perf_counter() - start < 5.0
 
 
 def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):

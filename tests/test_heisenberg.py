@@ -2,9 +2,11 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ball_distances
 
 from heiswalk.errors import CapExceededError, CoordinateOverflowError
 from heiswalk.heisenberg import (
@@ -13,6 +15,7 @@ from heiswalk.heisenberg import (
     GroupElement,
     apply_generator,
     ball,
+    ball_levels,
     ball_sizes,
     ball_with_distances,
     inverse,
@@ -125,6 +128,17 @@ def test_ball_small_sizes():
 
 def test_ball_matches_brute_enumeration():
     assert ball_sizes(6) == brute_ball_sizes(6)
+
+
+def test_ball_levels_match_dict_bfs():
+    oracle = ball_distances(12)
+    for radius in range(13):
+        levels = ball_levels(radius)
+        assert len(levels) == radius + 1
+        for r, level in enumerate(levels):
+            assert level.dtype == np.int64 and level.shape[1] == 3
+            assert level.tolist() == sorted(list(g) for g, d in oracle.items() if d == r)
+        assert ball_with_distances(radius) == {g: d for g, d in oracle.items() if d <= radius}
 
 
 def test_ball_distances_are_geodesic():

@@ -3,8 +3,10 @@
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 
+from heiswalk import percolation
 from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.paths import position
 from heiswalk.percolation import (
@@ -45,6 +47,10 @@ def test_single_edge_resistance():
 def test_series_resistance():
     assert effective_resistance(full_mask(line_graph(2))) == pytest.approx(2.0, abs=1e-8)
     assert effective_resistance(full_mask(line_graph(5))) == pytest.approx(5.0, abs=1e-8)
+    # orientation is ignored: the middle edge of this chain points back
+    v = [(0,), (1,), (2,), (3,)]
+    g = build_custom_graph(v, [0, 1, 2, 3], [(v[0], v[1], 0), (v[2], v[1], 1), (v[2], v[3], 0)])
+    assert effective_resistance(full_mask(g)) == pytest.approx(3.0, abs=1e-8)
 
 
 def test_parallel_resistance():
@@ -163,6 +169,59 @@ def test_lattice_box_shapes():
         lattice_box(5, 2)
     with pytest.raises(CapExceededError):
         lattice_box(4, 200)
+
+
+@pytest.mark.parametrize(
+    "family,radius",
+    [("heisenberg", 0), ("heisenberg", 1), ("heisenberg", 5), ("heisenberg", 8),
+     ("z2", 0), ("z2", 1), ("z2", 7), ("z3", 1), ("z3", 4)],
+)
+def test_box_matches_vertex_by_vertex_builder(family, radius):
+    g = heisenberg_box(radius) if family == "heisenberg" else lattice_box(int(family[1:]), radius)
+    want = oracles.box_arrays(family, radius)
+    assert g.vertices == want["vertices"]
+    assert all(type(c) is int for v in g.vertices for c in v)
+    assert g.index == {v: i for i, v in enumerate(want["vertices"])}
+    for name in ("dist", "tails", "heads", "labels", "keys", "out_edge"):
+        assert np.array_equal(getattr(g, name), want[name]), name
+    assert g.keys.dtype == np.uint64
+
+
+def test_lattice_box_beyond_the_key_fields():
+    # edge keys hold coordinates in [-2048, 2048); a check, not an assert
+    assert lattice_box(1, 2047).n_vertices == 4095
+    with pytest.raises(CapExceededError):
+        lattice_box(1, 2048)
+
+
+@pytest.mark.parametrize("family", ["heisenberg", "z2"])
+@pytest.mark.parametrize("p", [0.5, 0.95])
+def test_cluster_searches_match_dfs(family, p):
+    g = heisenberg_box(6) if family == "heisenberg" else lattice_box(2, 6)
+    origin = g.index[g.origin]
+    off_origin = g.index[g.vertices[3]]  # at distance 1
+    for seed in (1, 2, 3, 4):
+        mask = percolate(g, p, seed)
+        for limit in (1, 2, 4, 6):
+            for start in (origin, off_origin):
+                got = percolation._reachable(mask, start, limit, directed=False)
+                assert len(got) == len(set(got.tolist()))
+                assert set(got.tolist()) == oracles.component(mask, start, limit)
+                assert oriented_cluster(mask, g.vertices[start], limit) == (
+                    oracles.oriented_cluster(mask, start, limit)
+                )
+
+
+@pytest.mark.parametrize("radius,p,num_paths,seed",
+                         [(0, 1.0, 5, 1), (3, 0.5, 200, 2), (6, 0.8, 500, 3), (8, 0.95, 300, 4)])
+def test_path_flow_matches_per_path_loop(radius, p, num_paths, seed):
+    g = heisenberg_box(radius)
+    mask = percolate(g, p, seed)
+    counts, surviving, sinks = oracles.path_flow(g, mask, num_paths, seed)
+    fa = path_flow_assignment(g, mask, num_paths, seed)
+    assert fa.surviving == surviving > 0
+    assert np.array_equal(fa.flow, counts / surviving)
+    assert fa.sinks == sinks
 
 
 def test_rayleigh_monotone_in_p_per_seed():

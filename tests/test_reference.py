@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from oracles import srw_intersection_values
 
 from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import Generator, word_eval
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
 from heiswalk.reference import (
+    INTERSECTION_TIME_CAP,
+    _first_visits,
     _theta_chunk,
     difference_walk_return_by,
     edge_collision_rate,
@@ -214,6 +217,42 @@ def test_intersection_growth_deterministic():
     a = srw_mutual_intersections(8, 100, seed=5)
     b = srw_mutual_intersections(8, 100, seed=5)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("n_base,samples,seed,doublings",
+                         [(1, 6, 2, 0), (3, 25, 1, 3), (8, 40, 5, 2), (16, 12, 9, 1)])
+def test_intersections_match_step_loop(n_base, samples, seed, doublings):
+    growth = srw_mutual_intersections(n_base, samples, seed, doublings)
+    assert np.array_equal(growth.values, srw_intersection_values(n_base, samples, seed, doublings))
+
+
+def test_intersection_time_cap():
+    with pytest.raises(CapExceededError):
+        srw_mutual_intersections(256, 2, seed=1, num_doublings=60)
+    with pytest.raises(CapExceededError):
+        srw_mutual_intersections(INTERSECTION_TIME_CAP // 4, 2, seed=1, num_doublings=3)
+    growth = srw_mutual_intersections(INTERSECTION_TIME_CAP // 4, 2, seed=1, num_doublings=2)
+    assert growth.times[-1] == INTERSECTION_TIME_CAP
+
+
+def test_first_visit_keys_exact_at_the_cap():
+    # walks reaching |x| = |y| = t/2 and |z| = t^2/4 at the cap: the keys
+    # decode (radix 2t+1 for x and y, 2(t^2//4)+1 for z) to the positions
+    t = INTERSECTION_TIME_CAP
+    z_half = t * t // 4
+    for a, b in ((0, 2), (1, 3), (0, 3), (1, 2)):
+        letters = np.repeat(np.array([b, a], dtype=np.uint8), [t // 2, t // 2])
+        keys, first = _first_visits(letters, t)
+        xy, z = np.divmod(keys, 2 * z_half + 1)
+        x, y = np.divmod(xy, 2 * t + 1)
+        got = list(zip((x - t).tolist(), (y - t).tolist(), (z - z_half).tolist()))
+        walk = [(0, 0, 0)]
+        for g in letters.tolist():
+            wx, wy, wz = walk[-1]
+            dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[g]
+            walk.append((wx + dx, wy + dy, wz - dx * wy))
+        assert sorted(got) == sorted(walk)
+        assert [walk[i] for i in first.tolist()] == got
 
 
 def test_zd_eit_tail_structure():

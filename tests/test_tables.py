@@ -136,6 +136,15 @@ def test_point_mass_and_match_bounds():
         assert collision_probability(k) <= max_point_mass(k)
 
 
+def test_dyadic_cap():
+    # below the cap the law has at most 2^20 cells; at it, no allocation
+    assert dyadic_uniformity(tables.DYADIC_K_CAP - 1) == (2**20, True)
+    with pytest.raises(CapExceededError):
+        dyadic_uniformity(tables.DYADIC_K_CAP)
+    with pytest.raises(CapExceededError):
+        dyadic_uniformity(2**31)
+
+
 def test_dyadic_uniformity_cases():
     assert dyadic_uniformity(4) == (4, True)
     assert dyadic_uniformity(8) == (8, True)
