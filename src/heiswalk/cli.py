@@ -494,6 +494,11 @@ def _run_resistance_profile(cfg, claims):
     else:
         graph = percolation.lattice_box(2, radii[-1])
     prof = percolation.resistance_profile(graph, cfg["p"], radii, seeds)
+    for seed, sp in zip(seeds, prof.per_seed):
+        for r, res, _cs in sp.entries:
+            if math.isinf(res):
+                raise ConfigError(f"seed {seed} has no open path from the origin to radius {r} "
+                                  f"at p={cfg['p']}: an infinite resistance gives no fit")
     rows = []
     for seed, sp in zip(seeds, prof.per_seed):
         rows += [(str(seed), r, res, int(cs)) for r, res, cs in sp.entries]

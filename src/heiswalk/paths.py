@@ -10,17 +10,22 @@ and two paths occupy the same vertex at time t exactly when their prefix
 bit counts and prefix weighted sums sum_{j<t} j*alpha_j both agree.
 
 Two walks meet exactly when their difference walk is at its origin.  The
-engine packs its position into exact int64 keys in mixed radix 2h+1 for
-horizon h: on G_H step j adds (u_j - v_j)(1 + (2h+1) j), which fits one
-word up to HEISENBERG_HORIZON_CAP = 2^21 steps (CapExceededError, exit 3,
-beyond); on Z^d each letter count gets its own digit (lattice_pair_keys).
-A chunk holds at most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond) and
-draws its letters from stream(seed, chunk index), takes running
-sums of the per-step keys and reads coincidences off `key == 0`;
-map_chunks merges chunks in order, so no result depends on the thread
-count.  The tails count shared directed edges of path pairs (coinciding
-positions at t and equal letters at t), vertex coincidences, and fresh
-re-meets after separation.
+engine (walk_blocks) packs its position into exact int64 keys in mixed
+radix 2h+1 for horizon h: on G_H step j adds (u_j - v_j)(1 + (2h+1) j),
+which fits one word up to HEISENBERG_HORIZON_CAP = 2^21 steps
+(CapExceededError, exit 3, beyond); on Z^d each letter count gets its own
+digit (lattice_pair_keys).  Each step's letter pair is drawn once, as the
+index a*d + b (draw_pairs): 4 pairs per byte of raw 64-bit words on G_H,
+2 on Z^4, 1 at d = 16, one bounded integer per pair for any other d.  A
+chunk draws from stream(seed, chunk index) and advances in blocks of 256
+steps, drawing whole blocks so that all horizons share one sample-path
+prefix; in each block it takes running sums of the step keys on top of
+the carried keys and reads meetings off `key == 0` and equal letters off
+`step == 0`.  A chunk does at most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3
+beyond); map_chunks merges chunks in order, so no result depends on the
+thread count.  The tails count shared directed edges of path pairs
+(coinciding positions at t and equal letters at t), vertex coincidences,
+and fresh re-meets after separation.
 """
 
 from __future__ import annotations
@@ -51,8 +56,7 @@ __all__ = [
     "HEISENBERG_HORIZON_CAP",
     "PAIR_CHUNK_CELLS_CAP",
     # the difference-walk engine, shared with reference
-    "map_chunks", "lattice_pair_keys", "lattice_steps", "heisenberg_steps",
-    "at_origin", "pair_histograms", "pair_tail",
+    "map_chunks", "lattice_pair_keys", "draw_pairs", "walk_blocks", "pair_chunk", "pair_tail",
 ]
 
 DEFAULT_MIN_FIT_COUNT = 50
@@ -183,9 +187,10 @@ def _fit_tail(counts: dict[int, int], samples: int, min_count: int):
 # ---------------------------------------------------------------- engine
 
 HEISENBERG_HORIZON_CAP = 2**21  # largest h with h + (2h+1) h(h-1)/2 < 2^63
-# pair-steps in one chunk of pair_tail: an int64 key and a few bytes each, so a
-# chunk at the cap peaks near 200 MiB per thread
+# pair-steps in one chunk of pair_tail: this bounds a chunk's work; its memory
+# is one block of _BLOCK steps per pair (an int64 key and a few flags each)
 PAIR_CHUNK_CELLS_CAP = 2**24
+_BLOCK = 256  # steps that every chunk draws and advances at once
 
 
 def map_chunks(fn, total: int, chunk: int, threads: int) -> list:
@@ -214,49 +219,94 @@ def lattice_pair_keys(d: int, horizon: int) -> np.ndarray:
     return (letter[:, :, None] - letter[:, None, :]).reshape(len(letter), d * d)
 
 
-def lattice_steps(keys: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Per-word int64 step keys keys[w, u*d + v] of the Z^d difference walk."""
-    d = math.isqrt(keys.shape[1])
-    pair = u.astype(np.uint8 if d <= 16 else np.uint16) * d + v  # narrow index: faster lookup
-    return (row[pair] for row in keys)
+def draw_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """(n, _BLOCK) letter-pair indices a*d + b of one block, a and b uniform on 0..d-1.
 
-
-def heisenberg_steps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """int64 step keys (u_j - v_j)(1 + (2h+1) j) of the G_H difference walk."""
-    weights = 1 + (2 * u.shape[1] + 1) * np.arange(u.shape[1], dtype=np.int64)
-    return (u.view(np.int8) - v.view(np.int8)) * weights
-
-
-def at_origin(steps, carry: np.ndarray | None = None) -> np.ndarray:
-    """Where the difference walk is at its origin after each step.
-
-    `steps` yields the (n, T) step keys of each key word, which are
-    overwritten by running sums.  `carry`, of shape (words, n), holds the
-    keys before the first step and is advanced past the last.
+    When d*d is 4, 16 or 256 the pairs are bit fields of raw 64-bit words:
+    each byte holds 8 / log2(d*d) of them, and field i of byte b of word j
+    is step (i * words per row + j) * 8 + b.  Any other d draws one bounded
+    integer per pair.
     """
-    origin = None
-    for w, key in enumerate(steps):
-        if carry is not None:
+    cells = d * d
+    if cells not in (4, 16, 256):
+        return rng.integers(0, cells, size=(n, _BLOCK), dtype=np.uint8 if d <= 16 else np.uint16)
+    bits = cells.bit_length() - 1
+    words = rng.integers(0, 2**64, size=(n, _BLOCK * bits // 64), dtype=np.uint64)
+    fields = np.empty((n, 8 // bits, words.shape[1]), dtype=np.uint64)
+    for i in range(8 // bits):
+        np.right_shift(words, np.uint64(bits * i), out=fields[:, i])
+    fields &= np.uint64((cells - 1) * 0x0101010101010101)
+    return fields.astype("<u8", copy=False).view(np.uint8).reshape(n, _BLOCK)
+
+
+def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
+                heisenberg: bool = False):
+    """Yield (t0, met, same) for each _BLOCK-step block of n difference walks.
+
+    The letter pairs come from draw_pairs on stream(seed, index), a whole
+    block at a time, so runs at different horizons share a sample-path
+    prefix.  A step adds lattice_pair_keys(d, horizon)[w, pair] to key word
+    w; on G_H (d = 2) step j is weighted by 1 + (2h+1) j.  met[:, i] says
+    the walks are together after step t0 + i, same[:, i] that step t0 + i
+    had equal letters (its key is 0).  Keys carry exactly across blocks;
+    the arrays are reused, so read them before the next block.
+    """
+    if heisenberg and horizon > HEISENBERG_HORIZON_CAP:
+        raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the "
+                               "largest with an exact int64 position key")
+    rng = stream(seed, index)
+    keys = lattice_pair_keys(d, horizon)
+    carry = np.zeros((len(keys), n), dtype=np.int64)
+    steps = np.empty((n, _BLOCK), dtype=np.int64)
+    met, same = np.empty((2, n, _BLOCK), dtype=bool)
+    for t0 in range(0, horizon, _BLOCK):
+        block = min(_BLOCK, horizon - t0)
+        pairs = draw_pairs(rng, d, n)[:, :block]
+        key, m, s = steps[:, :block], met[:, :block], same[:, :block]
+        for w, table in enumerate(keys):
+            np.take(table, pairs, out=key, mode="clip")
+            if heisenberg:
+                key *= 1 + (2 * horizon + 1) * np.arange(t0, t0 + block, dtype=np.int64)
+            _flag_zero(key, s, w)
             key[:, 0] += carry[w]
-        np.cumsum(key, axis=1, out=key)
-        if carry is not None:
+            np.cumsum(key, axis=1, out=key)
             carry[w] = key[:, -1]
-        origin = key == 0 if origin is None else origin & (key == 0)
-    return origin
+            _flag_zero(key, m, w)
+        yield t0, m, s
 
 
-def pair_histograms(met: np.ndarray, same: np.ndarray):
-    """Shared-edge, vertex and re-meet histograms of one chunk of pairs, from
-    met[:, i] (walks coincide after step i) and same[:, i] (equal letters)."""
-    shared = same[:, 0] + np.count_nonzero(met[:, :-1] & same[:, 1:], axis=1)
-    vertices = np.count_nonzero(met, axis=1)
-    remeets = np.count_nonzero(met[:, 1:] > met[:, :-1], axis=1)
-    return [np.bincount(c, minlength=met.shape[1] + 1) for c in (shared, vertices, remeets)]
+def _flag_zero(key: np.ndarray, flags: np.ndarray, word: int) -> None:
+    """flags = key == 0 on the first key word, flags &= key == 0 on the others."""
+    if word == 0:
+        np.equal(key, 0, out=flags)
+    else:
+        flags &= key == 0
+
+
+def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,
+               heisenberg: bool = False) -> list[np.ndarray]:
+    """Shared-edge, vertex and re-meet histograms of n walk pairs (walk_blocks).
+
+    A pair shares the edge of step t when it is together at time t and the
+    letters agree; it re-meets at t when together at t but not at t - 1.
+    Only pairs that are together somewhere in a block are looked at there.
+    """
+    shared, vertices, remeets = counts = np.zeros((3, n), dtype=np.int64)
+    before = np.ones(n, dtype=bool)  # every pair starts together
+    for _t0, met, same in walk_blocks(d, horizon, n, seed, index, heisenberg=heisenberg):
+        shared += before & same[:, 0]
+        rows = np.flatnonzero(met.any(axis=1))
+        m, s = met[rows], same[rows]
+        shared[rows] += np.count_nonzero(m[:, :-1] & s[:, 1:], axis=1)
+        vertices[rows] += np.count_nonzero(m, axis=1)
+        remeets[rows] += np.count_nonzero(m[:, 1:] > m[:, :-1], axis=1) + (m[:, 0] > before[rows])
+        before = met[:, -1].copy()
+    return [np.bincount(c, minlength=horizon + 1) for c in counts]
 
 
 def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: int,
               chunk: int, decay_exponent: float) -> TailEstimate:
-    """TailEstimate from the pair_histograms of chunk_fn(size, index).
+    """TailEstimate from the pair_chunk histograms of chunk_fn(size, index).
 
     decay_exponent beta is the per-step meeting decay behind the horizon
     censoring bound sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1),
@@ -289,19 +339,9 @@ def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: 
     )
 
 
-def _heisenberg_pairs(horizon: int, n: int, seed: int, index: int):
-    if horizon > HEISENBERG_HORIZON_CAP:
-        raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the "
-                               "largest with an exact int64 position key")
-    rng = stream(seed, index)
-    u = rng.integers(0, 2, size=(n, horizon), dtype=np.uint8)
-    return u, rng.integers(0, 2, size=(n, horizon), dtype=np.uint8)
-
-
 def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
     """Shared-edge / vertex / re-meet histograms for one deterministic chunk."""
-    u, v = _heisenberg_pairs(horizon, n_pairs, seed, index)
-    return pair_histograms(at_origin([heisenberg_steps(u, v)]), u == v)
+    return pair_chunk(2, horizon, n_pairs, seed, index, heisenberg=True)
 
 
 def tail_estimate(
@@ -333,8 +373,10 @@ def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4
     """Fraction of independent pairs of length-k words meeting at time k."""
 
     def hits(size: int, index: int) -> int:
-        u, v = _heisenberg_pairs(k, size, seed, index)
-        return int(np.count_nonzero(heisenberg_steps(u, v).sum(axis=1) == 0))
+        together = np.ones(size, dtype=bool)
+        for _t0, met, _same in walk_blocks(2, k, size, seed, index, heisenberg=True):
+            together = met[:, -1]
+        return int(np.count_nonzero(together))
 
     return sum(map_chunks(hits, samples, chunk, 1)) / samples
 

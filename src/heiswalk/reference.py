@@ -16,7 +16,8 @@ answers are classical:
   tail implied by a renewal argument at each shared edge.
 * zd_eit_tail -- the same shared-edge tail statistic as on G_H.
   It and theta_d_estimate run on the difference-walk engine of `paths`;
-  their letters are uint8, so d above ZD_MAX_D = 256 is a ConfigError.
+  their letter pairs are drawn as uint16 indices a*d + b, so d above
+  ZD_MAX_D = 256 is a ConfigError.
 * srw_return_probability -- exact return probabilities of simple random
   walk on G_H (uniform on a, a^-1, b, b^-1), n^(-2) scale at even times.
   The step law is symmetric, so P_2n(e) = sum_g P_n(g)^2: a dense
@@ -38,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .paths import DEFAULT_MIN_FIT_COUNT, TailEstimate, at_origin, lattice_pair_keys
-from .paths import lattice_steps, map_chunks, pair_histograms, pair_tail
+from .paths import DEFAULT_MIN_FIT_COUNT, TailEstimate, map_chunks, pair_chunk, pair_tail
+from .paths import walk_blocks
 from .rng import stream
 
 __all__ = [
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 ZD_COLLISION_K_CAP = 2048
-ZD_MAX_D = 256  # Monte Carlo letters are drawn as uint8
+ZD_MAX_D = 256  # Monte Carlo letter pairs a*d + b are drawn as uint16
 SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
 INTERSECTION_TIME_CAP = 2**15  # walk steps; positions pack exactly into int64 keys
 
@@ -119,23 +120,11 @@ def edge_collision_rate(d: int, theta_embedded: float) -> float:
     return (1.0 / d) / (1.0 - (1.0 - 1.0 / d) * theta_embedded)
 
 
-_THETA_BLOCK = 256
-
-
 def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndarray:
     """First-return times (0 = none by horizon) for one stream of walks."""
-    rng = stream(seed, index)
-    keys = lattice_pair_keys(d, horizon)
-    carry = np.zeros((keys.shape[0], n), dtype=np.int64)
     has_left = np.zeros(n, dtype=bool)
     return_time = np.zeros(n, dtype=np.int64)
-    for t0 in range(0, horizon, _THETA_BLOCK):
-        block = min(_THETA_BLOCK, horizon - t0)
-        # always draw full blocks so runs at different horizons share a
-        # sample path prefix; theta_hat is then monotone in horizon pathwise
-        inc_i = rng.integers(0, d, size=(n, _THETA_BLOCK), dtype=np.uint8)[:, :block]
-        inc_j = rng.integers(0, d, size=(n, _THETA_BLOCK), dtype=np.uint8)[:, :block]
-        home = at_origin(lattice_steps(keys, inc_i, inc_j), carry)
+    for t0, home, _same in walk_blocks(d, horizon, n, seed, index):
         # only walks at the origin somewhere in the block can return in it
         rows = np.flatnonzero(home.any(axis=1) & (return_time == 0))
         left_by = np.logical_or.accumulate(~home[rows], axis=1)
@@ -153,7 +142,7 @@ def theta_d_estimate(
     seed: int,
     *,
     threads: int = 1,
-    chunk: int = 16384,
+    chunk: int = 1024,
 ) -> tuple[float, float]:
     """Monte Carlo embedded return probability of the difference walk.
 
@@ -257,10 +246,7 @@ def difference_walk_return_by(d: int, horizon: int) -> float:
 
 def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):
     """Shared-edge / vertex / re-meet histograms for one chunk of Z^d pairs."""
-    rng = stream(seed, index)
-    u = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
-    v = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
-    return pair_histograms(at_origin(lattice_steps(lattice_pair_keys(d, horizon), u, v)), u == v)
+    return pair_chunk(d, horizon, n, seed, index)
 
 
 def zd_eit_tail(

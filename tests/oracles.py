@@ -1,14 +1,17 @@
-"""Brute-force references for the array kernels of heisenberg, percolation
-and reference: one vertex, one edge or one step at a time in plain Python.
+"""Brute-force references for the array kernels of heisenberg, percolation,
+paths and reference: one vertex, one edge or one step at a time in plain
+Python.
 
 Each returns what the kernel it checks returns (or the arrays it builds),
-so the tests can demand exact equality.
+so the tests can demand exact equality.  chunk_letters decodes the letters
+the Monte Carlo engine draws, so that a per-pair loop can recount them.
 """
 
 from itertools import product
 
 import numpy as np
 
+from heiswalk import paths
 from heiswalk.heisenberg import IDENTITY, GroupElement
 from heiswalk.rng import stream
 
@@ -181,3 +184,34 @@ def srw_intersection_values(n_base, samples, seed, num_doublings):
                     seen[w].add(p)
                     common += p in seen[1 - w]
     return values
+
+
+def chunk_letters(d, horizon, n, seed, index=0):
+    """Letters (u, v), each (n, horizon), of the pairs walk_blocks draws for
+    chunk `index`: its draw_pairs indices p decoded as u = p // d, v = p % d."""
+    rng = stream(seed, index)
+    blocks = -(-horizon // paths._BLOCK)
+    pairs = np.concatenate([paths.draw_pairs(rng, d, n) for _ in range(blocks)], axis=1)
+    return pairs[:, :horizon] // d, pairs[:, :horizon] % d
+
+
+def pair_counts(u, v):
+    """(shared edges, vertex meetings, re-meets) of one pair of Z^d letter
+    words, one step at a time."""
+    diff = {}
+    together = True  # both walks start at the origin
+    shared = vertices = remeets = 0
+    for a, b in zip(u.tolist(), v.tolist()):
+        shared += together and a == b
+        diff[a] = diff.get(a, 0) + 1
+        diff[b] = diff.get(b, 0) - 1
+        now = not any(diff.values())
+        vertices += now
+        remeets += now and not together
+        together = now
+    return shared, vertices, remeets
+
+
+def survivors(values):
+    """{n: #values >= n} for n up to the largest value."""
+    return {n: sum(1 for x in values if x >= n) for n in range(max(values) + 1)}

@@ -125,6 +125,16 @@ def test_zd_eit_thin_tail_is_config_error(workdir, capsys):
     assert "samples too small" in capsys.readouterr().err
 
 
+# at p=0.3 the named seed has no open path to radius 2, so its resistance is
+# infinite; the run stops before any fit or increment and records no verdict
+@pytest.mark.parametrize("family, seed", [("z2", 2), ("heisenberg", 1)])
+def test_infinite_resistance_is_config_error(workdir, capsys, family, seed):
+    code = run("resistance-profile", "--family", family, "--p", "0.3", "--radii", "2,4")
+    assert code == 2
+    assert f"seed {seed} has no open path from the origin to radius 2" in capsys.readouterr().err
+    assert not Path(STATUS_FILE).exists()
+
+
 def test_failed_claim_exit_code(workdir, capsys):
     # sqrt(k) * count-match at k=4 sits far from the asymptote
     code = run("collision-exact", "--k-list", "2,4", "--out-path", "tiny.csv")

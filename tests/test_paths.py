@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import chunk_letters, survivors
 
+from heiswalk import paths
 from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import IDENTITY, Generator, word_eval
 from heiswalk.paths import (
@@ -14,7 +16,7 @@ from heiswalk.paths import (
     coincides,
     continuation_ratios,
     endpoint_collision_frequency,
-    heisenberg_steps,
+    lattice_pair_keys,
     position,
     sample_word,
     shared_edges,
@@ -22,8 +24,9 @@ from heiswalk.paths import (
     vertex_coincidences,
     weighted_sum,
 )
+from heiswalk.reference import zd_collision_probability, zd_eit_tail
 from heiswalk.rng import stream
-from heiswalk.tables import collision_probability
+from heiswalk.tables import collision_probability, scan_statistics
 
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=32)
 
@@ -102,12 +105,29 @@ def test_endpoint_frequency_tracks_exact_value():
 def test_endpoint_hits_match_group_positions():
     k, n = 10, 600
     freq = endpoint_collision_frequency(k, n, seed=12, chunk=4096)
-    rng = stream(12, 0)
-    u = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-    v = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+    u, v = chunk_letters(2, k, n, seed=12)
     hits = sum(1 for i in range(n) if position(u[i]) == position(v[i]))
     assert hits > 0
     assert freq * n == hits
+
+
+# d = 2, 4 and 16 unpack raw words, 3 and 8 draw bounded integers
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_draw_pairs_uniform_on_letter_pairs(d):
+    pairs = paths.draw_pairs(stream(5, 0), d, 4096)
+    assert pairs.shape == (4096, 256)
+    counts = np.bincount(pairs.ravel(), minlength=d * d)
+    expected = pairs.size / d**2
+    assert counts.size == d * d
+    assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected))
+    # every step of the block, not only the block as a whole
+    per_step = pairs.mean(axis=0)
+    assert np.all(np.abs(per_step - (d * d - 1) / 2) < 5 * d * d / np.sqrt(12 * 4096))
+    # steps one byte, one word and one bit field apart are independent
+    for lag in (1, 8, 64, 128):
+        equal = np.count_nonzero(pairs[:, lag:] == pairs[:, :-lag])
+        expected = pairs[:, lag:].size / d**2
+        assert abs(equal - expected) < 5 * np.sqrt(expected)
 
 
 def test_packed_key_exact_up_to_horizon_cap():
@@ -117,9 +137,10 @@ def test_packed_key_exact_up_to_horizon_cap():
     assert h + (2 * h + 1) * (h * (h - 1) // 2) < 2**63
     g = h + 1
     assert g + (2 * g + 1) * (g * (g - 1) // 2) >= 2**63
-    ones = np.ones((1, h), dtype=np.uint8)
-    keys = np.cumsum(heisenberg_steps(ones, np.zeros_like(ones)), axis=1)
-    assert int(keys[0, -1]) == h + (2 * h + 1) * (h * (h - 1) // 2)
+    # pair (1, 0) at every step, with walk_blocks' G_H step weights 1 + (2h+1) j
+    weights = 1 + (2 * h + 1) * np.arange(h, dtype=np.int64)
+    keys = np.cumsum(lattice_pair_keys(2, h)[0, 1 * 2 + 0] * weights)
+    assert abs(int(keys[-1])) == h + (2 * h + 1) * (h * (h - 1) // 2)
     with pytest.raises(CapExceededError):
         tail_estimate(h + 1, 1, seed=1)
     with pytest.raises(CapExceededError):
@@ -149,19 +170,83 @@ def test_tail_estimate_deterministic_and_thread_invariant():
     assert c.counts != a.counts
 
 
+def _brute_gh_counts(u, v):
+    """(shared edges, vertex meetings, re-meets) of one G_H pair, one time at a time."""
+    together = [coincides(u, v, t) for t in range(len(u) + 1)]
+    remeets = sum(1 for t in range(1, len(u) + 1) if together[t] and not together[t - 1])
+    return shared_edges(u, v), vertex_coincidences(u, v), remeets
+
+
+def _assert_tail_matches_brute_force(horizon, n, seed):
+    est = tail_estimate(horizon, n, seed=seed, chunk=1024)
+    u, v = chunk_letters(2, horizon, n, seed)
+    shared, vertex, remeets = zip(*(_brute_gh_counts(u[i], v[i]) for i in range(n)))
+    assert est.counts == survivors(shared)
+    assert est.vertex_counts == survivors(vertex)
+    assert est.excursion_counts == survivors(remeets)
+    return u, v
+
+
 def test_tail_counts_match_direct_pair_statistics():
-    # regenerate the first chunk's words and recount shared edges directly
-    est = tail_estimate(32, 40, seed=21, chunk=1024)
-    rng = stream(21, 0)
-    u = rng.integers(0, 2, size=(40, 32), dtype=np.uint8)
-    v = rng.integers(0, 2, size=(40, 32), dtype=np.uint8)
-    shared = [shared_edges(u[i], v[i]) for i in range(40)]
-    vertex = [vertex_coincidences(u[i], v[i]) for i in range(40)]
-    top = max(shared)
-    for n in range(top + 1):
-        assert est.counts.get(n, 0) == sum(1 for s in shared if s >= n)
-    for n in range(max(vertex) + 1):
-        assert est.vertex_counts.get(n, 0) == sum(1 for s in vertex if s >= n)
+    # 300 and 513 end inside the second and third 256-step block
+    for horizon, n in ((32, 40), (300, 40), (513, 24)):
+        _assert_tail_matches_brute_force(horizon, n, seed=21)
+
+
+def test_tail_counts_match_across_block_boundaries(monkeypatch):
+    # random G_H pairs almost never meet at t = 256 (u_256 ~ 2e-5), so make
+    # letters agree with probability 0.98: pairs then share the edges of
+    # steps 256 and 512, whose met flag comes from the previous block
+    draw = paths.draw_pairs
+
+    def sticky(rng, d, n):
+        pairs = draw(rng, d, n)
+        agree = rng.random(pairs.shape) < 0.98
+        return np.where(agree, pairs // d * (d + 1), pairs).astype(pairs.dtype)
+
+    monkeypatch.setattr(paths, "draw_pairs", sticky)
+    u, v = _assert_tail_matches_brute_force(513, 24, seed=22)
+    for t in (256, 512):
+        assert any(u[i, t] == v[i, t] and coincides(u[i], v[i], t) for i in range(24))
+
+
+def test_tail_counts_nondecreasing_in_horizon():
+    # whole-block draws: every horizon sees a prefix of the same sample paths
+    ests = [tail_estimate(h, 3000, seed=8) for h in (64, 256, 300, 600)]
+    for short, long in zip(ests, ests[1:]):
+        for name in ("counts", "vertex_counts", "excursion_counts"):
+            longer = getattr(long, name)
+            assert all(longer.get(n, 0) >= c for n, c in getattr(short, name).items())
+    assert ests[-1].vertex_counts != ests[0].vertex_counts
+
+
+def _mean_and_se(survivor_counts, samples):
+    """Sample mean of a count and its standard error, from its survivor counts
+    (E[X] = sum_k P(X >= k), E[X^2] = sum_k (2k - 1) P(X >= k))."""
+    mean = sum(c for k, c in survivor_counts.items() if k >= 1) / samples
+    square = sum((2 * k - 1) * c for k, c in survivor_counts.items() if k >= 1) / samples
+    return mean, np.sqrt((square - mean**2) / samples)
+
+
+# A vertex meeting at time t has probability u_t, and a shared edge at step t
+# needs a meeting at t and equal letters (probability 1/2), so the mean counts
+# by the horizon are exact sums of u_t.  The tolerance, 4 standard errors, was
+# fixed before these draws were run.
+def test_gh_mean_meeting_counts_match_exact_sums():
+    h, n = 256, 200_000
+    scan = scan_statistics(range(1, h + 1))
+    u = [1.0] + [scan[t].collision for t in range(1, h + 1)]
+    est = tail_estimate(h, n, seed=7, threads=2)
+    for survivor_counts, exact in ((est.vertex_counts, sum(u[1:])), (est.counts, sum(u[:h]) / 2)):
+        mean, se = _mean_and_se(survivor_counts, n)
+        assert abs(mean - exact) < 4 * se
+
+
+def test_z4_mean_meeting_count_matches_exact_sum():
+    h, n = 64, 200_000
+    est = zd_eit_tail(4, h, n, seed=7, threads=2)
+    mean, se = _mean_and_se(est.vertex_counts, n)
+    assert abs(mean - sum(zd_collision_probability(4, t) for t in range(1, h + 1))) < 4 * se
 
 
 def test_continuation_ratios_geometric_input():

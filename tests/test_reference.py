@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import srw_intersection_values
+from oracles import chunk_letters, pair_counts, srw_intersection_values, survivors
 
 from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import Generator, word_eval
@@ -23,7 +23,6 @@ from heiswalk.reference import (
     zd_collision_probability,
     zd_eit_tail,
 )
-from heiswalk.rng import stream
 
 
 def test_zd_collision_degenerate_dimension():
@@ -286,39 +285,20 @@ def test_zd_eit_validation():
         zd_eit_tail(4, 2**15, 4096, seed=1)
 
 
-def _brute_pair_counts(u, v):
-    """Per-pair loop: (shared edges, vertex coincidences, re-meets) on Z^d."""
-    diff = {}
-    together = True  # both walks start at the origin
-    shared = vertices = remeets = 0
-    for a, b in zip(u.tolist(), v.tolist()):
-        shared += together and a == b
-        diff[a] = diff.get(a, 0) + 1
-        diff[b] = diff.get(b, 0) - 1
-        now = not any(diff.values())
-        vertices += now
-        remeets += now and not together
-        together = now
-    return shared, vertices, remeets
-
-
-def _survivors(values):
-    return {n: sum(1 for x in values if x >= n) for n in range(max(values) + 1)}
-
-
-# key words: 601^3 < 2^63 <= 601^7, and 121^19 needs three words
-@pytest.mark.parametrize("d, horizon, words", [(4, 300, 1), (8, 300, 2), (20, 60, 3)])
+# key words: 601^3 < 2^63 <= 601^7, and 121^19 needs three words; d = 4 and 16
+# unpack raw words (2 and 1 pairs a byte), d = 3 and 8 draw bounded integers;
+# on Z^2 pairs often meet at the 256-step block boundaries of horizon 513
+@pytest.mark.parametrize("d, horizon, words", [(4, 300, 1), (8, 300, 2), (20, 60, 3),
+                                               (16, 300, 3), (3, 300, 1), (2, 513, 1)])
 def test_zd_pair_counts_match_per_pair_loop(d, horizon, words):
     assert lattice_pair_keys(d, horizon).shape[0] == words
     n = 48
     est = zd_eit_tail(d, horizon, n, seed=31, chunk=1024)
-    rng = stream(31, 0)
-    u = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
-    v = rng.integers(0, d, size=(n, horizon), dtype=np.uint8)
-    shared, vertices, remeets = zip(*(_brute_pair_counts(u[i], v[i]) for i in range(n)))
-    assert est.counts == _survivors(shared)
-    assert est.vertex_counts == _survivors(vertices)
-    assert est.excursion_counts == _survivors(remeets)
+    u, v = chunk_letters(d, horizon, n, seed=31)
+    shared, vertices, remeets = zip(*(pair_counts(u[i], v[i]) for i in range(n)))
+    assert est.counts == survivors(shared)
+    assert est.vertex_counts == survivors(vertices)
+    assert est.excursion_counts == survivors(remeets)
 
 
 def _brute_first_return(inc_i, inc_j):
@@ -335,16 +315,13 @@ def _brute_first_return(inc_i, inc_j):
     return 0
 
 
-# horizons off the 256-step block grid; (8, 300) needs two key words
+# horizons off the 256-step block grid; (8, 300) needs two key words, (16, 300)
+# three; d = 2, 4 and 16 unpack raw words, the others draw bounded integers
 @pytest.mark.parametrize("d, horizon, n", [(2, 300, 4000), (3, 600, 400), (4, 300, 400),
-                                           (8, 300, 400), (5, 37, 400)])
+                                           (8, 300, 400), (5, 37, 400), (16, 300, 400)])
 def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
     times = _theta_chunk(d, horizon, n, 19, 0)
-    rng = stream(19, 0)
-    blocks = -(-horizon // 256)
-    draws = [rng.integers(0, d, size=(n, 256), dtype=np.uint8) for _ in range(2 * blocks)]
-    inc_i = np.concatenate(draws[0::2], axis=1)[:, :horizon]
-    inc_j = np.concatenate(draws[1::2], axis=1)[:, :horizon]
+    inc_i, inc_j = chunk_letters(d, horizon, n, seed=19)
     expected = [_brute_first_return(inc_i[w], inc_j[w]) for w in range(n)]
     assert times.tolist() == expected
     if d == 2:  # a first return on block 2's first step needs the carried has_left
