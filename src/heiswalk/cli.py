@@ -327,23 +327,22 @@ def _run_collision_contrast(cfg, claims):
 
 def _run_fourier(cfg, claims):
     ks = sorted(set(cfg["k_list"]))
-    if any(k < 1 for k in ks):
-        raise ConfigError("k values must be >= 1")
+    if any(k < 2 for k in ks):
+        raise ConfigError("--k-list values must be >= 2: the tail [1/k, pi/2] is empty at k=1")
+    tails = {k: fourier.tail_integral_decay(k) for k in sorted(set(ks) | {32, 64})}
     rows = []
     integrals = []
     for k in ks:
         quad = fourier.cos_product_integral(k)
         head = fourier.head_integral(k)
-        tail, _rate = fourier.tail_integral_decay(k)
         integrals.append(quad.value)
-        rows.append((k, quad.value, head, tail, k**1.5 * quad.value))
+        rows.append((k, quad.value, head, tails[k], k**1.5 * quad.value))
     fits = []
     if len(ks) >= 2:
         fit = fit_loglog(ks, integrals)
         fits.append(_report(claims, "fourier-threehalves", fit.slope, ks, fit.r_squared,
                             fit.intercept))
-    drop = math.log(fourier.tail_integral_decay(64)[0] / fourier.tail_integral_decay(32)[0])
-    fits.append(_report(claims, "fourier-tail-collapse", drop, [32, 64]))
+    fits.append(_report(claims, "fourier-tail-collapse", math.log(tails[64] / tails[32]), [32, 64]))
     fits.append(_property_report(claims, "cos-gaussian-half",
                                  fourier.verify_cos_gaussian_bound(0.5), []))
     return ["k", "integral", "head", "tail", "k32_scaled"], rows, fits, {}

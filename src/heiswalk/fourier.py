@@ -35,6 +35,7 @@ __all__ = [
     "cos_product_integral",
     "head_integral",
     "tail_integral_decay",
+    "tail_rate_floor",
     "verify_cos_gaussian_bound",
     "point_mass_via_inversion",
     "inversion_marginal",
@@ -219,12 +220,11 @@ def head_integral(k: int) -> float:
     return res.value
 
 
-def tail_integral_decay(k: int, grid_points: int | None = None) -> tuple[float, float]:
-    """Tail integral over [1/k, pi/2] and the Gaussian-rate floor.
+def tail_integral_decay(k: int) -> float:
+    """integral of the cos product over the tail [1/k, pi/2].
 
-    Returns (integral, min over a dense grid of (1/k) * sum_j f(jx)^2)
-    with f the distance to pi*Z; a strictly positive floor certifies the
-    exponential-in-k decay of the tail under the Gaussian domination.
+    Beyond the central peak the integrand is exponentially small in k;
+    tail_rate_floor certifies that decay under the Gaussian domination.
     """
     if k < 2:
         raise ValueError("k must be >= 2 so the tail interval is nonempty")
@@ -235,14 +235,26 @@ def tail_integral_decay(k: int, grid_points: int | None = None) -> tuple[float, 
         _TOL_ABS,
         _TOL_REL,
     )
+    return res.value
+
+
+def tail_rate_floor(k: int, grid_points: int | None = None) -> float:
+    """min over a dense grid of [1/k, pi/2] of (1/k) * sum_{j<k} f(jx)^2.
+
+    f is the distance to pi*Z.  Under |cos y| <= exp(-f(y)^2/2) the tail
+    integrand is at most exp(-k * floor / 2), so a strictly positive floor
+    certifies the exponential-in-k decay of the tail.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2 so the tail interval is nonempty")
+    _check_cap(k)
     if grid_points is None:
         grid_points = min(100_000, 8192 + 16 * k)
     xs = np.linspace(1.0 / k, 0.5 * math.pi, grid_points)
     rate = np.zeros_like(xs)
     for j in range(1, k):
         rate += folding_distance(j * xs) ** 2
-    min_rate = float(rate.min() / k)
-    return res.value, min_rate
+    return float(rate.min() / k)
 
 
 def verify_cos_gaussian_bound(c: float, grid_points: int = 100_000) -> bool:

@@ -8,9 +8,12 @@ holds the joint distribution of
 
 Row s counts the words with s ones by W: it is the Gaussian binomial
 [k choose s]_q on w = s(s-1)/2 + (0..s(k-s)).  In these offset
-coordinates row k-s equals row s, so only the rows s <= k//2 are stored,
-as ragged float64 counts grown in place one bit per step; the exact 2^-k
-is applied when a statistic is taken.  Two words of length k land on the
+coordinates row k-s equals row s, and each row is a palindrome, so only
+the rows s <= k//2 are stored, and of each only the offsets up to its
+centre s(k-s)//2: ragged float64 counts grown in place one bit per step.
+The W-marginal has its own one-dimensional recursion, m_k(w) = m_{k-1}(w)
++ m_{k-1}(w - (k-1)), and is grown beside the rows.  The exact 2^-k is
+applied when a statistic is taken.  Two words of length k land on the
 same Cayley-graph vertex exactly when their (S, W) pairs agree, so every
 endpoint-collision statistic for oriented walk pairs is a quadratic
 functional of this table:
@@ -20,7 +23,14 @@ functional of this table:
     weighted_match_probability sum over w of (W-marginal)^2
     max_point_mass             max of the W-marginal
 
-Memory is the binding constraint, about k^3/12 cells (k=512 is ~90 MB);
+Every count is exact while it stays below 2^53 (through k = 56).  Beyond
+that, each W-marginal cell is a sum of non-negative floats formed by at
+most k-1 roundings (the rescaling is by powers of two and exact), so its
+relative error is at most gamma_{k-1} = (k-1)u / (1 - (k-1)u) with
+u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+ch. 4); the sum of squares adds its own gamma_n over its n cells.
+
+Memory is the binding constraint, about k^3/24 cells (k=512 is ~45 MB);
 build_table refuses k above a cap, default 512, overridable with the
 HEISWALK_TABLE_CAP environment variable.
 """
@@ -83,16 +93,32 @@ def weight_bounds(k: int, s: int) -> tuple[int, int]:
     return s * (s - 1) // 2, s * (2 * k - s - 1) // 2
 
 
+def _full_row(half: np.ndarray, s: int, k: int) -> np.ndarray:
+    """Row s of the length-k table from its stored half, by its palindrome."""
+    return np.concatenate([half, half[: s * (k - s) + 1 - half.size][::-1]])
+
+
+def _row_moments(half: np.ndarray, s: int, k: int) -> tuple[float, float]:
+    """Sum and sum of squares of the full row s, read off its stored half."""
+    if s * (k - s) % 2:  # even length: every cell has a mirror
+        return 2.0 * float(half.sum()), 2.0 * float(half @ half)
+    body, centre = half[:-1], float(half[-1])
+    return 2.0 * float(body.sum()) + centre, 2.0 * float(body @ body) + centre * centre
+
+
 @dataclass(frozen=True)
 class CountWeightTable:
     """Joint law of (S, W) at word length k, as half ragged rows.
 
     rows[s] (s <= k//2) holds 2^-shift times the number of words with s ones
-    and W = s(s-1)/2 + offset, offset 0..s(k-s); row k-s is the same array.
+    and W = s(s-1)/2 + offset, offset 0..s(k-s)//2; the offsets past the
+    centre mirror those before it, and row k-s is the same array.
+    w_counts[w] holds 2^-shift times the number of words with W = w.
     """
 
     k: int
     rows: tuple[np.ndarray, ...]
+    w_counts: np.ndarray
     shift: int = 0
 
     @cached_property
@@ -101,7 +127,7 @@ class CountWeightTable:
         k = self.k
         mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
         for s in range(k + 1):
-            row = self.rows[min(s, k - s)]
+            row = _full_row(self.rows[min(s, k - s)], s, k)
             mass[s, s * (s - 1) // 2 :][: row.size] = row * math.ldexp(1.0, self.shift - k)
         mass.flags.writeable = False
         return mass
@@ -116,15 +142,16 @@ class CountWeightTable:
 def iter_tables(k_max: int) -> Iterator[CountWeightTable]:
     """Yield the table for k = 1, 2, ..., k_max.
 
-    The yielded tables share one set of growing row buffers; each is a
+    The yielded tables share one set of growing buffers; each is a
     read-only view valid until the next iteration.  Copy the rows to keep them.
     """
     if k_max < 1:
         raise ValueError("k must be >= 1")
     if k_max > (cap := table_cap()):
         raise CapExceededError(f"k={k_max} exceeds the table cap {cap}; raise {_CAP_ENV}")
-    bufs = [np.zeros(s * (k_max - s) + 1) for s in range(k_max // 2 + 1)]
-    bufs[0][0] = 1.0
+    bufs = [np.zeros(s * (k_max - s) // 2 + 1) for s in range(k_max // 2 + 1)]
+    bufs.append(np.zeros(k_max * (k_max - 1) // 2 + 1))  # the W-marginal
+    bufs[0][0] = bufs[-1][0] = 1.0
     frozen = [buf.view() for buf in bufs]
     for view in frozen:
         view.flags.writeable = False
@@ -139,13 +166,21 @@ def iter_tables(k_max: int) -> Iterator[CountWeightTable]:
         half = k // 2
         if k % 2 == 0:
             # row k/2 of length k-1 is not stored; it mirrors row k/2-1
-            n = half * (half - 1) + 1
+            n = half * (half - 1) // 2 + 1
             bufs[half][:n] = bufs[half - 1][:n]
         for s in range(half, 0, -1):
-            n = (s - 1) * (k - s) + 1
-            bufs[s][k - s : k - s + n] += bufs[s - 1][:n]
-        rows = tuple(frozen[s][: s * (k - s) + 1] for s in range(half + 1))
-        yield CountWeightTable(k, rows, shift)
+            row = bufs[s]
+            last = s * (k - 1 - s)  # last offset of row s before this bit
+            old, new = last // 2, s * (k - s) // 2
+            # the cells past the old centre are the mirrors of cells before it;
+            # the add below reads row s-1 only up to its old centre
+            row[old + 1 : new + 1] = row[last - new : last - old][::-1]
+            if (n := new + 1 - (k - s)) > 0:
+                row[k - s : new + 1] += bufs[s - 1][:n]
+        w = k * (k - 1) // 2 + 1
+        bufs[-1][k - 1 : w] += bufs[-1][: w - k + 1]  # numpy buffers the overlap
+        rows = tuple(frozen[s][: s * (k - s) // 2 + 1] for s in range(half + 1))
+        yield CountWeightTable(k, rows, frozen[-1][:w], shift)
 
 
 def build_table(k: int) -> CountWeightTable:
@@ -164,28 +199,25 @@ class TableStatistics:
 
 
 def _statistics(table: CountWeightTable) -> TableStatistics:
-    """Every statistic from one pass over the stored rows.
+    """Every statistic from one pass over the stored half rows.
 
-    A row s < k-s also stands for its mirror k-s, so it counts twice and
-    lands in the W-marginal at both offsets.
+    A row s < k-s also stands for its mirror k-s, so it counts twice.
     """
     k = table.k
     e = table.shift - k  # probability = stored count * 2^e
-    w_marg = np.zeros(k * (k - 1) // 2 + 1)
     squares, conditional = [], []
     for s, row in enumerate(table.rows):
-        ones = (s, k - s) if 2 * s < k else (s,)
-        square = float(row @ row)
-        squares.append(len(ones) * square)
-        conditional.append(len(ones) * square / float(row.sum()))
-        for c in ones:
-            w_marg[c * (c - 1) // 2 :][: row.size] += row
+        mirrors = 2 if 2 * s < k else 1
+        total, square = _row_moments(row, s, k)
+        squares.append(mirrors * square)
+        conditional.append(mirrors * square / total)
+    w_counts = table.w_counts
     return TableStatistics(
         k=k,
         collision=math.ldexp(math.fsum(squares), 2 * e),
         count_match=math.comb(2 * k, k) / 4**k,
-        weighted_match=math.ldexp(float(w_marg @ w_marg), 2 * e),
-        max_point_mass=math.ldexp(float(w_marg.max()), e),
+        weighted_match=math.ldexp(float(w_counts @ w_counts), 2 * e),
+        max_point_mass=math.ldexp(float(w_counts.max()), e),
         conditional_match=math.ldexp(math.fsum(conditional), e),
     )
 
@@ -239,9 +271,8 @@ def conditional_match_at_count(k_or_table, s: int | None = None) -> float:
     s = t.k // 2 if s is None else s
     if not 0 <= s <= t.k:
         raise ValueError(f"count s={s} outside 0..{t.k}")
-    row = t.rows[min(s, t.k - s)]
-    p = row / row.sum()
-    return float(p @ p)
+    total, square = _row_moments(t.rows[min(s, t.k - s)], s, t.k)
+    return square / total / total
 
 
 def dyadic_uniformity(k: int) -> tuple[int, bool]:

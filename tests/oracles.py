@@ -1,6 +1,6 @@
 """Brute-force references for the array kernels of heisenberg, percolation,
-paths and reference: one vertex, one edge or one step at a time in plain
-Python.
+paths, reference and tables: one vertex, one edge or one step at a time in
+plain Python, or the whole object without the symmetries the kernel uses.
 
 Each returns what the kernel it checks returns (or the arrays it builds),
 so the tests can demand exact equality.  chunk_letters decodes the letters
@@ -215,3 +215,30 @@ def pair_counts(u, v):
 def survivors(values):
     """{n: #values >= n} for n up to the largest value."""
     return {n: sum(1 for x in values if x >= n) for n in range(max(values) + 1)}
+
+
+def full_row_tables(k_max):
+    """Yield (k, rows, w_counts) for k = 1..k_max from the full-row float DP.
+
+    rows[s] (s <= k//2) holds the whole of row s of the (S, W) table, offsets
+    0..s(k-s), as float64 word counts: the DP uses the mirror between rows s
+    and k-s but not the palindrome within a row.  w_counts is the W-marginal,
+    scattered from every row and its mirror k-s.  The rows are views into
+    buffers that the next step overwrites.
+    """
+    bufs = [np.zeros(s * (k_max - s) + 1) for s in range(k_max // 2 + 1)]
+    bufs[0][0] = 1.0
+    for k in range(1, k_max + 1):
+        half = k // 2
+        if k % 2 == 0:
+            n = half * (half - 1) + 1
+            bufs[half][:n] = bufs[half - 1][:n]
+        for s in range(half, 0, -1):
+            n = (s - 1) * (k - s) + 1
+            bufs[s][k - s : k - s + n] += bufs[s - 1][:n]
+        rows = [bufs[s][: s * (k - s) + 1] for s in range(half + 1)]
+        w_counts = np.zeros(k * (k - 1) // 2 + 1)
+        for s, row in enumerate(rows):
+            for c in (s, k - s) if 2 * s < k else (s,):
+                w_counts[c * (c - 1) // 2 :][: row.size] += row
+        yield k, rows, w_counts

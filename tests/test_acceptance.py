@@ -129,9 +129,7 @@ def test_criterion_07_fourier_chain(criterion_log):
     scaled = [k**1.5 * fourier.cos_product_integral(k).value for k in (16, 64, 256, 1024)]
     ratio = max(scaled) / min(scaled)
     gauss = fourier.verify_cos_gaussian_bound(0.5, grid_points=100_000)
-    drop = math.log(
-        fourier.tail_integral_decay(64)[0] / fourier.tail_integral_decay(32)[0]
-    )
+    drop = math.log(fourier.tail_integral_decay(64) / fourier.tail_integral_decay(32))
     inv_err = max(
         float(np.max(np.abs(fourier.inversion_marginal(k) - tables.build_table(k).w_marginal())))
         for k in range(1, 65)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from heiswalk import fourier
 from heiswalk.cli import STATUS_FILE, load_claims, main
 
 
@@ -87,6 +88,11 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     for experiment in ("resistance-profile", "flow-energy"):
         assert run(experiment, "--radii", "0,4") == 2
         assert "--radii" in capsys.readouterr().err
+    # the tail [1/k, pi/2] is empty at k=1; refused before any quadrature
+    with monkeypatch.context() as patch:
+        patch.setattr(fourier, "_adaptive_simpson", None)
+        assert run("fourier", "--k-list", "64,1") == 2
+    assert "--k-list" in capsys.readouterr().err
     # a malformed table cap is a config error, not a traceback
     for cap in ("banana", "0"):
         monkeypatch.setenv("HEISWALK_TABLE_CAP", cap)

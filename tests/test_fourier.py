@@ -17,6 +17,7 @@ from heiswalk.fourier import (
     inversion_marginal,
     point_mass_via_inversion,
     tail_integral_decay,
+    tail_rate_floor,
     verify_cos_gaussian_bound,
 )
 from heiswalk.tables import build_table, max_point_mass
@@ -63,10 +64,10 @@ def test_gaussian_domination_threshold():
 
 
 def test_tail_decay_rate_positive():
-    integral, min_rate = tail_integral_decay(32)
+    integral, min_rate = tail_integral_decay(32), tail_rate_floor(32)
     assert integral > 0 and min_rate > 0
-    ln32 = math.log(tail_integral_decay(32)[0])
-    ln64 = math.log(tail_integral_decay(64)[0])
+    ln32 = math.log(integral)
+    ln64 = math.log(tail_integral_decay(64))
     assert ln64 - ln32 < -1.0
 
 
@@ -116,9 +117,11 @@ def test_validation():
     with pytest.raises(ValueError):
         tail_integral_decay(1)
     with pytest.raises(ValueError):
+        tail_rate_floor(1)
+    with pytest.raises(ValueError):
         verify_cos_gaussian_bound(0.5, grid_points=2)
     # checked before any quadrature work, so these return at once
-    for fn in (cos_product_integral, head_integral, tail_integral_decay,
+    for fn in (cos_product_integral, head_integral, tail_integral_decay, tail_rate_floor,
                cf_magnitude_integral, inversion_marginal):
         with pytest.raises(CapExceededError):
             fn(FOURIER_K_CAP + 1)

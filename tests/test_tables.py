@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import full_row_tables
 
 from heiswalk import tables
 from heiswalk.errors import CapExceededError, ConfigError
@@ -219,9 +220,44 @@ def test_mass_equals_integer_counts_through_k56():
     for (k, rows), table in zip(exact_tables(56), iter_tables(56)):
         assert max(int(r.max()) for r in rows) < 2**53
         mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
+        w_counts = np.zeros(k * (k - 1) // 2 + 1, dtype=object)
         for s, row in enumerate(rows):
             mass[s, s * (s - 1) // 2 :][: row.size] = row.astype(float) / 2.0**k
+            w_counts[s * (s - 1) // 2 :][: row.size] += row
         assert np.array_equal(table.mass, mass), k
+        assert np.array_equal(table.w_counts, w_counts.astype(float)), k
+
+
+def test_half_rows_match_full_row_dp():
+    # bit for bit while every count is exact, then to 1e-14 at every cell
+    for (k, rows, w_counts), table in zip(full_row_tables(200), iter_tables(200)):
+        assert table.shift == 0
+        for s, row in enumerate(rows):
+            half = table.rows[s]
+            assert half.size == s * (k - s) // 2 + 1
+            got = tables._full_row(half, s, k)
+            if k <= 56:
+                assert np.array_equal(got, row), (k, s)
+            else:
+                assert np.all(np.abs(got - row) <= 1e-14 * row), (k, s)
+        if k <= 56:
+            assert np.array_equal(table.w_counts, w_counts), k
+        else:
+            assert np.all(np.abs(table.w_counts - w_counts) <= 1e-14 * w_counts), k
+
+
+def test_point_mass_bound_certified_above_k56():
+    # each W-marginal cell has relative error at most gamma_{k-1}, and the
+    # sum of squares over its n cells adds gamma_n: the bounds below hold
+    # for the exact values, and both stay below 1/k
+    def gamma(n):
+        return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+    for k, stats in scan_statistics(range(57, 257)).items():
+        cell = 1 / (1 - gamma(k - 1))
+        dot = 1 / (1 - gamma(k * (k - 1) // 2 + 1))
+        assert stats.max_point_mass * cell < 1 / k, k
+        assert stats.weighted_match * cell**2 * dot < 1 / k, k
 
 
 def test_statistics_near_exact_rationals_beyond_k56():
@@ -238,9 +274,11 @@ def test_statistics_near_exact_rationals_beyond_k56():
 def test_rescale_keeps_statistics_bit_identical(monkeypatch):
     ks = range(1, 81)
     plain = scan_statistics(ks)
-    plain_mass = build_table(40).mass
+    plain_table = build_table(40)
+    plain_mass, plain_w_counts = plain_table.mass, plain_table.w_counts
     monkeypatch.setattr(tables, "_RESCALE_BITS", 12)
     table = build_table(40)
     assert table.shift > 0  # the rescale path ran
     assert np.array_equal(table.mass, plain_mass)
+    assert np.array_equal(np.ldexp(table.w_counts, table.shift), plain_w_counts)
     assert scan_statistics(ks) == plain
