@@ -13,6 +13,13 @@ sphere of a chosen radius with diagonally preconditioned conjugate
 gradients.  Disconnection is reported as infinite resistance, solver
 non-convergence as SolverConvergenceError.
 
+Only the Laplacian needs scipy: effective_resistance imports scipy.sparse
+on its first call, for the CSR matrix and its product.  The conjugate
+gradient loop is this module's own (_solve_spd), a Jacobi-preconditioned
+loop that repeats scipy.sparse.linalg.cg step for step, and the cluster
+searches are numpy frontier sweeps, so scipy.sparse.linalg and
+scipy.sparse.csgraph (which loads it) are never imported.
+
 Transience of a ball sequence cannot be decided by any finite solve;
 resistance_profile reports the honest finite surrogate (resistance to
 growing shells under one coupled mask) and leaves the reading of the
@@ -25,9 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CapExceededError, ConfigError, SolverConvergenceError
 from .heisenberg import DEFAULT_BALL_CAP, ball_levels
@@ -55,6 +59,7 @@ LATTICE_VERTEX_CAP = 2_000_000
 
 DIVERGENCE_TOL = 1e-9
 SOLVER_RTOL = 1e-8
+CG_ITERATIONS_PER_ROOT = 50  # CG stops after max(20, this * sqrt(box vertices)) steps
 
 
 class BoxGraph:
@@ -245,15 +250,29 @@ def oriented_cluster(mask: SubgraphMask, v=None, max_dist: int | None = None) ->
 
 
 def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np.ndarray:
-    """Vertices reached from start over open edges inside the radius limit."""
+    """Sorted vertices reached from start over open edges inside the radius limit."""
     graph = mask.graph
     dist = graph.dist
     keep = mask.open & (dist[graph.tails] <= limit) & (dist[graph.heads] <= limit)
-    n = graph.n_vertices
-    adjacency = scipy.sparse.csr_matrix(
-        (np.ones(int(keep.sum())), (graph.tails[keep], graph.heads[keep])), shape=(n, n)
-    )
-    return breadth_first_order(adjacency, start, directed=directed, return_predecessors=False)
+    tails, heads = graph.tails[keep], graph.heads[keep]
+    if not directed:
+        tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
+    # adjacency lists: the heads of each tail's edges, contiguous
+    neighbours = heads[np.argsort(tails)]
+    degree = np.bincount(tails, minlength=graph.n_vertices)
+    first = np.cumsum(degree) - degree
+    seen = np.zeros(graph.n_vertices, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while len(frontier):
+        count = degree[frontier]
+        base = np.repeat(first[frontier] - (np.cumsum(count) - count), count)
+        fresh = np.zeros_like(seen)
+        fresh[neighbours[base + np.arange(len(base))]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return np.flatnonzero(seen)
 
 
 def effective_resistance(mask: SubgraphMask, source=None, sink_radius: int | None = None) -> float:
@@ -265,6 +284,8 @@ def effective_resistance(mask: SubgraphMask, source=None, sink_radius: int | Non
     current leaving the source.  Infinite when no open path reaches the
     sphere; SolverConvergenceError if CG stalls within its iteration cap.
     """
+    import scipy.sparse
+
     graph = mask.graph
     if source is None:
         source = graph.origin
@@ -329,16 +350,36 @@ def effective_resistance(mask: SubgraphMask, source=None, sink_radius: int | Non
 
 
 def _solve_spd(lap, b, n_vertices: int) -> np.ndarray:
-    maxiter = max(20, int(50 * math.sqrt(n_vertices)))
+    """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952).
+
+    The recurrence of scipy.sparse.linalg.cg with M = diag(lap)^-1, step
+    for step: from x = 0, stop once |r| < SOLVER_RTOL |b|; b = 0 gives 0.
+    """
+    maxiter = max(20, int(CG_ITERATIONS_PER_ROOT * math.sqrt(n_vertices)))
     diag = lap.diagonal()
-    precond = scipy.sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
-    try:
-        phi, info = scipy.sparse.linalg.cg(lap, b, rtol=SOLVER_RTOL, maxiter=maxiter, M=precond)
-    except TypeError:  # older scipy spells the tolerance differently
-        phi, info = scipy.sparse.linalg.cg(lap, b, tol=SOLVER_RTOL, maxiter=maxiter, M=precond)
-    if info != 0:
-        raise SolverConvergenceError(f"conjugate gradient stopped with status {info}")
-    return phi
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+    x = np.zeros_like(b)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0:
+        return x
+    r = b.copy()
+    p = rho_prev = None
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < SOLVER_RTOL * b_norm:
+            return x
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = lap @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise SolverConvergenceError(f"conjugate gradient stopped with status {maxiter}")
 
 
 @dataclass(frozen=True)

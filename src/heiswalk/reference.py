@@ -65,6 +65,7 @@ ZD_COLLISION_K_CAP = 2048
 ZD_MAX_D = 256  # Monte Carlo letter pairs a*d + b are drawn as uint16
 SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
 INTERSECTION_TIME_CAP = 2**15  # walk steps; positions pack exactly into int64 keys
+INTERSECTION_CHUNK = 128  # sample pairs per sort; bounds the batch's memory
 
 
 def zd_collision_probability(d: int, k: int) -> float:
@@ -298,33 +299,45 @@ class SrwReturnProfile:
     dropped_mass: float
 
 
-@lru_cache(maxsize=4)
-def _srw_profile_cached(t_max: int) -> SrwReturnProfile:
-    n = t_max // 2
+def _srw_box(n: int) -> tuple[int, int]:
+    """Half-widths (b_xy, b_z) of the box that holds the clipped time-n law."""
     # z tails decay like exp(-c|z|/n): a box linear in n suffices, and 6.4n
     # keeps the total clipped mass below 1e-10 out to n=64 (measured)
     b_xy = min(n, int(math.ceil(7.5 * math.sqrt(max(n, 1) / 2.0))) + 2)
     b_z = min(n * (n - 1) // 2 + 1, int(math.ceil(6.4 * n)) + 4)
-    nx = 2 * b_xy + 1
-    nz = 2 * b_z + 1
-    cur = np.zeros((nx, nx, nz))  # axes (y, x, z)
+    return b_xy, b_z
+
+
+@lru_cache(maxsize=4)
+def _srw_profile_cached(t_max: int) -> SrwReturnProfile:
+    n = t_max // 2
+    b_xy, b_z = _srw_box(n)
+    cur = np.zeros((2 * b_xy + 1, 2 * b_xy + 1, 2 * b_z + 1))  # axes (y, x, z)
     cur[b_xy, b_xy, b_z] = 1.0
-    nxt = np.empty_like(cur)
+    nxt = np.zeros_like(cur)
     probs = np.zeros(t_max + 1)
     probs[0] = 1.0
     for s in range(1, n + 1):
+        # after s steps |x|, |y| <= s and |z| <= s^2/4 (each a-step moves z by
+        # |y| <= the number of b-steps), so step s reads and writes only that
+        # window; outside it both buffers hold zeros
+        w_xy, w_z = min(s, b_xy), min(s * s // 4, b_z)
+        xy = slice(b_xy - w_xy, b_xy + w_xy + 1)
+        window = (xy, xy, slice(b_z - w_z, b_z + w_z + 1))
+        src, dst = cur[window], nxt[window]
+        nz = 2 * w_z + 1
         # b step: (x, y+1, z); b inverse: (x, y-1, z)
-        nxt[0] = 0.0
-        nxt[1:] = cur[:-1]
-        nxt[:-1] += cur[1:]
+        dst[0] = 0.0
+        dst[1:] = src[:-1]
+        dst[:-1] += src[1:]
         # a step: (x+1, y, z-y); a inverse: (x-1, y, z+y)
-        for yi in range(nx):
-            y = yi - b_xy
+        for yi in range(2 * w_xy + 1):
+            y = yi - w_xy
             lo = slice(max(0, -y), nz - max(0, y))
             hi = slice(max(0, y), nz - max(0, -y))
-            nxt[yi, 1:, lo] += cur[yi, :-1, hi]
-            nxt[yi, :-1, hi] += cur[yi, 1:, lo]
-        nxt *= 0.25
+            dst[yi, 1:, lo] += src[yi, :-1, hi]
+            dst[yi, :-1, hi] += src[yi, 1:, lo]
+        dst *= 0.25
         cur, nxt = nxt, cur
         probs[2 * s] = np.vdot(cur, cur)
     return SrwReturnProfile(probs, max(0.0, 1.0 - float(cur.sum())))
@@ -388,20 +401,21 @@ def srw_mutual_intersections(
     if t_max > INTERSECTION_TIME_CAP:
         raise CapExceededError(f"last checkpoint {t_max} exceeds cap {INTERSECTION_TIME_CAP}")
     values = np.zeros((samples, len(times)), dtype=np.int64)
-    for i in range(samples):
-        rng = stream(seed, i)
-        keys_u, first_u = _first_visits(rng.integers(0, 4, size=t_max, dtype=np.uint8), t_max)
-        keys_v, first_v = _first_visits(rng.integers(0, 4, size=t_max, dtype=np.uint8), t_max)
-        _common, iu, iv = np.intersect1d(keys_u, keys_v, assume_unique=True, return_indices=True)
-        both = np.sort(np.maximum(first_u[iu], first_v[iv]))
-        values[i] = np.searchsorted(both, times, side="right")
+    for lo in range(0, samples, INTERSECTION_CHUNK):
+        hi = min(lo + INTERSECTION_CHUNK, samples)
+        letters = []
+        for i in range(lo, hi):
+            rng = stream(seed, i)
+            letters += [rng.integers(0, 4, size=t_max, dtype=np.uint8) for _ in range(2)]
+        keys = _visit_keys(np.array(letters), t_max)  # rows u0, v0, u1, v1, ...
+        values[lo:hi] = _common_counts(keys[0::2], keys[1::2], times)
     means = values.mean(axis=0)
     ses = values.std(axis=0, ddof=1) / math.sqrt(samples)
     return IntersectionGrowth(times, means, ses, values)
 
 
-def _first_visits(letters: np.ndarray, t_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted position keys of a walk's range and the first visit time of each.
+def _visit_keys(letters: np.ndarray, t_max: int) -> np.ndarray:
+    """Position keys of walks at times 0..t, one walk per row of letters (t steps).
 
     Letters 0..3 step by a, a^-1, b, b^-1.  Within t_max steps |x|, |y| <= t_max
     and |z| <= t_max^2 / 4, so the mixed-radix key is exact in int64 up to
@@ -409,11 +423,38 @@ def _first_visits(letters: np.ndarray, t_max: int) -> tuple[np.ndarray, np.ndarr
     """
     dx = (letters == 0).astype(np.int64) - (letters == 1)
     dy = (letters == 2).astype(np.int64) - (letters == 3)
-    y = np.cumsum(dy)
-    # a moves z by -y and a^-1 by +y; y does not change on those steps
-    z = np.cumsum(-dx * y)
+    zero = np.zeros((len(letters), 1), dtype=np.int64)
+    x = np.cumsum(np.hstack([zero, dx]), axis=1)
+    y = np.cumsum(np.hstack([zero, dy]), axis=1)
+    # a moves z by -y and a^-1 by +y, y taken before the step
+    z = np.cumsum(np.hstack([zero, -dx * y[:, :-1]]), axis=1)
     z_half = t_max * t_max // 4
-    xy_base = 2 * t_max + 1
-    keys = ((np.cumsum(dx) + t_max) * xy_base + y + t_max) * (2 * z_half + 1) + z + z_half
-    origin = (t_max * xy_base + t_max) * (2 * z_half + 1) + z_half
-    return np.unique(np.concatenate(([origin], keys)), return_index=True)
+    return ((x + t_max) * (2 * t_max + 1) + y + t_max) * (2 * z_half + 1) + z + z_half
+
+
+def _common_counts(keys_u: np.ndarray, keys_v: np.ndarray, times) -> np.ndarray:
+    """Per row, the number of vertices visited by both walks by each checkpoint.
+
+    A vertex is common from the later of its two first visits.  One stable
+    sort of each row of u and v keys puts every key's u visits, in time
+    order, just before its v visits; the first v visit right after a u
+    visit of the same key marks a common vertex, and the u run's head is
+    u's first visit.
+    """
+    n, steps = keys_u.shape
+    keys = np.hstack([keys_u, keys_v])
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
+    from_v = order >= steps
+    time = np.where(from_v, order - steps, order)
+    new_key = np.ones(keys.shape, dtype=bool)
+    new_key[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    # position of the head of each key's run
+    head = np.maximum.accumulate(np.where(new_key, np.arange(2 * steps), 0), axis=1)
+    common = from_v & ~new_key
+    common[:, 1:] &= ~from_v[:, :-1]
+    row, col = np.nonzero(common)
+    both = np.maximum(time[row, head[row, col]], time[row, col])
+    bucket = np.searchsorted(np.asarray(times), both)
+    counts = np.bincount(row * len(times) + bucket, minlength=n * len(times))
+    return np.cumsum(counts.reshape(n, len(times)), axis=1)

@@ -1,6 +1,7 @@
 """Brute-force references for the array kernels of heisenberg, percolation,
 paths, reference and tables: one vertex, one edge or one step at a time in
-plain Python, or the whole object without the symmetries the kernel uses.
+plain Python, or the whole object without the symmetries or the reachable
+window the kernel uses.
 
 Each returns what the kernel it checks returns (or the arrays it builds),
 so the tests can demand exact equality.  chunk_letters decodes the letters
@@ -13,6 +14,7 @@ import numpy as np
 
 from heiswalk import paths
 from heiswalk.heisenberg import IDENTITY, GroupElement
+from heiswalk.reference import _srw_box
 from heiswalk.rng import stream
 
 
@@ -184,6 +186,36 @@ def srw_intersection_values(n_base, samples, seed, num_doublings):
                     seen[w].add(p)
                     common += p in seen[1 - w]
     return values
+
+
+def srw_profile_full_box(t_max):
+    """(probabilities, dropped_mass) of srw_return_profile, each step over
+    the whole box instead of the window the walk can have reached."""
+    n = t_max // 2
+    b_xy, b_z = _srw_box(n)
+    nx = 2 * b_xy + 1
+    nz = 2 * b_z + 1
+    cur = np.zeros((nx, nx, nz))  # axes (y, x, z)
+    cur[b_xy, b_xy, b_z] = 1.0
+    nxt = np.empty_like(cur)
+    probs = np.zeros(t_max + 1)
+    probs[0] = 1.0
+    for s in range(1, n + 1):
+        # b step: (x, y+1, z); b inverse: (x, y-1, z)
+        nxt[0] = 0.0
+        nxt[1:] = cur[:-1]
+        nxt[:-1] += cur[1:]
+        # a step: (x+1, y, z-y); a inverse: (x-1, y, z+y)
+        for yi in range(nx):
+            y = yi - b_xy
+            lo = slice(max(0, -y), nz - max(0, y))
+            hi = slice(max(0, y), nz - max(0, -y))
+            nxt[yi, 1:, lo] += cur[yi, :-1, hi]
+            nxt[yi, :-1, hi] += cur[yi, 1:, lo]
+        nxt *= 0.25
+        cur, nxt = nxt, cur
+        probs[2 * s] = np.vdot(cur, cur)
+    return probs, max(0.0, 1.0 - float(cur.sum()))
 
 
 def chunk_letters(d, horizon, n, seed, index=0):

@@ -1,12 +1,15 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from heiswalk import fourier
+import heiswalk
+from heiswalk import cli, fourier, percolation
 from heiswalk.cli import STATUS_FILE, load_claims, main
 
 
@@ -139,6 +142,59 @@ def test_infinite_resistance_is_config_error(workdir, capsys, family, seed):
     assert code == 2
     assert f"seed {seed} has no open path from the origin to radius 2" in capsys.readouterr().err
     assert not Path(STATUS_FILE).exists()
+
+
+def test_solver_failure_exit_code(workdir, capsys, monkeypatch):
+    # with no per-root allowance CG stops after 20 steps; the radius-8 box needs more
+    monkeypatch.setattr(percolation, "CG_ITERATIONS_PER_ROOT", 0)
+    assert run("resistance-profile", "--radii", "4,8") == 4
+    assert "solver failure" in capsys.readouterr().err
+
+
+_GRAPH_FREE_CALLS = [
+    ["collision-exact", "--k-list", "4,8"],
+    ["conditional-exact", "--k-list", "4,8"],
+    ["bound-scan", "--k-min", "2", "--k-max", "8"],
+    ["dyadic", "--k-list", "4,8"],
+    ["zd-collision", "--k-list", "4,8"],
+    ["collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "4,8"],
+    ["fourier", "--k-list", "16"],
+    ["eit-tail", "--horizon", "64", "--samples", "256"],
+    ["theta-d", "--horizon", "64", "--samples", "256"],
+    ["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "2"],
+    ["srw-return", "--t-max", "16", "--n-min", "2", "--n-max", "8"],
+    ["srw-intersections", "--n-base", "8", "--samples", "20"],
+    ["ball-growth", "--r-min", "2", "--r-max", "6"],
+]
+
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import heiswalk.cli as cli
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[2]):
+        codes[argv[0]] = cli.main(argv)
+    graph_free = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    codes["resistance-profile"] = cli.main(["resistance-profile", "--radii", "2,4"])
+print(json.dumps({"codes": codes, "graph_free": graph_free,
+                  "loaded": [m for m in ("scipy.sparse", "scipy.sparse.linalg")
+                             if m in sys.modules]}))
+"""
+
+
+def test_only_graph_subcommands_import_scipy(workdir):
+    # a fresh interpreter: the test process itself has imported scipy
+    graph_free = set(cli._EXPERIMENT_OPTIONS) - {"resistance-profile", "flow-energy"}
+    assert {argv[0] for argv in _GRAPH_FREE_CALLS} == graph_free
+    src = str(Path(heiswalk.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, src, json.dumps(_GRAPH_FREE_CALLS)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert all(code in (0, 5) for code in report["codes"].values()), report["codes"]
+    assert report["graph_free"] == []
+    # the sparse Laplacian loads scipy.sparse; the in-package CG keeps its solvers out
+    assert report["loaded"] == ["scipy.sparse"]
 
 
 def test_failed_claim_exit_code(workdir, capsys):

@@ -96,6 +96,38 @@ def test_resistance_validation():
         effective_resistance(m, source=(9,))
 
 
+@pytest.mark.parametrize("family,p", [("heisenberg", 0.95), ("heisenberg", 1.0), ("z2", 1.0)])
+def test_cg_matches_scipy_step_for_step(family, p, monkeypatch):
+    # the Laplacians effective_resistance builds on a radius-8 box (radius 1 has no free
+    # vertex), each solved again by scipy's cg
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import cg
+
+    solve = percolation._solve_spd
+    systems = []
+
+    def record(lap, b, n_vertices):
+        systems.append((lap, b, n_vertices))
+        return solve(lap, b, n_vertices)
+
+    monkeypatch.setattr(percolation, "_solve_spd", record)
+    mask = percolate_box(family, 8, p, seed=3)
+    for r in range(2, 9):
+        effective_resistance(mask, None, r)
+    assert len(systems) == 7
+    for lap, b, n_vertices in systems:
+        want, info = cg(lap, b, rtol=percolation.SOLVER_RTOL, M=diags(1.0 / lap.diagonal()))
+        assert info == 0
+        assert np.array_equal(solve(lap, b, n_vertices), want)
+
+
+def test_cg_zero_right_hand_side_returns_zeros():
+    from scipy.sparse import csr_matrix
+
+    lap = csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    assert np.array_equal(percolation._solve_spd(lap, np.zeros(2), 2), np.zeros(2))
+
+
 def test_oriented_cluster_hand_mask():
     # only the chain 0 -> 1 -> 2 is open; vertex 3 is cut off
     g = line_graph(3)

@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from oracles import chunk_letters, pair_counts, srw_intersection_values, survivors
+from oracles import (
+    chunk_letters,
+    pair_counts,
+    srw_intersection_values,
+    srw_profile_full_box,
+    survivors,
+)
 
 from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import Generator, word_eval
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
-    _first_visits,
     _theta_chunk,
+    _visit_keys,
     difference_walk_return_by,
     edge_collision_rate,
     lazy_return_probability,
@@ -180,6 +186,14 @@ def test_srw_half_time_matches_direct_convolution():
         assert -1e-15 <= direct[t] - got <= profile.dropped_mass + 1e-15
 
 
+@pytest.mark.parametrize("t_max", [7, 32, 64, 96])
+def test_srw_window_matches_full_box(t_max):
+    probs, dropped = srw_profile_full_box(t_max)
+    profile = srw_return_profile(t_max)
+    assert np.array_equal(profile.probabilities, probs)
+    assert profile.dropped_mass == dropped
+
+
 def test_srw_profile_odd_t_max():
     profile = srw_return_profile(7)
     assert profile.probabilities.shape == (8,)
@@ -218,8 +232,10 @@ def test_intersection_growth_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+# 130 samples cross the boundary of the 128-pair chunks
 @pytest.mark.parametrize("n_base,samples,seed,doublings",
-                         [(1, 6, 2, 0), (3, 25, 1, 3), (8, 40, 5, 2), (16, 12, 9, 1)])
+                         [(1, 6, 2, 0), (3, 25, 1, 3), (8, 40, 5, 2), (16, 12, 9, 1),
+                          (16, 130, 3, 1)])
 def test_intersections_match_step_loop(n_base, samples, seed, doublings):
     growth = srw_mutual_intersections(n_base, samples, seed, doublings)
     assert np.array_equal(growth.values, srw_intersection_values(n_base, samples, seed, doublings))
@@ -241,7 +257,7 @@ def test_first_visit_keys_exact_at_the_cap():
     z_half = t * t // 4
     for a, b in ((0, 2), (1, 3), (0, 3), (1, 2)):
         letters = np.repeat(np.array([b, a], dtype=np.uint8), [t // 2, t // 2])
-        keys, first = _first_visits(letters, t)
+        keys, first = np.unique(_visit_keys(letters[None], t)[0], return_index=True)
         xy, z = np.divmod(keys, 2 * z_half + 1)
         x, y = np.divmod(xy, 2 * t + 1)
         got = list(zip((x - t).tolist(), (y - t).tolist(), (z - z_half).tolist()))
