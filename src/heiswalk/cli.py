@@ -407,8 +407,7 @@ def _run_theta_d(cfg, claims):
 def _run_zd_eit(cfg, claims):
     if cfg["d"] < 4:
         raise ConfigError("zd-eit targets the transient regime: d must be >= 4")
-    from .rng import split_seed
-
+    theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
     est = reference.zd_eit_tail(
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
         min_count=cfg["min_count"], threads=cfg["threads"],
@@ -416,10 +415,6 @@ def _run_zd_eit(cfg, claims):
     exc_theta, exc_se, _exc_r2, exc_range = est.excursion_fit(cfg["min_count"])
     if exc_theta is None:
         raise ConfigError("samples too small: fewer than 3 re-meet levels reach min_count")
-    theta, censoring = reference.theta_d_estimate(
-        cfg["d"], cfg["horizon"], cfg["samples"], split_seed(cfg["seed"], 1),
-        threads=cfg["threads"],
-    )
     rows = []
     for n in sorted(est.counts):
         rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
@@ -431,8 +426,8 @@ def _run_zd_eit(cfg, claims):
         "shared_edge_se": est.theta_se,
         "excursion_rate": exc_theta,
         "excursion_se": exc_se,
-        "theta_hat_returns": theta,
-        "return_censoring_bound": censoring,
+        "theta_exact": theta,
+        "excursion_z": (exc_theta - theta) / exc_se if exc_se else None,
         "predicted_edge_rate": reference.edge_collision_rate(cfg["d"], theta),
         "lazy_return_bound": reference.lazy_return_probability(cfg["d"], theta),
         "tail_censoring_bound": est.censoring_bound,

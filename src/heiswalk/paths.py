@@ -1,5 +1,5 @@
-"""Oriented paths on the Heisenberg Cayley graph as 0/1 words, and the
-difference-walk Monte Carlo engine shared with the Z^d controls.
+"""Intersection tails of oriented paths on the Heisenberg Cayley graph, and
+the difference-walk Monte Carlo engine shared with the Z^d controls.
 
 A word alpha_0 .. alpha_{k-1} encodes a directed path from the identity:
 bit 0 takes the A-edge, bit 1 the B-edge.  After t steps the position is
@@ -38,19 +38,11 @@ import numpy as np
 
 from .errors import CapExceededError
 from .fitting import LineFit, fit_exponential
-from .heisenberg import GroupElement
 from .rng import stream
 
 __all__ = [
-    "sample_word",
-    "position",
-    "weighted_sum",
-    "coincides",
-    "vertex_coincidences",
-    "shared_edges",
     "TailEstimate",
     "tail_estimate",
-    "endpoint_collision_frequency",
     "continuation_ratios",
     "DEFAULT_MIN_FIT_COUNT",
     "HEISENBERG_HORIZON_CAP",
@@ -60,73 +52,6 @@ __all__ = [
 ]
 
 DEFAULT_MIN_FIT_COUNT = 50
-
-
-def sample_word(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform 0/1 word of length k as a uint8 array."""
-    return rng.integers(0, 2, size=k, dtype=np.uint8)
-
-
-def _as_bits(word) -> np.ndarray:
-    bits = np.asarray(word, dtype=np.uint8)
-    if bits.ndim != 1 or np.any(bits > 1):
-        raise ValueError("a word is a one-dimensional array of 0/1 bits")
-    return bits
-
-
-def position(word, t: int | None = None) -> GroupElement:
-    """Vertex reached after the first t steps of the word."""
-    bits = _as_bits(word)
-    t = bits.size if t is None else int(t)
-    if not 0 <= t <= bits.size:
-        raise ValueError(f"time {t} outside 0..{bits.size}")
-    prefix = bits[:t].astype(np.int64)
-    y = int(prefix.sum())
-    ones_before = np.cumsum(prefix) - prefix
-    z = -int(ones_before[prefix == 0].sum())
-    return GroupElement(t - y, y, z)
-
-
-def weighted_sum(word, t: int | None = None) -> int:
-    """sum_{j < t} j * alpha_j for the first t bits."""
-    bits = _as_bits(word)
-    t = bits.size if t is None else int(t)
-    if not 0 <= t <= bits.size:
-        raise ValueError(f"time {t} outside 0..{bits.size}")
-    return int(np.dot(np.arange(t, dtype=np.int64), bits[:t].astype(np.int64)))
-
-
-def coincides(u, v, t: int) -> bool:
-    """True when the two paths occupy the same vertex at time t.
-
-    Uses the count/weighted-sum reduction; position() gives the same
-    answer by construction of the group law.
-    """
-    ub, vb = _as_bits(u), _as_bits(v)
-    if t > ub.size or t > vb.size:
-        raise ValueError("time beyond a word's length")
-    if int(ub[:t].sum()) != int(vb[:t].sum()):
-        return False
-    return weighted_sum(ub, t) == weighted_sum(vb, t)
-
-
-def vertex_coincidences(u, v) -> int:
-    """Number of times t >= 1 at which the paths share a vertex."""
-    ub, vb = _as_bits(u), _as_bits(v)
-    k = min(ub.size, vb.size)
-    return sum(1 for t in range(1, k + 1) if coincides(ub, vb, t))
-
-
-def shared_edges(u, v) -> int:
-    """Number of directed edges traversed by both paths.
-
-    Positions carry their step count, so a common edge is always crossed
-    at the same time index by both paths: count steps t with coinciding
-    positions at t and equal bits at index t.
-    """
-    ub, vb = _as_bits(u), _as_bits(v)
-    k = min(ub.size, vb.size)
-    return sum(1 for t in range(k) if ub[t] == vb[t] and coincides(ub, vb, t))
 
 
 @dataclass
@@ -240,7 +165,8 @@ def draw_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 
 
 def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
-                heisenberg: bool = False):
+                heisenberg: bool = False, live: np.ndarray | None = None,
+                same_flags: bool = True):
     """Yield (t0, met, same) for each _BLOCK-step block of n difference walks.
 
     The letter pairs come from draw_pairs on stream(seed, index), a whole
@@ -248,8 +174,14 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     prefix.  A step adds lattice_pair_keys(d, horizon)[w, pair] to key word
     w; on G_H (d = 2) step j is weighted by 1 + (2h+1) j.  met[:, i] says
     the walks are together after step t0 + i, same[:, i] that step t0 + i
-    had equal letters (its key is 0).  Keys carry exactly across blocks;
-    the arrays are reused, so read them before the next block.
+    had equal letters (its key is 0); same is None when same_flags is off.
+    Keys carry exactly across blocks; the arrays are reused, so read them
+    before the next block.
+
+    live, a boolean mask over the n walks that the caller may clear between
+    blocks, limits each block to the walks still live: met and same then
+    hold their rows in walk order, and the loop ends once none is left.
+    Every block still draws all n rows, so the streams do not depend on it.
     """
     if heisenberg and horizon > HEISENBERG_HORIZON_CAP:
         raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the "
@@ -259,18 +191,29 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     carry = np.zeros((len(keys), n), dtype=np.int64)
     steps = np.empty((n, _BLOCK), dtype=np.int64)
     met, same = np.empty((2, n, _BLOCK), dtype=bool)
+    rows, picked = slice(None), None
     for t0 in range(0, horizon, _BLOCK):
         block = min(_BLOCK, horizon - t0)
-        pairs = draw_pairs(rng, d, n)[:, :block]
-        key, m, s = steps[:, :block], met[:, :block], same[:, :block]
+        pairs = draw_pairs(rng, d, n)
+        if live is not None:
+            rows = np.flatnonzero(live)
+            if not rows.size:
+                return
+            picked = np.empty_like(pairs) if picked is None else picked
+            pairs = np.take(pairs, rows, axis=0, out=picked[:rows.size], mode="clip")
+        pairs = pairs[:, :block]
+        walks = len(pairs)
+        key, m = steps[:walks, :block], met[:walks, :block]
+        s = same[:walks, :block] if same_flags else None
         for w, table in enumerate(keys):
             np.take(table, pairs, out=key, mode="clip")
             if heisenberg:
                 key *= 1 + (2 * horizon + 1) * np.arange(t0, t0 + block, dtype=np.int64)
-            _flag_zero(key, s, w)
-            key[:, 0] += carry[w]
+            if same_flags:
+                _flag_zero(key, s, w)
+            key[:, 0] += carry[w, rows]
             np.cumsum(key, axis=1, out=key)
-            carry[w] = key[:, -1]
+            carry[w, rows] = key[:, -1]
             _flag_zero(key, m, w)
         yield t0, m, s
 
@@ -367,18 +310,6 @@ def tail_estimate(
         horizon, samples, min_count=min_count, threads=threads, chunk=chunk,
         decay_exponent=decay_exponent,
     )
-
-
-def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4096) -> float:
-    """Fraction of independent pairs of length-k words meeting at time k."""
-
-    def hits(size: int, index: int) -> int:
-        together = np.ones(size, dtype=bool)
-        for _t0, met, _same in walk_blocks(2, k, size, seed, index, heisenberg=True):
-            together = met[:, -1]
-        return int(np.count_nonzero(together))
-
-    return sum(map_chunks(hits, samples, chunk, 1)) / samples
 
 
 def continuation_ratios(survivor_counts: dict[int, int], min_count: int = DEFAULT_MIN_FIT_COUNT):

@@ -5,13 +5,22 @@ answers are classical:
 
 * zd_collision_probability -- exact meeting probability at time k of two
   oriented walks on Z^d (uniform positive steps), k^(-(d-1)/2) scale.
+* zd_meeting_sequence, first_renewals, theta_d_exact -- the exact renewal
+  layer.  Two walks that meet start afresh, so their meeting times form a
+  renewal process whose renewal sequence is the meeting probability u_t
+  (Feller, vol. 1, ch. XIII).  zd_meeting_sequence gives u_0..u_h on Z^d
+  by a recursion over halves of the letters, first_renewals the law f of
+  the first meeting from any renewal sequence, and theta_d_exact the
+  horizon-censored embedded return probability theta_d(h).  The pass is
+  O(h^2 log d); horizons above RENEWAL_HORIZON_CAP = 2^14 raise
+  CapExceededError.
 * theta_d_estimate -- Monte Carlo return probability of the difference
   of two oriented walks, the constant governing intersection tails.  The
   difference walk holds in place with probability 1/d; by convention a
   return only counts once the walk has actually left the origin, i.e.
-  the estimate targets the embedded (jump-chain) return probability.
-  Derived constants for the other conventions are provided:
-  lazy_return_probability folds the holds back in, and
+  the estimate targets the embedded (jump-chain) return probability,
+  theta_d_exact.  Derived constants for the other conventions are
+  provided: lazy_return_probability folds the holds back in, and
   edge_collision_rate is the exact geometric ratio of the shared-edge
   tail implied by a renewal argument at each shared edge.
 * zd_eit_tail -- the same shared-edge tail statistic as on G_H.
@@ -48,7 +57,9 @@ __all__ = [
     "theta_d_estimate",
     "lazy_return_probability",
     "edge_collision_rate",
-    "difference_walk_return_by",
+    "zd_meeting_sequence",
+    "first_renewals",
+    "theta_d_exact",
     "zd_eit_tail",
     "srw_return_probability",
     "srw_return_profile",
@@ -56,12 +67,15 @@ __all__ = [
     "srw_mutual_intersections",
     "IntersectionGrowth",
     "ZD_COLLISION_K_CAP",
+    "RENEWAL_HORIZON_CAP",
     "ZD_MAX_D",
     "SRW_TIME_CAP",
     "INTERSECTION_TIME_CAP",
 ]
 
 ZD_COLLISION_K_CAP = 2048
+# steps; the largest horizon a 1024-pair chunk reaches under PAIR_CHUNK_CELLS_CAP
+RENEWAL_HORIZON_CAP = 2**14
 ZD_MAX_D = 256  # Monte Carlo letter pairs a*d + b are drawn as uint16
 SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
 INTERSECTION_TIME_CAP = 2**15  # walk steps; positions pack exactly into int64 keys
@@ -98,6 +112,95 @@ def zd_collision_probability(d: int, k: int) -> float:
     return float(Fraction(f[k], d ** (2 * k)))
 
 
+def zd_meeting_sequence(d: int, horizon: int) -> np.ndarray:
+    """u_t = P[two oriented walks on Z^d meet at time t] for t = 0..horizon.
+
+    zd_collision_probability in float64, for every t at once.  Split the
+    letters into a = d // 2 and b = d - a: the walks meet at t when both
+    take m of the first a letters, for some m, and then meet within each
+    part, so with p = a/d and q = b/d
+
+        u^(d)_t = sum_m [C(t,m) p^m q^(t-m)]^2 u^(a)_m u^(b)_(t-m),
+
+    where u^(1) = 1 and u^(2)_t = C(2t,t)/4^t, a running product.  Every
+    term is non-negative; the binomial rows grow by Pascal's rule.  The
+    work is O(horizon^2 log d).
+    """
+    if d < 1 or horizon < 0:
+        raise ValueError("need d >= 1 and horizon >= 0")
+    if horizon > RENEWAL_HORIZON_CAP:
+        raise CapExceededError(f"horizon {horizon} exceeds the exact renewal cap "
+                               f"{RENEWAL_HORIZON_CAP}")
+    t = np.arange(1, horizon + 1)
+    seqs = {1: np.ones(horizon + 1),
+            2: np.concatenate(([1.0], np.cumprod((2 * t - 1) / (2 * t))))}
+
+    def seq(letters: int) -> np.ndarray:
+        if letters not in seqs:
+            a = letters // 2
+            seqs[letters] = _split_letters(seq(a), seq(letters - a), a / letters,
+                                           (letters - a) / letters)
+        return seqs[letters]
+
+    return seq(d)
+
+
+def _split_letters(ua: np.ndarray, ub: np.ndarray, p: float, q: float) -> np.ndarray:
+    """sum_m Binomial(t, p)(m)^2 ua[m] ub[t - m] for t = 0..len(ua) - 1."""
+    h = len(ua) - 1
+    u = np.empty(h + 1)
+    row, nxt = np.zeros((2, h + 1))  # the Binomial(t, p) pmf; zero above t
+    row[0] = 1.0
+    ub_reversed = ub[::-1].copy()
+    for t in range(h + 1):
+        if t:
+            np.multiply(row[:t + 1], q, out=nxt[:t + 1])
+            nxt[1:t + 1] += p * row[:t]
+            row, nxt = nxt, row
+        w = row[:t + 1] * row[:t + 1]
+        w *= ua[:t + 1]
+        u[t] = np.dot(w, ub_reversed[h - t:])
+    return u
+
+
+def first_renewals(u: np.ndarray) -> np.ndarray:
+    """f_t = P[first renewal at t] from a renewal sequence u (u_0 = 1).
+
+    Solves the renewal equation u_t = sum_{s=1..t} f_s u_(t-s) for t >= 1:
+    f_0 = 0 and f_t = u_t - sum_{s<t} f_s u_(t-s).  The n-th renewal has
+    law f convolved n times with itself.
+    """
+    u = np.asarray(u, dtype=float)
+    h = len(u) - 1
+    f = np.zeros(h + 1)
+    u_reversed = u[::-1].copy()
+    for t in range(1, h + 1):
+        f[t] = u[t] - np.dot(f[1:t], u_reversed[h - t + 1:h])
+    return f
+
+
+def theta_d_exact(d: int, horizon: int) -> float:
+    """P[the Z^d difference walk returns by `horizon`], embedded convention.
+
+    The exact value that theta_d_estimate samples.  f = first_renewals of
+    zd_meeting_sequence(d, horizon) is the first time the lazy difference
+    walk is back at 0; f_1 = 1/d is a hold at step 1, and dropping it leaves
+    phi, first returns that start with a move.  A return after j initial
+    holds has weight d^-j, so theta_d(h) = sum_{t<=h} acc_t with
+    acc_t = acc_(t-1)/d + phi_t.  Horizons above RENEWAL_HORIZON_CAP raise
+    CapExceededError; d outside 2..ZD_MAX_D is a ConfigError.
+    """
+    if not 2 <= d <= ZD_MAX_D:
+        raise ConfigError(f"d must be in 2..{ZD_MAX_D}, the range of theta_d_estimate")
+    phi = first_renewals(zd_meeting_sequence(d, horizon))
+    phi[1:2] = 0.0  # f_1 = 1/d, the hold
+    acc = total = 0.0
+    for value in phi[1:].tolist():
+        acc = acc / d + value
+        total += acc
+    return total
+
+
 def lazy_return_probability(d: int, theta_embedded: float) -> float:
     """Return probability counting holds at the origin as returns.
 
@@ -122,17 +225,24 @@ def edge_collision_rate(d: int, theta_embedded: float) -> float:
 
 
 def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndarray:
-    """First-return times (0 = none by horizon) for one stream of walks."""
+    """First-return times (0 = none by horizon) for one stream of walks.
+
+    A walk leaves walk_blocks' live set once its first return is recorded.
+    """
+    live = np.ones(n, dtype=bool)
     has_left = np.zeros(n, dtype=bool)
     return_time = np.zeros(n, dtype=np.int64)
-    for t0, home, _same in walk_blocks(d, horizon, n, seed, index):
+    for t0, home, _ in walk_blocks(d, horizon, n, seed, index, live=live, same_flags=False):
+        rows = np.flatnonzero(live)
         # only walks at the origin somewhere in the block can return in it
-        rows = np.flatnonzero(home.any(axis=1) & (return_time == 0))
-        left_by = np.logical_or.accumulate(~home[rows], axis=1)
-        ret = home[rows] & (left_by | has_left[rows, None])
+        at = np.flatnonzero(home.any(axis=1))
+        walks, home_at = rows[at], home[at]
+        left_by = np.logical_or.accumulate(~home_at, axis=1)
+        ret = home_at & (left_by | has_left[walks, None])
         hit = ret.any(axis=1)
-        return_time[rows[hit]] = t0 + np.argmax(ret[hit], axis=1) + 1
-        has_left |= ~home.all(axis=1)
+        return_time[walks[hit]] = t0 + np.argmax(ret[hit], axis=1) + 1
+        live[walks[hit]] = False
+        has_left[rows] |= ~home.all(axis=1)
     return return_time
 
 
@@ -152,7 +262,8 @@ def theta_d_estimate(
     it, plus a censoring bound: returns later than the horizon are
     extrapolated from the frequency of returns in (horizon/2, horizon]
     under the t^(-(d-1)/2) first-return tail, vacuous (inf) for d <= 3
-    where the difference walk is recurrent.
+    where the difference walk is recurrent.  theta_d_exact gives the value
+    this estimates.
     """
     if not 2 <= d <= ZD_MAX_D:
         raise ConfigError(f"d must be in 2..{ZD_MAX_D} for a nondegenerate difference walk")
@@ -169,80 +280,6 @@ def theta_d_estimate(
     late = int(np.count_nonzero(times > horizon // 2))
     censoring = (late / samples) / (2.0 ** (beta - 1.0) - 1.0)
     return theta_hat, censoring
-
-
-def difference_walk_return_by(d: int, horizon: int) -> float:
-    """Exact P[difference walk returns by `horizon`], embedded convention.
-
-    Independent oracle for theta_d_estimate at small horizons: dense
-    convolution of the lazy difference walk on the zero-sum hyperplane
-    (coordinates projected to the first d-1), with the origin absorbing
-    once the walk has left it.  Mixes over the geometric time of the
-    first actual move.
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if horizon < 1:
-        return 0.0
-    if horizon > 96:
-        raise CapExceededError("exact difference-walk DP is for horizons <= 96")
-    dim = d - 1
-    # projected increments e_i - e_j for i != j, with multiplicity
-    moves: dict[tuple[int, ...], float] = {}
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            vec = [0] * dim
-            if i < dim:
-                vec[i] += 1
-            if j < dim:
-                vec[j] -= 1
-            key = tuple(vec)
-            moves[key] = moves.get(key, 0.0) + 1.0 / (d * d)
-    hold = 1.0 / d
-
-    r = horizon  # box radius
-    shape = (2 * r + 1,) * dim
-    grid = np.zeros(shape)
-    origin = (r,) * dim
-    # start: distribution after the first actual move
-    move_mass = 1.0 - hold
-    for vec, w in moves.items():
-        grid[tuple(r + v for v in vec)] += w / move_mass
-
-    def shifted(g: np.ndarray, vec: tuple[int, ...]) -> np.ndarray:
-        out = g
-        for axis, v in enumerate(vec):
-            out = np.roll(out, v, axis=axis)
-            # zero the wrapped band
-            sl = [slice(None)] * dim
-            if v > 0:
-                sl[axis] = slice(0, v)
-            elif v < 0:
-                sl[axis] = slice(v, None)
-            if v != 0:
-                out[tuple(sl)] = 0.0
-        return out
-
-    absorbed = np.zeros(horizon)  # absorbed[h] = P[back at origin within h steps of the move]
-    acc = grid[origin]
-    grid[origin] = 0.0
-    absorbed[0] = acc
-    for h in range(1, horizon):
-        nxt = hold * grid
-        for vec, w in moves.items():
-            nxt += w * shifted(grid, vec)
-        grid = nxt
-        acc += grid[origin]
-        grid[origin] = 0.0
-        absorbed[h] = acc
-
-    # first actual move at step m with probability hold^(m-1) * (1 - hold)
-    total = 0.0
-    for m in range(1, horizon + 1):
-        total += hold ** (m - 1) * move_mass * absorbed[horizon - m]
-    return float(total)
 
 
 def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):

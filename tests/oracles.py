@@ -6,6 +6,10 @@ window the kernel uses.
 Each returns what the kernel it checks returns (or the arrays it builds),
 so the tests can demand exact equality.  chunk_letters decodes the letters
 the Monte Carlo engine draws, so that a per-pair loop can recount them.
+difference_walk_return_by is the dense-grid value of the renewal theta_d(h).
+The G_H word helpers (position, coincides, shared_edges, ...) read a 0/1
+word one prefix at a time, and endpoint_collision_frequency reads the
+engine's meetings at the last step only.
 """
 
 from itertools import product
@@ -218,6 +222,86 @@ def srw_profile_full_box(t_max):
     return probs, max(0.0, 1.0 - float(cur.sum()))
 
 
+def sample_word(k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform 0/1 word of length k as a uint8 array."""
+    return rng.integers(0, 2, size=k, dtype=np.uint8)
+
+
+def _as_bits(word) -> np.ndarray:
+    bits = np.asarray(word, dtype=np.uint8)
+    if bits.ndim != 1 or np.any(bits > 1):
+        raise ValueError("a word is a one-dimensional array of 0/1 bits")
+    return bits
+
+
+def position(word, t: int | None = None) -> GroupElement:
+    """Vertex reached after the first t steps of the word."""
+    bits = _as_bits(word)
+    t = bits.size if t is None else int(t)
+    if not 0 <= t <= bits.size:
+        raise ValueError(f"time {t} outside 0..{bits.size}")
+    prefix = bits[:t].astype(np.int64)
+    y = int(prefix.sum())
+    ones_before = np.cumsum(prefix) - prefix
+    z = -int(ones_before[prefix == 0].sum())
+    return GroupElement(t - y, y, z)
+
+
+def weighted_sum(word, t: int | None = None) -> int:
+    """sum_{j < t} j * alpha_j for the first t bits."""
+    bits = _as_bits(word)
+    t = bits.size if t is None else int(t)
+    if not 0 <= t <= bits.size:
+        raise ValueError(f"time {t} outside 0..{bits.size}")
+    return int(np.dot(np.arange(t, dtype=np.int64), bits[:t].astype(np.int64)))
+
+
+def coincides(u, v, t: int) -> bool:
+    """True when the two paths occupy the same vertex at time t.
+
+    Uses the count/weighted-sum reduction; position() gives the same
+    answer by construction of the group law.
+    """
+    ub, vb = _as_bits(u), _as_bits(v)
+    if t > ub.size or t > vb.size:
+        raise ValueError("time beyond a word's length")
+    if int(ub[:t].sum()) != int(vb[:t].sum()):
+        return False
+    return weighted_sum(ub, t) == weighted_sum(vb, t)
+
+
+def vertex_coincidences(u, v) -> int:
+    """Number of times t >= 1 at which the paths share a vertex."""
+    ub, vb = _as_bits(u), _as_bits(v)
+    k = min(ub.size, vb.size)
+    return sum(1 for t in range(1, k + 1) if coincides(ub, vb, t))
+
+
+def shared_edges(u, v) -> int:
+    """Number of directed edges traversed by both paths.
+
+    Positions carry their step count, so a common edge is always crossed
+    at the same time index by both paths: count steps t with coinciding
+    positions at t and equal bits at index t.
+    """
+    ub, vb = _as_bits(u), _as_bits(v)
+    k = min(ub.size, vb.size)
+    return sum(1 for t in range(k) if ub[t] == vb[t] and coincides(ub, vb, t))
+
+
+def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4096) -> float:
+    """Fraction of independent pairs of length-k words meeting at time k."""
+
+    def hits(size: int, index: int) -> int:
+        together = np.ones(size, dtype=bool)
+        for _t0, met, _same in paths.walk_blocks(2, k, size, seed, index, heisenberg=True,
+                                                 same_flags=False):
+            together = met[:, -1]
+        return int(np.count_nonzero(together))
+
+    return sum(paths.map_chunks(hits, samples, chunk, 1)) / samples
+
+
 def chunk_letters(d, horizon, n, seed, index=0):
     """Letters (u, v), each (n, horizon), of the pairs walk_blocks draws for
     chunk `index`: its draw_pairs indices p decoded as u = p // d, v = p % d."""
@@ -274,3 +358,75 @@ def full_row_tables(k_max):
             for c in (s, k - s) if 2 * s < k else (s,):
                 w_counts[c * (c - 1) // 2 :][: row.size] += row
         yield k, rows, w_counts
+
+
+def difference_walk_return_by(d: int, horizon: int) -> float:
+    """Exact P[difference walk returns by `horizon`], embedded convention.
+
+    Oracle for reference.theta_d_exact at small horizons: dense
+    convolution of the lazy difference walk on the zero-sum hyperplane
+    (coordinates projected to the first d-1) in a (2h+1)^(d-1) box, with
+    the origin absorbing once the walk has left it.  Mixes over the
+    geometric time of the first actual move.
+    """
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if horizon < 1:
+        return 0.0
+    dim = d - 1
+    # projected increments e_i - e_j for i != j, with multiplicity
+    moves: dict[tuple[int, ...], float] = {}
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            vec = [0] * dim
+            if i < dim:
+                vec[i] += 1
+            if j < dim:
+                vec[j] -= 1
+            key = tuple(vec)
+            moves[key] = moves.get(key, 0.0) + 1.0 / (d * d)
+    hold = 1.0 / d
+
+    r = horizon  # box radius
+    shape = (2 * r + 1,) * dim
+    grid = np.zeros(shape)
+    origin = (r,) * dim
+    # start: distribution after the first actual move
+    move_mass = 1.0 - hold
+    for vec, w in moves.items():
+        grid[tuple(r + v for v in vec)] += w / move_mass
+
+    def shifted(g: np.ndarray, vec: tuple[int, ...]) -> np.ndarray:
+        out = g
+        for axis, v in enumerate(vec):
+            out = np.roll(out, v, axis=axis)
+            # zero the wrapped band
+            sl = [slice(None)] * dim
+            if v > 0:
+                sl[axis] = slice(0, v)
+            elif v < 0:
+                sl[axis] = slice(v, None)
+            if v != 0:
+                out[tuple(sl)] = 0.0
+        return out
+
+    absorbed = np.zeros(horizon)  # absorbed[h] = P[back at origin within h steps of the move]
+    acc = grid[origin]
+    grid[origin] = 0.0
+    absorbed[0] = acc
+    for h in range(1, horizon):
+        nxt = hold * grid
+        for vec, w in moves.items():
+            nxt += w * shifted(grid, vec)
+        grid = nxt
+        acc += grid[origin]
+        grid[origin] = 0.0
+        absorbed[h] = acc
+
+    # first actual move at step m with probability hold^(m-1) * (1 - hold)
+    total = 0.0
+    for m in range(1, horizon + 1):
+        total += hold ** (m - 1) * move_mass * absorbed[horizon - m]
+    return float(total)

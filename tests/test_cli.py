@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import heiswalk
-from heiswalk import cli, fourier, percolation
+from heiswalk import cli, fourier, paths, percolation, reference
 from heiswalk.cli import STATUS_FILE, load_claims, main
 
 
@@ -103,7 +103,7 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
         assert "HEISWALK_TABLE_CAP" in capsys.readouterr().err
 
 
-def test_cap_exceeded_exit_code(workdir, capsys):
+def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
     code = run("collision-exact", "--k-list", "4,600")
     assert code == 3
     assert "cap" in capsys.readouterr().err
@@ -118,6 +118,13 @@ def test_cap_exceeded_exit_code(workdir, capsys):
     assert run("srw-intersections", "--doublings", "60", "--samples", "2") == 3
     assert run("dyadic", "--k-list", "2147483648") == 3
     assert time.perf_counter() - start < 5.0
+    capsys.readouterr()
+    # zd-eit's exact renewal pass is capped before any letter pair is drawn
+    with monkeypatch.context() as patch:
+        patch.setattr(paths, "draw_pairs", None)
+        horizon = reference.RENEWAL_HORIZON_CAP + 1
+        assert run("zd-eit", "--horizon", str(horizon), "--samples", "1") == 3
+    assert "exact renewal cap" in capsys.readouterr().err
 
 
 def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
@@ -125,6 +132,23 @@ def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
     assert run("eit-tail", "--horizon", "70000", "--samples", "128") == 0
     assert run("eit-tail", "--horizon", str(2**21 + 1), "--samples", "1") == 3
     assert "exact int64 position key" in capsys.readouterr().err
+
+
+def test_zd_eit_compares_with_exact_theta(workdir, capsys, monkeypatch):
+    # the excursion rate is judged against the exact renewal theta_d(h), with
+    # no second Monte Carlo run
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("zd-eit must not sample theta_d")
+
+    monkeypatch.setattr(reference, "theta_d_estimate", no_estimate)
+    assert run("zd-eit", "--horizon", "256", "--samples", "8192") == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["theta_exact"] == reference.theta_d_exact(4, 256)
+    assert "theta_hat_returns" not in summary
+    assert summary["excursion_z"] == pytest.approx(
+        (summary["excursion_rate"] - summary["theta_exact"]) / summary["excursion_se"])
+    assert summary["predicted_edge_rate"] == reference.edge_collision_rate(
+        4, summary["theta_exact"])
 
 
 def test_zd_eit_thin_tail_is_config_error(workdir, capsys):

@@ -6,25 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chunk_letters, survivors
+from oracles import (
+    chunk_letters,
+    coincides,
+    endpoint_collision_frequency,
+    position,
+    sample_word,
+    shared_edges,
+    survivors,
+    vertex_coincidences,
+    weighted_sum,
+)
 
 from heiswalk import paths
 from heiswalk.errors import CapExceededError
 from heiswalk.heisenberg import IDENTITY, Generator, word_eval
 from heiswalk.paths import (
     HEISENBERG_HORIZON_CAP,
-    coincides,
     continuation_ratios,
-    endpoint_collision_frequency,
     lattice_pair_keys,
-    position,
-    sample_word,
-    shared_edges,
     tail_estimate,
-    vertex_coincidences,
-    weighted_sum,
 )
-from heiswalk.reference import zd_collision_probability, zd_eit_tail
+from heiswalk.reference import first_renewals, zd_collision_probability, zd_eit_tail
 from heiswalk.rng import stream
 from heiswalk.tables import collision_probability, scan_statistics
 
@@ -228,18 +231,40 @@ def _mean_and_se(survivor_counts, samples):
     return mean, np.sqrt((square - mean**2) / samples)
 
 
+@pytest.fixture(scope="module")
+def gh_run():
+    """One G_H run (h = 256, 200k pairs, seed 7) and the exact u_0..u_h."""
+    h, n = 256, 200_000
+    scan = scan_statistics(range(1, h + 1))
+    u = np.array([1.0] + [scan[t].collision for t in range(1, h + 1)])
+    return h, n, u, tail_estimate(h, n, seed=7, threads=2)
+
+
 # A vertex meeting at time t has probability u_t, and a shared edge at step t
 # needs a meeting at t and equal letters (probability 1/2), so the mean counts
 # by the horizon are exact sums of u_t.  The tolerance, 4 standard errors, was
 # fixed before these draws were run.
-def test_gh_mean_meeting_counts_match_exact_sums():
-    h, n = 256, 200_000
-    scan = scan_statistics(range(1, h + 1))
-    u = [1.0] + [scan[t].collision for t in range(1, h + 1)]
-    est = tail_estimate(h, n, seed=7, threads=2)
-    for survivor_counts, exact in ((est.vertex_counts, sum(u[1:])), (est.counts, sum(u[:h]) / 2)):
+def test_gh_mean_meeting_counts_match_exact_sums(gh_run):
+    h, n, u, est = gh_run
+    for survivor_counts, exact in ((est.vertex_counts, u[1:].sum()), (est.counts, u[:h].sum() / 2)):
         mean, se = _mean_and_se(survivor_counts, n)
         assert abs(mean - exact) < 4 * se
+
+
+# A vertex fixes its time, and from a common vertex the two walks meet again
+# exactly when their later letters do, so meetings are renewals with sequence
+# u_t: the k-th meeting time has law f^(*k), f = first_renewals(u), and
+# P(N_v >= k) = sum_{t <= h} f^(*k)_t.  This does not depend on the seed.  The
+# tolerance, 4 binomial standard errors, was fixed before these draws were run.
+def test_gh_vertex_tail_matches_renewal_law(gh_run):
+    h, n, u, est = gh_run
+    f = first_renewals(u)
+    law = f
+    for k in range(1, 7):
+        p = law.sum()
+        se = np.sqrt(p * (1 - p) / n)
+        assert abs(est.vertex_counts[k] / n - p) < 4 * se
+        law = np.convolve(law, f)[:h + 1]
 
 
 def test_z4_mean_meeting_count_matches_exact_sum():

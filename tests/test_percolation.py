@@ -8,7 +8,6 @@ import pytest
 
 from heiswalk import percolation
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk.paths import position
 from heiswalk.percolation import (
     SubgraphMask,
     build_custom_graph,
@@ -148,7 +147,7 @@ def test_oriented_cluster_full_box_matches_word_closure():
     reachable = set()
     for t in range(6):
         for w in itertools.product((0, 1), repeat=t):
-            reachable.add(tuple(position(list(w))))
+            reachable.add(tuple(oracles.position(list(w))))
     assert cluster == reachable
 
 

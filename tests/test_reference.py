@@ -1,11 +1,13 @@
 """Lattice reference models: exact DP values, renewal identities, SRW."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import (
     chunk_letters,
+    difference_walk_return_by,
     pair_counts,
     srw_intersection_values,
     srw_profile_full_box,
@@ -17,17 +19,20 @@ from heiswalk.heisenberg import Generator, word_eval
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
+    RENEWAL_HORIZON_CAP,
     _theta_chunk,
     _visit_keys,
-    difference_walk_return_by,
     edge_collision_rate,
+    first_renewals,
     lazy_return_probability,
     srw_mutual_intersections,
     srw_return_probability,
     srw_return_profile,
     theta_d_estimate,
+    theta_d_exact,
     zd_collision_probability,
     zd_eit_tail,
+    zd_meeting_sequence,
 )
 
 
@@ -89,10 +94,63 @@ def test_difference_walk_monotone_in_horizon():
     assert vals[-1] < 0.3
 
 
+# the renewal pass against the dense-grid oracle; at d <= 4 the oracle's
+# (2h+1)^(d-1) box stays small enough up to h = 40
+@pytest.mark.parametrize("d, horizon", [(2, 17), (2, 40), (3, 30), (3, 40), (4, 5), (4, 20),
+                                        (5, 8), (5, 12)])
+def test_theta_exact_matches_dense_grid(d, horizon):
+    assert abs(theta_d_exact(d, horizon) - difference_walk_return_by(d, horizon)) < 1e-14
+
+
+# zd_collision_probability is exact integer arithmetic; t = 256 sits at the
+# top of the range, and the small t cover every split's first steps
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_meeting_sequence_matches_integer_collision(d):
+    u = zd_meeting_sequence(d, 256)
+    assert u.shape == (257,)
+    for t in [*range(17), 63, 256]:
+        exact = zd_collision_probability(d, t)
+        assert abs(u[t] - exact) <= 1e-13 * exact
+
+
+def test_meeting_sequence_two_letters_central_binomial():
+    u = zd_meeting_sequence(2, 256)
+    for t in range(257):
+        exact = float(Fraction(math.comb(2 * t, t), 4**t))
+        assert abs(u[t] - exact) <= 1e-13 * exact
+    assert np.array_equal(zd_meeting_sequence(1, 9), np.ones(10))
+
+
+def test_first_renewals_inverts_the_renewal_equation():
+    # independent Bernoulli(p) renewals at every step have u_t = p for t >= 1
+    # and a geometric first renewal
+    p = 0.3
+    u = np.concatenate(([1.0], np.full(12, p)))
+    f = first_renewals(u)
+    assert f[0] == 0.0
+    assert np.allclose(f[1:], p * (1 - p) ** np.arange(12), rtol=1e-14, atol=0)
+    u4 = zd_meeting_sequence(4, 64)
+    f4 = first_renewals(u4)
+    assert f4[1] == pytest.approx(0.25, rel=1e-15)
+    assert np.all(f4[1:] >= 0)
+    # u = delta + f * u, term by term
+    conv = np.convolve(f4, u4)[:65]
+    assert np.allclose(conv[1:], u4[1:], rtol=1e-13, atol=0)
+
+
+def test_theta_exact_cap_and_degenerate_inputs():
+    assert theta_d_exact(4, 0) == 0.0
+    assert theta_d_exact(4, 1) == 0.0
+    with pytest.raises(CapExceededError):
+        theta_d_exact(4, RENEWAL_HORIZON_CAP + 1)
+    with pytest.raises(ValueError):
+        theta_d_exact(1, 10)
+
+
 def test_theta_estimate_matches_exact_dp():
     horizon = 24
     theta, bound = theta_d_estimate(4, horizon, 60_000, seed=13)
-    exact = difference_walk_return_by(4, horizon)
+    exact = theta_d_exact(4, horizon)
     se = math.sqrt(exact * (1 - exact) / 60_000)
     assert abs(theta - exact) < 4 * se
     assert bound > 0
@@ -288,8 +346,8 @@ def test_zd_eit_excursion_ratio_estimates_theta():
     c1, c2 = est.excursion_counts[1], est.excursion_counts[2]
     ratio = c2 / c1
     se = math.sqrt(ratio * (1 - ratio) / c1)
-    assert difference_walk_return_by(4, 24) - 4 * se < ratio
-    assert ratio < difference_walk_return_by(4, 48) + 4 * se
+    assert theta_d_exact(4, 24) - 4 * se < ratio
+    assert ratio < theta_d_exact(4, 48) + 4 * se
 
 
 def test_zd_eit_validation():
@@ -331,14 +389,20 @@ def _brute_first_return(inc_i, inc_j):
     return 0
 
 
-# horizons off the 256-step block grid; (8, 300) needs two key words, (16, 300)
-# three; d = 2, 4 and 16 unpack raw words, the others draw bounded integers
+# horizons off the 256-step block grid; (8, 300) and (8, 700) need two key
+# words, (16, 300) three; d = 2, 4 and 16 unpack raw words, the others draw
+# bounded integers.  Walks leave the blocks once they have returned: on Z^2
+# most return in the first block of (2, 513), and the rest must still
+# advance exactly over three blocks; (8, 700) shrinks two key words at once
 @pytest.mark.parametrize("d, horizon, n", [(2, 300, 4000), (3, 600, 400), (4, 300, 400),
-                                           (8, 300, 400), (5, 37, 400), (16, 300, 400)])
+                                           (8, 300, 400), (5, 37, 400), (16, 300, 400),
+                                           (2, 513, 1000), (8, 700, 400)])
 def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
     times = _theta_chunk(d, horizon, n, 19, 0)
     inc_i, inc_j = chunk_letters(d, horizon, n, seed=19)
     expected = [_brute_first_return(inc_i[w], inc_j[w]) for w in range(n)]
     assert times.tolist() == expected
-    if d == 2:  # a first return on block 2's first step needs the carried has_left
+    if horizon == 300 and d == 2:  # a return on block 2's first step needs the carried has_left
         assert 257 in expected
+    if horizon == 513:  # most walks leave after block 1, and some return later
+        assert sum(0 < t <= 256 for t in expected) > n // 2 and max(expected) > 256
