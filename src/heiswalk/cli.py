@@ -295,10 +295,13 @@ def _run_zd_collision(cfg, claims):
         raise ConfigError("d must be >= 1")
     if any(k < 0 for k in ks):
         raise ConfigError("k values must be >= 0")
+    fit_exponent = d == 4 and len(ks) >= 2
+    if fit_exponent and ks[0] < 1:
+        raise ConfigError("--k-list values must be >= 1 at d=4: the exponent fit takes log k")
     probs = [reference.zd_collision_probability(d, k) for k in ks]
     rows = list(zip(ks, probs))
     fits = []
-    if d == 4 and len(ks) >= 2:
+    if fit_exponent:
         fit = fit_loglog(ks, probs)
         fits.append(_report(claims, "zd4-collision-exponent", fit.slope, ks, fit.r_squared,
                             fit.intercept))

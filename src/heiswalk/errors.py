@@ -20,7 +20,3 @@ class SolverConvergenceError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature exhausted its panel budget before reaching tolerance."""
-
-
-class CoordinateOverflowError(OverflowError):
-    """Group coordinate arithmetic left the supported signed 64-bit range."""

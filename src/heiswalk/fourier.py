@@ -2,14 +2,10 @@
 
 The weighted sum W = sum_{j<k} j*alpha_j of fair bits has the exact
 transform E[exp(ixW)] = prod_{j<k} (1 + exp(ijx))/2, with magnitude
-prod |cos(jx/2)|.  Two integrands matter:
-
-* prod_{j<k} |cos(jx)| over [-pi, pi] -- the bound-side object whose
-  integral decays like k^(-3/2); its mass sits in a central peak of
-  width ~ k^(-3/2), an exponentially small tail beyond 1/k, and it is
-  dominated pointwise by a Gaussian exp(-c * dist(x, pi*Z)^2) for c=1/2.
-* the exact transform, inverted over one period to recover point masses
-  P[W = n]; the inversion must reproduce the dynamic-programming table.
+prod |cos(jx/2)|.  The bound-side object is prod_{j<k} |cos(jx)| over
+[-pi, pi]: its integral decays like k^(-3/2); its mass sits in a central
+peak of width ~ k^(-3/2), an exponentially small tail beyond 1/k, and it
+is dominated pointwise by a Gaussian exp(-c * dist(x, pi*Z)^2) for c=1/2.
 
 Quadrature is composite adaptive Simpson on explicit panels: the initial
 mesh resolves the central peak (step <= min(1e-2, k^(-3/2)/8) near 0)
@@ -20,7 +16,6 @@ whichever is looser) or the panel budget trips QuadratureError.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,15 +26,10 @@ from .errors import CapExceededError, QuadratureError
 __all__ = [
     "QuadratureResult",
     "cos_product",
-    "exact_char_function",
     "cos_product_integral",
     "head_integral",
     "tail_integral_decay",
-    "tail_rate_floor",
     "verify_cos_gaussian_bound",
-    "point_mass_via_inversion",
-    "inversion_marginal",
-    "cf_magnitude_integral",
     "folding_distance",
     "DEFAULT_COS_GAUSSIAN_C",
     "FOURIER_K_CAP",
@@ -66,15 +56,6 @@ def cos_product(k: int, x) -> np.ndarray:
     out = np.ones_like(x)
     for j in range(1, k):
         out *= np.abs(np.cos(j * x))
-    return out
-
-
-def exact_char_function(k: int, x) -> np.ndarray:
-    """E[exp(i x W)] = prod_{j<k} (1 + exp(ijx))/2, elementwise over x."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones(x.shape, dtype=complex)
-    for j in range(1, k):
-        out *= 0.5 * (1.0 + np.exp(1j * j * x))
     return out
 
 
@@ -167,28 +148,16 @@ def _check_cap(k: int) -> None:
         raise CapExceededError(f"k={k} exceeds cap {FOURIER_K_CAP}")
 
 
-def _assert_symmetries(k: int) -> None:
-    """Spot-check the period/evenness/reflection identities used to fold."""
-    rng = np.random.default_rng(k + 12345)
-    x = rng.uniform(-math.pi, math.pi, size=1000)
-    base = cos_product(k, x)
-    for other in (x + math.pi, -x, math.pi - x):
-        dev = float(np.max(np.abs(cos_product(k, other) - base)))
-        if dev > 1e-12:
-            raise AssertionError(f"cos product symmetry violated at k={k}: dev={dev:.3e}")
-
-
 def cos_product_integral(k: int, *, tol_abs: float = _TOL_ABS, tol_rel: float = _TOL_REL) -> QuadratureResult:
     """integral over [-pi, pi] of prod_{j<k} |cos(jx)|, folded to 4x [0, pi/2].
 
-    The fold is valid because the integrand has period pi and is even
-    around both 0 and pi/2; those identities are asserted numerically on
-    random points before being used.
+    The fold is valid because each factor |cos(jx)| with integer j has
+    period pi and is even, so the product has period pi and is even around
+    both 0 and pi/2.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_cap(k)
-    _assert_symmetries(k)
     if k == 1:
         return QuadratureResult(2.0 * math.pi, 0.0, 0)
     res = _adaptive_simpson(
@@ -223,8 +192,8 @@ def head_integral(k: int) -> float:
 def tail_integral_decay(k: int) -> float:
     """integral of the cos product over the tail [1/k, pi/2].
 
-    Beyond the central peak the integrand is exponentially small in k;
-    tail_rate_floor certifies that decay under the Gaussian domination.
+    Beyond the central peak the integrand is exponentially small in k,
+    by the Gaussian domination that verify_cos_gaussian_bound checks.
     """
     if k < 2:
         raise ValueError("k must be >= 2 so the tail interval is nonempty")
@@ -236,25 +205,6 @@ def tail_integral_decay(k: int) -> float:
         _TOL_REL,
     )
     return res.value
-
-
-def tail_rate_floor(k: int, grid_points: int | None = None) -> float:
-    """min over a dense grid of [1/k, pi/2] of (1/k) * sum_{j<k} f(jx)^2.
-
-    f is the distance to pi*Z.  Under |cos y| <= exp(-f(y)^2/2) the tail
-    integrand is at most exp(-k * floor / 2), so a strictly positive floor
-    certifies the exponential-in-k decay of the tail.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2 so the tail interval is nonempty")
-    _check_cap(k)
-    if grid_points is None:
-        grid_points = min(100_000, 8192 + 16 * k)
-    xs = np.linspace(1.0 / k, 0.5 * math.pi, grid_points)
-    rate = np.zeros_like(xs)
-    for j in range(1, k):
-        rate += folding_distance(j * xs) ** 2
-    return float(rate.min() / k)
 
 
 def verify_cos_gaussian_bound(c: float, grid_points: int = 100_000) -> bool:
@@ -285,55 +235,3 @@ def verify_cos_gaussian_bound(c: float, grid_points: int = 100_000) -> bool:
         if np.any(margin(fine) < -slack):
             return False
     return True
-
-
-@functools.lru_cache(maxsize=16)
-def _inversion_marginal_cached(k: int) -> np.ndarray:
-    _check_cap(k)
-    # trapezoid nodes over one period; p_n = (1/M) sum_m phi(x_m) e^{-i n x_m}
-    w_max = k * (k - 1) // 2
-    m = w_max + 1
-    nodes = 2.0 * math.pi * np.arange(m) / m
-    phi = exact_char_function(k, nodes)
-    return np.fft.fft(phi).real / m
-
-
-def inversion_marginal(k: int) -> np.ndarray:
-    """All point masses P[W = n], n = 0..k(k-1)/2, via transform inversion.
-
-    W lives on a lattice, so the trapezoid rule over one period at more
-    nodes than the support size inverts the transform without aliasing.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _inversion_marginal_cached(k).copy()
-
-
-def point_mass_via_inversion(k: int, n: int) -> float:
-    """P[W = n] recovered from the exact characteristic function."""
-    w_max = k * (k - 1) // 2
-    if not 0 <= n <= w_max:
-        raise ValueError(f"n={n} outside the support 0..{w_max}")
-    return float(_inversion_marginal_cached(k)[n])
-
-
-def cf_magnitude_integral(k: int) -> float:
-    """(1/2pi) * integral over [-pi, pi] of |exact transform|.
-
-    Dominates every point mass of W (triangle inequality applied to the
-    inversion integral); compared against the inversion maximum in tests.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_cap(k)
-    if k == 1:
-        return 1.0
-    # |phi(x)| = prod |cos(jx/2)|: even, period 2*pi -> integrate [0, pi]
-    edges = _initial_edges(k, 0.0, 0.5 * math.pi) * 2.0
-    res = _adaptive_simpson(
-        lambda x: np.abs(exact_char_function(k, x)),
-        edges,
-        _TOL_ABS,
-        _TOL_REL,
-    )
-    return res.value / math.pi

@@ -44,9 +44,7 @@ __all__ = [
     "ResistanceProfile",
     "heisenberg_box",
     "lattice_box",
-    "build_custom_graph",
     "percolate",
-    "percolate_box",
     "oriented_cluster",
     "effective_resistance",
     "resistance_profile",
@@ -65,37 +63,33 @@ CG_ITERATIONS_PER_ROOT = 50  # CG stops after max(20, this * sqrt(box vertices))
 class BoxGraph:
     """Vertices of a ball plus the directed generator edges inside it.
 
-    Vertices are coordinate tuples in a fixed canonical order (by
-    distance, then coordinates), so every derived array is reproducible.
-    Edges are ordered by (tail, label).  Each edge carries a 64-bit key
-    built from the tail coordinates and the generator label only; the
-    key is independent of the box radius, which is what couples masks
-    across nested boxes.
+    A vertex is an index into the (n_vertices, dim) int64 array `coords`,
+    in a fixed canonical order (by distance, then coordinates), so every
+    derived array is reproducible; `origin` is the index of the unique
+    distance-zero vertex.  Edges are ordered by (tail, label).  Each edge
+    carries a 64-bit key built from the tail coordinates and the
+    generator label only; the key is independent of the box radius,
+    which is what couples masks across nested boxes.
     """
 
-    def __init__(self, family, radius, vertices, dist, tails, heads, labels, keys, n_labels):
+    def __init__(self, family, radius, coords, dist, tails, heads, labels, keys, n_labels):
         self.family = family
         self.radius = radius
-        self.vertices = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.coords = np.asarray(coords, dtype=np.int64)
         self.dist = np.asarray(dist, dtype=np.int32)
+        self.origin = int(np.argmin(self.dist))
         self.n_labels = n_labels
         self.tails = np.asarray(tails, dtype=np.int32)
         self.heads = np.asarray(heads, dtype=np.int32)
         self.labels = np.asarray(labels, dtype=np.uint8)
         self.keys = np.asarray(keys, dtype=np.uint64)
         # out_edge[v, label] = edge index or -1; each label leaves v at most once
-        self.out_edge = np.full((len(self.vertices), n_labels), -1, dtype=np.int64)
+        self.out_edge = np.full((self.n_vertices, n_labels), -1, dtype=np.int64)
         self.out_edge[self.tails, self.labels] = np.arange(len(self.tails))
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def origin(self):
-        """The unique distance-zero vertex."""
-        return self.vertices[int(np.argmin(self.dist))]
+        return len(self.coords)
 
     @property
     def n_edges(self) -> int:
@@ -159,8 +153,8 @@ def _box_graph(family, radius, coords, dist, heads, widths) -> BoxGraph:
         head_index[:, label] = np.where(sorted_key[pos] == head_key, by_key[pos], -1)
     tails, labels = np.nonzero(head_index >= 0)
     keys = vertex_key[tails] | (labels << sum(widths))
-    return BoxGraph(family, radius, map(tuple, coords.tolist()), dist, tails,
-                    head_index[tails, labels], labels, keys, len(heads))
+    return BoxGraph(family, radius, coords, dist, tails, head_index[tails, labels], labels,
+                    keys, len(heads))
 
 
 def _pack(coords: np.ndarray, widths) -> np.ndarray:
@@ -179,23 +173,6 @@ def _pack(coords: np.ndarray, widths) -> np.ndarray:
     return np.where(fits, key, -1)
 
 
-def build_custom_graph(vertices, dist, directed_edges) -> BoxGraph:
-    """Small hand-built network; edges are (tail, head, label) tuples.
-
-    Used for circuit-algebra validation of the resistance solver.  Keys
-    are hashes of (tail index, label), adequate since hand networks are
-    never coupled across radii.
-    """
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = np.array(
-        [(index[tail], index[head], label) for tail, head, label in directed_edges], dtype=np.int64
-    ).reshape(-1, 3)
-    tails, heads, labels = edges.T
-    n_labels = int(labels.max(initial=0)) + 1
-    return BoxGraph("custom", max(dist), vertices, dist, tails, heads, labels,
-                    (tails << 8) | labels, n_labels)
-
-
 @dataclass(frozen=True)
 class SubgraphMask:
     """Open-edge indicator over a BoxGraph, reproducible from (p, seed)."""
@@ -204,10 +181,6 @@ class SubgraphMask:
     p: float
     seed: int
     open: np.ndarray
-
-    @property
-    def open_fraction(self) -> float:
-        return float(self.open.mean()) if len(self.open) else 0.0
 
 
 def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
@@ -220,33 +193,26 @@ def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
     return SubgraphMask(graph, p, seed, mask)
 
 
-def percolate_box(family: str, radius: int, p: float, seed: int) -> SubgraphMask:
-    """Build the ball graph for a named family and percolate it."""
-    if family == "heisenberg":
-        graph = heisenberg_box(radius)
-    elif family.startswith("z") and family[1:].isdigit():
-        graph = lattice_box(int(family[1:]), radius)
-    else:
-        raise ConfigError(f"unknown graph family {family!r}")
-    return percolate(graph, p, seed)
-
-
-def oriented_cluster(mask: SubgraphMask, v=None, max_dist: int | None = None) -> set:
-    """Vertices reachable from v (default: origin) along open directed edges.
+def oriented_cluster(mask: SubgraphMask, v: int | None = None,
+                     max_dist: int | None = None) -> np.ndarray:
+    """Sorted indices of the vertices reachable from vertex v (default:
+    the origin) along open directed edges.
 
     max_dist restricts the search to the sub-ball of that radius, which
     is how one coupled mask serves a whole radius profile.
     """
     graph = mask.graph
-    if v is None:
-        v = graph.origin
-    start = graph.index.get(tuple(v))
-    if start is None:
-        raise ConfigError(f"vertex {v!r} is outside the box")
+    start = graph.origin if v is None else _vertex(graph, v)
     limit = graph.radius if max_dist is None else max_dist
     if graph.dist[start] > limit:
-        raise ConfigError(f"vertex {v!r} is outside radius {limit}")
-    return {graph.vertices[i] for i in _reachable(mask, start, limit, directed=True).tolist()}
+        raise ConfigError(f"vertex {start} is outside radius {limit}")
+    return _reachable(mask, start, limit, directed=True)
+
+
+def _vertex(graph: BoxGraph, v: int) -> int:
+    if not 0 <= v < graph.n_vertices:
+        raise ConfigError(f"vertex {v} is outside the box of {graph.n_vertices} vertices")
+    return int(v)
 
 
 def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np.ndarray:
@@ -275,8 +241,10 @@ def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np
     return np.flatnonzero(seen)
 
 
-def effective_resistance(mask: SubgraphMask, source=None, sink_radius: int | None = None) -> float:
-    """Resistance between source and the sphere at sink_radius.
+def effective_resistance(mask: SubgraphMask, source: int | None = None,
+                         sink_radius: int | None = None) -> float:
+    """Resistance between vertex source (default: the origin) and the
+    sphere at sink_radius.
 
     Open edges inside the sub-ball of that radius are unit resistors,
     orientation ignored.  Potentials solve the Dirichlet problem
@@ -287,13 +255,11 @@ def effective_resistance(mask: SubgraphMask, source=None, sink_radius: int | Non
     import scipy.sparse
 
     graph = mask.graph
-    if source is None:
-        source = graph.origin
     r = graph.radius if sink_radius is None else sink_radius
     if not 1 <= r <= graph.radius:
         raise ConfigError(f"sink_radius must be in [1, {graph.radius}]")
-    src = graph.index.get(tuple(source))
-    if src is None or graph.dist[src] >= r:
+    src = graph.origin if source is None else _vertex(graph, source)
+    if graph.dist[src] >= r:
         raise ConfigError("source must lie strictly inside the sink sphere")
     comp = np.zeros(graph.n_vertices, dtype=bool)
     comp[_reachable(mask, src, r, directed=False)] = True
@@ -394,9 +360,6 @@ class ResistanceProfile:
     entries: tuple
     per_seed: tuple = ()
 
-    def radii(self):
-        return [e[0] for e in self.entries]
-
     def resistances(self):
         return [e[1] for e in self.entries]
 
@@ -439,36 +402,18 @@ def resistance_profile(graph: BoxGraph, p: float, radii, seeds) -> ResistancePro
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Unit flow from source to the sink set, signed along edge orientation.
-
-    surviving records how many sampled paths were averaged when the flow
-    came from path_flow_assignment; hand-built flows may leave it at 1.
+    """Unit flow from vertex source to the sorted vertex array sinks,
+    signed along edge orientation, averaged over `surviving` sampled paths.
     """
 
     graph: BoxGraph
     flow: np.ndarray
-    source: tuple
-    sinks: frozenset
-    surviving: int = 1
+    source: int
+    sinks: np.ndarray
+    surviving: int
 
     def energy(self) -> float:
         return float(np.sum(self.flow**2))
-
-    def max_divergence(self) -> float:
-        """Largest net outflow over vertices that are neither source nor sink."""
-        net = np.zeros(self.graph.n_vertices)
-        np.add.at(net, self.graph.tails, self.flow)
-        np.add.at(net, self.graph.heads, -self.flow)
-        skip = {self.graph.index[self.source]} | {self.graph.index[s] for s in self.sinks}
-        keep = np.ones(self.graph.n_vertices, dtype=bool)
-        keep[list(skip)] = False
-        return float(np.abs(net[keep]).max()) if keep.any() else 0.0
-
-    def source_outflow(self) -> float:
-        net = np.zeros(self.graph.n_vertices)
-        np.add.at(net, self.graph.tails, self.flow)
-        np.add.at(net, self.graph.heads, -self.flow)
-        return float(net[self.graph.index[self.source]])
 
 
 def path_flow_assignment(
@@ -488,7 +433,7 @@ def path_flow_assignment(
     words = rng.integers(0, 2, size=(num_paths, max(2 * r, 1)), dtype=np.uint8)
     # advance every word one letter at a time, keeping the ones still open
     alive = np.arange(num_paths)
-    at = np.full(num_paths, int(np.argmin(graph.dist)))
+    at = np.full(num_paths, graph.origin)
     used = np.zeros((num_paths, r), dtype=np.int64)
     for t in range(r):
         e = graph.out_edge[at, words[alive, t]]
@@ -502,8 +447,7 @@ def path_flow_assignment(
     counts = np.bincount(used[alive].ravel(), minlength=graph.n_edges)
     flow = counts / len(alive)
     flow.flags.writeable = False
-    sinks = frozenset(graph.vertices[i] for i in np.unique(at).tolist())
-    return FlowAssignment(graph, flow, tuple(graph.origin), sinks, len(alive))
+    return FlowAssignment(graph, flow, graph.origin, np.unique(at), len(alive))
 
 
 def path_flow_energy(

@@ -27,7 +27,7 @@ answers are classical:
   It and theta_d_estimate run on the difference-walk engine of `paths`;
   their letter pairs are drawn as uint16 indices a*d + b, so d above
   ZD_MAX_D = 256 is a ConfigError.
-* srw_return_probability -- exact return probabilities of simple random
+* srw_return_profile -- exact return probabilities of simple random
   walk on G_H (uniform on a, a^-1, b, b^-1), n^(-2) scale at even times.
   The step law is symmetric, so P_2n(e) = sum_g P_n(g)^2: a dense
   convolution runs only to n = t_max // 2, in a box sized for n, and the
@@ -61,7 +61,6 @@ __all__ = [
     "first_renewals",
     "theta_d_exact",
     "zd_eit_tail",
-    "srw_return_probability",
     "srw_return_profile",
     "SrwReturnProfile",
     "srw_mutual_intersections",
@@ -389,11 +388,6 @@ def srw_return_profile(t_max: int) -> SrwReturnProfile:
     return _srw_profile_cached(int(t_max))
 
 
-def srw_return_probability(t: int) -> float:
-    """P[simple random walk on G_H is at the identity at time t]."""
-    return float(srw_return_profile(t).probabilities[t])
-
-
 @dataclass(frozen=True)
 class IntersectionGrowth:
     """Range-intersection sizes of two independent SRWs on G_H.
@@ -406,10 +400,6 @@ class IntersectionGrowth:
     means: np.ndarray
     std_errors: np.ndarray
     values: np.ndarray
-
-    @property
-    def series(self) -> list[tuple[int, float]]:
-        return [(t, float(m)) for t, m in zip(self.times, self.means)]
 
     def growth_z(self, i: int = -1, j: int = 1) -> float:
         """Paired z-score of means[i] - means[j] (defaults: last vs first positive)."""

@@ -16,12 +16,14 @@ The W-marginal has its own one-dimensional recursion, m_k(w) = m_{k-1}(w)
 applied when a statistic is taken.  Two words of length k land on the
 same Cayley-graph vertex exactly when their (S, W) pairs agree, so every
 endpoint-collision statistic for oriented walk pairs is a quadratic
-functional of this table:
+functional of this table, and scan_statistics takes them all at once
+(TableStatistics):
 
-    collision_probability      sum over (s,w) of mass^2
-    count_match_probability    sum over s of (S-marginal)^2 = C(2k,k)/4^k
-    weighted_match_probability sum over w of (W-marginal)^2
-    max_point_mass             max of the W-marginal
+    collision          sum over (s,w) of mass^2
+    count_match        sum over s of (S-marginal)^2 = C(2k,k)/4^k
+    weighted_match     sum over w of (W-marginal)^2
+    max_point_mass     max of the W-marginal
+    conditional_match  sum over s of P[S=s] * sum over w of P[W=w|S=s]^2
 
 Every count is exact while it stays below 2^53 (through k = 56).  Beyond
 that, each W-marginal cell is a sum of non-negative floats formed by at
@@ -31,7 +33,7 @@ u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
 ch. 4); the sum of squares adds its own gamma_n over its n cells.
 
 Memory is the binding constraint, about k^3/24 cells (k=512 is ~45 MB);
-build_table refuses k above a cap, default 512, overridable with the
+iter_tables refuses k above a cap, default 512, overridable with the
 HEISWALK_TABLE_CAP environment variable.
 """
 
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -50,18 +51,10 @@ from .errors import CapExceededError, ConfigError
 __all__ = [
     "CountWeightTable",
     "TableStatistics",
-    "build_table",
     "iter_tables",
     "scan_statistics",
     "table_cap",
-    "collision_probability",
-    "count_match_probability",
-    "weighted_match_probability",
-    "max_point_mass",
-    "conditional_match_probability",
-    "conditional_match_at_count",
     "dyadic_uniformity",
-    "weight_bounds",
     "DYADIC_K_CAP",
 ]
 
@@ -88,16 +81,6 @@ def table_cap() -> int:
     return cap
 
 
-def weight_bounds(k: int, s: int) -> tuple[int, int]:
-    """Smallest and largest weighted sum achievable with s ones in k slots."""
-    return s * (s - 1) // 2, s * (2 * k - s - 1) // 2
-
-
-def _full_row(half: np.ndarray, s: int, k: int) -> np.ndarray:
-    """Row s of the length-k table from its stored half, by its palindrome."""
-    return np.concatenate([half, half[: s * (k - s) + 1 - half.size][::-1]])
-
-
 def _row_moments(half: np.ndarray, s: int, k: int) -> tuple[float, float]:
     """Sum and sum of squares of the full row s, read off its stored half."""
     if s * (k - s) % 2:  # even length: every cell has a mirror
@@ -120,23 +103,6 @@ class CountWeightTable:
     rows: tuple[np.ndarray, ...]
     w_counts: np.ndarray
     shift: int = 0
-
-    @cached_property
-    def mass(self) -> np.ndarray:
-        """Dense read-only mass[s, w] = P[S == s, W == w], built on request."""
-        k = self.k
-        mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
-        for s in range(k + 1):
-            row = _full_row(self.rows[min(s, k - s)], s, k)
-            mass[s, s * (s - 1) // 2 :][: row.size] = row * math.ldexp(1.0, self.shift - k)
-        mass.flags.writeable = False
-        return mass
-
-    def s_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
-
-    def w_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=0)
 
 
 def iter_tables(k_max: int) -> Iterator[CountWeightTable]:
@@ -183,11 +149,6 @@ def iter_tables(k_max: int) -> Iterator[CountWeightTable]:
         yield CountWeightTable(k, rows, frozen[-1][:w], shift)
 
 
-def build_table(k: int) -> CountWeightTable:
-    """Exact (S, W) table for word length k."""
-    return next(table for table in iter_tables(k) if table.k == k)
-
-
 @dataclass(frozen=True)
 class TableStatistics:
     k: int
@@ -228,51 +189,6 @@ def scan_statistics(k_values) -> dict[int, TableStatistics]:
     if not wanted:
         return {}
     return {t.k: _statistics(t) for t in iter_tables(max(wanted)) if t.k in wanted}
-
-
-def _as_table(k_or_table) -> CountWeightTable:
-    if isinstance(k_or_table, CountWeightTable):
-        return k_or_table
-    return build_table(int(k_or_table))
-
-
-def collision_probability(k_or_table) -> float:
-    """P[two independent words of length k share both S and W]."""
-    return _statistics(_as_table(k_or_table)).collision
-
-
-def count_match_probability(k_or_table) -> float:
-    """P[equal counts]; equals C(2k, k) / 4^k, computed in integers."""
-    return _statistics(_as_table(k_or_table)).count_match
-
-
-def weighted_match_probability(k_or_table) -> float:
-    """P[equal weighted sums], ignoring counts."""
-    return _statistics(_as_table(k_or_table)).weighted_match
-
-
-def max_point_mass(k_or_table) -> float:
-    """Largest single point mass of the weighted sum W."""
-    return _statistics(_as_table(k_or_table)).max_point_mass
-
-
-def conditional_match_probability(k_or_table) -> float:
-    """Average over s of P[equal weighted sums | both counts equal s].
-
-    Computed as sum_s P[S=s] * sum_w P[W=w|S=s]^2, the match probability
-    when the common count is drawn from the count law itself.
-    """
-    return _statistics(_as_table(k_or_table)).conditional_match
-
-
-def conditional_match_at_count(k_or_table, s: int | None = None) -> float:
-    """P[equal weighted sums | both counts equal s]; s defaults to k//2."""
-    t = _as_table(k_or_table)
-    s = t.k // 2 if s is None else s
-    if not 0 <= s <= t.k:
-        raise ValueError(f"count s={s} outside 0..{t.k}")
-    total, square = _row_moments(t.rows[min(s, t.k - s)], s, t.k)
-    return square / total / total
 
 
 def dyadic_uniformity(k: int) -> tuple[int, bool]:

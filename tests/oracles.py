@@ -1,7 +1,7 @@
 """Brute-force references for the array kernels of heisenberg, percolation,
-paths, reference and tables: one vertex, one edge or one step at a time in
-plain Python, or the whole object without the symmetries or the reachable
-window the kernel uses.
+paths, reference, tables and fourier: one vertex, one edge or one step at a
+time in plain Python, or the whole object without the symmetries or the
+reachable window the kernel uses.
 
 Each returns what the kernel it checks returns (or the arrays it builds),
 so the tests can demand exact equality.  chunk_letters decodes the letters
@@ -10,16 +10,45 @@ difference_walk_return_by is the dense-grid value of the renewal theta_d(h).
 The G_H word helpers (position, coincides, shared_edges, ...) read a 0/1
 word one prefix at a time, and endpoint_collision_frequency reads the
 engine's meetings at the last step only.
+
+The group law on plain (n, m, k) tuples (multiply, inverse, word_eval over
+GENERATORS) is the scalar reference for the packed-key ball search.  The
+table helpers (build_table, dense_mass, full_row, weight_bounds,
+conditional_match_at_count) unfold the half-row (S, W) table into dense
+arrays; inversion_marginal and cf_magnitude_integral rederive the
+W-marginal and a bound on it from the exact characteristic function.
+build_custom_graph makes hand-built resistor networks, and
+flow_conservation checks that a path flow is a unit source-to-sink flow.
 """
 
+import functools
+import math
 from itertools import product
 
 import numpy as np
 
-from heiswalk import paths
-from heiswalk.heisenberg import IDENTITY, GroupElement
+from heiswalk import paths, tables
+from heiswalk.fourier import _TOL_ABS, _TOL_REL, _adaptive_simpson, _initial_edges, folding_distance
+from heiswalk.percolation import BoxGraph
 from heiswalk.reference import _srw_box
 from heiswalk.rng import stream
+
+IDENTITY = (0, 0, 0)
+A, B, A_INV, B_INV = GENERATORS = ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0))
+
+
+def multiply(g, h):
+    """(n, m, k) * (n', m', k') = (n + n', m + m', k + k' - m * n')."""
+    return (g[0] + h[0], g[1] + h[1], g[2] + h[2] - g[1] * h[0])
+
+
+def inverse(g):
+    return (-g[0], -g[1], -g[2] - g[0] * g[1])
+
+
+def word_eval(word, start=IDENTITY):
+    """start times the generators of word, multiplied left to right."""
+    return functools.reduce(multiply, word, start)
 
 
 def ball_distances(radius):
@@ -29,12 +58,7 @@ def ball_distances(radius):
     for r in range(1, radius + 1):
         next_frontier = []
         for n, m, k in frontier:
-            for h in (
-                GroupElement(n + 1, m, k - m),
-                GroupElement(n - 1, m, k + m),
-                GroupElement(n, m + 1, k),
-                GroupElement(n, m - 1, k),
-            ):
+            for h in ((n + 1, m, k - m), (n - 1, m, k + m), (n, m + 1, k), (n, m - 1, k)):
                 if h not in dist:
                     dist[h] = r
                     next_frontier.append(h)
@@ -53,7 +77,7 @@ def _pack_lattice(v):
 def box_arrays(family, radius):
     """The arrays of a BoxGraph, built vertex by vertex.
 
-    family is "heisenberg" or "z<d>"; returns vertices, dist, tails,
+    family is "heisenberg" or "z<d>"; returns coords, dist, tails,
     heads, labels, keys and out_edge.
     """
     if family == "heisenberg":
@@ -94,7 +118,7 @@ def box_arrays(family, radius):
         out_edge[i, label] = e
     cols = list(zip(*edges)) if edges else [(), (), (), ()]
     return {
-        "vertices": tuple(vertices),
+        "coords": np.array(vertices, dtype=np.int64).reshape(len(vertices), -1),
         "dist": np.array([dist_map[v] for v in vertices]),
         "tails": np.array(cols[0], dtype=np.int64),
         "heads": np.array(cols[1], dtype=np.int64),
@@ -123,7 +147,7 @@ def component(mask, start, limit):
 
 
 def oriented_cluster(mask, start, limit):
-    """Vertices reachable from start along open directed edges, by DFS."""
+    """Sorted vertices reachable from start along open directed edges, by DFS."""
     graph = mask.graph
     seen = {start}
     stack = [start]
@@ -135,20 +159,19 @@ def oriented_cluster(mask, start, limit):
                 if j not in seen and graph.dist[j] <= limit:
                     seen.add(j)
                     stack.append(j)
-    return {graph.vertices[i] for i in seen}
+    return np.array(sorted(seen))
 
 
 def path_flow(graph, mask, num_paths, seed):
-    """(edge use counts, surviving paths, sinks), one word at a time."""
+    """(edge use counts, surviving paths, sorted sinks), one word at a time."""
     r = graph.radius
     words = stream(seed, 0).integers(0, 2, size=(num_paths, max(2 * r, 1)), dtype=np.uint8)
     counts = np.zeros(graph.n_edges)
     surviving = 0
     sinks = set()
-    origin = graph.index[tuple(graph.origin)]
     for w in words:
         edge_ids = []
-        i = origin
+        i = graph.origin
         for t in range(r):
             e = graph.out_edge[i, w[t]]
             if e < 0 or not mask.open[e]:
@@ -158,8 +181,8 @@ def path_flow(graph, mask, num_paths, seed):
         else:
             surviving += 1
             counts[edge_ids] += 1.0
-            sinks.add(graph.vertices[i])
-    return counts, surviving, frozenset(sinks)
+            sinks.add(int(i))
+    return counts, surviving, np.array(sorted(sinks))
 
 
 def srw_intersection_values(n_base, samples, seed, num_doublings):
@@ -234,7 +257,7 @@ def _as_bits(word) -> np.ndarray:
     return bits
 
 
-def position(word, t: int | None = None) -> GroupElement:
+def position(word, t: int | None = None) -> tuple:
     """Vertex reached after the first t steps of the word."""
     bits = _as_bits(word)
     t = bits.size if t is None else int(t)
@@ -244,7 +267,7 @@ def position(word, t: int | None = None) -> GroupElement:
     y = int(prefix.sum())
     ones_before = np.cumsum(prefix) - prefix
     z = -int(ones_before[prefix == 0].sum())
-    return GroupElement(t - y, y, z)
+    return (t - y, y, z)
 
 
 def weighted_sum(word, t: int | None = None) -> int:
@@ -430,3 +453,110 @@ def difference_walk_return_by(d: int, horizon: int) -> float:
     for m in range(1, horizon + 1):
         total += hold ** (m - 1) * move_mass * absorbed[horizon - m]
     return float(total)
+
+
+def build_table(k):
+    """The table tables.iter_tables yields at word length k."""
+    return next(table for table in tables.iter_tables(k) if table.k == k)
+
+
+def full_row(half, s, k):
+    """Row s of the length-k table from its stored half, by its palindrome."""
+    return np.concatenate([half, half[: s * (k - s) + 1 - half.size][::-1]])
+
+
+def dense_mass(table):
+    """mass[s, w] = P[S == s, W == w] as a dense (k+1) x (k(k-1)/2+1) array."""
+    k = table.k
+    mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
+    for s in range(k + 1):
+        row = full_row(table.rows[min(s, k - s)], s, k)
+        mass[s, s * (s - 1) // 2 :][: row.size] = row * math.ldexp(1.0, table.shift - k)
+    return mass
+
+
+def weight_bounds(k, s):
+    """Smallest and largest weighted sum achievable with s ones in k slots."""
+    return s * (s - 1) // 2, s * (2 * k - s - 1) // 2
+
+
+def conditional_match_at_count(table, s=None):
+    """P[equal weighted sums | both counts equal s]; s defaults to k//2."""
+    s = table.k // 2 if s is None else s
+    row = full_row(table.rows[min(s, table.k - s)], s, table.k)
+    return float(row @ row) / float(row.sum()) ** 2
+
+
+def exact_char_function(k, x):
+    """E[exp(i x W)] = prod_{j<k} (1 + exp(ijx))/2, elementwise over x."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones(x.shape, dtype=complex)
+    for j in range(1, k):
+        out *= 0.5 * (1.0 + np.exp(1j * j * x))
+    return out
+
+
+def inversion_marginal(k):
+    """All point masses P[W = n], n = 0..k(k-1)/2, by inverting the transform.
+
+    W lives on a lattice, so the trapezoid rule over one period at as many
+    nodes as the support size inverts the transform without aliasing:
+    p_n = (1/M) sum_m phi(x_m) e^{-i n x_m}.
+    """
+    m = k * (k - 1) // 2 + 1
+    return np.fft.fft(exact_char_function(k, 2.0 * math.pi * np.arange(m) / m)).real / m
+
+
+def cf_magnitude_integral(k):
+    """(1/2pi) * integral over [-pi, pi] of |exact transform|.
+
+    Dominates every point mass of W (triangle inequality applied to the
+    inversion integral).
+    """
+    if k == 1:
+        return 1.0
+    # |phi(x)| = prod |cos(jx/2)|: even, period 2*pi -> integrate [0, pi]
+    res = _adaptive_simpson(
+        lambda x: np.abs(exact_char_function(k, x)),
+        _initial_edges(k, 0.0, 0.5 * math.pi) * 2.0,
+        _TOL_ABS,
+        _TOL_REL,
+    )
+    return res.value / math.pi
+
+
+def tail_rate_floor(k):
+    """min over a dense grid of [1/k, pi/2] of (1/k) * sum_{j<k} f(jx)^2.
+
+    f is the distance to pi*Z.  Under |cos y| <= exp(-f(y)^2/2) the tail
+    integrand is at most exp(-k * floor / 2), so a strictly positive floor
+    certifies the exponential-in-k decay of the tail.
+    """
+    xs = np.linspace(1.0 / k, 0.5 * math.pi, min(100_000, 8192 + 16 * k))
+    rate = np.zeros_like(xs)
+    for j in range(1, k):
+        rate += folding_distance(j * xs) ** 2
+    return float(rate.min() / k)
+
+
+def build_custom_graph(dist, edges):
+    """Hand-built network: vertex i, with coordinates (i,), at distance
+    dist[i]; edges are (tail, head, label) index triples.
+
+    Keys are (tail << 8) | label, adequate since hand networks are never
+    coupled across radii.
+    """
+    tails, heads, labels = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return BoxGraph("custom", max(dist), np.arange(len(dist))[:, None], dist, tails, heads,
+                    labels, (tails << 8) | labels, int(labels.max(initial=0)) + 1)
+
+
+def flow_conservation(assignment):
+    """(net outflow at the source, largest |net outflow| at any vertex that
+    is neither the source nor a sink) of a FlowAssignment."""
+    graph, flow = assignment.graph, assignment.flow
+    net = np.zeros(graph.n_vertices)
+    np.add.at(net, graph.tails, flow)
+    np.add.at(net, graph.heads, -flow)
+    inner = np.delete(net, np.union1d(assignment.sinks, [assignment.source]))
+    return float(net[assignment.source]), float(np.abs(inner).max(initial=0.0))

@@ -10,12 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from oracles import (
+    GENERATORS,
+    build_custom_graph,
+    build_table,
+    dense_mass,
+    inversion_marginal,
+    word_eval,
+)
 
 from heiswalk import fourier, paths, reference, tables
 from heiswalk.fitting import _fit_line, fit_exponential, fit_loglog
-from heiswalk.heisenberg import Generator, ball_sizes, word_eval
+from heiswalk.heisenberg import ball_sizes
 from heiswalk.percolation import (
-    build_custom_graph,
     effective_resistance,
     heisenberg_box,
     lattice_box,
@@ -104,14 +111,15 @@ def brute_mass(k):
 def test_criterion_06_brute_force_equivalence(criterion_log):
     exact = True
     for k in range(1, 15):
-        if not np.array_equal(tables.build_table(k).mass, brute_mass(k)):
+        if not np.array_equal(dense_mass(build_table(k)), brute_mass(k)):
             exact = False
             break
+    small = tables.scan_statistics([1, 2, 3, 4])
     spots = (
-        tables.collision_probability(1) == 0.5
-        and tables.collision_probability(2) == 0.25
-        and tables.collision_probability(3) == 0.125
-        and tables.collision_probability(4) == 9 / 128
+        small[1].collision == 0.5
+        and small[2].collision == 0.25
+        and small[3].collision == 0.125
+        and small[4].collision == 9 / 128
     )
     criterion_log(
         "criterion 06 exhaustive enumeration",
@@ -131,7 +139,7 @@ def test_criterion_07_fourier_chain(criterion_log):
     gauss = fourier.verify_cos_gaussian_bound(0.5, grid_points=100_000)
     drop = math.log(fourier.tail_integral_decay(64) / fourier.tail_integral_decay(32))
     inv_err = max(
-        float(np.max(np.abs(fourier.inversion_marginal(k) - tables.build_table(k).w_marginal())))
+        float(np.max(np.abs(inversion_marginal(k) - dense_mass(build_table(k)).sum(axis=0))))
         for k in range(1, 65)
     )
     ok = closed and ratio < 2.5 and gauss and drop < -1.0 and inv_err < 1e-6
@@ -186,9 +194,8 @@ def test_criterion_11_ball_growth(criterion_log):
     sizes = ball_sizes(32)
     radii = list(range(8, 33))
     slope = fit_loglog(radii, [sizes[r] for r in radii]).slope
-    gens = list(Generator)
-    enum1 = {word_eval(w) for t in (0, 1) for w in itertools.product(gens, repeat=t)}
-    enum2 = enum1 | {word_eval(w) for w in itertools.product(gens, repeat=2)}
+    enum1 = {word_eval(w) for t in (0, 1) for w in itertools.product(GENERATORS, repeat=t)}
+    enum2 = enum1 | {word_eval(w) for w in itertools.product(GENERATORS, repeat=2)}
     ok = 3.7 <= slope <= 4.3 and sizes[1] == len(enum1) == 5 and sizes[2] == len(enum2) == 17
     criterion_log(
         "criterion 11 ball growth",
@@ -200,10 +207,8 @@ def test_criterion_11_ball_growth(criterion_log):
 
 def test_criterion_12_resistance_mechanics(criterion_log):
     # circuit algebra
-    chain = build_custom_graph(
-        [(0,), (1,), (2,)], [0, 1, 2], [((0,), (1,), 0), ((1,), (2,), 0)]
-    )
-    pair = build_custom_graph([(0,), (1,)], [0, 1], [((0,), (1,), 0), ((0,), (1,), 1)])
+    chain = build_custom_graph([0, 1, 2], [(0, 1, 0), (1, 2, 0)])
+    pair = build_custom_graph([0, 1], [(0, 1, 0), (0, 1, 1)])
     series_ok = abs(effective_resistance(percolate(chain, 1.0, 0)) - 2.0) < 1e-8
     parallel_ok = abs(effective_resistance(percolate(pair, 1.0, 0)) - 0.5) < 1e-8
 

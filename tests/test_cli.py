@@ -96,6 +96,9 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
         patch.setattr(fourier, "_adaptive_simpson", None)
         assert run("fourier", "--k-list", "64,1") == 2
     assert "--k-list" in capsys.readouterr().err
+    # the d=4 exponent fit takes log k, so k=0 is refused before the fit
+    assert run("zd-collision", "--k-list", "0,1") == 2
+    assert "--k-list" in capsys.readouterr().err
     # a malformed table cap is a config error, not a traceback
     for cap in ("banana", "0"):
         monkeypatch.setenv("HEISWALK_TABLE_CAP", cap)

@@ -4,23 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from oracles import (
+    build_table,
+    cf_magnitude_integral,
+    dense_mass,
+    exact_char_function,
+    inversion_marginal,
+    tail_rate_floor,
+)
 
 from heiswalk.errors import CapExceededError
 from heiswalk.fourier import (
     FOURIER_K_CAP,
-    cf_magnitude_integral,
     cos_product,
     cos_product_integral,
-    exact_char_function,
     folding_distance,
     head_integral,
-    inversion_marginal,
-    point_mass_via_inversion,
     tail_integral_decay,
-    tail_rate_floor,
     verify_cos_gaussian_bound,
 )
-from heiswalk.tables import build_table, max_point_mass
+from heiswalk.tables import scan_statistics
 
 
 def test_closed_form_integrals():
@@ -41,6 +44,16 @@ def test_head_integral_values():
     assert head_integral(2) == pytest.approx(math.sin(0.5), abs=1e-9)
     # head alone is below the full integral
     assert head_integral(16) < cos_product_integral(16).value
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 1024, 2048])
+def test_cos_product_fold_identities(k):
+    # cos_product_integral folds [-pi, pi] onto [0, pi/2]: period pi, even
+    # around 0, even around pi/2
+    x = np.random.default_rng(k + 12345).uniform(-math.pi, math.pi, size=1000)
+    base = cos_product(k, x)
+    for other in (x + math.pi, -x, math.pi - x):
+        assert float(np.max(np.abs(cos_product(k, other) - base))) <= 1e-12
 
 
 def test_cos_product_even_and_bounded():
@@ -82,24 +95,23 @@ def test_char_function_is_product_of_halved_cosines():
 
 def test_inversion_recovers_exact_marginal():
     for k in (2, 4, 16, 64):
-        w = build_table(k).w_marginal()
+        w = dense_mass(build_table(k)).sum(axis=0)
         inv = inversion_marginal(k)
         assert inv.shape == w.shape
         assert np.max(np.abs(inv - w)) < 1e-6
 
 
 def test_point_mass_spot_values():
-    assert point_mass_via_inversion(2, 0) == pytest.approx(0.5, abs=1e-12)
-    assert point_mass_via_inversion(2, 1) == pytest.approx(0.5, abs=1e-12)
-    assert point_mass_via_inversion(4, 3) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        point_mass_via_inversion(4, 7)
+    assert inversion_marginal(2)[0] == pytest.approx(0.5, abs=1e-12)
+    assert inversion_marginal(2)[1] == pytest.approx(0.5, abs=1e-12)
+    assert inversion_marginal(4)[3] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_cf_integral_dominates_point_masses():
+    stats = scan_statistics([2, 8, 16, 64])
     for k in (2, 8, 16, 64):
         bound = cf_magnitude_integral(k)
-        assert bound + 1e-9 >= max_point_mass(k)
+        assert bound + 1e-9 >= stats[k].max_point_mass
         # and the bound is itself below 1
         assert bound <= 1.0
 
@@ -117,11 +129,8 @@ def test_validation():
     with pytest.raises(ValueError):
         tail_integral_decay(1)
     with pytest.raises(ValueError):
-        tail_rate_floor(1)
-    with pytest.raises(ValueError):
         verify_cos_gaussian_bound(0.5, grid_points=2)
     # checked before any quadrature work, so these return at once
-    for fn in (cos_product_integral, head_integral, tail_integral_decay, tail_rate_floor,
-               cf_magnitude_integral, inversion_marginal):
+    for fn in (cos_product_integral, head_integral, tail_integral_decay):
         with pytest.raises(CapExceededError):
             fn(FOURIER_K_CAP + 1)

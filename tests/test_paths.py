@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    IDENTITY,
+    A,
+    B,
     chunk_letters,
     coincides,
     endpoint_collision_frequency,
@@ -16,11 +19,11 @@ from oracles import (
     survivors,
     vertex_coincidences,
     weighted_sum,
+    word_eval,
 )
 
 from heiswalk import paths
 from heiswalk.errors import CapExceededError
-from heiswalk.heisenberg import IDENTITY, Generator, word_eval
 from heiswalk.paths import (
     HEISENBERG_HORIZON_CAP,
     continuation_ratios,
@@ -29,13 +32,13 @@ from heiswalk.paths import (
 )
 from heiswalk.reference import first_renewals, zd_collision_probability, zd_eit_tail
 from heiswalk.rng import stream
-from heiswalk.tables import collision_probability, scan_statistics
+from heiswalk.tables import scan_statistics
 
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=32)
 
 
 def to_generators(bits):
-    return [Generator.B if b else Generator.A for b in bits]
+    return [B if b else A for b in bits]
 
 
 def test_position_matches_group_walk():
@@ -99,7 +102,7 @@ def test_shared_edges_at_most_vertex_coincidences(u, v):
 
 
 def test_endpoint_frequency_tracks_exact_value():
-    p = collision_probability(8)
+    p = scan_statistics([8])[8].collision
     freq = endpoint_collision_frequency(8, 40_000, seed=11)
     sigma = np.sqrt(p * (1 - p) / 40_000)
     assert abs(freq - p) < 4 * sigma

@@ -6,16 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (
+    GENERATORS,
     chunk_letters,
     difference_walk_return_by,
     pair_counts,
     srw_intersection_values,
     srw_profile_full_box,
     survivors,
+    word_eval,
 )
 
 from heiswalk.errors import CapExceededError
-from heiswalk.heisenberg import Generator, word_eval
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
@@ -26,7 +27,6 @@ from heiswalk.reference import (
     first_renewals,
     lazy_return_probability,
     srw_mutual_intersections,
-    srw_return_probability,
     srw_return_profile,
     theta_d_estimate,
     theta_d_exact,
@@ -175,23 +175,22 @@ def test_theta_censoring_infinite_in_low_dimension():
 
 
 def test_srw_return_spot_values():
-    assert srw_return_probability(0) == 1.0
-    assert srw_return_probability(2) == 0.25
-    assert srw_return_probability(4) == pytest.approx(28 / 256, abs=1e-15)
+    assert srw_return_profile(0).probabilities[0] == 1.0
+    assert srw_return_profile(2).probabilities[2] == 0.25
+    assert srw_return_profile(4).probabilities[4] == pytest.approx(28 / 256, abs=1e-15)
     for t in (1, 3, 5, 7):
-        assert srw_return_probability(t) == 0.0
+        assert srw_return_profile(t).probabilities[t] == 0.0
 
 
 def test_srw_return_matches_word_enumeration():
     # all 4^8 generator words, exact probabilities
     import itertools
 
-    gens = list(Generator)
     profile = srw_return_profile(8)
     for t in (2, 4, 6, 8):
         hits = sum(
             1
-            for word in itertools.product(gens, repeat=t)
+            for word in itertools.product(GENERATORS, repeat=t)
             if word_eval(word) == (0, 0, 0)
         )
         assert profile.probabilities[t] == pytest.approx(hits / 4**t, abs=1e-12)

@@ -5,23 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import full_row_tables
+from oracles import (
+    build_table,
+    conditional_match_at_count,
+    dense_mass,
+    full_row,
+    full_row_tables,
+    weight_bounds,
+)
 
 from heiswalk import tables
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk.tables import (
-    build_table,
-    collision_probability,
-    conditional_match_at_count,
-    conditional_match_probability,
-    count_match_probability,
-    dyadic_uniformity,
-    iter_tables,
-    max_point_mass,
-    scan_statistics,
-    table_cap,
-    weight_bounds,
-)
+from heiswalk.tables import dyadic_uniformity, iter_tables, scan_statistics, table_cap
 
 
 def brute_table(k):
@@ -42,35 +37,38 @@ def brute_table(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
 def test_dp_equals_enumeration_exactly(k):
-    dp = build_table(k)
+    mass = dense_mass(build_table(k))
     brute = brute_table(k)
-    assert dp.mass.shape == brute.shape
-    assert np.array_equal(dp.mass, brute)
+    assert mass.shape == brute.shape
+    assert np.array_equal(mass, brute)
 
 
 def test_collision_spot_values():
-    assert collision_probability(1) == 0.5
-    assert collision_probability(2) == 0.25
-    assert collision_probability(3) == 0.125
-    assert collision_probability(4) == 9 / 128
+    stats = scan_statistics([1, 2, 3, 4])
+    assert stats[1].collision == 0.5
+    assert stats[2].collision == 0.25
+    assert stats[3].collision == 0.125
+    assert stats[4].collision == 9 / 128
 
 
 def test_conditional_spot_values():
-    assert conditional_match_probability(1) == 1.0
-    assert conditional_match_probability(2) == 0.75
-    assert conditional_match_at_count(2, 0) == 1.0
-    assert conditional_match_at_count(2, 1) == 0.5
+    stats = scan_statistics([1, 2])
+    assert stats[1].conditional_match == 1.0
+    assert stats[2].conditional_match == 0.75
+    assert conditional_match_at_count(build_table(2), 0) == 1.0
+    assert conditional_match_at_count(build_table(2), 1) == 0.5
     # default count is k//2
     t = build_table(8)
     assert conditional_match_at_count(t) == conditional_match_at_count(t, 4)
 
 
 def test_count_match_is_central_binomial():
+    small = scan_statistics([1, 2, 5, 10, 20])
     for k in (1, 2, 5, 10, 20):
         exact = math.comb(2 * k, k) / 4**k
-        assert count_match_probability(k) == exact
+        assert small[k].count_match == exact
         # the table's own S-marginal agrees (every term is exact at this size)
-        s_marg = build_table(k).s_marginal()
+        s_marg = dense_mass(build_table(k)).sum(axis=1)
         assert float(s_marg @ s_marg) == exact
     ks = list(range(1, 65)) + [128, 256, 512]
     stats = scan_statistics(ks)
@@ -79,17 +77,17 @@ def test_count_match_is_central_binomial():
 
 
 def test_mass_is_a_probability_law():
-    t = build_table(32)
-    assert t.mass.min() >= 0.0
-    assert t.mass.sum() == pytest.approx(1.0, abs=1e-12)
-    assert float(t.s_marginal().sum()) == pytest.approx(1.0, abs=1e-12)
+    mass = dense_mass(build_table(32))
+    assert mass.min() >= 0.0
+    assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+    assert float(mass.sum(axis=1).sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weight_bounds_delimit_support():
-    t = build_table(12)
+    mass = dense_mass(build_table(12))
     for s in range(13):
         lo, hi = weight_bounds(12, s)
-        row = t.mass[s]
+        row = mass[s]
         support = np.flatnonzero(row)
         assert support[0] == lo and support[-1] == hi
         # nothing outside the bounds
@@ -99,42 +97,47 @@ def test_weight_bounds_delimit_support():
 def test_reversal_symmetry():
     # reversing a word maps weight w to s*(k-1) - w, so each count row is
     # symmetric across its own support [lo, hi] (lo + hi = s*(k-1))
-    t = build_table(9)
+    mass = dense_mass(build_table(9))
     for s in range(10):
         lo, hi = weight_bounds(9, s)
-        span = t.mass[s, lo : hi + 1]
+        span = mass[s, lo : hi + 1]
         assert np.array_equal(span, span[::-1])
 
 
 def test_iter_tables_prefix_consistency():
     # yielded views share one buffer: snapshot each before advancing
-    masses = {t.k: t.mass.copy() for t in iter_tables(6)}
+    masses = {t.k: dense_mass(t) for t in iter_tables(6)}
     assert sorted(masses) == list(range(1, 7))
     for k, mass in masses.items():
-        assert np.array_equal(mass, build_table(k).mass)
+        assert np.array_equal(mass, dense_mass(build_table(k)))
 
 
 def test_iter_tables_views_are_read_only():
     for t in iter_tables(3):
         with pytest.raises(ValueError):
-            t.mass[0, 0] = 1.0
+            t.rows[0][0] = 1.0
+        with pytest.raises(ValueError):
+            t.w_counts[0] = 1.0
 
 
 def test_statistics_agree_with_direct_formulas():
     stats = scan_statistics([7, 16])[16]
-    t = build_table(16)
-    assert stats.collision == float(np.sum(t.mass**2))
-    assert stats.count_match == float(np.sum(t.s_marginal() ** 2))
-    assert stats.weighted_match == float(np.sum(t.w_marginal() ** 2))
-    assert stats.max_point_mass == max_point_mass(t)
-    assert stats.conditional_match == conditional_match_probability(t)
+    mass = dense_mass(build_table(16))
+    s_marg, w_marg = mass.sum(axis=1), mass.sum(axis=0)
+    assert stats.collision == float(np.sum(mass**2))
+    assert stats.count_match == float(np.sum(s_marg**2))
+    assert stats.weighted_match == float(np.sum(w_marg**2))
+    assert stats.max_point_mass == float(w_marg.max())
+    assert stats.conditional_match == math.fsum(
+        float(row @ row) / float(row.sum()) for row in mass
+    )
 
 
 def test_point_mass_and_match_bounds():
-    for k in (2, 3, 17, 64):
-        assert max_point_mass(k) <= 1.0 / k + 1e-12
-        assert collision_probability(k) <= count_match_probability(k)
-        assert collision_probability(k) <= max_point_mass(k)
+    for k, stats in scan_statistics([2, 3, 17, 64]).items():
+        assert stats.max_point_mass <= 1.0 / k + 1e-12
+        assert stats.collision <= stats.count_match
+        assert stats.collision <= stats.max_point_mass
 
 
 def test_dyadic_cap():
@@ -161,9 +164,9 @@ def test_dyadic_uniformity_cases():
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("HEISWALK_TABLE_CAP", "8")
     assert table_cap() == 8
-    build_table(8)
+    scan_statistics([8])
     with pytest.raises(CapExceededError):
-        build_table(9)
+        scan_statistics([9])
     monkeypatch.setenv("HEISWALK_TABLE_CAP", "banana")
     with pytest.raises(ValueError):
         table_cap()
@@ -176,7 +179,7 @@ def test_cap_env_override(monkeypatch):
 
 def test_k_validation():
     with pytest.raises(ValueError):
-        build_table(0)
+        next(iter_tables(0))
 
 
 def exact_tables(k_max):
@@ -224,7 +227,7 @@ def test_mass_equals_integer_counts_through_k56():
         for s, row in enumerate(rows):
             mass[s, s * (s - 1) // 2 :][: row.size] = row.astype(float) / 2.0**k
             w_counts[s * (s - 1) // 2 :][: row.size] += row
-        assert np.array_equal(table.mass, mass), k
+        assert np.array_equal(dense_mass(table), mass), k
         assert np.array_equal(table.w_counts, w_counts.astype(float)), k
 
 
@@ -235,7 +238,7 @@ def test_half_rows_match_full_row_dp():
         for s, row in enumerate(rows):
             half = table.rows[s]
             assert half.size == s * (k - s) // 2 + 1
-            got = tables._full_row(half, s, k)
+            got = full_row(half, s, k)
             if k <= 56:
                 assert np.array_equal(got, row), (k, s)
             else:
@@ -275,10 +278,10 @@ def test_rescale_keeps_statistics_bit_identical(monkeypatch):
     ks = range(1, 81)
     plain = scan_statistics(ks)
     plain_table = build_table(40)
-    plain_mass, plain_w_counts = plain_table.mass, plain_table.w_counts
+    plain_mass, plain_w_counts = dense_mass(plain_table), plain_table.w_counts
     monkeypatch.setattr(tables, "_RESCALE_BITS", 12)
     table = build_table(40)
     assert table.shift > 0  # the rescale path ran
-    assert np.array_equal(table.mass, plain_mass)
+    assert np.array_equal(dense_mass(table), plain_mass)
     assert np.array_equal(np.ldexp(table.w_counts, table.shift), plain_w_counts)
     assert scan_statistics(ks) == plain
