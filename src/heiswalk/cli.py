@@ -263,15 +263,12 @@ def _run_bound_scan(cfg, claims):
     k_min, k_max = cfg["k_min"], cfg["k_max"]
     if k_min < 2 or k_max < k_min:
         raise ConfigError("need 2 <= k_min <= k_max")
-    ks = list(range(k_min, k_max + 1))
-    stats = tables.scan_statistics(ks)
     slack = 1e-12
     rows, holds = [], True
-    for k in ks:
+    for k, (point_mass, match) in tables.weight_statistics(range(k_min, k_max + 1)).items():
         bound = 1.0 / k
-        ok = stats[k].max_point_mass <= bound + slack and stats[k].weighted_match <= bound + slack
-        holds &= ok
-        rows.append((k, stats[k].max_point_mass, stats[k].weighted_match, bound))
+        holds &= point_mass <= bound + slack and match <= bound + slack
+        rows.append((k, point_mass, match, bound))
     fits = [_property_report(claims, "point-mass-bound", holds, [k_min, k_max])]
     return ["k", "max_point_mass", "p_weighted_match", "bound"], rows, fits, {}
 

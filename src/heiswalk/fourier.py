@@ -172,12 +172,11 @@ def cos_product_integral(k: int, *, tol_abs: float = _TOL_ABS, tol_rel: float = 
 def head_integral(k: int) -> float:
     """integral of the cos product over [0, 1/k] (the central peak).
 
-    Arguments stay below pi: max_j j/k = (k-1)/k < pi, asserted.
+    Arguments stay below pi: max_j j/k = (k-1)/k < pi.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_cap(k)
-    assert (k - 1) / k < math.pi
     if k == 1:
         return 1.0
     res = _adaptive_simpson(

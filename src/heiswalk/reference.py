@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -344,8 +343,12 @@ def _srw_box(n: int) -> tuple[int, int]:
     return b_xy, b_z
 
 
-@lru_cache(maxsize=4)
-def _srw_profile_cached(t_max: int) -> SrwReturnProfile:
+def srw_return_profile(t_max: int) -> SrwReturnProfile:
+    """Exact SRW return probabilities on G_H for all times up to t_max."""
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    if t_max > SRW_TIME_CAP:
+        raise CapExceededError(f"t_max={t_max} exceeds cap {SRW_TIME_CAP}")
     n = t_max // 2
     b_xy, b_z = _srw_box(n)
     cur = np.zeros((2 * b_xy + 1, 2 * b_xy + 1, 2 * b_z + 1))  # axes (y, x, z)
@@ -377,15 +380,6 @@ def _srw_profile_cached(t_max: int) -> SrwReturnProfile:
         cur, nxt = nxt, cur
         probs[2 * s] = np.vdot(cur, cur)
     return SrwReturnProfile(probs, max(0.0, 1.0 - float(cur.sum())))
-
-
-def srw_return_profile(t_max: int) -> SrwReturnProfile:
-    """Exact SRW return probabilities on G_H for all times up to t_max."""
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    if t_max > SRW_TIME_CAP:
-        raise CapExceededError(f"t_max={t_max} exceeds cap {SRW_TIME_CAP}")
-    return _srw_profile_cached(int(t_max))
 
 
 @dataclass(frozen=True)

@@ -1,40 +1,37 @@
-"""Exact joint law of (count, weighted count) for fair 0/1 words.
+"""Exact endpoint-collision statistics of fair 0/1 words.
 
-For a word of k independent fair bits alpha_0..alpha_{k-1}, the table
-holds the joint distribution of
+For k independent fair bits alpha_j, let S = sum_j alpha_j and
+W = sum_j j * alpha_j.  Two words of length k end on the same
+Cayley-graph vertex exactly when their (S, W) pairs agree, so every
+endpoint-collision statistic of two oriented walks is a quadratic
+functional of the law of (S, W) (TableStatistics):
 
-    S = sum_j alpha_j        (number of ones)
-    W = sum_j j * alpha_j    (position-weighted sum)
-
-Row s counts the words with s ones by W: it is the Gaussian binomial
-[k choose s]_q on w = s(s-1)/2 + (0..s(k-s)).  In these offset
-coordinates row k-s equals row s, and each row is a palindrome, so only
-the rows s <= k//2 are stored, and of each only the offsets up to its
-centre s(k-s)//2: ragged float64 counts grown in place one bit per step.
-The W-marginal has its own one-dimensional recursion, m_k(w) = m_{k-1}(w)
-+ m_{k-1}(w - (k-1)), and is grown beside the rows.  The exact 2^-k is
-applied when a statistic is taken.  Two words of length k land on the
-same Cayley-graph vertex exactly when their (S, W) pairs agree, so every
-endpoint-collision statistic for oriented walk pairs is a quadratic
-functional of this table, and scan_statistics takes them all at once
-(TableStatistics):
-
-    collision          sum over (s,w) of mass^2
-    count_match        sum over s of (S-marginal)^2 = C(2k,k)/4^k
-    weighted_match     sum over w of (W-marginal)^2
-    max_point_mass     max of the W-marginal
+    collision          sum over (s,w) of P[S=s, W=w]^2
+    count_match        sum over s of P[S=s]^2 = C(2k,k)/4^k
+    weighted_match     sum over w of P[W=w]^2
+    max_point_mass     max over w of P[W=w]
     conditional_match  sum over s of P[S=s] * sum over w of P[W=w|S=s]^2
 
-Every count is exact while it stays below 2^53 (through k = 56).  Beyond
-that, each W-marginal cell is a sum of non-negative floats formed by at
-most k-1 roundings (the rescaling is by powers of two and exact), so its
-relative error is at most gamma_{k-1} = (k-1)u / (1 - (k-1)u) with
-u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-ch. 4); the sum of squares adds its own gamma_n over its n cells.
+That law is never built.  weight_statistics grows the W-marginal by
+m_k(w) = (m_{k-1}(w) + m_{k-1}(w-(k-1))) / 2.  The words with s ones
+count by W as the Gaussian binomial [k choose s]_q (Andrews, The Theory
+of Partitions, 1976, ch. 3), whose sum of squared coefficients
+_row_square_sums takes by Parseval from its values at roots of unity;
+scan_statistics adds those rows up and takes count_match in closed form.
 
-Memory is the binding constraint, about k^3/24 cells (k=512 is ~45 MB);
-iter_tables refuses k above a cap, default 512, overridable with the
-HEISWALK_TABLE_CAP environment variable.
+count_match is correctly rounded.  Each W-marginal cell is a multiple of
+2^-k formed from non-negative floats by at most k-1 additions and exact
+halvings (exact also below 2^-1022 through k = 1074), so it is exact
+while its count is below 2^53 (through k = 56), and beyond that within
+gamma_{k-1} = (k-1)u / (1 - (k-1)u), u = 2^-53, of its value (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 4); the sum of
+squares adds its own gamma_n over its n cells.  A row sum of squares is
+exact where its certificate (_row_square_sums) is below 1/2, which holds
+for every row through k = 26, so collision is correctly rounded there.
+
+Memory is O(k^2); time grows like k^3 (k = 512 about 0.15 s, k = 1024
+about 2 s on a 2-core Xeon).  Both functions refuse k above a cap,
+default 512, overridable with the HEISWALK_TABLE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -42,17 +39,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
 
 __all__ = [
-    "CountWeightTable",
     "TableStatistics",
-    "iter_tables",
     "scan_statistics",
+    "weight_statistics",
     "table_cap",
     "dyadic_uniformity",
     "DYADIC_K_CAP",
@@ -60,11 +55,9 @@ __all__ = [
 
 DEFAULT_TABLE_CAP = 512
 _CAP_ENV = "HEISWALK_TABLE_CAP"
-# Stored counts stay below 2^_RESCALE_BITS: at 512 every sum of squared
-# counts a statistic takes stays finite, and the default cap never rescales.
-_RESCALE_BITS = 512
 # dyadic_uniformity's law has 2^floor(log2 k) float64 cells: below 2^21, at most 8 MiB
 DYADIC_K_CAP = 2**21
+_U = 2.0**-53
 
 
 def table_cap() -> int:
@@ -81,72 +74,99 @@ def table_cap() -> int:
     return cap
 
 
-def _row_moments(half: np.ndarray, s: int, k: int) -> tuple[float, float]:
-    """Sum and sum of squares of the full row s, read off its stored half."""
-    if s * (k - s) % 2:  # even length: every cell has a mirror
-        return 2.0 * float(half.sum()), 2.0 * float(half @ half)
-    body, centre = half[:-1], float(half[-1])
-    return 2.0 * float(body.sum()) + centre, 2.0 * float(body @ body) + centre * centre
+def weight_statistics(k_values) -> dict[int, tuple[float, float]]:
+    """(max_point_mass, weighted_match) at each requested k, from one recursion.
 
-
-@dataclass(frozen=True)
-class CountWeightTable:
-    """Joint law of (S, W) at word length k, as half ragged rows.
-
-    rows[s] (s <= k//2) holds 2^-shift times the number of words with s ones
-    and W = s(s-1)/2 + offset, offset 0..s(k-s)//2; the offsets past the
-    centre mirror those before it, and row k-s is the same array.
-    w_counts[w] holds 2^-shift times the number of words with W = w.
+    Every k must lie in 1..table_cap(); scan_statistics relies on this check.
     """
-
-    k: int
-    rows: tuple[np.ndarray, ...]
-    w_counts: np.ndarray
-    shift: int = 0
-
-
-def iter_tables(k_max: int) -> Iterator[CountWeightTable]:
-    """Yield the table for k = 1, 2, ..., k_max.
-
-    The yielded tables share one set of growing buffers; each is a
-    read-only view valid until the next iteration.  Copy the rows to keep them.
-    """
-    if k_max < 1:
-        raise ValueError("k must be >= 1")
-    if k_max > (cap := table_cap()):
+    wanted = {int(k) for k in k_values}
+    if not wanted:
+        return {}
+    if min(wanted) < 1:
+        raise ConfigError("k must be >= 1")
+    if (k_max := max(wanted)) > (cap := table_cap()):
         raise CapExceededError(f"k={k_max} exceeds the table cap {cap}; raise {_CAP_ENV}")
-    bufs = [np.zeros(s * (k_max - s) // 2 + 1) for s in range(k_max // 2 + 1)]
-    bufs.append(np.zeros(k_max * (k_max - 1) // 2 + 1))  # the W-marginal
-    bufs[0][0] = bufs[-1][0] = 1.0
-    frozen = [buf.view() for buf in bufs]
-    for view in frozen:
-        view.flags.writeable = False
-    shift = 0
+    return {k: (float(law.max()), float(law @ law)) for k, law in _weight_laws(k_max) if k in wanted}
+
+
+def _weight_laws(k_max: int):
+    """Yield (k, P[W = w] for w = 0..k(k-1)/2) for k = 1..k_max.
+
+    Each law is a view of one buffer that the next step overwrites.
+    """
+    law = np.zeros(k_max * (k_max - 1) // 2 + 1)
+    law[0] = 1.0
     for k in range(1, k_max + 1):
-        # add bit k-1 (weight k-1): row s gains row s-1 shifted by k-1 in w,
-        # which is k-s in offset coordinates; downward s reads row s-1 intact
-        if k - shift > _RESCALE_BITS:
-            for buf in bufs:
-                buf *= math.ldexp(1.0, -_RESCALE_BITS)
-            shift += _RESCALE_BITS
-        half = k // 2
-        if k % 2 == 0:
-            # row k/2 of length k-1 is not stored; it mirrors row k/2-1
-            n = half * (half - 1) // 2 + 1
-            bufs[half][:n] = bufs[half - 1][:n]
-        for s in range(half, 0, -1):
-            row = bufs[s]
-            last = s * (k - 1 - s)  # last offset of row s before this bit
-            old, new = last // 2, s * (k - s) // 2
-            # the cells past the old centre are the mirrors of cells before it;
-            # the add below reads row s-1 only up to its old centre
-            row[old + 1 : new + 1] = row[last - new : last - old][::-1]
-            if (n := new + 1 - (k - s)) > 0:
-                row[k - s : new + 1] += bufs[s - 1][:n]
-        w = k * (k - 1) // 2 + 1
-        bufs[-1][k - 1 : w] += bufs[-1][: w - k + 1]  # numpy buffers the overlap
-        rows = tuple(frozen[s][: s * (k - s) // 2 + 1] for s in range(half + 1))
-        yield CountWeightTable(k, rows, frozen[-1][:w], shift)
+        # add bit k-1, of weight k-1
+        n = k * (k - 1) // 2 + 1
+        law[k - 1 : n] += law[: n - k + 1]  # numpy buffers the overlap
+        law[:n] *= 0.5
+        yield k, law[:n]
+
+
+def _odd_prime_above(n: int) -> int:
+    """The least odd prime above n, and at least 3."""
+    m = max(3, n + 1) | 1
+    while any(m % d == 0 for d in range(3, math.isqrt(m) + 1, 2)):
+        m += 2
+    return m
+
+
+def _row_square_sums(k: int) -> list[tuple[float, int, float]]:
+    """(value, b, err) for s = 0..k//2: sum_w N(s,w)^2 = value * 4^b within err * 4^b.
+
+    N(s, .) are the coefficients of [k choose s]_q (row k-s is the same), of
+    degree s(k-s) < M, M the least odd prime above floor(k/2) * ceil(k/2)
+    (at least 3).  Parseval on the M-th roots of unity omega^j gives
+
+        sum_w N(s,w)^2 = (1/M) sum_{j<M} |[k choose s]_{omega^j}|^2,
+        |[k choose s]_{omega^j}|^2 = prod_{i=1..s} sin^2(pi j (k-s+i)/M) / sin^2(pi j i/M),
+
+    where no denominator vanishes (M prime, i <= k//2 < M), j and M-j give
+    equal terms, and the j = 0 term is C(k,s)^2.  The factors come from one
+    sin^2 table, read at integer residues and taken at angles at most pi/2
+    (r folded to min(r, M-r)), where the sine's condition number is at
+    most 1: with a sine accurate to 2 ulp each entry is within gamma_15,
+    and a step in s (one product, one quotient) adds gamma_32.  np.frexp
+    keeps every running product in [1/2, 1), exactly, with its exponent
+    apart, so nothing under- or overflows until the terms are scaled by
+    4^-b (b = bit length of C(k,s), so each term is below 1); a term
+    below 2^-1022 is dropped.  Summing the (M+1)/2 non-negative terms in
+    any order, scaling the j = 0 term and dividing by M add
+    gamma_{(M+3)/2}.  So with n = 32s + (M+3)/2 the value is within gamma_n
+    of the exact sum, and err = gamma_{2n} * value + M 2^-1022.  Where
+    err * 4^b < 1/2 the row is rounded to its integer (b = 0, err = 0).
+    """
+    half = k // 2
+    m = _odd_prime_above(half * (k - half))
+    j = np.arange(1, (m + 1) // 2)
+    r = np.arange(m)
+    sin2 = np.sin(np.pi * np.minimum(r, m - r) / m) ** 2
+    # |[k choose s]_{omega^j}|^2 = frac * 2^expo, frac in [1/2, 1) or 0
+    frac, expo = np.ones(j.size), np.zeros(j.size, dtype=np.int64)
+    up, down = j * k % m, j.copy()  # residues of j(k-s+1) and js, from s = 1
+    rows = []
+    for s in range(half + 1):
+        if s:
+            frac *= sin2[up]
+            frac /= sin2[down]
+            frac, step = np.frexp(frac)
+            expo += step
+            up -= j
+            np.add(up, m, out=up, where=up < 0)
+            down += j
+            np.subtract(down, m, out=down, where=down >= m)
+        c = math.comb(k, s)
+        b = c.bit_length()
+        # the float64 bits of 2^(expo-2b), or of 0.0 below 2^-1022
+        scale = ((np.maximum(expo - 2 * b, -1023) + 1023) << 52).view(np.float64)
+        value = (c * c / 4**b + 2.0 * float((frac * scale).sum())) / m
+        n = 32 * s + (m + 3) // 2
+        err = 2 * n * _U / (1 - 2 * n * _U) * value + m * 2.0**-1022
+        if err < math.ldexp(0.5, -2 * b):
+            value, b, err = float(round(math.ldexp(value, 2 * b))), 0, 0.0
+        rows.append((value, b, err))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -159,36 +179,25 @@ class TableStatistics:
     conditional_match: float
 
 
-def _statistics(table: CountWeightTable) -> TableStatistics:
-    """Every statistic from one pass over the stored half rows.
-
-    A row s < k-s also stands for its mirror k-s, so it counts twice.
-    """
-    k = table.k
-    e = table.shift - k  # probability = stored count * 2^e
-    squares, conditional = [], []
-    for s, row in enumerate(table.rows):
-        mirrors = 2 if 2 * s < k else 1
-        total, square = _row_moments(row, s, k)
-        squares.append(mirrors * square)
-        conditional.append(mirrors * square / total)
-    w_counts = table.w_counts
-    return TableStatistics(
-        k=k,
-        collision=math.ldexp(math.fsum(squares), 2 * e),
-        count_match=math.comb(2 * k, k) / 4**k,
-        weighted_match=math.ldexp(float(w_counts @ w_counts), 2 * e),
-        max_point_mass=math.ldexp(float(w_counts.max()), e),
-        conditional_match=math.ldexp(math.fsum(conditional), e),
-    )
-
-
 def scan_statistics(k_values) -> dict[int, TableStatistics]:
-    """Statistics at each requested k from a single incremental build."""
-    wanted = {int(k) for k in k_values}
-    if not wanted:
-        return {}
-    return {t.k: _statistics(t) for t in iter_tables(max(wanted)) if t.k in wanted}
+    """Every TableStatistics field at each requested k."""
+    out = {}
+    for k, (point_mass, weighted_match) in weight_statistics(k_values).items():
+        collision, conditional = [], []
+        for s, (value, b, _err) in enumerate(_row_square_sums(k)):
+            copies = 2 if 2 * s < k else 1  # [k choose s]_q = [k choose k-s]_q
+            collision.append(copies * math.ldexp(value, 2 * b - 2 * k))
+            # sum_w N^2 / (C(k,s) 2^k), with C(k,s) / 2^b correctly rounded
+            conditional.append(copies * math.ldexp(value / (math.comb(k, s) / 2**b), b - k))
+        out[k] = TableStatistics(
+            k=k,
+            collision=math.fsum(collision),
+            count_match=math.comb(2 * k, k) / 4**k,
+            weighted_match=weighted_match,
+            max_point_mass=point_mass,
+            conditional_match=math.fsum(conditional),
+        )
+    return out
 
 
 def dyadic_uniformity(k: int) -> tuple[int, bool]:

@@ -13,10 +13,11 @@ engine's meetings at the last step only.
 
 The group law on plain (n, m, k) tuples (multiply, inverse, word_eval over
 GENERATORS) is the scalar reference for the packed-key ball search.  The
-table helpers (build_table, dense_mass, full_row, weight_bounds,
-conditional_match_at_count) unfold the half-row (S, W) table into dense
-arrays; inversion_marginal and cf_magnitude_integral rederive the
-W-marginal and a bound on it from the exact characteristic function.
+(S, W) table helpers (build_table, full_row, dense_mass, weight_bounds,
+conditional_match_at_count) read the full-row DP full_row_tables, which
+tables never builds; inversion_marginal and cf_magnitude_integral
+rederive the W-marginal and a bound on it from the exact characteristic
+function.
 build_custom_graph makes hand-built resistor networks, and
 flow_conservation checks that a path flow is a unit source-to-sink flow.
 """
@@ -27,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from heiswalk import paths, tables
+from heiswalk import paths
 from heiswalk.fourier import _TOL_ABS, _TOL_REL, _adaptive_simpson, _initial_edges, folding_distance
 from heiswalk.percolation import BoxGraph
 from heiswalk.reference import _srw_box
@@ -456,22 +457,25 @@ def difference_walk_return_by(d: int, horizon: int) -> float:
 
 
 def build_table(k):
-    """The table tables.iter_tables yields at word length k."""
-    return next(table for table in tables.iter_tables(k) if table.k == k)
+    """(k, rows, w_counts) of full_row_tables at word length k, as copies."""
+    for _k, rows, w_counts in full_row_tables(k):
+        pass
+    return k, [row.copy() for row in rows], w_counts
 
 
-def full_row(half, s, k):
-    """Row s of the length-k table from its stored half, by its palindrome."""
-    return np.concatenate([half, half[: s * (k - s) + 1 - half.size][::-1]])
+def full_row(table, s):
+    """Word counts of row s (0 <= s <= k) of a build_table table by W - s(s-1)/2."""
+    k, rows, _w_counts = table
+    return rows[min(s, k - s)]
 
 
 def dense_mass(table):
     """mass[s, w] = P[S == s, W == w] as a dense (k+1) x (k(k-1)/2+1) array."""
-    k = table.k
+    k = table[0]
     mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
     for s in range(k + 1):
-        row = full_row(table.rows[min(s, k - s)], s, k)
-        mass[s, s * (s - 1) // 2 :][: row.size] = row * math.ldexp(1.0, table.shift - k)
+        row = full_row(table, s)
+        mass[s, s * (s - 1) // 2 :][: row.size] = row * math.ldexp(1.0, -k)
     return mass
 
 
@@ -482,8 +486,7 @@ def weight_bounds(k, s):
 
 def conditional_match_at_count(table, s=None):
     """P[equal weighted sums | both counts equal s]; s defaults to k//2."""
-    s = table.k // 2 if s is None else s
-    row = full_row(table.rows[min(s, table.k - s)], s, table.k)
+    row = full_row(table, table[0] // 2 if s is None else s)
     return float(row @ row) / float(row.sum()) ** 2
 
 

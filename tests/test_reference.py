@@ -182,6 +182,12 @@ def test_srw_return_spot_values():
         assert srw_return_profile(t).probabilities[t] == 0.0
 
 
+def test_srw_profile_results_are_independent():
+    first = srw_return_profile(8)
+    first.probabilities[2] = 7.0
+    assert srw_return_profile(8).probabilities[2] == 0.25
+
+
 def test_srw_return_matches_word_enumeration():
     # all 4^8 generator words, exact probabilities
     import itertools

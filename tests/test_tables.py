@@ -1,4 +1,4 @@
-"""Exact count/weight DP against exhaustive word enumeration and integer counts."""
+"""Exact collision statistics against word enumeration, a full-row DP and integer counts."""
 
 import math
 from fractions import Fraction
@@ -9,14 +9,20 @@ from oracles import (
     build_table,
     conditional_match_at_count,
     dense_mass,
-    full_row,
     full_row_tables,
     weight_bounds,
 )
 
 from heiswalk import tables
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk.tables import dyadic_uniformity, iter_tables, scan_statistics, table_cap
+from heiswalk.tables import (
+    _row_square_sums,
+    _weight_laws,
+    dyadic_uniformity,
+    scan_statistics,
+    table_cap,
+    weight_statistics,
+)
 
 
 def brute_table(k):
@@ -104,22 +110,6 @@ def test_reversal_symmetry():
         assert np.array_equal(span, span[::-1])
 
 
-def test_iter_tables_prefix_consistency():
-    # yielded views share one buffer: snapshot each before advancing
-    masses = {t.k: dense_mass(t) for t in iter_tables(6)}
-    assert sorted(masses) == list(range(1, 7))
-    for k, mass in masses.items():
-        assert np.array_equal(mass, dense_mass(build_table(k)))
-
-
-def test_iter_tables_views_are_read_only():
-    for t in iter_tables(3):
-        with pytest.raises(ValueError):
-            t.rows[0][0] = 1.0
-        with pytest.raises(ValueError):
-            t.w_counts[0] = 1.0
-
-
 def test_statistics_agree_with_direct_formulas():
     stats = scan_statistics([7, 16])[16]
     mass = dense_mass(build_table(16))
@@ -165,8 +155,9 @@ def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("HEISWALK_TABLE_CAP", "8")
     assert table_cap() == 8
     scan_statistics([8])
-    with pytest.raises(CapExceededError):
-        scan_statistics([9])
+    for scan in (scan_statistics, weight_statistics):
+        with pytest.raises(CapExceededError):
+            scan([2, 9])
     monkeypatch.setenv("HEISWALK_TABLE_CAP", "banana")
     with pytest.raises(ValueError):
         table_cap()
@@ -178,8 +169,10 @@ def test_cap_env_override(monkeypatch):
 
 
 def test_k_validation():
-    with pytest.raises(ValueError):
-        next(iter_tables(0))
+    for scan in (scan_statistics, weight_statistics):
+        with pytest.raises(ValueError):
+            scan([0, 4])
+        assert scan([]) == {}
 
 
 def exact_tables(k_max):
@@ -219,34 +212,25 @@ def exact_statistics(k, rows):
 
 
 def test_mass_equals_integer_counts_through_k56():
-    # every count stays below 2^53 up to k = 56, so the float table is exact
-    for (k, rows), table in zip(exact_tables(56), iter_tables(56)):
+    # every count stays below 2^53 up to k = 56, so the W-marginal is exact
+    for (k, rows), (k_law, law) in zip(exact_tables(56), _weight_laws(56)):
+        assert k_law == k
         assert max(int(r.max()) for r in rows) < 2**53
-        mass = np.zeros((k + 1, k * (k - 1) // 2 + 1))
         w_counts = np.zeros(k * (k - 1) // 2 + 1, dtype=object)
         for s, row in enumerate(rows):
-            mass[s, s * (s - 1) // 2 :][: row.size] = row.astype(float) / 2.0**k
             w_counts[s * (s - 1) // 2 :][: row.size] += row
-        assert np.array_equal(dense_mass(table), mass), k
-        assert np.array_equal(table.w_counts, w_counts.astype(float)), k
+        assert np.array_equal(np.ldexp(law, k), w_counts.astype(float)), k
 
 
-def test_half_rows_match_full_row_dp():
+def test_w_marginal_matches_full_row_dp():
     # bit for bit while every count is exact, then to 1e-14 at every cell
-    for (k, rows, w_counts), table in zip(full_row_tables(200), iter_tables(200)):
-        assert table.shift == 0
-        for s, row in enumerate(rows):
-            half = table.rows[s]
-            assert half.size == s * (k - s) // 2 + 1
-            got = full_row(half, s, k)
-            if k <= 56:
-                assert np.array_equal(got, row), (k, s)
-            else:
-                assert np.all(np.abs(got - row) <= 1e-14 * row), (k, s)
+    for (k, rows, w_counts), (k_law, law) in zip(full_row_tables(200), _weight_laws(200)):
+        assert k_law == k
+        got = np.ldexp(law, k)
         if k <= 56:
-            assert np.array_equal(table.w_counts, w_counts), k
+            assert np.array_equal(got, w_counts), k
         else:
-            assert np.all(np.abs(table.w_counts - w_counts) <= 1e-14 * w_counts), k
+            assert np.all(np.abs(got - w_counts) <= 1e-14 * w_counts), k
 
 
 def test_point_mass_bound_certified_above_k56():
@@ -256,11 +240,11 @@ def test_point_mass_bound_certified_above_k56():
     def gamma(n):
         return n * 2.0**-53 / (1 - n * 2.0**-53)
 
-    for k, stats in scan_statistics(range(57, 257)).items():
+    for k, (point_mass, weighted_match) in weight_statistics(range(57, 257)).items():
         cell = 1 / (1 - gamma(k - 1))
         dot = 1 / (1 - gamma(k * (k - 1) // 2 + 1))
-        assert stats.max_point_mass * cell < 1 / k, k
-        assert stats.weighted_match * cell**2 * dot < 1 / k, k
+        assert point_mass * cell < 1 / k, k
+        assert weighted_match * cell**2 * dot < 1 / k, k
 
 
 def test_statistics_near_exact_rationals_beyond_k56():
@@ -274,14 +258,33 @@ def test_statistics_near_exact_rationals_beyond_k56():
             assert rel <= 1e-15, (k, field, float(rel))
 
 
-def test_rescale_keeps_statistics_bit_identical(monkeypatch):
-    ks = range(1, 81)
-    plain = scan_statistics(ks)
-    plain_table = build_table(40)
-    plain_mass, plain_w_counts = dense_mass(plain_table), plain_table.w_counts
-    monkeypatch.setattr(tables, "_RESCALE_BITS", 12)
-    table = build_table(40)
-    assert table.shift > 0  # the rescale path ran
-    assert np.array_equal(dense_mass(table), plain_mass)
-    assert np.array_equal(np.ldexp(table.w_counts, table.shift), plain_w_counts)
-    assert scan_statistics(ks) == plain
+def test_row_square_sums_at_k1_and_k2():
+    # M is 3 at both: the j = 1 term must enter (M = 2 would drop it)
+    assert _row_square_sums(1) == [(1.0, 0, 0.0)]
+    assert _row_square_sums(2) == [(1.0, 0, 0.0), (2.0, 0, 0.0)]
+    assert _row_square_sums(3) == [(1.0, 0, 0.0), (3.0, 0, 0.0)]
+
+
+def test_row_square_sums_against_integer_counts_through_k56():
+    # exact where the certificate is below 1/2 (every row through k = 26),
+    # within it elsewhere
+    for k, rows in exact_tables(56):
+        got = _row_square_sums(k)
+        assert len(got) == k // 2 + 1
+        for s, (value, b, err) in enumerate(got):
+            exact = int(rows[s].dot(rows[s]))
+            if err == 0.0:
+                assert (value, b) == (float(exact), 0), (k, s)
+            else:
+                assert k > 26 and math.ldexp(err, 2 * b) >= 0.5, (k, s)
+                assert abs(Fraction(value) * 4**b - exact) <= Fraction(err) * 4**b, (k, s)
+
+
+def test_statistics_at_k1024_with_raised_cap(monkeypatch):
+    monkeypatch.setenv("HEISWALK_TABLE_CAP", "1024")
+    stats = scan_statistics([1024])[1024]
+    values = [stats.collision, stats.count_match, stats.weighted_match,
+              stats.max_point_mass, stats.conditional_match]
+    assert all(math.isfinite(v) and v > 0 for v in values)
+    assert stats.collision <= stats.count_match
+    assert stats.collision <= stats.max_point_mass
