@@ -22,7 +22,6 @@ import configparser
 import json
 import math
 import os
-import subprocess
 import sys
 import time
 from datetime import datetime, timezone
@@ -327,16 +326,13 @@ def _run_collision_contrast(cfg, claims):
 
 def _run_fourier(cfg, claims):
     ks = sorted(set(cfg["k_list"]))
-    if any(k < 2 for k in ks):
-        raise ConfigError("--k-list values must be >= 2: the tail [1/k, pi/2] is empty at k=1")
-    tails = {k: fourier.tail_integral_decay(k) for k in sorted(set(ks) | {32, 64})}
-    rows = []
-    integrals = []
-    for k in ks:
-        quad = fourier.cos_product_integral(k)
-        head = fourier.head_integral(k)
-        integrals.append(quad.value)
-        rows.append((k, quad.value, head, tails[k], k**1.5 * quad.value))
+    if any(k < 1 for k in ks):
+        raise ConfigError("--k-list values must be >= 1")
+    quads = {k: fourier.cos_product_integral(k) for k in ks}
+    rows = [(k, q.value, q.head, q.tail, k**1.5 * q.value) for k, q in quads.items()]
+    integrals = [q.value for q in quads.values()]
+    tails = {k: quads[k].tail if k in quads else fourier.tail_integral_decay(k).value
+             for k in (32, 64)}
     fits = []
     if len(ks) >= 2:
         fit = fit_loglog(ks, integrals)
@@ -581,27 +577,13 @@ def _jsonable(value):
     return value
 
 
-def _version() -> str:
-    root = Path(__file__).resolve().parents[2]
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--tags", "--always", "--dirty"],
-            cwd=root, capture_output=True, text=True, timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return f"heiswalk-{__version__}"
-
-
 def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dict:
     summary = {
         "config": _jsonable(cfg),
         "results": [dict(zip(header, map(_jsonable, row))) for row in rows],
         "fits": [_jsonable(f.to_json()) for f in fits],
         "runtime_seconds": round(runtime, 3),
-        "version": _version(),
+        "version": f"heiswalk-{__version__}",
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     for key, value in extras.items():

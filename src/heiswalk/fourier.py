@@ -7,11 +7,15 @@ prod |cos(jx/2)|.  The bound-side object is prod_{j<k} |cos(jx)| over
 peak of width ~ k^(-3/2), an exponentially small tail beyond 1/k, and it
 is dominated pointwise by a Gaussian exp(-c * dist(x, pi*Z)^2) for c=1/2.
 
-Quadrature is composite adaptive Simpson on explicit panels: the initial
-mesh resolves the central peak (step <= min(1e-2, k^(-3/2)/8) near 0)
-and the oscillation scale ~1/k elsewhere; panels split until the summed
-halving error estimate meets tolerance (1e-10 absolute or 1e-4 relative,
-whichever is looser) or the panel budget trips QuadratureError.
+The integral folds onto 4x [0, pi/2], which splits at 1/k into the head
+[0, 1/k] and the tail [1/k, pi/2]; each region is integrated once, and
+the whole integral is 4 * (head + tail).  Quadrature is composite
+adaptive Simpson on explicit panels: the initial mesh resolves the
+central peak (step <= min(1e-2, k^(-3/2)/8) near 0) and the oscillation
+scale ~1/k elsewhere; panels split until the summed halving error
+estimate meets tolerance (1e-10 absolute or 1e-4 relative, whichever is
+looser) or the panel budget trips QuadratureError.  Every k from 1 to
+FOURIER_K_CAP is accepted.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import CapExceededError, QuadratureError
 
 __all__ = [
     "QuadratureResult",
+    "CosProductIntegral",
     "cos_product",
     "cos_product_integral",
     "head_integral",
@@ -48,6 +53,14 @@ class QuadratureResult:
     value: float
     error_estimate: float
     panels: int
+
+
+@dataclass(frozen=True)
+class CosProductIntegral(QuadratureResult):
+    """The whole integral, with the head and tail integrals it sums."""
+
+    head: float
+    tail: float
 
 
 def cos_product(k: int, x) -> np.ndarray:
@@ -128,12 +141,12 @@ def _peak_step(k: int) -> float:
 
 
 def _oscillation_step(k: int) -> float:
-    return min(1e-2, math.pi / (4.0 * max(k, 1)))
+    return min(1e-2, math.pi / (4.0 * k))
 
 
 def _initial_edges(k: int, lo: float, hi: float) -> np.ndarray:
     """Panel edges resolving both the central peak and the 1/k oscillation."""
-    cut = min(hi, max(1.0 / max(k, 1), 16.0 * k ** (-1.5)))
+    cut = min(hi, max(1.0 / k, 16.0 * k ** (-1.5)))
     if lo >= cut:
         return _mesh(lo, hi, _oscillation_step(k))
     fine = _mesh(lo, cut, _peak_step(k))
@@ -143,70 +156,53 @@ def _initial_edges(k: int, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([fine, coarse[1:]])
 
 
-def _check_cap(k: int) -> None:
-    if k > FOURIER_K_CAP:
-        raise CapExceededError(f"k={k} exceeds cap {FOURIER_K_CAP}")
-
-
-def cos_product_integral(k: int, *, tol_abs: float = _TOL_ABS, tol_rel: float = _TOL_REL) -> QuadratureResult:
-    """integral over [-pi, pi] of prod_{j<k} |cos(jx)|, folded to 4x [0, pi/2].
-
-    The fold is valid because each factor |cos(jx)| with integer j has
-    period pi and is even, so the product has period pi and is even around
-    both 0 and pi/2.
-    """
+def _integrate(k: int, region: str) -> QuadratureResult:
+    """integral of the cos product over the "head" [0, 1/k] or the "tail" [1/k, pi/2]."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_cap(k)
-    if k == 1:
-        return QuadratureResult(2.0 * math.pi, 0.0, 0)
-    res = _adaptive_simpson(
-        lambda x: cos_product(k, x),
-        _initial_edges(k, 0.0, 0.5 * math.pi),
-        tol_abs / 4.0,
-        tol_rel,
-    )
-    return QuadratureResult(4.0 * res.value, 4.0 * res.error_estimate, res.panels)
+    if k > FOURIER_K_CAP:
+        raise CapExceededError(f"k={k} exceeds cap {FOURIER_K_CAP}")
+    lo, hi = (0.0, 1.0 / k) if region == "head" else (1.0 / k, 0.5 * math.pi)
+    return _adaptive_simpson(lambda x: cos_product(k, x), _initial_edges(k, lo, hi),
+                             _TOL_ABS, _TOL_REL)
 
 
-def head_integral(k: int) -> float:
-    """integral of the cos product over [0, 1/k] (the central peak).
+def head_integral(k: int) -> QuadratureResult:
+    """integral of the cos product over the central peak [0, 1/k].
 
     Arguments stay below pi: max_j j/k = (k-1)/k < pi.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_cap(k)
-    if k == 1:
-        return 1.0
-    res = _adaptive_simpson(
-        lambda x: cos_product(k, x),
-        _mesh(0.0, 1.0 / k, _peak_step(k)),
-        _TOL_ABS,
-        _TOL_REL,
-    )
-    return res.value
+    return _integrate(k, "head")
 
 
-def tail_integral_decay(k: int) -> float:
+def tail_integral_decay(k: int) -> QuadratureResult:
     """integral of the cos product over the tail [1/k, pi/2].
 
     Beyond the central peak the integrand is exponentially small in k,
     by the Gaussian domination that verify_cos_gaussian_bound checks.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2 so the tail interval is nonempty")
-    _check_cap(k)
-    res = _adaptive_simpson(
-        lambda x: cos_product(k, x),
-        _initial_edges(k, 1.0 / k, 0.5 * math.pi),
-        _TOL_ABS,
-        _TOL_REL,
+    return _integrate(k, "tail")
+
+
+def cos_product_integral(k: int) -> CosProductIntegral:
+    """integral over [-pi, pi] of prod_{j<k} |cos(jx)|, as 4 * (head + tail).
+
+    The fold onto 4x [0, pi/2] is valid because each factor |cos(jx)|
+    with integer j has period pi and is even, so the product has period
+    pi and is even around both 0 and pi/2; [0, pi/2] splits at 1/k into
+    the head and the tail, each integrated once.
+    """
+    head, tail = head_integral(k), tail_integral_decay(k)
+    return CosProductIntegral(
+        value=4.0 * (head.value + tail.value),
+        error_estimate=4.0 * (head.error_estimate + tail.error_estimate),
+        panels=head.panels + tail.panels,
+        head=head.value,
+        tail=tail.value,
     )
-    return res.value
 
 
-def verify_cos_gaussian_bound(c: float, grid_points: int = 100_000) -> bool:
+def verify_cos_gaussian_bound(c: float) -> bool:
     """Check |cos x| <= exp(-c * f(x)^2) on [0, pi], f = distance to pi*Z.
 
     Evaluates on a uniform grid plus refined windows around every local
@@ -217,10 +213,8 @@ def verify_cos_gaussian_bound(c: float, grid_points: int = 100_000) -> bool:
     genuine violations at this grid density are orders of magnitude
     larger.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
     slack = 1e-14
-    xs = np.linspace(0.0, math.pi, grid_points)
+    xs = np.linspace(0.0, math.pi, 100_000)
 
     def margin(x: np.ndarray) -> np.ndarray:
         return np.exp(-c * folding_distance(x) ** 2) - np.abs(np.cos(x))

@@ -63,9 +63,8 @@ class TailEstimate:
     vertex coincidences and for fresh re-meets after separation.
     theta_hat is exp(slope) of a weighted fit of log counts[n] against n
     over fit_range (n >= 1 with counts >= the configured minimum), None
-    when fewer than three points qualify.  std_errors hold the per-n
-    standard error of log counts[n].  censoring_bound is the integral
-    bound on intersections lost beyond the horizon.
+    when fewer than three points qualify.  censoring_bound is the
+    integral bound on intersections lost beyond the horizon.
     """
 
     horizon: int
@@ -77,12 +76,11 @@ class TailEstimate:
     theta_se: float | None = None
     r_squared: float | None = None
     fit_range: list[int] = field(default_factory=list)
-    std_errors: dict[int, float] = field(default_factory=dict)
     censoring_bound: float = 0.0
 
     def excursion_fit(self, min_count: int = DEFAULT_MIN_FIT_COUNT):
         """(theta, theta_se, r_squared, fit_range) of the re-meet tail, fitted like theta_hat."""
-        return _fit_tail(self.excursion_counts, self.samples, min_count)[:4]
+        return _fit_tail(self.excursion_counts, min_count)
 
 
 def _survivor_counts(hist: np.ndarray) -> dict[int, int]:
@@ -93,20 +91,15 @@ def _survivor_counts(hist: np.ndarray) -> dict[int, int]:
     return {n: int(tail[n]) for n in range(top + 1)}
 
 
-def _fit_tail(counts: dict[int, int], samples: int, min_count: int):
-    """Weighted geometric fit of the survivor tail; returns fit pieces."""
+def _fit_tail(counts: dict[int, int], min_count: int):
+    """Weighted geometric fit of the survivor tail: (theta, theta_se, r_squared, fit_range)."""
     ns = sorted(n for n, c in counts.items() if n >= 1 and c >= min_count)
-    std_errors = {
-        n: float(np.sqrt(max(1.0 - c / samples, 0.0) / c))
-        for n, c in counts.items()
-        if c > 0
-    }
     if len(ns) < 3:
-        return None, None, None, [], std_errors
+        return None, None, None, []
     y = np.array([counts[n] for n in ns], dtype=float)
     fit: LineFit = fit_exponential(ns, y, weights=y)
     theta = float(np.exp(fit.slope))
-    return theta, theta * fit.slope_se, fit.r_squared, ns, std_errors
+    return theta, theta * fit.slope_se, fit.r_squared, ns
 
 
 # ---------------------------------------------------------------- engine
@@ -265,7 +258,7 @@ def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: 
     parts = map_chunks(chunk_fn, samples, chunk, threads)
     shared, vertices, remeets = (np.sum(hists, axis=0) for hists in zip(*parts))
     counts = _survivor_counts(shared)
-    theta, theta_se, r2, fit_range, std_errors = _fit_tail(counts, samples, min_count)
+    theta, theta_se, r2, fit_range = _fit_tail(counts, min_count)
     beta = float(decay_exponent)
     return TailEstimate(
         horizon=horizon,
@@ -277,7 +270,6 @@ def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: 
         theta_se=theta_se,
         r_squared=r2,
         fit_range=fit_range,
-        std_errors=std_errors,
         censoring_bound=math.inf if beta <= 1.0 else horizon ** (1.0 - beta) / (beta - 1.0),
     )
 

@@ -30,14 +30,13 @@ exact where its certificate (_row_square_sums) is below 1/2, which holds
 for every row through k = 26, so collision is correctly rounded there.
 
 Memory is O(k^2); time grows like k^3 (k = 512 about 0.15 s, k = 1024
-about 2 s on a 2-core Xeon).  Both functions refuse k above a cap,
-default 512, overridable with the HEISWALK_TABLE_CAP environment variable.
+about 2 s on a 2-core Xeon).  Both functions refuse k above
+TABLE_K_CAP = 1024, inside the range k <= 1074 where the halvings are exact.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,45 +47,32 @@ __all__ = [
     "TableStatistics",
     "scan_statistics",
     "weight_statistics",
-    "table_cap",
+    "TABLE_K_CAP",
     "dyadic_uniformity",
     "DYADIC_K_CAP",
 ]
 
-DEFAULT_TABLE_CAP = 512
-_CAP_ENV = "HEISWALK_TABLE_CAP"
+TABLE_K_CAP = 1024
 # dyadic_uniformity's law has 2^floor(log2 k) float64 cells: below 2^21, at most 8 MiB
 DYADIC_K_CAP = 2**21
 _U = 2.0**-53
 
 
-def table_cap() -> int:
-    """Largest allowed k, from HEISWALK_TABLE_CAP or the built-in default."""
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return DEFAULT_TABLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"{_CAP_ENV} must be positive, got {cap}")
-    return cap
-
-
 def weight_statistics(k_values) -> dict[int, tuple[float, float]]:
     """(max_point_mass, weighted_match) at each requested k, from one recursion.
 
-    Every k must lie in 1..table_cap(); scan_statistics relies on this check.
+    Every k must lie in 1..TABLE_K_CAP; scan_statistics relies on this check.
     """
     wanted = {int(k) for k in k_values}
     if not wanted:
         return {}
     if min(wanted) < 1:
         raise ConfigError("k must be >= 1")
-    if (k_max := max(wanted)) > (cap := table_cap()):
-        raise CapExceededError(f"k={k_max} exceeds the table cap {cap}; raise {_CAP_ENV}")
-    return {k: (float(law.max()), float(law @ law)) for k, law in _weight_laws(k_max) if k in wanted}
+    if (k_max := max(wanted)) > TABLE_K_CAP:
+        raise CapExceededError(f"k={k_max} exceeds the table cap {TABLE_K_CAP}")
+    # np.sum's pairwise order is fixed; a BLAS dot product's depends on its thread count
+    return {k: (float(law.max()), float(np.sum(law * law)))
+            for k, law in _weight_laws(k_max) if k in wanted}
 
 
 def _weight_laws(k_max: int):

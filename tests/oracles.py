@@ -29,7 +29,14 @@ from itertools import product
 import numpy as np
 
 from heiswalk import paths
-from heiswalk.fourier import _TOL_ABS, _TOL_REL, _adaptive_simpson, _initial_edges, folding_distance
+from heiswalk.fourier import (
+    _TOL_ABS,
+    _TOL_REL,
+    _adaptive_simpson,
+    _initial_edges,
+    cos_product,
+    folding_distance,
+)
 from heiswalk.percolation import BoxGraph
 from heiswalk.reference import _srw_box
 from heiswalk.rng import stream
@@ -526,6 +533,22 @@ def cf_magnitude_integral(k):
         _TOL_REL,
     )
     return res.value / math.pi
+
+
+def cos_product_integral_whole(k):
+    """integral over [-pi, pi] of the cos product, as 4x one quadrature over [0, pi/2].
+
+    The reference for fourier.cos_product_integral, which integrates the
+    head [0, 1/k] and the tail [1/k, pi/2] apart; this is the single
+    quadrature it replaced, at a quarter of the absolute tolerance.
+    """
+    res = _adaptive_simpson(
+        lambda x: cos_product(k, x),
+        _initial_edges(k, 0.0, 0.5 * math.pi),
+        _TOL_ABS / 4.0,
+        _TOL_REL,
+    )
+    return 4.0 * res.value
 
 
 def tail_rate_floor(k):

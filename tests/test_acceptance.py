@@ -136,8 +136,8 @@ def test_criterion_07_fourier_chain(criterion_log):
     )
     scaled = [k**1.5 * fourier.cos_product_integral(k).value for k in (16, 64, 256, 1024)]
     ratio = max(scaled) / min(scaled)
-    gauss = fourier.verify_cos_gaussian_bound(0.5, grid_points=100_000)
-    drop = math.log(fourier.tail_integral_decay(64) / fourier.tail_integral_decay(32))
+    gauss = fourier.verify_cos_gaussian_bound(0.5)
+    drop = math.log(fourier.tail_integral_decay(64).value / fourier.tail_integral_decay(32).value)
     inv_err = max(
         float(np.max(np.abs(inversion_marginal(k) - dense_mass(build_table(k)).sum(axis=0))))
         for k in range(1, 65)

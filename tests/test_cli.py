@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -91,23 +92,18 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     for experiment in ("resistance-profile", "flow-energy"):
         assert run(experiment, "--radii", "0,4") == 2
         assert "--radii" in capsys.readouterr().err
-    # the tail [1/k, pi/2] is empty at k=1; refused before any quadrature
+    # the cos product needs k >= 1, so k=0 is refused before any quadrature
     with monkeypatch.context() as patch:
         patch.setattr(fourier, "_adaptive_simpson", None)
-        assert run("fourier", "--k-list", "64,1") == 2
+        assert run("fourier", "--k-list", "64,0") == 2
     assert "--k-list" in capsys.readouterr().err
     # the d=4 exponent fit takes log k, so k=0 is refused before the fit
     assert run("zd-collision", "--k-list", "0,1") == 2
     assert "--k-list" in capsys.readouterr().err
-    # a malformed table cap is a config error, not a traceback
-    for cap in ("banana", "0"):
-        monkeypatch.setenv("HEISWALK_TABLE_CAP", cap)
-        assert run("collision-exact", "--k-list", "4,8") == 2
-        assert "HEISWALK_TABLE_CAP" in capsys.readouterr().err
 
 
 def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
-    code = run("collision-exact", "--k-list", "4,600")
+    code = run("collision-exact", "--k-list", "4,1025")
     assert code == 3
     assert "cap" in capsys.readouterr().err
     assert run("fourier", "--k-list", "100000") == 3
@@ -128,6 +124,22 @@ def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
         horizon = reference.RENEWAL_HORIZON_CAP + 1
         assert run("zd-eit", "--horizon", str(horizon), "--samples", "1") == 3
     assert "exact renewal cap" in capsys.readouterr().err
+
+
+def test_fourier_integrates_each_region_once(workdir, monkeypatch):
+    # head and tail per listed k, plus the tail at 32 that fourier-tail-collapse needs
+    regions = []
+    simpson = fourier._adaptive_simpson
+
+    def counted(f, edges, *args):
+        regions.append((float(edges[0]), float(edges[-1])))
+        return simpson(f, edges, *args)
+
+    monkeypatch.setattr(fourier, "_adaptive_simpson", counted)
+    assert run("fourier", "--k-list", "16,64") == 0
+    half_pi = 0.5 * math.pi
+    assert sorted(regions) == sorted([(0.0, 1 / 16), (1 / 16, half_pi), (0.0, 1 / 64),
+                                      (1 / 64, half_pi), (1 / 32, half_pi)])
 
 
 def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):

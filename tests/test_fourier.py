@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     build_table,
     cf_magnitude_integral,
+    cos_product_integral_whole,
     dense_mass,
     exact_char_function,
     inversion_marginal,
@@ -39,11 +40,21 @@ def test_integral_decreases_with_k():
 
 
 def test_head_integral_values():
-    assert head_integral(1) == 1.0
+    # k=1 integrates the constant 1 over [0, 1] and [1, pi/2]
+    assert head_integral(1).value == 1.0
+    assert tail_integral_decay(1).value == math.pi / 2 - 1
     # k=2: integral of cos(x) over [0, 1/2]
-    assert head_integral(2) == pytest.approx(math.sin(0.5), abs=1e-9)
+    assert head_integral(2).value == pytest.approx(math.sin(0.5), abs=1e-9)
     # head alone is below the full integral
-    assert head_integral(16) < cos_product_integral(16).value
+    assert head_integral(16).value < cos_product_integral(16).value
+
+
+@pytest.mark.parametrize("k", [1, 2, 16, 64, 256])
+def test_whole_integral_is_four_times_head_plus_tail(k):
+    # against one quadrature over all of [0, pi/2]
+    got = cos_product_integral(k)
+    assert got.value == 4.0 * (got.head + got.tail)
+    assert got.value == pytest.approx(cos_product_integral_whole(k), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 64, 1024, 2048])
@@ -77,10 +88,10 @@ def test_gaussian_domination_threshold():
 
 
 def test_tail_decay_rate_positive():
-    integral, min_rate = tail_integral_decay(32), tail_rate_floor(32)
+    integral, min_rate = tail_integral_decay(32).value, tail_rate_floor(32)
     assert integral > 0 and min_rate > 0
     ln32 = math.log(integral)
-    ln64 = math.log(tail_integral_decay(64))
+    ln64 = math.log(tail_integral_decay(64).value)
     assert ln64 - ln32 < -1.0
 
 
@@ -127,9 +138,7 @@ def test_validation():
     with pytest.raises(ValueError):
         head_integral(0)
     with pytest.raises(ValueError):
-        tail_integral_decay(1)
-    with pytest.raises(ValueError):
-        verify_cos_gaussian_bound(0.5, grid_points=2)
+        tail_integral_decay(0)
     # checked before any quadrature work, so these return at once
     for fn in (cos_product_integral, head_integral, tail_integral_decay):
         with pytest.raises(CapExceededError):

@@ -1,7 +1,11 @@
 """Exact collision statistics against word enumeration, a full-row DP and integer counts."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +18,13 @@ from oracles import (
 )
 
 from heiswalk import tables
-from heiswalk.errors import CapExceededError, ConfigError
+from heiswalk.errors import CapExceededError
 from heiswalk.tables import (
+    TABLE_K_CAP,
     _row_square_sums,
     _weight_laws,
     dyadic_uniformity,
     scan_statistics,
-    table_cap,
     weight_statistics,
 )
 
@@ -151,21 +155,32 @@ def test_dyadic_uniformity_cases():
         assert uniform and support >= k / 2 - 1
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HEISWALK_TABLE_CAP", "8")
-    assert table_cap() == 8
-    scan_statistics([8])
+def test_table_k_cap(monkeypatch):
+    # refused before the recursion starts
+    monkeypatch.setattr(tables, "_weight_laws", None)
     for scan in (scan_statistics, weight_statistics):
         with pytest.raises(CapExceededError):
-            scan([2, 9])
-    monkeypatch.setenv("HEISWALK_TABLE_CAP", "banana")
-    with pytest.raises(ValueError):
-        table_cap()
-    with pytest.raises(ConfigError):
-        table_cap()
-    monkeypatch.setenv("HEISWALK_TABLE_CAP", "0")
-    with pytest.raises(ValueError):
-        table_cap()
+            scan([2, TABLE_K_CAP + 1])
+
+
+_WEIGHT_STATISTICS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from heiswalk.tables import weight_statistics
+print(repr(sorted(weight_statistics(range(2, 257)).items())))
+"""
+
+
+def test_weight_statistics_independent_of_blas_threads():
+    # a BLAS dot product sums in an order that depends on its thread count
+    src = str(Path(tables.__file__).parents[1])
+    outputs = {
+        subprocess.run([sys.executable, "-c", _WEIGHT_STATISTICS, src],
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, text=True, timeout=120, check=True).stdout
+        for threads in ("1", "2")
+    }
+    assert len(outputs) == 1
 
 
 def test_k_validation():
@@ -280,9 +295,8 @@ def test_row_square_sums_against_integer_counts_through_k56():
                 assert abs(Fraction(value) * 4**b - exact) <= Fraction(err) * 4**b, (k, s)
 
 
-def test_statistics_at_k1024_with_raised_cap(monkeypatch):
-    monkeypatch.setenv("HEISWALK_TABLE_CAP", "1024")
-    stats = scan_statistics([1024])[1024]
+def test_statistics_at_the_table_cap():
+    stats = scan_statistics([TABLE_K_CAP])[TABLE_K_CAP]
     values = [stats.collision, stats.count_match, stats.weighted_match,
               stats.max_point_mass, stats.conditional_match]
     assert all(math.isfinite(v) and v > 0 for v in values)
