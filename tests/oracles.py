@@ -17,13 +17,16 @@ GENERATORS) is the scalar reference for the packed-key ball search.  The
 conditional_match_at_count) read the full-row DP full_row_tables, which
 tables never builds; inversion_marginal and cf_magnitude_integral
 rederive the W-marginal and a bound on it from the exact characteristic
-function.
+function.  cos_product_by_cos takes one np.cos per factor where
+fourier.cos_product rotates exp(ijx), and zd_collision_by_comb takes one
+math.comb per term and runs every coordinate pass in full.
 build_custom_graph makes hand-built resistor networks, and
 flow_conservation checks that a path flow is a unit source-to-sink flow.
 """
 
 import functools
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -249,8 +252,26 @@ def srw_profile_full_box(t_max):
             nxt[yi, :-1, hi] += cur[yi, 1:, lo]
         nxt *= 0.25
         cur, nxt = nxt, cur
-        probs[2 * s] = np.vdot(cur, cur)
+        probs[2 * s] = np.einsum("ijk,ijk->", cur, cur)
     return probs, max(0.0, 1.0 - float(cur.sum()))
+
+
+def zd_collision_by_comb(d, k):
+    """reference.zd_collision_probability(d, k): d full coordinate passes,
+    each term's binomial from math.comb."""
+    f = [0] * (k + 1)
+    f[0] = 1
+    for _ in range(d):
+        g = [0] * (k + 1)
+        for t in range(k + 1):
+            acc = 0
+            for v in range(t + 1):
+                prev = f[t - v]
+                if prev:
+                    acc += prev * math.comb(k - (t - v), v) ** 2
+            g[t] = acc
+        f = g
+    return float(Fraction(f[k], d ** (2 * k)))
 
 
 def sample_word(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -549,6 +570,15 @@ def cos_product_integral_whole(k):
         _TOL_REL,
     )
     return 4.0 * res.value
+
+
+def cos_product_by_cos(k, x):
+    """prod_{j<k} |cos(jx)|, elementwise over x, one np.cos per factor."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    for j in range(1, k):
+        out *= np.abs(np.cos(j * x))
+    return out
 
 
 def tail_rate_floor(k):

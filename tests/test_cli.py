@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -57,6 +58,25 @@ def test_csv_byte_determinism(workdir):
     run("collision-exact", "--k-list", "8,16,32", "--out-path", "a.csv")
     run("collision-exact", "--k-list", "8,16,32", "--out-path", "b.csv")
     assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["srw-return", "--t-max", "64", "--n-max", "32"],
+    # radius 16 gives CG systems of more than 10,000 unknowns, long enough
+    # for OpenBLAS to split a dot product or norm between threads
+    ["resistance-profile", "--p", "0.95"],
+], ids=lambda argv: argv[0])
+def test_csv_independent_of_blas_threads(argv, tmp_path):
+    # a BLAS reduction sums in an order that depends on its thread count
+    src = str(Path(heiswalk.__file__).parents[1])
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "heiswalk.cli", *argv, "--out-path", f"{threads}.csv",
+             "--status-file", "status.json"],
+            cwd=tmp_path, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+            capture_output=True, timeout=120, check=True,
+        )
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 def test_json_summary_structure(workdir, capsys):

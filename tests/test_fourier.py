@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     build_table,
     cf_magnitude_integral,
+    cos_product_by_cos,
     cos_product_integral_whole,
     dense_mass,
     exact_char_function,
@@ -16,6 +17,7 @@ from oracles import (
 
 from heiswalk.errors import CapExceededError
 from heiswalk.fourier import (
+    _RESYNC,
     FOURIER_K_CAP,
     cos_product,
     cos_product_integral,
@@ -65,6 +67,32 @@ def test_cos_product_fold_identities(k):
     base = cos_product(k, x)
     for other in (x + math.pi, -x, math.pi - x):
         assert float(np.max(np.abs(cos_product(k, other) - base))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 32, 33, 1024, 2048])
+def test_cos_product_rotation_error_bound(k):
+    """cos_product against the np.cos product, within the bound of the
+    fourier docstring.
+
+    Factor j of the two differs by at most e_j = u (2j|x| + 4 + 4.25 m),
+    u = 2^-53 and m = (j - 1) mod _RESYNC the complex multiplies since the
+    last restart.  With a_j the np.cos factors, each factor of either
+    product is at most a_j + e_j, so telescoping one factor at a time gives
+    |prod - prod| <= sum_j e_j prod_{i != j} (a_i + e_i).  To first order
+    in u that is at most u (k - 1)(k|x| + 4.25 _RESYNC + 4), and much
+    smaller where the product is small; x = k^(-3/2), the width of the
+    peak, is where the multiply drift weighs most.
+    """
+    x = np.concatenate([np.random.default_rng(k).uniform(-math.pi, math.pi, 200),
+                        [0.0, 1.0 / k, 0.5 * math.pi, math.pi, k**-1.5]])
+    j = np.arange(1, k)[:, None]
+    err = 2.0**-53 * (2 * j * np.abs(x) + 4 + 4.25 * ((j - 1) % _RESYNC))
+    weight = np.abs(np.cos(j * x)) + err
+    ones = np.ones_like(x)[None]
+    before = np.cumprod(np.vstack([ones, weight]), axis=0)[:-1]  # prod over i < j
+    after = np.cumprod(np.vstack([ones, weight[::-1]]), axis=0)[:-1][::-1]  # i > j
+    bound = (err * before * after).sum(axis=0)
+    assert np.all(np.abs(cos_product(k, x) - cos_product_by_cos(k, x)) <= bound)
 
 
 def test_cos_product_even_and_bounded():

@@ -85,12 +85,46 @@ def test_resistance_validation():
         effective_resistance(m, source=9)
 
 
+class _CountedOperator:
+    """A matrix whose products with vectors are counted: one per CG step."""
+
+    def __init__(self, lap):
+        self.lap, self.steps = lap, 0
+
+    def diagonal(self):
+        return self.lap.diagonal()
+
+    def __matmul__(self, v):
+        self.steps += 1
+        return self.lap @ v
+
+
+def _residual_norm(lap, b, x):
+    """|b - Lx| rounded up by the rounding of its own evaluation.
+
+    Each entry sums at most m + 1 products, m the most nonzeros in a row
+    of L, so it is off by at most (m + 1) u (|b| + |L||x|), u = 2^-53.
+    """
+    m = int(np.diff(lap.indptr).max())
+    slack = (m + 1) * 2.0**-53 * np.linalg.norm(np.abs(b) + abs(lap) @ np.abs(x))
+    return float(np.linalg.norm(b - lap @ x)) + slack
+
+
 @pytest.mark.parametrize("family,p", [("heisenberg", 0.95), ("heisenberg", 1.0), ("z2", 1.0)])
 def test_cg_matches_scipy_step_for_step(family, p, monkeypatch):
-    # the Laplacians effective_resistance builds on a radius-8 box (radius 1 has no free
-    # vertex), each solved again by scipy's cg
+    """_solve_spd against scipy's cg on the Laplacians effective_resistance
+    builds on a radius-8 box (radius 1 has no free vertex).
+
+    The two run the same recurrence and differ only in the order of their
+    inner products, so they take the same number of steps, and the
+    solution's true residual stays below SOLVER_RTOL |b|.  Two vectors x,
+    y with residuals r_x = b - Lx and r_y = b - Ly of the same symmetric
+    positive definite L satisfy x - y = L^-1 (r_y - r_x), so
+    |x - y| <= (|r_x| + |r_y|) / lambda_min(L): that bounds the distance to
+    scipy's solution, with lambda_min from a shift-invert eigensolve.
+    """
     from scipy.sparse import diags
-    from scipy.sparse.linalg import cg
+    from scipy.sparse.linalg import cg, eigsh
 
     solve = percolation._solve_spd
     systems = []
@@ -106,9 +140,18 @@ def test_cg_matches_scipy_step_for_step(family, p, monkeypatch):
         effective_resistance(mask, None, r)
     assert len(systems) == 7
     for lap, b, n_vertices in systems:
-        want, info = cg(lap, b, rtol=percolation.SOLVER_RTOL, M=diags(1.0 / lap.diagonal()))
+        counted = _CountedOperator(lap)
+        got = solve(counted, b, n_vertices)
+        steps = []
+        want, info = cg(lap, b, rtol=percolation.SOLVER_RTOL, M=diags(1.0 / lap.diagonal()),
+                        callback=steps.append)
         assert info == 0
-        assert np.array_equal(solve(lap, b, n_vertices), want)
+        assert counted.steps == len(steps)
+        b_norm = float(np.linalg.norm(b))
+        assert np.linalg.norm(b - lap @ got) <= percolation.SOLVER_RTOL * b_norm
+        lam_min = eigsh(lap, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+        bound = (_residual_norm(lap, b, got) + _residual_norm(lap, b, want)) / lam_min
+        assert np.linalg.norm(got - want) <= bound
 
 
 def test_cg_zero_right_hand_side_returns_zeros():

@@ -14,6 +14,7 @@ from oracles import (
     srw_profile_full_box,
     survivors,
     word_eval,
+    zd_collision_by_comb,
 )
 
 from heiswalk.errors import CapExceededError
@@ -54,6 +55,12 @@ def test_zd_collision_brute_force_d4():
     assert zd_collision_probability(4, 0) == 1.0
     assert zd_collision_probability(4, 1) == 0.25
     assert zd_collision_probability(4, 2) == 28 / 256
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_zd_collision_matches_comb_loop(d):
+    for k in (0, 1, 16, 128):
+        assert zd_collision_probability(d, k) == zd_collision_by_comb(d, k)
 
 
 def test_zd_collision_monotone():
