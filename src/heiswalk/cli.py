@@ -2,7 +2,8 @@
 
 Each subcommand runs one experiment, writes its rows to a CSV or JSON
 file, prints a JSON summary to stdout, and records the pass/fail state
-of any claims it checked in a status file, replaced atomically.
+of any claims it checked in a status file, replaced atomically under a
+lock on a sidecar `.lock` file, so runs sharing it lose no claims.
 `heiswalk claims` prints the accumulated status table.  A corrupt status
 file is a configuration error on both paths and is never overwritten.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import fcntl
 import json
 import math
 import os
@@ -619,22 +621,25 @@ def _record_status(cfg: dict, fits, claims: dict) -> None:
     if not fits:
         return
     path = Path(cfg["status_file"])
-    status = _load_status(path, claims)
     when = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    for f in fits:
-        status[f.claim_id] = {
-            "pass": f.passed,
-            "value": _jsonable(f.slope),
-            "experiment": cfg["experiment"],
-            "when": when,
-        }
-    # write a sibling temp file, then rename it over: no reader sees half a file
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    # one run at a time reads, merges and replaces the file
+    with open(path.with_name(f"{path.name}.lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        status = _load_status(path, claims)
+        for f in fits:
+            status[f.claim_id] = {
+                "pass": f.passed,
+                "value": _jsonable(f.slope),
+                "experiment": cfg["experiment"],
+                "when": when,
+            }
+        # write a sibling temp file, then rename it over: no reader sees half a file
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _print_claims_table(status_file: str) -> None:
@@ -660,13 +665,16 @@ def _print_claims_table(status_file: str) -> None:
 # ---------------------------------------------------------------- driver
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(chosen: str | None) -> argparse.ArgumentParser:
+    """The parser of experiment `chosen` alone, or of every subcommand when it is None."""
     parser = argparse.ArgumentParser(
         prog="heiswalk",
         description="Experiments on oriented walks over the discrete Heisenberg group.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, options in _EXPERIMENT_OPTIONS.items():
+        if chosen not in (None, name):
+            continue
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         for opt, (_spec, default, help_text) in {**_GLOBAL_OPTIONS, **options}.items():
             sp.add_argument(
@@ -674,13 +682,17 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f"{help_text} (default {default})",
             )
         sp.add_argument("--config", default=None, help="key=value config file; flags win")
-    sp = sub.add_parser("claims", help="print claim status table")
-    sp.add_argument("--status-file", dest="status_file", default=STATUS_FILE)
+    if chosen is None:
+        sp = sub.add_parser("claims", help="print claim status table")
+        sp.add_argument("--status-file", dest="status_file", default=STATUS_FILE)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # claims, --help or a typo get the full parser, which lists every subcommand
+    chosen = argv[0] if argv and argv[0] in _EXPERIMENT_OPTIONS else None
+    args = _build_parser(chosen).parse_args(argv)
     try:
         if args.experiment == "claims":
             _print_claims_table(args.status_file)

@@ -17,20 +17,21 @@ which fits one word up to HEISENBERG_HORIZON_CAP = 2^21 steps
 digit (lattice_pair_keys).  Each step's letter pair is drawn once, as the
 index a*d + b (draw_pairs): 4 pairs per byte of raw 64-bit words on G_H,
 2 on Z^4, 1 at d = 16, one bounded integer per pair for any other d.  A
-chunk draws from stream(seed, chunk index) and advances in blocks of 256
-steps, drawing whole blocks so that all horizons share one sample-path
-prefix; in each block it takes running sums of the step keys on top of
-the carried keys and reads meetings off `key == 0` and equal letters off
-`step == 0`.  A chunk does at most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3
-beyond); map_chunks merges chunks in order, so no result depends on the
-thread count.  The tails count shared directed edges of path pairs
-(coinciding positions at t and equal letters at t), vertex coincidences,
-and fresh re-meets after separation.
+chunk of PAIR_CHUNK = 1024 pairs draws from stream(seed, chunk index) and
+advances in whole drawn blocks of 256 steps, so all horizons share one
+sample-path prefix; it reads meetings off running key sums `== 0`, equal
+letters off pair indices that are multiples of d + 1.  A chunk does at
+most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds the
+chunk results in chunk order as they finish, in O(threads * horizon)
+memory, so no result depends on the thread count.  The tails count shared
+directed edges of path pairs (coinciding positions at t and equal letters
+at t), vertex coincidences, and fresh re-meets after separation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ __all__ = [
     "continuation_ratios",
     "DEFAULT_MIN_FIT_COUNT",
     "HEISENBERG_HORIZON_CAP",
-    "PAIR_CHUNK_CELLS_CAP",
+    "PAIR_CHUNK", "PAIR_CHUNK_CELLS_CAP",
     # the difference-walk engine, shared with reference
     "map_chunks", "lattice_pair_keys", "draw_pairs", "walk_blocks", "pair_chunk", "pair_tail",
 ]
@@ -105,19 +106,38 @@ def _fit_tail(counts: dict[int, int], min_count: int):
 # ---------------------------------------------------------------- engine
 
 HEISENBERG_HORIZON_CAP = 2**21  # largest h with h + (2h+1) h(h-1)/2 < 2^63
-# pair-steps in one chunk of pair_tail: this bounds a chunk's work; its memory
-# is one block of _BLOCK steps per pair (an int64 key and a few flags each)
+PAIR_CHUNK = 1024  # walk pairs in every Monte Carlo chunk but the last
+# pair-steps in one chunk: this bounds a chunk's work; its memory is one
+# block of _BLOCK steps per pair (an int64 key and a few flags each)
 PAIR_CHUNK_CELLS_CAP = 2**24
 _BLOCK = 256  # steps that every chunk draws and advances at once
 
 
-def map_chunks(fn, total: int, chunk: int, threads: int) -> list:
-    """[fn(size, index) for each fixed-size chunk of `total`], in chunk order."""
-    sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, sizes, range(len(sizes))))
-    return [fn(size, index) for index, size in enumerate(sizes)]
+def map_chunks(fn, samples: int, horizon: int, threads: int):
+    """Sum of fn(size, index) over the PAIR_CHUNK-pair chunks of `samples` pairs.
+
+    Results are added in chunk order as they finish, with at most 2 * threads
+    pending.  A chunk of more than PAIR_CHUNK_CELLS_CAP pair-steps over
+    `horizon` steps raises CapExceededError before any chunk runs.
+    """
+    if horizon < 1 or samples < 1:
+        raise ValueError("horizon and samples must be positive")
+    cells = min(PAIR_CHUNK, samples) * horizon
+    if cells > PAIR_CHUNK_CELLS_CAP:
+        raise CapExceededError(f"a chunk of {min(PAIR_CHUNK, samples)} pairs x {horizon} steps "
+                               f"is {cells} cells, above the cap {PAIR_CHUNK_CELLS_CAP}")
+    sizes = [min(PAIR_CHUNK, samples - start) for start in range(0, samples, PAIR_CHUNK)]
+    if threads == 1:
+        return sum(map(fn, sizes, range(len(sizes))))
+    total, pending = 0, deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for index, size in enumerate(sizes):
+            pending.append(pool.submit(fn, size, index))
+            if len(pending) == 2 * threads:
+                total += pending.popleft().result()
+        for future in pending:
+            total += future.result()
+    return total
 
 
 def lattice_pair_keys(d: int, horizon: int) -> np.ndarray:
@@ -158,21 +178,19 @@ def draw_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 
 
 def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
-                heisenberg: bool = False, live: np.ndarray | None = None,
-                same_flags: bool = True):
-    """Yield (t0, met, same) for each _BLOCK-step block of n difference walks.
+                heisenberg: bool = False, live: np.ndarray | None = None):
+    """Yield (t0, met, pairs) for each _BLOCK-step block of n difference walks.
 
     The letter pairs come from draw_pairs on stream(seed, index), a whole
     block at a time, so runs at different horizons share a sample-path
     prefix.  A step adds lattice_pair_keys(d, horizon)[w, pair] to key word
     w; on G_H (d = 2) step j is weighted by 1 + (2h+1) j.  met[:, i] says
-    the walks are together after step t0 + i, same[:, i] that step t0 + i
-    had equal letters (its key is 0); same is None when same_flags is off.
-    Keys carry exactly across blocks; the arrays are reused, so read them
-    before the next block.
+    the walks are together after step t0 + i, and pairs[:, i] is the letter
+    pair a*d + b of step t0 + i.  Keys carry exactly across blocks; the
+    arrays are reused, so read them before the next block.
 
     live, a boolean mask over the n walks that the caller may clear between
-    blocks, limits each block to the walks still live: met and same then
+    blocks, limits each block to the walks still live: met and pairs then
     hold their rows in walk order, and the loop ends once none is left.
     Every block still draws all n rows, so the streams do not depend on it.
     """
@@ -183,7 +201,7 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     keys = lattice_pair_keys(d, horizon)
     carry = np.zeros((len(keys), n), dtype=np.int64)
     steps = np.empty((n, _BLOCK), dtype=np.int64)
-    met, same = np.empty((2, n, _BLOCK), dtype=bool)
+    met = np.empty((n, _BLOCK), dtype=bool)
     rows, picked = slice(None), None
     for t0 in range(0, horizon, _BLOCK):
         block = min(_BLOCK, horizon - t0)
@@ -197,66 +215,51 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
         pairs = pairs[:, :block]
         walks = len(pairs)
         key, m = steps[:walks, :block], met[:walks, :block]
-        s = same[:walks, :block] if same_flags else None
         for w, table in enumerate(keys):
             np.take(table, pairs, out=key, mode="clip")
             if heisenberg:
                 key *= 1 + (2 * horizon + 1) * np.arange(t0, t0 + block, dtype=np.int64)
-            if same_flags:
-                _flag_zero(key, s, w)
             key[:, 0] += carry[w, rows]
             np.cumsum(key, axis=1, out=key)
             carry[w, rows] = key[:, -1]
-            _flag_zero(key, m, w)
-        yield t0, m, s
-
-
-def _flag_zero(key: np.ndarray, flags: np.ndarray, word: int) -> None:
-    """flags = key == 0 on the first key word, flags &= key == 0 on the others."""
-    if word == 0:
-        np.equal(key, 0, out=flags)
-    else:
-        flags &= key == 0
+            if w == 0:
+                np.equal(key, 0, out=m)
+            else:
+                m &= key == 0
+        yield t0, m, pairs
 
 
 def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,
-               heisenberg: bool = False) -> list[np.ndarray]:
-    """Shared-edge, vertex and re-meet histograms of n walk pairs (walk_blocks).
+               heisenberg: bool = False) -> np.ndarray:
+    """Shared-edge, vertex and re-meet histograms (3, horizon + 1) of n walk pairs.
 
     A pair shares the edge of step t when it is together at time t and the
-    letters agree; it re-meets at t when together at t but not at t - 1.
-    Only pairs that are together somewhere in a block are looked at there.
+    letters agree (walk_blocks' pair a*d + b is a multiple of d + 1); it
+    re-meets at t when together at t but not at t - 1.  Only pairs that are
+    together somewhere in a block are looked at there.
     """
     shared, vertices, remeets = counts = np.zeros((3, n), dtype=np.int64)
     before = np.ones(n, dtype=bool)  # every pair starts together
-    for _t0, met, same in walk_blocks(d, horizon, n, seed, index, heisenberg=heisenberg):
-        shared += before & same[:, 0]
+    for _t0, met, pairs in walk_blocks(d, horizon, n, seed, index, heisenberg=heisenberg):
+        shared += before & (pairs[:, 0] % (d + 1) == 0)
         rows = np.flatnonzero(met.any(axis=1))
-        m, s = met[rows], same[rows]
-        shared[rows] += np.count_nonzero(m[:, :-1] & s[:, 1:], axis=1)
+        m, same = met[rows], pairs[rows] % (d + 1) == 0
+        shared[rows] += np.count_nonzero(m[:, :-1] & same[:, 1:], axis=1)
         vertices[rows] += np.count_nonzero(m, axis=1)
         remeets[rows] += np.count_nonzero(m[:, 1:] > m[:, :-1], axis=1) + (m[:, 0] > before[rows])
         before = met[:, -1].copy()
-    return [np.bincount(c, minlength=horizon + 1) for c in counts]
+    return np.stack([np.bincount(c, minlength=horizon + 1) for c in counts])
 
 
 def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: int,
-              chunk: int, decay_exponent: float) -> TailEstimate:
+              decay_exponent: float) -> TailEstimate:
     """TailEstimate from the pair_chunk histograms of chunk_fn(size, index).
 
     decay_exponent beta is the per-step meeting decay behind the horizon
     censoring bound sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1),
-    vacuous (inf) for beta <= 1.  A chunk of more than PAIR_CHUNK_CELLS_CAP
-    pair-steps raises CapExceededError before anything is drawn.
+    vacuous (inf) for beta <= 1.  The chunks are capped as in map_chunks.
     """
-    if horizon < 1 or samples < 1:
-        raise ValueError("horizon and samples must be positive")
-    cells = min(chunk, samples) * horizon
-    if cells > PAIR_CHUNK_CELLS_CAP:
-        raise CapExceededError(f"a chunk of {min(chunk, samples)} pairs x {horizon} steps is "
-                               f"{cells} cells, above the cap {PAIR_CHUNK_CELLS_CAP}")
-    parts = map_chunks(chunk_fn, samples, chunk, threads)
-    shared, vertices, remeets = (np.sum(hists, axis=0) for hists in zip(*parts))
+    shared, vertices, remeets = map_chunks(chunk_fn, samples, horizon, threads)
     counts = _survivor_counts(shared)
     theta, theta_se, r2, fit_range = _fit_tail(counts, min_count)
     beta = float(decay_exponent)
@@ -279,28 +282,19 @@ def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
     return pair_chunk(2, horizon, n_pairs, seed, index, heisenberg=True)
 
 
-def tail_estimate(
-    horizon: int,
-    samples: int,
-    seed: int,
-    *,
-    min_count: int = DEFAULT_MIN_FIT_COUNT,
-    decay_exponent: float = 2.0,
-    threads: int = 1,
-    chunk: int = 1024,
-) -> TailEstimate:
+def tail_estimate(horizon: int, samples: int, seed: int, *,
+                  min_count: int = DEFAULT_MIN_FIT_COUNT, threads: int = 1) -> TailEstimate:
     """Monte Carlo intersection tails for uniform path pairs on G_H.
 
     Pairs are drawn in fixed chunks with one counter-based stream per
     chunk, so the result depends only on (horizon, samples, seed) and
-    never on the thread count.  decay_exponent is the per-step collision
-    decay rate used for the horizon-censoring bound (see pair_tail).
-    Horizons above HEISENBERG_HORIZON_CAP raise CapExceededError.
+    never on the thread count.  The horizon-censoring bound (see pair_tail)
+    takes the t^-2 decay of G_H meeting probabilities.  Horizons above
+    HEISENBERG_HORIZON_CAP raise CapExceededError.
     """
     return pair_tail(
         lambda size, index: _pair_statistics_chunk(horizon, size, seed, index),
-        horizon, samples, min_count=min_count, threads=threads, chunk=chunk,
-        decay_exponent=decay_exponent,
+        horizon, samples, min_count=min_count, threads=threads, decay_exponent=2.0,
     )
 
 

@@ -47,8 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .paths import DEFAULT_MIN_FIT_COUNT, TailEstimate, map_chunks, pair_chunk, pair_tail
-from .paths import walk_blocks
+from .paths import (DEFAULT_MIN_FIT_COUNT, PAIR_CHUNK, PAIR_CHUNK_CELLS_CAP, TailEstimate,
+                    map_chunks, pair_chunk, pair_tail, walk_blocks)
 from .rng import stream
 
 __all__ = [
@@ -72,8 +72,8 @@ __all__ = [
 ]
 
 ZD_COLLISION_K_CAP = 2048
-# steps; the largest horizon a 1024-pair chunk reaches under PAIR_CHUNK_CELLS_CAP
-RENEWAL_HORIZON_CAP = 2**14
+# steps (2^14); the largest horizon a full chunk reaches under the cells cap
+RENEWAL_HORIZON_CAP = PAIR_CHUNK_CELLS_CAP // PAIR_CHUNK
 ZD_MAX_D = 256  # Monte Carlo letter pairs a*d + b are drawn as uint16
 SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
 INTERSECTION_TIME_CAP = 2**15  # walk steps; positions pack exactly into int64 keys
@@ -232,7 +232,7 @@ def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndar
     live = np.ones(n, dtype=bool)
     has_left = np.zeros(n, dtype=bool)
     return_time = np.zeros(n, dtype=np.int64)
-    for t0, home, _ in walk_blocks(d, horizon, n, seed, index, live=live, same_flags=False):
+    for t0, home, _ in walk_blocks(d, horizon, n, seed, index, live=live):
         rows = np.flatnonzero(live)
         # only walks at the origin somewhere in the block can return in it
         at = np.flatnonzero(home.any(axis=1))
@@ -246,15 +246,8 @@ def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndar
     return return_time
 
 
-def theta_d_estimate(
-    d: int,
-    horizon: int,
-    samples: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    chunk: int = 1024,
-) -> tuple[float, float]:
+def theta_d_estimate(d: int, horizon: int, samples: int, seed: int, *,
+                     threads: int = 1) -> tuple[float, float]:
     """Monte Carlo embedded return probability of the difference walk.
 
     Simulates the difference of two oriented walks for `horizon` steps
@@ -263,21 +256,21 @@ def theta_d_estimate(
     extrapolated from the frequency of returns in (horizon/2, horizon]
     under the t^(-(d-1)/2) first-return tail, vacuous (inf) for d <= 3
     where the difference walk is recurrent.  theta_d_exact gives the value
-    this estimates.
+    this estimates.  Each chunk folds to its (returned, late) counts; the
+    chunks are capped as in paths.map_chunks.
     """
     if not 2 <= d <= ZD_MAX_D:
         raise ConfigError(f"d must be in 2..{ZD_MAX_D} for a nondegenerate difference walk")
-    if horizon < 1 or samples < 1:
-        raise ValueError("horizon and samples must be positive")
-    parts = map_chunks(lambda size, idx: _theta_chunk(d, horizon, size, seed, idx),
-                       samples, chunk, threads)
-    times = np.concatenate(parts)
-    returned = int(np.count_nonzero(times))
+
+    def counts(size: int, index: int) -> np.ndarray:
+        times = _theta_chunk(d, horizon, size, seed, index)
+        return np.array([np.count_nonzero(times), np.count_nonzero(times > horizon // 2)])
+
+    returned, late = map_chunks(counts, samples, horizon, threads).tolist()
     theta_hat = returned / samples
     beta = (d - 1) / 2.0
     if beta <= 1.0:
         return theta_hat, float("inf")
-    late = int(np.count_nonzero(times > horizon // 2))
     censoring = (late / samples) / (2.0 ** (beta - 1.0) - 1.0)
     return theta_hat, censoring
 
@@ -287,16 +280,8 @@ def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):
     return pair_chunk(d, horizon, n, seed, index)
 
 
-def zd_eit_tail(
-    d: int,
-    horizon: int,
-    samples: int,
-    seed: int,
-    *,
-    min_count: int = DEFAULT_MIN_FIT_COUNT,
-    threads: int = 1,
-    chunk: int = 1024,
-) -> TailEstimate:
+def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *,
+                min_count: int = DEFAULT_MIN_FIT_COUNT, threads: int = 1) -> TailEstimate:
     """Shared-edge intersection tail for oriented walk pairs on Z^d.
 
     Same statistic and fitting as the Heisenberg tail_estimate; the
@@ -309,8 +294,7 @@ def zd_eit_tail(
         raise ConfigError(f"d must be in 2..{ZD_MAX_D}")
     return pair_tail(
         lambda size, idx: _zd_pair_chunk(d, horizon, size, seed, idx),
-        horizon, samples, min_count=min_count, threads=threads, chunk=chunk,
-        decay_exponent=(d - 1) / 2.0,
+        horizon, samples, min_count=min_count, threads=threads, decay_exponent=(d - 1) / 2.0,
     )
 
 

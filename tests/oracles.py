@@ -346,12 +346,12 @@ def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4
 
     def hits(size: int, index: int) -> int:
         together = np.ones(size, dtype=bool)
-        for _t0, met, _same in paths.walk_blocks(2, k, size, seed, index, heisenberg=True,
-                                                 same_flags=False):
+        for _t0, met, _pairs in paths.walk_blocks(2, k, size, seed, index, heisenberg=True):
             together = met[:, -1]
         return int(np.count_nonzero(together))
 
-    return sum(paths.map_chunks(hits, samples, chunk, 1)) / samples
+    starts = range(0, samples, chunk)
+    return sum(hits(min(chunk, samples - lo), i) for i, lo in enumerate(starts)) / samples
 
 
 def chunk_letters(d, horizon, n, seed, index=0):

@@ -1,10 +1,12 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -144,6 +146,12 @@ def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
         horizon = reference.RENEWAL_HORIZON_CAP + 1
         assert run("zd-eit", "--horizon", str(horizon), "--samples", "1") == 3
     assert "exact renewal cap" in capsys.readouterr().err
+    # theta-d takes the pair tails' cells cap: 1024 walks x 10^8 steps is
+    # 10^11 walk-steps in one chunk, refused before any letter pair is drawn
+    with monkeypatch.context() as patch:
+        patch.setattr(paths, "draw_pairs", None)
+        assert run("theta-d", "--horizon", str(10**8)) == 3
+    assert "cells, above the cap" in capsys.readouterr().err
 
 
 def test_fourier_integrates_each_region_once(workdir, monkeypatch):
@@ -270,13 +278,47 @@ def test_status_recorded_and_reported(workdir, capsys):
     status = json.loads(Path(STATUS_FILE).read_text())
     assert status["dyadic-uniformity"]["pass"] is True
     assert status["dyadic-uniformity"]["experiment"] == "dyadic"
-    # the file is replaced through a sibling temp file, which must not linger
-    assert sorted(p.name for p in workdir.iterdir()) == ["dyadic.csv", STATUS_FILE]
+    # the file is replaced through a sibling temp file, which must not linger;
+    # the sidecar lock file stays
+    assert sorted(p.name for p in workdir.iterdir()) == ["dyadic.csv", STATUS_FILE,
+                                                         f"{STATUS_FILE}.lock"]
     capsys.readouterr()
     assert run("claims") == 0
     table = capsys.readouterr().out
     line = next(l for l in table.splitlines() if l.startswith("dyadic-uniformity"))
     assert line.rstrip().endswith("pass")
+
+
+def test_concurrent_status_updates_keep_every_claim(workdir, monkeypatch):
+    # run A pauses between reading the status file and replacing it, and run
+    # B starts inside that pause; without the lock B's claim is lost when A
+    # writes back what it read
+    claims = load_claims()
+    load = cli._load_status
+    a_has_read = threading.Event()
+
+    def slow_load(path, claims):
+        status = load(path, claims)
+        if threading.current_thread().name == "A":
+            a_has_read.set()
+            time.sleep(0.5)
+        return status
+
+    monkeypatch.setattr(cli, "_load_status", slow_load)
+
+    def record(experiment, cid):
+        cfg = {"status_file": STATUS_FILE, "experiment": experiment}
+        cli._record_status(cfg, [cli._property_report(claims, cid, True)], claims)
+
+    a = threading.Thread(target=record, args=("dyadic", "dyadic-uniformity"), name="A")
+    b = threading.Thread(target=record, args=("bound-scan", "point-mass-bound"), name="B")
+    a.start()
+    assert a_has_read.wait(10)
+    b.start()
+    a.join()
+    b.join()
+    status = json.loads(Path(STATUS_FILE).read_text())
+    assert sorted(status) == ["dyadic-uniformity", "point-mass-bound"]
 
 
 def test_config_file_with_flag_override(workdir):
@@ -298,6 +340,30 @@ def test_unknown_experiment_rejected(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in [*cli._EXPERIMENT_OPTIONS, "claims"]:
+        assert f"    {name} " in out
+
+
+def test_one_experiment_builds_only_its_options(workdir, capsys, monkeypatch):
+    # the options of the other 14 experiments and of claims are not built
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *names, **kwargs):
+        added.extend(n for n in names if n not in ("-h", "--help"))
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert run("dyadic", "--k-list", "8,16") == 0
+    options = [*cli._GLOBAL_OPTIONS, *cli._EXPERIMENT_OPTIONS["dyadic"], "config"]
+    assert sorted(added) == sorted(f"--{o.replace('_', '-')}" for o in options)
 
 
 def test_claims_rejects_corrupt_status(workdir, capsys):

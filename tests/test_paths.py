@@ -1,6 +1,7 @@
 """Oriented path pairs: coincidence reduction and Monte Carlo tails."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,21 @@ def test_tail_estimate_deterministic_and_thread_invariant():
     assert c.counts != a.counts
 
 
+def test_merged_histograms_take_bounded_memory():
+    # chunk results are summed as they finish, so 200 chunks of h = 2048
+    # hold no more memory at the peak than 25 (each chunk's three int64
+    # histograms are 48 KiB; keeping all 200 would add about 8 MiB)
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            tail_estimate(2048, 1024 * chunks, 7, threads=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) - peak(25) < 2 * 2**20
+
+
 def _brute_gh_counts(u, v):
     """(shared edges, vertex meetings, re-meets) of one G_H pair, one time at a time."""
     together = [coincides(u, v, t) for t in range(len(u) + 1)]
@@ -184,7 +200,7 @@ def _brute_gh_counts(u, v):
 
 
 def _assert_tail_matches_brute_force(horizon, n, seed):
-    est = tail_estimate(horizon, n, seed=seed, chunk=1024)
+    est = tail_estimate(horizon, n, seed=seed)
     u, v = chunk_letters(2, horizon, n, seed)
     shared, vertex, remeets = zip(*(_brute_gh_counts(u[i], v[i]) for i in range(n)))
     assert est.counts == survivors(shared)

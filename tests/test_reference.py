@@ -379,7 +379,7 @@ def test_zd_eit_validation():
 def test_zd_pair_counts_match_per_pair_loop(d, horizon, words):
     assert lattice_pair_keys(d, horizon).shape[0] == words
     n = 48
-    est = zd_eit_tail(d, horizon, n, seed=31, chunk=1024)
+    est = zd_eit_tail(d, horizon, n, seed=31)
     u, v = chunk_letters(d, horizon, n, seed=31)
     shared, vertices, remeets = zip(*(pair_counts(u[i], v[i]) for i in range(n)))
     assert est.counts == survivors(shared)
