@@ -478,6 +478,12 @@ def _check_radii(radii):
         raise ConfigError(f"--radii must be >= 1, got {radii[0]}")
 
 
+def _require_radii(radii, count: int, what: str):
+    if len(radii) < count:
+        raise ConfigError(f"--radii needs at least {count} values to judge {what}, "
+                          f"got {len(radii)}")
+
+
 def _run_resistance_profile(cfg, claims):
     radii, seeds = cfg["radii"], cfg["seeds"]
     _check_radii(radii)
@@ -497,12 +503,14 @@ def _run_resistance_profile(cfg, claims):
     rows += [("mean", r, res, cs) for r, res, cs in prof.entries]
     fits = []
     if cfg["family"] == "z2":
+        _require_radii(radii, 2, "a slope")
         fit = _fit_line(np.log(radii), prof.resistances())
         fits.append(_report(claims, "z2-recurrence-slope", fit.slope, radii, fit.r_squared,
                             fit.intercept))
     else:
+        _require_radii(radii, 3, "shrinking increments")
         inc = prof.increments()
-        holds = len(inc) >= 2 and all(a > b for a, b in zip(inc, inc[1:]))
+        holds = all(a > b for a, b in zip(inc, inc[1:]))
         fits.append(_property_report(claims, "gh-transience-increments", holds, radii))
     return ["seed", "radius", "resistance", "oriented_cluster_size"], rows, fits, {}
 
@@ -529,8 +537,9 @@ def _run_flow_energy(cfg, claims):
         reff = percolation.effective_resistance(mask, None, radius)
         thomson_ok &= assignment is not None and assignment.energy() >= reff - 1e-9
         rows.append((1.0, radius, "thomson", assignment.energy(), assignment.surviving, reff))
+    _require_radii(radii, 3, "a tapering energy")
     inc = [b - a for a, b in zip(means, means[1:])]
-    taper = len(inc) >= 2 and all(a > b for a, b in zip(inc, inc[1:]))
+    taper = all(a > b for a, b in zip(inc, inc[1:]))
     fits = [
         _property_report(claims, "flow-energy-taper", taper, radii),
         _property_report(claims, "thomson-bound", thomson_ok, radii),

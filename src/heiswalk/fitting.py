@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["LineFit", "fit_loglog", "fit_exponential", "FitReport"]
 
 
@@ -27,14 +29,14 @@ def _fit_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
-        raise ValueError("need at least two points to fit a line")
+        raise ConfigError("need at least two points to fit a line")
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
     sw = w.sum()
     xbar = (w * x).sum() / sw
     ybar = (w * y).sum() / sw
     sxx = (w * (x - xbar) ** 2).sum()
     if sxx == 0.0:
-        raise ValueError("degenerate fit: all x identical")
+        raise ConfigError("degenerate fit: all x identical")
     slope = (w * (x - xbar) * (y - ybar)).sum() / sxx
     intercept = ybar - slope * xbar
     resid = y - (intercept + slope * x)
@@ -51,7 +53,7 @@ def fit_loglog(x, y) -> LineFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log fit needs positive data")
+        raise ConfigError("log-log fit needs positive data")
     return _fit_line(np.log(x), np.log(y))
 
 
@@ -59,7 +61,7 @@ def fit_exponential(n, counts, weights=None) -> LineFit:
     """Fit log counts = slope * n + intercept; exp(slope) is the geometric ratio."""
     counts = np.asarray(counts, dtype=float)
     if np.any(counts <= 0):
-        raise ValueError("exponential fit needs positive counts")
+        raise ConfigError("exponential fit needs positive counts")
     return _fit_line(np.asarray(n, dtype=float), np.log(counts), weights)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, QuadratureError
+from .errors import CapExceededError, ConfigError, QuadratureError
 
 __all__ = [
     "QuadratureResult",
@@ -114,7 +114,7 @@ def _adaptive_simpson(f, edges: np.ndarray, tol_abs: float, tol_rel: float,
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     if np.any(b <= a):
-        raise ValueError("panel edges must be strictly increasing")
+        raise ConfigError("panel edges must be strictly increasing")
     total_width = float(b[-1] - a[0])
 
     def panel_rule(lo: np.ndarray, hi: np.ndarray):
@@ -184,7 +184,7 @@ def _initial_edges(k: int, lo: float, hi: float) -> np.ndarray:
 def _integrate(k: int, region: str) -> QuadratureResult:
     """integral of the cos product over the "head" [0, 1/k] or the "tail" [1/k, pi/2]."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     if k > FOURIER_K_CAP:
         raise CapExceededError(f"k={k} exceeds cap {FOURIER_K_CAP}")
     lo, hi = (0.0, 1.0 / k) if region == "head" else (1.0 / k, 0.5 * math.pi)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ConfigError
 
 __all__ = ["ball_levels", "ball_with_distances", "ball_sizes", "DEFAULT_BALL_CAP"]
 
@@ -38,7 +38,7 @@ def ball_levels(radius: int, cap: int = DEFAULT_BALL_CAP) -> list[np.ndarray]:
     memory: the ball grows like the fourth power of the radius.
     """
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise ConfigError("radius must be nonnegative")
     if radius > cap:
         raise CapExceededError(f"ball radius {radius} exceeds cap {cap}")
     # |n|, |m| <= r and |k| <= r^2 inside the ball: mixed-radix digits

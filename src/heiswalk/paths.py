@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ConfigError
 from .fitting import LineFit, fit_exponential
 from .rng import stream
 
@@ -121,7 +121,7 @@ def map_chunks(fn, samples: int, horizon: int, threads: int):
     `horizon` steps raises CapExceededError before any chunk runs.
     """
     if horizon < 1 or samples < 1:
-        raise ValueError("horizon and samples must be positive")
+        raise ConfigError("horizon and samples must be positive")
     cells = min(PAIR_CHUNK, samples) * horizon
     if cells > PAIR_CHUNK_CELLS_CAP:
         raise CapExceededError(f"a chunk of {min(PAIR_CHUNK, samples)} pairs x {horizon} steps "

@@ -13,12 +13,12 @@ sphere of a chosen radius with diagonally preconditioned conjugate
 gradients.  Disconnection is reported as infinite resistance, solver
 non-convergence as SolverConvergenceError.
 
-Only the Laplacian needs scipy: effective_resistance imports scipy.sparse
-on its first call, for the CSR matrix and its product.  The conjugate
-gradient loop is this module's own (_solve_spd), a Jacobi-preconditioned
-loop with the recurrence of scipy.sparse.linalg.cg, and the cluster
-searches are numpy frontier sweeps, so scipy.sparse.linalg and
-scipy.sparse.csgraph (which loads it) are never imported.
+Everything here is numpy.  The Laplacian is a _Laplacian: the degree
+vector beside a padded table of each free vertex's free neighbours, whose
+product is one gather per table row.  The conjugate gradient loop is this
+module's own (_solve_spd), a Jacobi-preconditioned loop with the
+recurrence of scipy.sparse.linalg.cg, and the cluster searches are
+frontier sweeps.
 
 Transience of a ball sequence cannot be decided by any finite solve;
 resistance_profile reports the honest finite surrogate (resistance to
@@ -252,8 +252,6 @@ def effective_resistance(mask: SubgraphMask, source: int | None = None,
     current leaving the source.  Infinite when no open path reaches the
     sphere; SolverConvergenceError if CG stalls within its iteration cap.
     """
-    import scipy.sparse
-
     graph = mask.graph
     r = graph.radius if sink_radius is None else sink_radius
     if not 1 <= r <= graph.radius:
@@ -277,32 +275,17 @@ def effective_resistance(mask: SubgraphMask, source: int | None = None,
     role[shell] = 2
     free = comp & (role == 0) & (graph.dist <= r)
     col = np.cumsum(free) - 1  # free-vertex numbering
-
-    inner = free[t] & free[h]
     n_free = int(free.sum())
-    b = np.zeros(n_free)
+    # each edge once from either end; integer counts are exact in any order
+    ends, others = np.concatenate([t, h]), np.concatenate([h, t])
+    at_free = free[ends]
+    deg = np.bincount(col[ends[at_free]], minlength=n_free).astype(float)
     # edges touching the source push unit potential into the system
-    for a_end, b_end in ((t, h), (h, t)):
-        sel = (role[a_end] == 1) & free[b_end]
-        np.add.at(b, col[b_end[sel]], 1.0)
-    if n_free:
-        ti, hi = col[t[inner]], col[h[inner]]
-        deg = np.zeros(n_free)
-        np.add.at(deg, col[t[free[t]]], 1.0)
-        np.add.at(deg, col[h[free[h]]], 1.0)
-        lap = scipy.sparse.coo_matrix(
-            (
-                np.concatenate([deg, -np.ones(len(ti)), -np.ones(len(ti))]),
-                (
-                    np.concatenate([np.arange(n_free), ti, hi]),
-                    np.concatenate([np.arange(n_free), hi, ti]),
-                ),
-            ),
-            shape=(n_free, n_free),
-        ).tocsr()
-        phi = _solve_spd(lap, b, graph.n_vertices)
-    else:
-        phi = np.zeros(0)
+    into = at_free & (role[others] == 1)
+    b = np.bincount(col[ends[into]], minlength=n_free).astype(float)
+    inner = at_free & free[others]
+    phi = _solve_spd(_Laplacian.build(deg, col[ends[inner]], col[others[inner]]), b,
+                     graph.n_vertices)
 
     potential = np.zeros(graph.n_vertices)
     potential[src] = 1.0
@@ -315,22 +298,53 @@ def effective_resistance(mask: SubgraphMask, source: int | None = None,
     return 1.0 / current
 
 
+@dataclass(frozen=True)
+class _Laplacian:
+    """Graph Laplacian of the free vertices in gather form.
+
+    deg[i] counts every open edge at free vertex i, those to the source
+    and the ground included; nbrs[s, i] is i's s-th free neighbour, and
+    the padding points at slot n_free, which the product holds at zero.
+    """
+
+    deg: np.ndarray
+    nbrs: np.ndarray
+
+    @classmethod
+    def build(cls, deg: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> _Laplacian:
+        """From the degrees and the free-to-free edge ends (rows[j], cols[j])."""
+        n = len(deg)
+        order = np.argsort(rows, kind="stable")  # neighbours in edge order
+        rows, cols = rows[order], cols[order]
+        count = np.bincount(rows, minlength=n)
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        nbrs = np.full((count.max(initial=0), n), n, dtype=np.intp)
+        nbrs[slot, rows] = cols
+        return cls(deg, nbrs)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x_ext = np.append(x, 0.0)
+        q = self.deg * x
+        for nbr in self.nbrs:
+            q -= x_ext[nbr]
+        return q
+
+
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-def _solve_spd(lap, b, n_vertices: int) -> np.ndarray:
+def _solve_spd(lap: _Laplacian, b, n_vertices: int) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952).
 
-    The recurrence of scipy.sparse.linalg.cg with M = diag(lap)^-1: from
-    x = 0, stop once |r| < SOLVER_RTOL |b|; b = 0 gives 0.  Its inner
-    products are fixed-order einsum sums, not the BLAS calls scipy makes,
-    whose summation order (and so the result's last bits) depends on the
-    BLAS thread count.
+    The recurrence of scipy.sparse.linalg.cg with M = diag(lap)^-1, read
+    from lap.deg: from x = 0, stop once |r| < SOLVER_RTOL |b|; b = 0
+    gives 0.  Its inner products are fixed-order einsum sums, not the
+    BLAS calls scipy makes, whose summation order (and so the result's
+    last bits) depends on the BLAS thread count.
     """
     maxiter = max(20, int(CG_ITERATIONS_PER_ROOT * math.sqrt(n_vertices)))
-    diag = lap.diagonal()
-    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+    inv_diag = 1.0 / np.where(lap.deg > 0, lap.deg, 1.0)
     x = np.zeros_like(b)
     b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0:
@@ -454,7 +468,9 @@ def path_flow_assignment(
     counts = np.bincount(used[alive].ravel(), minlength=graph.n_edges)
     flow = counts / len(alive)
     flow.flags.writeable = False
-    return FlowAssignment(graph, flow, graph.origin, np.unique(at), len(alive))
+    # not np.unique, which imports numpy.ma on its first call
+    sinks = np.flatnonzero(np.bincount(at, minlength=graph.n_vertices))
+    return FlowAssignment(graph, flow, graph.origin, sinks, len(alive))
 
 
 def path_flow_energy(

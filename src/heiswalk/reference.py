@@ -94,9 +94,9 @@ def zd_collision_probability(d: int, k: int) -> float:
     pass is the sum of f.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ConfigError("d must be >= 1")
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ConfigError("k must be >= 0")
     if k > ZD_COLLISION_K_CAP:
         raise CapExceededError(f"k={k} exceeds cap {ZD_COLLISION_K_CAP}")
     f = [1] + [0] * k
@@ -127,7 +127,7 @@ def zd_meeting_sequence(d: int, horizon: int) -> np.ndarray:
     work is O(horizon^2 log d).
     """
     if d < 1 or horizon < 0:
-        raise ValueError("need d >= 1 and horizon >= 0")
+        raise ConfigError("need d >= 1 and horizon >= 0")
     if horizon > RENEWAL_HORIZON_CAP:
         raise CapExceededError(f"horizon {horizon} exceeds the exact renewal cap "
                                f"{RENEWAL_HORIZON_CAP}")
@@ -332,7 +332,7 @@ def _srw_box(n: int) -> tuple[int, int]:
 def srw_return_profile(t_max: int) -> SrwReturnProfile:
     """Exact SRW return probabilities on G_H for all times up to t_max."""
     if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+        raise ConfigError("t_max must be >= 0")
     if t_max > SRW_TIME_CAP:
         raise CapExceededError(f"t_max={t_max} exceeds cap {SRW_TIME_CAP}")
     n = t_max // 2
@@ -401,7 +401,7 @@ def srw_mutual_intersections(
     checkpoint above INTERSECTION_TIME_CAP is a CapExceededError.
     """
     if n_base < 1:
-        raise ValueError("n_base must be positive")
+        raise ConfigError("n_base must be positive")
     if samples < 2:
         raise ConfigError(f"samples={samples}: a standard error needs at least 2 pairs")
     times = (0,) + tuple(n_base * 2**i for i in range(num_doublings + 1))

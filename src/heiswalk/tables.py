@@ -196,7 +196,7 @@ def dyadic_uniformity(k: int) -> tuple[int, bool]:
     above DYADIC_K_CAP is a CapExceededError.
     """
     if k < 2:
-        raise ValueError("k must be >= 2 so that some dyadic position exists")
+        raise ConfigError("k must be >= 2 so that some dyadic position exists")
     if k >= DYADIC_K_CAP:
         raise CapExceededError(f"k={k} is not below the dyadic cap {DYADIC_K_CAP}")
     m = int(math.floor(math.log2(k)))

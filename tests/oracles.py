@@ -20,7 +20,8 @@ rederive the W-marginal and a bound on it from the exact characteristic
 function.  cos_product_by_cos takes one np.cos per factor where
 fourier.cos_product rotates exp(ijx), and zd_collision_by_comb takes one
 math.comb per term and runs every coordinate pass in full.
-build_custom_graph makes hand-built resistor networks, and
+build_custom_graph makes hand-built resistor networks, dirichlet_system
+builds the resistance solve's scipy CSR Laplacian edge by edge, and
 flow_conservation checks that a path flow is a unit source-to-sink flow.
 """
 
@@ -155,6 +156,37 @@ def component(mask, start, limit):
                 seen.add(j)
                 stack.append(j)
     return seen
+
+
+def dirichlet_system(mask, source, r):
+    """(L, b) of effective_resistance's solve, one edge at a time.
+
+    The free vertices are source's component within radius r less the
+    source and the sphere at r, numbered in vertex order; L is their
+    Laplacian as a scipy CSR matrix and b[i] counts the open edges from
+    free vertex i to the source.
+    """
+    from scipy.sparse import csr_matrix
+
+    graph = mask.graph
+    comp = component(mask, source, r)
+    free = sorted(v for v in comp if v != source and graph.dist[v] < r)
+    index = {v: i for i, v in enumerate(free)}
+    entries = {}
+    b = np.zeros(len(free))
+    for e, (t, h) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist())):
+        if not (mask.open[e] and t in comp and h in comp):
+            continue
+        for u, v in ((t, h), (h, t)):
+            if u in index:
+                i = index[u]
+                entries[i, i] = entries.get((i, i), 0.0) + 1.0
+                if v in index:
+                    entries[i, index[v]] = entries.get((i, index[v]), 0.0) - 1.0
+                elif v == source:
+                    b[i] += 1.0
+    rows, cols = zip(*entries) if entries else ((), ())
+    return csr_matrix((list(entries.values()), (rows, cols)), shape=(len(free), len(free))), b
 
 
 def oriented_cluster(mask, start, limit):

@@ -218,7 +218,21 @@ def test_solver_failure_exit_code(workdir, capsys, monkeypatch):
     assert "solver failure" in capsys.readouterr().err
 
 
-_GRAPH_FREE_CALLS = [
+# a slope needs two radii and a trend in the increments three, so fewer is
+# a config error, neither a traceback nor a failed claim
+@pytest.mark.parametrize("argv", [
+    ["resistance-profile", "--family", "z2", "--radii", "4"],
+    ["resistance-profile", "--radii", "4"],
+    ["resistance-profile", "--radii", "4,8"],
+    ["flow-energy", "--radii", "4,8"],
+])
+def test_too_few_radii_is_config_error(workdir, capsys, argv):
+    assert run(*argv) == 2
+    assert "--radii needs at least" in capsys.readouterr().err
+    assert not Path(STATUS_FILE).exists()
+
+
+_SMALL_CALLS = [
     ["collision-exact", "--k-list", "4,8"],
     ["conditional-exact", "--k-list", "4,8"],
     ["bound-scan", "--k-min", "2", "--k-max", "8"],
@@ -232,6 +246,8 @@ _GRAPH_FREE_CALLS = [
     ["srw-return", "--t-max", "16", "--n-min", "2", "--n-max", "8"],
     ["srw-intersections", "--n-base", "8", "--samples", "20"],
     ["ball-growth", "--r-min", "2", "--r-max", "6"],
+    ["resistance-profile", "--radii", "2,4,6"],
+    ["flow-energy", "--radii", "2,3,4", "--num-paths", "200", "--seeds", "1"],
 ]
 
 _IMPORT_GUARD = """
@@ -242,26 +258,20 @@ codes = {}
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[2]):
         codes[argv[0]] = cli.main(argv)
-    graph_free = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    codes["resistance-profile"] = cli.main(["resistance-profile", "--radii", "2,4"])
-print(json.dumps({"codes": codes, "graph_free": graph_free,
-                  "loaded": [m for m in ("scipy.sparse", "scipy.sparse.linalg")
-                             if m in sys.modules]}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_only_graph_subcommands_import_scipy(workdir):
+def test_no_subcommand_imports_scipy(workdir):
     # a fresh interpreter: the test process itself has imported scipy
-    graph_free = set(cli._EXPERIMENT_OPTIONS) - {"resistance-profile", "flow-energy"}
-    assert {argv[0] for argv in _GRAPH_FREE_CALLS} == graph_free
+    assert {argv[0] for argv in _SMALL_CALLS} == set(cli._EXPERIMENT_OPTIONS)
     src = str(Path(heiswalk.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, src, json.dumps(_GRAPH_FREE_CALLS)],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, src, json.dumps(_SMALL_CALLS)],
                           capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
     assert all(code in (0, 5) for code in report["codes"].values()), report["codes"]
-    assert report["graph_free"] == []
-    # the sparse Laplacian loads scipy.sparse; the in-package CG keeps its solvers out
-    assert report["loaded"] == ["scipy.sparse"]
+    assert report["loaded"] == []
 
 
 def test_failed_claim_exit_code(workdir, capsys):

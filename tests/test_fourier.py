@@ -15,10 +15,11 @@ from oracles import (
     tail_rate_floor,
 )
 
-from heiswalk.errors import CapExceededError
+from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.fourier import (
     _RESYNC,
     FOURIER_K_CAP,
+    _adaptive_simpson,
     cos_product,
     cos_product_integral,
     folding_distance,
@@ -171,3 +172,10 @@ def test_validation():
     for fn in (cos_product_integral, head_integral, tail_integral_decay):
         with pytest.raises(CapExceededError):
             fn(FOURIER_K_CAP + 1)
+
+
+def test_bad_arguments_are_config_errors():
+    with pytest.raises(ConfigError):
+        head_integral(0)
+    with pytest.raises(ConfigError):
+        _adaptive_simpson(np.cos, np.array([0.0, 1.0, 1.0]), 1e-12, 1e-12)

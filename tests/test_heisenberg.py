@@ -19,7 +19,7 @@ from oracles import (
     word_eval,
 )
 
-from heiswalk.errors import CapExceededError
+from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.heisenberg import ball_levels, ball_sizes, ball_with_distances
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -141,3 +141,8 @@ def test_ball_distance_via_word_search():
 def test_ball_cap():
     with pytest.raises(CapExceededError):
         ball_sizes(10, cap=5)
+
+
+def test_bad_arguments_are_config_errors():
+    with pytest.raises(ConfigError):
+        ball_levels(-1)

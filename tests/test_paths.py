@@ -24,7 +24,7 @@ from oracles import (
 )
 
 from heiswalk import paths
-from heiswalk.errors import CapExceededError
+from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.paths import (
     HEISENBERG_HORIZON_CAP,
     continuation_ratios,
@@ -312,3 +312,9 @@ def test_tail_estimate_validation():
         tail_estimate(0, 10, seed=1)
     with pytest.raises(ValueError):
         tail_estimate(10, 0, seed=1)
+
+
+def test_bad_arguments_are_config_errors():
+    for horizon, samples in ((0, 10), (10, 0)):
+        with pytest.raises(ConfigError):
+            paths.map_chunks(None, samples, horizon, threads=1)

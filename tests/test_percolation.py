@@ -86,17 +86,48 @@ def test_resistance_validation():
 
 
 class _CountedOperator:
-    """A matrix whose products with vectors are counted: one per CG step."""
+    """A Laplacian whose products with vectors are counted: one per CG step."""
 
     def __init__(self, lap):
-        self.lap, self.steps = lap, 0
-
-    def diagonal(self):
-        return self.lap.diagonal()
+        self.lap, self.deg, self.steps = lap, lap.deg, 0
 
     def __matmul__(self, v):
         self.steps += 1
         return self.lap @ v
+
+
+def _csr(lap):
+    """The gather-form Laplacian as a scipy CSR matrix."""
+    from scipy.sparse import coo_matrix
+
+    n = len(lap.deg)
+    slot, row = np.nonzero(lap.nbrs < n)
+    diagonal = np.arange(n)
+    return coo_matrix(
+        (np.concatenate([lap.deg, -np.ones(len(row))]),
+         (np.concatenate([diagonal, row]), np.concatenate([diagonal, lap.nbrs[slot, row]]))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def _recorded_systems(family, p, monkeypatch):
+    """(mask, [(radius, lap, b, n_vertices)]) of the solves effective_resistance
+    makes at radii 2..8 on a radius-8 box (radius 1 has no free vertex)."""
+    solve = percolation._solve_spd
+    systems = []
+
+    def record(lap, b, n_vertices):
+        systems.append((lap, b, n_vertices))
+        return solve(lap, b, n_vertices)
+
+    graph = heisenberg_box(8) if family == "heisenberg" else lattice_box(2, 8)
+    mask = percolate(graph, p, seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(percolation, "_solve_spd", record)
+        for r in range(2, 9):
+            effective_resistance(mask, None, r)
+    assert len(systems) == 7
+    return mask, [(r, *system) for r, system in zip(range(2, 9), systems)]
 
 
 def _residual_norm(lap, b, x):
@@ -110,15 +141,41 @@ def _residual_norm(lap, b, x):
     return float(np.linalg.norm(b - lap @ x)) + slack
 
 
-@pytest.mark.parametrize("family,p", [("heisenberg", 0.95), ("heisenberg", 1.0), ("z2", 1.0)])
+_SYSTEMS = [("heisenberg", 0.95), ("heisenberg", 1.0), ("z2", 1.0)]
+
+
+@pytest.mark.parametrize("family,p", _SYSTEMS)
+def test_laplacian_product_matches_scipy(family, p, monkeypatch):
+    """The gather-form system against the one built edge by edge as a
+    scipy CSR matrix: the same degrees and right-hand side, and products
+    within rounding.  A row of either product is a sum of at most m
+    terms, m the most neighbours of a row plus one, so it lies within
+    gamma_m (|L||x|)_i of the exact value, gamma_m = m u / (1 - m u) with
+    u = 2^-53; the two lie within twice that of each other.
+    """
+    mask, systems = _recorded_systems(family, p, monkeypatch)
+    rng = np.random.default_rng(5)
+    for r, lap, b, _n_vertices in systems:
+        want, want_b = oracles.dirichlet_system(mask, mask.graph.origin, r)
+        assert np.array_equal(b, want_b)
+        assert np.array_equal(lap.deg, want.diagonal())
+        m = max(len(lap.nbrs), int(np.diff(want.indptr).max()) - 1) + 1
+        gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+        for _ in range(5):
+            x = rng.standard_normal(len(b))
+            bound = 2 * gamma * (abs(want) @ np.abs(x))
+            assert np.all(np.abs(lap @ x - want @ x) <= bound)
+
+
+@pytest.mark.parametrize("family,p", _SYSTEMS)
 def test_cg_matches_scipy_step_for_step(family, p, monkeypatch):
     """_solve_spd against scipy's cg on the Laplacians effective_resistance
-    builds on a radius-8 box (radius 1 has no free vertex).
+    builds on a radius-8 box, each converted to CSR for scipy.
 
     The two run the same recurrence and differ only in the order of their
-    inner products, so they take the same number of steps, and the
-    solution's true residual stays below SOLVER_RTOL |b|.  Two vectors x,
-    y with residuals r_x = b - Lx and r_y = b - Ly of the same symmetric
+    sums, so they take the same number of steps, and the solution's true
+    residual stays below SOLVER_RTOL |b|.  Two vectors x, y with
+    residuals r_x = b - Lx and r_y = b - Ly of the same symmetric
     positive definite L satisfy x - y = L^-1 (r_y - r_x), so
     |x - y| <= (|r_x| + |r_y|) / lambda_min(L): that bounds the distance to
     scipy's solution, with lambda_min from a shift-invert eigensolve.
@@ -126,38 +183,25 @@ def test_cg_matches_scipy_step_for_step(family, p, monkeypatch):
     from scipy.sparse import diags
     from scipy.sparse.linalg import cg, eigsh
 
-    solve = percolation._solve_spd
-    systems = []
-
-    def record(lap, b, n_vertices):
-        systems.append((lap, b, n_vertices))
-        return solve(lap, b, n_vertices)
-
-    monkeypatch.setattr(percolation, "_solve_spd", record)
-    graph = heisenberg_box(8) if family == "heisenberg" else lattice_box(2, 8)
-    mask = percolate(graph, p, seed=3)
-    for r in range(2, 9):
-        effective_resistance(mask, None, r)
-    assert len(systems) == 7
-    for lap, b, n_vertices in systems:
+    _mask, systems = _recorded_systems(family, p, monkeypatch)
+    for _r, lap, b, n_vertices in systems:
         counted = _CountedOperator(lap)
-        got = solve(counted, b, n_vertices)
+        got = percolation._solve_spd(counted, b, n_vertices)
+        csr = _csr(lap)
         steps = []
-        want, info = cg(lap, b, rtol=percolation.SOLVER_RTOL, M=diags(1.0 / lap.diagonal()),
+        want, info = cg(csr, b, rtol=percolation.SOLVER_RTOL, M=diags(1.0 / csr.diagonal()),
                         callback=steps.append)
         assert info == 0
         assert counted.steps == len(steps)
         b_norm = float(np.linalg.norm(b))
-        assert np.linalg.norm(b - lap @ got) <= percolation.SOLVER_RTOL * b_norm
-        lam_min = eigsh(lap, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
-        bound = (_residual_norm(lap, b, got) + _residual_norm(lap, b, want)) / lam_min
+        assert np.linalg.norm(b - csr @ got) <= percolation.SOLVER_RTOL * b_norm
+        lam_min = eigsh(csr, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+        bound = (_residual_norm(csr, b, got) + _residual_norm(csr, b, want)) / lam_min
         assert np.linalg.norm(got - want) <= bound
 
 
 def test_cg_zero_right_hand_side_returns_zeros():
-    from scipy.sparse import csr_matrix
-
-    lap = csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    lap = percolation._Laplacian.build(np.array([2.0, 2.0]), np.array([0, 1]), np.array([1, 0]))
     assert np.array_equal(percolation._solve_spd(lap, np.zeros(2), 2), np.zeros(2))
 
 

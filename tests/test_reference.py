@@ -17,7 +17,7 @@ from oracles import (
     zd_collision_by_comb,
 )
 
-from heiswalk.errors import CapExceededError
+from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
@@ -418,3 +418,16 @@ def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
         assert 257 in expected
     if horizon == 513:  # most walks leave after block 1, and some return later
         assert sum(0 < t <= 256 for t in expected) > n // 2 and max(expected) > 256
+
+
+def test_bad_arguments_are_config_errors():
+    calls = [
+        lambda: zd_collision_probability(0, 4),
+        lambda: zd_collision_probability(2, -1),
+        lambda: zd_meeting_sequence(0, 4),
+        lambda: srw_return_profile(-1),
+        lambda: srw_mutual_intersections(0, 10, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError):
+            call()

@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from heiswalk import tables
-from heiswalk.errors import CapExceededError
+from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.tables import (
     TABLE_K_CAP,
     _row_square_sums,
@@ -302,3 +302,8 @@ def test_statistics_at_the_table_cap():
     assert all(math.isfinite(v) and v > 0 for v in values)
     assert stats.collision <= stats.count_match
     assert stats.collision <= stats.max_point_mass
+
+
+def test_bad_arguments_are_config_errors():
+    with pytest.raises(ConfigError):
+        dyadic_uniformity(1)
