@@ -84,109 +84,127 @@ def _property_report(claims: dict, cid: str, holds: bool, range_=None) -> FitRep
 
 # ---------------------------------------------------------------- options
 
+# Each option's spec states its type and any lower bound: "int>=1" is an
+# integer of at least 1, "intlist>=1" a nonempty comma-separated list of
+# them, and a trailing " increasing" asks the list to increase strictly.
 _GLOBAL_OPTIONS = {
     "seed": ("int", str(DEFAULT_SEED), "base RNG seed"),
-    "threads": ("posint", "1", "worker threads for Monte Carlo chunks"),
+    "threads": ("int>=1", "1", "worker threads for Monte Carlo chunks"),
     "out": ("choice:csv,json", "csv", "output format for the emitted file"),
     "out_path": ("str", "", "output file path (default <experiment>.<format>)"),
     "status_file": ("str", STATUS_FILE, "claim status file updated after each run"),
 }
 
 _EXPERIMENT_OPTIONS = {
-    "collision-exact": {"k_list": ("intlist", "32,64,128,256", "comma-separated k values")},
-    "conditional-exact": {"k_list": ("intlist", "32,64,128,256", "comma-separated k values")},
+    "collision-exact": {"k_list": ("intlist>=1", "32,64,128,256", "comma-separated k values")},
+    "conditional-exact": {"k_list": ("intlist>=1", "32,64,128,256", "comma-separated k values")},
     "bound-scan": {
-        "k_min": ("posint", "2", "first k of the scan"),
-        "k_max": ("posint", "256", "last k of the scan"),
+        "k_min": ("int>=2", "2", "first k of the scan"),
+        "k_max": ("int>=1", "256", "last k of the scan"),
     },
-    "dyadic": {"k_list": ("intlist", "4,8,16,31,256,1000", "comma-separated k values")},
+    "dyadic": {"k_list": ("intlist>=2", "4,8,16,31,256,1000", "comma-separated k values")},
     "zd-collision": {
-        "d": ("posint", "4", "lattice dimension"),
-        "k_list": ("intlist", "16,32,64,128", "comma-separated k values"),
+        "d": ("int>=1", "4", "lattice dimension"),
+        "k_list": ("intlist>=0", "16,32,64,128", "comma-separated k values"),
     },
     "collision-contrast": {
-        "d": ("posint", "4", "lattice dimension for the reference slope"),
-        "gh_k_list": ("intlist", "32,64,128,256", "Heisenberg k values"),
-        "zd_k_list": ("intlist", "16,32,64,128", "lattice k values"),
+        "d": ("int>=1", "4", "lattice dimension for the reference slope"),
+        "gh_k_list": ("intlist>=1", "32,64,128,256", "Heisenberg k values"),
+        "zd_k_list": ("intlist>=1", "16,32,64,128", "lattice k values"),
     },
-    "fourier": {"k_list": ("intlist", "16,64,256,1024", "comma-separated k values")},
+    "fourier": {"k_list": ("intlist>=1", "16,64,256,1024", "comma-separated k values")},
     "eit-tail": {
-        "horizon": ("posint", "4096", "steps per walk pair"),
-        "samples": ("posint", "100000", "number of walk pairs"),
-        "min_count": ("posint", "50", "smallest survivor count used in fits"),
+        "horizon": ("int>=1", "4096", "steps per walk pair"),
+        "samples": ("int>=1", "100000", "number of walk pairs"),
+        "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
     },
     "theta-d": {
-        "d": ("posint", "4", "lattice dimension (transient regime needs d >= 4)"),
-        "horizon": ("posint", "10000", "steps per difference walk"),
-        "samples": ("posint", "100000", "number of walks"),
+        "d": ("int>=4", "4", "lattice dimension of the transient regime"),
+        "horizon": ("int>=1", "10000", "steps per difference walk"),
+        "samples": ("int>=1", "100000", "number of walks"),
     },
     "zd-eit": {
-        "d": ("posint", "4", "lattice dimension (transient regime needs d >= 4)"),
-        "horizon": ("posint", "2048", "steps per walk pair"),
-        "samples": ("posint", "100000", "number of walk pairs"),
-        "min_count": ("posint", "50", "smallest survivor count used in fits"),
+        "d": ("int>=4", "4", "lattice dimension of the transient regime"),
+        "horizon": ("int>=1", "2048", "steps per walk pair"),
+        "samples": ("int>=1", "100000", "number of walk pairs"),
+        "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
     },
     "srw-return": {
-        "t_max": ("posint", "96", "last time of the exact profile"),
-        "n_min": ("posint", "8", "first n of the log P(2n) fit"),
-        "n_max": ("posint", "48", "last n of the log P(2n) fit"),
+        "t_max": ("int>=1", "96", "last time of the exact profile"),
+        "n_min": ("int>=1", "8", "first n of the log P(2n) fit"),
+        "n_max": ("int>=1", "48", "last n of the log P(2n) fit"),
     },
     "srw-intersections": {
-        "n_base": ("posint", "256", "first checkpoint time"),
-        "samples": ("posint", "1000", "walk pairs"),
-        "doublings": ("posint", "2", "number of checkpoint doublings after n_base"),
+        "n_base": ("int>=1", "256", "first checkpoint time"),
+        "samples": ("int>=1", "1000", "walk pairs"),
+        "doublings": ("int>=1", "2", "number of checkpoint doublings after n_base"),
     },
     "ball-growth": {
-        "r_min": ("posint", "8", "first radius of the fit"),
-        "r_max": ("posint", "32", "last radius of the fit"),
+        "r_min": ("int>=1", "8", "first radius of the fit"),
+        "r_max": ("int>=1", "32", "last radius of the fit"),
     },
     "resistance-profile": {
         "family": ("choice:heisenberg,z2", "heisenberg", "graph family"),
         "p": ("prob", "1.0", "edge retention probability"),
-        "radii": ("intlist", "4,8,12,16", "strictly increasing radii"),
+        "radii": ("intlist>=1 increasing", "4,8,12,16", "sphere radii"),
         "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
     },
     "flow-energy": {
         "p": ("prob", "0.95", "edge retention probability"),
-        "num_paths": ("posint", "2000", "oriented words sampled per mask"),
-        "radii": ("intlist", "4,8,12,16", "strictly increasing radii"),
+        "num_paths": ("int>=1", "2000", "oriented words sampled per mask"),
+        "radii": ("intlist>=1 increasing", "4,8,12,16", "box radii"),
         "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
     },
 }
 
 
-def _parse_value(spec: str, name: str, raw: str):
-    if spec == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
-    if spec == "posint":
-        v = _parse_value("int", name, raw)
-        if v < 1:
-            raise ConfigError(f"{name} must be positive, got {v}")
-        return v
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
+def _parse_value(spec: str, flag: str, raw: str):
+    if spec == "str":
+        return raw
+    if spec.startswith("choice:"):
+        choices = spec.split(":", 1)[1].split(",")
+        if raw not in choices:
+            raise ConfigError(f"{flag} must be one of {choices}, got {raw!r}")
+        return raw
     if spec == "prob":
         try:
             v = float(raw)
         except ValueError as exc:
-            raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
+            raise ConfigError(f"{flag} must be a number, got {raw!r}") from exc
         if not 0.0 < v <= 1.0:
-            raise ConfigError(f"{name} must be in (0, 1], got {v}")
+            raise ConfigError(f"{flag} must be in (0, 1], got {v}")
         return v
-    if spec == "intlist":
-        items = [s for s in raw.split(",") if s.strip()]
-        if not items:
-            raise ConfigError(f"{name} must be a nonempty comma-separated integer list")
-        return [_parse_value("int", name, s.strip()) for s in items]
-    if spec.startswith("choice:"):
-        choices = spec.split(":", 1)[1].split(",")
-        if raw not in choices:
-            raise ConfigError(f"{name} must be one of {choices}, got {raw!r}")
-        return raw
-    if spec == "str":
-        return raw
-    raise AssertionError(spec)
+    kind, low, rule = _split_spec(spec)
+    try:
+        values = [int(s) for s in raw.split(",") if s.strip()] if kind == "intlist" else [int(raw)]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} takes integers, got {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"{flag} must be a nonempty comma-separated integer list")
+    if low is not None and min(values) < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {min(values)}")
+    if rule == "increasing" and values != sorted(set(values)):
+        raise ConfigError(f"{flag} must be strictly increasing, got {raw}")
+    return values[0] if kind == "int" else values
+
+
+def _split_spec(spec: str) -> tuple[str, int | None, str]:
+    """(kind, lower bound or None, rule) of a spec."""
+    kind, _, rule = spec.partition(" ")
+    kind, _, low = kind.partition(">=")
+    return kind, int(low) if low else None, rule
+
+
+def _spec_help(spec: str) -> str:
+    """The bounds that spec sets, as help text."""
+    if spec == "prob":
+        return "; in (0, 1]"
+    _kind, low, rule = _split_spec(spec)
+    return (f"; >= {low}" if low is not None else "") + (f"; strictly {rule}" if rule else "")
 
 
 def _read_config_file(path: str) -> dict:
@@ -217,7 +235,7 @@ def _resolve_config(experiment: str, args: argparse.Namespace) -> dict:
         raw = getattr(args, name)
         if raw is None:
             raw = file_values.get(name, default)
-        cfg[name] = _parse_value(spec, name, raw) if isinstance(raw, str) else raw
+        cfg[name] = _parse_value(spec, _flag(name), raw)
     return cfg
 
 
@@ -226,8 +244,6 @@ def _resolve_config(experiment: str, args: argparse.Namespace) -> dict:
 
 def _run_collision_exact(cfg, claims):
     ks = sorted(set(cfg["k_list"]))
-    if any(k < 1 for k in ks):
-        raise ConfigError("k values must be >= 1")
     stats = tables.scan_statistics(ks)
     rows = [
         (k, stats[k].collision, stats[k].count_match, stats[k].weighted_match,
@@ -248,8 +264,6 @@ def _run_collision_exact(cfg, claims):
 
 def _run_conditional_exact(cfg, claims):
     ks = sorted(set(cfg["k_list"]))
-    if any(k < 1 for k in ks):
-        raise ConfigError("k values must be >= 1")
     stats = tables.scan_statistics(ks)
     rows = [(k, stats[k].conditional_match) for k in ks]
     fits = []
@@ -262,8 +276,8 @@ def _run_conditional_exact(cfg, claims):
 
 def _run_bound_scan(cfg, claims):
     k_min, k_max = cfg["k_min"], cfg["k_max"]
-    if k_min < 2 or k_max < k_min:
-        raise ConfigError("need 2 <= k_min <= k_max")
+    if k_max < k_min:
+        raise ConfigError("need --k-min <= --k-max")
     slack = 1e-12
     rows, holds = [], True
     for k, (point_mass, match) in tables.weight_statistics(range(k_min, k_max + 1)).items():
@@ -276,8 +290,6 @@ def _run_bound_scan(cfg, claims):
 
 def _run_dyadic(cfg, claims):
     ks = cfg["k_list"]
-    if any(k < 2 for k in ks):
-        raise ConfigError("dyadic check needs k >= 2")
     rows, holds = [], True
     for k in ks:
         support, uniform = tables.dyadic_uniformity(k)
@@ -289,10 +301,6 @@ def _run_dyadic(cfg, claims):
 
 def _run_zd_collision(cfg, claims):
     d, ks = cfg["d"], sorted(set(cfg["k_list"]))
-    if d < 1:
-        raise ConfigError("d must be >= 1")
-    if any(k < 0 for k in ks):
-        raise ConfigError("k values must be >= 0")
     fit_exponent = d == 4 and len(ks) >= 2
     if fit_exponent and ks[0] < 1:
         raise ConfigError("--k-list values must be >= 1 at d=4: the exponent fit takes log k")
@@ -311,9 +319,7 @@ def _run_collision_contrast(cfg, claims):
     gh_ks = sorted(set(cfg["gh_k_list"]))
     zd_ks = sorted(set(cfg["zd_k_list"]))
     if len(gh_ks) < 2 or len(zd_ks) < 2:
-        raise ConfigError("both k lists need at least two values")
-    if any(k < 1 for k in gh_ks) or any(k < 1 for k in zd_ks):
-        raise ConfigError("k values must be >= 1")
+        raise ConfigError("--gh-k-list and --zd-k-list need at least two values each")
     stats = tables.scan_statistics(gh_ks)
     gh_fit = fit_loglog(gh_ks, [stats[k].collision for k in gh_ks])
     zd_probs = [reference.zd_collision_probability(d, k) for k in zd_ks]
@@ -328,8 +334,6 @@ def _run_collision_contrast(cfg, claims):
 
 def _run_fourier(cfg, claims):
     ks = sorted(set(cfg["k_list"]))
-    if any(k < 1 for k in ks):
-        raise ConfigError("--k-list values must be >= 1")
     quads = {k: fourier.cos_product_integral(k) for k in ks}
     rows = [(k, q.value, q.head, q.tail, k**1.5 * q.value) for k, q in quads.items()]
     integrals = [q.value for q in quads.values()]
@@ -389,8 +393,6 @@ def _run_eit_tail(cfg, claims):
 
 
 def _run_theta_d(cfg, claims):
-    if cfg["d"] < 4:
-        raise ConfigError("theta-d targets the transient regime: d must be >= 4")
     theta, censoring = reference.theta_d_estimate(
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"]
     )
@@ -403,8 +405,6 @@ def _run_theta_d(cfg, claims):
 
 
 def _run_zd_eit(cfg, claims):
-    if cfg["d"] < 4:
-        raise ConfigError("zd-eit targets the transient regime: d must be >= 4")
     theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
     est = reference.zd_eit_tail(
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
@@ -412,7 +412,7 @@ def _run_zd_eit(cfg, claims):
     )
     exc_theta, exc_se, _exc_r2, exc_range = est.excursion_fit(cfg["min_count"])
     if exc_theta is None:
-        raise ConfigError("samples too small: fewer than 3 re-meet levels reach min_count")
+        raise ConfigError("samples too small: fewer than 3 re-meet levels reach --min-count")
     rows = []
     for n in sorted(est.counts):
         rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
@@ -437,7 +437,7 @@ def _run_zd_eit(cfg, claims):
 def _run_srw_return(cfg, claims):
     t_max, n_min, n_max = cfg["t_max"], cfg["n_min"], cfg["n_max"]
     if not n_min < n_max or 2 * n_max > t_max:
-        raise ConfigError("need n_min < n_max and 2*n_max <= t_max")
+        raise ConfigError("need --n-min < --n-max and 2 * --n-max <= --t-max")
     prof = reference.srw_return_profile(t_max)
     rows = [(t, float(p)) for t, p in enumerate(prof.probabilities)]
     ns = list(range(n_min, n_max + 1))
@@ -460,8 +460,8 @@ def _run_srw_intersections(cfg, claims):
 
 def _run_ball_growth(cfg, claims):
     r_min, r_max = cfg["r_min"], cfg["r_max"]
-    if not 1 <= r_min < r_max:
-        raise ConfigError("need 1 <= r_min < r_max")
+    if not r_min < r_max:
+        raise ConfigError("need --r-min < --r-max")
     sizes = heisenberg.ball_sizes(r_max)
     rows = list(enumerate(sizes))
     radii = list(range(r_min, r_max + 1))
@@ -469,13 +469,6 @@ def _run_ball_growth(cfg, claims):
     fits = [_report(claims, "ball-growth-exponent", fit.slope, radii, fit.r_squared,
                     fit.intercept)]
     return ["radius", "ball_size"], rows, fits, {}
-
-
-def _check_radii(radii):
-    if radii != sorted(set(radii)):
-        raise ConfigError("--radii must be strictly increasing")
-    if radii[0] < 1:
-        raise ConfigError(f"--radii must be >= 1, got {radii[0]}")
 
 
 def _require_radii(radii, count: int, what: str):
@@ -486,11 +479,12 @@ def _require_radii(radii, count: int, what: str):
 
 def _run_resistance_profile(cfg, claims):
     radii, seeds = cfg["radii"], cfg["seeds"]
-    _check_radii(radii)
-    if cfg["family"] == "heisenberg":
-        graph = percolation.heisenberg_box(radii[-1])
-    else:
+    if cfg["family"] == "z2":
+        _require_radii(radii, 2, "a slope")
         graph = percolation.lattice_box(2, radii[-1])
+    else:
+        _require_radii(radii, 3, "shrinking increments")
+        graph = percolation.heisenberg_box(radii[-1])
     prof = percolation.resistance_profile(graph, cfg["p"], radii, seeds)
     for seed, sp in zip(seeds, prof.per_seed):
         for r, res, _cs in sp.entries:
@@ -503,12 +497,10 @@ def _run_resistance_profile(cfg, claims):
     rows += [("mean", r, res, cs) for r, res, cs in prof.entries]
     fits = []
     if cfg["family"] == "z2":
-        _require_radii(radii, 2, "a slope")
         fit = _fit_line(np.log(radii), prof.resistances())
         fits.append(_report(claims, "z2-recurrence-slope", fit.slope, radii, fit.r_squared,
                             fit.intercept))
     else:
-        _require_radii(radii, 3, "shrinking increments")
         inc = prof.increments()
         holds = all(a > b for a, b in zip(inc, inc[1:]))
         fits.append(_property_report(claims, "gh-transience-increments", holds, radii))
@@ -517,7 +509,7 @@ def _run_resistance_profile(cfg, claims):
 
 def _run_flow_energy(cfg, claims):
     radii, seeds, p = cfg["radii"], cfg["seeds"], cfg["p"]
-    _check_radii(radii)
+    _require_radii(radii, 3, "a tapering energy")
     rows = []
     thomson_ok = True
     means = []
@@ -525,19 +517,16 @@ def _run_flow_energy(cfg, claims):
         graph = percolation.heisenberg_box(radius)
         energies = []
         for seed in seeds:
-            energy, surviving = percolation.path_flow_energy(
-                p, cfg["num_paths"], radius, seed, graph
-            )
+            energy, surviving = percolation.path_flow_energy(graph, p, cfg["num_paths"], seed)
             energies.append(energy)
             rows.append((p, radius, str(seed), energy, surviving, float("nan")))
         means.append(float(np.mean(energies)))
         # Thomson check rides along at p=1 on the same box
         mask = percolation.percolate(graph, 1.0, seeds[0])
         assignment = percolation.path_flow_assignment(graph, mask, cfg["num_paths"], seeds[0])
-        reff = percolation.effective_resistance(mask, None, radius)
+        reff = percolation.effective_resistance(mask, radius)
         thomson_ok &= assignment is not None and assignment.energy() >= reff - 1e-9
         rows.append((1.0, radius, "thomson", assignment.energy(), assignment.surviving, reff))
-    _require_radii(radii, 3, "a tapering energy")
     inc = [b - a for a, b in zip(means, means[1:])]
     taper = all(a > b for a, b in zip(inc, inc[1:]))
     fits = [
@@ -603,9 +592,13 @@ def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dic
     if cfg["out"] == "csv":
         lines = [",".join(header)]
         lines += [",".join(_cell(v) for v in row) for row in rows]
-        Path(out_path).write_text("\n".join(lines) + "\n", newline="\n")
+        text = "\n".join(lines) + "\n"
     else:
-        Path(out_path).write_text(json.dumps(summary, indent=2) + "\n", newline="\n")
+        text = json.dumps(summary, indent=2) + "\n"
+    try:
+        Path(out_path).write_text(text, newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out-path {out_path}: {exc}") from exc
     summary["out_path"] = out_path
     return summary
 
@@ -616,7 +609,7 @@ def _load_status(path: Path, claims: dict) -> dict:
         return {}
     try:
         status = json.loads(path.read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"unreadable status file {path}: {exc}") from exc
     if not isinstance(status, dict):
         raise ConfigError(f"status file {path} does not hold a JSON object")
@@ -632,23 +625,26 @@ def _record_status(cfg: dict, fits, claims: dict) -> None:
     path = Path(cfg["status_file"])
     when = datetime.now(timezone.utc).isoformat(timespec="seconds")
     # one run at a time reads, merges and replaces the file
-    with open(path.with_name(f"{path.name}.lock"), "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        status = _load_status(path, claims)
-        for f in fits:
-            status[f.claim_id] = {
-                "pass": f.passed,
-                "value": _jsonable(f.slope),
-                "experiment": cfg["experiment"],
-                "when": when,
-            }
-        # write a sibling temp file, then rename it over: no reader sees half a file
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+    try:
+        with open(path.with_name(f"{path.name}.lock"), "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            status = _load_status(path, claims)
+            for f in fits:
+                status[f.claim_id] = {
+                    "pass": f.passed,
+                    "value": _jsonable(f.slope),
+                    "experiment": cfg["experiment"],
+                    "when": when,
+                }
+            # write a sibling temp file, then rename it over: no reader sees half a file
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            try:
+                tmp.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot update status file {path}: {exc}") from exc
 
 
 def _print_claims_table(status_file: str) -> None:
@@ -685,10 +681,10 @@ def _build_parser(chosen: str | None) -> argparse.ArgumentParser:
         if chosen not in (None, name):
             continue
         sp = sub.add_parser(name, help=f"run the {name} experiment")
-        for opt, (_spec, default, help_text) in {**_GLOBAL_OPTIONS, **options}.items():
+        for opt, (spec, default, help_text) in {**_GLOBAL_OPTIONS, **options}.items():
             sp.add_argument(
-                f"--{opt.replace('_', '-')}", dest=opt, default=None,
-                help=f"{help_text} (default {default})",
+                _flag(opt), dest=opt, default=None,
+                help=f"{help_text}{_spec_help(spec)} (default {default})",
             )
         sp.add_argument("--config", default=None, help="key=value config file; flags win")
     if chosen is None:

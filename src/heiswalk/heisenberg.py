@@ -27,20 +27,20 @@ __all__ = ["ball_levels", "ball_with_distances", "ball_sizes", "DEFAULT_BALL_CAP
 DEFAULT_BALL_CAP = 48
 
 
-def ball_levels(radius: int, cap: int = DEFAULT_BALL_CAP) -> list[np.ndarray]:
+def ball_levels(radius: int) -> list[np.ndarray]:
     """Coordinates of every sphere of the ball of `radius` about the identity.
 
     Level r is an (n_r, 3) int64 array of the elements at word distance r,
     in lexicographic order.  One frontier search over packed int64 keys:
     in a Cayley graph with a symmetric generating set the neighbours of
     sphere r lie in spheres r-1, r and r+1, so each new level is the set
-    of frontier neighbours minus the last two levels.  The cap guards
-    memory: the ball grows like the fourth power of the radius.
+    of frontier neighbours minus the last two levels.  DEFAULT_BALL_CAP
+    guards memory: the ball grows like the fourth power of the radius.
     """
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
-    if radius > cap:
-        raise CapExceededError(f"ball radius {radius} exceeds cap {cap}")
+    if radius > DEFAULT_BALL_CAP:
+        raise CapExceededError(f"ball radius {radius} exceeds cap {DEFAULT_BALL_CAP}")
     # |n|, |m| <= r and |k| <= r^2 inside the ball: mixed-radix digits
     z_half = radius * radius
     z_base = 2 * z_half + 1
@@ -69,18 +69,18 @@ def ball_levels(radius: int, cap: int = DEFAULT_BALL_CAP) -> list[np.ndarray]:
     return out
 
 
-def ball_with_distances(radius: int, cap: int = DEFAULT_BALL_CAP) -> dict[tuple, int]:
+def ball_with_distances(radius: int) -> dict[tuple, int]:
     """Word-metric distance of every (n, m, k) within `radius` of identity.
 
     A dict view of ball_levels, for callers that look elements up.
     """
     return {
         tuple(g): r
-        for r, level in enumerate(ball_levels(radius, cap))
+        for r, level in enumerate(ball_levels(radius))
         for g in level.tolist()
     }
 
 
-def ball_sizes(radius: int, cap: int = DEFAULT_BALL_CAP) -> list[int]:
+def ball_sizes(radius: int) -> list[int]:
     """|ball(r)| for r = 0..radius, from a single search."""
-    return np.cumsum([len(level) for level in ball_levels(radius, cap)]).tolist()
+    return np.cumsum([len(level) for level in ball_levels(radius)]).tolist()

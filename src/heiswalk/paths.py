@@ -45,15 +45,11 @@ __all__ = [
     "TailEstimate",
     "tail_estimate",
     "continuation_ratios",
-    "DEFAULT_MIN_FIT_COUNT",
     "HEISENBERG_HORIZON_CAP",
-    "PAIR_CHUNK", "PAIR_CHUNK_CELLS_CAP",
+    "PAIR_CHUNK", "PAIR_CHUNK_CELLS_CAP", "THREADS_CAP",
     # the difference-walk engine, shared with reference
     "map_chunks", "lattice_pair_keys", "draw_pairs", "walk_blocks", "pair_chunk", "pair_tail",
 ]
-
-DEFAULT_MIN_FIT_COUNT = 50
-
 
 @dataclass
 class TailEstimate:
@@ -79,7 +75,7 @@ class TailEstimate:
     fit_range: list[int] = field(default_factory=list)
     censoring_bound: float = 0.0
 
-    def excursion_fit(self, min_count: int = DEFAULT_MIN_FIT_COUNT):
+    def excursion_fit(self, min_count: int):
         """(theta, theta_se, r_squared, fit_range) of the re-meet tail, fitted like theta_hat."""
         return _fit_tail(self.excursion_counts, min_count)
 
@@ -110,6 +106,7 @@ PAIR_CHUNK = 1024  # walk pairs in every Monte Carlo chunk but the last
 # pair-steps in one chunk: this bounds a chunk's work; its memory is one
 # block of _BLOCK steps per pair (an int64 key and a few flags each)
 PAIR_CHUNK_CELLS_CAP = 2**24
+THREADS_CAP = 64  # pool threads; each may start an OS thread
 _BLOCK = 256  # steps that every chunk draws and advances at once
 
 
@@ -118,7 +115,8 @@ def map_chunks(fn, samples: int, horizon: int, threads: int):
 
     Results are added in chunk order as they finish, with at most 2 * threads
     pending.  A chunk of more than PAIR_CHUNK_CELLS_CAP pair-steps over
-    `horizon` steps raises CapExceededError before any chunk runs.
+    `horizon` steps, or more than THREADS_CAP threads, raises
+    CapExceededError before any chunk runs or thread starts.
     """
     if horizon < 1 or samples < 1:
         raise ConfigError("horizon and samples must be positive")
@@ -126,6 +124,8 @@ def map_chunks(fn, samples: int, horizon: int, threads: int):
     if cells > PAIR_CHUNK_CELLS_CAP:
         raise CapExceededError(f"a chunk of {min(PAIR_CHUNK, samples)} pairs x {horizon} steps "
                                f"is {cells} cells, above the cap {PAIR_CHUNK_CELLS_CAP}")
+    if threads > THREADS_CAP:
+        raise CapExceededError(f"{threads} threads exceed the cap {THREADS_CAP}")
     sizes = [min(PAIR_CHUNK, samples - start) for start in range(0, samples, PAIR_CHUNK)]
     if threads == 1:
         return sum(map(fn, sizes, range(len(sizes))))
@@ -283,7 +283,7 @@ def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
 
 
 def tail_estimate(horizon: int, samples: int, seed: int, *,
-                  min_count: int = DEFAULT_MIN_FIT_COUNT, threads: int = 1) -> TailEstimate:
+                  min_count: int, threads: int = 1) -> TailEstimate:
     """Monte Carlo intersection tails for uniform path pairs on G_H.
 
     Pairs are drawn in fixed chunks with one counter-based stream per
@@ -298,7 +298,7 @@ def tail_estimate(horizon: int, samples: int, seed: int, *,
     )
 
 
-def continuation_ratios(survivor_counts: dict[int, int], min_count: int = DEFAULT_MIN_FIT_COUNT):
+def continuation_ratios(survivor_counts: dict[int, int], min_count: int):
     """Per-level continuation probabilities of a survivor tail.
 
     For each n with survivor_counts[n] >= min_count and n+1 present,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, SolverConvergenceError
-from .heisenberg import DEFAULT_BALL_CAP, ball_levels
+from .heisenberg import ball_levels
 from .rng import edge_uniforms, stream
 
 __all__ = [
@@ -96,9 +96,9 @@ class BoxGraph:
         return len(self.tails)
 
 
-def heisenberg_box(radius: int, cap: int = DEFAULT_BALL_CAP) -> BoxGraph:
+def heisenberg_box(radius: int) -> BoxGraph:
     """Word-metric ball of G_H with its a- and b-edges (labels 0, 1)."""
-    levels = ball_levels(radius, cap)
+    levels = ball_levels(radius)
     coords = np.concatenate(levels)
     dist = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
     n, m, k = coords.T
@@ -193,26 +193,18 @@ def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
     return SubgraphMask(graph, p, seed, mask)
 
 
-def oriented_cluster(mask: SubgraphMask, v: int | None = None,
-                     max_dist: int | None = None) -> np.ndarray:
-    """Sorted indices of the vertices reachable from vertex v (default:
-    the origin) along open directed edges.
+def oriented_cluster(mask: SubgraphMask, max_dist: int | None = None) -> np.ndarray:
+    """Sorted indices of the vertices reachable from the origin along open
+    directed edges.
 
     max_dist restricts the search to the sub-ball of that radius, which
     is how one coupled mask serves a whole radius profile.
     """
     graph = mask.graph
-    start = graph.origin if v is None else _vertex(graph, v)
     limit = graph.radius if max_dist is None else max_dist
-    if graph.dist[start] > limit:
-        raise ConfigError(f"vertex {start} is outside radius {limit}")
-    return _reachable(mask, start, limit, directed=True)
-
-
-def _vertex(graph: BoxGraph, v: int) -> int:
-    if not 0 <= v < graph.n_vertices:
-        raise ConfigError(f"vertex {v} is outside the box of {graph.n_vertices} vertices")
-    return int(v)
+    if limit < 0:
+        raise ConfigError(f"max_dist must be >= 0, got {limit}")
+    return _reachable(mask, graph.origin, limit, directed=True)
 
 
 def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np.ndarray:
@@ -241,24 +233,20 @@ def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np
     return np.flatnonzero(seen)
 
 
-def effective_resistance(mask: SubgraphMask, source: int | None = None,
-                         sink_radius: int | None = None) -> float:
-    """Resistance between vertex source (default: the origin) and the
-    sphere at sink_radius.
+def effective_resistance(mask: SubgraphMask, sink_radius: int | None = None) -> float:
+    """Resistance between the origin and the sphere at sink_radius.
 
     Open edges inside the sub-ball of that radius are unit resistors,
     orientation ignored.  Potentials solve the Dirichlet problem
-    (1 at source, 0 on the whole sphere); the result is 1 over the
-    current leaving the source.  Infinite when no open path reaches the
+    (1 at the origin, 0 on the whole sphere); the result is 1 over the
+    current leaving the origin.  Infinite when no open path reaches the
     sphere; SolverConvergenceError if CG stalls within its iteration cap.
     """
     graph = mask.graph
     r = graph.radius if sink_radius is None else sink_radius
     if not 1 <= r <= graph.radius:
         raise ConfigError(f"sink_radius must be in [1, {graph.radius}]")
-    src = graph.origin if source is None else _vertex(graph, source)
-    if graph.dist[src] >= r:
-        raise ConfigError("source must lie strictly inside the sink sphere")
+    src = graph.origin
     comp = np.zeros(graph.n_vertices, dtype=bool)
     comp[_reachable(mask, src, r, directed=False)] = True
     shell = comp & (graph.dist == r)
@@ -406,8 +394,8 @@ def resistance_profile(graph: BoxGraph, p: float, radii, seeds) -> ResistancePro
         mask = percolate(graph, p, seed)
         entries = []
         for r in radii:
-            res = effective_resistance(mask, None, r)
-            csize = len(oriented_cluster(mask, None, max_dist=r))
+            res = effective_resistance(mask, r)
+            csize = len(oriented_cluster(mask, r))
             entries.append((r, res, csize))
         per_seed.append(ResistanceProfile(tuple(entries)))
     averaged = tuple(
@@ -423,14 +411,11 @@ def resistance_profile(graph: BoxGraph, p: float, radii, seeds) -> ResistancePro
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Unit flow from vertex source to the sorted vertex array sinks,
-    signed along edge orientation, averaged over `surviving` sampled paths.
+    """Unit flow from the origin to the sphere at the box radius, signed
+    along edge orientation, averaged over `surviving` sampled paths.
     """
 
-    graph: BoxGraph
     flow: np.ndarray
-    source: int
-    sinks: np.ndarray
     surviving: int
 
     def energy(self) -> float:
@@ -468,24 +453,16 @@ def path_flow_assignment(
     counts = np.bincount(used[alive].ravel(), minlength=graph.n_edges)
     flow = counts / len(alive)
     flow.flags.writeable = False
-    # not np.unique, which imports numpy.ma on its first call
-    sinks = np.flatnonzero(np.bincount(at, minlength=graph.n_vertices))
-    return FlowAssignment(graph, flow, graph.origin, sinks, len(alive))
+    return FlowAssignment(flow, len(alive))
 
 
-def path_flow_energy(
-    p: float, num_paths: int, radius: int, seed: int, graph: BoxGraph | None = None
-) -> tuple[float, int]:
-    """Energy of the averaged surviving-path flow; (inf, 0) if none survive.
+def path_flow_energy(graph: BoxGraph, p: float, num_paths: int, seed: int) -> tuple[float, int]:
+    """Energy of the averaged surviving-path flow on graph; (inf, 0) if none survive.
 
-    The flow is feasible for the source-to-sphere problem, so by the
+    The flow is feasible for the origin-to-sphere problem, so by the
     Thomson principle its energy upper-bounds effective_resistance on
     the same mask.
     """
-    if graph is None:
-        graph = heisenberg_box(radius)
-    elif graph.radius != radius:
-        raise ConfigError("graph radius does not match requested radius")
     mask = percolate(graph, p, seed)
     assignment = path_flow_assignment(graph, mask, num_paths, seed)
     if assignment is None:

@@ -47,8 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .paths import (DEFAULT_MIN_FIT_COUNT, PAIR_CHUNK, PAIR_CHUNK_CELLS_CAP, TailEstimate,
-                    map_chunks, pair_chunk, pair_tail, walk_blocks)
+from .paths import (PAIR_CHUNK, PAIR_CHUNK_CELLS_CAP, TailEstimate, map_chunks, pair_chunk,
+                    pair_tail, walk_blocks)
 from .rng import stream
 
 __all__ = [
@@ -64,14 +64,14 @@ __all__ = [
     "SrwReturnProfile",
     "srw_mutual_intersections",
     "IntersectionGrowth",
-    "ZD_COLLISION_K_CAP",
+    "ZD_COLLISION_WORK_CAP",
     "RENEWAL_HORIZON_CAP",
     "ZD_MAX_D",
     "SRW_TIME_CAP",
     "INTERSECTION_TIME_CAP",
 ]
 
-ZD_COLLISION_K_CAP = 2048
+ZD_COLLISION_WORK_CAP = 2**21  # d * (k + 1)^2 of zd_collision_probability
 # steps (2^14); the largest horizon a full chunk reaches under the cells cap
 RENEWAL_HORIZON_CAP = PAIR_CHUNK_CELLS_CAP // PAIR_CHUNK
 ZD_MAX_D = 256  # Monte Carlo letter pairs a*d + b are drawn as uint16
@@ -92,13 +92,20 @@ def zd_collision_probability(d: int, k: int) -> float:
     C(k - t, v)^2, each row of which comes from one multiplicative
     recurrence.  The last coordinate takes all k - t, a factor 1, so its
     pass is the sum of f.
+
+    Each of the d - 1 passes visits at most (k + 1)(k + 2) / 2 cells, so
+    the work figure d * (k + 1)^2 above ZD_COLLISION_WORK_CAP raises
+    CapExceededError before the first pass.  The largest accepted calls
+    take about 2 s on a 2-core Xeon: 1.9 s at d = 2^21, k = 0 (one list
+    per pass) and 1.5 s at d = 4, k = 723 (wide big-integer products).
     """
     if d < 1:
         raise ConfigError("d must be >= 1")
     if k < 0:
         raise ConfigError("k must be >= 0")
-    if k > ZD_COLLISION_K_CAP:
-        raise CapExceededError(f"k={k} exceeds cap {ZD_COLLISION_K_CAP}")
+    if (work := d * (k + 1) ** 2) > ZD_COLLISION_WORK_CAP:
+        raise CapExceededError(f"d={d}, k={k}: work d*(k+1)^2 = {work} exceeds the cap "
+                               f"{ZD_COLLISION_WORK_CAP}")
     f = [1] + [0] * k
     for _ in range(d - 1):
         g = [0] * (k + 1)
@@ -281,7 +288,7 @@ def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):
 
 
 def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *,
-                min_count: int = DEFAULT_MIN_FIT_COUNT, threads: int = 1) -> TailEstimate:
+                min_count: int, threads: int = 1) -> TailEstimate:
     """Shared-edge intersection tail for oriented walk pairs on Z^d.
 
     Same statistic and fitting as the Heisenberg tail_estimate; the
@@ -382,15 +389,15 @@ class IntersectionGrowth:
     std_errors: np.ndarray
     values: np.ndarray
 
-    def growth_z(self, i: int = -1, j: int = 1) -> float:
-        """Paired z-score of means[i] - means[j] (defaults: last vs first positive)."""
-        diff = self.values[:, i].astype(float) - self.values[:, j].astype(float)
+    def growth_z(self) -> float:
+        """Paired z-score of the last mean minus the mean at the first positive time."""
+        diff = self.values[:, -1].astype(float) - self.values[:, 1].astype(float)
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         return float(diff.mean() / se) if se > 0 else float("inf")
 
 
 def srw_mutual_intersections(
-    n_base: int, samples: int, seed: int, num_doublings: int = 2
+    n_base: int, samples: int, seed: int, num_doublings: int
 ) -> IntersectionGrowth:
     """Common range vertices of two SRWs at doubling checkpoints.
 
@@ -404,10 +411,13 @@ def srw_mutual_intersections(
         raise ConfigError("n_base must be positive")
     if samples < 2:
         raise ConfigError(f"samples={samples}: a standard error needs at least 2 pairs")
+    # n_base >= 1, so 2^num_doublings alone passes the cap from that bit length on
+    if (num_doublings >= INTERSECTION_TIME_CAP.bit_length()
+            or n_base * 2**num_doublings > INTERSECTION_TIME_CAP):
+        raise CapExceededError(f"last checkpoint {n_base} * 2^{num_doublings} exceeds cap "
+                               f"{INTERSECTION_TIME_CAP}")
     times = (0,) + tuple(n_base * 2**i for i in range(num_doublings + 1))
     t_max = times[-1]
-    if t_max > INTERSECTION_TIME_CAP:
-        raise CapExceededError(f"last checkpoint {t_max} exceeds cap {INTERSECTION_TIME_CAP}")
     values = np.zeros((samples, len(times)), dtype=np.int64)
     for lo in range(0, samples, INTERSECTION_CHUNK):
         hi = min(lo + INTERSECTION_CHUNK, samples)

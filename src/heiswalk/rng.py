@@ -22,7 +22,9 @@ __all__ = ["stream", "edge_uniforms", "split_seed"]
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for sub-stream `index` of `seed`; independent across indices."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, index & _MASK64]))
+    # a uint64 array: numpy casts a list holding a key >= 2^63 through float64
+    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def split_seed(seed: int, index: int) -> int:

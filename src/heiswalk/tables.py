@@ -63,16 +63,18 @@ def weight_statistics(k_values) -> dict[int, tuple[float, float]]:
 
     Every k must lie in 1..TABLE_K_CAP; scan_statistics relies on this check.
     """
-    wanted = {int(k) for k in k_values}
+    wanted = set()
+    for k in map(int, k_values):  # stops a long range at its first k above the cap
+        if k > TABLE_K_CAP:
+            raise CapExceededError(f"k={k} exceeds the table cap {TABLE_K_CAP}")
+        wanted.add(k)
     if not wanted:
         return {}
     if min(wanted) < 1:
         raise ConfigError("k must be >= 1")
-    if (k_max := max(wanted)) > TABLE_K_CAP:
-        raise CapExceededError(f"k={k_max} exceeds the table cap {TABLE_K_CAP}")
     # np.sum's pairwise order is fixed; a BLAS dot product's depends on its thread count
     return {k: (float(law.max()), float(np.sum(law * law)))
-            for k, law in _weight_laws(k_max) if k in wanted}
+            for k, law in _weight_laws(max(wanted)) if k in wanted}
 
 
 def _weight_laws(k_max: int):

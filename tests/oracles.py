@@ -22,7 +22,8 @@ fourier.cos_product rotates exp(ijx), and zd_collision_by_comb takes one
 math.comb per term and runs every coordinate pass in full.
 build_custom_graph makes hand-built resistor networks, dirichlet_system
 builds the resistance solve's scipy CSR Laplacian edge by edge, and
-flow_conservation checks that a path flow is a unit source-to-sink flow.
+flow_conservation checks that a path flow is a unit flow from the origin to
+the sphere at the box radius.
 """
 
 import functools
@@ -206,12 +207,11 @@ def oriented_cluster(mask, start, limit):
 
 
 def path_flow(graph, mask, num_paths, seed):
-    """(edge use counts, surviving paths, sorted sinks), one word at a time."""
+    """(edge use counts, surviving paths), one word at a time."""
     r = graph.radius
     words = stream(seed, 0).integers(0, 2, size=(num_paths, max(2 * r, 1)), dtype=np.uint8)
     counts = np.zeros(graph.n_edges)
     surviving = 0
-    sinks = set()
     for w in words:
         edge_ids = []
         i = graph.origin
@@ -224,8 +224,7 @@ def path_flow(graph, mask, num_paths, seed):
         else:
             surviving += 1
             counts[edge_ids] += 1.0
-            sinks.add(int(i))
-    return counts, surviving, np.array(sorted(sinks))
+    return counts, surviving
 
 
 def srw_intersection_values(n_base, samples, seed, num_doublings):
@@ -639,12 +638,11 @@ def build_custom_graph(dist, edges):
                     labels, (tails << 8) | labels, int(labels.max(initial=0)) + 1)
 
 
-def flow_conservation(assignment):
-    """(net outflow at the source, largest |net outflow| at any vertex that
-    is neither the source nor a sink) of a FlowAssignment."""
-    graph, flow = assignment.graph, assignment.flow
+def flow_conservation(graph, flow):
+    """(net outflow at the origin, largest |net outflow| at any vertex that
+    is neither the origin nor on the sphere at the box radius) of an edge flow."""
     net = np.zeros(graph.n_vertices)
     np.add.at(net, graph.tails, flow)
     np.add.at(net, graph.heads, -flow)
-    inner = np.delete(net, np.union1d(assignment.sinks, [assignment.source]))
-    return float(net[assignment.source]), float(np.abs(inner).max(initial=0.0))
+    inner = (graph.dist < graph.radius) & (np.arange(graph.n_vertices) != graph.origin)
+    return float(net[graph.origin]), float(np.abs(net[inner]).max(initial=0.0))

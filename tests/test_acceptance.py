@@ -163,12 +163,12 @@ def test_criterion_08_dyadic_uniformity(criterion_log):
 
 
 def test_criterion_09_eit_tail(criterion_log):
-    est = paths.tail_estimate(4096, 100_000, SEED, threads=2)
+    est = paths.tail_estimate(4096, 100_000, SEED, threads=2, min_count=50)
     fit_ns = [n for n in range(1, 11) if est.counts.get(n, 0) > 0]
     fit = fit_exponential(
         fit_ns, [est.counts[n] for n in fit_ns], weights=[est.counts[n] for n in fit_ns]
     )
-    ratios, pooled = paths.continuation_ratios(est.counts)
+    ratios, pooled = paths.continuation_ratios(est.counts, min_count=50)
     worst = max((abs(r - pooled) / se for _n, r, se in ratios if se > 0), default=math.inf)
     ok = fit.r_squared >= 0.98 and worst <= 3.0
     criterion_log(
@@ -249,7 +249,7 @@ def test_criterion_13_thomson_bound(criterion_log):
     margins = []
     for radius in (4, 8, 12, 16):
         graph = heisenberg_box(radius)
-        energy, surviving = path_flow_energy(1.0, 400, radius, SEED, graph=graph)
+        energy, surviving = path_flow_energy(graph, 1.0, 400, SEED)
         reff = effective_resistance(percolate(graph, 1.0, SEED))
         assert surviving == 400
         margins.append(energy - reff)

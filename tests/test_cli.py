@@ -112,8 +112,9 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     assert run("eit-tail", "--samples", "60", "--horizon", "256") == 2
     assert "continuation ratio" in capsys.readouterr().err
     for experiment in ("resistance-profile", "flow-energy"):
-        assert run(experiment, "--radii", "0,4") == 2
-        assert "--radii" in capsys.readouterr().err
+        for radii in ("0,4", "2,4,4"):
+            assert run(experiment, "--radii", radii) == 2
+            assert "--radii" in capsys.readouterr().err
     # the cos product needs k >= 1, so k=0 is refused before any quadrature
     with monkeypatch.context() as patch:
         patch.setattr(fourier, "_adaptive_simpson", None)
@@ -152,6 +153,18 @@ def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
         patch.setattr(paths, "draw_pairs", None)
         assert run("theta-d", "--horizon", str(10**8)) == 3
     assert "cells, above the cap" in capsys.readouterr().err
+    # one thread over the cap exits 3 before any pool exists, so no thread starts
+    with monkeypatch.context() as patch:
+        patch.setattr(paths, "ThreadPoolExecutor", None)
+        assert run("eit-tail", "--samples", "4096", "--threads", str(paths.THREADS_CAP + 1)) == 3
+    assert "threads exceed the cap" in capsys.readouterr().err
+    # zd-collision's work d * (k + 1)^2 is capped before its first big-integer pass
+    start = time.perf_counter()
+    assert run("zd-collision", "--d", str(10**12), "--k-list", "4,8") == 3
+    assert run("zd-collision", "--k-list", "724") == 3
+    assert run("collision-contrast", "--d", str(10**12), "--gh-k-list", "4,8") == 3
+    assert time.perf_counter() - start < 5.0
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_fourier_integrates_each_region_once(workdir, monkeypatch):
@@ -205,7 +218,8 @@ def test_zd_eit_thin_tail_is_config_error(workdir, capsys):
 # infinite; the run stops before any fit or increment and records no verdict
 @pytest.mark.parametrize("family, seed", [("z2", 2), ("heisenberg", 1)])
 def test_infinite_resistance_is_config_error(workdir, capsys, family, seed):
-    code = run("resistance-profile", "--family", family, "--p", "0.3", "--radii", "2,4")
+    radii = "2,4" if family == "z2" else "2,4,6"  # as few as the family's claim takes
+    code = run("resistance-profile", "--family", family, "--p", "0.3", "--radii", radii)
     assert code == 2
     assert f"seed {seed} has no open path from the origin to radius 2" in capsys.readouterr().err
     assert not Path(STATUS_FILE).exists()
@@ -214,19 +228,24 @@ def test_infinite_resistance_is_config_error(workdir, capsys, family, seed):
 def test_solver_failure_exit_code(workdir, capsys, monkeypatch):
     # with no per-root allowance CG stops after 20 steps; the radius-8 box needs more
     monkeypatch.setattr(percolation, "CG_ITERATIONS_PER_ROOT", 0)
-    assert run("resistance-profile", "--radii", "4,8") == 4
+    assert run("resistance-profile", "--radii", "2,4,8") == 4
     assert "solver failure" in capsys.readouterr().err
 
 
 # a slope needs two radii and a trend in the increments three, so fewer is
-# a config error, neither a traceback nor a failed claim
+# a config error, neither a traceback nor a failed claim, found before any box
 @pytest.mark.parametrize("argv", [
     ["resistance-profile", "--family", "z2", "--radii", "4"],
     ["resistance-profile", "--radii", "4"],
     ["resistance-profile", "--radii", "4,8"],
     ["flow-energy", "--radii", "4,8"],
 ])
-def test_too_few_radii_is_config_error(workdir, capsys, argv):
+def test_too_few_radii_is_config_error(workdir, capsys, monkeypatch, argv):
+    def no_box(*args):
+        raise AssertionError("a box was built before the radius count was checked")
+
+    monkeypatch.setattr(percolation, "heisenberg_box", no_box)
+    monkeypatch.setattr(percolation, "lattice_box", no_box)
     assert run(*argv) == 2
     assert "--radii needs at least" in capsys.readouterr().err
     assert not Path(STATUS_FILE).exists()
@@ -272,6 +291,50 @@ def test_no_subcommand_imports_scipy(workdir):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert all(code in (0, 5) for code in report["codes"].values()), report["codes"]
     assert report["loaded"] == []
+
+
+_HUGE = str(10**12)
+# huge sizes that no cap bounds yet; --seeds takes no huge length here either
+_UNCAPPED = {("eit-tail", "--samples"), ("zd-eit", "--samples"), ("theta-d", "--samples"),
+             ("srw-intersections", "--samples"), ("flow-energy", "--num-paths")}
+
+
+def _edge_calls():
+    """Each small call with one option set to 0, -1, a huge value or a bad list."""
+    for argv in _SMALL_CALLS:
+        options = {**cli._GLOBAL_OPTIONS, **cli._EXPERIMENT_OPTIONS[argv[0]]}
+        for name, (spec, _default, _help) in options.items():
+            if spec == "str" or spec.startswith("choice:"):
+                continue
+            flag = cli._flag(name)
+            values = ["0", "-1"]
+            if spec != "prob" and (argv[0], flag) not in _UNCAPPED:
+                values.append(_HUGE)
+            if spec.startswith("intlist"):
+                values += ["", "4,,8", "8,4"]
+            for value in values:
+                call = list(argv)
+                if flag in call:
+                    call[call.index(flag) + 1] = value
+                else:
+                    call += [flag, value]
+                yield call
+
+
+def test_edge_values_end_in_documented_exit_codes(workdir, capsys, monkeypatch):
+    # a pool would start OS threads; the thread cap must refuse a huge count first
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", None)
+    start = time.perf_counter()
+    bad = []
+    for call in _edge_calls():
+        try:
+            code = run(*call)
+        except Exception as exc:  # a traceback at the command line
+            code = repr(exc)
+        if code not in (0, 2, 3, 5) or "Traceback" in capsys.readouterr().err:
+            bad.append((call, code))
+    assert bad == []
+    assert time.perf_counter() - start < 10.0
 
 
 def test_failed_claim_exit_code(workdir, capsys):
@@ -361,6 +424,15 @@ def test_help_lists_every_subcommand(capsys):
         assert f"    {name} " in out
 
 
+def test_help_prints_the_bounds_of_each_spec(capsys):
+    with pytest.raises(SystemExit):
+        run("resistance-profile", "--help")
+    out = " ".join(capsys.readouterr().out.split())
+    assert "sphere radii; >= 1; strictly increasing (default 4,8,12,16)" in out
+    assert "percolation seeds (default 1,2,3,4,5)" in out
+    assert "edge retention probability; in (0, 1] (default 1.0)" in out
+
+
 def test_one_experiment_builds_only_its_options(workdir, capsys, monkeypatch):
     # the options of the other 14 experiments and of claims are not built
     added = []
@@ -390,6 +462,20 @@ def test_ball_growth_smoke(workdir, capsys):
     assert 3.7 <= fit["slope"] <= 4.3
     sizes = {r["radius"]: r["ball_size"] for r in summary["results"]}
     assert sizes[1] == 5 and sizes[2] == 17
+
+
+# a directory where a file belongs, or a file in a missing directory: read
+# by _load_status before the run, the lock opened by _record_status, the
+# output written by _write_outputs
+@pytest.mark.parametrize("option, value, message", [
+    ("--status-file", ".", "unreadable status file"),
+    ("--status-file", "", "unreadable status file"),
+    ("--status-file", "missing/status.json", "cannot update status file"),
+    ("--out-path", "missing/dyadic.csv", "cannot write --out-path"),
+])
+def test_unusable_status_or_output_path_is_config_error(workdir, capsys, option, value, message):
+    assert run("dyadic", "--k-list", "8", option, value) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 @pytest.mark.parametrize("corrupt", ['{"dyadic-uniformity": ', "[1, 2]",

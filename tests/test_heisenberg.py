@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk.heisenberg import ball_levels, ball_sizes, ball_with_distances
+from heiswalk.heisenberg import DEFAULT_BALL_CAP, ball_levels, ball_sizes, ball_with_distances
 
 coords = st.integers(min_value=-50, max_value=50)
 elements = st.tuples(coords, coords, coords)
@@ -140,7 +140,7 @@ def test_ball_distance_via_word_search():
 
 def test_ball_cap():
     with pytest.raises(CapExceededError):
-        ball_sizes(10, cap=5)
+        ball_sizes(DEFAULT_BALL_CAP + 1)
 
 
 def test_bad_arguments_are_config_errors():

@@ -73,6 +73,9 @@ def test_zd_collision_monotone():
 def test_zd_collision_cap():
     with pytest.raises(CapExceededError):
         zd_collision_probability(4, 5000)
+    # d - 1 passes over one cell each: d alone reaches the cap
+    with pytest.raises(CapExceededError):
+        zd_collision_probability(10**12, 0)
 
 
 def test_renewal_identities():
@@ -297,8 +300,8 @@ def test_intersection_growth_basics():
 
 
 def test_intersection_growth_deterministic():
-    a = srw_mutual_intersections(8, 100, seed=5)
-    b = srw_mutual_intersections(8, 100, seed=5)
+    a = srw_mutual_intersections(8, 100, seed=5, num_doublings=2)
+    b = srw_mutual_intersections(8, 100, seed=5, num_doublings=2)
     assert np.array_equal(a.values, b.values)
 
 
@@ -314,6 +317,8 @@ def test_intersections_match_step_loop(n_base, samples, seed, doublings):
 def test_intersection_time_cap():
     with pytest.raises(CapExceededError):
         srw_mutual_intersections(256, 2, seed=1, num_doublings=60)
+    with pytest.raises(CapExceededError):
+        srw_mutual_intersections(1, 2, seed=1, num_doublings=10**12)
     with pytest.raises(CapExceededError):
         srw_mutual_intersections(INTERSECTION_TIME_CAP // 4, 2, seed=1, num_doublings=3)
     growth = srw_mutual_intersections(INTERSECTION_TIME_CAP // 4, 2, seed=1, num_doublings=2)
@@ -341,7 +346,7 @@ def test_first_visit_keys_exact_at_the_cap():
 
 
 def test_zd_eit_tail_structure():
-    est = zd_eit_tail(4, 128, 4000, seed=17)
+    est = zd_eit_tail(4, 128, 4000, seed=17, min_count=50)
     assert est.counts[0] == 4000
     tail = [est.counts[n] for n in sorted(est.counts)]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
@@ -354,7 +359,7 @@ def test_zd_eit_excursion_ratio_estimates_theta():
     # the fresh re-meet tail is geometric with the embedded return rate;
     # later excursions see a shorter remaining horizon, so the finite-h
     # ratio is bracketed by the half- and full-horizon exact values
-    est = zd_eit_tail(4, 48, 30_000, seed=23)
+    est = zd_eit_tail(4, 48, 30_000, seed=23, min_count=50)
     c1, c2 = est.excursion_counts[1], est.excursion_counts[2]
     ratio = c2 / c1
     se = math.sqrt(ratio * (1 - ratio) / c1)
@@ -364,11 +369,11 @@ def test_zd_eit_excursion_ratio_estimates_theta():
 
 def test_zd_eit_validation():
     with pytest.raises(ValueError):
-        zd_eit_tail(1, 16, 100, seed=1)
+        zd_eit_tail(1, 16, 100, seed=1, min_count=50)
     # one chunk of 1024 pairs x 2^15 steps is above the cell cap
     assert 1024 * 2**15 > PAIR_CHUNK_CELLS_CAP
     with pytest.raises(CapExceededError):
-        zd_eit_tail(4, 2**15, 4096, seed=1)
+        zd_eit_tail(4, 2**15, 4096, seed=1, min_count=50)
 
 
 # key words: 601^3 < 2^63 <= 601^7, and 121^19 needs three words; d = 4 and 16
@@ -379,7 +384,7 @@ def test_zd_eit_validation():
 def test_zd_pair_counts_match_per_pair_loop(d, horizon, words):
     assert lattice_pair_keys(d, horizon).shape[0] == words
     n = 48
-    est = zd_eit_tail(d, horizon, n, seed=31)
+    est = zd_eit_tail(d, horizon, n, seed=31, min_count=50)
     u, v = chunk_letters(d, horizon, n, seed=31)
     shared, vertices, remeets = zip(*(pair_counts(u[i], v[i]) for i in range(n)))
     assert est.counts == survivors(shared)
@@ -426,7 +431,7 @@ def test_bad_arguments_are_config_errors():
         lambda: zd_collision_probability(2, -1),
         lambda: zd_meeting_sequence(0, 4),
         lambda: srw_return_profile(-1),
-        lambda: srw_mutual_intersections(0, 10, seed=1),
+        lambda: srw_mutual_intersections(0, 10, seed=1, num_doublings=2),
     ]
     for call in calls:
         with pytest.raises(ConfigError):

@@ -161,6 +161,9 @@ def test_table_k_cap(monkeypatch):
     for scan in (scan_statistics, weight_statistics):
         with pytest.raises(CapExceededError):
             scan([2, TABLE_K_CAP + 1])
+        # a long range stops at its first k above the cap
+        with pytest.raises(CapExceededError):
+            scan(range(2, 10**12))
 
 
 _WEIGHT_STATISTICS = """
