@@ -158,6 +158,34 @@ _EXPERIMENT_OPTIONS = {
 }
 
 
+# The total work of each run that a sized option sets, checked before the
+# run starts (exit 3): (unit, cap, figure of the resolved config).  The
+# defaults sit 35 to 335 times below their caps.
+PAIR_STEPS_CAP = 2**36  # about 3 minutes of Monte Carlo on 2 threads
+INTERSECTION_WORK_CAP = 2**28  # about 40 s; at most 16 MiB of counts
+FLOW_PATH_STEPS_CAP = 2**24  # about 1 s; at most 80 MiB for one box's words
+_WORK_CAPS = {
+    "eit-tail": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
+    "zd-eit": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
+    "theta-d": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
+    # a pair walks 2 * n_base * 2^doublings steps, and its own stream and count
+    # row cost about 256 more; doublings past 63 fail the time cap anyway
+    "srw-intersections": ("walk-steps", INTERSECTION_WORK_CAP, lambda c: c["samples"] * (
+        2 * (c["n_base"] << min(c["doublings"], 63)) + 256)),
+    # num_paths words through every radius, per seed and once more for Thomson
+    "flow-energy": ("path-steps", FLOW_PATH_STEPS_CAP,
+                    lambda c: c["num_paths"] * sum(c["radii"]) * (len(c["seeds"]) + 1)),
+}
+
+
+def _check_work(cfg: dict) -> None:
+    if cfg["experiment"] not in _WORK_CAPS:
+        return
+    unit, cap, figure = _WORK_CAPS[cfg["experiment"]]
+    if (work := figure(cfg)) > cap:
+        raise CapExceededError(f"{cfg['experiment']} asks for {work} {unit}, above the cap {cap}")
+
+
 def _flag(name: str) -> str:
     return f"--{name.replace('_', '-')}"
 
@@ -347,7 +375,8 @@ def _run_fourier(cfg, claims):
     fits.append(_report(claims, "fourier-tail-collapse", math.log(tails[64] / tails[32]), [32, 64]))
     fits.append(_property_report(claims, "cos-gaussian-half",
                                  fourier.verify_cos_gaussian_bound(0.5), []))
-    return ["k", "integral", "head", "tail", "k32_scaled"], rows, fits, {}
+    extras = {"error_estimate": {k: q.error_estimate for k, q in quads.items()}}
+    return ["k", "integral", "head", "tail", "k32_scaled"], rows, fits, extras
 
 
 def _tail_rows(est, min_count):
@@ -577,6 +606,24 @@ def _jsonable(value):
     return value
 
 
+def _out_path(cfg: dict) -> str:
+    return cfg["out_path"] or f"{cfg['experiment']}.{cfg['out']}"
+
+
+def _check_writable(path: str, failure: str) -> None:
+    """A ConfigError, "<failure> <path>: <why>", unless a file can be written at path."""
+    target = Path(path)
+    if target.is_dir():
+        why = "it is a directory"
+    elif not target.parent.is_dir():
+        why = f"directory {target.parent} does not exist"
+    elif not os.access(target.parent, os.W_OK | os.X_OK):
+        why = f"directory {target.parent} is not writable"
+    else:
+        return
+    raise ConfigError(f"{failure} {path}: {why}")
+
+
 def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dict:
     summary = {
         "config": _jsonable(cfg),
@@ -588,7 +635,7 @@ def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dic
     }
     for key, value in extras.items():
         summary[key] = _jsonable(value)
-    out_path = cfg["out_path"] or f"{cfg['experiment']}.{cfg['out']}"
+    out_path = _out_path(cfg)
     if cfg["out"] == "csv":
         lines = [",".join(header)]
         lines += [",".join(_cell(v) for v in row) for row in rows]
@@ -703,8 +750,12 @@ def main(argv=None) -> int:
             _print_claims_table(args.status_file)
             return 0
         cfg = _resolve_config(args.experiment, args)
+        _check_work(cfg)
         claims = load_claims()
-        _load_status(Path(cfg["status_file"]), claims)  # a corrupt file fails before the run
+        # a corrupt status file or an unwritable path fails before the run
+        _load_status(Path(cfg["status_file"]), claims)
+        _check_writable(cfg["status_file"], "cannot update status file")
+        _check_writable(_out_path(cfg), "cannot write --out-path")
         start = time.perf_counter()
         header, rows, fits, extras = _RUNNERS[args.experiment](cfg, claims)
         runtime = time.perf_counter() - start

@@ -16,8 +16,11 @@ That law is never built.  weight_statistics grows the W-marginal by
 m_k(w) = (m_{k-1}(w) + m_{k-1}(w-(k-1))) / 2.  The words with s ones
 count by W as the Gaussian binomial [k choose s]_q (Andrews, The Theory
 of Partitions, 1976, ch. 3), whose sum of squared coefficients
-_row_square_sums takes by Parseval from its values at roots of unity;
-scan_statistics adds those rows up and takes count_match in closed form.
+_row_square_sums takes by Parseval from its values at the M-th roots of
+unity, M prime; it visits the roots in the order of the powers of a
+primitive root of M, so every factor of a step is one contiguous slice of
+a single sin^2 table.  scan_statistics adds those rows up and takes
+count_match in closed form.
 
 count_match is correctly rounded.  Each W-marginal cell is a multiple of
 2^-k formed from non-negative floats by at most k-1 additions and exact
@@ -29,9 +32,10 @@ squares adds its own gamma_n over its n cells.  A row sum of squares is
 exact where its certificate (_row_square_sums) is below 1/2, which holds
 for every row through k = 26, so collision is correctly rounded there.
 
-Memory is O(k^2); time grows like k^3 (k = 512 about 0.15 s, k = 1024
-about 2 s on a 2-core Xeon).  Both functions refuse k above
-TABLE_K_CAP = 1024, inside the range k <= 1074 where the halvings are exact.
+Memory is O(k^2); time grows like k^3 (_row_square_sums takes about
+0.05 s at k = 512 and 0.5 s at k = 1024 on a 2-core Xeon, best of 5).
+Both functions refuse k above TABLE_K_CAP = 1024, inside the range
+k <= 1074 where the halvings are exact.
 """
 
 from __future__ import annotations
@@ -100,6 +104,23 @@ def _odd_prime_above(n: int) -> int:
     return m
 
 
+def _primitive_root(m: int) -> int:
+    """The least primitive root of the odd prime m: g^((m-1)/f) != 1 for each prime f | m-1."""
+    factors, rest, d = [], m - 1, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            factors.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        factors.append(rest)
+    g = 2
+    while any(pow(g, (m - 1) // f, m) == 1 for f in factors):
+        g += 1
+    return g
+
+
 def _row_square_sums(k: int) -> list[tuple[float, int, float]]:
     """(value, b, err) for s = 0..k//2: sum_w N(s,w)^2 = value * 4^b within err * 4^b.
 
@@ -124,31 +145,55 @@ def _row_square_sums(k: int) -> list[tuple[float, int, float]]:
     gamma_{(M+3)/2}.  So with n = 32s + (M+3)/2 the value is within gamma_n
     of the exact sum, and err = gamma_{2n} * value + M 2^-1022.  Where
     err * 4^b < 1/2 the row is rounded to its integer (b = 0, err = 0).
+
+    The roots are taken in primitive-root order: with g a primitive root of
+    M, j = g^a for a < H = (M-1)/2 meets each pair {j, M-j} once, as g^H is
+    -1.  The residue j t is then g^(a + L(t)), L the discrete log, so the
+    factor sin^2(pi j t/M) of every root is the slice s2[L(t) mod H :][:H]
+    of s2[a] = sin^2(pi g^a/M), a < M-1, which has period H because the
+    folded table is even.  Each term takes the same table entries in the
+    same order as when indexed by j, so it is the same float; only the order
+    of the sum over j differs, which the bound allows.  M divides k-s+1 only
+    at k = 3 (M = 3), where the numerator sin^2(pi j) = 0 zeroes the terms.
     """
     half = k // 2
     m = _odd_prime_above(half * (k - half))
-    j = np.arange(1, (m + 1) // 2)
+    h = (m - 1) // 2
+    g = _primitive_root(m)
+    pw = np.ones(1, dtype=np.int64)  # g^a mod m for a < m-1, by doubling
+    while pw.size < m - 1:
+        pw = np.concatenate([pw, pw * pow(g, pw.size, m) % m])
+    pw = pw[: m - 1]
+    log = np.empty(m, dtype=np.int64)
+    log[pw] = np.arange(m - 1)
+    # offsets of the numerator and denominator slices of step s, from s = 1
+    up = [int(log[(k - s + 1) % m]) % h if (k - s + 1) % m else None for s in range(1, half + 1)]
+    down = [int(log[s]) % h for s in range(1, half + 1)]
     r = np.arange(m)
-    sin2 = np.sin(np.pi * np.minimum(r, m - r) / m) ** 2
+    s2 = (np.sin(np.pi * np.minimum(r, m - r) / m) ** 2)[pw]
+    del pw, log, r
     # |[k choose s]_{omega^j}|^2 = frac * 2^expo, frac in [1/2, 1) or 0
-    frac, expo = np.ones(j.size), np.zeros(j.size, dtype=np.int64)
-    up, down = j * k % m, j.copy()  # residues of j(k-s+1) and js, from s = 1
+    frac, expo = np.ones(h), np.zeros(h, dtype=np.int64)
+    step, bits = np.empty(h, dtype=np.intc), np.empty(h, dtype=np.int64)
     rows = []
     for s in range(half + 1):
         if s:
-            frac *= sin2[up]
-            frac /= sin2[down]
-            frac, step = np.frexp(frac)
+            a, d = up[s - 1], down[s - 1]
+            if a is None:
+                frac *= 0.0
+            else:
+                frac *= s2[a : a + h]
+            frac /= s2[d : d + h]
+            np.frexp(frac, out=(frac, step))
             expo += step
-            up -= j
-            np.add(up, m, out=up, where=up < 0)
-            down += j
-            np.subtract(down, m, out=down, where=down >= m)
         c = math.comb(k, s)
         b = c.bit_length()
         # the float64 bits of 2^(expo-2b), or of 0.0 below 2^-1022
-        scale = ((np.maximum(expo - 2 * b, -1023) + 1023) << 52).view(np.float64)
-        value = (c * c / 4**b + 2.0 * float((frac * scale).sum())) / m
+        np.subtract(expo, 2 * b, out=bits)
+        np.maximum(bits, -1023, out=bits)
+        bits += 1023
+        bits <<= 52
+        value = (c * c / 4**b + 2.0 * float((frac * bits.view(np.float64)).sum())) / m
         n = 32 * s + (m + 3) // 2
         err = 2 * n * _U / (1 - 2 * n * _U) * value + m * 2.0**-1022
         if err < math.ldexp(0.5, -2 * b):

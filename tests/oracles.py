@@ -15,11 +15,13 @@ The group law on plain (n, m, k) tuples (multiply, inverse, word_eval over
 GENERATORS) is the scalar reference for the packed-key ball search.  The
 (S, W) table helpers (build_table, full_row, dense_mass, weight_bounds,
 conditional_match_at_count) read the full-row DP full_row_tables, which
-tables never builds; inversion_marginal and cf_magnitude_integral
-rederive the W-marginal and a bound on it from the exact characteristic
-function.  cos_product_by_cos takes one np.cos per factor where
-fourier.cos_product rotates exp(ijx), and zd_collision_by_comb takes one
-math.comb per term and runs every coordinate pass in full.
+tables never builds; row_square_sums_by_gather takes the roots of unity
+of tables._row_square_sums in their natural order, through index gathers;
+inversion_marginal and cf_magnitude_integral rederive the W-marginal and a
+bound on it from the exact characteristic function.  cos_product_by_cos
+takes one np.cos per factor where fourier.cos_product rotates exp(ijx),
+and zd_collision_by_comb takes one math.comb per term and runs every
+coordinate pass in full.
 build_custom_graph makes hand-built resistor networks, dirichlet_system
 builds the resistance solve's scipy CSR Laplacian edge by edge, and
 flow_conservation checks that a path flow is a unit flow from the origin to
@@ -45,6 +47,7 @@ from heiswalk.fourier import (
 from heiswalk.percolation import BoxGraph
 from heiswalk.reference import _srw_box
 from heiswalk.rng import stream
+from heiswalk.tables import _odd_prime_above
 
 IDENTITY = (0, 0, 0)
 A, B, A_INV, B_INV = GENERATORS = ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0))
@@ -441,6 +444,44 @@ def full_row_tables(k_max):
             for c in (s, k - s) if 2 * s < k else (s,):
                 w_counts[c * (c - 1) // 2 :][: row.size] += row
         yield k, rows, w_counts
+
+
+def row_square_sums_by_gather(k):
+    """tables._row_square_sums with the roots in the order j = 1..(M-1)/2.
+
+    Each step gathers sin2[j(k-s+1) mod M] and sin2[js mod M] from the
+    folded table through two index arrays that it advances mod M; the
+    frexp bookkeeping, the scale and the certificate are those of tables.
+    """
+    half = k // 2
+    m = _odd_prime_above(half * (k - half))
+    j = np.arange(1, (m + 1) // 2)
+    r = np.arange(m)
+    sin2 = np.sin(np.pi * np.minimum(r, m - r) / m) ** 2
+    frac, expo = np.ones(j.size), np.zeros(j.size, dtype=np.int64)
+    up, down = j * k % m, j.copy()  # residues of j(k-s+1) and js, from s = 1
+    rows = []
+    for s in range(half + 1):
+        if s:
+            frac *= sin2[up]
+            frac /= sin2[down]
+            frac, step = np.frexp(frac)
+            expo += step
+            up -= j
+            np.add(up, m, out=up, where=up < 0)
+            down += j
+            np.subtract(down, m, out=down, where=down >= m)
+        c = math.comb(k, s)
+        b = c.bit_length()
+        scale = ((np.maximum(expo - 2 * b, -1023) + 1023) << 52).view(np.float64)
+        value = (c * c / 4**b + 2.0 * float((frac * scale).sum())) / m
+        n = 32 * s + (m + 3) // 2
+        u = 2.0**-53
+        err = 2 * n * u / (1 - 2 * n * u) * value + m * 2.0**-1022
+        if err < math.ldexp(0.5, -2 * b):
+            value, b, err = float(round(math.ldexp(value, 2 * b))), 0, 0.0
+        rows.append((value, b, err))
+    return rows
 
 
 def difference_walk_return_by(d: int, horizon: int) -> float:

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -147,12 +148,15 @@ def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
         horizon = reference.RENEWAL_HORIZON_CAP + 1
         assert run("zd-eit", "--horizon", str(horizon), "--samples", "1") == 3
     assert "exact renewal cap" in capsys.readouterr().err
-    # theta-d takes the pair tails' cells cap: 1024 walks x 10^8 steps is
-    # 10^11 walk-steps in one chunk, refused before any letter pair is drawn
+    # theta-d takes the pair tails' cells cap: 1024 walks x 2^25 steps is
+    # 2^35 walk-steps in one chunk, refused before any letter pair is drawn;
+    # 10^5 walks x 10^8 steps are refused by the run's work cap first
     with monkeypatch.context() as patch:
         patch.setattr(paths, "draw_pairs", None)
+        assert run("theta-d", "--horizon", str(2**25), "--samples", "1024") == 3
+        assert "cells, above the cap" in capsys.readouterr().err
         assert run("theta-d", "--horizon", str(10**8)) == 3
-    assert "cells, above the cap" in capsys.readouterr().err
+        assert "pair-steps, above the cap" in capsys.readouterr().err
     # one thread over the cap exits 3 before any pool exists, so no thread starts
     with monkeypatch.context() as patch:
         patch.setattr(paths, "ThreadPoolExecutor", None)
@@ -165,6 +169,17 @@ def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
     assert run("collision-contrast", "--d", str(10**12), "--gh-k-list", "4,8") == 3
     assert time.perf_counter() - start < 5.0
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_fourier_reports_its_error_estimates(workdir, capsys):
+    assert run("fourier", "--k-list", "16,64", "--out", "json") == 0
+    printed = json.loads(capsys.readouterr().out)
+    summary = json.loads(Path("fourier.json").read_text())
+    assert summary["error_estimate"] == printed["error_estimate"]
+    for k, row in zip((16, 64), summary["results"]):
+        estimate = summary["error_estimate"][str(k)]
+        assert estimate == fourier.cos_product_integral(k).error_estimate
+        assert 0 < estimate <= fourier._TOL_REL * row["integral"]
 
 
 def test_fourier_integrates_each_region_once(workdir, monkeypatch):
@@ -293,10 +308,7 @@ def test_no_subcommand_imports_scipy(workdir):
     assert report["loaded"] == []
 
 
-_HUGE = str(10**12)
-# huge sizes that no cap bounds yet; --seeds takes no huge length here either
-_UNCAPPED = {("eit-tail", "--samples"), ("zd-eit", "--samples"), ("theta-d", "--samples"),
-             ("srw-intersections", "--samples"), ("flow-energy", "--num-paths")}
+_HUGE = str(10**12)  # --seeds takes no huge length here
 
 
 def _edge_calls():
@@ -308,7 +320,7 @@ def _edge_calls():
                 continue
             flag = cli._flag(name)
             values = ["0", "-1"]
-            if spec != "prob" and (argv[0], flag) not in _UNCAPPED:
+            if spec != "prob":
                 values.append(_HUGE)
             if spec.startswith("intlist"):
                 values += ["", "4,,8", "8,4"]
@@ -335,6 +347,44 @@ def test_edge_values_end_in_documented_exit_codes(workdir, capsys, monkeypatch):
             bad.append((call, code))
     assert bad == []
     assert time.perf_counter() - start < 10.0
+
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+
+
+def _resolved(argv):
+    return cli._resolve_config(argv[0], cli._build_parser(argv[0]).parse_args(argv))
+
+
+def test_work_caps_sit_far_above_default_and_benchmark_calls():
+    spec = importlib.util.spec_from_file_location("heiswalk_bench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = [[name] for name in cli._WORK_CAPS]
+    calls += [argv for wl in workloads.WORKLOADS.values() for _label, argv in wl
+              if argv[0] in cli._WORK_CAPS]
+    assert len(calls) == 10
+    for argv in calls:
+        _unit, cap, figure = cli._WORK_CAPS[argv[0]]
+        assert 30 * figure(_resolved(argv)) < cap, argv
+
+
+@pytest.mark.parametrize("experiment, option", [
+    ("eit-tail", "samples"), ("zd-eit", "samples"), ("theta-d", "samples"),
+    ("srw-intersections", "samples"), ("flow-energy", "num_paths"),
+])
+def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experiment, option):
+    # the most work the cap allows reaches the runner, one unit more does not
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, experiment,
+                        lambda cfg, claims: ran.append(cfg[option]) or (["x"], [], [], {}))
+    _unit, cap, figure = cli._WORK_CAPS[experiment]
+    most = cap // figure(_resolved([experiment, cli._flag(option), "1"]))
+    assert run(experiment, cli._flag(option), str(most)) == 0
+    assert ran == [most]
+    assert run(experiment, cli._flag(option), str(most + 1)) == 3
+    assert ran == [most]
+    assert "resource cap exceeded" in capsys.readouterr().err
 
 
 def test_failed_claim_exit_code(workdir, capsys):
@@ -464,16 +514,21 @@ def test_ball_growth_smoke(workdir, capsys):
     assert sizes[1] == 5 and sizes[2] == 17
 
 
-# a directory where a file belongs, or a file in a missing directory: read
-# by _load_status before the run, the lock opened by _record_status, the
-# output written by _write_outputs
+# a directory where a file belongs, or a file in a missing directory, fails
+# before the run: the status file is read, and both paths are checked
 @pytest.mark.parametrize("option, value, message", [
     ("--status-file", ".", "unreadable status file"),
     ("--status-file", "", "unreadable status file"),
     ("--status-file", "missing/status.json", "cannot update status file"),
     ("--out-path", "missing/dyadic.csv", "cannot write --out-path"),
+    ("--out-path", ".", "cannot write --out-path"),
 ])
-def test_unusable_status_or_output_path_is_config_error(workdir, capsys, option, value, message):
+def test_unusable_status_or_output_path_is_config_error(workdir, capsys, monkeypatch, option,
+                                                        value, message):
+    def runner(cfg, claims):
+        raise AssertionError("the run started before the path check")
+
+    monkeypatch.setitem(cli._RUNNERS, "dyadic", runner)
     assert run("dyadic", "--k-list", "8", option, value) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 

@@ -14,6 +14,7 @@ from oracles import (
     conditional_match_at_count,
     dense_mass,
     full_row_tables,
+    row_square_sums_by_gather,
     weight_bounds,
 )
 
@@ -21,6 +22,8 @@ from heiswalk import tables
 from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.tables import (
     TABLE_K_CAP,
+    _odd_prime_above,
+    _primitive_root,
     _row_square_sums,
     _weight_laws,
     dyadic_uniformity,
@@ -296,6 +299,40 @@ def test_row_square_sums_against_integer_counts_through_k56():
             else:
                 assert k > 26 and math.ldexp(err, 2 * b) >= 0.5, (k, s)
                 assert abs(Fraction(value) * 4**b - exact) <= Fraction(err) * 4**b, (k, s)
+
+
+@pytest.mark.parametrize("k", [27, 40, 56, 64, 128, 256, 512])
+def test_row_square_sums_match_the_gather_order(k):
+    # the same terms summed in another order: within both certificates, and
+    # equal where a row is rounded to its integer
+    got, ref = _row_square_sums(k), row_square_sums_by_gather(k)
+    assert len(got) == len(ref) == k // 2 + 1
+    for s, ((value, b, err), (ref_value, ref_b, ref_err)) in enumerate(zip(got, ref)):
+        assert b == ref_b, (k, s)
+        if err == 0.0 or ref_err == 0.0:
+            assert (value, err) == (ref_value, ref_err), (k, s)
+        else:
+            assert abs(value - ref_value) <= err + ref_err, (k, s)
+
+
+def _prime_factors(n):
+    """The primes dividing n, by trial division."""
+    primes, d = set(), 2
+    while d * d <= n:
+        if n % d:
+            d += 1
+        else:
+            primes.add(d)
+            n //= d
+    return primes | ({n} if n > 1 else set())
+
+
+def test_generator_has_full_order_up_to_the_cap():
+    # g^((M-1)/f) != 1 for every prime f | M-1 means g has order M-1
+    moduli = {_odd_prime_above((k // 2) * (k - k // 2)) for k in range(1, TABLE_K_CAP + 1)}
+    for m in sorted(moduli):
+        g = _primitive_root(m)
+        assert all(pow(g, (m - 1) // f, m) != 1 for f in _prime_factors(m - 1)), m
 
 
 def test_statistics_at_the_table_cap():
