@@ -164,6 +164,7 @@ _EXPERIMENT_OPTIONS = {
 PAIR_STEPS_CAP = 2**36  # about 3 minutes of Monte Carlo on 2 threads
 INTERSECTION_WORK_CAP = 2**28  # about 40 s; at most 16 MiB of counts
 FLOW_PATH_STEPS_CAP = 2**24  # about 1 s; at most 80 MiB for one box's words
+RESISTANCE_SOLVES_CAP = 2**10  # the ball and lattice caps bound each solve's box
 _WORK_CAPS = {
     "eit-tail": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
     "zd-eit": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
@@ -175,6 +176,9 @@ _WORK_CAPS = {
     # num_paths words through every radius, per seed and once more for Thomson
     "flow-energy": ("path-steps", FLOW_PATH_STEPS_CAP,
                     lambda c: c["num_paths"] * sum(c["radii"]) * (len(c["seeds"]) + 1)),
+    # one resistance solve and one cluster search per seed and radius
+    "resistance-profile": ("solves", RESISTANCE_SOLVES_CAP,
+                           lambda c: len(c["seeds"]) * len(c["radii"])),
 }
 
 
@@ -311,9 +315,10 @@ def _run_bound_scan(cfg, claims):
     for k, (point_mass, match) in tables.weight_statistics(range(k_min, k_max + 1)).items():
         bound = 1.0 / k
         holds &= point_mass <= bound + slack and match <= bound + slack
-        rows.append((k, point_mass, match, bound))
+        rows.append((k, point_mass, tables.cell_error(k, point_mass), match, bound))
     fits = [_property_report(claims, "point-mass-bound", holds, [k_min, k_max])]
-    return ["k", "max_point_mass", "p_weighted_match", "bound"], rows, fits, {}
+    header = ["k", "max_point_mass", "point_mass_error", "p_weighted_match", "bound"]
+    return header, rows, fits, {}
 
 
 def _run_dyadic(cfg, claims):
@@ -542,8 +547,9 @@ def _run_flow_energy(cfg, claims):
     rows = []
     thomson_ok = True
     means = []
+    box = percolation.heisenberg_box(radii[-1])
     for radius in radii:
-        graph = percolation.heisenberg_box(radius)
+        graph = box.sub_box(radius)
         energies = []
         for seed in seeds:
             energy, surviving = percolation.path_flow_energy(graph, p, cfg["num_paths"], seed)

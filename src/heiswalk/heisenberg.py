@@ -33,9 +33,11 @@ def ball_levels(radius: int) -> list[np.ndarray]:
     Level r is an (n_r, 3) int64 array of the elements at word distance r,
     in lexicographic order.  One frontier search over packed int64 keys:
     in a Cayley graph with a symmetric generating set the neighbours of
-    sphere r lie in spheres r-1, r and r+1, so each new level is the set
-    of frontier neighbours minus the last two levels.  DEFAULT_BALL_CAP
-    guards memory: the ball grows like the fourth power of the radius.
+    sphere r lie in spheres r-1, r and r+1.  Every generator flips the
+    parity of n + m, so sphere r holds only elements with n + m = r mod 2
+    and none of them neighbours another: each new level is the set of
+    frontier neighbours minus sphere r-1.  DEFAULT_BALL_CAP guards
+    memory: the ball grows like the fourth power of the radius.
     """
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
@@ -57,10 +59,8 @@ def ball_levels(radius: int) -> list[np.ndarray]:
             [frontier + a_step, frontier - a_step, frontier + z_base, frontier - z_base]
         ))
         near = near[np.concatenate(([True], near[1:] != near[:-1]))]  # faster than np.unique
-        known = np.isin(near, previous, assume_unique=True)
-        known |= np.isin(near, frontier, assume_unique=True)
+        levels.append(near[~np.isin(near, previous, assume_unique=True)])
         previous = frontier
-        levels.append(near[~known])
     out = []
     for keys in levels:
         n, rest = np.divmod(keys, n_step)

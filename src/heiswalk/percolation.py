@@ -5,13 +5,17 @@ Z^d) together with every directed generator edge between ball members.
 Percolation keeps each edge with probability p, drawing one uniform per
 (edge identity, seed) via a hash, so masks at different p or different
 radii are monotonically coupled: raising p or shrinking the box never
-closes an open edge.
+closes an open edge.  Vertices are ordered by distance and edges by
+tail, so the box of a smaller radius is a slice of a larger one
+(BoxGraph.sub_box), and a mask restricts to it by the same slice
+(SubgraphMask.within); its edges keep their keys and so their uniforms.
 
 Resistance treats each open edge as a unit resistor with orientation
 ignored, and solves the Dirichlet problem between the origin and the
 sphere of a chosen radius with diagonally preconditioned conjugate
-gradients.  Disconnection is reported as infinite resistance, solver
-non-convergence as SolverConvergenceError.
+gradients, on the sub-box of that radius; the iteration cap stays that
+of the whole box.  Disconnection is reported as infinite resistance,
+solver non-convergence as SolverConvergenceError.
 
 Everything here is numpy.  The Laplacian is a _Laplacian: the degree
 vector beside a padded table of each free vertex's free neighbours, whose
@@ -70,9 +74,15 @@ class BoxGraph:
     carries a 64-bit key built from the tail coordinates and the
     generator label only; the key is independent of the box radius,
     which is what couples masks across nested boxes.
+
+    Those orders make every smaller ball a prefix: sub_box cuts it out
+    by slicing.  A sub-box's `kept` marks, among the first len(kept)
+    edges of the box it was cut from, the edges it holds (None for a
+    built box).
     """
 
-    def __init__(self, family, radius, coords, dist, tails, heads, labels, keys, n_labels):
+    def __init__(self, family, radius, coords, dist, tails, heads, labels, keys, n_labels,
+                 kept=None):
         self.family = family
         self.radius = radius
         self.coords = np.asarray(coords, dtype=np.int64)
@@ -83,9 +93,14 @@ class BoxGraph:
         self.heads = np.asarray(heads, dtype=np.int32)
         self.labels = np.asarray(labels, dtype=np.uint8)
         self.keys = np.asarray(keys, dtype=np.uint64)
+        self.kept = kept
         # out_edge[v, label] = edge index or -1; each label leaves v at most once
         self.out_edge = np.full((self.n_vertices, n_labels), -1, dtype=np.int64)
         self.out_edge[self.tails, self.labels] = np.arange(len(self.tails))
+        # the ball of radius r is the first _ball_end[r] vertices, and the
+        # first _edge_end[r] edges are those with tails in it
+        self._ball_end = np.searchsorted(self.dist, np.arange(radius + 1), side="right")
+        self._edge_end = np.searchsorted(self.tails, self._ball_end)
 
     @property
     def n_vertices(self) -> int:
@@ -94,6 +109,22 @@ class BoxGraph:
     @property
     def n_edges(self) -> int:
         return len(self.tails)
+
+    def sub_box(self, radius: int) -> BoxGraph:
+        """The box of a radius in [0, self.radius], by slicing.
+
+        Its vertices are a prefix, and its edges are those of the edge
+        prefix with tails in it whose heads lie in it too, in the same
+        order and with the same keys: the box that heisenberg_box or
+        lattice_box would build at that radius.
+        """
+        if not 0 <= radius <= self.radius:
+            raise ConfigError(f"sub-box radius must be in [0, {self.radius}], got {radius}")
+        n, e = self._ball_end[radius], self._edge_end[radius]
+        kept = self.heads[:e] < n
+        return BoxGraph(self.family, radius, self.coords[:n], self.dist[:n], self.tails[:e][kept],
+                        self.heads[:e][kept], self.labels[:e][kept], self.keys[:e][kept],
+                        self.n_labels, kept)
 
 
 def heisenberg_box(radius: int) -> BoxGraph:
@@ -182,6 +213,13 @@ class SubgraphMask:
     seed: int
     open: np.ndarray
 
+    def within(self, radius: int) -> SubgraphMask:
+        """The same mask on graph.sub_box(radius); itself at the graph radius."""
+        if radius >= self.graph.radius:
+            return self
+        sub = self.graph.sub_box(radius)
+        return SubgraphMask(sub, self.p, self.seed, self.open[:len(sub.kept)][sub.kept])
+
 
 def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
     """Bernoulli(p) edge retention, coupled across p and radius by seed."""
@@ -209,14 +247,14 @@ def oriented_cluster(mask: SubgraphMask, max_dist: int | None = None) -> np.ndar
 
 def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np.ndarray:
     """Sorted vertices reached from start over open edges inside the radius limit."""
+    mask = mask.within(limit)
     graph = mask.graph
-    dist = graph.dist
-    keep = mask.open & (dist[graph.tails] <= limit) & (dist[graph.heads] <= limit)
-    tails, heads = graph.tails[keep], graph.heads[keep]
+    tails, heads = graph.tails[mask.open], graph.heads[mask.open]
     if not directed:
         tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
-    # adjacency lists: the heads of each tail's edges, contiguous
-    neighbours = heads[np.argsort(tails)]
+    # adjacency lists: the heads of each tail's edges, contiguous; a stable
+    # sort is fastest here, on tails already sorted or in two sorted runs
+    neighbours = heads[np.argsort(tails, kind="stable")]
     degree = np.bincount(tails, minlength=graph.n_vertices)
     first = np.cumsum(degree) - degree
     seen = np.zeros(graph.n_vertices, dtype=bool)
@@ -240,12 +278,16 @@ def effective_resistance(mask: SubgraphMask, sink_radius: int | None = None) -> 
     orientation ignored.  Potentials solve the Dirichlet problem
     (1 at the origin, 0 on the whole sphere); the result is 1 over the
     current leaving the origin.  Infinite when no open path reaches the
-    sphere; SolverConvergenceError if CG stalls within its iteration cap.
+    sphere; SolverConvergenceError if CG stalls within its iteration cap,
+    which the size of the whole box sets.
     """
     graph = mask.graph
     r = graph.radius if sink_radius is None else sink_radius
     if not 1 <= r <= graph.radius:
         raise ConfigError(f"sink_radius must be in [1, {graph.radius}]")
+    n_vertices = graph.n_vertices
+    mask = mask.within(r)
+    graph = mask.graph
     src = graph.origin
     comp = np.zeros(graph.n_vertices, dtype=bool)
     comp[_reachable(mask, src, r, directed=False)] = True
@@ -255,13 +297,13 @@ def effective_resistance(mask: SubgraphMask, sink_radius: int | None = None) -> 
 
     # restrict to the source component; ground the shell
     tails, heads = graph.tails, graph.heads
-    keep = mask.open & comp[tails] & comp[heads] & (graph.dist[tails] <= r) & (graph.dist[heads] <= r)
+    keep = mask.open & comp[tails] & comp[heads]
     t, h = tails[keep], heads[keep]
 
     role = np.zeros(graph.n_vertices, dtype=np.int8)  # 1 source, 2 ground
     role[src] = 1
     role[shell] = 2
-    free = comp & (role == 0) & (graph.dist <= r)
+    free = comp & (role == 0)
     col = np.cumsum(free) - 1  # free-vertex numbering
     n_free = int(free.sum())
     # each edge once from either end; integer counts are exact in any order
@@ -272,8 +314,7 @@ def effective_resistance(mask: SubgraphMask, sink_radius: int | None = None) -> 
     into = at_free & (role[others] == 1)
     b = np.bincount(col[ends[into]], minlength=n_free).astype(float)
     inner = at_free & free[others]
-    phi = _solve_spd(_Laplacian.build(deg, col[ends[inner]], col[others[inner]]), b,
-                     graph.n_vertices)
+    phi = _solve_spd(_Laplacian.build(deg, col[ends[inner]], col[others[inner]]), b, n_vertices)
 
     potential = np.zeros(graph.n_vertices)
     potential[src] = 1.0

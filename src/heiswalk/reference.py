@@ -49,7 +49,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 from .paths import (PAIR_CHUNK, PAIR_CHUNK_CELLS_CAP, TailEstimate, map_chunks, pair_chunk,
                     pair_tail, walk_blocks)
-from .rng import stream
+from .rng import rekey, stream
 
 __all__ = [
     "zd_collision_probability",
@@ -76,7 +76,8 @@ ZD_COLLISION_WORK_CAP = 2**21  # d * (k + 1)^2 of zd_collision_probability
 RENEWAL_HORIZON_CAP = PAIR_CHUNK_CELLS_CAP // PAIR_CHUNK
 ZD_MAX_D = 256  # Monte Carlo letter pairs a*d + b are drawn as uint16
 SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
-INTERSECTION_TIME_CAP = 2**15  # walk steps; positions pack exactly into int64 keys
+# walk steps; _common_counts sorts key * 2(t+1) + position, below 2^63 up to t = 4704
+INTERSECTION_TIME_CAP = 2**12
 INTERSECTION_CHUNK = 128  # sample pairs per sort; bounds the batch's memory
 
 
@@ -362,13 +363,20 @@ def srw_return_profile(t_max: int) -> SrwReturnProfile:
         dst[0] = 0.0
         dst[1:] = src[:-1]
         dst[:-1] += src[1:]
-        # a step: (x+1, y, z-y); a inverse: (x-1, y, z+y)
+        # a step: (x+1, y, z-y); a inverse: (x-1, y, z+y); row y of the
+        # time-(s-1) law is zero outside |x| <= s-1-|y|, window columns [x0, x1)
         for yi in range(2 * w_xy + 1):
             y = yi - w_xy
+            reach = s - 1 - abs(y)
+            if reach < 0:
+                continue
+            x0, x1 = max(0, w_xy - reach), min(2 * w_xy, w_xy + reach) + 1
             lo = slice(max(0, -y), nz - max(0, y))
             hi = slice(max(0, y), nz - max(0, -y))
-            dst[yi, 1:, lo] += src[yi, :-1, hi]
-            dst[yi, :-1, hi] += src[yi, 1:, lo]
+            right = min(x1, 2 * w_xy)
+            dst[yi, x0 + 1:right + 1, lo] += src[yi, x0:right, hi]
+            left = max(x0, 1)
+            dst[yi, left - 1:x1 - 1, hi] += src[yi, left:x1, lo]
         dst *= 0.25
         cur, nxt = nxt, cur
         # a fixed-order sum: no BLAS, whose order depends on its thread count
@@ -419,11 +427,12 @@ def srw_mutual_intersections(
     times = (0,) + tuple(n_base * 2**i for i in range(num_doublings + 1))
     t_max = times[-1]
     values = np.zeros((samples, len(times)), dtype=np.int64)
+    rng = stream(seed, 0)  # re-keyed to stream (seed, i) for pair i
     for lo in range(0, samples, INTERSECTION_CHUNK):
         hi = min(lo + INTERSECTION_CHUNK, samples)
         letters = []
         for i in range(lo, hi):
-            rng = stream(seed, i)
+            rekey(rng, seed, i)
             letters += [rng.integers(0, 4, size=t_max, dtype=np.uint8) for _ in range(2)]
         keys = _visit_keys(np.array(letters), t_max)  # rows u0, v0, u1, v1, ...
         values[lo:hi] = _common_counts(keys[0::2], keys[1::2], times)
@@ -436,8 +445,8 @@ def _visit_keys(letters: np.ndarray, t_max: int) -> np.ndarray:
     """Position keys of walks at times 0..t, one walk per row of letters (t steps).
 
     Letters 0..3 step by a, a^-1, b, b^-1.  Within t_max steps |x|, |y| <= t_max
-    and |z| <= t_max^2 / 4, so the mixed-radix key is exact in int64 up to
-    INTERSECTION_TIME_CAP.
+    and |z| <= t_max^2 / 4, so the mixed-radix key lies in
+    [0, (2 t_max + 1)^2 (2 (t_max^2 // 4) + 1)).
     """
     dx = (letters == 0).astype(np.int64) - (letters == 1)
     dy = (letters == 2).astype(np.int64) - (letters == 3)
@@ -453,22 +462,30 @@ def _visit_keys(letters: np.ndarray, t_max: int) -> np.ndarray:
 def _common_counts(keys_u: np.ndarray, keys_v: np.ndarray, times) -> np.ndarray:
     """Per row, the number of vertices visited by both walks by each checkpoint.
 
-    A vertex is common from the later of its two first visits.  One stable
-    sort of each row of u and v keys puts every key's u visits, in time
-    order, just before its v visits; the first v visit right after a u
-    visit of the same key marks a common vertex, and the u run's head is
-    u's first visit.
+    A vertex is common from the later of its two first visits.  Each row
+    sorts one composite per visit, key * 2 steps + position, the positions
+    counting u's visits before v's.  The composites are distinct, so
+    numpy's default sort gives the order a stable sort of the keys alone
+    would: every key's u visits, in time order, just before its v visits.
+    The first v visit right after a u visit of the same key marks a common
+    vertex, and the u run's head is u's first visit.  The composites stay
+    below 2^63 for walks of up to 4704 steps, above INTERSECTION_TIME_CAP;
+    numpy's int64 products would wrap silently beyond.
     """
     n, steps = keys_u.shape
+    width = 2 * steps
     keys = np.hstack([keys_u, keys_v])
-    order = np.argsort(keys, axis=1, kind="stable")
-    keys = np.take_along_axis(keys, order, axis=1)
+    keys *= width
+    keys += np.arange(width)
+    keys.sort(axis=1)
+    order = keys % width
+    keys //= width
     from_v = order >= steps
     time = np.where(from_v, order - steps, order)
     new_key = np.ones(keys.shape, dtype=bool)
     new_key[:, 1:] = keys[:, 1:] != keys[:, :-1]
     # position of the head of each key's run
-    head = np.maximum.accumulate(np.where(new_key, np.arange(2 * steps), 0), axis=1)
+    head = np.maximum.accumulate(np.where(new_key, np.arange(width), 0), axis=1)
     common = from_v & ~new_key
     common[:, 1:] &= ~from_v[:, :-1]
     row, col = np.nonzero(common)

@@ -27,8 +27,9 @@ count_match is correctly rounded.  Each W-marginal cell is a multiple of
 halvings (exact also below 2^-1022 through k = 1074), so it is exact
 while its count is below 2^53 (through k = 56), and beyond that within
 gamma_{k-1} = (k-1)u / (1 - (k-1)u), u = 2^-53, of its value (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, ch. 4); the sum of
-squares adds its own gamma_n over its n cells.  A row sum of squares is
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 4), which
+cell_error reports; the sum of squares adds its own gamma_n over its n
+cells.  A row sum of squares is
 exact where its certificate (_row_square_sums) is below 1/2, which holds
 for every row through k = 26, so collision is correctly rounded there.
 
@@ -51,6 +52,7 @@ __all__ = [
     "TableStatistics",
     "scan_statistics",
     "weight_statistics",
+    "cell_error",
     "TABLE_K_CAP",
     "dyadic_uniformity",
     "DYADIC_K_CAP",
@@ -79,6 +81,18 @@ def weight_statistics(k_values) -> dict[int, tuple[float, float]]:
     # np.sum's pairwise order is fixed; a BLAS dot product's depends on its thread count
     return {k: (float(law.max()), float(np.sum(law * law)))
             for k, law in _weight_laws(max(wanted)) if k in wanted}
+
+
+def cell_error(k: int, value: float) -> float:
+    """Bound on the distance of a W-marginal cell of `value` at k from its exact value.
+
+    0 through k = 56, where every cell is exact; beyond, the exact value x
+    satisfies |value - x| <= gamma_{k-1} x <= gamma_{k-1} value / (1 - gamma_{k-1}).
+    """
+    if k <= 56:
+        return 0.0
+    gamma = (k - 1) * _U / (1 - (k - 1) * _U)
+    return gamma / (1 - gamma) * value
 
 
 def _weight_laws(k_max: int):

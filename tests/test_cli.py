@@ -311,8 +311,12 @@ def test_no_subcommand_imports_scipy(workdir):
 _HUGE = str(10**12)  # --seeds takes no huge length here
 
 
+_MANY_SEEDS = ",".join(map(str, range(10**5)))
+
+
 def _edge_calls():
-    """Each small call with one option set to 0, -1, a huge value or a bad list."""
+    """(call, exit codes it may end in) for each small call with one option set
+    to 0, -1, a huge value or a bad list; 10^5 seeds must meet a work cap."""
     for argv in _SMALL_CALLS:
         options = {**cli._GLOBAL_OPTIONS, **cli._EXPERIMENT_OPTIONS[argv[0]]}
         for name, (spec, _default, _help) in options.items():
@@ -324,13 +328,15 @@ def _edge_calls():
                 values.append(_HUGE)
             if spec.startswith("intlist"):
                 values += ["", "4,,8", "8,4"]
+            if name == "seeds":
+                values.append(_MANY_SEEDS)
             for value in values:
                 call = list(argv)
                 if flag in call:
                     call[call.index(flag) + 1] = value
                 else:
                     call += [flag, value]
-                yield call
+                yield call, (3,) if value is _MANY_SEEDS else (0, 2, 3, 5)
 
 
 def test_edge_values_end_in_documented_exit_codes(workdir, capsys, monkeypatch):
@@ -338,14 +344,18 @@ def test_edge_values_end_in_documented_exit_codes(workdir, capsys, monkeypatch):
     monkeypatch.setattr(paths, "ThreadPoolExecutor", None)
     start = time.perf_counter()
     bad = []
-    for call in _edge_calls():
+    many_seeds = set()
+    for call, codes in _edge_calls():
         try:
             code = run(*call)
         except Exception as exc:  # a traceback at the command line
             code = repr(exc)
-        if code not in (0, 2, 3, 5) or "Traceback" in capsys.readouterr().err:
-            bad.append((call, code))
+        if code not in codes or "Traceback" in capsys.readouterr().err:
+            bad.append(([v if v is not _MANY_SEEDS else "0,...,99999" for v in call], code))
+        if _MANY_SEEDS in call:
+            many_seeds.add(call[0])
     assert bad == []
+    assert many_seeds == {"resistance-profile", "flow-energy"}
     assert time.perf_counter() - start < 10.0
 
 
@@ -363,7 +373,7 @@ def test_work_caps_sit_far_above_default_and_benchmark_calls():
     calls = [[name] for name in cli._WORK_CAPS]
     calls += [argv for wl in workloads.WORKLOADS.values() for _label, argv in wl
               if argv[0] in cli._WORK_CAPS]
-    assert len(calls) == 10
+    assert len(calls) == 13
     for argv in calls:
         _unit, cap, figure = cli._WORK_CAPS[argv[0]]
         assert 30 * figure(_resolved(argv)) < cap, argv
@@ -372,19 +382,36 @@ def test_work_caps_sit_far_above_default_and_benchmark_calls():
 @pytest.mark.parametrize("experiment, option", [
     ("eit-tail", "samples"), ("zd-eit", "samples"), ("theta-d", "samples"),
     ("srw-intersections", "samples"), ("flow-energy", "num_paths"),
+    ("resistance-profile", "seeds"),
 ])
 def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experiment, option):
-    # the most work the cap allows reaches the runner, one unit more does not
+    # the most work the cap allows reaches the runner, one unit more does not;
+    # a list option grows by one more element
+    listed = cli._EXPERIMENT_OPTIONS[experiment][option][0].startswith("intlist")
+
+    def sized(n):
+        return ",".join(["1"] * n) if listed else str(n)
+
     ran = []
     monkeypatch.setitem(cli._RUNNERS, experiment,
                         lambda cfg, claims: ran.append(cfg[option]) or (["x"], [], [], {}))
     _unit, cap, figure = cli._WORK_CAPS[experiment]
-    most = cap // figure(_resolved([experiment, cli._flag(option), "1"]))
-    assert run(experiment, cli._flag(option), str(most)) == 0
-    assert ran == [most]
-    assert run(experiment, cli._flag(option), str(most + 1)) == 3
-    assert ran == [most]
+    most = cap // figure(_resolved([experiment, cli._flag(option), sized(1)]))
+    assert run(experiment, cli._flag(option), sized(most)) == 0
+    assert ran == [[1] * most if listed else most]
+    assert run(experiment, cli._flag(option), sized(most + 1)) == 3
+    assert len(ran) == 1
     assert "resource cap exceeded" in capsys.readouterr().err
+
+
+def test_bound_scan_prints_its_certificate(workdir, capsys):
+    # cells are exact through k = 56, within gamma_{k-1} beyond
+    assert run("bound-scan", "--k-min", "55", "--k-max", "58", "--out-path", "scan.csv") == 0
+    lines = Path("scan.csv").read_text().splitlines()
+    assert lines[0] == "k,max_point_mass,point_mass_error,p_weighted_match,bound"
+    errors = {int(k): float(e) for k, _m, e, _w, _b in (line.split(",") for line in lines[1:])}
+    assert errors[55] == errors[56] == 0.0
+    assert 0.0 < errors[57] < 1e-16 and 0.0 < errors[58] < 1e-16
 
 
 def test_failed_claim_exit_code(workdir, capsys):

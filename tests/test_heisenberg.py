@@ -118,6 +118,12 @@ def test_ball_levels_match_dict_bfs():
         assert ball_with_distances(radius) == {g: d for g, d in oracle.items() if d <= radius}
 
 
+def test_spheres_have_the_parity_of_their_radius():
+    # every generator flips n + m mod 2, so no sphere holds two neighbours
+    for r, level in enumerate(ball_levels(12)):
+        assert np.all((level[:, 0] + level[:, 1]) % 2 == r % 2), r
+
+
 def test_ball_distances_are_geodesic():
     dist = ball_with_distances(5)
     assert dist[IDENTITY] == 0

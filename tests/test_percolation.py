@@ -284,10 +284,30 @@ def test_lattice_box_shapes():
 )
 def test_box_matches_vertex_by_vertex_builder(family, radius):
     g = heisenberg_box(radius) if family == "heisenberg" else lattice_box(int(family[1:]), radius)
-    want = oracles.box_arrays(family, radius)
-    for name in ("coords", "dist", "tails", "heads", "labels", "keys", "out_edge"):
-        assert np.array_equal(getattr(g, name), want[name]), name
+    # the sub-box of every radius is the box built at that radius
+    for r in range(radius + 1):
+        sub = g.sub_box(r)
+        assert (sub.family, sub.radius, sub.origin) == (family, r, g.origin)
+        want = oracles.box_arrays(family, r)
+        for name in ("coords", "dist", "tails", "heads", "labels", "keys", "out_edge"):
+            assert np.array_equal(getattr(sub, name), want[name]), (r, name)
+    assert g.sub_box(radius).n_edges == g.n_edges
     assert g.coords.dtype == np.int64 and g.keys.dtype == np.uint64
+    with pytest.raises(ConfigError):
+        g.sub_box(radius + 1)
+
+
+@pytest.mark.parametrize("family", ["heisenberg", "z2"])
+def test_restricted_mask_is_the_mask_of_the_sub_box(family):
+    # edge uniforms depend on the keys alone: percolating a sub-box and
+    # restricting the whole box's mask open the same edges
+    g = heisenberg_box(8) if family == "heisenberg" else lattice_box(2, 7)
+    mask = percolate(g, 0.7, seed=11)
+    assert mask.within(g.radius) is mask
+    for r in range(g.radius):
+        sub = mask.within(r)
+        assert np.array_equal(sub.open, percolate(g.sub_box(r), 0.7, seed=11).open), r
+        assert np.array_equal(sub.graph.keys, g.keys[:len(sub.graph.kept)][sub.graph.kept])
 
 
 def test_lattice_box_beyond_the_key_fields():

@@ -305,10 +305,11 @@ def test_intersection_growth_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-# 130 samples cross the boundary of the 128-pair chunks
+# 130 samples cross the boundary of the 128-pair chunks; the last case
+# ends at INTERSECTION_TIME_CAP, where the sort composites are largest
 @pytest.mark.parametrize("n_base,samples,seed,doublings",
                          [(1, 6, 2, 0), (3, 25, 1, 3), (8, 40, 5, 2), (16, 12, 9, 1),
-                          (16, 130, 3, 1)])
+                          (16, 130, 3, 1), (INTERSECTION_TIME_CAP // 4, 2, 4, 2)])
 def test_intersections_match_step_loop(n_base, samples, seed, doublings):
     growth = srw_mutual_intersections(n_base, samples, seed, doublings)
     assert np.array_equal(growth.values, srw_intersection_values(n_base, samples, seed, doublings))
@@ -330,6 +331,12 @@ def test_first_visit_keys_exact_at_the_cap():
     # decode (radix 2t+1 for x and y, 2(t^2//4)+1 for z) to the positions
     t = INTERSECTION_TIME_CAP
     z_half = t * t // 4
+    # _common_counts sorts key * 2(t+1) + position: the largest fits in int64
+    # at the cap, and first overflows at t = 4705
+    def largest_composite(t):
+        return (2 * t + 1) ** 2 * (2 * (t * t // 4) + 1) * 2 * (t + 1) - 1
+
+    assert largest_composite(t) < largest_composite(4704) < 2**63 <= largest_composite(4705)
     for a, b in ((0, 2), (1, 3), (0, 3), (1, 2)):
         letters = np.repeat(np.array([b, a], dtype=np.uint8), [t // 2, t // 2])
         keys, first = np.unique(_visit_keys(letters[None], t)[0], return_index=True)

@@ -26,6 +26,7 @@ from heiswalk.tables import (
     _primitive_root,
     _row_square_sums,
     _weight_laws,
+    cell_error,
     dyadic_uniformity,
     scan_statistics,
     weight_statistics,
@@ -236,6 +237,7 @@ def test_mass_equals_integer_counts_through_k56():
     # every count stays below 2^53 up to k = 56, so the W-marginal is exact
     for (k, rows), (k_law, law) in zip(exact_tables(56), _weight_laws(56)):
         assert k_law == k
+        assert cell_error(k, float(law.max())) == 0.0
         assert max(int(r.max()) for r in rows) < 2**53
         w_counts = np.zeros(k * (k - 1) // 2 + 1, dtype=object)
         for s, row in enumerate(rows):
@@ -277,6 +279,10 @@ def test_statistics_near_exact_rationals_beyond_k56():
         for field, value in exact[k].items():
             rel = abs(Fraction(getattr(stats[k], field)) - value) / value
             assert rel <= 1e-15, (k, field, float(rel))
+        # the certificate bound-scan prints beside max_point_mass
+        point_mass = Fraction(stats[k].max_point_mass)
+        error = cell_error(k, stats[k].max_point_mass)
+        assert 0 < error and abs(point_mass - exact[k]["max_point_mass"]) <= Fraction(error), k
 
 
 def test_row_square_sums_at_k1_and_k2():
