@@ -519,23 +519,26 @@ def _run_resistance_profile(cfg, claims):
     else:
         _require_radii(radii, 3, "shrinking increments")
         graph = percolation.heisenberg_box(radii[-1])
-    prof = percolation.resistance_profile(graph, cfg["p"], radii, seeds)
-    for seed, sp in zip(seeds, prof.per_seed):
-        for r, res, _cs in sp.entries:
-            if math.isinf(res):
-                raise ConfigError(f"seed {seed} has no open path from the origin to radius {r} "
-                                  f"at p={cfg['p']}: an infinite resistance gives no fit")
-    rows = []
-    for seed, sp in zip(seeds, prof.per_seed):
-        rows += [(str(seed), r, res, int(cs)) for r, res, cs in sp.entries]
-    rows += [("mean", r, res, cs) for r, res, cs in prof.entries]
+    resistance, cluster_size = percolation.resistance_profile(graph, cfg["p"], radii, seeds)
+    infinite = np.argwhere(np.isinf(resistance))
+    if len(infinite):
+        i, j = infinite[0]
+        raise ConfigError(f"seed {seeds[i]} has no open path from the origin to radius "
+                          f"{radii[j]} at p={cfg['p']}: an infinite resistance gives no fit")
+    rows = [(str(seed), r, res, int(cs))
+            for seed, res_row, cs_row in zip(seeds, resistance, cluster_size)
+            for r, res, cs in zip(radii, res_row, cs_row)]
+    # np.mean of each radius's column: mean(axis=0) sums in another order
+    means = [float(np.mean(resistance[:, j])) for j in range(len(radii))]
+    rows += [("mean", r, res, float(np.mean(cluster_size[:, j])))
+             for j, (r, res) in enumerate(zip(radii, means))]
     fits = []
     if cfg["family"] == "z2":
-        fit = _fit_line(np.log(radii), prof.resistances())
+        fit = _fit_line(np.log(radii), means)
         fits.append(_report(claims, "z2-recurrence-slope", fit.slope, radii, fit.r_squared,
                             fit.intercept))
     else:
-        inc = prof.increments()
+        inc = np.diff(means)
         holds = all(a > b for a, b in zip(inc, inc[1:]))
         fits.append(_property_report(claims, "gh-transience-increments", holds, radii))
     return ["seed", "radius", "resistance", "oriented_cluster_size"], rows, fits, {}
@@ -558,8 +561,8 @@ def _run_flow_energy(cfg, claims):
         means.append(float(np.mean(energies)))
         # Thomson check rides along at p=1 on the same box
         mask = percolation.percolate(graph, 1.0, seeds[0])
-        assignment = percolation.path_flow_assignment(graph, mask, cfg["num_paths"], seeds[0])
-        reff = percolation.effective_resistance(mask, radius)
+        assignment = percolation.path_flow_assignment(mask, cfg["num_paths"], seeds[0])
+        reff = percolation.effective_resistance(mask)
         thomson_ok &= assignment is not None and assignment.energy() >= reff - 1e-9
         rows.append((1.0, radius, "thomson", assignment.energy(), assignment.surviving, reff))
     inc = [b - a for a, b in zip(means, means[1:])]

@@ -2,7 +2,7 @@
 
 Each maps to a distinct process exit code in the CLI so scripted callers
 can tell configuration mistakes from resource limits from numerical
-failures (see cli.EXIT_CODES).
+failures (see the list of exit codes in the cli module docstring).
 """
 
 

@@ -51,11 +51,8 @@ __all__ = [
     "tail_integral_decay",
     "verify_cos_gaussian_bound",
     "folding_distance",
-    "DEFAULT_COS_GAUSSIAN_C",
     "FOURIER_K_CAP",
 ]
-
-DEFAULT_COS_GAUSSIAN_C = 0.5
 
 _TOL_ABS = 1e-10
 _TOL_REL = 1e-4
@@ -103,8 +100,7 @@ def folding_distance(y) -> np.ndarray:
     return np.abs(np.mod(y + 0.5 * math.pi, math.pi) - 0.5 * math.pi)
 
 
-def _adaptive_simpson(f, edges: np.ndarray, tol_abs: float, tol_rel: float,
-                      max_panels: int = _MAX_PANELS) -> QuadratureResult:
+def _adaptive_simpson(f, edges: np.ndarray, tol_abs: float, tol_rel: float) -> QuadratureResult:
     """Composite adaptive Simpson over the given initial panel edges.
 
     Panels are refined in batches: any panel whose halving estimate
@@ -133,7 +129,7 @@ def _adaptive_simpson(f, edges: np.ndarray, tol_abs: float, tol_rel: float,
         tol = max(tol_abs, tol_rel * abs(total))
         if total_err <= tol:
             return QuadratureResult(total, total_err, a.size)
-        if a.size >= max_panels:
+        if a.size >= _MAX_PANELS:
             break
         share = tol * (b - a) / total_width
         split = err > np.maximum(share, 1e-300)

@@ -127,8 +127,6 @@ def map_chunks(fn, samples: int, horizon: int, threads: int):
     if threads > THREADS_CAP:
         raise CapExceededError(f"{threads} threads exceed the cap {THREADS_CAP}")
     sizes = [min(PAIR_CHUNK, samples - start) for start in range(0, samples, PAIR_CHUNK)]
-    if threads == 1:
-        return sum(map(fn, sizes, range(len(sizes))))
     total, pending = 0, deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for index, size in enumerate(sizes):

@@ -7,15 +7,17 @@ Percolation keeps each edge with probability p, drawing one uniform per
 radii are monotonically coupled: raising p or shrinking the box never
 closes an open edge.  Vertices are ordered by distance and edges by
 tail, so the box of a smaller radius is a slice of a larger one
-(BoxGraph.sub_box), and a mask restricts to it by the same slice
-(SubgraphMask.within); its edges keep their keys and so their uniforms.
+(BoxGraph.sub_box); its edges keep their keys, so percolating it opens
+the edges the larger box's mask opens there.  A mask is the open-edge
+array of the box it was drawn on, and every search and solve works on
+that box at its own radius.
 
 Resistance treats each open edge as a unit resistor with orientation
 ignored, and solves the Dirichlet problem between the origin and the
-sphere of a chosen radius with diagonally preconditioned conjugate
-gradients, on the sub-box of that radius; the iteration cap stays that
-of the whole box.  Disconnection is reported as infinite resistance,
-solver non-convergence as SolverConvergenceError.
+sphere at the box radius with diagonally preconditioned conjugate
+gradients, capped at a step count set by the size of that box.
+Disconnection is reported as infinite resistance, solver
+non-convergence as SolverConvergenceError.
 
 Everything here is numpy.  The Laplacian is a _Laplacian: the degree
 vector beside a padded table of each free vertex's free neighbours, whose
@@ -26,7 +28,7 @@ frontier sweeps.
 
 Transience of a ball sequence cannot be decided by any finite solve;
 resistance_profile reports the honest finite surrogate (resistance to
-growing shells under one coupled mask) and leaves the reading of the
+growing shells under coupled masks) and leaves the reading of the
 increments to the caller.
 """
 
@@ -45,7 +47,6 @@ __all__ = [
     "BoxGraph",
     "SubgraphMask",
     "FlowAssignment",
-    "ResistanceProfile",
     "heisenberg_box",
     "lattice_box",
     "percolate",
@@ -76,14 +77,10 @@ class BoxGraph:
     which is what couples masks across nested boxes.
 
     Those orders make every smaller ball a prefix: sub_box cuts it out
-    by slicing.  A sub-box's `kept` marks, among the first len(kept)
-    edges of the box it was cut from, the edges it holds (None for a
-    built box).
+    by slicing.
     """
 
-    def __init__(self, family, radius, coords, dist, tails, heads, labels, keys, n_labels,
-                 kept=None):
-        self.family = family
+    def __init__(self, radius, coords, dist, tails, heads, labels, keys, n_labels):
         self.radius = radius
         self.coords = np.asarray(coords, dtype=np.int64)
         self.dist = np.asarray(dist, dtype=np.int32)
@@ -93,7 +90,6 @@ class BoxGraph:
         self.heads = np.asarray(heads, dtype=np.int32)
         self.labels = np.asarray(labels, dtype=np.uint8)
         self.keys = np.asarray(keys, dtype=np.uint64)
-        self.kept = kept
         # out_edge[v, label] = edge index or -1; each label leaves v at most once
         self.out_edge = np.full((self.n_vertices, n_labels), -1, dtype=np.int64)
         self.out_edge[self.tails, self.labels] = np.arange(len(self.tails))
@@ -122,9 +118,9 @@ class BoxGraph:
             raise ConfigError(f"sub-box radius must be in [0, {self.radius}], got {radius}")
         n, e = self._ball_end[radius], self._edge_end[radius]
         kept = self.heads[:e] < n
-        return BoxGraph(self.family, radius, self.coords[:n], self.dist[:n], self.tails[:e][kept],
+        return BoxGraph(radius, self.coords[:n], self.dist[:n], self.tails[:e][kept],
                         self.heads[:e][kept], self.labels[:e][kept], self.keys[:e][kept],
-                        self.n_labels, kept)
+                        self.n_labels)
 
 
 def heisenberg_box(radius: int) -> BoxGraph:
@@ -184,8 +180,8 @@ def _box_graph(family, radius, coords, dist, heads, widths) -> BoxGraph:
         head_index[:, label] = np.where(sorted_key[pos] == head_key, by_key[pos], -1)
     tails, labels = np.nonzero(head_index >= 0)
     keys = vertex_key[tails] | (labels << sum(widths))
-    return BoxGraph(family, radius, coords, dist, tails, head_index[tails, labels], labels,
-                    keys, len(heads))
+    return BoxGraph(radius, coords, dist, tails, head_index[tails, labels], labels, keys,
+                    len(heads))
 
 
 def _pack(coords: np.ndarray, widths) -> np.ndarray:
@@ -206,19 +202,10 @@ def _pack(coords: np.ndarray, widths) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubgraphMask:
-    """Open-edge indicator over a BoxGraph, reproducible from (p, seed)."""
+    """Open-edge indicator over the edges of the BoxGraph it was drawn on."""
 
     graph: BoxGraph
-    p: float
-    seed: int
     open: np.ndarray
-
-    def within(self, radius: int) -> SubgraphMask:
-        """The same mask on graph.sub_box(radius); itself at the graph radius."""
-        if radius >= self.graph.radius:
-            return self
-        sub = self.graph.sub_box(radius)
-        return SubgraphMask(sub, self.p, self.seed, self.open[:len(sub.kept)][sub.kept])
 
 
 def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
@@ -228,26 +215,17 @@ def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
     u = edge_uniforms(graph.keys, seed)
     mask = u < p
     mask.flags.writeable = False
-    return SubgraphMask(graph, p, seed, mask)
+    return SubgraphMask(graph, mask)
 
 
-def oriented_cluster(mask: SubgraphMask, max_dist: int | None = None) -> np.ndarray:
+def oriented_cluster(mask: SubgraphMask) -> np.ndarray:
     """Sorted indices of the vertices reachable from the origin along open
-    directed edges.
-
-    max_dist restricts the search to the sub-ball of that radius, which
-    is how one coupled mask serves a whole radius profile.
-    """
-    graph = mask.graph
-    limit = graph.radius if max_dist is None else max_dist
-    if limit < 0:
-        raise ConfigError(f"max_dist must be >= 0, got {limit}")
-    return _reachable(mask, graph.origin, limit, directed=True)
+    directed edges."""
+    return _reachable(mask, directed=True)
 
 
-def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np.ndarray:
-    """Sorted vertices reached from start over open edges inside the radius limit."""
-    mask = mask.within(limit)
+def _reachable(mask: SubgraphMask, directed: bool) -> np.ndarray:
+    """Sorted vertices reached from the origin over open edges."""
     graph = mask.graph
     tails, heads = graph.tails[mask.open], graph.heads[mask.open]
     if not directed:
@@ -258,8 +236,8 @@ def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np
     degree = np.bincount(tails, minlength=graph.n_vertices)
     first = np.cumsum(degree) - degree
     seen = np.zeros(graph.n_vertices, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
+    seen[graph.origin] = True
+    frontier = np.array([graph.origin])
     while len(frontier):
         count = degree[frontier]
         base = np.repeat(first[frontier] - (np.cumsum(count) - count), count)
@@ -271,27 +249,22 @@ def _reachable(mask: SubgraphMask, start: int, limit: int, directed: bool) -> np
     return np.flatnonzero(seen)
 
 
-def effective_resistance(mask: SubgraphMask, sink_radius: int | None = None) -> float:
-    """Resistance between the origin and the sphere at sink_radius.
+def effective_resistance(mask: SubgraphMask) -> float:
+    """Resistance between the origin and the sphere at the box radius.
 
-    Open edges inside the sub-ball of that radius are unit resistors,
-    orientation ignored.  Potentials solve the Dirichlet problem
-    (1 at the origin, 0 on the whole sphere); the result is 1 over the
-    current leaving the origin.  Infinite when no open path reaches the
-    sphere; SolverConvergenceError if CG stalls within its iteration cap,
-    which the size of the whole box sets.
+    Open edges are unit resistors, orientation ignored.  Potentials solve
+    the Dirichlet problem (1 at the origin, 0 on the whole sphere); the
+    result is 1 over the current leaving the origin.  Infinite when no
+    open path reaches the sphere; SolverConvergenceError if CG stalls
+    within max(20, CG_ITERATIONS_PER_ROOT * sqrt(box vertices)) steps.
     """
     graph = mask.graph
-    r = graph.radius if sink_radius is None else sink_radius
-    if not 1 <= r <= graph.radius:
-        raise ConfigError(f"sink_radius must be in [1, {graph.radius}]")
-    n_vertices = graph.n_vertices
-    mask = mask.within(r)
-    graph = mask.graph
+    if graph.radius < 1:
+        raise ConfigError("effective resistance needs a box of radius >= 1")
     src = graph.origin
     comp = np.zeros(graph.n_vertices, dtype=bool)
-    comp[_reachable(mask, src, r, directed=False)] = True
-    shell = comp & (graph.dist == r)
+    comp[_reachable(mask, directed=False)] = True
+    shell = comp & (graph.dist == graph.radius)
     if not shell.any():
         return float("inf")
 
@@ -314,7 +287,8 @@ def effective_resistance(mask: SubgraphMask, sink_radius: int | None = None) -> 
     into = at_free & (role[others] == 1)
     b = np.bincount(col[ends[into]], minlength=n_free).astype(float)
     inner = at_free & free[others]
-    phi = _solve_spd(_Laplacian.build(deg, col[ends[inner]], col[others[inner]]), b, n_vertices)
+    maxiter = max(20, int(CG_ITERATIONS_PER_ROOT * math.sqrt(graph.n_vertices)))
+    phi = _solve_spd(_Laplacian.build(deg, col[ends[inner]], col[others[inner]]), b, maxiter)
 
     potential = np.zeros(graph.n_vertices)
     potential[src] = 1.0
@@ -363,16 +337,16 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-def _solve_spd(lap: _Laplacian, b, n_vertices: int) -> np.ndarray:
+def _solve_spd(lap: _Laplacian, b, maxiter: int) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952).
 
     The recurrence of scipy.sparse.linalg.cg with M = diag(lap)^-1, read
-    from lap.deg: from x = 0, stop once |r| < SOLVER_RTOL |b|; b = 0
-    gives 0.  Its inner products are fixed-order einsum sums, not the
-    BLAS calls scipy makes, whose summation order (and so the result's
-    last bits) depends on the BLAS thread count.
+    from lap.deg: from x = 0, stop once |r| < SOLVER_RTOL |b| or raise
+    after maxiter steps; b = 0 gives 0.  Its inner products are
+    fixed-order einsum sums, not the BLAS calls scipy makes, whose
+    summation order (and so the result's last bits) depends on the BLAS
+    thread count.
     """
-    maxiter = max(20, int(CG_ITERATIONS_PER_ROOT * math.sqrt(n_vertices)))
     inv_diag = 1.0 / np.where(lap.deg > 0, lap.deg, 1.0)
     x = np.zeros_like(b)
     b_norm = math.sqrt(_dot(b, b))
@@ -398,56 +372,28 @@ def _solve_spd(lap: _Laplacian, b, n_vertices: int) -> np.ndarray:
     raise SolverConvergenceError(f"conjugate gradient stopped with status {maxiter}")
 
 
-@dataclass(frozen=True)
-class ResistanceProfile:
-    """(radius, resistance, oriented-cluster size) per radius, one mask.
+def resistance_profile(graph: BoxGraph, p: float, radii, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Origin-to-sphere resistances and oriented-cluster sizes, seeds x radii.
 
-    cluster_size counts the open oriented cluster of the origin inside
-    each sub-ball; resistance ignores orientation.  For averaged
-    profiles the per-seed profiles ride along in per_seed.
+    Each radius's sub-box is cut once and percolated with every seed.
+    Uniforms follow the edge keys, so a seed's masks are nested across
+    radii (its resistances are nondecreasing) and coupled across p.
+    Cluster sizes follow orientation; resistance ignores it.
     """
-
-    entries: tuple
-    per_seed: tuple = ()
-
-    def resistances(self):
-        return [e[1] for e in self.entries]
-
-    def increments(self):
-        res = self.resistances()
-        return [b - a for a, b in zip(res, res[1:])]
-
-
-def resistance_profile(graph: BoxGraph, p: float, radii, seeds) -> ResistanceProfile:
-    """Origin-to-sphere resistance at each radius, averaged over seeds.
-
-    One mask per seed is drawn on the full graph and restricted to each
-    sub-ball, so entries within a seed are nested (resistance
-    nondecreasing in radius) and entries across p values are coupled.
-    """
-    radii = list(radii)
+    radii, seeds = list(radii), list(seeds)
     if radii != sorted(radii) or len(set(radii)) != len(radii):
         raise ConfigError("radii must be strictly increasing")
     if not radii or radii[-1] > graph.radius:
         raise ConfigError("radii must be nonempty and within the graph radius")
-    per_seed = []
-    for seed in seeds:
-        mask = percolate(graph, p, seed)
-        entries = []
-        for r in radii:
-            res = effective_resistance(mask, r)
-            csize = len(oriented_cluster(mask, r))
-            entries.append((r, res, csize))
-        per_seed.append(ResistanceProfile(tuple(entries)))
-    averaged = tuple(
-        (
-            r,
-            float(np.mean([prof.entries[i][1] for prof in per_seed])),
-            float(np.mean([prof.entries[i][2] for prof in per_seed])),
-        )
-        for i, r in enumerate(radii)
-    )
-    return ResistanceProfile(averaged, tuple(per_seed))
+    resistance = np.empty((len(seeds), len(radii)))
+    cluster_size = np.empty((len(seeds), len(radii)), dtype=np.int64)
+    for j, r in enumerate(radii):
+        sub = graph.sub_box(r)
+        for i, seed in enumerate(seeds):
+            mask = percolate(sub, p, seed)
+            resistance[i, j] = effective_resistance(mask)
+            cluster_size[i, j] = len(oriented_cluster(mask))
+    return resistance, cluster_size
 
 
 @dataclass(frozen=True)
@@ -463,9 +409,7 @@ class FlowAssignment:
         return float(np.sum(self.flow**2))
 
 
-def path_flow_assignment(
-    graph: BoxGraph, mask: SubgraphMask, num_paths: int, seed: int
-) -> FlowAssignment | None:
+def path_flow_assignment(mask: SubgraphMask, num_paths: int, seed: int) -> FlowAssignment | None:
     """Average of surviving oriented-path unit flows, truncated at the shell.
 
     Words are drawn uniformly (fair a/b letters); a word survives when
@@ -475,6 +419,7 @@ def path_flow_assignment(
     """
     if num_paths < 1:
         raise ConfigError("num_paths must be positive")
+    graph = mask.graph
     r = graph.radius
     rng = stream(seed, 0)
     words = rng.integers(0, 2, size=(num_paths, max(2 * r, 1)), dtype=np.uint8)
@@ -505,7 +450,7 @@ def path_flow_energy(graph: BoxGraph, p: float, num_paths: int, seed: int) -> tu
     the same mask.
     """
     mask = percolate(graph, p, seed)
-    assignment = path_flow_assignment(graph, mask, num_paths, seed)
+    assignment = path_flow_assignment(mask, num_paths, seed)
     if assignment is None:
         return float("inf"), 0
     return assignment.energy(), assignment.surviving

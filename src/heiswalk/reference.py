@@ -448,13 +448,17 @@ def _visit_keys(letters: np.ndarray, t_max: int) -> np.ndarray:
     and |z| <= t_max^2 / 4, so the mixed-radix key lies in
     [0, (2 t_max + 1)^2 (2 (t_max^2 // 4) + 1)).
     """
-    dx = (letters == 0).astype(np.int64) - (letters == 1)
-    dy = (letters == 2).astype(np.int64) - (letters == 3)
-    zero = np.zeros((len(letters), 1), dtype=np.int64)
-    x = np.cumsum(np.hstack([zero, dx]), axis=1)
-    y = np.cumsum(np.hstack([zero, dy]), axis=1)
+    # steps first, then prefix sums in place, in one preallocated array
+    x, y, z = np.zeros((3, len(letters), letters.shape[1] + 1), dtype=np.int64)
+    x[:, 1:] = letters == 0
+    x[:, 1:] -= letters == 1
+    y[:, 1:] = letters == 2
+    y[:, 1:] -= letters == 3
+    np.cumsum(y, axis=1, out=y)
     # a moves z by -y and a^-1 by +y, y taken before the step
-    z = np.cumsum(np.hstack([zero, -dx * y[:, :-1]]), axis=1)
+    z[:, 1:] = -x[:, 1:] * y[:, :-1]
+    np.cumsum(x, axis=1, out=x)
+    np.cumsum(z, axis=1, out=z)
     z_half = t_max * t_max // 4
     return ((x + t_max) * (2 * t_max + 1) + y + t_max) * (2 * z_half + 1) + z + z_half
 

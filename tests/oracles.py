@@ -675,8 +675,8 @@ def build_custom_graph(dist, edges):
     coupled across radii.
     """
     tails, heads, labels = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    return BoxGraph("custom", max(dist), np.arange(len(dist))[:, None], dist, tails, heads,
-                    labels, (tails << 8) | labels, int(labels.max(initial=0)) + 1)
+    return BoxGraph(max(dist), np.arange(len(dist))[:, None], dist, tails, heads, labels,
+                    (tails << 8) | labels, int(labels.max(initial=0)) + 1)
 
 
 def flow_conservation(graph, flow):

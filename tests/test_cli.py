@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import argparse
+import csv
 import importlib.util
 import json
 import math
@@ -11,6 +12,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heiswalk
@@ -247,6 +249,24 @@ def test_solver_failure_exit_code(workdir, capsys, monkeypatch):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_resistance_mean_rows_are_np_mean_of_the_seed_rows(workdir):
+    # 12 seeds: from 8 on, a mean over a 2-d array's axis sums in another
+    # order than np.mean of one column, and the last bits can differ
+    seeds = ",".join(str(s) for s in range(1, 13))
+    assert run("resistance-profile", "--p", "0.95", "--radii", "2,4,6", "--seeds", seeds,
+               "--out-path", "run.csv") == 0
+    with open("run.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    means = [row for row in rows if row["seed"] == "mean"]
+    assert [int(row["radius"]) for row in means] == [2, 4, 6]
+    for row in means:
+        per_seed = [r for r in rows if r["seed"] != "mean" and r["radius"] == row["radius"]]
+        assert len(per_seed) == 12
+        for column, kind in (("resistance", float), ("oriented_cluster_size", int)):
+            want = float(np.mean([kind(r[column]) for r in per_seed]))
+            assert float(row[column]) == want
+
+
 # a slope needs two radii and a trend in the increments three, so fewer is
 # a config error, neither a traceback nor a failed claim, found before any box
 @pytest.mark.parametrize("argv", [
@@ -340,8 +360,15 @@ def _edge_calls():
 
 
 def test_edge_values_end_in_documented_exit_codes(workdir, capsys, monkeypatch):
-    # a pool would start OS threads; the thread cap must refuse a huge count first
-    monkeypatch.setattr(paths, "ThreadPoolExecutor", None)
+    # a pool starts OS threads: the default single thread may run, and the
+    # thread cap must refuse a huge count before any pool exists
+    pool = paths.ThreadPoolExecutor
+
+    def one_thread_pool(max_workers):
+        assert max_workers == 1, f"a pool of {max_workers} threads was started"
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", one_thread_pool)
     start = time.perf_counter()
     bad = []
     many_seeds = set()
