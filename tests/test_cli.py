@@ -1,8 +1,11 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import argparse
+import contextlib
 import csv
+import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -293,7 +296,7 @@ _SMALL_CALLS = [
     ["dyadic", "--k-list", "4,8"],
     ["zd-collision", "--k-list", "4,8"],
     ["collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "4,8"],
-    ["fourier", "--k-list", "16"],
+    ["fourier", "--k-list", "16,32"],
     ["eit-tail", "--horizon", "64", "--samples", "256"],
     ["theta-d", "--horizon", "64", "--samples", "256"],
     ["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "2"],
@@ -326,6 +329,39 @@ def test_no_subcommand_imports_scipy(workdir):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert all(code in (0, 5) for code in report["codes"].values()), report["codes"]
     assert report["loaded"] == []
+
+
+_GOLDEN = Path(__file__).with_name("golden_digests.json")
+_GOLDEN_CALLS = _SMALL_CALLS + [["resistance-profile", "--family", "z2", "--radii", "4,8,16"]]
+
+
+def _golden_digests(calls):
+    """Each call's CSV md5 and the `fits` block of its JSON summary, at the
+    default seed; also checks that each claim is reported only by the
+    experiment the manifest names."""
+    claims = load_claims()
+    digests, reported = [], set()
+    for argv in calls:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(*argv, "--out-path", "golden.csv")
+        fits = json.loads(stdout.getvalue())["fits"]
+        for fit in fits:
+            assert claims[fit["claim_id"]]["experiment"] == argv[0], (argv, fit["claim_id"])
+            reported.add(fit["claim_id"])
+        # the fourier bits depend on numpy's SIMD dispatch level (ROADMAP item 7)
+        if argv[0] != "fourier":
+            md5 = hashlib.md5(Path("golden.csv").read_bytes()).hexdigest()
+            digests.append({"argv": argv, "exit": code, "csv_md5": md5, "fits": fits})
+    assert reported == set(claims)
+    return digests
+
+
+def test_csvs_and_verdicts_match_the_golden_digests(workdir):
+    golden = json.loads(_GOLDEN.read_text())
+    digests = _golden_digests(_GOLDEN_CALLS)
+    assert digests == golden["calls"], (
+        f"taken with numpy {golden['numpy']}, running numpy {np.__version__}")
 
 
 _HUGE = str(10**12)  # --seeds takes no huge length here
@@ -594,3 +630,13 @@ def test_record_status_rejects_corrupt_file(workdir, capsys, corrupt):
     assert run("dyadic", "--k-list", "8,16") == 2
     assert "status file" in capsys.readouterr().err
     assert Path(STATUS_FILE).read_text() == corrupt
+
+
+if __name__ == "__main__":
+    # after a deliberate CSV or verdict change: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        golden = {"numpy": np.__version__, "calls": _golden_digests(_GOLDEN_CALLS)}
+    _GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
