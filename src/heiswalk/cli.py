@@ -1,14 +1,20 @@
 """Experiment harness: run, fit, and report against the claims manifest.
 
-Each subcommand runs one experiment, writes its rows to a CSV or JSON
-file, prints a JSON summary to stdout, and records the pass/fail state
-of any claims it checked in a status file, replaced atomically under a
-lock on a sidecar `.lock` file, so runs sharing it lose no claims.
-`heiswalk claims` prints the accumulated status table.  A corrupt status
-file is a configuration error on both paths and is never overwritten.
+Each experiment is registered once, beside its runner, in one table
+that holds its options and the total work checked before it runs.  A
+subcommand runs one experiment, writes its rows to a CSV or JSON file,
+prints a JSON summary to stdout, and records its claim verdicts, with
+the version and a hash of the resolved config, in a status file,
+replaced atomically under a lock on a sidecar `.lock` file, so runs
+sharing it lose no claims.  The verdicts are built here from the
+statistics a runner checked and the manifest; a non-finite statistic is
+inconclusive, neither pass nor FAIL.  `heiswalk claims` prints each
+verdict with its version and config hash.  A corrupt status file is a
+configuration error on both paths and is never overwritten.
 
-Exit codes: 0 success, 2 configuration error, 3 resource cap exceeded,
-4 solver or quadrature failure, 5 at least one claim failed.
+Exit codes: 0 success, 2 configuration error or an inconclusive claim,
+3 resource cap exceeded, 4 solver or quadrature failure, 5 at least one
+claim failed.
 
 Determinism: CSV bytes depend only on the resolved configuration (the
 seed partitions Monte Carlo work into fixed-size chunks, so thread
@@ -29,6 +35,7 @@ import time
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,10 +48,16 @@ from .errors import (
 )
 from .fitting import FitReport, _fit_line, fit_exponential, fit_loglog
 
+try:  # built in, as `random` takes its sha512: hashlib loads OpenSSL, 3.6 MiB of RSS
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed it _sha2
+    from hashlib import sha256
+
 __all__ = ["main"]
 
 DEFAULT_SEED = 20260817
 STATUS_FILE = "heiswalk-claims-status.json"
+VERSION = f"heiswalk-{__version__}"
 
 
 # ---------------------------------------------------------------- manifest
@@ -70,16 +83,17 @@ def load_claims() -> dict:
     return claims
 
 
-def _report(claims: dict, cid: str, value: float, range_=None, r_squared: float = 0.0,
-            intercept: float = 0.0) -> FitReport:
-    c = claims[cid]
-    return FitReport.from_statistic(
-        cid, value, c["target"], c["tolerance"], range_, intercept, r_squared
-    )
-
-
-def _property_report(claims: dict, cid: str, holds: bool, range_=None) -> FitReport:
-    return _report(claims, cid, 1.0 if holds else 0.0, range_)
+def _verdicts(checks: dict, claims: dict) -> list[FitReport]:
+    """One report per checked claim, in the runner's order, judged against the
+    manifest; a non-finite statistic is inconclusive (`passed` None)."""
+    fits = []
+    for cid, (value, range_, fit) in checks.items():
+        c, value = claims[cid], float(value)
+        passed = abs(value - c["target"]) <= c["tolerance"] if math.isfinite(value) else None
+        intercept, r_squared = (fit.intercept, fit.r_squared) if fit else (0.0, 0.0)
+        fits.append(FitReport(cid, value, intercept, r_squared, list(range_), c["target"],
+                              c["tolerance"], passed))
+    return fits
 
 
 # ---------------------------------------------------------------- options
@@ -95,99 +109,42 @@ _GLOBAL_OPTIONS = {
     "status_file": ("str", STATUS_FILE, "claim status file updated after each run"),
 }
 
-_EXPERIMENT_OPTIONS = {
-    "collision-exact": {"k_list": ("intlist>=1", "32,64,128,256", "comma-separated k values")},
-    "conditional-exact": {"k_list": ("intlist>=1", "32,64,128,256", "comma-separated k values")},
-    "bound-scan": {
-        "k_min": ("int>=2", "2", "first k of the scan"),
-        "k_max": ("int>=1", "256", "last k of the scan"),
-    },
-    "dyadic": {"k_list": ("intlist>=2", "4,8,16,31,256,1000", "comma-separated k values")},
-    "zd-collision": {
-        "d": ("int>=1", "4", "lattice dimension"),
-        "k_list": ("intlist>=0", "16,32,64,128", "comma-separated k values"),
-    },
-    "collision-contrast": {
-        "d": ("int>=1", "4", "lattice dimension for the reference slope"),
-        "gh_k_list": ("intlist>=1", "32,64,128,256", "Heisenberg k values"),
-        "zd_k_list": ("intlist>=1", "16,32,64,128", "lattice k values"),
-    },
-    "fourier": {"k_list": ("intlist>=1", "16,64,256,1024", "comma-separated k values")},
-    "eit-tail": {
-        "horizon": ("int>=1", "4096", "steps per walk pair"),
-        "samples": ("int>=1", "100000", "number of walk pairs"),
-        "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
-    },
-    "theta-d": {
-        "d": ("int>=4", "4", "lattice dimension of the transient regime"),
-        "horizon": ("int>=1", "10000", "steps per difference walk"),
-        "samples": ("int>=1", "100000", "number of walks"),
-    },
-    "zd-eit": {
-        "d": ("int>=4", "4", "lattice dimension of the transient regime"),
-        "horizon": ("int>=1", "2048", "steps per walk pair"),
-        "samples": ("int>=1", "100000", "number of walk pairs"),
-        "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
-    },
-    "srw-return": {
-        "t_max": ("int>=1", "96", "last time of the exact profile"),
-        "n_min": ("int>=1", "8", "first n of the log P(2n) fit"),
-        "n_max": ("int>=1", "48", "last n of the log P(2n) fit"),
-    },
-    "srw-intersections": {
-        "n_base": ("int>=1", "256", "first checkpoint time"),
-        "samples": ("int>=1", "1000", "walk pairs"),
-        "doublings": ("int>=1", "2", "number of checkpoint doublings after n_base"),
-    },
-    "ball-growth": {
-        "r_min": ("int>=1", "8", "first radius of the fit"),
-        "r_max": ("int>=1", "32", "last radius of the fit"),
-    },
-    "resistance-profile": {
-        "family": ("choice:heisenberg,z2", "heisenberg", "graph family"),
-        "p": ("prob", "1.0", "edge retention probability"),
-        "radii": ("intlist>=1 increasing", "4,8,12,16", "sphere radii"),
-        "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
-    },
-    "flow-energy": {
-        "p": ("prob", "0.95", "edge retention probability"),
-        "num_paths": ("int>=1", "2000", "oriented words sampled per mask"),
-        "radii": ("intlist>=1 increasing", "4,8,12,16", "box radii"),
-        "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
-    },
-}
+
+class _Experiment(NamedTuple):
+    options: dict
+    # cfg -> (header, rows, {claim id: (statistic, range, LineFit or None)}, extras)
+    runner: Callable
+    work: tuple | None  # (unit, cap, figure of the resolved config), checked before the run
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {}
+
+
+def _experiment(options: dict, work: tuple | None = None):
+    """Register the decorated `_run_<name>` as experiment <name>."""
+    def register(runner):
+        _EXPERIMENTS[runner.__name__.removeprefix("_run_").replace("_", "-")] = _Experiment(
+            options, runner, work)
+        return runner
+    return register
 
 
 # The total work of each run that a sized option sets, checked before the
-# run starts (exit 3): (unit, cap, figure of the resolved config).  The
-# defaults sit 35 to 335 times below their caps.
+# run starts (exit 3).  The defaults sit 35 to 335 times below their caps.
 PAIR_STEPS_CAP = 2**36  # about 3 minutes of Monte Carlo on 2 threads
 INTERSECTION_WORK_CAP = 2**28  # about 40 s; at most 16 MiB of counts
 FLOW_PATH_STEPS_CAP = 2**24  # about 1 s; at most 80 MiB for one box's words
 RESISTANCE_SOLVES_CAP = 2**10  # the ball and lattice caps bound each solve's box
-_WORK_CAPS = {
-    "eit-tail": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
-    "zd-eit": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
-    "theta-d": ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"]),
-    # a pair walks 2 * n_base * 2^doublings steps, and its own stream and count
-    # row cost about 256 more; doublings past 63 fail the time cap anyway
-    "srw-intersections": ("walk-steps", INTERSECTION_WORK_CAP, lambda c: c["samples"] * (
-        2 * (c["n_base"] << min(c["doublings"], 63)) + 256)),
-    # num_paths words through every radius, per seed and once more for Thomson
-    "flow-energy": ("path-steps", FLOW_PATH_STEPS_CAP,
-                    lambda c: c["num_paths"] * sum(c["radii"]) * (len(c["seeds"]) + 1)),
-    # one resistance solve and one cluster search per seed and radius
-    "resistance-profile": ("solves", RESISTANCE_SOLVES_CAP,
-                           lambda c: len(c["seeds"]) * len(c["radii"])),
-}
+_PAIR_STEPS = ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"])
 
 
 def _check_work(cfg: dict) -> None:
-    if cfg["experiment"] not in _WORK_CAPS:
+    if (work := _EXPERIMENTS[cfg["experiment"]].work) is None:
         return
-    unit, cap, figure = _WORK_CAPS[cfg["experiment"]]
-    if (work := figure(cfg)) > cap:
-        raise CapExceededError(f"{cfg['experiment']} asks for {work} {unit}, above the cap {cap}")
+    unit, cap, figure = work
+    if (amount := figure(cfg)) > cap:
+        raise CapExceededError(
+            f"{cfg['experiment']} asks for {amount} {unit}, above the cap {cap}")
 
 
 def _flag(name: str) -> str:
@@ -257,7 +214,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve_config(experiment: str, args: argparse.Namespace) -> dict:
-    options = {**_GLOBAL_OPTIONS, **_EXPERIMENT_OPTIONS[experiment]}
+    options = {**_GLOBAL_OPTIONS, **_EXPERIMENTS[experiment].options}
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(options)
     if unknown:
@@ -274,7 +231,11 @@ def _resolve_config(experiment: str, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------- runners
 
 
-def _run_collision_exact(cfg, claims):
+_GH_K_LIST = {"k_list": ("intlist>=1", "32,64,128,256", "comma-separated k values")}
+
+
+@_experiment(_GH_K_LIST)
+def _run_collision_exact(cfg):
     ks = sorted(set(cfg["k_list"]))
     stats = tables.scan_statistics(ks)
     rows = [
@@ -282,31 +243,33 @@ def _run_collision_exact(cfg, claims):
          stats[k].max_point_mass)
         for k in ks
     ]
-    fits = []
+    checks = {}
     if len(ks) >= 2:
         fit = fit_loglog(ks, [stats[k].collision for k in ks])
-        fits.append(_report(claims, "gh-collision-exponent", fit.slope, ks, fit.r_squared,
-                            fit.intercept))
+        checks["gh-collision-exponent"] = (fit.slope, ks, fit)
     k_top = ks[-1]
-    fits.append(_report(claims, "count-match-scaled",
-                        math.sqrt(k_top) * stats[k_top].count_match, [k_top]))
+    checks["count-match-scaled"] = (math.sqrt(k_top) * stats[k_top].count_match, [k_top], None)
     header = ["k", "p_collision", "p_count_match", "p_weighted_match", "max_point_mass"]
-    return header, rows, fits, {}
+    return header, rows, checks, {}
 
 
-def _run_conditional_exact(cfg, claims):
+@_experiment(_GH_K_LIST)
+def _run_conditional_exact(cfg):
     ks = sorted(set(cfg["k_list"]))
     stats = tables.scan_statistics(ks)
     rows = [(k, stats[k].conditional_match) for k in ks]
-    fits = []
+    checks = {}
     if len(ks) >= 2:
         fit = fit_loglog(ks, [stats[k].conditional_match for k in ks])
-        fits.append(_report(claims, "conditional-exponent", fit.slope, ks, fit.r_squared,
-                            fit.intercept))
-    return ["k", "p_conditional_match"], rows, fits, {}
+        checks["conditional-exponent"] = (fit.slope, ks, fit)
+    return ["k", "p_conditional_match"], rows, checks, {}
 
 
-def _run_bound_scan(cfg, claims):
+@_experiment({
+    "k_min": ("int>=2", "2", "first k of the scan"),
+    "k_max": ("int>=1", "256", "last k of the scan"),
+})
+def _run_bound_scan(cfg):
     k_min, k_max = cfg["k_min"], cfg["k_max"]
     if k_max < k_min:
         raise ConfigError("need --k-min <= --k-max")
@@ -316,38 +279,46 @@ def _run_bound_scan(cfg, claims):
         bound = 1.0 / k
         holds &= point_mass <= bound + slack and match <= bound + slack
         rows.append((k, point_mass, tables.cell_error(k, point_mass), match, bound))
-    fits = [_property_report(claims, "point-mass-bound", holds, [k_min, k_max])]
+    checks = {"point-mass-bound": (holds, [k_min, k_max], None)}
     header = ["k", "max_point_mass", "point_mass_error", "p_weighted_match", "bound"]
-    return header, rows, fits, {}
+    return header, rows, checks, {}
 
 
-def _run_dyadic(cfg, claims):
+@_experiment({"k_list": ("intlist>=2", "4,8,16,31,256,1000", "comma-separated k values")})
+def _run_dyadic(cfg):
     ks = cfg["k_list"]
     rows, holds = [], True
     for k in ks:
         support, uniform = tables.dyadic_uniformity(k)
         holds &= uniform and support >= k / 2 - 1
         rows.append((k, support, int(uniform)))
-    fits = [_property_report(claims, "dyadic-uniformity", holds, ks)]
-    return ["k", "support_size", "uniform"], rows, fits, {}
+    return ["k", "support_size", "uniform"], rows, {"dyadic-uniformity": (holds, ks, None)}, {}
 
 
-def _run_zd_collision(cfg, claims):
+@_experiment({
+    "d": ("int>=1", "4", "lattice dimension"),
+    "k_list": ("intlist>=0", "16,32,64,128", "comma-separated k values"),
+})
+def _run_zd_collision(cfg):
     d, ks = cfg["d"], sorted(set(cfg["k_list"]))
     fit_exponent = d == 4 and len(ks) >= 2
     if fit_exponent and ks[0] < 1:
         raise ConfigError("--k-list values must be >= 1 at d=4: the exponent fit takes log k")
     probs = [reference.zd_collision_probability(d, k) for k in ks]
     rows = list(zip(ks, probs))
-    fits = []
+    checks = {}
     if fit_exponent:
         fit = fit_loglog(ks, probs)
-        fits.append(_report(claims, "zd4-collision-exponent", fit.slope, ks, fit.r_squared,
-                            fit.intercept))
-    return ["k", "p_collision"], rows, fits, {}
+        checks["zd4-collision-exponent"] = (fit.slope, ks, fit)
+    return ["k", "p_collision"], rows, checks, {}
 
 
-def _run_collision_contrast(cfg, claims):
+@_experiment({
+    "d": ("int>=1", "4", "lattice dimension for the reference slope"),
+    "gh_k_list": ("intlist>=1", "32,64,128,256", "Heisenberg k values"),
+    "zd_k_list": ("intlist>=1", "16,32,64,128", "lattice k values"),
+})
+def _run_collision_contrast(cfg):
     d = cfg["d"]
     gh_ks = sorted(set(cfg["gh_k_list"]))
     zd_ks = sorted(set(cfg["zd_k_list"]))
@@ -359,29 +330,27 @@ def _run_collision_contrast(cfg, claims):
     zd_fit = fit_loglog(zd_ks, zd_probs)
     rows = [("heisenberg", k, stats[k].collision) for k in gh_ks]
     rows += [(f"z{d}", k, p) for k, p in zip(zd_ks, zd_probs)]
-    gap = zd_fit.slope - gh_fit.slope
-    fits = [_report(claims, "collision-exponent-gap", gap, gh_ks + zd_ks)]
+    checks = {"collision-exponent-gap": (zd_fit.slope - gh_fit.slope, gh_ks + zd_ks, None)}
     extras = {"gh_slope": gh_fit.slope, "zd_slope": zd_fit.slope}
-    return ["family", "k", "p_collision"], rows, fits, extras
+    return ["family", "k", "p_collision"], rows, checks, extras
 
 
-def _run_fourier(cfg, claims):
+@_experiment({"k_list": ("intlist>=1", "16,64,256,1024", "comma-separated k values")})
+def _run_fourier(cfg):
     ks = sorted(set(cfg["k_list"]))
     quads = {k: fourier.cos_product_integral(k) for k in ks}
     rows = [(k, q.value, q.head, q.tail, k**1.5 * q.value) for k, q in quads.items()]
     integrals = [q.value for q in quads.values()]
     tails = {k: quads[k].tail if k in quads else fourier.tail_integral_decay(k).value
              for k in (32, 64)}
-    fits = []
+    checks = {}
     if len(ks) >= 2:
         fit = fit_loglog(ks, integrals)
-        fits.append(_report(claims, "fourier-threehalves", fit.slope, ks, fit.r_squared,
-                            fit.intercept))
-    fits.append(_report(claims, "fourier-tail-collapse", math.log(tails[64] / tails[32]), [32, 64]))
-    fits.append(_property_report(claims, "cos-gaussian-half",
-                                 fourier.verify_cos_gaussian_bound(0.5), []))
+        checks["fourier-threehalves"] = (fit.slope, ks, fit)
+    checks["fourier-tail-collapse"] = (math.log(tails[64] / tails[32]), [32, 64], None)
+    checks["cos-gaussian-half"] = (fourier.verify_cos_gaussian_bound(0.5), [], None)
     extras = {"error_estimate": {k: q.error_estimate for k, q in quads.items()}}
-    return ["k", "integral", "head", "tail", "k32_scaled"], rows, fits, extras
+    return ["k", "integral", "head", "tail", "k32_scaled"], rows, checks, extras
 
 
 def _tail_rows(est, min_count):
@@ -394,7 +363,12 @@ def _tail_rows(est, min_count):
     return rows, ratios, pooled
 
 
-def _run_eit_tail(cfg, claims):
+@_experiment({
+    "horizon": ("int>=1", "4096", "steps per walk pair"),
+    "samples": ("int>=1", "100000", "number of walk pairs"),
+    "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
+}, work=_PAIR_STEPS)
+def _run_eit_tail(cfg):
     est = paths.tail_estimate(
         cfg["horizon"], cfg["samples"], cfg["seed"],
         min_count=cfg["min_count"], threads=cfg["threads"],
@@ -405,16 +379,16 @@ def _run_eit_tail(cfg, claims):
         raise ConfigError("samples too small to populate the n in [1,10] tail")
     fit = fit_exponential(fit_ns, [est.counts[n] for n in fit_ns],
                           weights=[est.counts[n] for n in fit_ns])
-    fits = [_report(claims, "eit-tail-linearity", fit.r_squared, fit_ns, fit.r_squared,
-                    fit.intercept)]
     spreads = [abs(r - pooled) / se for _n, r, se in ratios if se > 0]
     if len(spreads) < 2:
         raise ConfigError(
             f"samples too small: {len(spreads)} continuation ratio(s) with a standard error, "
             "memorylessness needs at least 2"
         )
-    worst = max(spreads)
-    fits.append(_report(claims, "eit-memorylessness", worst, [n for n, _r, _se in ratios]))
+    checks = {
+        "eit-tail-linearity": (fit.r_squared, fit_ns, fit),
+        "eit-memorylessness": (max(spreads), [n for n, _r, _se in ratios], None),
+    }
     extras = {
         "theta_hat": est.theta_hat,
         "theta_se": est.theta_se,
@@ -423,10 +397,15 @@ def _run_eit_tail(cfg, claims):
         "censoring_bound": est.censoring_bound,
         "pooled_ratio": pooled,
     }
-    return ["n", "survivors", "continuation_ratio", "ratio_se"], rows, fits, extras
+    return ["n", "survivors", "continuation_ratio", "ratio_se"], rows, checks, extras
 
 
-def _run_theta_d(cfg, claims):
+@_experiment({
+    "d": ("int>=4", "4", "lattice dimension of the transient regime"),
+    "horizon": ("int>=1", "10000", "steps per difference walk"),
+    "samples": ("int>=1", "100000", "number of walks"),
+}, work=_PAIR_STEPS)
+def _run_theta_d(cfg):
     theta, censoring = reference.theta_d_estimate(
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"]
     )
@@ -435,10 +414,16 @@ def _run_theta_d(cfg, claims):
              theta - 1.96 * se, theta + 1.96 * se, censoring)]
     header = ["d", "horizon", "samples", "theta_hat", "theta_se", "ci_low", "ci_high",
               "censoring_bound"]
-    return header, rows, [], {}
+    return header, rows, {}, {}
 
 
-def _run_zd_eit(cfg, claims):
+@_experiment({
+    "d": ("int>=4", "4", "lattice dimension of the transient regime"),
+    "horizon": ("int>=1", "2048", "steps per walk pair"),
+    "samples": ("int>=1", "100000", "number of walk pairs"),
+    "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
+}, work=_PAIR_STEPS)
+def _run_zd_eit(cfg):
     theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
     est = reference.zd_eit_tail(
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
@@ -451,8 +436,7 @@ def _run_zd_eit(cfg, claims):
     for n in sorted(est.counts):
         rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
                      est.excursion_counts.get(n, 0)))
-    gap = abs(exc_theta - theta)
-    fits = [_report(claims, "zd-eit-consistency", gap, exc_range)]
+    checks = {"zd-eit-consistency": (abs(exc_theta - theta), exc_range, None)}
     extras = {
         "shared_edge_rate": est.theta_hat,
         "shared_edge_se": est.theta_se,
@@ -465,10 +449,15 @@ def _run_zd_eit(cfg, claims):
         "tail_censoring_bound": est.censoring_bound,
     }
     header = ["n", "shared_survivors", "vertex_survivors", "excursion_survivors"]
-    return header, rows, fits, extras
+    return header, rows, checks, extras
 
 
-def _run_srw_return(cfg, claims):
+@_experiment({
+    "t_max": ("int>=1", "96", "last time of the exact profile"),
+    "n_min": ("int>=1", "8", "first n of the log P(2n) fit"),
+    "n_max": ("int>=1", "48", "last n of the log P(2n) fit"),
+})
+def _run_srw_return(cfg):
     t_max, n_min, n_max = cfg["t_max"], cfg["n_min"], cfg["n_max"]
     if not n_min < n_max or 2 * n_max > t_max:
         raise ConfigError("need --n-min < --n-max and 2 * --n-max <= --t-max")
@@ -476,23 +465,35 @@ def _run_srw_return(cfg, claims):
     rows = [(t, float(p)) for t, p in enumerate(prof.probabilities)]
     ns = list(range(n_min, n_max + 1))
     fit = fit_loglog(ns, [prof.probabilities[2 * n] for n in ns])
-    fits = [_report(claims, "srw-return-exponent", fit.slope, ns, fit.r_squared,
-                    fit.intercept)]
-    return ["t", "p_return"], rows, fits, {"dropped_mass": prof.dropped_mass}
+    checks = {"srw-return-exponent": (fit.slope, ns, fit)}
+    return ["t", "p_return"], rows, checks, {"dropped_mass": prof.dropped_mass}
 
 
-def _run_srw_intersections(cfg, claims):
+# a pair walks 2 * n_base * 2^doublings steps, and its own stream and count
+# row cost about 256 more; doublings past 63 fail the time cap anyway
+@_experiment({
+    "n_base": ("int>=1", "256", "first checkpoint time"),
+    "samples": ("int>=1", "1000", "walk pairs"),
+    "doublings": ("int>=1", "2", "number of checkpoint doublings after n_base"),
+}, work=("walk-steps", INTERSECTION_WORK_CAP, lambda c: c["samples"] * (
+    2 * (c["n_base"] << min(c["doublings"], 63)) + 256)))
+def _run_srw_intersections(cfg):
     growth = reference.srw_mutual_intersections(
         cfg["n_base"], cfg["samples"], cfg["seed"], cfg["doublings"]
     )
     rows = [(t, float(m), float(se))
             for t, m, se in zip(growth.times, growth.means, growth.std_errors)]
     z = growth.growth_z()
-    fits = [_property_report(claims, "intersection-growth", z > 3.0, list(growth.times))]
-    return ["time", "mean_common_vertices", "se"], rows, fits, {"growth_z": z}
+    grows = z > 3.0 if math.isfinite(z) else math.nan
+    checks = {"intersection-growth": (grows, list(growth.times), None)}
+    return ["time", "mean_common_vertices", "se"], rows, checks, {"growth_z": z}
 
 
-def _run_ball_growth(cfg, claims):
+@_experiment({
+    "r_min": ("int>=1", "8", "first radius of the fit"),
+    "r_max": ("int>=1", "32", "last radius of the fit"),
+})
+def _run_ball_growth(cfg):
     r_min, r_max = cfg["r_min"], cfg["r_max"]
     if not r_min < r_max:
         raise ConfigError("need --r-min < --r-max")
@@ -500,9 +501,7 @@ def _run_ball_growth(cfg, claims):
     rows = list(enumerate(sizes))
     radii = list(range(r_min, r_max + 1))
     fit = fit_loglog(radii, [sizes[r] for r in radii])
-    fits = [_report(claims, "ball-growth-exponent", fit.slope, radii, fit.r_squared,
-                    fit.intercept)]
-    return ["radius", "ball_size"], rows, fits, {}
+    return ["radius", "ball_size"], rows, {"ball-growth-exponent": (fit.slope, radii, fit)}, {}
 
 
 def _require_radii(radii, count: int, what: str):
@@ -511,7 +510,14 @@ def _require_radii(radii, count: int, what: str):
                           f"got {len(radii)}")
 
 
-def _run_resistance_profile(cfg, claims):
+# one resistance solve and one cluster search per seed and radius
+@_experiment({
+    "family": ("choice:heisenberg,z2", "heisenberg", "graph family"),
+    "p": ("prob", "1.0", "edge retention probability"),
+    "radii": ("intlist>=1 increasing", "4,8,12,16", "sphere radii"),
+    "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
+}, work=("solves", RESISTANCE_SOLVES_CAP, lambda c: len(c["seeds"]) * len(c["radii"])))
+def _run_resistance_profile(cfg):
     radii, seeds = cfg["radii"], cfg["seeds"]
     if cfg["family"] == "z2":
         _require_radii(radii, 2, "a slope")
@@ -532,19 +538,25 @@ def _run_resistance_profile(cfg, claims):
     means = [float(np.mean(resistance[:, j])) for j in range(len(radii))]
     rows += [("mean", r, res, float(np.mean(cluster_size[:, j])))
              for j, (r, res) in enumerate(zip(radii, means))]
-    fits = []
     if cfg["family"] == "z2":
         fit = _fit_line(np.log(radii), means)
-        fits.append(_report(claims, "z2-recurrence-slope", fit.slope, radii, fit.r_squared,
-                            fit.intercept))
+        checks = {"z2-recurrence-slope": (fit.slope, radii, fit)}
     else:
         inc = np.diff(means)
-        holds = all(a > b for a, b in zip(inc, inc[1:]))
-        fits.append(_property_report(claims, "gh-transience-increments", holds, radii))
-    return ["seed", "radius", "resistance", "oriented_cluster_size"], rows, fits, {}
+        checks = {"gh-transience-increments": (all(a > b for a, b in zip(inc, inc[1:])), radii,
+                                               None)}
+    return ["seed", "radius", "resistance", "oriented_cluster_size"], rows, checks, {}
 
 
-def _run_flow_energy(cfg, claims):
+# num_paths words through every radius, per seed and once more for Thomson
+@_experiment({
+    "p": ("prob", "0.95", "edge retention probability"),
+    "num_paths": ("int>=1", "2000", "oriented words sampled per mask"),
+    "radii": ("intlist>=1 increasing", "4,8,12,16", "box radii"),
+    "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
+}, work=("path-steps", FLOW_PATH_STEPS_CAP,
+         lambda c: c["num_paths"] * sum(c["radii"]) * (len(c["seeds"]) + 1)))
+def _run_flow_energy(cfg):
     radii, seeds, p = cfg["radii"], cfg["seeds"], cfg["p"]
     _require_radii(radii, 3, "a tapering energy")
     rows = []
@@ -565,33 +577,13 @@ def _run_flow_energy(cfg, claims):
         reff = percolation.effective_resistance(mask)
         thomson_ok &= assignment is not None and assignment.energy() >= reff - 1e-9
         rows.append((1.0, radius, "thomson", assignment.energy(), assignment.surviving, reff))
+    # an infinite mean energy (no path survived) leaves no increment to judge
     inc = [b - a for a, b in zip(means, means[1:])]
-    taper = all(a > b for a, b in zip(inc, inc[1:]))
-    fits = [
-        _property_report(claims, "flow-energy-taper", taper, radii),
-        _property_report(claims, "thomson-bound", thomson_ok, radii),
-    ]
+    taper = all(a > b for a, b in zip(inc, inc[1:])) if np.isfinite(means).all() else math.nan
+    checks = {"flow-energy-taper": (taper, radii, None),
+              "thomson-bound": (thomson_ok, radii, None)}
     header = ["p", "radius", "seed", "energy", "surviving", "resistance"]
-    return header, rows, fits, {"mean_energies": means}
-
-
-_RUNNERS = {
-    "collision-exact": _run_collision_exact,
-    "conditional-exact": _run_conditional_exact,
-    "bound-scan": _run_bound_scan,
-    "dyadic": _run_dyadic,
-    "zd-collision": _run_zd_collision,
-    "collision-contrast": _run_collision_contrast,
-    "fourier": _run_fourier,
-    "eit-tail": _run_eit_tail,
-    "theta-d": _run_theta_d,
-    "zd-eit": _run_zd_eit,
-    "srw-return": _run_srw_return,
-    "srw-intersections": _run_srw_intersections,
-    "ball-growth": _run_ball_growth,
-    "resistance-profile": _run_resistance_profile,
-    "flow-energy": _run_flow_energy,
-}
+    return header, rows, checks, {"mean_energies": means}
 
 
 # ---------------------------------------------------------------- emission
@@ -613,6 +605,13 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return value
+
+
+def _config_hash(cfg: dict) -> str:
+    """Short sha256 of the resolved config, less the options that never change a CSV byte."""
+    kept = {k: v for k, v in cfg.items()
+            if k not in ("out", "out_path", "status_file", "threads")}
+    return sha256(json.dumps(_jsonable(kept), sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _out_path(cfg: dict) -> str:
@@ -639,7 +638,8 @@ def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dic
         "results": [dict(zip(header, map(_jsonable, row))) for row in rows],
         "fits": [_jsonable(f.to_json()) for f in fits],
         "runtime_seconds": round(runtime, 3),
-        "version": f"heiswalk-{__version__}",
+        "version": VERSION,
+        "config_hash": _config_hash(cfg),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     for key, value in extras.items():
@@ -660,7 +660,7 @@ def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dic
 
 
 def _load_status(path: Path, claims: dict) -> dict:
-    """The status file's entries ({} when absent); a corrupt file is a ConfigError."""
+    """The status file's entries ({} when absent); a corrupt file or entry is a ConfigError."""
     if not path.exists():
         return {}
     try:
@@ -669,9 +669,12 @@ def _load_status(path: Path, claims: dict) -> dict:
         raise ConfigError(f"unreadable status file {path}: {exc}") from exc
     if not isinstance(status, dict):
         raise ConfigError(f"status file {path} does not hold a JSON object")
-    for cid in status:
+    for cid, entry in status.items():
         if cid not in claims:
             raise ConfigError(f"status file references unknown claim id {cid!r}")
+        if not (isinstance(entry, dict) and "pass" in entry
+                and (entry["pass"] is None or isinstance(entry["pass"], bool))):
+            raise ConfigError(f"status file {path} holds a malformed entry for {cid!r}")
     return status
 
 
@@ -679,6 +682,7 @@ def _record_status(cfg: dict, fits, claims: dict) -> None:
     if not fits:
         return
     path = Path(cfg["status_file"])
+    config = _config_hash(cfg)
     when = datetime.now(timezone.utc).isoformat(timespec="seconds")
     # one run at a time reads, merges and replaces the file
     try:
@@ -691,6 +695,8 @@ def _record_status(cfg: dict, fits, claims: dict) -> None:
                     "value": _jsonable(f.slope),
                     "experiment": cfg["experiment"],
                     "when": when,
+                    "version": VERSION,
+                    "config": config,
                 }
             # write a sibling temp file, then rename it over: no reader sees half a file
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -706,20 +712,20 @@ def _record_status(cfg: dict, fits, claims: dict) -> None:
 def _print_claims_table(status_file: str) -> None:
     claims = load_claims()
     for cid, c in claims.items():
-        if c["experiment"] not in _RUNNERS:
+        if c["experiment"] not in _EXPERIMENTS:
             raise ConfigError(f"claim {cid} names unknown experiment {c['experiment']!r}")
     status = _load_status(Path(status_file), claims)
-    widths = (max(len(c) for c in claims) + 2, 10, 12, 12, 22, 10)
+    widths = (max(len(c) for c in claims) + 2, 10, 12, 12, 22, 16, 14, 12)
     print("".join(h.ljust(w) for h, w in zip(
-        ("claim", "kind", "target", "tolerance", "experiment", "status"), widths)))
+        ("claim", "kind", "target", "tolerance", "experiment", "version", "config", "status"),
+        widths)))
     for cid, c in claims.items():
-        entry = status.get(cid)
-        if entry is None:
-            state = "not run"
-        else:
-            state = "pass" if entry["pass"] else "FAIL"
-        cells = (cid, c["kind"], f"{c['target']:g}", f"{c['tolerance']:g}",
-                 c["experiment"], state)
+        entry = status.get(cid, {})
+        state = ({True: "pass", False: "FAIL", None: "inconclusive"}[entry["pass"]]
+                 if entry else "not run")
+        # entries written before provenance was recorded show "-"
+        cells = (cid, c["kind"], f"{c['target']:g}", f"{c['tolerance']:g}", c["experiment"],
+                 entry.get("version", "-"), entry.get("config", "-"), state)
         print("".join(str(v).ljust(w) for v, w in zip(cells, widths)))
 
 
@@ -733,11 +739,11 @@ def _build_parser(chosen: str | None) -> argparse.ArgumentParser:
         description="Experiments on oriented walks over the discrete Heisenberg group.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, options in _EXPERIMENT_OPTIONS.items():
+    for name, experiment in _EXPERIMENTS.items():
         if chosen not in (None, name):
             continue
         sp = sub.add_parser(name, help=f"run the {name} experiment")
-        for opt, (spec, default, help_text) in {**_GLOBAL_OPTIONS, **options}.items():
+        for opt, (spec, default, help_text) in {**_GLOBAL_OPTIONS, **experiment.options}.items():
             sp.add_argument(
                 _flag(opt), dest=opt, default=None,
                 help=f"{help_text}{_spec_help(spec)} (default {default})",
@@ -752,7 +758,7 @@ def _build_parser(chosen: str | None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # claims, --help or a typo get the full parser, which lists every subcommand
-    chosen = argv[0] if argv and argv[0] in _EXPERIMENT_OPTIONS else None
+    chosen = argv[0] if argv and argv[0] in _EXPERIMENTS else None
     args = _build_parser(chosen).parse_args(argv)
     try:
         if args.experiment == "claims":
@@ -766,12 +772,19 @@ def main(argv=None) -> int:
         _check_writable(cfg["status_file"], "cannot update status file")
         _check_writable(_out_path(cfg), "cannot write --out-path")
         start = time.perf_counter()
-        header, rows, fits, extras = _RUNNERS[args.experiment](cfg, claims)
+        header, rows, checks, extras = _EXPERIMENTS[args.experiment].runner(cfg)
         runtime = time.perf_counter() - start
+        fits = _verdicts(checks, claims)
         summary = _write_outputs(cfg, header, rows, fits, extras, runtime)
         _record_status(cfg, fits, claims)
         print(json.dumps(summary, indent=2))
-        return 5 if any(not f.passed for f in fits) else 0
+        if any(f.passed is False for f in fits):
+            return 5
+        if unsettled := [f.claim_id for f in fits if f.passed is None]:
+            print(f"inconclusive: no finite statistic for {', '.join(unsettled)}",
+                  file=sys.stderr)
+            return 2
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

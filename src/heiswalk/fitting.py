@@ -69,9 +69,9 @@ def fit_exponential(n, counts, weights=None) -> LineFit:
 class FitReport:
     """One verified rate claim: fitted statistic against its manifest target.
 
-    `passed` must equal |slope - target| <= tolerance; `slope` holds the
-    checked statistic (a log-log slope for power laws, a scalar for
-    non-slope claims), with intercept/r_squared zero when not meaningful.
+    `passed` is |slope - target| <= tolerance, or None (inconclusive) when the
+    checked statistic `slope` (a log-log slope for power laws, a scalar for
+    non-slope claims) is not finite; intercept/r_squared are zero when unused.
     """
 
     claim_id: str
@@ -81,22 +81,7 @@ class FitReport:
     range: list = field(default_factory=list)
     target: float = 0.0
     tolerance: float = 0.0
-    passed: bool = False
-
-    @classmethod
-    def from_statistic(cls, claim_id: str, value: float, target: float,
-                       tolerance: float, range_: list | None = None,
-                       intercept: float = 0.0, r_squared: float = 0.0) -> "FitReport":
-        return cls(
-            claim_id=claim_id,
-            slope=float(value),
-            intercept=float(intercept),
-            r_squared=float(r_squared),
-            range=list(range_ or []),
-            target=float(target),
-            tolerance=float(tolerance),
-            passed=bool(abs(value - target) <= tolerance),
-        )
+    passed: bool | None = False
 
     def to_json(self) -> dict:
         return {

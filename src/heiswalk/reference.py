@@ -398,10 +398,10 @@ class IntersectionGrowth:
     values: np.ndarray
 
     def growth_z(self) -> float:
-        """Paired z-score of the last mean minus the mean at the first positive time."""
+        """Paired z-score of the last minus the first positive-time mean; NaN with no spread."""
         diff = self.values[:, -1].astype(float) - self.values[:, 1].astype(float)
         se = diff.std(ddof=1) / math.sqrt(diff.size)
-        return float(diff.mean() / se) if se > 0 else float("inf")
+        return float(diff.mean() / se) if se > 0 else math.nan
 
 
 def srw_mutual_intersections(

@@ -322,7 +322,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
 def test_no_subcommand_imports_scipy(workdir):
     # a fresh interpreter: the test process itself has imported scipy
-    assert {argv[0] for argv in _SMALL_CALLS} == set(cli._EXPERIMENT_OPTIONS)
+    assert {argv[0] for argv in _SMALL_CALLS} == set(cli._EXPERIMENTS)
     src = str(Path(heiswalk.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, src, json.dumps(_SMALL_CALLS)],
                           capture_output=True, text=True, timeout=120, check=True)
@@ -374,7 +374,7 @@ def _edge_calls():
     """(call, exit codes it may end in) for each small call with one option set
     to 0, -1, a huge value or a bad list; 10^5 seeds must meet a work cap."""
     for argv in _SMALL_CALLS:
-        options = {**cli._GLOBAL_OPTIONS, **cli._EXPERIMENT_OPTIONS[argv[0]]}
+        options = {**cli._GLOBAL_OPTIONS, **cli._EXPERIMENTS[argv[0]].options}
         for name, (spec, _default, _help) in options.items():
             if spec == "str" or spec.startswith("choice:"):
                 continue
@@ -433,12 +433,13 @@ def test_work_caps_sit_far_above_default_and_benchmark_calls():
     spec = importlib.util.spec_from_file_location("heiswalk_bench_workloads", _WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    calls = [[name] for name in cli._WORK_CAPS]
+    capped = {name for name, experiment in cli._EXPERIMENTS.items() if experiment.work}
+    calls = [[name] for name in capped]
     calls += [argv for wl in workloads.WORKLOADS.values() for _label, argv in wl
-              if argv[0] in cli._WORK_CAPS]
+              if argv[0] in capped]
     assert len(calls) == 13
     for argv in calls:
-        _unit, cap, figure = cli._WORK_CAPS[argv[0]]
+        _unit, cap, figure = cli._EXPERIMENTS[argv[0]].work
         assert 30 * figure(_resolved(argv)) < cap, argv
 
 
@@ -450,15 +451,16 @@ def test_work_caps_sit_far_above_default_and_benchmark_calls():
 def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experiment, option):
     # the most work the cap allows reaches the runner, one unit more does not;
     # a list option grows by one more element
-    listed = cli._EXPERIMENT_OPTIONS[experiment][option][0].startswith("intlist")
+    registered = cli._EXPERIMENTS[experiment]
+    listed = registered.options[option][0].startswith("intlist")
 
     def sized(n):
         return ",".join(["1"] * n) if listed else str(n)
 
     ran = []
-    monkeypatch.setitem(cli._RUNNERS, experiment,
-                        lambda cfg, claims: ran.append(cfg[option]) or (["x"], [], [], {}))
-    _unit, cap, figure = cli._WORK_CAPS[experiment]
+    monkeypatch.setitem(cli._EXPERIMENTS, experiment, registered._replace(
+        runner=lambda cfg: ran.append(cfg[option]) or (["x"], [], {}, {})))
+    _unit, cap, figure = registered.work
     most = cap // figure(_resolved([experiment, cli._flag(option), sized(1)]))
     assert run(experiment, cli._flag(option), sized(most)) == 0
     assert ran == [[1] * most if listed else most]
@@ -484,6 +486,61 @@ def test_failed_claim_exit_code(workdir, capsys):
     assert Path("tiny.csv").exists()
     status = json.loads(Path(STATUS_FILE).read_text())
     assert status["count-match-scaled"]["pass"] is False
+
+
+# no evidence is neither pass nor FAIL: at seed 3 every pair's common range
+# grows alike, so the paired differences do not spread and there is no
+# z-score; at p=0.3 no path survives, so every mean energy is infinite
+@pytest.mark.parametrize("argv, claim", [
+    (["srw-intersections", "--n-base", "1", "--doublings", "1", "--samples", "2",
+      "--seed", "3"], "intersection-growth"),
+    (["flow-energy", "--p", "0.3", "--radii", "4,8,12", "--num-paths", "200", "--seeds", "1,2"],
+     "flow-energy-taper"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_degenerate_run_is_inconclusive(workdir, capsys, argv, claim):
+    assert run(*argv, "--out", "json") == 2
+    assert f"inconclusive: no finite statistic for {claim}" in capsys.readouterr().err
+    fit = next(f for f in json.loads(Path(f"{argv[0]}.json").read_text())["fits"]
+               if f["claim_id"] == claim)
+    assert fit["pass"] is None and fit["slope"] == "nan"
+    assert json.loads(Path(STATUS_FILE).read_text())[claim]["pass"] is None
+    assert run("claims") == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(claim))
+    assert line.rstrip().endswith("inconclusive")
+
+
+def test_a_failed_claim_outranks_an_inconclusive_one(workdir, capsys, monkeypatch):
+    checks = {"dyadic-uniformity": (math.nan, [], None), "point-mass-bound": (False, [], None)}
+    monkeypatch.setitem(cli._EXPERIMENTS, "dyadic", cli._EXPERIMENTS["dyadic"]._replace(
+        runner=lambda cfg: (["x"], [], checks, {})))
+    assert run("dyadic") == 5
+
+
+def test_status_entries_carry_provenance(workdir, capsys):
+    assert run("dyadic", "--k-list", "8,16", "--out", "json", "--threads", "2") == 0
+    summary = json.loads(Path("dyadic.json").read_text())
+    entry = json.loads(Path(STATUS_FILE).read_text())["dyadic-uniformity"]
+    assert entry["version"] == summary["version"] == f"heiswalk-{heiswalk.__version__}"
+    assert entry["config"] == summary["config_hash"]
+    assert len(entry["config"]) == 12
+    # output, status and thread options never change a CSV byte, so not the hash
+    capsys.readouterr()
+    assert run("dyadic", "--k-list", "8,16", "--out-path", "other.csv",
+               "--status-file", "other.json") == 0
+    assert json.loads(capsys.readouterr().out)["config_hash"] == entry["config"]
+    assert run("dyadic", "--k-list", "8,32") == 0
+    assert json.loads(capsys.readouterr().out)["config_hash"] != entry["config"]
+    # an entry written before provenance was recorded prints "-" for both
+    Path(STATUS_FILE).write_text(json.dumps({
+        "dyadic-uniformity": entry,
+        "point-mass-bound": {"pass": True, "value": 1.0, "experiment": "bound-scan"}}))
+    assert run("claims") == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split()[-3:] == ["version", "config", "status"]
+    assert next(l for l in table if l.startswith("dyadic-uniformity")).split()[-3:] == [
+        entry["version"], entry["config"], "pass"]
+    assert next(l for l in table if l.startswith("point-mass-bound")).split()[-3:] == [
+        "-", "-", "pass"]
 
 
 def test_status_recorded_and_reported(workdir, capsys):
@@ -521,7 +578,7 @@ def test_concurrent_status_updates_keep_every_claim(workdir, monkeypatch):
 
     def record(experiment, cid):
         cfg = {"status_file": STATUS_FILE, "experiment": experiment}
-        cli._record_status(cfg, [cli._property_report(claims, cid, True)], claims)
+        cli._record_status(cfg, cli._verdicts({cid: (True, [], None)}, claims), claims)
 
     a = threading.Thread(target=record, args=("dyadic", "dyadic-uniformity"), name="A")
     b = threading.Thread(target=record, args=("bound-scan", "point-mass-bound"), name="B")
@@ -560,7 +617,7 @@ def test_help_lists_every_subcommand(capsys):
         run("--help")
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name in [*cli._EXPERIMENT_OPTIONS, "claims"]:
+    for name in [*cli._EXPERIMENTS, "claims"]:
         assert f"    {name} " in out
 
 
@@ -584,13 +641,17 @@ def test_one_experiment_builds_only_its_options(workdir, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
     assert run("dyadic", "--k-list", "8,16") == 0
-    options = [*cli._GLOBAL_OPTIONS, *cli._EXPERIMENT_OPTIONS["dyadic"], "config"]
+    options = [*cli._GLOBAL_OPTIONS, *cli._EXPERIMENTS["dyadic"].options, "config"]
     assert sorted(added) == sorted(f"--{o.replace('_', '-')}" for o in options)
 
 
 def test_claims_rejects_corrupt_status(workdir, capsys):
-    Path(STATUS_FILE).write_text('{"no-such-claim": {"pass": true}}')
-    assert run("claims") == 2
+    for corrupt in ('{"no-such-claim": {"pass": true}}', '{"dyadic-uniformity": {}}',
+                    '{"dyadic-uniformity": 5}', '{"dyadic-uniformity": {"pass": 1}}'):
+        Path(STATUS_FILE).write_text(corrupt)
+        assert run("claims") == 2
+        assert "status file" in capsys.readouterr().err
+        assert Path(STATUS_FILE).read_text() == corrupt
 
 
 def test_ball_growth_smoke(workdir, capsys):
@@ -615,16 +676,19 @@ def test_ball_growth_smoke(workdir, capsys):
 ])
 def test_unusable_status_or_output_path_is_config_error(workdir, capsys, monkeypatch, option,
                                                         value, message):
-    def runner(cfg, claims):
+    def runner(cfg):
         raise AssertionError("the run started before the path check")
 
-    monkeypatch.setitem(cli._RUNNERS, "dyadic", runner)
+    monkeypatch.setitem(cli._EXPERIMENTS, "dyadic", cli._EXPERIMENTS["dyadic"]._replace(
+        runner=runner))
     assert run("dyadic", "--k-list", "8", option, value) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 @pytest.mark.parametrize("corrupt", ['{"dyadic-uniformity": ', "[1, 2]",
-                                     '{"no-such-claim": {"pass": true}}'])
+                                     '{"no-such-claim": {"pass": true}}',
+                                     '{"dyadic-uniformity": 5}', '{"dyadic-uniformity": {}}',
+                                     '{"dyadic-uniformity": {"pass": "yes"}}'])
 def test_record_status_rejects_corrupt_file(workdir, capsys, corrupt):
     Path(STATUS_FILE).write_text(corrupt)
     assert run("dyadic", "--k-list", "8,16") == 2

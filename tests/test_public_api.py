@@ -7,7 +7,10 @@ through the package: a call from another module, or from a reached
 function of its own module, counts, and so does a type that reached code
 builds or names.  A module-level assignment is followed once its name is
 reached; other module-level statements run on import, so what they
-reference is reached.  Code only the tests need lives in tests/oracles.py.
+reference is reached.  A decorator defined in the same module registers
+the function it decorates on import (as `cli._experiment` fills the
+experiment table that `cli.main` reads), so that function is reached.
+Code only the tests need lives in tests/oracles.py.
 """
 
 import ast
@@ -78,6 +81,10 @@ def unreached_public_names():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign,
                                      ast.Import, ast.ImportFrom)):
                 reached |= _references(node, module, defs, imported, modules)
+            elif isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id in defs[module]
+                    for d in (getattr(dec, "func", dec) for dec in node.decorator_list)):
+                reached.add((module, node.name))
     stack = list(reached)
     while stack:
         for ref in edges.get(stack.pop(), ()):
