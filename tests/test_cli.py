@@ -332,27 +332,36 @@ def test_no_subcommand_imports_scipy(workdir):
 
 
 _GOLDEN = Path(__file__).with_name("golden_digests.json")
-_GOLDEN_CALLS = _SMALL_CALLS + [["resistance-profile", "--family", "z2", "--radii", "4,8,16"]]
+# min-count 5 gives the small eit-tail call a full-tail fit to pin
+_GOLDEN_CALLS = _SMALL_CALLS + [["resistance-profile", "--family", "z2", "--radii", "4,8,16"],
+                                ["eit-tail", "--horizon", "64", "--samples", "256",
+                                 "--min-count", "5"]]
+# the summary keys every run prints; the rest are its runner's extras
+_SUMMARY_KEYS = {"config", "results", "fits", "runtime_seconds", "version", "config_hash",
+                 "timestamp", "out_path"}
 
 
 def _golden_digests(calls):
-    """Each call's CSV md5 and the `fits` block of its JSON summary, at the
-    default seed; also checks that each claim is reported only by the
-    experiment the manifest names."""
+    """Each call's CSV md5, and the `fits` block and runner extras of its JSON
+    summary, at the default seed; also checks that each claim is reported
+    only by the experiment the manifest names."""
     claims = load_claims()
     digests, reported = [], set()
     for argv in calls:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = run(*argv, "--out-path", "golden.csv")
-        fits = json.loads(stdout.getvalue())["fits"]
+        summary = json.loads(stdout.getvalue())
+        fits = summary["fits"]
         for fit in fits:
             assert claims[fit["claim_id"]]["experiment"] == argv[0], (argv, fit["claim_id"])
             reported.add(fit["claim_id"])
         # the fourier bits depend on numpy's SIMD dispatch level (ROADMAP item 7)
         if argv[0] != "fourier":
             md5 = hashlib.md5(Path("golden.csv").read_bytes()).hexdigest()
-            digests.append({"argv": argv, "exit": code, "csv_md5": md5, "fits": fits})
+            extras = {k: v for k, v in summary.items() if k not in _SUMMARY_KEYS}
+            digests.append({"argv": argv, "exit": code, "csv_md5": md5, "fits": fits,
+                            "extras": extras})
     assert reported == set(claims)
     return digests
 
