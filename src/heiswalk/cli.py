@@ -6,8 +6,10 @@ subcommand runs one experiment, writes its rows to a CSV or JSON file,
 prints a JSON summary to stdout, and records its claim verdicts, with
 the version and a hash of the resolved config, in a status file,
 replaced atomically under a lock on a sidecar `.lock` file, so runs
-sharing it lose no claims.  The verdicts are built here from the
-statistics a runner checked and the manifest; a non-finite statistic is
+sharing it lose no claims.  The Monte Carlo engine only counts: the
+runners here fit its survivor tails (paths._fit_tail), and each verdict
+is the plain JSON record that the summary prints, built from the
+statistic a runner checked and the manifest; a non-finite statistic is
 inconclusive, neither pass nor FAIL.  `heiswalk claims` prints each
 verdict with its version and config hash.  A corrupt status file is a
 configuration error on both paths and is never overwritten.
@@ -46,7 +48,7 @@ from .errors import (
     QuadratureError,
     SolverConvergenceError,
 )
-from .fitting import FitReport, _fit_line, fit_exponential, fit_loglog
+from .fitting import _fit_line, fit_exponential, fit_loglog
 
 try:  # built in, as `random` takes its sha512: hashlib loads OpenSSL, 3.6 MiB of RSS
     from _sha256 import sha256
@@ -83,16 +85,27 @@ def load_claims() -> dict:
     return claims
 
 
-def _verdicts(checks: dict, claims: dict) -> list[FitReport]:
-    """One report per checked claim, in the runner's order, judged against the
-    manifest; a non-finite statistic is inconclusive (`passed` None)."""
+def _verdicts(checks: dict, claims: dict) -> list[dict]:
+    """The JSON record of each checked claim, in the runner's order.
+
+    "slope" is the checked statistic (a log-log slope for power laws, a
+    scalar otherwise), and "pass" is |slope - target| <= tolerance, or None
+    (inconclusive) when the statistic is not finite; "intercept" and
+    "r_squared" come from the claim's line fit, and are 0 without one.
+    """
     fits = []
     for cid, (value, range_, fit) in checks.items():
         c, value = claims[cid], float(value)
-        passed = abs(value - c["target"]) <= c["tolerance"] if math.isfinite(value) else None
-        intercept, r_squared = (fit.intercept, fit.r_squared) if fit else (0.0, 0.0)
-        fits.append(FitReport(cid, value, intercept, r_squared, list(range_), c["target"],
-                              c["tolerance"], passed))
+        fits.append({
+            "claim_id": cid,
+            "slope": value,
+            "intercept": fit.intercept if fit else 0.0,
+            "r_squared": fit.r_squared if fit else 0.0,
+            "range": list(range_),
+            "target": c["target"],
+            "tolerance": c["tolerance"],
+            "pass": abs(value - c["target"]) <= c["tolerance"] if math.isfinite(value) else None,
+        })
     return fits
 
 
@@ -129,13 +142,24 @@ def _experiment(options: dict, work: tuple | None = None):
     return register
 
 
-# The total work of each run that a sized option sets, checked before the
-# run starts (exit 3).  The defaults sit 35 to 335 times below their caps.
+# The total work of each run that a sized option or list sets, checked
+# before the run starts (exit 3).  The defaults sit 35 to 10,000 times below
+# their caps; the library's per-call caps still bound each k.
 PAIR_STEPS_CAP = 2**36  # about 3 minutes of Monte Carlo on 2 threads
 INTERSECTION_WORK_CAP = 2**28  # about 40 s; at most 16 MiB of counts
 FLOW_PATH_STEPS_CAP = 2**24  # about 1 s; at most 80 MiB for one box's words
 RESISTANCE_SOLVES_CAP = 2**10  # the ball and lattice caps bound each solve's box
+DYADIC_CELLS_CAP = 2**23  # 8 laws of 2^20 cells, about 0.3 s
+ZD_COLLISION_CELLS_CAP = 2**22  # twice the per-k cap, about 4 s
+FOURIER_K_SQUARED_CAP = 2**26  # 16 times k = 2048, about 5 s
 _PAIR_STEPS = ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"])
+
+
+def _zd_cells(k_list: str) -> tuple:
+    """d * (k + 1)^2 summed over the distinct k of the Z^d list, as each
+    zd_collision_probability call counts its work."""
+    return ("lattice cells", ZD_COLLISION_CELLS_CAP,
+            lambda c: c["d"] * sum((k + 1) ** 2 for k in set(c[k_list])))
 
 
 def _check_work(cfg: dict) -> None:
@@ -284,7 +308,10 @@ def _run_bound_scan(cfg):
     return header, rows, checks, {}
 
 
-@_experiment({"k_list": ("intlist>=2", "4,8,16,31,256,1000", "comma-separated k values")})
+# each listed k, repeats too, builds a law of 2^floor(log2 k) cells
+@_experiment({"k_list": ("intlist>=2", "4,8,16,31,256,1000", "comma-separated k values")},
+             work=("law cells", DYADIC_CELLS_CAP,
+                   lambda c: sum(1 << (k.bit_length() - 1) for k in c["k_list"])))
 def _run_dyadic(cfg):
     ks = cfg["k_list"]
     rows, holds = [], True
@@ -298,7 +325,7 @@ def _run_dyadic(cfg):
 @_experiment({
     "d": ("int>=1", "4", "lattice dimension"),
     "k_list": ("intlist>=0", "16,32,64,128", "comma-separated k values"),
-})
+}, work=_zd_cells("k_list"))
 def _run_zd_collision(cfg):
     d, ks = cfg["d"], sorted(set(cfg["k_list"]))
     fit_exponent = d == 4 and len(ks) >= 2
@@ -317,7 +344,7 @@ def _run_zd_collision(cfg):
     "d": ("int>=1", "4", "lattice dimension for the reference slope"),
     "gh_k_list": ("intlist>=1", "32,64,128,256", "Heisenberg k values"),
     "zd_k_list": ("intlist>=1", "16,32,64,128", "lattice k values"),
-})
+}, work=_zd_cells("zd_k_list"))
 def _run_collision_contrast(cfg):
     d = cfg["d"]
     gh_ks = sorted(set(cfg["gh_k_list"]))
@@ -335,7 +362,10 @@ def _run_collision_contrast(cfg):
     return ["family", "k", "p_collision"], rows, checks, extras
 
 
-@_experiment({"k_list": ("intlist>=1", "16,64,256,1024", "comma-separated k values")})
+# the quadrature of each distinct k costs about k^2 factor evaluations
+@_experiment({"k_list": ("intlist>=1", "16,64,256,1024", "comma-separated k values")},
+             work=("k^2 units", FOURIER_K_SQUARED_CAP,
+                   lambda c: sum(k * k for k in set(c["k_list"]))))
 def _run_fourier(cfg):
     ks = sorted(set(cfg["k_list"]))
     quads = {k: fourier.cos_product_integral(k) for k in ks}
@@ -369,31 +399,28 @@ def _tail_rows(est, min_count):
     "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
 }, work=_PAIR_STEPS)
 def _run_eit_tail(cfg):
-    est = paths.tail_estimate(
-        cfg["horizon"], cfg["samples"], cfg["seed"],
-        min_count=cfg["min_count"], threads=cfg["threads"],
-    )
+    est = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"])
     rows, ratios, pooled = _tail_rows(est, cfg["min_count"])
     fit_ns = [n for n in range(1, 11) if est.counts.get(n, 0) > 0]
     if len(fit_ns) < 3:
         raise ConfigError("samples too small to populate the n in [1,10] tail")
     fit = fit_exponential(fit_ns, [est.counts[n] for n in fit_ns],
                           weights=[est.counts[n] for n in fit_ns])
-    spreads = [abs(r - pooled) / se for _n, r, se in ratios if se > 0]
+    # continuation_ratios floors each variance, so every ratio has a spread
+    spreads = [abs(r - pooled) / se for _n, r, se in ratios]
     if len(spreads) < 2:
-        raise ConfigError(
-            f"samples too small: {len(spreads)} continuation ratio(s) with a standard error, "
-            "memorylessness needs at least 2"
-        )
+        raise ConfigError(f"samples too small: {len(spreads)} continuation ratio(s), "
+                          "memorylessness needs at least 2")
+    theta, theta_se, r_squared, fit_range = paths._fit_tail(est.counts, cfg["min_count"])
     checks = {
         "eit-tail-linearity": (fit.r_squared, fit_ns, fit),
         "eit-memorylessness": (max(spreads), [n for n, _r, _se in ratios], None),
     }
     extras = {
-        "theta_hat": est.theta_hat,
-        "theta_se": est.theta_se,
-        "r_squared_full": est.r_squared,
-        "fit_range": est.fit_range,
+        "theta_hat": theta,
+        "theta_se": theta_se,
+        "r_squared_full": r_squared,
+        "fit_range": fit_range,
         "censoring_bound": est.censoring_bound,
         "pooled_ratio": pooled,
     }
@@ -425,21 +452,21 @@ def _run_theta_d(cfg):
 }, work=_PAIR_STEPS)
 def _run_zd_eit(cfg):
     theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
-    est = reference.zd_eit_tail(
-        cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
-        min_count=cfg["min_count"], threads=cfg["threads"],
-    )
-    exc_theta, exc_se, _exc_r2, exc_range = est.excursion_fit(cfg["min_count"])
+    est = reference.zd_eit_tail(cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
+                                threads=cfg["threads"])
+    exc_theta, exc_se, _exc_r2, exc_range = paths._fit_tail(est.excursion_counts,
+                                                            cfg["min_count"])
     if exc_theta is None:
         raise ConfigError("samples too small: fewer than 3 re-meet levels reach --min-count")
+    edge_theta, edge_se, _edge_r2, _edge_range = paths._fit_tail(est.counts, cfg["min_count"])
     rows = []
     for n in sorted(est.counts):
         rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
                      est.excursion_counts.get(n, 0)))
     checks = {"zd-eit-consistency": (abs(exc_theta - theta), exc_range, None)}
     extras = {
-        "shared_edge_rate": est.theta_hat,
-        "shared_edge_se": est.theta_se,
+        "shared_edge_rate": edge_theta,
+        "shared_edge_se": edge_se,
         "excursion_rate": exc_theta,
         "excursion_se": exc_se,
         "theta_exact": theta,
@@ -636,7 +663,7 @@ def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dic
     summary = {
         "config": _jsonable(cfg),
         "results": [dict(zip(header, map(_jsonable, row))) for row in rows],
-        "fits": [_jsonable(f.to_json()) for f in fits],
+        "fits": _jsonable(fits),
         "runtime_seconds": round(runtime, 3),
         "version": VERSION,
         "config_hash": _config_hash(cfg),
@@ -690,9 +717,9 @@ def _record_status(cfg: dict, fits, claims: dict) -> None:
             fcntl.flock(lock, fcntl.LOCK_EX)
             status = _load_status(path, claims)
             for f in fits:
-                status[f.claim_id] = {
-                    "pass": f.passed,
-                    "value": _jsonable(f.slope),
+                status[f["claim_id"]] = {
+                    "pass": f["pass"],
+                    "value": _jsonable(f["slope"]),
                     "experiment": cfg["experiment"],
                     "when": when,
                     "version": VERSION,
@@ -778,9 +805,9 @@ def main(argv=None) -> int:
         summary = _write_outputs(cfg, header, rows, fits, extras, runtime)
         _record_status(cfg, fits, claims)
         print(json.dumps(summary, indent=2))
-        if any(f.passed is False for f in fits):
+        if any(f["pass"] is False for f in fits):
             return 5
-        if unsettled := [f.claim_id for f in fits if f.passed is None]:
+        if unsettled := [f["claim_id"] for f in fits if f["pass"] is None]:
             print(f"inconclusive: no finite statistic for {', '.join(unsettled)}",
                   file=sys.stderr)
             return 2

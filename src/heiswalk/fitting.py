@@ -3,18 +3,19 @@
 All rate claims are checked through the same two helpers so that the
 acceptance suite and the CLI cannot disagree about what "the slope" means:
 `fit_loglog` for power laws (log-log axes) and `fit_exponential` for
-geometric tails (log counts against n).
+geometric tails (log counts against n).  Each returns a LineFit; the
+claim verdicts are built from them in `cli._verdicts`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["LineFit", "fit_loglog", "fit_exponential", "FitReport"]
+__all__ = ["LineFit", "fit_loglog", "fit_exponential"]
 
 
 @dataclass(frozen=True)
@@ -64,33 +65,3 @@ def fit_exponential(n, counts, weights=None) -> LineFit:
         raise ConfigError("exponential fit needs positive counts")
     return _fit_line(np.asarray(n, dtype=float), np.log(counts), weights)
 
-
-@dataclass
-class FitReport:
-    """One verified rate claim: fitted statistic against its manifest target.
-
-    `passed` is |slope - target| <= tolerance, or None (inconclusive) when the
-    checked statistic `slope` (a log-log slope for power laws, a scalar for
-    non-slope claims) is not finite; intercept/r_squared are zero when unused.
-    """
-
-    claim_id: str
-    slope: float
-    intercept: float
-    r_squared: float
-    range: list = field(default_factory=list)
-    target: float = 0.0
-    tolerance: float = 0.0
-    passed: bool | None = False
-
-    def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "range": list(self.range),
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }

@@ -26,6 +26,10 @@ chunk results in chunk order as they finish, in O(threads * horizon)
 memory, so no result depends on the thread count.  The tails count shared
 directed edges of path pairs (coinciding positions at t and equal letters
 at t), vertex coincidences, and fresh re-meets after separation.
+
+The engine only counts.  _fit_tail (the weighted geometric fit of a
+survivor tail) and continuation_ratios are pure functions of the counts,
+and the CLI driver calls them beside its claim verdicts.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +57,21 @@ __all__ = [
 
 @dataclass
 class TailEstimate:
-    """Survivor counts and a fitted geometric ratio for intersection tails.
+    """Survivor counts of the intersection tails of sampled walk pairs.
 
     counts[n] is the number of sampled pairs with at least n shared
     edges; vertex_counts and excursion_counts are the analogous tails for
     vertex coincidences and for fresh re-meets after separation.
-    theta_hat is exp(slope) of a weighted fit of log counts[n] against n
-    over fit_range (n >= 1 with counts >= the configured minimum), None
-    when fewer than three points qualify.  censoring_bound is the
-    integral bound on intersections lost beyond the horizon.
+    censoring_bound is the integral bound on intersections lost beyond
+    the horizon.  The CLI driver fits rates to these counts (_fit_tail).
     """
 
     horizon: int
     samples: int
     counts: dict[int, int]
-    vertex_counts: dict[int, int] = field(default_factory=dict)
-    excursion_counts: dict[int, int] = field(default_factory=dict)
-    theta_hat: float | None = None
-    theta_se: float | None = None
-    r_squared: float | None = None
-    fit_range: list[int] = field(default_factory=list)
-    censoring_bound: float = 0.0
-
-    def excursion_fit(self, min_count: int):
-        """(theta, theta_se, r_squared, fit_range) of the re-meet tail, fitted like theta_hat."""
-        return _fit_tail(self.excursion_counts, min_count)
+    vertex_counts: dict[int, int]
+    excursion_counts: dict[int, int]
+    censoring_bound: float
 
 
 def _survivor_counts(hist: np.ndarray) -> dict[int, int]:
@@ -89,7 +83,12 @@ def _survivor_counts(hist: np.ndarray) -> dict[int, int]:
 
 
 def _fit_tail(counts: dict[int, int], min_count: int):
-    """Weighted geometric fit of the survivor tail: (theta, theta_se, r_squared, fit_range)."""
+    """Weighted geometric fit of a survivor tail: (theta, theta_se, r_squared, fit_range).
+
+    theta is exp(slope) of the fit of log counts[n] against n, weighted by
+    counts[n], over fit_range, the n >= 1 with counts[n] >= min_count; all
+    None (and fit_range empty) when fewer than three levels qualify.
+    """
     ns = sorted(n for n, c in counts.items() if n >= 1 and c >= min_count)
     if len(ns) < 3:
         return None, None, None, []
@@ -249,7 +248,7 @@ def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,
     return np.stack([np.bincount(c, minlength=horizon + 1) for c in counts])
 
 
-def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: int,
+def pair_tail(chunk_fn, horizon: int, samples: int, *, threads: int,
               decay_exponent: float) -> TailEstimate:
     """TailEstimate from the pair_chunk histograms of chunk_fn(size, index).
 
@@ -258,19 +257,13 @@ def pair_tail(chunk_fn, horizon: int, samples: int, *, min_count: int, threads: 
     vacuous (inf) for beta <= 1.  The chunks are capped as in map_chunks.
     """
     shared, vertices, remeets = map_chunks(chunk_fn, samples, horizon, threads)
-    counts = _survivor_counts(shared)
-    theta, theta_se, r2, fit_range = _fit_tail(counts, min_count)
     beta = float(decay_exponent)
     return TailEstimate(
         horizon=horizon,
         samples=samples,
-        counts=counts,
+        counts=_survivor_counts(shared),
         vertex_counts=_survivor_counts(vertices),
         excursion_counts=_survivor_counts(remeets),
-        theta_hat=theta,
-        theta_se=theta_se,
-        r_squared=r2,
-        fit_range=fit_range,
         censoring_bound=math.inf if beta <= 1.0 else horizon ** (1.0 - beta) / (beta - 1.0),
     )
 
@@ -280,8 +273,7 @@ def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
     return pair_chunk(2, horizon, n_pairs, seed, index, heisenberg=True)
 
 
-def tail_estimate(horizon: int, samples: int, seed: int, *,
-                  min_count: int, threads: int = 1) -> TailEstimate:
+def tail_estimate(horizon: int, samples: int, seed: int, *, threads: int = 1) -> TailEstimate:
     """Monte Carlo intersection tails for uniform path pairs on G_H.
 
     Pairs are drawn in fixed chunks with one counter-based stream per
@@ -292,7 +284,7 @@ def tail_estimate(horizon: int, samples: int, seed: int, *,
     """
     return pair_tail(
         lambda size, index: _pair_statistics_chunk(horizon, size, seed, index),
-        horizon, samples, min_count=min_count, threads=threads, decay_exponent=2.0,
+        horizon, samples, threads=threads, decay_exponent=2.0,
     )
 
 

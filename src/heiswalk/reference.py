@@ -288,11 +288,10 @@ def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):
     return pair_chunk(d, horizon, n, seed, index)
 
 
-def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *,
-                min_count: int, threads: int = 1) -> TailEstimate:
-    """Shared-edge intersection tail for oriented walk pairs on Z^d.
+def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *, threads: int = 1) -> TailEstimate:
+    """Intersection tails for oriented walk pairs on Z^d.
 
-    Same statistic and fitting as the Heisenberg tail_estimate; the
+    The same survivor counts as the Heisenberg tail_estimate; the
     horizon-censoring bound uses the per-step meeting decay (d-1)/2.
     The excursion_counts tail (fresh re-meets after separation) is the
     statistic whose geometric ratio equals the embedded return
@@ -302,7 +301,7 @@ def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *,
         raise ConfigError(f"d must be in 2..{ZD_MAX_D}")
     return pair_tail(
         lambda size, idx: _zd_pair_chunk(d, horizon, size, seed, idx),
-        horizon, samples, min_count=min_count, threads=threads, decay_exponent=(d - 1) / 2.0,
+        horizon, samples, threads=threads, decay_exponent=(d - 1) / 2.0,
     )
 
 

@@ -163,7 +163,7 @@ def test_criterion_08_dyadic_uniformity(criterion_log):
 
 
 def test_criterion_09_eit_tail(criterion_log):
-    est = paths.tail_estimate(4096, 100_000, SEED, threads=2, min_count=50)
+    est = paths.tail_estimate(4096, 100_000, SEED, threads=2)
     fit_ns = [n for n in range(1, 11) if est.counts.get(n, 0) > 0]
     fit = fit_exponential(
         fit_ns, [est.counts[n] for n in fit_ns], weights=[est.counts[n] for n in fit_ns]

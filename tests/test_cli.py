@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import heiswalk
-from heiswalk import cli, fourier, paths, percolation, reference
+from heiswalk import cli, fourier, paths, percolation, reference, tables
 from heiswalk.cli import STATUS_FILE, load_claims, main
 
 
@@ -446,7 +446,7 @@ def test_work_caps_sit_far_above_default_and_benchmark_calls():
     calls = [[name] for name in capped]
     calls += [argv for wl in workloads.WORKLOADS.values() for _label, argv in wl
               if argv[0] in capped]
-    assert len(calls) == 13
+    assert len(calls) == 21
     for argv in calls:
         _unit, cap, figure = cli._EXPERIMENTS[argv[0]].work
         assert 30 * figure(_resolved(argv)) < cap, argv
@@ -476,6 +476,52 @@ def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experimen
     assert run(experiment, cli._flag(option), sized(most + 1)) == 3
     assert len(ran) == 1
     assert "resource cap exceeded" in capsys.readouterr().err
+
+
+# each list experiment's library function, a list at exactly its work cap,
+# and lists over it: by one unit (every dyadic k adds an even number of
+# cells, so 2 is its least step), then far over, where each k meets its
+# per-call cap
+_CAPPED_LISTS = {
+    "dyadic": ((tables, "dyadic_uniformity"), ["--k-list", ",".join(["1048576"] * 8)], [
+        ["dyadic", "--k-list", ",".join(["1048576"] * 8 + ["2"])],
+        ["dyadic", "--k-list", ",".join(["2097151"] * 400)]]),
+    "zd-collision": ((reference, "zd_collision_probability"), ["--d", "1", "--k-list", "2047"], [
+        ["zd-collision", "--d", "1", "--k-list", "0,2047"],
+        ["zd-collision", "--k-list", ",".join(map(str, [*range(1, 501), 724]))]]),
+    "collision-contrast": ((reference, "zd_collision_probability"),
+                           ["--d", "1", "--zd-k-list", "2047"], [
+        ["collision-contrast", "--d", "1", "--zd-k-list", "63,2046"]]),
+    "fourier": ((fourier, "cos_product_integral"), ["--k-list", "8192"], [
+        ["fourier", "--k-list", "1,8192"],
+        ["fourier", "--k-list", ",".join(map(str, [*range(1, 701), 2049]))]]),
+}
+
+
+@pytest.mark.parametrize("experiment", _CAPPED_LISTS)
+def test_list_work_cap_refuses_before_the_library_runs(workdir, capsys, monkeypatch,
+                                                       experiment):
+    (module, function), at_cap, over = _CAPPED_LISTS[experiment]
+    registered = cli._EXPERIMENTS[experiment]
+    _unit, cap, figure = registered.work
+    at_cap = [experiment, *at_cap]
+    assert figure(_resolved(at_cap)) == cap
+    assert figure(_resolved(over[0])) == cap + (2 if experiment == "dyadic" else 1)
+    with monkeypatch.context() as patch:
+        ran = []
+        patch.setitem(cli._EXPERIMENTS, experiment, registered._replace(
+            runner=lambda cfg: ran.append(cfg) or (["x"], [], {}, {})))
+        assert run(*at_cap) == 0
+        assert len(ran) == 1
+
+    def refused(*args):
+        raise AssertionError(f"{function} ran on a list over the work cap")
+
+    monkeypatch.setattr(module, function, refused)
+    monkeypatch.setattr(tables, "scan_statistics", refused)
+    for argv in over:
+        assert run(*argv) == 3
+        assert "resource cap exceeded" in capsys.readouterr().err
 
 
 def test_bound_scan_prints_its_certificate(workdir, capsys):

@@ -149,13 +149,13 @@ def test_packed_key_exact_up_to_horizon_cap():
     keys = np.cumsum(lattice_pair_keys(2, h)[0, 1 * 2 + 0] * weights)
     assert abs(int(keys[-1])) == h + (2 * h + 1) * (h * (h - 1) // 2)
     with pytest.raises(CapExceededError):
-        tail_estimate(h + 1, 1, seed=1, min_count=50)
+        tail_estimate(h + 1, 1, seed=1)
     with pytest.raises(CapExceededError):
         endpoint_collision_frequency(h + 1, 1, seed=1)
 
 
 def test_tail_estimate_basic_shape():
-    est = tail_estimate(64, 3000, seed=5, min_count=50)
+    est = tail_estimate(64, 3000, seed=5)
     assert est.horizon == 64 and est.samples == 3000
     assert est.counts[0] == 3000
     tail = [est.counts[n] for n in sorted(est.counts)]
@@ -167,13 +167,12 @@ def test_tail_estimate_basic_shape():
 
 
 def test_tail_estimate_deterministic_and_thread_invariant():
-    a = tail_estimate(128, 4096, seed=9, threads=1, min_count=50)
-    b = tail_estimate(128, 4096, seed=9, threads=3, min_count=50)
+    a = tail_estimate(128, 4096, seed=9, threads=1)
+    b = tail_estimate(128, 4096, seed=9, threads=3)
     assert a.counts == b.counts
     assert a.vertex_counts == b.vertex_counts
     assert a.excursion_counts == b.excursion_counts
-    assert a.theta_hat == b.theta_hat
-    c = tail_estimate(128, 4096, seed=10, min_count=50)
+    c = tail_estimate(128, 4096, seed=10)
     assert c.counts != a.counts
 
 
@@ -205,7 +204,7 @@ def test_merged_histograms_take_bounded_memory():
     def peak(chunks):
         tracemalloc.start()
         try:
-            tail_estimate(2048, 1024 * chunks, 7, threads=2, min_count=50)
+            tail_estimate(2048, 1024 * chunks, 7, threads=2)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,7 +220,7 @@ def _brute_gh_counts(u, v):
 
 
 def _assert_tail_matches_brute_force(horizon, n, seed):
-    est = tail_estimate(horizon, n, seed=seed, min_count=50)
+    est = tail_estimate(horizon, n, seed=seed)
     u, v = chunk_letters(2, horizon, n, seed)
     shared, vertex, remeets = zip(*(_brute_gh_counts(u[i], v[i]) for i in range(n)))
     assert est.counts == survivors(shared)
@@ -255,7 +254,7 @@ def test_tail_counts_match_across_block_boundaries(monkeypatch):
 
 def test_tail_counts_nondecreasing_in_horizon():
     # whole-block draws: every horizon sees a prefix of the same sample paths
-    ests = [tail_estimate(h, 3000, seed=8, min_count=50) for h in (64, 256, 300, 600)]
+    ests = [tail_estimate(h, 3000, seed=8) for h in (64, 256, 300, 600)]
     for short, long in zip(ests, ests[1:]):
         for name in ("counts", "vertex_counts", "excursion_counts"):
             longer = getattr(long, name)
@@ -277,7 +276,7 @@ def gh_run():
     h, n = 256, 200_000
     scan = scan_statistics(range(1, h + 1))
     u = np.array([1.0] + [scan[t].collision for t in range(1, h + 1)])
-    return h, n, u, tail_estimate(h, n, seed=7, threads=2, min_count=50)
+    return h, n, u, tail_estimate(h, n, seed=7, threads=2)
 
 
 # A vertex meeting at time t has probability u_t, and a shared edge at step t
@@ -309,7 +308,7 @@ def test_gh_vertex_tail_matches_renewal_law(gh_run):
 
 def test_z4_mean_meeting_count_matches_exact_sum():
     h, n = 64, 200_000
-    est = zd_eit_tail(4, h, n, seed=7, threads=2, min_count=50)
+    est = zd_eit_tail(4, h, n, seed=7, threads=2)
     mean, se = _mean_and_se(est.vertex_counts, n)
     assert abs(mean - sum(zd_collision_probability(4, t) for t in range(1, h + 1))) < 4 * se
 
@@ -330,9 +329,9 @@ def test_continuation_ratios_empty():
 
 def test_tail_estimate_validation():
     with pytest.raises(ValueError):
-        tail_estimate(0, 10, seed=1, min_count=50)
+        tail_estimate(0, 10, seed=1)
     with pytest.raises(ValueError):
-        tail_estimate(10, 0, seed=1, min_count=50)
+        tail_estimate(10, 0, seed=1)
 
 
 def test_bad_arguments_are_config_errors():

@@ -353,7 +353,7 @@ def test_first_visit_keys_exact_at_the_cap():
 
 
 def test_zd_eit_tail_structure():
-    est = zd_eit_tail(4, 128, 4000, seed=17, min_count=50)
+    est = zd_eit_tail(4, 128, 4000, seed=17)
     assert est.counts[0] == 4000
     tail = [est.counts[n] for n in sorted(est.counts)]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
@@ -366,7 +366,7 @@ def test_zd_eit_excursion_ratio_estimates_theta():
     # the fresh re-meet tail is geometric with the embedded return rate;
     # later excursions see a shorter remaining horizon, so the finite-h
     # ratio is bracketed by the half- and full-horizon exact values
-    est = zd_eit_tail(4, 48, 30_000, seed=23, min_count=50)
+    est = zd_eit_tail(4, 48, 30_000, seed=23)
     c1, c2 = est.excursion_counts[1], est.excursion_counts[2]
     ratio = c2 / c1
     se = math.sqrt(ratio * (1 - ratio) / c1)
@@ -376,11 +376,11 @@ def test_zd_eit_excursion_ratio_estimates_theta():
 
 def test_zd_eit_validation():
     with pytest.raises(ValueError):
-        zd_eit_tail(1, 16, 100, seed=1, min_count=50)
+        zd_eit_tail(1, 16, 100, seed=1)
     # one chunk of 1024 pairs x 2^15 steps is above the cell cap
     assert 1024 * 2**15 > PAIR_CHUNK_CELLS_CAP
     with pytest.raises(CapExceededError):
-        zd_eit_tail(4, 2**15, 4096, seed=1, min_count=50)
+        zd_eit_tail(4, 2**15, 4096, seed=1)
 
 
 # key words: 601^3 < 2^63 <= 601^7, and 121^19 needs three words; d = 4 and 16
@@ -391,7 +391,7 @@ def test_zd_eit_validation():
 def test_zd_pair_counts_match_per_pair_loop(d, horizon, words):
     assert lattice_pair_keys(d, horizon).shape[0] == words
     n = 48
-    est = zd_eit_tail(d, horizon, n, seed=31, min_count=50)
+    est = zd_eit_tail(d, horizon, n, seed=31)
     u, v = chunk_letters(d, horizon, n, seed=31)
     shared, vertices, remeets = zip(*(pair_counts(u[i], v[i]) for i in range(n)))
     assert est.counts == survivors(shared)
