@@ -341,27 +341,32 @@ _SUMMARY_KEYS = {"config", "results", "fits", "runtime_seconds", "version", "con
                  "timestamp", "out_path"}
 
 
+def _digest(argv):
+    """The call's exit code and CSV md5, and the `fits` block and runner
+    extras of its JSON summary, at the default seed."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run(*argv, "--out-path", "golden.csv")
+    summary = json.loads(stdout.getvalue())
+    md5 = hashlib.md5(Path("golden.csv").read_bytes()).hexdigest()
+    extras = {k: v for k, v in summary.items() if k not in _SUMMARY_KEYS}
+    return {"argv": argv, "exit": code, "csv_md5": md5, "fits": summary["fits"],
+            "extras": extras}
+
+
 def _golden_digests(calls):
-    """Each call's CSV md5, and the `fits` block and runner extras of its JSON
-    summary, at the default seed; also checks that each claim is reported
-    only by the experiment the manifest names."""
+    """The _digest of each call but fourier, whose bits depend on numpy's SIMD
+    dispatch; also checks that each claim is reported only by the experiment
+    the manifest names."""
     claims = load_claims()
     digests, reported = [], set()
     for argv in calls:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = run(*argv, "--out-path", "golden.csv")
-        summary = json.loads(stdout.getvalue())
-        fits = summary["fits"]
-        for fit in fits:
+        digest = _digest(argv)
+        for fit in digest["fits"]:
             assert claims[fit["claim_id"]]["experiment"] == argv[0], (argv, fit["claim_id"])
             reported.add(fit["claim_id"])
-        # the fourier bits depend on numpy's SIMD dispatch level (ROADMAP item 7)
         if argv[0] != "fourier":
-            md5 = hashlib.md5(Path("golden.csv").read_bytes()).hexdigest()
-            extras = {k: v for k, v in summary.items() if k not in _SUMMARY_KEYS}
-            digests.append({"argv": argv, "exit": code, "csv_md5": md5, "fits": fits,
-                            "extras": extras})
+            digests.append(digest)
     assert reported == set(claims)
     return digests
 
@@ -371,6 +376,25 @@ def test_csvs_and_verdicts_match_the_golden_digests(workdir):
     digests = _golden_digests(_GOLDEN_CALLS)
     assert digests == golden["calls"], (
         f"taken with numpy {golden['numpy']}, running numpy {np.__version__}")
+
+
+_FOURIER_CALL = ["fourier", "--k-list", "16,32"]
+
+
+def _complex_multiply_probe():
+    """md5 prefix of a complex product, which tells numpy's FMA loop from its
+    baseline loop; the cos_product rotation `z *= step` runs on that loop."""
+    z = np.exp(1j * np.arange(1.0, 65.0))
+    z *= np.exp(0.1j)
+    return hashlib.md5(z.tobytes()).hexdigest()[:8]
+
+
+def test_fourier_digest_matches_the_entry_for_the_dispatched_loop(workdir):
+    entries = json.loads(_GOLDEN.read_text())["fourier"]
+    probe = _complex_multiply_probe()
+    if probe not in entries:
+        pytest.skip(f"no fourier digest for complex-multiply probe {probe}")
+    assert _digest(_FOURIER_CALL) == entries[probe]
 
 
 _HUGE = str(10**12)  # --seeds takes no huge length here
@@ -752,10 +776,14 @@ def test_record_status_rejects_corrupt_file(workdir, capsys, corrupt):
 
 
 if __name__ == "__main__":
-    # after a deliberate CSV or verdict change: PYTHONPATH=src python tests/test_cli.py
+    # after a deliberate CSV or verdict change: PYTHONPATH=src python tests/test_cli.py;
+    # the fourier entry is the host's dispatch probe's, and the other probes' stay
     import tempfile
 
+    old = json.loads(_GOLDEN.read_text()) if _GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        golden = {"numpy": np.__version__, "calls": _golden_digests(_GOLDEN_CALLS)}
+        golden = {"numpy": np.__version__, "calls": _golden_digests(_GOLDEN_CALLS),
+                  "fourier": {**old.get("fourier", {}),
+                              _complex_multiply_probe(): _digest(_FOURIER_CALL)}}
     _GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
