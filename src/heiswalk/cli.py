@@ -127,14 +127,15 @@ class _Experiment(NamedTuple):
     options: dict
     # cfg -> (header, rows, {claim id: (statistic, range, LineFit or None)}, extras)
     runner: Callable
-    work: tuple | None  # (unit, cap, figure of the resolved config), checked before the run
+    work: tuple  # (unit, cap, figure of the resolved config) entries, checked before the run
 
 
 _EXPERIMENTS: dict[str, _Experiment] = {}
 
 
-def _experiment(options: dict, work: tuple | None = None):
-    """Register the decorated `_run_<name>` as experiment <name>."""
+def _experiment(options: dict, *work: tuple):
+    """Register the decorated `_run_<name>` as experiment <name>, with its
+    options and its (unit, cap, figure) work entries."""
     def register(runner):
         _EXPERIMENTS[runner.__name__.removeprefix("_run_").replace("_", "-")] = _Experiment(
             options, runner, work)
@@ -144,7 +145,9 @@ def _experiment(options: dict, work: tuple | None = None):
 
 # The total work of each run that a sized option or list sets, checked
 # before the run starts (exit 3).  The defaults sit 35 to 10,000 times below
-# their caps; the library's per-call caps still bound each k.
+# their caps; the library's per-call caps still bound each k.  bound-scan,
+# srw-return and ball-growth are bounded by one size each, and their
+# library caps alone.
 PAIR_STEPS_CAP = 2**36  # about 3 minutes of Monte Carlo on 2 threads
 INTERSECTION_WORK_CAP = 2**28  # about 40 s; at most 16 MiB of counts
 FLOW_PATH_STEPS_CAP = 2**24  # about 1 s; at most 80 MiB for one box's words
@@ -152,6 +155,7 @@ RESISTANCE_SOLVES_CAP = 2**10  # the ball and lattice caps bound each solve's bo
 DYADIC_CELLS_CAP = 2**23  # 8 laws of 2^20 cells, about 0.3 s
 ZD_COLLISION_CELLS_CAP = 2**22  # twice the per-k cap, about 4 s
 FOURIER_K_SQUARED_CAP = 2**26  # 16 times k = 2048, about 5 s
+TABLE_K_CUBED_CAP = 2**33  # 8 times k = 1024, about 5 s
 _PAIR_STEPS = ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"])
 
 
@@ -162,13 +166,17 @@ def _zd_cells(k_list: str) -> tuple:
             lambda c: c["d"] * sum((k + 1) ** 2 for k in set(c[k_list])))
 
 
+def _table_k_cubed(k_list: str) -> tuple:
+    """k^3 summed over the distinct k of the Heisenberg list, as each
+    _row_square_sums call in tables.scan_statistics costs about k^3."""
+    return ("k^3 units", TABLE_K_CUBED_CAP, lambda c: sum(k**3 for k in set(c[k_list])))
+
+
 def _check_work(cfg: dict) -> None:
-    if (work := _EXPERIMENTS[cfg["experiment"]].work) is None:
-        return
-    unit, cap, figure = work
-    if (amount := figure(cfg)) > cap:
-        raise CapExceededError(
-            f"{cfg['experiment']} asks for {amount} {unit}, above the cap {cap}")
+    for unit, cap, figure in _EXPERIMENTS[cfg["experiment"]].work:
+        if (amount := figure(cfg)) > cap:
+            raise CapExceededError(
+                f"{cfg['experiment']} asks for {amount} {unit}, above the cap {cap}")
 
 
 def _flag(name: str) -> str:
@@ -258,7 +266,7 @@ def _resolve_config(experiment: str, args: argparse.Namespace) -> dict:
 _GH_K_LIST = {"k_list": ("intlist>=1", "32,64,128,256", "comma-separated k values")}
 
 
-@_experiment(_GH_K_LIST)
+@_experiment(_GH_K_LIST, _table_k_cubed("k_list"))
 def _run_collision_exact(cfg):
     ks = sorted(set(cfg["k_list"]))
     stats = tables.scan_statistics(ks)
@@ -277,7 +285,7 @@ def _run_collision_exact(cfg):
     return header, rows, checks, {}
 
 
-@_experiment(_GH_K_LIST)
+@_experiment(_GH_K_LIST, _table_k_cubed("k_list"))
 def _run_conditional_exact(cfg):
     ks = sorted(set(cfg["k_list"]))
     stats = tables.scan_statistics(ks)
@@ -308,12 +316,12 @@ def _run_bound_scan(cfg):
     return header, rows, checks, {}
 
 
-# each listed k, repeats too, builds a law of 2^floor(log2 k) cells
+# each distinct k builds a law of 2^floor(log2 k) cells
 @_experiment({"k_list": ("intlist>=2", "4,8,16,31,256,1000", "comma-separated k values")},
-             work=("law cells", DYADIC_CELLS_CAP,
-                   lambda c: sum(1 << (k.bit_length() - 1) for k in c["k_list"])))
+             ("law cells", DYADIC_CELLS_CAP,
+              lambda c: sum(1 << (k.bit_length() - 1) for k in set(c["k_list"]))))
 def _run_dyadic(cfg):
-    ks = cfg["k_list"]
+    ks = sorted(set(cfg["k_list"]))
     rows, holds = [], True
     for k in ks:
         support, uniform = tables.dyadic_uniformity(k)
@@ -325,7 +333,7 @@ def _run_dyadic(cfg):
 @_experiment({
     "d": ("int>=1", "4", "lattice dimension"),
     "k_list": ("intlist>=0", "16,32,64,128", "comma-separated k values"),
-}, work=_zd_cells("k_list"))
+}, _zd_cells("k_list"))
 def _run_zd_collision(cfg):
     d, ks = cfg["d"], sorted(set(cfg["k_list"]))
     fit_exponent = d == 4 and len(ks) >= 2
@@ -344,7 +352,7 @@ def _run_zd_collision(cfg):
     "d": ("int>=1", "4", "lattice dimension for the reference slope"),
     "gh_k_list": ("intlist>=1", "32,64,128,256", "Heisenberg k values"),
     "zd_k_list": ("intlist>=1", "16,32,64,128", "lattice k values"),
-}, work=_zd_cells("zd_k_list"))
+}, _table_k_cubed("gh_k_list"), _zd_cells("zd_k_list"))
 def _run_collision_contrast(cfg):
     d = cfg["d"]
     gh_ks = sorted(set(cfg["gh_k_list"]))
@@ -364,8 +372,7 @@ def _run_collision_contrast(cfg):
 
 # the quadrature of each distinct k costs about k^2 factor evaluations
 @_experiment({"k_list": ("intlist>=1", "16,64,256,1024", "comma-separated k values")},
-             work=("k^2 units", FOURIER_K_SQUARED_CAP,
-                   lambda c: sum(k * k for k in set(c["k_list"]))))
+             ("k^2 units", FOURIER_K_SQUARED_CAP, lambda c: sum(k * k for k in set(c["k_list"]))))
 def _run_fourier(cfg):
     ks = sorted(set(cfg["k_list"]))
     quads = {k: fourier.cos_product_integral(k) for k in ks}
@@ -397,7 +404,7 @@ def _tail_rows(est, min_count):
     "horizon": ("int>=1", "4096", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
     "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
-}, work=_PAIR_STEPS)
+}, _PAIR_STEPS)
 def _run_eit_tail(cfg):
     est = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"])
     rows, ratios, pooled = _tail_rows(est, cfg["min_count"])
@@ -431,7 +438,7 @@ def _run_eit_tail(cfg):
     "d": ("int>=4", "4", "lattice dimension of the transient regime"),
     "horizon": ("int>=1", "10000", "steps per difference walk"),
     "samples": ("int>=1", "100000", "number of walks"),
-}, work=_PAIR_STEPS)
+}, _PAIR_STEPS)
 def _run_theta_d(cfg):
     theta, censoring = reference.theta_d_estimate(
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"]
@@ -449,7 +456,7 @@ def _run_theta_d(cfg):
     "horizon": ("int>=1", "2048", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
     "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
-}, work=_PAIR_STEPS)
+}, _PAIR_STEPS)
 def _run_zd_eit(cfg):
     theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
     est = reference.zd_eit_tail(cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
@@ -502,7 +509,7 @@ def _run_srw_return(cfg):
     "n_base": ("int>=1", "256", "first checkpoint time"),
     "samples": ("int>=1", "1000", "walk pairs"),
     "doublings": ("int>=1", "2", "number of checkpoint doublings after n_base"),
-}, work=("walk-steps", INTERSECTION_WORK_CAP, lambda c: c["samples"] * (
+}, ("walk-steps", INTERSECTION_WORK_CAP, lambda c: c["samples"] * (
     2 * (c["n_base"] << min(c["doublings"], 63)) + 256)))
 def _run_srw_intersections(cfg):
     growth = reference.srw_mutual_intersections(
@@ -543,7 +550,7 @@ def _require_radii(radii, count: int, what: str):
     "p": ("prob", "1.0", "edge retention probability"),
     "radii": ("intlist>=1 increasing", "4,8,12,16", "sphere radii"),
     "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
-}, work=("solves", RESISTANCE_SOLVES_CAP, lambda c: len(c["seeds"]) * len(c["radii"])))
+}, ("solves", RESISTANCE_SOLVES_CAP, lambda c: len(c["seeds"]) * len(c["radii"])))
 def _run_resistance_profile(cfg):
     radii, seeds = cfg["radii"], cfg["seeds"]
     if cfg["family"] == "z2":
@@ -581,8 +588,8 @@ def _run_resistance_profile(cfg):
     "num_paths": ("int>=1", "2000", "oriented words sampled per mask"),
     "radii": ("intlist>=1 increasing", "4,8,12,16", "box radii"),
     "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
-}, work=("path-steps", FLOW_PATH_STEPS_CAP,
-         lambda c: c["num_paths"] * sum(c["radii"]) * (len(c["seeds"]) + 1)))
+}, ("path-steps", FLOW_PATH_STEPS_CAP,
+    lambda c: c["num_paths"] * sum(c["radii"]) * (len(c["seeds"]) + 1)))
 def _run_flow_energy(cfg):
     radii, seeds, p = cfg["radii"], cfg["seeds"], cfg["p"]
     _require_radii(radii, 3, "a tapering energy")

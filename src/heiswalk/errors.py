@@ -19,4 +19,4 @@ class SolverConvergenceError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature exhausted its panel budget before reaching tolerance."""
+    """A quadrature's error estimate on its mesh is above its tolerance."""

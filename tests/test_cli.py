@@ -203,6 +203,17 @@ def test_fourier_integrates_each_region_once(workdir, monkeypatch):
                                       (1 / 64, half_pi), (1 / 32, half_pi)])
 
 
+def test_dyadic_takes_each_distinct_k_once(workdir, monkeypatch):
+    # like every list experiment: sorted, repeats dropped, one law per k
+    laws = []
+    uniformity = tables.dyadic_uniformity
+    monkeypatch.setattr(tables, "dyadic_uniformity", lambda k: laws.append(k) or uniformity(k))
+    assert run("dyadic", "--k-list", "16,4,16,4", "--out-path", "d.csv") == 0
+    assert laws == [4, 16]
+    assert [line.split(",")[0] for line in Path("d.csv").read_text().splitlines()] == [
+        "k", "4", "16"]
+
+
 def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
     # 70000 steps tripped a stale 32-bit guard; the int64 key holds 2^21
     assert run("eit-tail", "--horizon", "70000", "--samples", "128") == 0
@@ -470,10 +481,10 @@ def test_work_caps_sit_far_above_default_and_benchmark_calls():
     calls = [[name] for name in capped]
     calls += [argv for wl in workloads.WORKLOADS.values() for _label, argv in wl
               if argv[0] in capped]
-    assert len(calls) == 21
+    assert len(calls) == 25
     for argv in calls:
-        _unit, cap, figure = cli._EXPERIMENTS[argv[0]].work
-        assert 30 * figure(_resolved(argv)) < cap, argv
+        for unit, cap, figure in cli._EXPERIMENTS[argv[0]].work:
+            assert 30 * figure(_resolved(argv)) < cap, (argv, unit)
 
 
 @pytest.mark.parametrize("experiment, option", [
@@ -493,7 +504,7 @@ def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experimen
     ran = []
     monkeypatch.setitem(cli._EXPERIMENTS, experiment, registered._replace(
         runner=lambda cfg: ran.append(cfg[option]) or (["x"], [], {}, {})))
-    _unit, cap, figure = registered.work
+    (_unit, cap, figure), = registered.work
     most = cap // figure(_resolved([experiment, cli._flag(option), sized(1)]))
     assert run(experiment, cli._flag(option), sized(most)) == 0
     assert ran == [[1] * most if listed else most]
@@ -502,33 +513,44 @@ def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experimen
     assert "resource cap exceeded" in capsys.readouterr().err
 
 
-# each list experiment's library function, a list at exactly its work cap,
-# and lists over it: by one unit (every dyadic k adds an even number of
-# cells, so 2 is its least step), then far over, where each k meets its
-# per-call cap
+# each capped list's work unit and library function, a call at exactly its
+# work cap, and calls over it: by one unit (every dyadic k adds an even
+# number of cells, so 2 is its least step), then far over, where each k
+# meets its per-call cap
 _CAPPED_LISTS = {
-    "dyadic": ((tables, "dyadic_uniformity"), ["--k-list", ",".join(["1048576"] * 8)], [
-        ["dyadic", "--k-list", ",".join(["1048576"] * 8 + ["2"])],
-        ["dyadic", "--k-list", ",".join(["2097151"] * 400)]]),
-    "zd-collision": ((reference, "zd_collision_probability"), ["--d", "1", "--k-list", "2047"], [
+    "dyadic": ("law cells", (tables, "dyadic_uniformity"),
+               ["dyadic", "--k-list", ",".join(map(str, range(2**20, 2**20 + 8)))], [
+        ["dyadic", "--k-list", ",".join(map(str, [*range(2**20, 2**20 + 8), 2]))]]),
+    "zd-collision": ("lattice cells", (reference, "zd_collision_probability"),
+                     ["zd-collision", "--d", "1", "--k-list", "2047"], [
         ["zd-collision", "--d", "1", "--k-list", "0,2047"],
         ["zd-collision", "--k-list", ",".join(map(str, [*range(1, 501), 724]))]]),
-    "collision-contrast": ((reference, "zd_collision_probability"),
-                           ["--d", "1", "--zd-k-list", "2047"], [
+    "collision-contrast": ("lattice cells", (reference, "zd_collision_probability"),
+                           ["collision-contrast", "--d", "1", "--zd-k-list", "2047"], [
         ["collision-contrast", "--d", "1", "--zd-k-list", "63,2046"]]),
-    "fourier": ((fourier, "cos_product_integral"), ["--k-list", "8192"], [
+    "fourier": ("k^2 units", (fourier, "cos_product_integral"), ["fourier", "--k-list", "8192"], [
         ["fourier", "--k-list", "1,8192"],
         ["fourier", "--k-list", ",".join(map(str, [*range(1, 701), 2049]))]]),
+    "collision-exact": ("k^3 units", (tables, "scan_statistics"),
+                        ["collision-exact", "--k-list", "2048"], [
+        ["collision-exact", "--k-list", "1,2048"],
+        ["collision-exact", "--k-list", ",".join(map(str, range(1, 1025)))]]),
+    "conditional-exact": ("k^3 units", (tables, "scan_statistics"),
+                          ["conditional-exact", "--k-list", "2048"], [
+        ["conditional-exact", "--k-list", "1,2048"],
+        ["conditional-exact", "--k-list", ",".join(map(str, range(1009, 1025)))]]),
+    "collision-contrast-gh": ("k^3 units", (tables, "scan_statistics"),
+                              ["collision-contrast", "--gh-k-list", "2048"], [
+        ["collision-contrast", "--gh-k-list", "1,2048"]]),
 }
 
 
-@pytest.mark.parametrize("experiment", _CAPPED_LISTS)
-def test_list_work_cap_refuses_before_the_library_runs(workdir, capsys, monkeypatch,
-                                                       experiment):
-    (module, function), at_cap, over = _CAPPED_LISTS[experiment]
+@pytest.mark.parametrize("case", _CAPPED_LISTS)
+def test_list_work_cap_refuses_before_the_library_runs(workdir, capsys, monkeypatch, case):
+    unit, (module, function), at_cap, over = _CAPPED_LISTS[case]
+    experiment = at_cap[0]
     registered = cli._EXPERIMENTS[experiment]
-    _unit, cap, figure = registered.work
-    at_cap = [experiment, *at_cap]
+    cap, figure = next((cap, figure) for u, cap, figure in registered.work if u == unit)
     assert figure(_resolved(at_cap)) == cap
     assert figure(_resolved(over[0])) == cap + (2 if experiment == "dyadic" else 1)
     with monkeypatch.context() as patch:
@@ -545,7 +567,13 @@ def test_list_work_cap_refuses_before_the_library_runs(workdir, capsys, monkeypa
     monkeypatch.setattr(tables, "scan_statistics", refused)
     for argv in over:
         assert run(*argv) == 3
-        assert "resource cap exceeded" in capsys.readouterr().err
+        assert f"{unit}, above the cap" in capsys.readouterr().err
+
+
+def test_a_single_k_at_the_table_cap_passes_the_work_cap():
+    for experiment in ("collision-exact", "conditional-exact"):
+        cli._check_work(_resolved([experiment, "--k-list", str(tables.TABLE_K_CAP)]))
+    cli._check_work(_resolved(["collision-contrast", "--gh-k-list", f"512,{tables.TABLE_K_CAP}"]))
 
 
 def test_bound_scan_prints_its_certificate(workdir, capsys):

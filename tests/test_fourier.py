@@ -15,9 +15,11 @@ from oracles import (
     tail_rate_floor,
 )
 
-from heiswalk.errors import CapExceededError, ConfigError
+from heiswalk.errors import CapExceededError, ConfigError, QuadratureError
 from heiswalk.fourier import (
     _RESYNC,
+    _TOL_ABS,
+    _TOL_REL,
     FOURIER_K_CAP,
     _adaptive_simpson,
     cos_product,
@@ -58,6 +60,23 @@ def test_whole_integral_is_four_times_head_plus_tail(k):
     got = cos_product_integral(k)
     assert got.value == 4.0 * (got.head + got.tail)
     assert got.value == pytest.approx(cos_product_integral_whole(k), rel=1e-14, abs=0.0)
+
+
+def test_one_simpson_pass_meets_the_tolerance_on_every_mesh():
+    # the quadrature never refines, so each mesh must resolve its integrand;
+    # every k up to the cap passes (worst 0.566 of the tolerance, k = 18,
+    # tail), and this samples the sweep densely where the margin is least
+    for k in [*range(1, 129), 192, 256, 384, 512, 768, 1024, 1536, 2048]:
+        for quadrature in (head_integral, tail_integral_decay):
+            got = quadrature(k)
+            assert got.error_estimate <= max(_TOL_ABS, _TOL_REL * got.value), (k, quadrature)
+
+
+def test_a_mesh_that_misses_the_peak_raises():
+    # three panels cannot resolve the k = 64 peak, and nothing refines them
+    edges = np.linspace(0.0, 0.5 * math.pi, 4)
+    with pytest.raises(QuadratureError):
+        _adaptive_simpson(lambda x: cos_product(64, x), edges, _TOL_ABS, _TOL_REL)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 64, 1024, 2048])
