@@ -570,12 +570,6 @@ def test_list_work_cap_refuses_before_the_library_runs(workdir, capsys, monkeypa
         assert f"{unit}, above the cap" in capsys.readouterr().err
 
 
-def test_a_single_k_at_the_table_cap_passes_the_work_cap():
-    for experiment in ("collision-exact", "conditional-exact"):
-        cli._check_work(_resolved([experiment, "--k-list", str(tables.TABLE_K_CAP)]))
-    cli._check_work(_resolved(["collision-contrast", "--gh-k-list", f"512,{tables.TABLE_K_CAP}"]))
-
-
 def test_bound_scan_prints_its_certificate(workdir, capsys):
     # cells are exact through k = 56, within gamma_{k-1} beyond
     assert run("bound-scan", "--k-min", "55", "--k-max", "58", "--out-path", "scan.csv") == 0
@@ -805,7 +799,7 @@ def test_record_status_rejects_corrupt_file(workdir, capsys, corrupt):
 
 if __name__ == "__main__":
     # after a deliberate CSV or verdict change: PYTHONPATH=src python tests/test_cli.py;
-    # the fourier entry is the host's dispatch probe's, and the other probes' stay
+    # it writes the fourier entry for this host's dispatch probe and keeps the others
     import tempfile
 
     old = json.loads(_GOLDEN.read_text()) if _GOLDEN.exists() else {}
