@@ -31,7 +31,24 @@ def ball_levels(radius: int) -> list[np.ndarray]:
     """Coordinates of every sphere of the ball of `radius` about the identity.
 
     Level r is an (n_r, 3) int64 array of the elements at word distance r,
-    in lexicographic order.  One frontier search over packed int64 keys:
+    in lexicographic order: the decoded keys of _sphere_keys.
+    """
+    z_half = radius * radius
+    z_base, m_base = 2 * z_half + 1, 2 * radius + 1
+    out = []
+    for keys in _sphere_keys(radius):
+        n, rest = np.divmod(keys, m_base * z_base)
+        m, k = np.divmod(rest, z_base)
+        out.append(np.column_stack([n - radius, m - radius, k - z_half]))
+    return out
+
+
+def _sphere_keys(radius: int) -> list[np.ndarray]:
+    """Sorted packed keys of every sphere of the ball of `radius`.
+
+    (n, m, k) packs into the mixed-radix key ((n + r) (2r + 1) + m + r)
+    (2r^2 + 1) + k + r^2: inside the ball |n|, |m| <= r and |k| <= r^2, so
+    key order is lexicographic order.  One frontier search over the keys:
     in a Cayley graph with a symmetric generating set the neighbours of
     sphere r lie in spheres r-1, r and r+1.  Every generator flips the
     parity of n + m, so sphere r holds only elements with n + m = r mod 2
@@ -43,7 +60,6 @@ def ball_levels(radius: int) -> list[np.ndarray]:
         raise ConfigError("radius must be nonnegative")
     if radius > DEFAULT_BALL_CAP:
         raise CapExceededError(f"ball radius {radius} exceeds cap {DEFAULT_BALL_CAP}")
-    # |n|, |m| <= r and |k| <= r^2 inside the ball: mixed-radix digits
     z_half = radius * radius
     z_base = 2 * z_half + 1
     m_base = 2 * radius + 1
@@ -61,12 +77,7 @@ def ball_levels(radius: int) -> list[np.ndarray]:
         near = near[np.concatenate(([True], near[1:] != near[:-1]))]  # faster than np.unique
         levels.append(near[~np.isin(near, previous, assume_unique=True)])
         previous = frontier
-    out = []
-    for keys in levels:
-        n, rest = np.divmod(keys, n_step)
-        m, k = np.divmod(rest, z_base)
-        out.append(np.column_stack([n - radius, m - radius, k - z_half]))
-    return out
+    return levels
 
 
 def ball_with_distances(radius: int) -> dict[tuple, int]:
@@ -82,5 +93,5 @@ def ball_with_distances(radius: int) -> dict[tuple, int]:
 
 
 def ball_sizes(radius: int) -> list[int]:
-    """|ball(r)| for r = 0..radius, from a single search."""
-    return np.cumsum([len(level) for level in ball_levels(radius)]).tolist()
+    """|ball(r)| for r = 0..radius, from a single search of packed keys."""
+    return np.cumsum([len(keys) for keys in _sphere_keys(radius)]).tolist()

@@ -262,7 +262,10 @@ def srw_intersection_values(n_base, samples, seed, num_doublings):
 
 def srw_profile_full_box(t_max):
     """(probabilities, dropped_mass) of srw_return_profile, each step over
-    the whole box instead of the window the walk can have reached."""
+    the whole box instead of the window the walk can have reached.
+
+    The sum of squares runs over the window, as srw_return_profile sums
+    it, once the box is checked to hold only zeros outside it."""
     n = t_max // 2
     b_xy, b_z = _srw_box(n)
     nx = 2 * b_xy + 1
@@ -286,7 +289,13 @@ def srw_profile_full_box(t_max):
             nxt[yi, :-1, hi] += cur[yi, 1:, lo]
         nxt *= 0.25
         cur, nxt = nxt, cur
-        probs[2 * s] = np.einsum("ijk,ijk->", cur, cur)
+        # after s steps |x|, |y| <= s and |z| <= s^2 / 4
+        w_xy, w_z = min(s, b_xy), min(s * s // 4, b_z)
+        window = (slice(b_xy - w_xy, b_xy + w_xy + 1),) * 2 + (slice(b_z - w_z, b_z + w_z + 1),)
+        outside = cur.copy()
+        outside[window] = 0.0
+        assert not outside.any(), s
+        probs[2 * s] = np.einsum("ijk,ijk->", cur[window], cur[window])
     return probs, max(0.0, 1.0 - float(cur.sum()))
 
 

@@ -257,9 +257,9 @@ def test_infinite_resistance_is_config_error(workdir, capsys, family, seed):
 
 
 def test_solver_failure_exit_code(workdir, capsys, monkeypatch):
-    # with no per-root allowance CG stops after 20 steps; the radius-8 box needs more
+    # with no per-root allowance CG stops after 20 steps; the radius-12 box needs more
     monkeypatch.setattr(percolation, "CG_ITERATIONS_PER_ROOT", 0)
-    assert run("resistance-profile", "--radii", "2,4,8") == 4
+    assert run("resistance-profile", "--radii", "2,4,12") == 4
     assert "solver failure" in capsys.readouterr().err
 
 
@@ -387,6 +387,18 @@ def test_csvs_and_verdicts_match_the_golden_digests(workdir):
     digests = _golden_digests(_GOLDEN_CALLS)
     assert digests == golden["calls"], (
         f"taken with numpy {golden['numpy']}, running numpy {np.__version__}")
+
+
+def test_golden_rewrite_names_each_changed_entry():
+    def entry(argv, md5, slope, extra):
+        return {"argv": argv, "exit": 0, "csv_md5": md5,
+                "fits": [{"claim_id": "c", "slope": slope, "pass": True}], "extras": {"e": extra}}
+
+    old = [entry(["a", "--x", "1"], "m0", 1.0, 1), entry(["b"], "m1", 1.0, 1)]
+    new = [entry(["a", "--x", "1"], "m2", 2.0, 2), entry(["b"], "m1", 1.0, 1)]
+    assert _changed_entries(old, new) == ["a --x 1", "  csv m0 -> m2", "  fits c: slope",
+                                          "  extras: e"]
+    assert _changed_entries(old, old) == []
 
 
 _FOURIER_CALL = ["fourier", "--k-list", "16,32"]
@@ -797,15 +809,53 @@ def test_record_status_rejects_corrupt_file(workdir, capsys, corrupt):
     assert Path(STATUS_FILE).read_text() == corrupt
 
 
+def _changed_entries(old, new):
+    """Lines naming each call whose golden entry differs between the two
+    lists of digests: its argv, the old -> new CSV md5 (and exit code),
+    and the fits and extras keys whose values differ."""
+    before = {tuple(entry["argv"]): entry for entry in old}
+    lines = []
+    for entry in new:
+        was = before.pop(tuple(entry["argv"]), None)
+        if was == entry:
+            continue
+        lines.append(" ".join(entry["argv"]))
+        if was is None:
+            lines.append(f"  new call: csv {entry['csv_md5']}, exit {entry['exit']}")
+            continue
+        if was["csv_md5"] != entry["csv_md5"]:
+            lines.append(f"  csv {was['csv_md5']} -> {entry['csv_md5']}")
+        if was["exit"] != entry["exit"]:
+            lines.append(f"  exit {was['exit']} -> {entry['exit']}")
+        fits_was = {fit["claim_id"]: fit for fit in was["fits"]}
+        for fit in entry["fits"]:
+            prior = fits_was.pop(fit["claim_id"], {})
+            keys = sorted(k for k in fit.keys() | prior.keys() if fit.get(k) != prior.get(k))
+            if keys:
+                lines.append(f"  fits {fit['claim_id']}: {', '.join(keys)}")
+        lines.extend(f"  fits {claim}: dropped" for claim in fits_was)
+        keys = sorted(k for k in entry["extras"].keys() | was["extras"].keys()
+                      if entry["extras"].get(k) != was["extras"].get(k))
+        if keys:
+            lines.append(f"  extras: {', '.join(keys)}")
+    lines.extend(f"{' '.join(argv)}\n  dropped call" for argv in before)
+    return lines
+
+
 if __name__ == "__main__":
     # after a deliberate CSV or verdict change: PYTHONPATH=src python tests/test_cli.py;
-    # it writes the fourier entry for this host's dispatch probe and keeps the others
+    # it writes the fourier entry for this host's dispatch probe, keeps the others,
+    # and prints each call whose entry changed
     import tempfile
 
     old = json.loads(_GOLDEN.read_text()) if _GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        probe = _complex_multiply_probe()
         golden = {"numpy": np.__version__, "calls": _golden_digests(_GOLDEN_CALLS),
-                  "fourier": {**old.get("fourier", {}),
-                              _complex_multiply_probe(): _digest(_FOURIER_CALL)}}
+                  "fourier": {**old.get("fourier", {}), probe: _digest(_FOURIER_CALL)}}
+    old_fourier = old.get("fourier", {}).get(probe)
+    changes = _changed_entries(old.get("calls", []) + ([old_fourier] if old_fourier else []),
+                               golden["calls"] + [golden["fourier"][probe]])
     _GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    print("\n".join(changes) if changes else "no golden entry changed")

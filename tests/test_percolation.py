@@ -81,50 +81,99 @@ def test_resistance_validation():
             effective_resistance(full_mask(g))
 
 
-class _CountedOperator:
-    """A Laplacian whose products with vectors are counted: one per CG step."""
+def test_kept_and_eliminated_odd_vertices(monkeypatch):
+    # o-a-b-t (3 edges) in parallel with o-c-t (2): 3 * 2 / 5.  The odd
+    # vertices a and b share an edge, so both are kept; c is eliminated.
+    o, a, b, c, t = 0, 1, 2, 3, 4
+    g = build_custom_graph([0, 1, 1, 1, 2], [(o, a, 0), (a, b, 0), (b, t, 0), (o, c, 1), (c, t, 0)])
+    systems = []
+    solve = percolation._solve_spd
 
-    def __init__(self, lap):
-        self.lap, self.deg, self.steps = lap, lap.deg, 0
+    def record(op, *args):
+        systems.append(op)
+        return solve(op, *args)
+
+    monkeypatch.setattr(percolation, "_solve_spd", record)
+    assert effective_resistance(full_mask(g)) == pytest.approx(6 / 5, abs=1e-8)
+    (op,) = systems
+    assert (len(op.deg), len(op.inv_elim)) == (2, 1)
+
+
+class _CountedOperator:
+    """An operator whose products with vectors are counted: one per CG step."""
+
+    def __init__(self, op):
+        self.op, self.diag, self.steps = op, op.diag, 0
 
     def __matmul__(self, v):
         self.steps += 1
-        return self.lap @ v
+        return self.op @ v
 
 
-def _csr(lap):
-    """The gather-form Laplacian as a scipy CSR matrix."""
-    from scipy.sparse import coo_matrix
-
-    n = len(lap.deg)
-    slot, row = np.nonzero(lap.nbrs < n)
-    diagonal = np.arange(n)
-    return coo_matrix(
-        (np.concatenate([lap.deg, -np.ones(len(row))]),
-         (np.concatenate([diagonal, row]), np.concatenate([diagonal, lap.nbrs[slot, row]]))),
-        shape=(n, n),
-    ).tocsr()
+# a hand network with every block: the odd a and b share an edge, so both
+# are kept, as is the even m; the odd c is eliminated, and meets the
+# source and m by two parallel edges each
+_MIXED = build_custom_graph(
+    [0, 1, 1, 1, 2, 3],
+    [(0, 1, 0), (1, 2, 0), (0, 3, 1), (0, 3, 2), (3, 4, 0), (3, 4, 1), (2, 4, 0), (1, 4, 1),
+     (4, 5, 0)],
+)
 
 
 def _recorded_systems(family, p, monkeypatch):
-    """[(mask, lap, b, maxiter)] of the solves effective_resistance makes on
-    the masks of the sub-boxes of radii 2..8 of a radius-8 box (radius 1
-    has no free vertex)."""
+    """[(mask, op, b, maxiter, b_norm, phi)] of the solves effective_resistance
+    makes on the masks of the sub-boxes of radii 2..8 of a radius-8 box
+    (radius 1 has no free vertex), or on the one mask of a hand network;
+    phi is the reduced solution."""
     solve = percolation._solve_spd
     systems = []
 
-    def record(lap, b, maxiter):
-        systems.append((lap, b, maxiter))
-        return solve(lap, b, maxiter)
+    def record(op, b, maxiter, b_norm):
+        phi = solve(op, b, maxiter, b_norm)
+        systems.append((op, b, maxiter, b_norm, phi))
+        return phi
 
-    graph = heisenberg_box(8) if family == "heisenberg" else lattice_box(2, 8)
-    masks = [percolate(graph.sub_box(r), p, seed=3) for r in range(2, 9)]
+    if family == "mixed":
+        masks = [full_mask(_MIXED)]
+    else:
+        graph = heisenberg_box(8) if family == "heisenberg" else lattice_box(2, 8)
+        masks = [percolate(graph.sub_box(r), p, seed=3) for r in range(2, 9)]
     with monkeypatch.context() as patch:
         patch.setattr(percolation, "_solve_spd", record)
         for mask in masks:
             effective_resistance(mask)
-    assert len(systems) == 7
+    assert len(systems) == len(masks)
     return [(mask, *system) for mask, system in zip(masks, systems)]
+
+
+def _schur_system(mask):
+    """(L, b, free, kept, elim, S, b_S) from oracles.dirichlet_system: the
+    full free system and its free vertices in vertex order, the kept and
+    eliminated rows (the odd free vertices with no odd free neighbour are
+    eliminated), and the Schur complement S = L_KK - L_KE L_EE^-1 L_EK with
+    its right-hand side b_K - L_KE L_EE^-1 b_E, assembled by scipy."""
+    from scipy.sparse import diags
+
+    graph = mask.graph
+    lap, b = oracles.dirichlet_system(mask, graph.origin, graph.radius)
+    comp = oracles.component(mask, graph.origin, graph.radius)
+    free = np.array(sorted(v for v in comp if v != graph.origin and graph.dist[v] < graph.radius),
+                    dtype=np.int64)
+    odd = graph.dist[free] % 2 == 1
+    off_diagonal = abs(lap - diags(lap.diagonal()))
+    elim = odd & (off_diagonal @ odd.astype(float) == 0)
+    kept = ~elim
+    lap_ee = lap[elim][:, elim]
+    assert (lap_ee - diags(lap_ee.diagonal())).count_nonzero() == 0
+    inv_ee = diags(1.0 / lap_ee.diagonal())
+    lap_ke = lap[kept][:, elim]
+    schur = (lap[kept][:, kept] - lap_ke @ inv_ee @ lap_ke.T).tocsr()
+    return lap, b, free, kept, elim, schur, b[kept] - lap_ke @ (inv_ee @ b[elim])
+
+
+def _gamma(m):
+    u = 2.0**-53
+    return m * u / (1 - m * u)
 
 
 def _residual_norm(lap, b, x):
@@ -133,74 +182,101 @@ def _residual_norm(lap, b, x):
     Each entry sums at most m + 1 products, m the most nonzeros in a row
     of L, so it is off by at most (m + 1) u (|b| + |L||x|), u = 2^-53.
     """
-    m = int(np.diff(lap.indptr).max())
+    m = int(np.diff(lap.indptr).max(initial=0))
     slack = (m + 1) * 2.0**-53 * np.linalg.norm(np.abs(b) + abs(lap) @ np.abs(x))
     return float(np.linalg.norm(b - lap @ x)) + slack
 
 
-_SYSTEMS = [("heisenberg", 0.95), ("heisenberg", 1.0), ("z2", 1.0)]
+_SYSTEMS = [("heisenberg", 0.95), ("heisenberg", 1.0), ("z2", 1.0), ("mixed", 1.0)]
 
 
 @pytest.mark.parametrize("family,p", _SYSTEMS)
-def test_laplacian_product_matches_scipy(family, p, monkeypatch):
-    """The gather-form system against the one built edge by edge as a
-    scipy CSR matrix: the same degrees and right-hand side, and products
-    within rounding.  A row of either product is a sum of at most m
-    terms, m the most neighbours of a row plus one, so it lies within
-    gamma_m (|L||x|)_i of the exact value, gamma_m = m u / (1 - m u) with
-    u = 2^-53; the two lie within twice that of each other.
+def test_schur_complement_matches_scipy(family, p, monkeypatch):
+    """The gather-form reduced system against the Schur complement of the
+    system built edge by edge as a scipy CSR matrix: the same degrees, and
+    the diagonal, right-hand side and products within rounding.
+
+    Each side evaluates an entry as a sum of fewer than m terms, counting
+    the divisions by D_e, so it lies within gamma_m = m u / (1 - m u),
+    u = 2^-53, of the exact value scaled by the absolute terms
+    (|D_K| + |A_KK| + |A_KE| D_E^-1 |A_EK|) |x|; the two lie within twice
+    that of each other.
     """
+    from scipy.sparse import diags
+
     rng = np.random.default_rng(5)
-    for mask, lap, b, maxiter in _recorded_systems(family, p, monkeypatch):
+    for mask, op, b_s, maxiter, b_norm, _phi in _recorded_systems(family, p, monkeypatch):
         graph = mask.graph
         assert maxiter == max(20, int(percolation.CG_ITERATIONS_PER_ROOT
                                       * np.sqrt(graph.n_vertices)))
-        want, want_b = oracles.dirichlet_system(mask, graph.origin, graph.radius)
-        assert np.array_equal(b, want_b)
-        assert np.array_equal(lap.deg, want.diagonal())
-        m = max(len(lap.nbrs), int(np.diff(want.indptr).max()) - 1) + 1
-        gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+        lap, b, free, kept, elim, schur, want_b = _schur_system(mask)
+        assert b_norm == np.linalg.norm(b)
+        if family == "mixed":
+            assert elim.tolist() == [False, False, True, False]  # a, b, c, m
+        else:
+            # no edge of a box joins two odd vertices: every odd free vertex goes
+            assert np.array_equal(elim, graph.dist[free] % 2 == 1)
+        degree = lap.diagonal()
+        assert np.array_equal(op.deg, degree[kept])
+        assert np.array_equal(op.inv_elim, 1.0 / degree[elim])
+        a_ke = abs(lap[kept][:, elim])
+        absolute = (abs(lap[kept][:, kept]) + a_ke @ diags(op.inv_elim) @ a_ke.T).tocsr()
+        slots = max(len(op.kept_nbrs), len(op.elim_nbrs))
+        bound = 2 * _gamma(int(np.diff(absolute.indptr).max(initial=0)) + 2 * slots + 4)
+        assert np.all(np.abs(op.diag - schur.diagonal()) <= bound * absolute.diagonal())
+        assert np.all(np.abs(b_s - want_b) <= bound * (b[kept] + a_ke @ (op.inv_elim * b[elim])))
         for _ in range(5):
-            x = rng.standard_normal(len(b))
-            bound = 2 * gamma * (abs(want) @ np.abs(x))
-            assert np.all(np.abs(lap @ x - want @ x) <= bound)
+            x = rng.standard_normal(len(b_s))
+            assert np.all(np.abs(op @ x - schur @ x) <= bound * (absolute @ np.abs(x)))
 
 
 @pytest.mark.parametrize("family,p", _SYSTEMS)
 def test_cg_matches_scipy_step_for_step(family, p, monkeypatch):
-    """_solve_spd against scipy's cg on the Laplacians effective_resistance
-    builds on a radius-8 box, each converted to CSR for scipy.
+    """_solve_spd against scipy's cg on the Schur complement assembled from
+    the CSR Laplacian, with the same Jacobi preconditioner and stopping
+    rule |r| < SOLVER_RTOL |b|, b the right-hand side of all free vertices.
 
     The two run the same recurrence and differ only in the order of their
-    sums, so they take the same number of steps, and the solution's true
-    residual stays below SOLVER_RTOL |b|.  Two vectors x, y with
-    residuals r_x = b - Lx and r_y = b - Ly of the same symmetric
-    positive definite L satisfy x - y = L^-1 (r_y - r_x), so
-    |x - y| <= (|r_x| + |r_y|) / lambda_min(L): that bounds the distance to
-    scipy's solution, with lambda_min from a shift-invert eigensolve.
+    sums, so they take the same number of steps.  Two vectors x, y with
+    residuals r_x = b - Sx and r_y = b - Sy of the same symmetric
+    positive definite S satisfy x - y = S^-1 (r_y - r_x), so
+    |x - y| <= (|r_x| + |r_y|) / lambda_min(S): that bounds the distance to
+    scipy's solution, with lambda_min from a shift-invert eigensolve
+    (or the dense eigenvalues of a small S).  The potential recovered
+    from the reduced solution has a residual below SOLVER_RTOL |b| on
+    the whole free system.
     """
     from scipy.sparse import diags
     from scipy.sparse.linalg import cg, eigsh
 
-    for _mask, lap, b, maxiter in _recorded_systems(family, p, monkeypatch):
-        counted = _CountedOperator(lap)
-        got = percolation._solve_spd(counted, b, maxiter)
-        csr = _csr(lap)
+    for mask, op, b_s, maxiter, b_norm, phi in _recorded_systems(family, p, monkeypatch):
+        lap, b, _free, kept, elim, schur, _ = _schur_system(mask)
+        counted = _CountedOperator(op)
+        got = percolation._solve_spd(counted, b_s, maxiter, b_norm)
         steps = []
-        want, info = cg(csr, b, rtol=percolation.SOLVER_RTOL, M=diags(1.0 / csr.diagonal()),
-                        callback=steps.append)
+        want, info = cg(schur, b_s, rtol=0.0, atol=percolation.SOLVER_RTOL * b_norm,
+                        M=diags(1.0 / schur.diagonal()), callback=steps.append)
         assert info == 0
         assert counted.steps == len(steps)
-        b_norm = float(np.linalg.norm(b))
-        assert np.linalg.norm(b - csr @ got) <= percolation.SOLVER_RTOL * b_norm
-        lam_min = eigsh(csr, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
-        bound = (_residual_norm(csr, b, got) + _residual_norm(csr, b, want)) / lam_min
+        assert np.array_equal(got, phi)
+        assert np.linalg.norm(b_s - schur @ got) <= percolation.SOLVER_RTOL * b_norm
+        if schur.shape[0] > 8:
+            lam_min = eigsh(schur, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+        else:
+            lam_min = np.linalg.eigvalsh(schur.toarray()).min(initial=np.inf)
+        bound = (_residual_norm(schur, b_s, got) + _residual_norm(schur, b_s, want)) / lam_min
         assert np.linalg.norm(got - want) <= bound
+
+        full = np.empty(len(b))
+        full[kept] = got
+        full[elim] = op.recover(b[elim], got)
+        assert np.linalg.norm(b - lap @ full) < percolation.SOLVER_RTOL * b_norm
 
 
 def test_cg_zero_right_hand_side_returns_zeros():
-    lap = percolation._Laplacian.build(np.array([2.0, 2.0]), np.array([0, 1]), np.array([1, 0]))
-    assert np.array_equal(percolation._solve_spd(lap, np.zeros(2), 20), np.zeros(2))
+    op = percolation._Schur.build(np.array([2.0, 2.0]), np.array([True, True]),
+                                  np.array([False, False]), np.array([0, 1]), np.array([1, 0]))
+    assert np.array_equal(percolation._solve_spd(op, np.zeros(2), 20, 0.0), np.zeros(2))
 
 
 def test_oriented_cluster_hand_mask():
@@ -305,6 +381,17 @@ def test_restricted_mask_is_the_mask_of_the_sub_box(family):
         edge = order[np.searchsorted(g.keys, sub.keys, sorter=order)]
         assert np.array_equal(g.keys[edge], sub.keys), r
         assert np.array_equal(percolate(sub, 0.7, seed=11).open, mask.open[edge]), r
+
+
+@pytest.mark.parametrize("family", ["heisenberg", "z1", "z2", "z3", "z4"])
+def test_box_edges_join_even_to_odd_distance(family):
+    # every generator changes the distance by one, so no edge joins two odd
+    # vertices, and the Schur complement on the boxes has no kept-to-kept term
+    g = heisenberg_box(8) if family == "heisenberg" else lattice_box(int(family[1:]), 8)
+    for r in range(9):
+        sub = g.sub_box(r)
+        assert np.all(np.abs(sub.dist[sub.tails] - sub.dist[sub.heads]) == 1), r
+        assert np.all((sub.dist[sub.tails] + sub.dist[sub.heads]) % 2 == 1), r
 
 
 def test_lattice_box_beyond_the_key_fields():

@@ -22,6 +22,7 @@ from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
     RENEWAL_HORIZON_CAP,
+    _srw_box,
     _theta_chunk,
     _visit_keys,
     edge_collision_rate,
@@ -257,6 +258,57 @@ def test_srw_half_time_matches_direct_convolution():
         assert got == pytest.approx(direct[t], rel=1e-14, abs=0.0)
         # clipping only lowers sum P_n^2, by at most dropped_mass / 2
         assert -1e-15 <= direct[t] - got <= profile.dropped_mass + 1e-15
+
+
+def _square_count_sums(n):
+    """[sum_g N_s(g)^2 for s = 0..n] as Python ints, N_s(g) the number of
+    s-letter generator words that end at g: P_2s(e) = sum / 4^(2s) exactly.
+
+    After s steps |x|, |y| <= s and |z| <= s^2 / 4, so the box of n holds
+    every walk; the count total 4^s certifies that none left it.
+    """
+    bz = n * n // 4
+    size, nz = 2 * n + 1, 2 * bz + 1
+
+    def shift_z(a, s):
+        out = np.zeros_like(a)
+        if s >= 0:
+            out[..., s:] = a[..., : nz - s]
+        else:
+            out[..., :s] = a[..., -s:]
+        return out
+
+    cur = np.zeros((size, size, nz), dtype=np.int64)  # axes (x, y, z)
+    cur[n, n, bz] = 1
+    sums = [1]
+    for s in range(1, n + 1):
+        nxt = np.zeros_like(cur)
+        nxt[:, 1:] += cur[:, :-1]  # b: (x, y+1, z)
+        nxt[:, :-1] += cur[:, 1:]
+        for yi in range(size):
+            y = yi - n
+            nxt[1:, yi] += shift_z(cur[:-1, yi], -y)  # a: (x+1, y, z-y)
+            nxt[:-1, yi] += shift_z(cur[1:, yi], y)
+        cur = nxt
+        assert int(cur.sum()) == 4**s
+        sums.append(sum(v * v for v in cur[cur > 0].tolist()))
+    return sums
+
+
+def test_srw_return_within_its_rounding_bound_of_exact_counts():
+    """Every even t <= 32 against the integer word count, within the
+    bound of the SrwReturnProfile docstring: a relative gamma_(6s+m), m
+    the cells of step s's window, plus dropped_mass / 2 below."""
+    profile = srw_return_profile(32)
+    b_xy, b_z = _srw_box(16)
+    u = Fraction(2) ** -53
+    for s, count in enumerate(_square_count_sums(16)):
+        exact = Fraction(count, 4 ** (2 * s))
+        got = Fraction(profile.probabilities[2 * s])
+        m = (2 * min(s, b_xy) + 1) ** 2 * (2 * min(s * s // 4, b_z) + 1)
+        gamma = (6 * s + m) * u / (1 - (6 * s + m) * u)
+        assert exact * (1 - gamma) - Fraction(profile.dropped_mass) / 2 <= got, s
+        assert got <= exact * (1 + gamma), s
 
 
 @pytest.mark.parametrize("t_max", [7, 32, 64, 96])
