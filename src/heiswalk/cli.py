@@ -112,11 +112,10 @@ def _verdicts(checks: dict, claims: dict) -> list[dict]:
 # ---------------------------------------------------------------- options
 
 # Each option's spec states its type and any lower bound: "int>=1" is an
-# integer of at least 1, "intlist>=1" a nonempty comma-separated list of
-# them, and a trailing " increasing" asks the list to increase strictly.
+# integer of at least 1, "intlist>=1" a nonempty comma-separated list of them;
+# a trailing " increasing" asks it to increase strictly, " sorted" sorts it and drops repeats.
 _GLOBAL_OPTIONS = {
     "seed": ("int", str(DEFAULT_SEED), "base RNG seed"),
-    "threads": ("int>=1", "1", "worker threads for Monte Carlo chunks"),
     "out": ("choice:csv,json", "csv", "output format for the emitted file"),
     "out_path": ("str", "", "output file path (default <experiment>.<format>)"),
     "status_file": ("str", STATUS_FILE, "claim status file updated after each run"),
@@ -157,19 +156,20 @@ ZD_COLLISION_CELLS_CAP = 2**22  # twice the per-k cap, about 4 s
 FOURIER_K_SQUARED_CAP = 2**26  # 16 times k = 2048, about 5 s
 TABLE_K_CUBED_CAP = 2**33  # 8 times k = 1024, about 5 s
 _PAIR_STEPS = ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"])
+_THREADS = {"threads": ("int>=1", "1", "worker threads for Monte Carlo chunks")}
 
 
 def _zd_cells(k_list: str) -> tuple:
     """d * (k + 1)^2 summed over the distinct k of the Z^d list, as each
     zd_collision_probability call counts its work."""
     return ("lattice cells", ZD_COLLISION_CELLS_CAP,
-            lambda c: c["d"] * sum((k + 1) ** 2 for k in set(c[k_list])))
+            lambda c: c["d"] * sum((k + 1) ** 2 for k in c[k_list]))
 
 
 def _table_k_cubed(k_list: str) -> tuple:
     """k^3 summed over the distinct k of the Heisenberg list, as each
     _row_square_sums call in tables.scan_statistics costs about k^3."""
-    return ("k^3 units", TABLE_K_CUBED_CAP, lambda c: sum(k**3 for k in set(c[k_list])))
+    return ("k^3 units", TABLE_K_CUBED_CAP, lambda c: sum(k**3 for k in c[k_list]))
 
 
 def _check_work(cfg: dict) -> None:
@@ -210,7 +210,7 @@ def _parse_value(spec: str, flag: str, raw: str):
         raise ConfigError(f"{flag} must be >= {low}, got {min(values)}")
     if rule == "increasing" and values != sorted(set(values)):
         raise ConfigError(f"{flag} must be strictly increasing, got {raw}")
-    return values[0] if kind == "int" else values
+    return values[0] if kind == "int" else sorted(set(values)) if rule == "sorted" else values
 
 
 def _split_spec(spec: str) -> tuple[str, int | None, str]:
@@ -225,7 +225,8 @@ def _spec_help(spec: str) -> str:
     if spec == "prob":
         return "; in (0, 1]"
     _kind, low, rule = _split_spec(spec)
-    return (f"; >= {low}" if low is not None else "") + (f"; strictly {rule}" if rule else "")
+    rules = {"increasing": "; strictly increasing", "sorted": "; sorted, each value once"}
+    return (f"; >= {low}" if low is not None else "") + rules.get(rule, "")
 
 
 def _read_config_file(path: str) -> dict:
@@ -263,12 +264,12 @@ def _resolve_config(experiment: str, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------- runners
 
 
-_GH_K_LIST = {"k_list": ("intlist>=1", "32,64,128,256", "comma-separated k values")}
+_GH_K_LIST = {"k_list": ("intlist>=1 sorted", "32,64,128,256", "comma-separated k values")}
 
 
 @_experiment(_GH_K_LIST, _table_k_cubed("k_list"))
 def _run_collision_exact(cfg):
-    ks = sorted(set(cfg["k_list"]))
+    ks = cfg["k_list"]
     stats = tables.scan_statistics(ks)
     rows = [
         (k, stats[k].collision, stats[k].count_match, stats[k].weighted_match,
@@ -287,7 +288,7 @@ def _run_collision_exact(cfg):
 
 @_experiment(_GH_K_LIST, _table_k_cubed("k_list"))
 def _run_conditional_exact(cfg):
-    ks = sorted(set(cfg["k_list"]))
+    ks = cfg["k_list"]
     stats = tables.scan_statistics(ks)
     rows = [(k, stats[k].conditional_match) for k in ks]
     checks = {}
@@ -317,11 +318,11 @@ def _run_bound_scan(cfg):
 
 
 # each distinct k builds a law of 2^floor(log2 k) cells
-@_experiment({"k_list": ("intlist>=2", "4,8,16,31,256,1000", "comma-separated k values")},
+@_experiment({"k_list": ("intlist>=2 sorted", "4,8,16,31,256,1000", "comma-separated k values")},
              ("law cells", DYADIC_CELLS_CAP,
-              lambda c: sum(1 << (k.bit_length() - 1) for k in set(c["k_list"]))))
+              lambda c: sum(1 << (k.bit_length() - 1) for k in c["k_list"])))
 def _run_dyadic(cfg):
-    ks = sorted(set(cfg["k_list"]))
+    ks = cfg["k_list"]
     rows, holds = [], True
     for k in ks:
         support, uniform = tables.dyadic_uniformity(k)
@@ -332,10 +333,10 @@ def _run_dyadic(cfg):
 
 @_experiment({
     "d": ("int>=1", "4", "lattice dimension"),
-    "k_list": ("intlist>=0", "16,32,64,128", "comma-separated k values"),
+    "k_list": ("intlist>=0 sorted", "16,32,64,128", "comma-separated k values"),
 }, _zd_cells("k_list"))
 def _run_zd_collision(cfg):
-    d, ks = cfg["d"], sorted(set(cfg["k_list"]))
+    d, ks = cfg["d"], cfg["k_list"]
     fit_exponent = d == 4 and len(ks) >= 2
     if fit_exponent and ks[0] < 1:
         raise ConfigError("--k-list values must be >= 1 at d=4: the exponent fit takes log k")
@@ -350,13 +351,11 @@ def _run_zd_collision(cfg):
 
 @_experiment({
     "d": ("int>=1", "4", "lattice dimension for the reference slope"),
-    "gh_k_list": ("intlist>=1", "32,64,128,256", "Heisenberg k values"),
-    "zd_k_list": ("intlist>=1", "16,32,64,128", "lattice k values"),
+    "gh_k_list": ("intlist>=1 sorted", "32,64,128,256", "Heisenberg k values"),
+    "zd_k_list": ("intlist>=1 sorted", "16,32,64,128", "lattice k values"),
 }, _table_k_cubed("gh_k_list"), _zd_cells("zd_k_list"))
 def _run_collision_contrast(cfg):
-    d = cfg["d"]
-    gh_ks = sorted(set(cfg["gh_k_list"]))
-    zd_ks = sorted(set(cfg["zd_k_list"]))
+    d, gh_ks, zd_ks = cfg["d"], cfg["gh_k_list"], cfg["zd_k_list"]
     if len(gh_ks) < 2 or len(zd_ks) < 2:
         raise ConfigError("--gh-k-list and --zd-k-list need at least two values each")
     stats = tables.scan_statistics(gh_ks)
@@ -371,10 +370,10 @@ def _run_collision_contrast(cfg):
 
 
 # the quadrature of each distinct k costs about k^2 factor evaluations
-@_experiment({"k_list": ("intlist>=1", "16,64,256,1024", "comma-separated k values")},
-             ("k^2 units", FOURIER_K_SQUARED_CAP, lambda c: sum(k * k for k in set(c["k_list"]))))
+@_experiment({"k_list": ("intlist>=1 sorted", "16,64,256,1024", "comma-separated k values")},
+             ("k^2 units", FOURIER_K_SQUARED_CAP, lambda c: sum(k * k for k in c["k_list"])))
 def _run_fourier(cfg):
-    ks = sorted(set(cfg["k_list"]))
+    ks = cfg["k_list"]
     quads = {k: fourier.cos_product_integral(k) for k in ks}
     rows = [(k, q.value, q.head, q.tail, k**1.5 * q.value) for k, q in quads.items()]
     integrals = [q.value for q in quads.values()]
@@ -404,6 +403,7 @@ def _tail_rows(est, min_count):
     "horizon": ("int>=1", "4096", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
     "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
+    **_THREADS,
 }, _PAIR_STEPS)
 def _run_eit_tail(cfg):
     est = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"])
@@ -438,6 +438,7 @@ def _run_eit_tail(cfg):
     "d": ("int>=4", "4", "lattice dimension of the transient regime"),
     "horizon": ("int>=1", "10000", "steps per difference walk"),
     "samples": ("int>=1", "100000", "number of walks"),
+    **_THREADS,
 }, _PAIR_STEPS)
 def _run_theta_d(cfg):
     theta, censoring = reference.theta_d_estimate(
@@ -456,6 +457,7 @@ def _run_theta_d(cfg):
     "horizon": ("int>=1", "2048", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
     "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
+    **_THREADS,
 }, _PAIR_STEPS)
 def _run_zd_eit(cfg):
     theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
@@ -538,6 +540,12 @@ def _run_ball_growth(cfg):
     return ["radius", "ball_size"], rows, {"ball-growth-exponent": (fit.slope, radii, fit)}, {}
 
 
+def _tapers(means: list[float]) -> bool | float:
+    """Whether the increments of means strictly decrease, or NaN if a mean is not finite."""
+    inc = [b - a for a, b in zip(means, means[1:])]
+    return all(a > b for a, b in zip(inc, inc[1:])) if np.isfinite(means).all() else math.nan
+
+
 def _require_radii(radii, count: int, what: str):
     if len(radii) < count:
         raise ConfigError(f"--radii needs at least {count} values to judge {what}, "
@@ -576,9 +584,7 @@ def _run_resistance_profile(cfg):
         fit = _fit_line(np.log(radii), means)
         checks = {"z2-recurrence-slope": (fit.slope, radii, fit)}
     else:
-        inc = np.diff(means)
-        checks = {"gh-transience-increments": (all(a > b for a, b in zip(inc, inc[1:])), radii,
-                                               None)}
+        checks = {"gh-transience-increments": (_tapers(means), radii, None)}
     return ["seed", "radius", "resistance", "oriented_cluster_size"], rows, checks, {}
 
 
@@ -593,9 +599,7 @@ def _run_resistance_profile(cfg):
 def _run_flow_energy(cfg):
     radii, seeds, p = cfg["radii"], cfg["seeds"], cfg["p"]
     _require_radii(radii, 3, "a tapering energy")
-    rows = []
-    thomson_ok = True
-    means = []
+    rows, means, thomson_ok = [], [], True
     box = percolation.heisenberg_box(radii[-1])
     for radius in radii:
         graph = box.sub_box(radius)
@@ -611,10 +615,7 @@ def _run_flow_energy(cfg):
         reff = percolation.effective_resistance(mask)
         thomson_ok &= assignment is not None and assignment.energy() >= reff - 1e-9
         rows.append((1.0, radius, "thomson", assignment.energy(), assignment.surviving, reff))
-    # an infinite mean energy (no path survived) leaves no increment to judge
-    inc = [b - a for a, b in zip(means, means[1:])]
-    taper = all(a > b for a, b in zip(inc, inc[1:])) if np.isfinite(means).all() else math.nan
-    checks = {"flow-energy-taper": (taper, radii, None),
+    checks = {"flow-energy-taper": (_tapers(means), radii, None),
               "thomson-bound": (thomson_ok, radii, None)}
     header = ["p", "radius", "seed", "energy", "surviving", "resistance"]
     return header, rows, checks, {"mean_energies": means}

@@ -28,12 +28,10 @@ the eliminated potentials in one pass (Reid 1972, "The use of conjugate
 gradients for systems of linear equations possessing 'Property A'").
 That takes about half the steps of a solve on the whole Laplacian.
 
-Everything here is numpy.  The Schur complement is a _Schur: degree
-vectors beside padded tables of each free vertex's free neighbours,
-whose product is one gather per table row.  The conjugate gradient loop
-is this module's own (_solve_spd), a Jacobi-preconditioned loop with the
-recurrence of scipy.sparse.linalg.cg, and the cluster searches are
-frontier sweeps.
+Everything here is numpy: the Schur complement in gather form (_Schur),
+the conjugate gradient loop (_solve_spd) and the frontier sweep (_sweep)
+of both cluster searches, the oriented one through the box's out-edge
+table, the solve's component through the mask's adjacency lists.
 
 Transience of a ball sequence cannot be decided by any finite solve;
 resistance_profile reports the honest finite surrogate (resistance to
@@ -69,7 +67,6 @@ __all__ = [
 
 LATTICE_VERTEX_CAP = 2_000_000
 
-DIVERGENCE_TOL = 1e-9
 SOLVER_RTOL = 1e-8
 # CG on the reduced system stops after max(20, this * sqrt(box vertices)) steps;
 # the r = 16 boxes at p = 0.95 take about 36 of the 8352 allowed
@@ -231,33 +228,39 @@ def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
 
 def oriented_cluster(mask: SubgraphMask) -> np.ndarray:
     """Sorted indices of the vertices reachable from the origin along open
-    directed edges."""
-    return _reachable(mask, directed=True)
+    directed edges, looked up in graph.out_edge as path_flow_assignment does."""
+    def step(frontier):
+        e = mask.graph.out_edge[frontier].ravel()
+        e = e[e >= 0]
+        return mask.graph.heads[e[mask.open[e]]]
+    return np.flatnonzero(_sweep(mask.graph, step))
 
 
-def _reachable(mask: SubgraphMask, directed: bool) -> np.ndarray:
-    """Sorted vertices reached from the origin over open edges."""
-    graph = mask.graph
-    tails, heads = graph.tails[mask.open], graph.heads[mask.open]
-    if not directed:
-        tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
-    # adjacency lists: the heads of each tail's edges, contiguous; a stable
-    # sort is fastest here, on tails already sorted or in two sorted runs
-    neighbours = heads[np.argsort(tails, kind="stable")]
-    degree = np.bincount(tails, minlength=graph.n_vertices)
+def _component(graph: BoxGraph, ends: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Boolean mask of the origin's component; each edge is in (ends, others) both ways."""
+    # adjacency lists: the other ends of each vertex's edges, contiguous; a
+    # stable sort is fastest here, the first half (the tails) being sorted
+    neighbours = others[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=graph.n_vertices)
     first = np.cumsum(degree) - degree
-    seen = np.zeros(graph.n_vertices, dtype=bool)
-    seen[graph.origin] = True
-    frontier = np.array([graph.origin])
-    while len(frontier):
+
+    def step(frontier):
         count = degree[frontier]
         base = np.repeat(first[frontier] - (np.cumsum(count) - count), count)
+        return neighbours[base + np.arange(len(base))]
+    return _sweep(graph, step)
+
+
+def _sweep(graph: BoxGraph, step) -> np.ndarray:
+    """Boolean mask of the vertices reached from the origin, step(frontier) giving the next."""
+    seen = np.zeros(graph.n_vertices, dtype=bool)
+    frontier = np.array([graph.origin])
+    while len(frontier):
+        seen[frontier] = True
         fresh = np.zeros_like(seen)
-        fresh[neighbours[base + np.arange(len(base))]] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-    return np.flatnonzero(seen)
+        fresh[step(frontier)] = True
+        frontier = np.flatnonzero(fresh & ~seen)
+    return seen
 
 
 def effective_resistance(mask: SubgraphMask) -> float:
@@ -277,23 +280,19 @@ def effective_resistance(mask: SubgraphMask) -> float:
     if graph.radius < 1:
         raise ConfigError("effective resistance needs a box of radius >= 1")
     src = graph.origin
-    comp = np.zeros(graph.n_vertices, dtype=bool)
-    comp[_reachable(mask, directed=False)] = True
+    # each open edge once from either end; integer counts are exact in any
+    # order, and an edge off the component touches no free vertex, nor the source
+    t, h = graph.tails[mask.open], graph.heads[mask.open]
+    ends, others = np.concatenate([t, h]), np.concatenate([h, t])
+    comp = _component(graph, ends, others)
     shell = comp & (graph.dist == graph.radius)
     if not shell.any():
         return float("inf")
-
-    # restrict to the source component; ground the shell
-    tails, heads = graph.tails, graph.heads
-    keep = mask.open & comp[tails] & comp[heads]
-    t, h = tails[keep], heads[keep]
 
     role = np.zeros(graph.n_vertices, dtype=np.int8)  # 1 source, 2 ground
     role[src] = 1
     role[shell] = 2
     free = comp & (role == 0)
-    # each edge once from either end; integer counts are exact in any order
-    ends, others = np.concatenate([t, h]), np.concatenate([h, t])
     at_free = free[ends]
     deg = np.bincount(ends[at_free], minlength=graph.n_vertices).astype(float)
     # edges touching the source push unit potential into the system

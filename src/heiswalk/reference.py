@@ -235,22 +235,22 @@ def edge_collision_rate(d: int, theta_embedded: float) -> float:
 def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndarray:
     """First-return times (0 = none by horizon) for one stream of walks.
 
-    A walk leaves walk_blocks' live set once its first return is recorded.
+    A first return is the first fresh meeting (at the origin after a step, not
+    before it, as in pair_chunk); the walk then leaves walk_blocks' live set.
     """
     live = np.ones(n, dtype=bool)
-    has_left = np.zeros(n, dtype=bool)
+    before = np.ones(n, dtype=bool)
     return_time = np.zeros(n, dtype=np.int64)
     for t0, home, _ in walk_blocks(d, horizon, n, seed, index, live=live):
         rows = np.flatnonzero(live)
         # only walks at the origin somewhere in the block can return in it
         at = np.flatnonzero(home.any(axis=1))
-        walks, home_at = rows[at], home[at]
-        left_by = np.logical_or.accumulate(~home_at, axis=1)
-        ret = home_at & (left_by | has_left[walks, None])
+        walks, m = rows[at], home[at]
+        ret = np.column_stack([m[:, 0] > before[walks], m[:, 1:] > m[:, :-1]])
         hit = ret.any(axis=1)
         return_time[walks[hit]] = t0 + np.argmax(ret[hit], axis=1) + 1
         live[walks[hit]] = False
-        has_left[rows] |= ~home.all(axis=1)
+        before[rows] = home[:, -1]
     return return_time
 
 

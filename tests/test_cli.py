@@ -203,7 +203,7 @@ def test_fourier_integrates_each_region_once(workdir, monkeypatch):
                                       (1 / 64, half_pi), (1 / 32, half_pi)])
 
 
-def test_dyadic_takes_each_distinct_k_once(workdir, monkeypatch):
+def test_dyadic_takes_each_distinct_k_once(workdir, capsys, monkeypatch):
     # like every list experiment: sorted, repeats dropped, one law per k
     laws = []
     uniformity = tables.dyadic_uniformity
@@ -212,6 +212,19 @@ def test_dyadic_takes_each_distinct_k_once(workdir, monkeypatch):
     assert laws == [4, 16]
     assert [line.split(",")[0] for line in Path("d.csv").read_text().splitlines()] == [
         "k", "4", "16"]
+    # the echoed config, and so its hash, hold the lists that ran
+    capsys.readouterr()
+    summaries = []
+    for argv in (["dyadic", "--k-list", "16,4,16,4"], ["dyadic", "--k-list", "4,16"],
+                 ["collision-contrast", "--gh-k-list", "8,4,8", "--zd-k-list", "8,4"],
+                 ["collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "4,8"]):
+        assert run(*argv, "--out-path", "run.csv") == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    dyadic, dyadic_resolved, contrast, contrast_resolved = summaries
+    assert dyadic["config"]["k_list"] == [4, 16]
+    assert dyadic["config_hash"] == dyadic_resolved["config_hash"]
+    assert contrast["config"]["gh_k_list"] == contrast["config"]["zd_k_list"] == [4, 8]
+    assert contrast["config_hash"] == contrast_resolved["config_hash"]
 
 
 def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
@@ -630,7 +643,7 @@ def test_a_failed_claim_outranks_an_inconclusive_one(workdir, capsys, monkeypatc
 
 
 def test_status_entries_carry_provenance(workdir, capsys):
-    assert run("dyadic", "--k-list", "8,16", "--out", "json", "--threads", "2") == 0
+    assert run("dyadic", "--k-list", "8,16", "--out", "json") == 0
     summary = json.loads(Path("dyadic.json").read_text())
     entry = json.loads(Path(STATUS_FILE).read_text())["dyadic-uniformity"]
     assert entry["version"] == summary["version"] == f"heiswalk-{heiswalk.__version__}"
@@ -641,6 +654,12 @@ def test_status_entries_carry_provenance(workdir, capsys):
     assert run("dyadic", "--k-list", "8,16", "--out-path", "other.csv",
                "--status-file", "other.json") == 0
     assert json.loads(capsys.readouterr().out)["config_hash"] == entry["config"]
+    hashes = set()
+    for threads in ([], ["--threads", "2"]):
+        assert run("eit-tail", "--horizon", "64", "--samples", "2048", "--min-count", "2",
+                   *threads) == 0
+        hashes.add(json.loads(capsys.readouterr().out)["config_hash"])
+    assert len(hashes) == 1
     assert run("dyadic", "--k-list", "8,32") == 0
     assert json.loads(capsys.readouterr().out)["config_hash"] != entry["config"]
     # an entry written before provenance was recorded prints "-" for both
@@ -719,6 +738,16 @@ def test_unknown_config_key_rejected(workdir, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+def test_threads_is_an_option_only_where_chunks_run(workdir, capsys):
+    for argv in (["dyadic", "--k-list", "8,16"], ["resistance-profile", "--radii", "2,4,6"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--threads", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert [name for name, e in cli._EXPERIMENTS.items() if "threads" in e.options] == [
+        "eit-tail", "theta-d", "zd-eit"]
+
+
 def test_unknown_experiment_rejected(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
@@ -741,6 +770,10 @@ def test_help_prints_the_bounds_of_each_spec(capsys):
     assert "sphere radii; >= 1; strictly increasing (default 4,8,12,16)" in out
     assert "percolation seeds (default 1,2,3,4,5)" in out
     assert "edge retention probability; in (0, 1] (default 1.0)" in out
+    with pytest.raises(SystemExit):
+        run("dyadic", "--help")
+    out = " ".join(capsys.readouterr().out.split())
+    assert "k values; >= 2; sorted, each value once (default 4,8,16,31,256,1000)" in out
 
 
 def test_one_experiment_builds_only_its_options(workdir, capsys, monkeypatch):

@@ -35,6 +35,13 @@ def hand_mask(graph, open_bits):
     return SubgraphMask(graph, np.asarray(open_bits, dtype=bool))
 
 
+def component(mask):
+    """Sorted vertices of the undirected search over the mask's open edges."""
+    t, h = mask.graph.tails[mask.open], mask.graph.heads[mask.open]
+    ends, others = np.concatenate([t, h]), np.concatenate([h, t])
+    return np.flatnonzero(percolation._component(mask.graph, ends, others))
+
+
 def test_single_edge_resistance():
     assert effective_resistance(full_mask(line_graph(1))) == pytest.approx(1.0, abs=1e-8)
 
@@ -97,6 +104,8 @@ def test_kept_and_eliminated_odd_vertices(monkeypatch):
     assert effective_resistance(full_mask(g)) == pytest.approx(6 / 5, abs=1e-8)
     (op,) = systems
     assert (len(op.deg), len(op.inv_elim)) == (2, 1)
+    # b and c each reach t by a label-0 edge: labels are unique per tail only
+    assert oriented_cluster(full_mask(g)).tolist() == [o, a, b, c, t]
 
 
 class _CountedOperator:
@@ -291,7 +300,7 @@ def test_oriented_cluster_respects_orientation():
     g = build_custom_graph([1, 0, 1], [(0, 1, 0), (1, 2, 0)])
     assert g.origin == 1
     assert oriented_cluster(full_mask(g)).tolist() == [1, 2]
-    assert percolation._reachable(full_mask(g), directed=False).tolist() == [0, 1, 2]
+    assert component(full_mask(g)).tolist() == [0, 1, 2]
 
 
 def test_oriented_cluster_full_box_matches_word_closure():
@@ -402,13 +411,13 @@ def test_lattice_box_beyond_the_key_fields():
 
 
 @pytest.mark.parametrize("family", ["heisenberg", "z2"])
-@pytest.mark.parametrize("p", [0.5, 0.95])
+@pytest.mark.parametrize("p", [0.5, 0.95, 1.0])
 def test_cluster_searches_match_dfs(family, p):
     g = heisenberg_box(6) if family == "heisenberg" else lattice_box(2, 6)
     for seed in (1, 2, 3, 4):
         for r in (0, 1, 2, 4, 6):
             mask = percolate(g.sub_box(r), p, seed)
-            got = percolation._reachable(mask, directed=False)
+            got = component(mask)
             assert len(got) == len(set(got.tolist()))
             assert set(got.tolist()) == oracles.component(mask, g.origin, r)
             assert np.array_equal(oriented_cluster(mask),

@@ -478,7 +478,7 @@ def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
     inc_i, inc_j = chunk_letters(d, horizon, n, seed=19)
     expected = [_brute_first_return(inc_i[w], inc_j[w]) for w in range(n)]
     assert times.tolist() == expected
-    if horizon == 300 and d == 2:  # a return on block 2's first step needs the carried has_left
+    if horizon == 300 and d == 2:  # a return on block 2's first step needs the carried `before`
         assert 257 in expected
     if horizon == 513:  # most walks leave after block 1, and some return later
         assert sum(0 < t <= 256 for t in expected) > n // 2 and max(expected) > 256
