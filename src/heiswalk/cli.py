@@ -9,8 +9,11 @@ replaced atomically under a lock on a sidecar `.lock` file, so runs
 sharing it lose no claims.  The Monte Carlo engine only counts: the
 runners here fit its survivor tails (paths._fit_tail), and each verdict
 is the plain JSON record that the summary prints, built from the
-statistic a runner checked and the manifest; a non-finite statistic is
-inconclusive, neither pass nor FAIL.  `heiswalk claims` prints each
+statistic a runner checked, the points it rests on and the manifest.
+Runners judge nothing about how much evidence they have: a claim whose
+range holds fewer than its manifest `min_points`, or whose statistic is
+not finite, is inconclusive, neither pass nor FAIL, and its run still
+writes its rows.  `heiswalk claims` prints each
 verdict with its version and config hash.  A corrupt status file is a
 configuration error on both paths and is never overwritten.
 
@@ -79,6 +82,7 @@ def load_claims() -> dict:
             "kind": cp.get(cid, "kind"),
             "target": cp.getfloat(cid, "target"),
             "tolerance": cp.getfloat(cid, "tolerance"),
+            "min_points": cp.getint(cid, "min_points"),
             "experiment": cp.get(cid, "experiment"),
             "statement": cp.get(cid, "statement"),
         }
@@ -90,12 +94,14 @@ def _verdicts(checks: dict, claims: dict) -> list[dict]:
 
     "slope" is the checked statistic (a log-log slope for power laws, a
     scalar otherwise), and "pass" is |slope - target| <= tolerance, or None
-    (inconclusive) when the statistic is not finite; "intercept" and
-    "r_squared" come from the claim's line fit, and are 0 without one.
+    (inconclusive) when the range holds fewer than the claim's min_points
+    or the statistic is not finite; "intercept" and "r_squared" come from
+    the claim's line fit, and are 0 without one.
     """
     fits = []
     for cid, (value, range_, fit) in checks.items():
         c, value = claims[cid], float(value)
+        judged = len(range_) >= c["min_points"] and math.isfinite(value)
         fits.append({
             "claim_id": cid,
             "slope": value,
@@ -104,7 +110,7 @@ def _verdicts(checks: dict, claims: dict) -> list[dict]:
             "range": list(range_),
             "target": c["target"],
             "tolerance": c["tolerance"],
-            "pass": abs(value - c["target"]) <= c["tolerance"] if math.isfinite(value) else None,
+            "pass": abs(value - c["target"]) <= c["tolerance"] if judged else None,
         })
     return fits
 
@@ -276,12 +282,10 @@ def _run_collision_exact(cfg):
          stats[k].max_point_mass)
         for k in ks
     ]
-    checks = {}
-    if len(ks) >= 2:
-        fit = fit_loglog(ks, [stats[k].collision for k in ks])
-        checks["gh-collision-exponent"] = (fit.slope, ks, fit)
+    fit = fit_loglog(ks, [stats[k].collision for k in ks])
     k_top = ks[-1]
-    checks["count-match-scaled"] = (math.sqrt(k_top) * stats[k_top].count_match, [k_top], None)
+    checks = {"gh-collision-exponent": (fit.slope, ks, fit),
+              "count-match-scaled": (math.sqrt(k_top) * stats[k_top].count_match, [k_top], None)}
     header = ["k", "p_collision", "p_count_match", "p_weighted_match", "max_point_mass"]
     return header, rows, checks, {}
 
@@ -291,11 +295,8 @@ def _run_conditional_exact(cfg):
     ks = cfg["k_list"]
     stats = tables.scan_statistics(ks)
     rows = [(k, stats[k].conditional_match) for k in ks]
-    checks = {}
-    if len(ks) >= 2:
-        fit = fit_loglog(ks, [stats[k].conditional_match for k in ks])
-        checks["conditional-exponent"] = (fit.slope, ks, fit)
-    return ["k", "p_conditional_match"], rows, checks, {}
+    fit = fit_loglog(ks, [stats[k].conditional_match for k in ks])
+    return ["k", "p_conditional_match"], rows, {"conditional-exponent": (fit.slope, ks, fit)}, {}
 
 
 @_experiment({
@@ -337,16 +338,14 @@ def _run_dyadic(cfg):
 }, _zd_cells("k_list"))
 def _run_zd_collision(cfg):
     d, ks = cfg["d"], cfg["k_list"]
-    fit_exponent = d == 4 and len(ks) >= 2
-    if fit_exponent and ks[0] < 1:
+    if d == 4 and ks[0] < 1:
         raise ConfigError("--k-list values must be >= 1 at d=4: the exponent fit takes log k")
     probs = [reference.zd_collision_probability(d, k) for k in ks]
-    rows = list(zip(ks, probs))
     checks = {}
-    if fit_exponent:
+    if d == 4:
         fit = fit_loglog(ks, probs)
         checks["zd4-collision-exponent"] = (fit.slope, ks, fit)
-    return ["k", "p_collision"], rows, checks, {}
+    return ["k", "p_collision"], list(zip(ks, probs)), checks, {}
 
 
 @_experiment({
@@ -356,8 +355,6 @@ def _run_zd_collision(cfg):
 }, _table_k_cubed("gh_k_list"), _zd_cells("zd_k_list"))
 def _run_collision_contrast(cfg):
     d, gh_ks, zd_ks = cfg["d"], cfg["gh_k_list"], cfg["zd_k_list"]
-    if len(gh_ks) < 2 or len(zd_ks) < 2:
-        raise ConfigError("--gh-k-list and --zd-k-list need at least two values each")
     stats = tables.scan_statistics(gh_ks)
     gh_fit = fit_loglog(gh_ks, [stats[k].collision for k in gh_ks])
     zd_probs = [reference.zd_collision_probability(d, k) for k in zd_ks]
@@ -376,15 +373,12 @@ def _run_fourier(cfg):
     ks = cfg["k_list"]
     quads = {k: fourier.cos_product_integral(k) for k in ks}
     rows = [(k, q.value, q.head, q.tail, k**1.5 * q.value) for k, q in quads.items()]
-    integrals = [q.value for q in quads.values()]
+    fit = fit_loglog(ks, [q.value for q in quads.values()])
     tails = {k: quads[k].tail if k in quads else fourier.tail_integral_decay(k).value
              for k in (32, 64)}
-    checks = {}
-    if len(ks) >= 2:
-        fit = fit_loglog(ks, integrals)
-        checks["fourier-threehalves"] = (fit.slope, ks, fit)
-    checks["fourier-tail-collapse"] = (math.log(tails[64] / tails[32]), [32, 64], None)
-    checks["cos-gaussian-half"] = (fourier.verify_cos_gaussian_bound(0.5), [], None)
+    checks = {"fourier-threehalves": (fit.slope, ks, fit),
+              "fourier-tail-collapse": (math.log(tails[64] / tails[32]), [32, 64], None),
+              "cos-gaussian-half": (fourier.verify_cos_gaussian_bound(0.5), [], None)}
     extras = {"error_estimate": {k: q.error_estimate for k, q in quads.items()}}
     return ["k", "integral", "head", "tail", "k32_scaled"], rows, checks, extras
 
@@ -409,19 +403,15 @@ def _run_eit_tail(cfg):
     est = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"])
     rows, ratios, pooled = _tail_rows(est, cfg["min_count"])
     fit_ns = [n for n in range(1, 11) if est.counts.get(n, 0) > 0]
-    if len(fit_ns) < 3:
-        raise ConfigError("samples too small to populate the n in [1,10] tail")
     fit = fit_exponential(fit_ns, [est.counts[n] for n in fit_ns],
                           weights=[est.counts[n] for n in fit_ns])
     # continuation_ratios floors each variance, so every ratio has a spread
     spreads = [abs(r - pooled) / se for _n, r, se in ratios]
-    if len(spreads) < 2:
-        raise ConfigError(f"samples too small: {len(spreads)} continuation ratio(s), "
-                          "memorylessness needs at least 2")
     theta, theta_se, r_squared, fit_range = paths._fit_tail(est.counts, cfg["min_count"])
     checks = {
         "eit-tail-linearity": (fit.r_squared, fit_ns, fit),
-        "eit-memorylessness": (max(spreads), [n for n, _r, _se in ratios], None),
+        "eit-memorylessness": (max(spreads, default=math.nan), [n for n, _r, _se in ratios],
+                               None),
     }
     extras = {
         "theta_hat": theta,
@@ -465,14 +455,14 @@ def _run_zd_eit(cfg):
                                 threads=cfg["threads"])
     exc_theta, exc_se, _exc_r2, exc_range = paths._fit_tail(est.excursion_counts,
                                                             cfg["min_count"])
-    if exc_theta is None:
-        raise ConfigError("samples too small: fewer than 3 re-meet levels reach --min-count")
     edge_theta, edge_se, _edge_r2, _edge_range = paths._fit_tail(est.counts, cfg["min_count"])
     rows = []
     for n in sorted(est.counts):
         rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
                      est.excursion_counts.get(n, 0)))
-    checks = {"zd-eit-consistency": (abs(exc_theta - theta), exc_range, None)}
+    # no excursion fit below three re-meet levels: no range, no statistic
+    gap = math.nan if exc_theta is None else abs(exc_theta - theta)
+    checks = {"zd-eit-consistency": (gap, exc_range, None)}
     extras = {
         "shared_edge_rate": edge_theta,
         "shared_edge_se": edge_se,
@@ -546,33 +536,20 @@ def _tapers(means: list[float]) -> bool | float:
     return all(a > b for a, b in zip(inc, inc[1:])) if np.isfinite(means).all() else math.nan
 
 
-def _require_radii(radii, count: int, what: str):
-    if len(radii) < count:
-        raise ConfigError(f"--radii needs at least {count} values to judge {what}, "
-                          f"got {len(radii)}")
-
-
 # one resistance solve and one cluster search per seed and radius
 @_experiment({
     "family": ("choice:heisenberg,z2", "heisenberg", "graph family"),
     "p": ("prob", "1.0", "edge retention probability"),
     "radii": ("intlist>=1 increasing", "4,8,12,16", "sphere radii"),
-    "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
+    "seeds": ("intlist sorted", "1,2,3,4,5", "percolation seeds"),
 }, ("solves", RESISTANCE_SOLVES_CAP, lambda c: len(c["seeds"]) * len(c["radii"])))
 def _run_resistance_profile(cfg):
     radii, seeds = cfg["radii"], cfg["seeds"]
-    if cfg["family"] == "z2":
-        _require_radii(radii, 2, "a slope")
-        graph = percolation.lattice_box(2, radii[-1])
-    else:
-        _require_radii(radii, 3, "shrinking increments")
-        graph = percolation.heisenberg_box(radii[-1])
+    z2 = cfg["family"] == "z2"
+    graph = percolation.lattice_box(2, radii[-1]) if z2 else percolation.heisenberg_box(radii[-1])
+    # a seed with no open path to a radius has an infinite resistance there,
+    # which leaves its mean, and so the claim's statistic, not finite
     resistance, cluster_size = percolation.resistance_profile(graph, cfg["p"], radii, seeds)
-    infinite = np.argwhere(np.isinf(resistance))
-    if len(infinite):
-        i, j = infinite[0]
-        raise ConfigError(f"seed {seeds[i]} has no open path from the origin to radius "
-                          f"{radii[j]} at p={cfg['p']}: an infinite resistance gives no fit")
     rows = [(str(seed), r, res, int(cs))
             for seed, res_row, cs_row in zip(seeds, resistance, cluster_size)
             for r, res, cs in zip(radii, res_row, cs_row)]
@@ -580,7 +557,7 @@ def _run_resistance_profile(cfg):
     means = [float(np.mean(resistance[:, j])) for j in range(len(radii))]
     rows += [("mean", r, res, float(np.mean(cluster_size[:, j])))
              for j, (r, res) in enumerate(zip(radii, means))]
-    if cfg["family"] == "z2":
+    if z2:
         fit = _fit_line(np.log(radii), means)
         checks = {"z2-recurrence-slope": (fit.slope, radii, fit)}
     else:
@@ -593,12 +570,11 @@ def _run_resistance_profile(cfg):
     "p": ("prob", "0.95", "edge retention probability"),
     "num_paths": ("int>=1", "2000", "oriented words sampled per mask"),
     "radii": ("intlist>=1 increasing", "4,8,12,16", "box radii"),
-    "seeds": ("intlist", "1,2,3,4,5", "percolation seeds"),
+    "seeds": ("intlist sorted", "1,2,3,4,5", "percolation seeds"),
 }, ("path-steps", FLOW_PATH_STEPS_CAP,
     lambda c: c["num_paths"] * sum(c["radii"]) * (len(c["seeds"]) + 1)))
 def _run_flow_energy(cfg):
     radii, seeds, p = cfg["radii"], cfg["seeds"], cfg["p"]
-    _require_radii(radii, 3, "a tapering energy")
     rows, means, thomson_ok = [], [], True
     box = percolation.heisenberg_box(radii[-1])
     for radius in radii:
@@ -643,7 +619,11 @@ def _jsonable(value):
 
 
 def _config_hash(cfg: dict) -> str:
-    """Short sha256 of the resolved config, less the options that never change a CSV byte."""
+    """Short sha256 of the resolved config, less the output, status-file and
+    thread options, which never change a CSV byte.  It keeps --seed, which
+    eleven subcommands never read, so one of their CSVs can show under two
+    hashes (ROADMAP.md, "A config hash that names the bytes", moves --seed
+    to the runners that read it)."""
     kept = {k: v for k, v in cfg.items()
             if k not in ("out", "out_path", "status_file", "threads")}
     return sha256(json.dumps(_jsonable(kept), sort_keys=True).encode()).hexdigest()[:12]
@@ -815,11 +795,12 @@ def main(argv=None) -> int:
         print(json.dumps(summary, indent=2))
         if any(f["pass"] is False for f in fits):
             return 5
-        if unsettled := [f["claim_id"] for f in fits if f["pass"] is None]:
-            print(f"inconclusive: no finite statistic for {', '.join(unsettled)}",
-                  file=sys.stderr)
-            return 2
-        return 0
+        unsettled = [f for f in fits if f["pass"] is None]
+        for f in unsettled:
+            cid, got, need = f["claim_id"], len(f["range"]), claims[f["claim_id"]]["min_points"]
+            print(f"inconclusive: {cid} has {got} of the {need} points it needs" if got < need
+                  else f"inconclusive: no finite statistic for {cid}", file=sys.stderr)
+        return 2 if unsettled else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,10 @@ All rate claims are checked through the same two helpers so that the
 acceptance suite and the CLI cannot disagree about what "the slope" means:
 `fit_loglog` for power laws (log-log axes) and `fit_exponential` for
 geometric tails (log counts against n).  Each returns a LineFit; the
-claim verdicts are built from them in `cli._verdicts`.
+claim verdicts are built from them in `cli._verdicts`.  Fewer than two
+points, or a non-finite y, give a LineFit of NaNs and no numpy warning,
+so a runner fits whatever it has and `cli._verdicts` calls the claim
+inconclusive.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ class LineFit:
 def _fit_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> LineFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ConfigError("need at least two points to fit a line")
+    if x.size < 2 or not np.isfinite(y).all():
+        return LineFit(np.nan, np.nan, np.nan, np.nan)
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
     sw = w.sum()
     xbar = (w * x).sum() / sw

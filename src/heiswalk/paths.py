@@ -62,8 +62,16 @@ class TailEstimate:
     counts[n] is the number of sampled pairs with at least n shared
     edges; vertex_counts and excursion_counts are the analogous tails for
     vertex coincidences and for fresh re-meets after separation.
-    censoring_bound is the integral bound on intersections lost beyond
-    the horizon.  The CLI driver fits rates to these counts (_fit_tail).
+    censoring_bound is h^(1-beta)/(beta-1), the integral of t^-beta beyond
+    the horizon h (see pair_tail).  It concerns the meetings a pair would
+    make after h, and bounds their expected number only if the meeting
+    probability u_t is at most t^-beta with constant 1, which nothing
+    checks.  On G_H (beta = 2) t^2 u_t rises to 2 sqrt(3)/pi = 1.10, so at
+    h = 4096 the figure is about 9% below the expected vertex meetings
+    beyond h; shared edges, u_t/2 a step, stay below it.  On Z^d the
+    constant passes 1 from d = 10, and at d = 16, h = 2048 the vertex
+    meetings in (h, 2h] alone are 24 times the figure.  The CLI driver
+    fits rates to these counts (_fit_tail).
     """
 
     horizon: int
@@ -253,8 +261,9 @@ def pair_tail(chunk_fn, horizon: int, samples: int, *, threads: int,
     """TailEstimate from the pair_chunk histograms of chunk_fn(size, index).
 
     decay_exponent beta is the per-step meeting decay behind the horizon
-    censoring bound sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1),
-    vacuous (inf) for beta <= 1.  The chunks are capped as in map_chunks.
+    censoring figure sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1),
+    inf for beta <= 1; it assumes u_t <= t^-beta with constant 1 (see
+    TailEstimate).  The chunks are capped as in map_chunks.
     """
     shared, vertices, remeets = map_chunks(chunk_fn, samples, horizon, threads)
     beta = float(decay_exponent)
@@ -278,8 +287,9 @@ def tail_estimate(horizon: int, samples: int, seed: int, *, threads: int = 1) ->
 
     Pairs are drawn in fixed chunks with one counter-based stream per
     chunk, so the result depends only on (horizon, samples, seed) and
-    never on the thread count.  The horizon-censoring bound (see pair_tail)
-    takes the t^-2 decay of G_H meeting probabilities.  Horizons above
+    never on the thread count.  The horizon-censoring figure (see
+    TailEstimate) takes the t^-2 decay of G_H meeting probabilities with
+    constant 1, where the true constant is 2 sqrt(3)/pi.  Horizons above
     HEISENBERG_HORIZON_CAP raise CapExceededError.
     """
     return pair_tail(

@@ -260,9 +260,10 @@ def theta_d_estimate(d: int, horizon: int, samples: int, seed: int, *,
 
     Simulates the difference of two oriented walks for `horizon` steps
     and reports the fraction that revisit the origin after having left
-    it, plus a censoring bound: returns later than the horizon are
-    extrapolated from the frequency of returns in (horizon/2, horizon]
-    under the t^(-(d-1)/2) first-return tail, vacuous (inf) for d <= 3
+    it, plus a censoring figure for the first returns later than the
+    horizon.  It extrapolates them from the frequency of returns in
+    (horizon/2, horizon] as if the first-return tail were exactly
+    c t^(-(d-1)/2) there, so it is an estimate, not a bound; inf for d <= 3,
     where the difference walk is recurrent.  theta_d_exact gives the value
     this estimates.  Each chunk folds to its (returned, late) counts; the
     chunks are capped as in paths.map_chunks.
@@ -292,7 +293,9 @@ def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *, threads: int =
     """Intersection tails for oriented walk pairs on Z^d.
 
     The same survivor counts as the Heisenberg tail_estimate; the
-    horizon-censoring bound uses the per-step meeting decay (d-1)/2.
+    horizon-censoring figure (see paths.TailEstimate) uses the per-step
+    meeting decay (d-1)/2 with constant 1, which the Z^d meeting sequence
+    exceeds from d = 10 on, so there it bounds no vertex-meeting tail.
     The excursion_counts tail (fresh re-meets after separation) is the
     statistic whose geometric ratio equals the embedded return
     probability; the shared-edge ratio equals edge_collision_rate of it.

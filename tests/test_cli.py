@@ -114,9 +114,10 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     assert run("zd-eit", "--d", "300") == 2
     # one pair has no standard error, so no growth z-score can certify a claim
     assert run("srw-intersections", "--samples", "1", "--n-base", "8") == 2
-    # one continuation ratio cannot show memorylessness
+    # one continuation ratio cannot show memorylessness, which is no verdict
     assert run("eit-tail", "--samples", "60", "--horizon", "256") == 2
-    assert "continuation ratio" in capsys.readouterr().err
+    assert ("inconclusive: eit-memorylessness has 1 of the 2 points it needs"
+            in capsys.readouterr().err)
     for experiment in ("resistance-profile", "flow-energy"):
         for radii in ("0,4", "2,4,4"):
             assert run(experiment, "--radii", radii) == 2
@@ -212,19 +213,25 @@ def test_dyadic_takes_each_distinct_k_once(workdir, capsys, monkeypatch):
     assert laws == [4, 16]
     assert [line.split(",")[0] for line in Path("d.csv").read_text().splitlines()] == [
         "k", "4", "16"]
-    # the echoed config, and so its hash, hold the lists that ran
+    # a repeated k or seed runs once: the CSV, the echoed config and so its
+    # hash are those of the resolved list (a repeated seed would otherwise
+    # be solved twice and weigh twice in every mean)
     capsys.readouterr()
-    summaries = []
-    for argv in (["dyadic", "--k-list", "16,4,16,4"], ["dyadic", "--k-list", "4,16"],
-                 ["collision-contrast", "--gh-k-list", "8,4,8", "--zd-k-list", "8,4"],
-                 ["collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "4,8"]):
-        assert run(*argv, "--out-path", "run.csv") == 0
-        summaries.append(json.loads(capsys.readouterr().out))
-    dyadic, dyadic_resolved, contrast, contrast_resolved = summaries
-    assert dyadic["config"]["k_list"] == [4, 16]
-    assert dyadic["config_hash"] == dyadic_resolved["config_hash"]
-    assert contrast["config"]["gh_k_list"] == contrast["config"]["zd_k_list"] == [4, 8]
-    assert contrast["config_hash"] == contrast_resolved["config_hash"]
+    for repeated, resolved in (
+            (["dyadic", "--k-list", "16,4,16,4"], ["dyadic", "--k-list", "4,16"]),
+            (["collision-contrast", "--gh-k-list", "8,4,8", "--zd-k-list", "8,4"],
+             ["collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "4,8"]),
+            (["resistance-profile", "--radii", "2,4,6", "--seeds", "2,1,1"],
+             ["resistance-profile", "--radii", "2,4,6", "--seeds", "1,2"]),
+            (["flow-energy", "--radii", "2,3,4", "--num-paths", "200", "--seeds", "1,1"],
+             ["flow-energy", "--radii", "2,3,4", "--num-paths", "200", "--seeds", "1"])):
+        configs = []
+        for argv in (repeated, resolved):
+            assert run(*argv, "--out-path", f"{len(configs)}.csv") == 0
+            summary = json.loads(capsys.readouterr().out)
+            configs.append((summary["config"] | {"out_path": ""}, summary["config_hash"]))
+        assert configs[0] == configs[1]
+        assert Path("0.csv").read_bytes() == Path("1.csv").read_bytes()
 
 
 def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
@@ -252,21 +259,29 @@ def test_zd_eit_compares_with_exact_theta(workdir, capsys, monkeypatch):
 
 
 def test_zd_eit_thin_tail_is_config_error(workdir, capsys):
-    # at d=6 too few re-meet levels reach min_count for the excursion fit
+    # at d=6 too few re-meet levels reach min_count for the excursion fit, so
+    # it fits no level and the claim is inconclusive; the rows are still written
     code = run("zd-eit", "--d", "6", "--horizon", "300", "--samples", "4000")
     assert code == 2
-    assert "samples too small" in capsys.readouterr().err
+    assert ("inconclusive: zd-eit-consistency has 0 of the 3 points it needs"
+            in capsys.readouterr().err)
+    assert Path("zd-eit.csv").exists()
+    assert json.loads(Path(STATUS_FILE).read_text())["zd-eit-consistency"]["pass"] is None
 
 
 # at p=0.3 the named seed has no open path to radius 2, so its resistance is
-# infinite; the run stops before any fit or increment and records no verdict
+# infinite; the row shows it, and the infinite mean leaves no finite statistic
 @pytest.mark.parametrize("family, seed", [("z2", 2), ("heisenberg", 1)])
 def test_infinite_resistance_is_config_error(workdir, capsys, family, seed):
     radii = "2,4" if family == "z2" else "2,4,6"  # as few as the family's claim takes
     code = run("resistance-profile", "--family", family, "--p", "0.3", "--radii", radii)
     assert code == 2
-    assert f"seed {seed} has no open path from the origin to radius 2" in capsys.readouterr().err
-    assert not Path(STATUS_FILE).exists()
+    claim = "z2-recurrence-slope" if family == "z2" else "gh-transience-increments"
+    assert f"inconclusive: no finite statistic for {claim}" in capsys.readouterr().err
+    with open("resistance-profile.csv") as fh:
+        rows = {(row["seed"], row["radius"]): row["resistance"] for row in csv.DictReader(fh)}
+    assert rows[str(seed), "2"] == rows["mean", "2"] == "inf"
+    assert json.loads(Path(STATUS_FILE).read_text())[claim]["pass"] is None
 
 
 def test_solver_failure_exit_code(workdir, capsys, monkeypatch):
@@ -294,23 +309,27 @@ def test_resistance_mean_rows_are_np_mean_of_the_seed_rows(workdir):
             assert float(row[column]) == want
 
 
-# a slope needs two radii and a trend in the increments three, so fewer is
-# a config error, neither a traceback nor a failed claim, found before any box
+# a slope needs two radii and a trend in the increments three, so fewer
+# leave every claim of the run inconclusive, neither a traceback nor a
+# failed claim; the rows are still written
 @pytest.mark.parametrize("argv", [
     ["resistance-profile", "--family", "z2", "--radii", "4"],
     ["resistance-profile", "--radii", "4"],
     ["resistance-profile", "--radii", "4,8"],
     ["flow-energy", "--radii", "4,8"],
 ])
-def test_too_few_radii_is_config_error(workdir, capsys, monkeypatch, argv):
-    def no_box(*args):
-        raise AssertionError("a box was built before the radius count was checked")
-
-    monkeypatch.setattr(percolation, "heisenberg_box", no_box)
-    monkeypatch.setattr(percolation, "lattice_box", no_box)
+def test_too_few_radii_is_config_error(workdir, capsys, argv):
     assert run(*argv) == 2
-    assert "--radii needs at least" in capsys.readouterr().err
-    assert not Path(STATUS_FILE).exists()
+    out, err = capsys.readouterr()
+    radii = len(argv[-1].split(","))
+    status = json.loads(Path(STATUS_FILE).read_text())
+    for fit in json.loads(out)["fits"]:
+        cid = fit["claim_id"]
+        need = load_claims()[cid]["min_points"]
+        assert radii < need
+        assert f"inconclusive: {cid} has {radii} of the {need} points it needs" in err
+        assert fit["pass"] is None and status[cid]["pass"] is None
+    assert Path(f"{argv[0]}.csv").exists()
 
 
 _SMALL_CALLS = [
@@ -356,10 +375,26 @@ def test_no_subcommand_imports_scipy(workdir):
 
 
 _GOLDEN = Path(__file__).with_name("golden_digests.json")
-# min-count 5 gives the small eit-tail call a full-tail fit to pin
-_GOLDEN_CALLS = _SMALL_CALLS + [["resistance-profile", "--family", "z2", "--radii", "4,8,16"],
-                                ["eit-tail", "--horizon", "64", "--samples", "256",
-                                 "--min-count", "5"]]
+_WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+
+
+def _benchmark_calls():
+    """The argv of every call in the benchmark's WORKLOADS, in order."""
+    spec = importlib.util.spec_from_file_location("heiswalk_bench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for calls in workloads.WORKLOADS.values() for _label, argv in calls]
+
+
+def _golden_calls():
+    """The small calls, two more, and each benchmark call not among them but
+    fourier's (see _golden_digests); min-count 5 gives the small eit-tail
+    call a full-tail fit to pin."""
+    calls = _SMALL_CALLS + [["resistance-profile", "--family", "z2", "--radii", "4,8,16"],
+                            ["eit-tail", "--horizon", "64", "--samples", "256",
+                             "--min-count", "5"]]
+    return calls + [argv for argv in _benchmark_calls()
+                    if argv[0] != "fourier" and argv not in calls]
 # the summary keys every run prints; the rest are its runner's extras
 _SUMMARY_KEYS = {"config", "results", "fits", "runtime_seconds", "version", "config_hash",
                  "timestamp", "out_path"}
@@ -397,7 +432,7 @@ def _golden_digests(calls):
 
 def test_csvs_and_verdicts_match_the_golden_digests(workdir):
     golden = json.loads(_GOLDEN.read_text())
-    digests = _golden_digests(_GOLDEN_CALLS)
+    digests = _golden_digests(_golden_calls())
     assert digests == golden["calls"], (
         f"taken with numpy {golden['numpy']}, running numpy {np.__version__}")
 
@@ -491,21 +526,14 @@ def test_edge_values_end_in_documented_exit_codes(workdir, capsys, monkeypatch):
     assert time.perf_counter() - start < 10.0
 
 
-_WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
-
-
 def _resolved(argv):
     return cli._resolve_config(argv[0], cli._build_parser(argv[0]).parse_args(argv))
 
 
 def test_work_caps_sit_far_above_default_and_benchmark_calls():
-    spec = importlib.util.spec_from_file_location("heiswalk_bench_workloads", _WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     capped = {name for name, experiment in cli._EXPERIMENTS.items() if experiment.work}
     calls = [[name] for name in capped]
-    calls += [argv for wl in workloads.WORKLOADS.values() for _label, argv in wl
-              if argv[0] in capped]
+    calls += [argv for argv in _benchmark_calls() if argv[0] in capped]
     assert len(calls) == 25
     for argv in calls:
         for unit, cap, figure in cli._EXPERIMENTS[argv[0]].work:
@@ -524,7 +552,7 @@ def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experimen
     listed = registered.options[option][0].startswith("intlist")
 
     def sized(n):
-        return ",".join(["1"] * n) if listed else str(n)
+        return ",".join(map(str, range(1, n + 1))) if listed else str(n)
 
     ran = []
     monkeypatch.setitem(cli._EXPERIMENTS, experiment, registered._replace(
@@ -532,7 +560,7 @@ def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experimen
     (_unit, cap, figure), = registered.work
     most = cap // figure(_resolved([experiment, cli._flag(option), sized(1)]))
     assert run(experiment, cli._flag(option), sized(most)) == 0
-    assert ran == [[1] * most if listed else most]
+    assert ran == [list(range(1, most + 1)) if listed else most]
     assert run(experiment, cli._flag(option), sized(most + 1)) == 3
     assert len(ran) == 1
     assert "resource cap exceeded" in capsys.readouterr().err
@@ -635,8 +663,87 @@ def test_degenerate_run_is_inconclusive(workdir, capsys, argv, claim):
     assert line.rstrip().endswith("inconclusive")
 
 
+# for each claim a config can leave short of its manifest min_points: a call
+# one point short, and the same call with min_points points
+_SHORT_AND_ENOUGH = {
+    "gh-collision-exponent": (["collision-exact", "--k-list", "8"],
+                              ["collision-exact", "--k-list", "4,8"]),
+    "conditional-exponent": (["conditional-exact", "--k-list", "8"],
+                             ["conditional-exact", "--k-list", "4,8"]),
+    "zd4-collision-exponent": (["zd-collision", "--k-list", "8"],
+                               ["zd-collision", "--k-list", "4,8"]),
+    "collision-exponent-gap": (["collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "8"],
+                               ["collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "4,8"]),
+    "fourier-threehalves": (["fourier", "--k-list", "16"], ["fourier", "--k-list", "16,32"]),
+    "eit-tail-linearity": (["eit-tail", "--horizon", "2", "--samples", "256"],
+                           ["eit-tail", "--horizon", "3", "--samples", "256"]),
+    "eit-memorylessness": (
+        ["eit-tail", "--horizon", "64", "--samples", "256", "--min-count", "200"],
+        ["eit-tail", "--horizon", "64", "--samples", "256", "--min-count", "100"]),
+    # paths._fit_tail fits no level below three, so the short call has none
+    "zd-eit-consistency": (["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "3"],
+                           ["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "2"]),
+    "z2-recurrence-slope": (["resistance-profile", "--family", "z2", "--radii", "4"],
+                            ["resistance-profile", "--family", "z2", "--radii", "2,4"]),
+    "gh-transience-increments": (["resistance-profile", "--radii", "2,4"],
+                                 ["resistance-profile", "--radii", "2,4,6"]),
+    "flow-energy-taper": (["flow-energy", "--radii", "2,3", "--num-paths", "200", "--seeds", "1"],
+                          ["flow-energy", "--radii", "2,3,4", "--num-paths", "200",
+                           "--seeds", "1"]),
+    "thomson-bound": (["flow-energy", "--radii", "2,3", "--num-paths", "200", "--seeds", "1"],
+                      ["flow-energy", "--radii", "2,3,4", "--num-paths", "200", "--seeds", "1"]),
+}
+# the claims no config can leave short, each with its smallest call and why
+_ALWAYS_ENOUGH = {
+    "count-match-scaled": (["collision-exact", "--k-list", "8"],
+                           "its range is the largest k alone"),
+    "point-mass-bound": (["bound-scan", "--k-min", "2", "--k-max", "2"],
+                         "its range is [--k-min, --k-max]"),
+    "dyadic-uniformity": (["dyadic", "--k-list", "4"], "a k list is never empty"),
+    "fourier-tail-collapse": (["fourier", "--k-list", "16"], "its range is always [32, 64]"),
+    "cos-gaussian-half": (["fourier", "--k-list", "16"], "a grid check needs no points"),
+    "srw-return-exponent": (["srw-return", "--t-max", "4", "--n-min", "1", "--n-max", "2"],
+                            "--n-min < --n-max gives two n"),
+    "ball-growth-exponent": (["ball-growth", "--r-min", "1", "--r-max", "2"],
+                             "--r-min < --r-max gives two radii"),
+    "intersection-growth": (["srw-intersections", "--n-base", "8", "--samples", "20",
+                             "--doublings", "1"],
+                            "time 0, n_base and one doubling at least"),
+}
+
+
+def _fit_of(claim, argv, capsys):
+    """The exit code, stderr and the claim's fit of one call."""
+    code = run(*argv, "--out-path", "run.csv")
+    out, err = capsys.readouterr()
+    return code, err, next(f for f in json.loads(out)["fits"] if f["claim_id"] == claim)
+
+
+@pytest.mark.parametrize("claim", load_claims())
+def test_too_few_points_are_inconclusive(workdir, capsys, claim):
+    need = load_claims()[claim]["min_points"]
+    if claim in _ALWAYS_ENOUGH:
+        smallest, _why = _ALWAYS_ENOUGH[claim]
+        _code, _err, fit = _fit_of(claim, smallest, capsys)
+        assert len(fit["range"]) >= need and fit["pass"] is not None
+        return
+    short, enough = _SHORT_AND_ENOUGH[claim]
+    code, err, fit = _fit_of(claim, short, capsys)
+    got = len(fit["range"])
+    assert code == 2 and got == (0 if claim == "zd-eit-consistency" else need - 1)
+    assert f"inconclusive: {claim} has {got} of the {need} points it needs" in err
+    assert fit["pass"] is None
+    assert json.loads(Path(STATUS_FILE).read_text())[claim]["pass"] is None
+    assert Path("run.csv").read_text().count("\n") > 1
+    Path("run.csv").unlink()
+    _code, _err, fit = _fit_of(claim, enough, capsys)
+    assert len(fit["range"]) == need and fit["pass"] in (True, False)
+    assert Path("run.csv").exists()
+
+
 def test_a_failed_claim_outranks_an_inconclusive_one(workdir, capsys, monkeypatch):
-    checks = {"dyadic-uniformity": (math.nan, [], None), "point-mass-bound": (False, [], None)}
+    checks = {"dyadic-uniformity": (math.nan, [4], None),
+              "point-mass-bound": (False, [2, 8], None)}
     monkeypatch.setitem(cli._EXPERIMENTS, "dyadic", cli._EXPERIMENTS["dyadic"]._replace(
         runner=lambda cfg: (["x"], [], checks, {})))
     assert run("dyadic") == 5
@@ -768,7 +875,7 @@ def test_help_prints_the_bounds_of_each_spec(capsys):
         run("resistance-profile", "--help")
     out = " ".join(capsys.readouterr().out.split())
     assert "sphere radii; >= 1; strictly increasing (default 4,8,12,16)" in out
-    assert "percolation seeds (default 1,2,3,4,5)" in out
+    assert "percolation seeds; sorted, each value once (default 1,2,3,4,5)" in out
     assert "edge retention probability; in (0, 1] (default 1.0)" in out
     with pytest.raises(SystemExit):
         run("dyadic", "--help")
@@ -885,7 +992,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         probe = _complex_multiply_probe()
-        golden = {"numpy": np.__version__, "calls": _golden_digests(_GOLDEN_CALLS),
+        golden = {"numpy": np.__version__, "calls": _golden_digests(_golden_calls()),
                   "fourier": {**old.get("fourier", {}), probe: _digest(_FOURIER_CALL)}}
     old_fourier = old.get("fourier", {}).get(probe)
     changes = _changed_entries(old.get("calls", []) + ([old_fourier] if old_fourier else []),
