@@ -10,22 +10,33 @@ and two paths occupy the same vertex at time t exactly when their prefix
 bit counts and prefix weighted sums sum_{j<t} j*alpha_j both agree.
 
 Two walks meet exactly when their difference walk is at its origin.  The
-engine (walk_blocks) packs its position into exact int64 keys in mixed
-radix 2h+1 for horizon h: on G_H step j adds (u_j - v_j)(1 + (2h+1) j),
-which fits one word up to HEISENBERG_HORIZON_CAP = 2^21 steps
-(CapExceededError, exit 3, beyond); on Z^d each letter count gets its own
-digit (lattice_pair_keys).  Each step's letter pair is drawn once, as the
-index a*d + b (draw_pairs): 4 pairs per byte of raw 64-bit words on G_H,
-2 on Z^4, 1 at d = 16, one bounded integer per pair for any other d.  A
-chunk of PAIR_CHUNK = 1024 pairs draws from stream(seed, chunk index) and
-advances in whole drawn blocks of 256 steps, so all horizons share one
-sample-path prefix; it reads meetings off running key sums `== 0`, equal
-letters off pair indices that are multiples of d + 1.  A chunk does at
-most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds the
-chunk results in chunk order as they finish, in O(threads * horizon)
-memory, so no result depends on the thread count.  The tails count shared
-directed edges of path pairs (coinciding positions at t and equal letters
-at t), vertex coincidences, and fresh re-meets after separation.
+engine (walk_blocks) draws and advances whole blocks of 256 steps, and
+inside a block it keys a walk's position relative to the block start in
+32 bits: on G_H P = dX + 1024 V, with dX the block's move in the zero-letter
+count difference and V = sum over block steps i of i times step i's move,
+so |P| <= 33,423,616; on Z^d three 10-bit coordinate fields a lane, with
+ceil((d-1)/3) lanes (_lanes).  Steps i and i + 128 share one int64 word,
+the low lane biased by 2^31; a walk's carry-in is the key at which it is
+back at the origin, or an unreachable sentinel when one block cannot bring
+it back.  One cumsum over 128 columns and one compare against the pattern
+[2^31, 0] give every meeting, and between blocks each walk's state stays
+exact in int64: (X, W - t0 X) on G_H, the d-1 coordinates on Z^d.
+HEISENBERG_HORIZON_CAP = 2^21 bounds that state on G_H (CapExceededError,
+exit 3, beyond).  Each step's letter pair a*d + b is drawn once
+(draw_pairs): the bytes of raw 64-bit words hold 4 pairs each on G_H, 2 on
+Z^4 and 1 at d = 16, and any other d draws one bounded integer per pair.
+At d = 2 and 4 a byte holds the steps that share words, so one lookup of
+the raw bytes builds them, with the G_H step weights 1 + 1024 i in a
+per-position table; other d look up each lane's two steps apart.  A chunk
+of PAIR_CHUNK = 1024 pairs draws from stream(seed, chunk index), so all
+horizons share one sample-path prefix.  A chunk does at most
+PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds the chunk
+results in chunk order as they finish, in O(threads * horizon) memory, so
+no result depends on the thread count.  The tails count shared directed
+edges of path pairs (coinciding positions at t and equal letters at t),
+vertex coincidences, and fresh re-meets after separation; two walks at one
+vertex stay together exactly when their letters agree, so the shared
+edges are the vertex meetings that are not re-meets.
 
 The engine only counts.  _fit_tail (the weighted geometric fit of a
 survivor tail) and continuation_ratios are pure functions of the counts,
@@ -52,7 +63,7 @@ __all__ = [
     "HEISENBERG_HORIZON_CAP",
     "PAIR_CHUNK", "PAIR_CHUNK_CELLS_CAP", "THREADS_CAP",
     # the difference-walk engine, shared with reference
-    "map_chunks", "lattice_pair_keys", "draw_pairs", "walk_blocks", "pair_chunk", "pair_tail",
+    "map_chunks", "draw_pairs", "walk_blocks", "pair_chunk", "pair_tail",
 ]
 
 @dataclass
@@ -108,13 +119,22 @@ def _fit_tail(counts: dict[int, int], min_count: int):
 
 # ---------------------------------------------------------------- engine
 
-HEISENBERG_HORIZON_CAP = 2**21  # largest h with h + (2h+1) h(h-1)/2 < 2^63
+# largest G_H horizon.  The block-relative keys need no such bound; it keeps
+# the exact state carried between blocks, |X| <= h and |W - t0 X| <= 3h^2/2,
+# and so a walk's carry-in X + 1024 (W - t0 X), below 2^54
+HEISENBERG_HORIZON_CAP = 2**21
 PAIR_CHUNK = 1024  # walk pairs in every Monte Carlo chunk but the last
 # pair-steps in one chunk: this bounds a chunk's work; its memory is one
-# block of _BLOCK steps per pair (an int64 key and a few flags each)
+# block of _BLOCK steps per pair (half an int64 key and a few flags each)
 PAIR_CHUNK_CELLS_CAP = 2**24
 THREADS_CAP = 64  # pool threads; each may start an OS thread
 _BLOCK = 256  # steps that every chunk draws and advances at once
+_HALF = _BLOCK // 2  # steps i and i + _HALF of a walk share one int64 word
+_RADIX = 1024  # a lane's fields: 10-bit Z^d coordinates, or dX below V on G_H
+_BIAS = 2**31  # added to the low lane, which then stays in 0 .. 2^32 - 1
+_FAR = 2**30  # carry-in of a walk too far away for one block to bring back
+_MET = np.full(_HALF, _BIAS, dtype=np.int64).view(np.uint32)  # both lanes at 0
+_BYTE_ROW = 256 * np.arange(_HALF, dtype=np.uint16)  # row c of a (_HALF, 256) table
 
 
 def map_chunks(fn, samples: int, horizon: int, threads: int):
@@ -145,115 +165,183 @@ def map_chunks(fn, samples: int, horizon: int, threads: int):
     return total
 
 
-def lattice_pair_keys(d: int, horizon: int) -> np.ndarray:
-    """Z^d step keys by letter pair, one row per int64 key word.
-
-    Entry [w, a*d + b] is what a step with letters a and b adds to word w.
-    Letter c < d-1 counts (2h+1)^(c mod m) in word c // m, where m is the
-    most coordinates with (2h+1)^m < 2^64, so |key| <= ((2h+1)^m - 1)/2
-    < 2^63; letter d-1 counts nothing.
-    """
-    base, m = 2 * horizon + 1, 1
-    while base ** (m + 1) < 2**64:
-        m += 1
-    letter = np.zeros((max(1, -(-(d - 1) // m)), d), dtype=np.int64)
-    for c in range(d - 1):
-        letter[c // m, c] = base ** (c % m)
-    return (letter[:, :, None] - letter[:, None, :]).reshape(len(letter), d * d)
-
-
 def draw_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """(n, _BLOCK) letter-pair indices a*d + b of one block, a and b uniform on 0..d-1.
+    """(n, m) draws of one block's letter pairs a*d + b, a and b uniform on 0..d-1.
 
-    When d*d is 4, 16 or 256 the pairs are bit fields of raw 64-bit words:
-    each byte holds 8 / log2(d*d) of them, and field i of byte b of word j
-    is step (i * words per row + j) * 8 + b.  Any other d draws one bounded
-    integer per pair.
+    When d*d is 4, 16 or 256 these are the bytes of raw 64-bit words, m =
+    _BLOCK * log2(d*d) / 8: bit field i of byte k holds the pair of step
+    k + i * m, so byte k holds steps k and k + 128 at d = 4, steps k, k + 64,
+    k + 128 and k + 192 at d = 2, and step k at d = 16.  Any other d draws
+    one bounded integer per pair, m = _BLOCK, in step order.
     """
     cells = d * d
     if cells not in (4, 16, 256):
         return rng.integers(0, cells, size=(n, _BLOCK), dtype=np.uint8 if d <= 16 else np.uint16)
     bits = cells.bit_length() - 1
     words = rng.integers(0, 2**64, size=(n, _BLOCK * bits // 64), dtype=np.uint64)
-    fields = np.empty((n, 8 // bits, words.shape[1]), dtype=np.uint64)
-    for i in range(8 // bits):
-        np.right_shift(words, np.uint64(bits * i), out=fields[:, i])
-    fields &= np.uint64((cells - 1) * 0x0101010101010101)
-    return fields.astype("<u8", copy=False).view(np.uint8).reshape(n, _BLOCK)
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _lanes(d: int, heisenberg: bool):
+    """(tables, fields, reach) of the block-relative keys of d-letter walk pairs.
+
+    A lane is a 32-bit key; lane w of a walk after block step s is the sum
+    of fields[w]'s state fields and their moves over steps 0..s of the
+    block, as digits of radix _RADIX.  On Z^d the state is the walks'
+    difference in letters 0..d-2, three coordinates a lane (letter d-1
+    moves none), and a block moves each by at most reach = _BLOCK.  On G_H
+    it is (X, Y): X the difference in zero letters and Y = W - t0 X, where
+    W = sum over steps j of j times step j's move in X and t0 is the first
+    step of the block; a block moves X by dX (reach _BLOCK) and Y by
+    V = sum over block steps i of i times step i's move (reach
+    _BLOCK (_BLOCK - 1) / 2), so block step i keys its move (1 + _RADIX i).
+
+    tables[w] maps draw_pairs' values to lane w's int64 words, the key of
+    block step c in the low 32 bits and of step c + _HALF in the high 32
+    (see _words): (low, high) keys by pair index when the draws are pairs
+    in step order, else a table by byte value, one row per column c when
+    the byte and the step weights change with c (d = 2).
+    """
+    cells = d * d
+    a, b = np.divmod(np.arange(cells), d)
+    letter = np.zeros((-(-(d - 1) // 3), d), dtype=np.int64)
+    for c in range(d - 1):
+        letter[c // 3, c] = _RADIX ** (c % 3)
+    keys = letter[:, a] - letter[:, b]
+    if heisenberg:
+        fields, reach = [slice(0, 2)], np.array([_BLOCK, _BLOCK * (_BLOCK - 1) // 2])
+    else:
+        fields = [slice(3 * w, min(3 * w + 3, d - 1)) for w in range(len(keys))]
+        reach = np.full(d - 1, _BLOCK)
+    if cells not in (4, 16):
+        return [(key, key << 32) for key in keys], fields, reach
+    weight = 1 + _RADIX * np.arange(_BLOCK) if heisenberg else np.ones(_BLOCK, dtype=np.int64)
+    bits = cells.bit_length() - 1
+    per_row, byte, col = _BLOCK * bits // 8, np.arange(256), np.arange(_HALF)[:, None]
+
+    def step(key, s):  # key of block step s by byte value, from the field holding it
+        return key[byte >> bits * (s // per_row) & cells - 1] * weight[s]
+
+    tables = [step(key, col) + (step(key, col + _HALF) << 32) for key in keys]
+    return [t[0] if per_row == _HALF else t for t in tables], fields, reach
+
+
+def _words(table, drawn: np.ndarray, out: np.ndarray) -> None:
+    """One lane's (walks, _HALF) int64 words of a block, into out, from
+    draw_pairs' values through a table of _lanes."""
+    if drawn.shape[1] == _BLOCK:  # pairs in step order: two lookups
+        np.take(table[0], drawn[:, :_HALF], out=out, mode="clip")
+        out += np.take(table[1], drawn[:, _HALF:], mode="clip")
+    elif table.ndim == 1:  # d = 4: byte c holds steps c and c + _HALF
+        np.take(table, drawn, out=out, mode="clip")
+    else:  # d = 2: byte c % 64 holds them, looked up in row c
+        at = np.empty(out.shape, dtype=np.uint16).reshape(len(out), -1, drawn.shape[1])
+        np.add(drawn[:, None], _BYTE_ROW.reshape(-1, drawn.shape[1]), out=at)
+        np.take(table, at.reshape(out.shape), out=out, mode="clip")
+
+
+def _scan(words: np.ndarray, carry: np.ndarray) -> None:
+    """Block positions, in place, from one lane's words and the walks' carry-ins.
+
+    Afterwards column c holds 2^31 + carry + P_c in its low 32 bits and
+    carry + P_(c + _HALF) in its high 32, where P_s is the lane's key after
+    block step s.  The high lane starts from carry + P_(_HALF - 1), the low
+    lane's total, which a row sum gives; one cumsum then moves both lanes.
+    A walk is together after step s exactly when its lane reads 2^31 (low)
+    or 0 (high): the pattern _MET.
+    """
+    low = ((words.sum(axis=1) + _BIAS) & 0xFFFFFFFF) - _BIAS
+    words[:, 0] += _BIAS + carry + ((carry + low) << 32)
+    np.cumsum(words, axis=1, out=words)
 
 
 def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
                 heisenberg: bool = False, live: np.ndarray | None = None):
-    """Yield (t0, met, pairs) for each _BLOCK-step block of n difference walks.
+    """Yield (t0, rows, met, last) for each _BLOCK-step block of n difference walks.
 
     The letter pairs come from draw_pairs on stream(seed, index), a whole
     block at a time, so runs at different horizons share a sample-path
-    prefix.  A step adds lattice_pair_keys(d, horizon)[w, pair] to key word
-    w; on G_H (d = 2) step j is weighted by 1 + (2h+1) j.  met[:, i] says
-    the walks are together after step t0 + i, and pairs[:, i] is the letter
-    pair a*d + b of step t0 + i.  Keys carry exactly across blocks; the
-    arrays are reused, so read them before the next block.
+    prefix.  Within a block a walk's position is a 32-bit key per lane
+    (see _lanes), and steps i and i + _HALF share one int64 word: one
+    lookup builds the words, and _scan turns them into positions in one
+    cumsum over _HALF columns.  A walk's carry-in is the block-relative
+    key at which it is back at the origin, or _FAR when no block can bring
+    it back; between blocks its state stays exact in int64.
+
+    rows are the walks together after some drawn step of the block (in a
+    last block cut short by the horizon, maybe only after it), met[r, i]
+    says walk rows[r] is together after step t0 + i < horizon, and last[w]
+    says walk w is together after the block's last step.
 
     live, a boolean mask over the n walks that the caller may clear between
-    blocks, limits each block to the walks still live: met and pairs then
-    hold their rows in walk order, and the loop ends once none is left.
-    Every block still draws all n rows, so the streams do not depend on it.
+    blocks, limits each block to the walks still live (last is False for
+    the others), and the loop ends once none is left.  Every block still
+    draws all n rows, so the streams do not depend on it.
     """
     if heisenberg and horizon > HEISENBERG_HORIZON_CAP:
-        raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the "
-                               "largest with an exact int64 position key")
+        raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the cap "
+                               "on the exact int64 position key carried between blocks")
     rng = stream(seed, index)
-    keys = lattice_pair_keys(d, horizon)
-    carry = np.zeros((len(keys), n), dtype=np.int64)
-    steps = np.empty((n, _BLOCK), dtype=np.int64)
-    met = np.empty((n, _BLOCK), dtype=bool)
+    tables, fields, reach = _lanes(d, heisenberg)
+    state = np.zeros((len(reach), n), dtype=np.int64)
+    words = np.empty((n, _HALF), dtype=np.int64)
+    met, lane_met = np.empty((2, n, _BLOCK), dtype=bool)
     rows, picked = slice(None), None
     for t0 in range(0, horizon, _BLOCK):
         block = min(_BLOCK, horizon - t0)
-        pairs = draw_pairs(rng, d, n)
+        drawn = draw_pairs(rng, d, n)
         if live is not None:
             rows = np.flatnonzero(live)
             if not rows.size:
                 return
-            picked = np.empty_like(pairs) if picked is None else picked
-            pairs = np.take(pairs, rows, axis=0, out=picked[:rows.size], mode="clip")
-        pairs = pairs[:, :block]
-        walks = len(pairs)
-        key, m = steps[:walks, :block], met[:walks, :block]
-        for w, table in enumerate(keys):
-            np.take(table, pairs, out=key, mode="clip")
-            if heisenberg:
-                key *= 1 + (2 * horizon + 1) * np.arange(t0, t0 + block, dtype=np.int64)
-            key[:, 0] += carry[w, rows]
-            np.cumsum(key, axis=1, out=key)
-            carry[w, rows] = key[:, -1]
-            if w == 0:
-                np.equal(key, 0, out=m)
-            else:
-                m &= key == 0
-        yield t0, m, pairs
+            picked = np.empty_like(drawn) if picked is None else picked
+            drawn = np.take(drawn, rows, axis=0, out=picked[:rows.size], mode="clip")
+        walks = len(drawn)
+        word, m = words[:walks], met[:walks]
+        for lane, (table, span) in enumerate(zip(tables, fields)):
+            at = state[span, rows]
+            carry = _RADIX ** np.arange(len(at)) @ at
+            carry[(np.abs(at) > reach[span, None]).any(axis=0)] = _FAR
+            _words(table, drawn, word)
+            _scan(word, carry)
+            np.equal(word.view(np.uint32), _MET, out=lane_met[:walks] if lane else m)
+            if lane:
+                m &= lane_met[:walks]
+            if t0 + _BLOCK < horizon:  # add the block's move, digit by digit
+                move = (word[:, -1] >> 32) - carry
+                for f in range(span.start, span.stop - 1):
+                    digit = (move + _RADIX // 2) % _RADIX - _RADIX // 2
+                    state[f, rows] += digit
+                    move = (move - digit) // _RADIX
+                state[span.stop - 1, rows] += move
+        if heisenberg:  # Y = W - t0 X at the next block's t0
+            state[1, rows] -= _BLOCK * state[0, rows]
+        lanes = m.reshape(walks, _HALF, 2)  # column c, lane h: step c + h * _HALF
+        hit = np.flatnonzero(m.any(axis=1))
+        last = np.zeros(n, dtype=bool)
+        last[rows] = lanes[:, (block - 1) % _HALF, (block - 1) // _HALF]
+        flags = lanes[hit].transpose(0, 2, 1).reshape(len(hit), _BLOCK)[:, :block]
+        yield t0, hit if live is None else rows[hit], flags, last
 
 
 def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,
                heisenberg: bool = False) -> np.ndarray:
     """Shared-edge, vertex and re-meet histograms (3, horizon + 1) of n walk pairs.
 
-    A pair shares the edge of step t when it is together at time t and the
-    letters agree (walk_blocks' pair a*d + b is a multiple of d + 1); it
-    re-meets at t when together at t but not at t - 1.  Only pairs that are
-    together somewhere in a block are looked at there.
+    A pair re-meets at t when together at t but not at t - 1.  It shares
+    the edge of step t when together at t and the letters of step t agree,
+    and two walks at one vertex stay together exactly when their letters
+    agree: so its shared edges are its vertex meetings less its re-meets.
+    Only pairs that are together somewhere in a block are looked at there.
     """
-    shared, vertices, remeets = counts = np.zeros((3, n), dtype=np.int64)
+    vertices, remeets = np.zeros((2, n), dtype=np.int64)
     before = np.ones(n, dtype=bool)  # every pair starts together
-    for _t0, met, pairs in walk_blocks(d, horizon, n, seed, index, heisenberg=heisenberg):
-        shared += before & (pairs[:, 0] % (d + 1) == 0)
-        rows = np.flatnonzero(met.any(axis=1))
-        m, same = met[rows], pairs[rows] % (d + 1) == 0
-        shared[rows] += np.count_nonzero(m[:, :-1] & same[:, 1:], axis=1)
+    for _t0, rows, m, last in walk_blocks(d, horizon, n, seed, index, heisenberg=heisenberg):
         vertices[rows] += np.count_nonzero(m, axis=1)
         remeets[rows] += np.count_nonzero(m[:, 1:] > m[:, :-1], axis=1) + (m[:, 0] > before[rows])
-        before = met[:, -1].copy()
-    return np.stack([np.bincount(c, minlength=horizon + 1) for c in counts])
+        before = last
+    return np.stack([np.bincount(c, minlength=horizon + 1)
+                     for c in (vertices - remeets, vertices, remeets)])
 
 
 def pair_tail(chunk_fn, horizon: int, samples: int, *, threads: int,

@@ -241,16 +241,13 @@ def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndar
     live = np.ones(n, dtype=bool)
     before = np.ones(n, dtype=bool)
     return_time = np.zeros(n, dtype=np.int64)
-    for t0, home, _ in walk_blocks(d, horizon, n, seed, index, live=live):
-        rows = np.flatnonzero(live)
-        # only walks at the origin somewhere in the block can return in it
-        at = np.flatnonzero(home.any(axis=1))
-        walks, m = rows[at], home[at]
+    # only walks at the origin somewhere in a block can return in it
+    for t0, walks, m, last in walk_blocks(d, horizon, n, seed, index, live=live):
         ret = np.column_stack([m[:, 0] > before[walks], m[:, 1:] > m[:, :-1]])
         hit = ret.any(axis=1)
         return_time[walks[hit]] = t0 + np.argmax(ret[hit], axis=1) + 1
         live[walks[hit]] = False
-        before[rows] = home[:, -1]
+        before = last
     return return_time
 
 

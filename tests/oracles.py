@@ -388,21 +388,31 @@ def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4
     """Fraction of independent pairs of length-k words meeting at time k."""
 
     def hits(size: int, index: int) -> int:
-        together = np.ones(size, dtype=bool)
-        for _t0, met, _pairs in paths.walk_blocks(2, k, size, seed, index, heisenberg=True):
-            together = met[:, -1]
+        for _t0, _rows, _met, together in paths.walk_blocks(2, k, size, seed, index,
+                                                            heisenberg=True):
+            pass
         return int(np.count_nonzero(together))
 
     starts = range(0, samples, chunk)
     return sum(hits(min(chunk, samples - lo), i) for i, lo in enumerate(starts)) / samples
 
 
+def block_pairs(drawn, d):
+    """(n, 256) letter-pair indices a*d + b, in step order, of one draw_pairs
+    block: at d = 2 and 4 bit field i of byte k is step k + i * (bytes a row)."""
+    if drawn.shape[1] == 256:
+        return drawn
+    bits = (d * d).bit_length() - 1
+    return np.concatenate([drawn >> bits * i & d * d - 1 for i in range(8 // bits)], axis=1)
+
+
 def chunk_letters(d, horizon, n, seed, index=0):
     """Letters (u, v), each (n, horizon), of the pairs walk_blocks draws for
-    chunk `index`: its draw_pairs indices p decoded as u = p // d, v = p % d."""
+    chunk `index`: its block_pairs indices p decoded as u = p // d, v = p % d."""
     rng = stream(seed, index)
     blocks = -(-horizon // paths._BLOCK)
-    pairs = np.concatenate([paths.draw_pairs(rng, d, n) for _ in range(blocks)], axis=1)
+    pairs = np.concatenate([block_pairs(paths.draw_pairs(rng, d, n), d) for _ in range(blocks)],
+                           axis=1)
     return pairs[:, :horizon] // d, pairs[:, :horizon] % d
 
 

@@ -11,6 +11,7 @@ from oracles import (
     IDENTITY,
     A,
     B,
+    block_pairs,
     chunk_letters,
     coincides,
     endpoint_collision_frequency,
@@ -28,7 +29,6 @@ from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.paths import (
     HEISENBERG_HORIZON_CAP,
     continuation_ratios,
-    lattice_pair_keys,
     tail_estimate,
 )
 from heiswalk.reference import first_renewals, zd_collision_probability, zd_eit_tail
@@ -121,7 +121,7 @@ def test_endpoint_hits_match_group_positions():
 # d = 2, 4 and 16 unpack raw words, 3 and 8 draw bounded integers
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 def test_draw_pairs_uniform_on_letter_pairs(d):
-    pairs = paths.draw_pairs(stream(5, 0), d, 4096)
+    pairs = block_pairs(paths.draw_pairs(stream(5, 0), d, 4096), d)
     assert pairs.shape == (4096, 256)
     counts = np.bincount(pairs.ravel(), minlength=d * d)
     expected = pairs.size / d**2
@@ -137,17 +137,57 @@ def test_draw_pairs_uniform_on_letter_pairs(d):
         assert abs(equal - expected) < 5 * np.sqrt(expected)
 
 
-def test_packed_key_exact_up_to_horizon_cap():
-    # the extreme difference walk (all ones against all zeros) reaches
-    # D = h, E = h(h-1)/2, the largest key, without leaving int64
+def _uniform_block(d, pair, walks):
+    """draw_pairs' values for `walks` walks that take letter pair `pair` at every step."""
+    if d * d not in (4, 16):
+        return np.full((walks, 256), pair, dtype=np.uint8)
+    bits = (d * d).bit_length() - 1
+    byte = sum(pair << bits * i for i in range(8 // bits))
+    return np.full((walks, 256 * bits // 8), byte, dtype=np.uint8)
+
+
+# The largest moves of one block: all (1, 0) on G_H, P_s = -(s+1) - 1024 s(s+1)/2,
+# so |P_255| = 256 + 1024 * 32640; all (c, d-1) on Z^d with c the top field of
+# its lane, P_s = (s+1) 1024^f.  Three walks take the block: one as far away as
+# a block can bring back (back at step 255 exactly), one at the block's far end
+# (moving on to twice the largest move), and one past reach (_FAR).
+@pytest.mark.parametrize("d, heisenberg, letter", [(2, True, 1), (4, False, 2), (3, False, 1),
+                                                   (16, False, 14)])
+def test_lane_keys_exact_at_the_largest_block_move(d, heisenberg, letter):
+    tables, _fields, reach = paths._lanes(d, heisenberg)
+    if heisenberg:  # letters (1, 0)
+        pair, lane = 1 * d + 0, 0
+        key = [-(s + 1) - 1024 * (s * (s + 1) // 2) for s in range(256)]
+        assert -key[-1] == reach[0] + 1024 * reach[1] == 33_423_616
+    else:  # letters (letter, d - 1)
+        pair, lane = letter * d + d - 1, letter // 3
+        key = [(s + 1) * 1024 ** (letter % 3) for s in range(256)]
+        assert key[-1] == reach[letter] * 1024 ** (letter % 3) <= 2**28
+    carry = np.array([-key[-1], key[-1], paths._FAR])
+    words = np.empty((3, 128), dtype=np.int64)
+    paths._words(tables[lane], _uniform_block(d, pair, 3), words)
+    paths._scan(words, carry)
+    low, high = (words & 0xFFFFFFFF).tolist(), (words >> 32).tolist()
+    for w, c in enumerate(carry.tolist()):
+        assert low[w] == [2**31 + c + k for k in key[:128]]
+        assert high[w] == [c + k for k in key[128:]]
+    assert min(low[1]) > 0 and max(low[1]) < 2**32 and max(map(abs, high[1])) < 2**31
+    met = (words & 0xFFFFFFFF == 2**31) | (words >> 32 == 0)
+    assert met[0].tolist() == [False] * 127 + [True] and not met[1:].any()
+
+
+def test_zd_walk_at_the_reach_of_a_block_gets_back(monkeypatch):
+    # Z^4: 256 steps along letter 0 and 256 back meet once, at t = 512, from
+    # exactly the reach of a block
+    blocks = iter([_uniform_block(4, 0 * 4 + 3, 1), _uniform_block(4, 3 * 4 + 0, 1)])
+    monkeypatch.setattr(paths, "draw_pairs", lambda rng, d, n: next(blocks))
+    est = zd_eit_tail(4, 512, 1, seed=1)
+    assert est.vertex_counts == est.excursion_counts == {0: 1, 1: 1}
+    assert est.counts == {0: 1}
+
+
+def test_heisenberg_horizon_cap_exits_before_drawing():
     h = HEISENBERG_HORIZON_CAP
-    assert h + (2 * h + 1) * (h * (h - 1) // 2) < 2**63
-    g = h + 1
-    assert g + (2 * g + 1) * (g * (g - 1) // 2) >= 2**63
-    # pair (1, 0) at every step, with walk_blocks' G_H step weights 1 + (2h+1) j
-    weights = 1 + (2 * h + 1) * np.arange(h, dtype=np.int64)
-    keys = np.cumsum(lattice_pair_keys(2, h)[0, 1 * 2 + 0] * weights)
-    assert abs(int(keys[-1])) == h + (2 * h + 1) * (h * (h - 1) // 2)
     with pytest.raises(CapExceededError):
         tail_estimate(h + 1, 1, seed=1)
     with pytest.raises(CapExceededError):
@@ -174,6 +214,15 @@ def test_tail_estimate_deterministic_and_thread_invariant():
     assert a.excursion_counts == b.excursion_counts
     c = tail_estimate(128, 4096, seed=10)
     assert c.counts != a.counts
+
+
+def test_short_last_chunk_is_thread_invariant():
+    # 1500 pairs are a chunk of 1024 and a last chunk of 476
+    for estimate in (lambda threads: tail_estimate(300, 1500, seed=3, threads=threads),
+                     lambda threads: zd_eit_tail(4, 300, 1500, seed=3, threads=threads)):
+        a, b = estimate(1), estimate(2)
+        assert (a.counts, a.vertex_counts, a.excursion_counts) == (
+            b.counts, b.vertex_counts, b.excursion_counts)
 
 
 def test_negative_seeds_have_distinct_streams():
@@ -230,26 +279,31 @@ def _assert_tail_matches_brute_force(horizon, n, seed):
 
 
 def test_tail_counts_match_direct_pair_statistics():
-    # 300 and 513 end inside the second and third 256-step block
-    for horizon, n in ((32, 40), (300, 40), (513, 24)):
+    # 300 and 513 end inside the second and third 256-step block; the others
+    # sit at and around the seams of the half-block lanes and of the block
+    for horizon, n in ((32, 40), (300, 40), (513, 24), (127, 16), (128, 16), (129, 16),
+                       (255, 16), (257, 16)):
         _assert_tail_matches_brute_force(horizon, n, seed=21)
 
 
 def test_tail_counts_match_across_block_boundaries(monkeypatch):
     # random G_H pairs almost never meet at t = 256 (u_256 ~ 2e-5), so make
-    # letters agree with probability 0.98: pairs then share the edges of
-    # steps 256 and 512, whose met flag comes from the previous block
+    # letters agree with probability 0.995: pairs then share the edges of
+    # steps 128, 256, 384 and 512, the seams of the half-block lanes and of
+    # the blocks
     draw = paths.draw_pairs
 
     def sticky(rng, d, n):
-        pairs = draw(rng, d, n)
-        agree = rng.random(pairs.shape) < 0.98
-        return np.where(agree, pairs // d * (d + 1), pairs).astype(pairs.dtype)
+        # d = 2 draws bytes of four letter pairs a*2 + b, two bits each: copy a onto b
+        drawn = draw(rng, d, n)
+        agree = rng.random((*drawn.shape, 4)) < 0.995
+        b_bits = (agree << np.arange(0, 8, 2)).sum(axis=-1).astype(np.uint8)
+        return drawn & ~b_bits | (drawn >> 1) & b_bits
 
     monkeypatch.setattr(paths, "draw_pairs", sticky)
     u, v = _assert_tail_matches_brute_force(513, 24, seed=22)
-    for t in (256, 512):
-        assert any(u[i, t] == v[i, t] and coincides(u[i], v[i], t) for i in range(24))
+    for t in (128, 256, 384, 512):
+        assert any(u[i, t] == v[i, t] and coincides(u[i], v[i], t) for i in range(24)), t
 
 
 def test_tail_counts_nondecreasing_in_horizon():

@@ -18,7 +18,8 @@ from oracles import (
 )
 
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk.paths import PAIR_CHUNK_CELLS_CAP, lattice_pair_keys
+from heiswalk import paths
+from heiswalk.paths import PAIR_CHUNK_CELLS_CAP
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
     RENEWAL_HORIZON_CAP,
@@ -435,13 +436,13 @@ def test_zd_eit_validation():
         zd_eit_tail(4, 2**15, 4096, seed=1)
 
 
-# key words: 601^3 < 2^63 <= 601^7, and 121^19 needs three words; d = 4 and 16
-# unpack raw words (2 and 1 pairs a byte), d = 3 and 8 draw bounded integers;
-# on Z^2 pairs often meet at the 256-step block boundaries of horizon 513
-@pytest.mark.parametrize("d, horizon, words", [(4, 300, 1), (8, 300, 2), (20, 60, 3),
-                                               (16, 300, 3), (3, 300, 1), (2, 513, 1)])
-def test_zd_pair_counts_match_per_pair_loop(d, horizon, words):
-    assert lattice_pair_keys(d, horizon).shape[0] == words
+# key lanes hold three coordinates each; d = 4 and 16 unpack raw words (2 and
+# 1 pairs a byte), d = 3 and 8 draw bounded integers; on Z^2 pairs often
+# meet at the 256-step block boundaries of horizon 513
+@pytest.mark.parametrize("d, horizon, lanes", [(4, 300, 1), (8, 300, 3), (20, 60, 7),
+                                               (16, 300, 5), (3, 300, 1), (2, 513, 1)])
+def test_zd_pair_counts_match_per_pair_loop(d, horizon, lanes):
+    assert len(paths._lanes(d, False)[0]) == lanes
     n = 48
     est = zd_eit_tail(d, horizon, n, seed=31)
     u, v = chunk_letters(d, horizon, n, seed=31)
@@ -465,11 +466,11 @@ def _brute_first_return(inc_i, inc_j):
     return 0
 
 
-# horizons off the 256-step block grid; (8, 300) and (8, 700) need two key
-# words, (16, 300) three; d = 2, 4 and 16 unpack raw words, the others draw
+# horizons off the 256-step block grid; (8, 300) and (8, 700) need three key
+# lanes, (16, 300) five; d = 2, 4 and 16 unpack raw words, the others draw
 # bounded integers.  Walks leave the blocks once they have returned: on Z^2
 # most return in the first block of (2, 513), and the rest must still
-# advance exactly over three blocks; (8, 700) shrinks two key words at once
+# advance exactly over three blocks; (8, 700) shrinks three key lanes at once
 @pytest.mark.parametrize("d, horizon, n", [(2, 300, 4000), (3, 600, 400), (4, 300, 400),
                                            (8, 300, 400), (5, 37, 400), (16, 300, 400),
                                            (2, 513, 1000), (8, 700, 400)])
@@ -482,6 +483,22 @@ def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
         assert 257 in expected
     if horizon == 513:  # most walks leave after block 1, and some return later
         assert sum(0 < t <= 256 for t in expected) > n // 2 and max(expected) > 256
+
+
+# horizons at and around the seams of the 128-step lanes and of the block,
+# for one pair, a chunk of 77 and one of 500
+@pytest.mark.parametrize("d", [2, 3, 4, 16])
+@pytest.mark.parametrize("n", [1, 77, 500])
+def test_counts_match_per_pair_loops_around_the_lane_seams(d, n):
+    for horizon in (127, 128, 129, 255, 257):
+        est = zd_eit_tail(d, horizon, n, seed=41)
+        u, v = chunk_letters(d, horizon, n, seed=41)
+        shared, vertices, remeets = zip(*(pair_counts(u[i], v[i]) for i in range(n)))
+        assert est.counts == survivors(shared)
+        assert est.vertex_counts == survivors(vertices)
+        assert est.excursion_counts == survivors(remeets)
+        times = _theta_chunk(d, horizon, n, 41, 0)
+        assert times.tolist() == [_brute_first_return(u[w], v[w]) for w in range(n)]
 
 
 def test_bad_arguments_are_config_errors():
