@@ -460,7 +460,7 @@ def _run_zd_eit(cfg):
     for n in sorted(est.counts):
         rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
                      est.excursion_counts.get(n, 0)))
-    # no excursion fit below three re-meet levels: no range, no statistic
+    # no excursion fit below three re-meet levels: the range they have, no statistic
     gap = math.nan if exc_theta is None else abs(exc_theta - theta)
     checks = {"zd-eit-consistency": (gap, exc_range, None)}
     extras = {

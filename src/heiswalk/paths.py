@@ -105,12 +105,12 @@ def _fit_tail(counts: dict[int, int], min_count: int):
     """Weighted geometric fit of a survivor tail: (theta, theta_se, r_squared, fit_range).
 
     theta is exp(slope) of the fit of log counts[n] against n, weighted by
-    counts[n], over fit_range, the n >= 1 with counts[n] >= min_count; all
-    None (and fit_range empty) when fewer than three levels qualify.
+    counts[n], over fit_range, the n >= 1 with counts[n] >= min_count; the
+    statistics are None when fewer than three levels qualify.
     """
     ns = sorted(n for n, c in counts.items() if n >= 1 and c >= min_count)
     if len(ns) < 3:
-        return None, None, None, []
+        return None, None, None, ns
     y = np.array([counts[n] for n in ns], dtype=float)
     fit: LineFit = fit_exponential(ns, y, weights=y)
     theta = float(np.exp(fit.slope))

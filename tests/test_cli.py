@@ -259,11 +259,11 @@ def test_zd_eit_compares_with_exact_theta(workdir, capsys, monkeypatch):
 
 
 def test_zd_eit_thin_tail_is_config_error(workdir, capsys):
-    # at d=6 too few re-meet levels reach min_count for the excursion fit, so
-    # it fits no level and the claim is inconclusive; the rows are still written
+    # at d=6 one re-meet level reaches min_count, too few for the excursion
+    # fit, so the claim is inconclusive; the rows are still written
     code = run("zd-eit", "--d", "6", "--horizon", "300", "--samples", "4000")
     assert code == 2
-    assert ("inconclusive: zd-eit-consistency has 0 of the 3 points it needs"
+    assert ("inconclusive: zd-eit-consistency has 1 of the 3 points it needs"
             in capsys.readouterr().err)
     assert Path("zd-eit.csv").exists()
     assert json.loads(Path(STATUS_FILE).read_text())["zd-eit-consistency"]["pass"] is None
@@ -680,7 +680,7 @@ _SHORT_AND_ENOUGH = {
     "eit-memorylessness": (
         ["eit-tail", "--horizon", "64", "--samples", "256", "--min-count", "200"],
         ["eit-tail", "--horizon", "64", "--samples", "256", "--min-count", "100"]),
-    # paths._fit_tail fits no level below three, so the short call has none
+    # paths._fit_tail fits no level below three; the short call has two
     "zd-eit-consistency": (["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "3"],
                            ["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "2"]),
     "z2-recurrence-slope": (["resistance-profile", "--family", "z2", "--radii", "4"],
@@ -730,7 +730,7 @@ def test_too_few_points_are_inconclusive(workdir, capsys, claim):
     short, enough = _SHORT_AND_ENOUGH[claim]
     code, err, fit = _fit_of(claim, short, capsys)
     got = len(fit["range"])
-    assert code == 2 and got == (0 if claim == "zd-eit-consistency" else need - 1)
+    assert code == 2 and got == need - 1
     assert f"inconclusive: {claim} has {got} of the {need} points it needs" in err
     assert fit["pass"] is None
     assert json.loads(Path(STATUS_FILE).read_text())[claim]["pass"] is None
