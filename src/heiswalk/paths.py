@@ -25,9 +25,11 @@ HEISENBERG_HORIZON_CAP = 2^21 bounds that state on G_H (CapExceededError,
 exit 3, beyond).  Each step's letter pair a*d + b is drawn once
 (draw_pairs): the bytes of raw 64-bit words hold 4 pairs each on G_H, 2 on
 Z^4 and 1 at d = 16, and any other d draws one bounded integer per pair.
-At d = 2 and 4 a byte holds the steps that share words, so one lookup of
-the raw bytes builds them, with the G_H step weights 1 + 1024 i in a
-per-position table; other d look up each lane's two steps apart.  A chunk
+At d = 4 a byte holds the two steps that share a word, so one lookup of
+the raw bytes builds the words; at d = 2 a byte holds two such step pairs,
+looked up in a per-position table that also folds in the G_H step weights
+1 + 1024 i; other d up to 16 first combine the two steps' pairs into one
+index (_codes), and d > 16 looks each step up apart.  A chunk
 of PAIR_CHUNK = 1024 pairs draws from stream(seed, chunk index), so all
 horizons share one sample-path prefix.  A chunk does at most
 PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds the chunk
@@ -45,6 +47,7 @@ and the CLI driver calls them beside its claim verdicts.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -134,7 +137,7 @@ _RADIX = 1024  # a lane's fields: 10-bit Z^d coordinates, or dX below V on G_H
 _BIAS = 2**31  # added to the low lane, which then stays in 0 .. 2^32 - 1
 _FAR = 2**30  # carry-in of a walk too far away for one block to bring back
 _MET = np.full(_HALF, _BIAS, dtype=np.int64).view(np.uint32)  # both lanes at 0
-_BYTE_ROW = 256 * np.arange(_HALF, dtype=np.uint16)  # row c of a (_HALF, 256) table
+_BYTE_ROW = 256 * np.arange(_HALF, dtype=np.uint16).reshape(-1, 64)  # d = 2: c's table row
 
 
 def map_chunks(fn, samples: int, horizon: int, threads: int):
@@ -182,6 +185,7 @@ def draw_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view(np.uint8)
 
 
+@functools.cache  # the tables are read only, and shared by every chunk
 def _lanes(d: int, heisenberg: bool):
     """(tables, fields, reach) of the block-relative keys of d-letter walk pairs.
 
@@ -196,14 +200,11 @@ def _lanes(d: int, heisenberg: bool):
     V = sum over block steps i of i times step i's move (reach
     _BLOCK (_BLOCK - 1) / 2), so block step i keys its move (1 + _RADIX i).
 
-    tables[w] maps draw_pairs' values to lane w's int64 words, the key of
-    block step c in the low 32 bits and of step c + _HALF in the high 32
-    (see _words): (low, high) keys by pair index when the draws are pairs
-    in step order, else a table by byte value, one row per column c when
-    the byte and the step weights change with c (d = 2).
+    tables[w] maps the codes (_codes) to lane w's int64 words, the key
+    of block step c in the low 32 bits and of step c + _HALF in the high 32
+    (see _words).  At d > 16 it is the (low, high) keys by pair index.
     """
-    cells = d * d
-    a, b = np.divmod(np.arange(cells), d)
+    a, b = np.divmod(np.arange(d * d), d)
     letter = np.zeros((-(-(d - 1) // 3), d), dtype=np.int64)
     for c in range(d - 1):
         letter[c // 3, c] = _RADIX ** (c % 3)
@@ -213,31 +214,45 @@ def _lanes(d: int, heisenberg: bool):
     else:
         fields = [slice(3 * w, min(3 * w + 3, d - 1)) for w in range(len(keys))]
         reach = np.full(d - 1, _BLOCK)
-    if cells not in (4, 16):
+    if d > 16:
         return [(key, key << 32) for key in keys], fields, reach
+    if d > 2:  # by p_c + d^2 p_(c + _HALF)
+        return [((key[:, None] << 32) + key).ravel() for key in keys], fields, reach
+    # by 256 c + the byte that holds steps c and c + _HALF, in its bit
+    # fields c // 64 and 2 + c // 64 (see draw_pairs)
     weight = 1 + _RADIX * np.arange(_BLOCK) if heisenberg else np.ones(_BLOCK, dtype=np.int64)
-    bits = cells.bit_length() - 1
-    per_row, byte, col = _BLOCK * bits // 8, np.arange(256), np.arange(_HALF)[:, None]
+    byte, col = np.arange(256), np.arange(_HALF)[:, None]
 
-    def step(key, s):  # key of block step s by byte value, from the field holding it
-        return key[byte >> bits * (s // per_row) & cells - 1] * weight[s]
+    def step(key, s):  # key of block step s by byte value
+        return key[byte >> 2 * (s // 64) & 3] * weight[s]
 
-    tables = [step(key, col) + (step(key, col + _HALF) << 32) for key in keys]
-    return [t[0] if per_row == _HALF else t for t in tables], fields, reach
+    tables = [(step(key, col) + (step(key, col + _HALF) << 32)).ravel() for key in keys]
+    return tables, fields, reach
 
 
-def _words(table, drawn: np.ndarray, out: np.ndarray) -> None:
-    """One lane's (walks, _HALF) int64 words of a block, into out, from
-    draw_pairs' values through a table of _lanes."""
-    if drawn.shape[1] == _BLOCK:  # pairs in step order: two lookups
-        np.take(table[0], drawn[:, :_HALF], out=out, mode="clip")
-        out += np.take(table[1], drawn[:, _HALF:], mode="clip")
-    elif table.ndim == 1:  # d = 4: byte c holds steps c and c + _HALF
-        np.take(table, drawn, out=out, mode="clip")
-    else:  # d = 2: byte c % 64 holds them, looked up in row c
-        at = np.empty(out.shape, dtype=np.uint16).reshape(len(out), -1, drawn.shape[1])
-        np.add(drawn[:, None], _BYTE_ROW.reshape(-1, drawn.shape[1]), out=at)
-        np.take(table, at.reshape(out.shape), out=out, mode="clip")
+def _codes(drawn: np.ndarray, d: int) -> np.ndarray:
+    """One block's (walks, _HALF) indices into the tables of _lanes, from
+    draw_pairs' values: code c says which letter pairs steps c and c + _HALF
+    take (and, at d = 2, what c is).  At d > 16 the draws themselves."""
+    if d == 4 or d > 16:  # at d = 4 byte c already holds p_c + 16 p_(c + _HALF)
+        return drawn
+    if d == 2:
+        at = np.empty((len(drawn), *_BYTE_ROW.shape), dtype=np.uint16)
+        np.add(drawn[:, None], _BYTE_ROW, out=at)
+        return at.reshape(len(drawn), _HALF)
+    at = np.multiply(drawn[:, _HALF:], d * d, dtype=np.uint16)
+    at += drawn[:, :_HALF]
+    return at
+
+
+def _words(table, index: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """One lane's (walks, _HALF) int64 words of a block, into out, through a
+    table of _lanes; spare is scratch of out's shape."""
+    if isinstance(table, tuple):  # d > 16: each step's pair looked up apart
+        np.take(table[0], index[:, :_HALF], out=out, mode="clip")
+        out += np.take(table[1], index[:, _HALF:], out=spare, mode="clip")
+    else:
+        np.take(table, index, out=out, mode="clip")
 
 
 def _scan(words: np.ndarray, carry: np.ndarray) -> None:
@@ -284,7 +299,7 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     rng = stream(seed, index)
     tables, fields, reach = _lanes(d, heisenberg)
     state = np.zeros((len(reach), n), dtype=np.int64)
-    words = np.empty((n, _HALF), dtype=np.int64)
+    words, spare = np.empty((2, n, _HALF), dtype=np.int64)  # spare: _words' scratch
     met, lane_met = np.empty((2, n, _BLOCK), dtype=bool)
     rows, picked = slice(None), None
     for t0 in range(0, horizon, _BLOCK):
@@ -296,13 +311,13 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
                 return
             picked = np.empty_like(drawn) if picked is None else picked
             drawn = np.take(drawn, rows, axis=0, out=picked[:rows.size], mode="clip")
-        walks = len(drawn)
+        walks, codes = len(drawn), _codes(drawn, d)
         word, m = words[:walks], met[:walks]
         for lane, (table, span) in enumerate(zip(tables, fields)):
             at = state[span, rows]
             carry = _RADIX ** np.arange(len(at)) @ at
             carry[(np.abs(at) > reach[span, None]).any(axis=0)] = _FAR
-            _words(table, drawn, word)
+            _words(table, codes, word, spare[:walks])
             _scan(word, carry)
             np.equal(word.view(np.uint32), _MET, out=lane_met[:walks] if lane else m)
             if lane:

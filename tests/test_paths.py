@@ -164,8 +164,8 @@ def test_lane_keys_exact_at_the_largest_block_move(d, heisenberg, letter):
         key = [(s + 1) * 1024 ** (letter % 3) for s in range(256)]
         assert key[-1] == reach[letter] * 1024 ** (letter % 3) <= 2**28
     carry = np.array([-key[-1], key[-1], paths._FAR])
-    words = np.empty((3, 128), dtype=np.int64)
-    paths._words(tables[lane], _uniform_block(d, pair, 3), words)
+    words, spare = np.empty((2, 3, 128), dtype=np.int64)
+    paths._words(tables[lane], paths._codes(_uniform_block(d, pair, 3), d), words, spare)
     paths._scan(words, carry)
     low, high = (words & 0xFFFFFFFF).tolist(), (words >> 32).tolist()
     for w, c in enumerate(carry.tolist()):
