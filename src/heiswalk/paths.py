@@ -16,20 +16,22 @@ inside a block it keys a walk's position relative to the block start in
 count difference and V = sum over block steps i of i times step i's move,
 so |P| <= 33,423,616; on Z^d three 10-bit coordinate fields a lane, with
 ceil((d-1)/3) lanes (_lanes).  Steps i and i + 128 share one int64 word,
-the low lane biased by 2^31; a walk's carry-in is the key at which it is
-back at the origin, or an unreachable sentinel when one block cannot bring
-it back.  One cumsum over 128 columns and one compare against the pattern
-[2^31, 0] give every meeting, and between blocks each walk's state stays
-exact in int64: (X, W - t0 X) on G_H, the d-1 coordinates on Z^d.
-HEISENBERG_HORIZON_CAP = 2^21 bounds that state on G_H (CapExceededError,
-exit 3, beyond).  Each step's letter pair a*d + b is drawn once
-(draw_pairs): the bytes of raw 64-bit words hold 4 pairs each on G_H, 2 on
-Z^4 and 1 at d = 16, and any other d draws one bounded integer per pair.
-At d = 4 a byte holds the two steps that share a word, so one lookup of
-the raw bytes builds the words; at d = 2 a byte holds two such step pairs,
-looked up in a per-position table that also folds in the G_H step weights
-1 + 1024 i; other d up to 16 first combine the two steps' pairs into one
-index (_codes), and d > 16 looks each step up apart.  A chunk
+the low lane biased by 2^31.  A lane's words come from table lookups, and
+their row sums give the lane's move over the block, so between blocks each
+walk's state stays exact in int64: (X, W - t0 X) on G_H, the d-1
+coordinates on Z^d.  Only walks that can meet in the block are scanned:
+those that one block can bring back to the origin, and, lane by lane,
+those that every earlier lane found at its origin at some step.  A
+scanned walk's carry-in is the key at which it is back at the origin, and
+one cumsum over 128 columns and one compare against the pattern [2^31, 0]
+give every meeting.  HEISENBERG_HORIZON_CAP = 2^21 bounds that state on G_H
+(CapExceededError, exit 3, beyond).  Each step's letter pair a*d + b is
+drawn once (draw_pairs): the bytes of raw 64-bit words hold 4 pairs each on
+G_H, 2 on Z^4 and 1 at d = 16, and any other d draws one bounded integer
+per pair.  At d = 4 a byte holds the two steps that share a word, so one
+lookup of the raw bytes builds the words; at d = 2 a byte holds two such
+step pairs, looked up in a per-position table that also folds in the G_H
+step weights 1 + 1024 i; any other d looks each step's pair up apart.  A chunk
 of PAIR_CHUNK = 1024 pairs draws from stream(seed, chunk index), so all
 horizons share one sample-path prefix.  A chunk does at most
 PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds the chunk
@@ -135,7 +137,6 @@ _BLOCK = 256  # steps that every chunk draws and advances at once
 _HALF = _BLOCK // 2  # steps i and i + _HALF of a walk share one int64 word
 _RADIX = 1024  # a lane's fields: 10-bit Z^d coordinates, or dX below V on G_H
 _BIAS = 2**31  # added to the low lane, which then stays in 0 .. 2^32 - 1
-_FAR = 2**30  # carry-in of a walk too far away for one block to bring back
 _MET = np.full(_HALF, _BIAS, dtype=np.int64).view(np.uint32)  # both lanes at 0
 _BYTE_ROW = 256 * np.arange(_HALF, dtype=np.uint16).reshape(-1, 64)  # d = 2: c's table row
 
@@ -187,22 +188,27 @@ def draw_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 
 @functools.cache  # the tables are read only, and shared by every chunk
 def _lanes(d: int, heisenberg: bool):
-    """(tables, fields, reach) of the block-relative keys of d-letter walk pairs.
+    """(tables, reach) of the block-relative keys of d-letter walk pairs.
 
     A lane is a 32-bit key; lane w of a walk after block step s is the sum
-    of fields[w]'s state fields and their moves over steps 0..s of the
-    block, as digits of radix _RADIX.  On Z^d the state is the walks'
+    of its fields of the walk's state and their moves over steps 0..s of
+    the block, as digits of radix _RADIX.  On Z^d the state is the walks'
     difference in letters 0..d-2, three coordinates a lane (letter d-1
-    moves none), and a block moves each by at most reach = _BLOCK.  On G_H
-    it is (X, Y): X the difference in zero letters and Y = W - t0 X, where
-    W = sum over steps j of j times step j's move in X and t0 is the first
-    step of the block; a block moves X by dX (reach _BLOCK) and Y by
-    V = sum over block steps i of i times step i's move (reach
-    _BLOCK (_BLOCK - 1) / 2), so block step i keys its move (1 + _RADIX i).
+    moves none; a last lane of fewer coordinates keeps idle fields at 0),
+    and a block moves each by at most _BLOCK.  On G_H it is (X, Y) in one
+    lane: X the difference in zero letters and Y = W - t0 X, where W = sum
+    over steps j of j times step j's move in X and t0 is the first step of
+    the block; a block moves X by dX (at most _BLOCK) and Y by V = sum over
+    block steps i of i times step i's move (at most _BLOCK (_BLOCK - 1) / 2),
+    so block step i keys its move (1 + _RADIX i).  reach[f] is the most a
+    block moves field f of a lane.
 
-    tables[w] maps the codes (_codes) to lane w's int64 words, the key
-    of block step c in the low 32 bits and of step c + _HALF in the high 32
-    (see _words).  At d > 16 it is the (low, high) keys by pair index.
+    tables[w] maps letter pairs to lane w's keys (see _words): at d = 4 by
+    the byte p_c + 16 p_(c + _HALF), to the key of block step c in the low
+    32 bits of an int64 word and of step c + _HALF in the high 32; at d = 2
+    likewise by 256 c + the byte that holds steps c and c + _HALF, in its
+    bit fields c // 64 and 2 + c // 64 (see draw_pairs); at any other d by
+    the pair index a*d + b, to one step's key.
     """
     a, b = np.divmod(np.arange(d * d), d)
     letter = np.zeros((-(-(d - 1) // 3), d), dtype=np.int64)
@@ -210,62 +216,62 @@ def _lanes(d: int, heisenberg: bool):
         letter[c // 3, c] = _RADIX ** (c % 3)
     keys = letter[:, a] - letter[:, b]
     if heisenberg:
-        fields, reach = [slice(0, 2)], np.array([_BLOCK, _BLOCK * (_BLOCK - 1) // 2])
+        reach = np.array([[_BLOCK], [_BLOCK * (_BLOCK - 1) // 2]])
     else:
-        fields = [slice(3 * w, min(3 * w + 3, d - 1)) for w in range(len(keys))]
-        reach = np.full(d - 1, _BLOCK)
-    if d > 16:
-        return [(key, key << 32) for key in keys], fields, reach
-    if d > 2:  # by p_c + d^2 p_(c + _HALF)
-        return [((key[:, None] << 32) + key).ravel() for key in keys], fields, reach
-    # by 256 c + the byte that holds steps c and c + _HALF, in its bit
-    # fields c // 64 and 2 + c // 64 (see draw_pairs)
+        reach = np.full((3, 1), _BLOCK)
+    if d == 4:
+        return [((key[:, None] << 32) + key).ravel() for key in keys], reach
+    if d != 2:
+        return list(keys), reach
     weight = 1 + _RADIX * np.arange(_BLOCK) if heisenberg else np.ones(_BLOCK, dtype=np.int64)
     byte, col = np.arange(256), np.arange(_HALF)[:, None]
 
     def step(key, s):  # key of block step s by byte value
         return key[byte >> 2 * (s // 64) & 3] * weight[s]
 
-    tables = [(step(key, col) + (step(key, col + _HALF) << 32)).ravel() for key in keys]
-    return tables, fields, reach
+    return [(step(key, col) + (step(key, col + _HALF) << 32)).ravel() for key in keys], reach
 
 
 def _codes(drawn: np.ndarray, d: int) -> np.ndarray:
-    """One block's (walks, _HALF) indices into the tables of _lanes, from
-    draw_pairs' values: code c says which letter pairs steps c and c + _HALF
-    take (and, at d = 2, what c is).  At d > 16 the draws themselves."""
-    if d == 4 or d > 16:  # at d = 4 byte c already holds p_c + 16 p_(c + _HALF)
+    """One block's indices into the tables of _lanes, from draw_pairs'
+    values: at d = 2, 256 c + the byte that holds steps c and c + _HALF; at
+    any other d the draws themselves."""
+    if d != 2:
         return drawn
-    if d == 2:
-        at = np.empty((len(drawn), *_BYTE_ROW.shape), dtype=np.uint16)
-        np.add(drawn[:, None], _BYTE_ROW, out=at)
-        return at.reshape(len(drawn), _HALF)
-    at = np.multiply(drawn[:, _HALF:], d * d, dtype=np.uint16)
-    at += drawn[:, :_HALF]
-    return at
+    at = np.empty((len(drawn), *_BYTE_ROW.shape), dtype=np.uint16)
+    np.add(drawn[:, None], _BYTE_ROW, out=at)
+    return at.reshape(len(drawn), _HALF)
 
 
-def _words(table, index: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+def _words(table: np.ndarray, codes: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
     """One lane's (walks, _HALF) int64 words of a block, into out, through a
     table of _lanes; spare is scratch of out's shape."""
-    if isinstance(table, tuple):  # d > 16: each step's pair looked up apart
-        np.take(table[0], index[:, :_HALF], out=out, mode="clip")
-        out += np.take(table[1], index[:, _HALF:], out=spare, mode="clip")
-    else:
-        np.take(table, index, out=out, mode="clip")
+    if codes.shape[1] == _HALF:  # d = 2 and 4: a code holds both steps
+        np.take(table, codes, out=out, mode="clip")
+    else:  # one lookup a step
+        np.take(table, codes[:, _HALF:], out=out, mode="clip")
+        out <<= 32
+        out += np.take(table, codes[:, :_HALF], out=spare, mode="clip")
 
 
-def _scan(words: np.ndarray, carry: np.ndarray) -> None:
-    """Block positions, in place, from one lane's words and the walks' carry-ins.
+def _totals(words: np.ndarray):
+    """(low, move) of one lane's unscanned words: the low lane's move over
+    block steps 0.._HALF - 1, and the lane's move over the whole block."""
+    total = words.sum(axis=1)
+    low = ((total + _BIAS) & 0xFFFFFFFF) - _BIAS
+    return low, low + ((total - low) >> 32)
+
+
+def _scan(words: np.ndarray, carry: np.ndarray, low: np.ndarray) -> None:
+    """Block positions, in place, from one lane's words, the walks' carry-ins
+    and the low lane's totals (the move over block steps 0.._HALF - 1).
 
     Afterwards column c holds 2^31 + carry + P_c in its low 32 bits and
     carry + P_(c + _HALF) in its high 32, where P_s is the lane's key after
-    block step s.  The high lane starts from carry + P_(_HALF - 1), the low
-    lane's total, which a row sum gives; one cumsum then moves both lanes.
-    A walk is together after step s exactly when its lane reads 2^31 (low)
-    or 0 (high): the pattern _MET.
+    block step s: the high lane starts from carry + low, and one cumsum
+    moves both lanes.  A walk is together after step s exactly when its
+    lane reads 2^31 (low) or 0 (high): the pattern _MET.
     """
-    low = ((words.sum(axis=1) + _BIAS) & 0xFFFFFFFF) - _BIAS
     words[:, 0] += _BIAS + carry + ((carry + low) << 32)
     np.cumsum(words, axis=1, out=words)
 
@@ -277,11 +283,14 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     The letter pairs come from draw_pairs on stream(seed, index), a whole
     block at a time, so runs at different horizons share a sample-path
     prefix.  Within a block a walk's position is a 32-bit key per lane
-    (see _lanes), and steps i and i + _HALF share one int64 word: one
-    lookup builds the words, and _scan turns them into positions in one
-    cumsum over _HALF columns.  A walk's carry-in is the block-relative
-    key at which it is back at the origin, or _FAR when no block can bring
-    it back; between blocks its state stays exact in int64.
+    (see _lanes), and steps i and i + _HALF share one int64 word: lookups
+    build each lane's words, whose row sums give the lane's move over the
+    block, and _scan turns them into positions in one cumsum over _HALF
+    columns.  Between blocks each walk's state stays exact in int64, and
+    its carry-in is the block-relative key at which it is back at the
+    origin.  Only candidates are scanned: walks that every lane can bring
+    back within the block and that earlier lanes found together at some
+    step of it.
 
     rows are the walks together after some drawn step of the block (in a
     last block cut short by the horizon, maybe only after it), met[r, i]
@@ -297,10 +306,12 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
         raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the cap "
                                "on the exact int64 position key carried between blocks")
     rng = stream(seed, index)
-    tables, fields, reach = _lanes(d, heisenberg)
-    state = np.zeros((len(reach), n), dtype=np.int64)
+    tables, reach = _lanes(d, heisenberg)
+    lanes, fields = len(tables), len(reach)
+    place = (_RADIX ** np.arange(fields))[:, None]  # a lane's field weights
+    state = np.zeros((lanes * fields, n), dtype=np.int64)
     words, spare = np.empty((2, n, _HALF), dtype=np.int64)  # spare: _words' scratch
-    met, lane_met = np.empty((2, n, _BLOCK), dtype=bool)
+    moves = np.empty((lanes, fields, n), dtype=np.int64)
     rows, picked = slice(None), None
     for t0 in range(0, horizon, _BLOCK):
         block = min(_BLOCK, horizon - t0)
@@ -312,31 +323,42 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
             picked = np.empty_like(drawn) if picked is None else picked
             drawn = np.take(drawn, rows, axis=0, out=picked[:rows.size], mode="clip")
         walks, codes = len(drawn), _codes(drawn, d)
-        word, m = words[:walks], met[:walks]
-        for lane, (table, span) in enumerate(zip(tables, fields)):
-            at = state[span, rows]
-            carry = _RADIX ** np.arange(len(at)) @ at
-            carry[(np.abs(at) > reach[span, None]).any(axis=0)] = _FAR
+        at = state[:, rows].reshape(lanes, fields, walks)
+        carry = (place * at).sum(axis=1)
+        sel = np.flatnonzero((np.abs(at) <= reach).all(axis=(0, 1)))
+        together = None
+        word, move = words[:walks], moves[:, :, :walks]
+        for lane, table in enumerate(tables):
             _words(table, codes, word, spare[:walks])
-            _scan(word, carry)
-            np.equal(word.view(np.uint32), _MET, out=lane_met[:walks] if lane else m)
-            if lane:
-                m &= lane_met[:walks]
-            if t0 + _BLOCK < horizon:  # add the block's move, digit by digit
-                move = (word[:, -1] >> 32) - carry
-                for f in range(span.start, span.stop - 1):
-                    digit = (move + _RADIX // 2) % _RADIX - _RADIX // 2
-                    state[f, rows] += digit
-                    move = (move - digit) // _RADIX
-                state[span.stop - 1, rows] += move
-        if heisenberg:  # Y = W - t0 X at the next block's t0
-            state[1, rows] -= _BLOCK * state[0, rows]
-        lanes = m.reshape(walks, _HALF, 2)  # column c, lane h: step c + h * _HALF
-        hit = np.flatnonzero(m.any(axis=1))
+            low, move[lane, 0] = _totals(word)  # the lane's move is split below
+            if not sel.size:
+                continue
+            pick = slice(None) if sel.size == walks else sel
+            scan = word[pick]
+            _scan(scan, carry[lane, pick], low[pick])
+            lane_met = np.equal(scan.view(np.uint32), _MET)
+            together = lane_met if together is None else together & lane_met
+            keep = together.any(axis=1)
+            if not keep.all():
+                sel, together = sel[keep], together[keep]
+        together = np.zeros((0, _BLOCK), dtype=bool) if together is None else together
+        if t0 + _BLOCK < horizon:  # add the block's moves, digit by digit
+            for f in range(fields - 1):
+                move[:, f + 1] = move[:, f]
+                move[:, f] = (move[:, f] + _RADIX // 2) % _RADIX - _RADIX // 2
+                move[:, f + 1] -= move[:, f]
+                move[:, f + 1] //= _RADIX
+            at += move
+            if heisenberg:  # Y = W - t0 X at the next block's t0
+                at[0, 1] -= _BLOCK * at[0, 0]
+            if live is not None:  # at is a copy of the live walks' state
+                state[:, rows] = at.reshape(lanes * fields, walks)
+        lanes_met = together.reshape(len(sel), _HALF, 2)  # column c, lane h: step c + h * _HALF
+        hit = sel if live is None else rows[sel]
         last = np.zeros(n, dtype=bool)
-        last[rows] = lanes[:, (block - 1) % _HALF, (block - 1) // _HALF]
-        flags = lanes[hit].transpose(0, 2, 1).reshape(len(hit), _BLOCK)[:, :block]
-        yield t0, hit if live is None else rows[hit], flags, last
+        last[hit] = lanes_met[:, (block - 1) % _HALF, (block - 1) // _HALF]
+        flags = lanes_met.transpose(0, 2, 1).reshape(len(sel), _BLOCK)[:, :block]
+        yield t0, hit, flags, last
 
 
 def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,

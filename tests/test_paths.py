@@ -148,25 +148,27 @@ def _uniform_block(d, pair, walks):
 
 # The largest moves of one block: all (1, 0) on G_H, P_s = -(s+1) - 1024 s(s+1)/2,
 # so |P_255| = 256 + 1024 * 32640; all (c, d-1) on Z^d with c the top field of
-# its lane, P_s = (s+1) 1024^f.  Three walks take the block: one as far away as
-# a block can bring back (back at step 255 exactly), one at the block's far end
-# (moving on to twice the largest move), and one past reach (_FAR).
+# its lane, P_s = (s+1) 1024^f.  Two walks take the block: one as far away as
+# a block can bring back (back at step 255 exactly), and one at the block's
+# far end (moving on to twice the largest move).
 @pytest.mark.parametrize("d, heisenberg, letter", [(2, True, 1), (4, False, 2), (3, False, 1),
                                                    (16, False, 14)])
 def test_lane_keys_exact_at_the_largest_block_move(d, heisenberg, letter):
-    tables, _fields, reach = paths._lanes(d, heisenberg)
+    tables, reach = paths._lanes(d, heisenberg)
     if heisenberg:  # letters (1, 0)
         pair, lane = 1 * d + 0, 0
         key = [-(s + 1) - 1024 * (s * (s + 1) // 2) for s in range(256)]
-        assert -key[-1] == reach[0] + 1024 * reach[1] == 33_423_616
+        assert -key[-1] == reach[0, 0] + 1024 * reach[1, 0] == 33_423_616
     else:  # letters (letter, d - 1)
         pair, lane = letter * d + d - 1, letter // 3
         key = [(s + 1) * 1024 ** (letter % 3) for s in range(256)]
-        assert key[-1] == reach[letter] * 1024 ** (letter % 3) <= 2**28
-    carry = np.array([-key[-1], key[-1], paths._FAR])
-    words, spare = np.empty((2, 3, 128), dtype=np.int64)
-    paths._words(tables[lane], paths._codes(_uniform_block(d, pair, 3), d), words, spare)
-    paths._scan(words, carry)
+        assert key[-1] == reach[letter % 3, 0] * 1024 ** (letter % 3) <= 2**28
+    carry = np.array([-key[-1], key[-1]])
+    words, spare = np.empty((2, 2, 128), dtype=np.int64)
+    paths._words(tables[lane], paths._codes(_uniform_block(d, pair, 2), d), words, spare)
+    low, move = paths._totals(words)
+    assert low.tolist() == [key[127]] * 2 and move.tolist() == [key[-1]] * 2
+    paths._scan(words, carry, low)
     low, high = (words & 0xFFFFFFFF).tolist(), (words >> 32).tolist()
     for w, c in enumerate(carry.tolist()):
         assert low[w] == [2**31 + c + k for k in key[:128]]
