@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -139,6 +140,7 @@ _RADIX = 1024  # a lane's fields: 10-bit Z^d coordinates, or dX below V on G_H
 _BIAS = 2**31  # added to the low lane, which then stays in 0 .. 2^32 - 1
 _MET = np.full(_HALF, _BIAS, dtype=np.int64).view(np.uint32)  # both lanes at 0
 _BYTE_ROW = 256 * np.arange(_HALF, dtype=np.uint16).reshape(-1, 64)  # d = 2: c's table row
+_LANES_LOCK = threading.Lock()  # chunk threads build one d's tables once, not each
 
 
 def map_chunks(fn, samples: int, horizon: int, threads: int):
@@ -211,10 +213,12 @@ def _lanes(d: int, heisenberg: bool):
     the pair index a*d + b, to one step's key.
     """
     a, b = np.divmod(np.arange(d * d), d)
-    letter = np.zeros((-(-(d - 1) // 3), d), dtype=np.int64)
-    for c in range(d - 1):
-        letter[c // 3, c] = _RADIX ** (c % 3)
-    keys = letter[:, a] - letter[:, b]
+    keys = []  # lane by lane: at d = 256 each is 0.5 MiB
+    for first in range(0, d - 1, 3):
+        letter = np.zeros(d, dtype=np.int64)
+        coords = np.arange(first, min(first + 3, d - 1))
+        letter[coords] = _RADIX ** (coords - first)
+        keys.append(letter[a] - letter[b])
     if heisenberg:
         reach = np.array([[_BLOCK], [_BLOCK * (_BLOCK - 1) // 2]])
     else:
@@ -222,7 +226,7 @@ def _lanes(d: int, heisenberg: bool):
     if d == 4:
         return [((key[:, None] << 32) + key).ravel() for key in keys], reach
     if d != 2:
-        return list(keys), reach
+        return keys, reach
     weight = 1 + _RADIX * np.arange(_BLOCK) if heisenberg else np.ones(_BLOCK, dtype=np.int64)
     byte, col = np.arange(256), np.arange(_HALF)[:, None]
 
@@ -306,7 +310,8 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
         raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the cap "
                                "on the exact int64 position key carried between blocks")
     rng = stream(seed, index)
-    tables, reach = _lanes(d, heisenberg)
+    with _LANES_LOCK:
+        tables, reach = _lanes(d, heisenberg)
     lanes, fields = len(tables), len(reach)
     place = (_RADIX ** np.arange(fields))[:, None]  # a lane's field weights
     state = np.zeros((lanes * fields, n), dtype=np.int64)
