@@ -315,7 +315,8 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     lanes, fields = len(tables), len(reach)
     place = (_RADIX ** np.arange(fields))[:, None]  # a lane's field weights
     state = np.zeros((lanes * fields, n), dtype=np.int64)
-    words, spare = np.empty((2, n, _HALF), dtype=np.int64)  # spare: _words' scratch
+    words, spare = np.empty((2, n, _HALF), dtype=np.int64)  # spare: scratch, then candidates
+    met, lane_met = np.empty((2, n, _BLOCK), dtype=bool)
     moves = np.empty((lanes, fields, n), dtype=np.int64)
     rows, picked = slice(None), None
     for t0 in range(0, horizon, _BLOCK):
@@ -331,22 +332,26 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
         at = state[:, rows].reshape(lanes, fields, walks)
         carry = (place * at).sum(axis=1)
         sel = np.flatnonzero((np.abs(at) <= reach).all(axis=(0, 1)))
-        together = None
+        together = met[:0]  # over sel: together in every lane so far
         word, move = words[:walks], moves[:, :, :walks]
         for lane, table in enumerate(tables):
             _words(table, codes, word, spare[:walks])
             low, move[lane, 0] = _totals(word)  # the lane's move is split below
             if not sel.size:
                 continue
-            pick = slice(None) if sel.size == walks else sel
-            scan = word[pick]
+            if sel.size == walks:
+                scan, pick = word, slice(None)
+            else:
+                scan = np.take(word, sel, axis=0, out=spare[:sel.size], mode="clip")
+                pick = sel
             _scan(scan, carry[lane, pick], low[pick])
-            lane_met = np.equal(scan.view(np.uint32), _MET)
-            together = lane_met if together is None else together & lane_met
+            if lane == 0:
+                together = np.equal(scan.view(np.uint32), _MET, out=met[:sel.size])
+            else:
+                together &= np.equal(scan.view(np.uint32), _MET, out=lane_met[:sel.size])
             keep = together.any(axis=1)
             if not keep.all():
                 sel, together = sel[keep], together[keep]
-        together = np.zeros((0, _BLOCK), dtype=bool) if together is None else together
         if t0 + _BLOCK < horizon:  # add the block's moves, digit by digit
             for f in range(fields - 1):
                 move[:, f + 1] = move[:, f]

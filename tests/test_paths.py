@@ -1,7 +1,12 @@
 """Oriented path pairs: coincidence reduction and Monte Carlo tails."""
 
+import functools
 import itertools
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -225,6 +230,33 @@ def test_short_last_chunk_is_thread_invariant():
         a, b = estimate(1), estimate(2)
         assert (a.counts, a.vertex_counts, a.excursion_counts) == (
             b.counts, b.vertex_counts, b.excursion_counts)
+
+
+def test_chunk_threads_build_the_lane_tables_once(monkeypatch):
+    # eight threads start on one uncached d at once; the tables are built once
+    builds, original = [], paths._lanes.__wrapped__
+
+    def build(d, heisenberg):  # slow enough for every thread to ask for it
+        builds.append(d)
+        time.sleep(0.05)
+        return original(d, heisenberg)
+
+    monkeypatch.setattr(paths, "_lanes", functools.cache(build))
+    start = threading.Barrier(8)
+
+    def chunk(index):
+        start.wait(timeout=10)
+        return next(paths.walk_blocks(64, 1, 1, 1, index))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(chunk, index) for index in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [64]
 
 
 def test_negative_seeds_have_distinct_streams():
