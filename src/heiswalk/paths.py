@@ -131,7 +131,7 @@ def _fit_tail(counts: dict[int, int], min_count: int):
 HEISENBERG_HORIZON_CAP = 2**21
 PAIR_CHUNK = 1024  # walk pairs in every Monte Carlo chunk but the last
 # pair-steps in one chunk: this bounds a chunk's work; its memory is one
-# block of _BLOCK steps per pair (half an int64 key and a few flags each)
+# block of _BLOCK steps per pair (an int64 of words and scratch, and two flags each)
 PAIR_CHUNK_CELLS_CAP = 2**24
 THREADS_CAP = 64  # pool threads; each may start an OS thread
 _BLOCK = 256  # steps that every chunk draws and advances at once
