@@ -24,22 +24,23 @@ those that one block can bring back to the origin, and, lane by lane,
 those that every earlier lane found at its origin at some step.  A
 scanned walk's carry-in is the key at which it is back at the origin, and
 one cumsum over 128 columns and one compare against the pattern [2^31, 0]
-give every meeting.  HEISENBERG_HORIZON_CAP = 2^21 bounds that state on G_H
-(CapExceededError, exit 3, beyond).  Each step's letter pair a*d + b is
-drawn once (draw_pairs): the bytes of raw 64-bit words hold 4 pairs each on
-G_H, 2 on Z^4 and 1 at d = 16, and any other d draws one bounded integer
-per pair.  At d = 4 a byte holds the two steps that share a word, so one
-lookup of the raw bytes builds the words; at d = 2 a byte holds two such
-step pairs, looked up in a per-position table that also folds in the G_H
-step weights 1 + 1024 i; any other d looks each step's pair up apart.  A chunk
-of PAIR_CHUNK = 1024 pairs draws from stream(seed, chunk index), so all
-horizons share one sample-path prefix.  A chunk does at most
-PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds the chunk
-results in chunk order as they finish, in O(threads * horizon) memory, so
-no result depends on the thread count.  The tails count shared directed
-edges of path pairs (coinciding positions at t and equal letters at t),
-vertex coincidences, and fresh re-meets after separation; two walks at one
-vertex stay together exactly when their letters agree, so the shared
+give every meeting.  On G_H that state, |X| <= h and |W - t0 X| <= 3h^2/2
+at horizon h, keeps the carry-in X + 1024 (W - t0 X) below 2^59 through
+h = 2^24, the most PAIR_CHUNK_CELLS_CAP gives one pair.  Each step's letter
+pair a*d + b is drawn once (draw_pairs): the bytes of raw 64-bit words hold
+4 pairs each on G_H, 2 on Z^4 and 1 at d = 16, and any other d draws one
+bounded integer per pair.  At d = 4 a byte holds the two steps that share a
+word, so one lookup of the raw bytes builds the words; at d = 2 a byte
+holds two such step pairs, looked up in a per-position table that also
+folds in the G_H step weights 1 + 1024 i; any other d looks each step's
+pair up apart.  A chunk of PAIR_CHUNK = 1024 pairs draws from stream(seed,
+chunk index), so all horizons share one sample-path prefix.  A chunk does
+at most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds
+the chunk results in chunk order as they finish, in O(threads * horizon)
+memory, so no result depends on the thread count.  The tails count shared
+directed edges of path pairs (coinciding positions at t and equal letters
+at t), vertex coincidences, and fresh re-meets after separation; two walks
+at one vertex stay together exactly when their letters agree, so the shared
 edges are the vertex meetings that are not re-meets.
 
 The engine only counts.  _fit_tail (the weighted geometric fit of a
@@ -66,7 +67,6 @@ __all__ = [
     "TailEstimate",
     "tail_estimate",
     "continuation_ratios",
-    "HEISENBERG_HORIZON_CAP",
     "PAIR_CHUNK", "PAIR_CHUNK_CELLS_CAP", "THREADS_CAP",
     # the difference-walk engine, shared with reference
     "map_chunks", "draw_pairs", "walk_blocks", "pair_chunk", "pair_tail",
@@ -125,13 +125,10 @@ def _fit_tail(counts: dict[int, int], min_count: int):
 
 # ---------------------------------------------------------------- engine
 
-# largest G_H horizon.  The block-relative keys need no such bound; it keeps
-# the exact state carried between blocks, |X| <= h and |W - t0 X| <= 3h^2/2,
-# and so a walk's carry-in X + 1024 (W - t0 X), below 2^54
-HEISENBERG_HORIZON_CAP = 2**21
 PAIR_CHUNK = 1024  # walk pairs in every Monte Carlo chunk but the last
-# pair-steps in one chunk: this bounds a chunk's work; its memory is one
-# block of _BLOCK steps per pair (an int64 of words and scratch, and two flags each)
+# pair-steps in one chunk: this bounds a chunk's work, and a G_H horizon to
+# 2^24; its memory is one block of _BLOCK steps per pair (an int64 of words
+# and scratch, and two flags each)
 PAIR_CHUNK_CELLS_CAP = 2**24
 THREADS_CAP = 64  # pool threads; each may start an OS thread
 _BLOCK = 256  # steps that every chunk draws and advances at once
@@ -304,11 +301,10 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     live, a boolean mask over the n walks that the caller may clear between
     blocks, limits each block to the walks still live (last is False for
     the others), and the loop ends once none is left.  Every block still
-    draws all n rows, so the streams do not depend on it.
+    draws all n rows, so the streams do not depend on it.  The caller caps
+    the horizon: the G_H state stays exact through 2^24 steps, the most
+    that map_chunks gives one pair.
     """
-    if heisenberg and horizon > HEISENBERG_HORIZON_CAP:
-        raise CapExceededError(f"horizon {horizon} exceeds {HEISENBERG_HORIZON_CAP}, the cap "
-                               "on the exact int64 position key carried between blocks")
     rng = stream(seed, index)
     with _LANES_LOCK:
         tables, reach = _lanes(d, heisenberg)
@@ -424,8 +420,8 @@ def tail_estimate(horizon: int, samples: int, seed: int, *, threads: int = 1) ->
     chunk, so the result depends only on (horizon, samples, seed) and
     never on the thread count.  The horizon-censoring figure (see
     TailEstimate) takes the t^-2 decay of G_H meeting probabilities with
-    constant 1, where the true constant is 2 sqrt(3)/pi.  Horizons above
-    HEISENBERG_HORIZON_CAP raise CapExceededError.
+    constant 1, where the true constant is 2 sqrt(3)/pi.  The chunks are
+    capped as in map_chunks, so horizons above 2^24 raise CapExceededError.
     """
     return pair_tail(
         lambda size, index: _pair_statistics_chunk(horizon, size, seed, index),

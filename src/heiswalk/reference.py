@@ -30,8 +30,9 @@ answers are classical:
 * srw_return_profile -- exact return probabilities of simple random
   walk on G_H (uniform on a, a^-1, b, b^-1), n^(-2) scale at even times.
   The step law is symmetric, so P_2n(e) = sum_g P_n(g)^2: a dense
-  convolution runs only to n = t_max // 2, in a box sized for n, and the
-  box clipping error stays below the reported dropped mass.
+  convolution runs only to n = t_max // 2, in a box sized for n, on the
+  rotated sublattice that the time-n law occupies, and the box clipping
+  error stays below the reported dropped mass.
 * srw_mutual_intersections -- Monte Carlo range intersections of two
   independent SRWs at doubling time checkpoints (unbounded growth),
   from each walk's first visit time to every vertex of its range;
@@ -75,10 +76,13 @@ ZD_COLLISION_WORK_CAP = 2**21  # d * (k + 1)^2 of zd_collision_probability
 # steps (2^14); the largest horizon a full chunk reaches under the cells cap
 RENEWAL_HORIZON_CAP = PAIR_CHUNK_CELLS_CAP // PAIR_CHUNK
 ZD_MAX_D = 256  # Monte Carlo letter pairs a*d + b are drawn as uint16
-SRW_TIME_CAP = 128  # walk steps; memory grows like (t_max // 2)^3
+# walk steps; two (t_max // 2 + 1)^2 x (2 b_z + 1) float64 buffers, 56 MB at the cap
+SRW_TIME_CAP = 128
 # walk steps; _common_counts sorts key * 2(t+1) + position, below 2^63 up to t = 4704
 INTERSECTION_TIME_CAP = 2**12
-INTERSECTION_CHUNK = 128  # sample pairs per sort; bounds the batch's memory
+# sample pairs per sort; each pair's counts are the same in any batch, and a
+# batch's int64 keys and scratch peak at about 3 MiB at t_max = 1024
+INTERSECTION_CHUNK = 32
 
 
 def zd_collision_probability(d: int, k: int) -> float:
@@ -310,7 +314,9 @@ class SrwReturnProfile:
     """P[SRW on G_H is at the identity at time t] for t = 0..len-1.
 
     The step law is symmetric, so P_2n(e) = sum_g P_n(g)^2, and only the
-    time-n law P_n is evolved, on a box clipped to the likely region.
+    time-n law P_n is evolved, on a box clipped to the likely region.  The
+    time-s law lives on |x| + |y| <= s, x + y = s (mod 2), and is held on
+    P = (s + x + y) / 2, Q = (s + x - y) / 2, both in 0..s.
     The clipped evolution P~_n is a sub-probability with P~_n <= P_n
     pointwise, and `dropped_mass` = 1 - sum_g P~_m(g) at m = t_max // 2
     is nondecreasing in m.  Every P_n(g) <= 1/4 for n >= 1, being a
@@ -323,15 +329,16 @@ class SrwReturnProfile:
     times are exactly zero by parity.
 
     Rounding: each step adds nonnegative terms, at most three roundings
-    per value, and probabilities[2s] sums the squares over the m cells of
-    step s's window, so it lies within a relative gamma_(6s+m) of
+    per value, and probabilities[2s] sums the squares over the m =
+    (s + 1)^2 (2 w_z + 1) cells of step s's rotated window, w_z = min(s^2 // 4,
+    b_z) (see _srw_box), so it lies within a relative gamma_(6s+m) of
     sum_g P~_s(g)^2, gamma_j = j u / (1 - j u) and u = 2^-53; no value
     underflows at t <= SRW_TIME_CAP.  With the clipping,
 
         P_2s(e) (1 - gamma) - dropped_mass / 2 <= probabilities[2s]
                                                <= P_2s(e) (1 + gamma),
 
-    dropped_mass being itself a rounded sum of the box.  Through t = 54
+    dropped_mass being itself a rounded sum of the rotated buffer.  Through t = 54
     every P~_s(g) is a multiple of 4^-s below 1, exact in float64, and
     only the sum of squares rounds.
     """
@@ -341,7 +348,11 @@ class SrwReturnProfile:
 
 
 def _srw_box(n: int) -> tuple[int, int]:
-    """Half-widths (b_xy, b_z) of the box that holds the clipped time-n law."""
+    """Half-widths (b_xy, b_z) of the box that holds the clipped time-n law.
+
+    The rotated buffers of srw_return_profile reach |x| + |y| <= n; once
+    b_xy < s, step s drops the cells beyond |x|, |y| <= b_xy.
+    """
     # z tails decay like exp(-c|z|/n): a box linear in n suffices, and 6.4n
     # keeps the total clipped mass below 1e-10 out to n=64 (measured)
     b_xy = min(n, int(math.ceil(7.5 * math.sqrt(max(n, 1) / 2.0))) + 2)
@@ -357,38 +368,43 @@ def srw_return_profile(t_max: int) -> SrwReturnProfile:
         raise CapExceededError(f"t_max={t_max} exceeds cap {SRW_TIME_CAP}")
     n = t_max // 2
     b_xy, b_z = _srw_box(n)
-    cur = np.zeros((2 * b_xy + 1, 2 * b_xy + 1, 2 * b_z + 1))  # axes (y, x, z)
-    cur[b_xy, b_xy, b_z] = 1.0
+    # axes (P, Q, z): step s fills P, Q <= s (see SrwReturnProfile)
+    cur = np.zeros((n + 1, n + 1, 2 * b_z + 1))
+    cur[0, 0, b_z] = 1.0
     nxt = np.zeros_like(cur)
+    diag = n + 2  # with (P, Q) flattened, the rows from one cell to the next of a diagonal
     probs = np.zeros(t_max + 1)
     probs[0] = 1.0
     for s in range(1, n + 1):
-        # after s steps |x|, |y| <= s and |z| <= s^2/4 (each a-step moves z by
-        # |y| <= the number of b-steps), so step s reads and writes only that
-        # window; outside it both buffers hold zeros
-        w_xy, w_z = min(s, b_xy), min(s * s // 4, b_z)
-        xy = slice(b_xy - w_xy, b_xy + w_xy + 1)
-        window = (xy, xy, slice(b_z - w_z, b_z + w_z + 1))
-        src, dst = cur[window], nxt[window]
+        # after s steps |z| <= s^2/4 (each a-step moves z by |y| <= the number
+        # of b-steps), so step s reads and writes only that window; outside it
+        # both buffers hold zeros
+        w_z = min(s * s // 4, b_z)
+        zw = slice(b_z - w_z, b_z + w_z + 1)
+        src, dst = cur[:s, :s, zw], nxt[:s + 1, :s + 1, zw]
         nz = 2 * w_z + 1
-        # b step: (x, y+1, z); b inverse: (x, y-1, z)
+        # b step: (P+1, Q, z); b inverse: (P, Q+1, z)
         dst[0] = 0.0
-        dst[1:] = src[:-1]
-        dst[:-1] += src[1:]
-        # a step: (x+1, y, z-y); a inverse: (x-1, y, z+y); row y of the
-        # time-(s-1) law is zero outside |x| <= s-1-|y|, window columns [x0, x1)
-        for yi in range(2 * w_xy + 1):
-            y = yi - w_xy
-            reach = s - 1 - abs(y)
-            if reach < 0:
-                continue
-            x0, x1 = max(0, w_xy - reach), min(2 * w_xy, w_xy + reach) + 1
+        dst[1:, s] = 0.0
+        dst[1:, :s] = src
+        dst[:s, 1:] += src
+        # a step: (P+1, Q+1, z-y); a inverse: (P, Q, z+y).  Diagonal y of the
+        # time-(s-1) law has s - |y| cells, from (y, 0) or (0, -y); the box
+        # has cleared every diagonal |y| > b_xy
+        flat_src, flat_dst = (a.reshape((n + 1) ** 2, -1)[:, zw] for a in (cur, nxt))
+        reach = min(s - 1, b_xy)
+        for y in range(-reach, reach + 1):
+            first = y * (n + 1) if y >= 0 else -y
+            last = first + (s - abs(y)) * diag
+            cells = slice(first, last, diag)
+            moved = slice(first + diag, last + diag, diag)
             lo = slice(max(0, -y), nz - max(0, y))
             hi = slice(max(0, y), nz - max(0, -y))
-            right = min(x1, 2 * w_xy)
-            dst[yi, x0 + 1:right + 1, lo] += src[yi, x0:right, hi]
-            left = max(x0, 1)
-            dst[yi, left - 1:x1 - 1, hi] += src[yi, left:x1, lo]
+            flat_dst[moved, lo] += flat_src[cells, hi]
+            flat_dst[cells, hi] += flat_src[cells, lo]
+        if s > b_xy:  # the box drops the mass that leaves |x|, |y| <= b_xy
+            p, q = np.ogrid[:s + 1, :s + 1]
+            dst[(np.abs(p + q - s) > b_xy) | (np.abs(p - q) > b_xy)] = 0.0
         dst *= 0.25
         # a fixed-order sum over the window: no BLAS, whose order depends
         # on its thread count

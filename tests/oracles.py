@@ -25,17 +25,19 @@ coordinate pass in full.
 build_custom_graph makes hand-built resistor networks, dirichlet_system
 builds the resistance solve's scipy CSR Laplacian edge by edge, and
 flow_conservation checks that a path flow is a unit flow from the origin to
-the sphere at the box radius.
+the sphere at the box radius.  traced_peak measures a call's peak of
+Python-visible allocations, numpy arrays included.
 """
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from heiswalk import paths
+from heiswalk import paths, reference
 from heiswalk.fourier import (
     _TOL_ABS,
     _TOL_REL,
@@ -45,7 +47,6 @@ from heiswalk.fourier import (
     folding_distance,
 )
 from heiswalk.percolation import BoxGraph
-from heiswalk.reference import _srw_box
 from heiswalk.rng import stream
 from heiswalk.tables import _odd_prime_above
 
@@ -260,19 +261,34 @@ def srw_intersection_values(n_base, samples, seed, num_doublings):
     return values
 
 
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes that tracemalloc sees allocated during fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def srw_profile_full_box(t_max):
     """(probabilities, dropped_mass) of srw_return_profile, each step over
-    the whole box instead of the window the walk can have reached.
+    the whole (y, x, z) box instead of the rotated window the walk can have
+    reached.
 
-    The sum of squares runs over the window, as srw_return_profile sums
-    it, once the box is checked to hold only zeros outside it."""
+    Once every cell off step s's sublattice (x + y = s mod 2, |x| + |y| <= s,
+    |z| <= s^2 / 4) is checked to be zero, the law is laid out as
+    srw_return_profile holds it, on P = (s + x + y) / 2, Q = (s + x - y) / 2,
+    and summed in its order."""
     n = t_max // 2
-    b_xy, b_z = _srw_box(n)
+    b_xy, b_z = reference._srw_box(n)  # looked up when called, so a test can narrow it
     nx = 2 * b_xy + 1
     nz = 2 * b_z + 1
     cur = np.zeros((nx, nx, nz))  # axes (y, x, z)
     cur[b_xy, b_xy, b_z] = 1.0
     nxt = np.empty_like(cur)
+    rotated = np.zeros((n + 1, n + 1, nz))  # axes (P, Q, z)
+    rotated[0, 0, b_z] = 1.0
     probs = np.zeros(t_max + 1)
     probs[0] = 1.0
     for s in range(1, n + 1):
@@ -289,14 +305,20 @@ def srw_profile_full_box(t_max):
             nxt[yi, :-1, hi] += cur[yi, 1:, lo]
         nxt *= 0.25
         cur, nxt = nxt, cur
-        # after s steps |x|, |y| <= s and |z| <= s^2 / 4
-        w_xy, w_z = min(s, b_xy), min(s * s // 4, b_z)
-        window = (slice(b_xy - w_xy, b_xy + w_xy + 1),) * 2 + (slice(b_z - w_z, b_z + w_z + 1),)
+        p, q = np.mgrid[:s + 1, :s + 1]
+        x, y = p + q - s, p - q
+        inside = (np.abs(x) <= b_xy) & (np.abs(y) <= b_xy)
+        p, q, x, y = p[inside], q[inside], x[inside] + b_xy, y[inside] + b_xy
+        w_z = min(s * s // 4, b_z)
+        z = slice(b_z - w_z, b_z + w_z + 1)
         outside = cur.copy()
-        outside[window] = 0.0
+        outside[y, x, z] = 0.0
         assert not outside.any(), s
-        probs[2 * s] = np.einsum("ijk,ijk->", cur[window], cur[window])
-    return probs, max(0.0, 1.0 - float(cur.sum()))
+        rotated = np.zeros_like(rotated)
+        rotated[p, q] = cur[y, x]
+        probs[2 * s] = np.einsum("ijk,ijk->", rotated[:s + 1, :s + 1, z],
+                                 rotated[:s + 1, :s + 1, z])
+    return probs, max(0.0, 1.0 - float(rotated.sum()))
 
 
 def zd_collision_by_comb(d, k):
@@ -384,8 +406,9 @@ def shared_edges(u, v) -> int:
     return sum(1 for t in range(k) if ub[t] == vb[t] and coincides(ub, vb, t))
 
 
-def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4096) -> float:
-    """Fraction of independent pairs of length-k words meeting at time k."""
+def endpoint_collision_frequency(k: int, samples: int, seed: int) -> float:
+    """Fraction of independent pairs of length-k words meeting at time k,
+    in the engine's chunks."""
 
     def hits(size: int, index: int) -> int:
         for _t0, _rows, _met, together in paths.walk_blocks(2, k, size, seed, index,
@@ -393,8 +416,7 @@ def endpoint_collision_frequency(k: int, samples: int, seed: int, chunk: int = 4
             pass
         return int(np.count_nonzero(together))
 
-    starts = range(0, samples, chunk)
-    return sum(hits(min(chunk, samples - lo), i) for i, lo in enumerate(starts)) / samples
+    return paths.map_chunks(hits, samples, k, threads=1) / samples
 
 
 def block_pairs(drawn, d):

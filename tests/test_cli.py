@@ -234,11 +234,11 @@ def test_dyadic_takes_each_distinct_k_once(workdir, capsys, monkeypatch):
         assert Path("0.csv").read_bytes() == Path("1.csv").read_bytes()
 
 
-def test_eit_tail_horizon_limit_is_the_packed_key_bound(workdir, capsys):
-    # 70000 steps tripped a stale 32-bit guard; the int64 key holds 2^21
+def test_eit_tail_horizon_limit_is_the_chunk_cells_cap(workdir, capsys):
+    # 70000 steps tripped a stale 32-bit guard; one pair's chunk holds 2^24 steps
     assert run("eit-tail", "--horizon", "70000", "--samples", "128") == 0
-    assert run("eit-tail", "--horizon", str(2**21 + 1), "--samples", "1") == 3
-    assert "exact int64 position key" in capsys.readouterr().err
+    assert run("eit-tail", "--horizon", str(2**24 + 1), "--samples", "1") == 3
+    assert "cells, above the cap" in capsys.readouterr().err
 
 
 def test_zd_eit_compares_with_exact_theta(workdir, capsys, monkeypatch):

@@ -5,7 +5,6 @@ import itertools
 import sys
 import threading
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,6 +23,7 @@ from oracles import (
     sample_word,
     shared_edges,
     survivors,
+    traced_peak,
     vertex_coincidences,
     weighted_sum,
     word_eval,
@@ -32,7 +32,7 @@ from oracles import (
 from heiswalk import paths
 from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.paths import (
-    HEISENBERG_HORIZON_CAP,
+    PAIR_CHUNK_CELLS_CAP,
     continuation_ratios,
     tail_estimate,
 )
@@ -116,7 +116,7 @@ def test_endpoint_frequency_tracks_exact_value():
 
 def test_endpoint_hits_match_group_positions():
     k, n = 10, 600
-    freq = endpoint_collision_frequency(k, n, seed=12, chunk=4096)
+    freq = endpoint_collision_frequency(k, n, seed=12)
     u, v = chunk_letters(2, k, n, seed=12)
     hits = sum(1 for i in range(n) if position(u[i]) == position(v[i]))
     assert hits > 0
@@ -194,11 +194,30 @@ def test_zd_walk_at_the_reach_of_a_block_gets_back(monkeypatch):
 
 
 def test_heisenberg_horizon_cap_exits_before_drawing():
-    h = HEISENBERG_HORIZON_CAP
+    # one pair's chunk holds the whole horizon, so the cells cap is the horizon cap
+    h = PAIR_CHUNK_CELLS_CAP
+    start = time.perf_counter()
     with pytest.raises(CapExceededError):
         tail_estimate(h + 1, 1, seed=1)
     with pytest.raises(CapExceededError):
         endpoint_collision_frequency(h + 1, 1, seed=1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gh_carry_stays_exact_at_the_largest_horizon():
+    # at horizon h = 2^24 the state that walk_blocks carries between blocks
+    # has |X| <= h and |Y| = |W - t0 X| <= |W| + |t0 X| <= h^2/2 + h^2; the
+    # carry-in X + 1024 Y and the next block's Y - 256 X stay exact in int64
+    h = PAIR_CHUNK_CELLS_CAP
+    x = np.array([h, -h, h, -h], dtype=np.int64)
+    y = np.array([1, -1, -1, 1], dtype=np.int64) * (3 * h * h // 2)
+    at = np.stack([x, y])[None]  # (lanes, fields, walks), as in walk_blocks
+    carry = ((paths._RADIX ** np.arange(2))[:, None] * at).sum(axis=1)[0]
+    want = [a + paths._RADIX * b for a, b in zip(x.tolist(), y.tolist())]
+    assert carry.tolist() == want
+    assert max(map(abs, want)) < 2**59
+    at[0, 1] -= paths._BLOCK * at[0, 0]
+    assert at[0, 1].tolist() == [b - paths._BLOCK * a for a, b in zip(x.tolist(), y.tolist())]
 
 
 def test_tail_estimate_basic_shape():
@@ -285,12 +304,7 @@ def test_merged_histograms_take_bounded_memory():
     # hold no more memory at the peak than 25 (each chunk's three int64
     # histograms are 48 KiB; keeping all 200 would add about 8 MiB)
     def peak(chunks):
-        tracemalloc.start()
-        try:
-            tail_estimate(2048, 1024 * chunks, 7, threads=2)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(tail_estimate, 2048, 1024 * chunks, 7, threads=2)
 
     assert peak(200) - peak(25) < 2 * 2**20
 

@@ -13,12 +13,13 @@ from oracles import (
     srw_intersection_values,
     srw_profile_full_box,
     survivors,
+    traced_peak,
     word_eval,
     zd_collision_by_comb,
 )
 
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk import paths
+from heiswalk import paths, reference
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
@@ -299,14 +300,14 @@ def _square_count_sums(n):
 def test_srw_return_within_its_rounding_bound_of_exact_counts():
     """Every even t <= 32 against the integer word count, within the
     bound of the SrwReturnProfile docstring: a relative gamma_(6s+m), m
-    the cells of step s's window, plus dropped_mass / 2 below."""
+    the cells of step s's rotated window, plus dropped_mass / 2 below."""
     profile = srw_return_profile(32)
-    b_xy, b_z = _srw_box(16)
+    _, b_z = _srw_box(16)
     u = Fraction(2) ** -53
     for s, count in enumerate(_square_count_sums(16)):
         exact = Fraction(count, 4 ** (2 * s))
         got = Fraction(profile.probabilities[2 * s])
-        m = (2 * min(s, b_xy) + 1) ** 2 * (2 * min(s * s // 4, b_z) + 1)
+        m = (s + 1) ** 2 * (2 * min(s * s // 4, b_z) + 1)
         gamma = (6 * s + m) * u / (1 - (6 * s + m) * u)
         assert exact * (1 - gamma) - Fraction(profile.dropped_mass) / 2 <= got, s
         assert got <= exact * (1 + gamma), s
@@ -318,6 +319,24 @@ def test_srw_window_matches_full_box(t_max):
     profile = srw_return_profile(t_max)
     assert np.array_equal(profile.probabilities, probs)
     assert profile.dropped_mass == dropped
+
+
+def test_srw_narrow_box_clips_as_the_full_box(monkeypatch):
+    # the default box clips under 1e-16 of the mass in x and y, which no
+    # result shows; |x|, |y| <= 5 clips a visible share from s = 6 on
+    b_z = _srw_box(16)[1]
+    monkeypatch.setattr(reference, "_srw_box", lambda n: (5, b_z))
+    probs, dropped = srw_profile_full_box(32)
+    profile = srw_return_profile(32)
+    assert dropped > 1e-3
+    assert np.array_equal(profile.probabilities, probs)
+    assert profile.dropped_mass == dropped
+
+
+def test_srw_profile_takes_its_rotated_buffers():
+    # two (33, 33, 419) float64 buffers are 7.3 MB, a quarter of two
+    # (65, 65, 419) boxes around the same law (27 MiB)
+    assert traced_peak(srw_return_profile, 64) < 14 * 2**20
 
 
 def test_srw_profile_odd_t_max():
@@ -358,7 +377,7 @@ def test_intersection_growth_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-# 130 samples cross the boundary of the 128-pair chunks; the last case
+# 130 samples cross four boundaries of the 32-pair chunks; the last case
 # ends at INTERSECTION_TIME_CAP, where the sort composites are largest
 @pytest.mark.parametrize("n_base,samples,seed,doublings",
                          [(1, 6, 2, 0), (3, 25, 1, 3), (8, 40, 5, 2), (16, 12, 9, 1),
@@ -366,6 +385,19 @@ def test_intersection_growth_deterministic():
 def test_intersections_match_step_loop(n_base, samples, seed, doublings):
     growth = srw_mutual_intersections(n_base, samples, seed, doublings)
     assert np.array_equal(growth.values, srw_intersection_values(n_base, samples, seed, doublings))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32, 128])
+def test_intersection_counts_do_not_depend_on_the_batch(monkeypatch, chunk):
+    want = srw_mutual_intersections(8, 130, seed=3, num_doublings=2).values
+    monkeypatch.setattr(reference, "INTERSECTION_CHUNK", chunk)
+    assert np.array_equal(srw_mutual_intersections(8, 130, seed=3, num_doublings=2).values, want)
+
+
+def test_intersections_take_bounded_memory():
+    # the default call sorts 32 pairs of 1024-step walks at a time: about
+    # 3 MiB traced, against 13.5 MiB for a batch of 128 pairs
+    assert traced_peak(srw_mutual_intersections, 256, 1000, 1, 2) < 7 * 2**20
 
 
 def test_intersection_time_cap():
