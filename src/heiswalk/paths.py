@@ -36,7 +36,7 @@ folds in the G_H step weights 1 + 1024 i; any other d looks each step's
 pair up apart.  A chunk of PAIR_CHUNK = 1024 pairs draws from stream(seed,
 chunk index), so all horizons share one sample-path prefix.  A chunk does
 at most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds
-the chunk results in chunk order as they finish, in O(threads * horizon)
+the chunk results in chunk order as they finish, in O(threads * max count)
 memory, so no result depends on the thread count.  The tails count shared
 directed edges of path pairs (coinciding positions at t and equal letters
 at t), vertex coincidences, and fresh re-meets after separation; two walks
@@ -144,8 +144,9 @@ def map_chunks(fn, samples: int, horizon: int, threads: int):
     """Sum of fn(size, index) over the PAIR_CHUNK-pair chunks of `samples` pairs.
 
     Results are added in chunk order as they finish, with at most 2 * threads
-    pending.  A chunk of more than PAIR_CHUNK_CELLS_CAP pair-steps over
-    `horizon` steps, or more than THREADS_CAP threads, raises
+    pending; arrays of unequal length in their last axis add as if the
+    shorter were zero-padded.  A chunk of more than PAIR_CHUNK_CELLS_CAP
+    pair-steps over `horizon` steps, or more than THREADS_CAP threads, raises
     CapExceededError before any chunk runs or thread starts.
     """
     if horizon < 1 or samples < 1:
@@ -157,14 +158,22 @@ def map_chunks(fn, samples: int, horizon: int, threads: int):
     if threads > THREADS_CAP:
         raise CapExceededError(f"{threads} threads exceed the cap {THREADS_CAP}")
     sizes = [min(PAIR_CHUNK, samples - start) for start in range(0, samples, PAIR_CHUNK)]
-    total, pending = 0, deque()
+    total, pending = np.zeros(0, dtype=np.int64), deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for index, size in enumerate(sizes):
             pending.append(pool.submit(fn, size, index))
             if len(pending) == 2 * threads:
-                total += pending.popleft().result()
+                total = _add(total, pending.popleft().result())
         for future in pending:
-            total += future.result()
+            total = _add(total, future.result())
+    return total
+
+
+def _add(total, part):
+    """total + part, the shorter zero-padded in its last axis."""
+    if total.shape[-1] < part.shape[-1]:
+        total, part = part, total
+    total[..., :part.shape[-1]] += part
     return total
 
 
@@ -279,7 +288,7 @@ def _scan(words: np.ndarray, carry: np.ndarray, low: np.ndarray) -> None:
 
 def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
                 heisenberg: bool = False, live: np.ndarray | None = None):
-    """Yield (t0, rows, met, last) for each _BLOCK-step block of n difference walks.
+    """Yield (t0, rows, met, fresh) for each _BLOCK-step block of n difference walks.
 
     The letter pairs come from draw_pairs on stream(seed, index), a whole
     block at a time, so runs at different horizons share a sample-path
@@ -295,15 +304,14 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
 
     rows are the walks together after some drawn step of the block (in a
     last block cut short by the horizon, maybe only after it), met[r, i]
-    says walk rows[r] is together after step t0 + i < horizon, and last[w]
-    says walk w is together after the block's last step.
+    says walk rows[r] is together after step t0 + i < horizon, and fresh[r, i]
+    that it is but was not a step before, a re-meet (all start together).
 
     live, a boolean mask over the n walks that the caller may clear between
-    blocks, limits each block to the walks still live (last is False for
-    the others), and the loop ends once none is left.  Every block still
-    draws all n rows, so the streams do not depend on it.  The caller caps
-    the horizon: the G_H state stays exact through 2^24 steps, the most
-    that map_chunks gives one pair.
+    blocks, limits each block to the walks still live, and the loop ends
+    once none is left.  Every block still draws all n rows, so the streams
+    do not depend on it.  The caller caps the horizon: the G_H state stays
+    exact through 2^24 steps, the most that map_chunks gives one pair.
     """
     rng = stream(seed, index)
     with _LANES_LOCK:
@@ -315,6 +323,7 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     met, lane_met = np.empty((2, n, _BLOCK), dtype=bool)
     moves = np.empty((lanes, fields, n), dtype=np.int64)
     rows, picked = slice(None), None
+    before = np.ones(n, dtype=bool)  # together after the previous block's last step
     for t0 in range(0, horizon, _BLOCK):
         block = min(_BLOCK, horizon - t0)
         drawn = draw_pairs(rng, d, n)
@@ -361,29 +370,29 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
                 state[:, rows] = at.reshape(lanes * fields, walks)
         lanes_met = together.reshape(len(sel), _HALF, 2)  # column c, lane h: step c + h * _HALF
         hit = sel if live is None else rows[sel]
-        last = np.zeros(n, dtype=bool)
-        last[hit] = lanes_met[:, (block - 1) % _HALF, (block - 1) // _HALF]
         flags = lanes_met.transpose(0, 2, 1).reshape(len(sel), _BLOCK)[:, :block]
-        yield t0, hit, flags, last
+        fresh = flags > np.column_stack([before[hit], flags[:, :-1]])
+        before[:] = False
+        before[hit] = flags[:, -1]
+        yield t0, hit, flags, fresh
 
 
 def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,
                heisenberg: bool = False) -> np.ndarray:
-    """Shared-edge, vertex and re-meet histograms (3, horizon + 1) of n walk pairs.
+    """Shared-edge, vertex and re-meet histograms (3, m + 1) of n walk pairs,
+    m their most vertex meetings (neither other count exceeds it).
 
-    A pair re-meets at t when together at t but not at t - 1.  It shares
-    the edge of step t when together at t and the letters of step t agree,
-    and two walks at one vertex stay together exactly when their letters
-    agree: so its shared edges are its vertex meetings less its re-meets.
-    Only pairs that are together somewhere in a block are looked at there.
+    A pair re-meets at each fresh meeting of walk_blocks.  It shares the edge
+    of step t when together at t and the letters of step t agree, and two
+    walks at one vertex stay together exactly when their letters agree: so
+    its shared edges are its vertex meetings less its re-meets.
     """
     vertices, remeets = np.zeros((2, n), dtype=np.int64)
-    before = np.ones(n, dtype=bool)  # every pair starts together
-    for _t0, rows, m, last in walk_blocks(d, horizon, n, seed, index, heisenberg=heisenberg):
-        vertices[rows] += np.count_nonzero(m, axis=1)
-        remeets[rows] += np.count_nonzero(m[:, 1:] > m[:, :-1], axis=1) + (m[:, 0] > before[rows])
-        before = last
-    return np.stack([np.bincount(c, minlength=horizon + 1)
+    for _t0, rows, met, fresh in walk_blocks(d, horizon, n, seed, index, heisenberg=heisenberg):
+        vertices[rows] += np.count_nonzero(met, axis=1)
+        remeets[rows] += np.count_nonzero(fresh, axis=1)
+    width = int(vertices.max()) + 1
+    return np.stack([np.bincount(c, minlength=width)
                      for c in (vertices - remeets, vertices, remeets)])
 
 

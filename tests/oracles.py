@@ -6,7 +6,8 @@ reachable window the kernel uses.
 Each returns what the kernel it checks returns (or the arrays it builds),
 so the tests can demand exact equality.  chunk_letters decodes the letters
 the Monte Carlo engine draws, so that a per-pair loop can recount them.
-difference_walk_return_by is the dense-grid value of the renewal theta_d(h).
+difference_walk_return_by is the dense-grid value of the renewal theta_d(h),
+and theta_d_by_fractions its value in exact rationals.
 The G_H word helpers (position, coincides, shared_edges, ...) read a 0/1
 word one prefix at a time, and endpoint_collision_frequency reads the
 engine's meetings at the last step only.
@@ -272,48 +273,45 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def srw_profile_full_box(t_max):
-    """(probabilities, dropped_mass) of srw_return_profile, each step over
-    the whole (y, x, z) box instead of the rotated window the walk can have
-    reached.
+    """(probabilities, dropped_mass) of srw_return_profile, step s over the
+    whole |x|, |y| <= s square and z range of a (y, x, z) box instead of the
+    rotated window the walk can have reached.
 
     Once every cell off step s's sublattice (x + y = s mod 2, |x| + |y| <= s,
     |z| <= s^2 / 4) is checked to be zero, the law is laid out as
     srw_return_profile holds it, on P = (s + x + y) / 2, Q = (s + x - y) / 2,
     and summed in its order."""
     n = t_max // 2
-    b_xy, b_z = reference._srw_box(n)  # looked up when called, so a test can narrow it
-    nx = 2 * b_xy + 1
+    b_z = reference._srw_box(n)
     nz = 2 * b_z + 1
-    cur = np.zeros((nx, nx, nz))  # axes (y, x, z)
-    cur[b_xy, b_xy, b_z] = 1.0
-    nxt = np.empty_like(cur)
+    cur = np.zeros((2 * n + 1, 2 * n + 1, nz))  # axes (y, x, z), the origin at (n, n, b_z)
+    cur[n, n, b_z] = 1.0
+    nxt = np.zeros_like(cur)
     rotated = np.zeros((n + 1, n + 1, nz))  # axes (P, Q, z)
     rotated[0, 0, b_z] = 1.0
     probs = np.zeros(t_max + 1)
     probs[0] = 1.0
     for s in range(1, n + 1):
+        square = slice(n - s, n + s + 1)
+        src, dst = cur[square, square], nxt[square, square]
         # b step: (x, y+1, z); b inverse: (x, y-1, z)
-        nxt[0] = 0.0
-        nxt[1:] = cur[:-1]
-        nxt[:-1] += cur[1:]
+        dst[0] = 0.0
+        dst[1:] = src[:-1]
+        dst[:-1] += src[1:]
         # a step: (x+1, y, z-y); a inverse: (x-1, y, z+y)
-        for yi in range(nx):
-            y = yi - b_xy
+        for yi in range(2 * s + 1):
+            y = yi - s
             lo = slice(max(0, -y), nz - max(0, y))
             hi = slice(max(0, y), nz - max(0, -y))
-            nxt[yi, 1:, lo] += cur[yi, :-1, hi]
-            nxt[yi, :-1, hi] += cur[yi, 1:, lo]
-        nxt *= 0.25
+            dst[yi, 1:, lo] += src[yi, :-1, hi]
+            dst[yi, :-1, hi] += src[yi, 1:, lo]
+        dst *= 0.25
         cur, nxt = nxt, cur
         p, q = np.mgrid[:s + 1, :s + 1]
-        x, y = p + q - s, p - q
-        inside = (np.abs(x) <= b_xy) & (np.abs(y) <= b_xy)
-        p, q, x, y = p[inside], q[inside], x[inside] + b_xy, y[inside] + b_xy
+        x, y = p + q - s + n, p - q + n
         w_z = min(s * s // 4, b_z)
         z = slice(b_z - w_z, b_z + w_z + 1)
-        outside = cur.copy()
-        outside[y, x, z] = 0.0
-        assert not outside.any(), s
+        assert np.count_nonzero(cur) == np.count_nonzero(cur[y, x, z]), s
         rotated = np.zeros_like(rotated)
         rotated[p, q] = cur[y, x]
         probs[2 * s] = np.einsum("ijk,ijk->", rotated[:s + 1, :s + 1, z],
@@ -411,12 +409,12 @@ def endpoint_collision_frequency(k: int, samples: int, seed: int) -> float:
     in the engine's chunks."""
 
     def hits(size: int, index: int) -> int:
-        for _t0, _rows, _met, together in paths.walk_blocks(2, k, size, seed, index,
-                                                            heisenberg=True):
+        for _t0, _rows, met, _fresh in paths.walk_blocks(2, k, size, seed, index,
+                                                         heisenberg=True):
             pass
-        return int(np.count_nonzero(together))
+        return np.count_nonzero(met[:, -1], keepdims=True)
 
-    return paths.map_chunks(hits, samples, k, threads=1) / samples
+    return float(paths.map_chunks(hits, samples, k, threads=1)[0]) / samples
 
 
 def block_pairs(drawn, d):
@@ -595,6 +593,34 @@ def difference_walk_return_by(d: int, horizon: int) -> float:
     for m in range(1, horizon + 1):
         total += hold ** (m - 1) * move_mass * absorbed[horizon - m]
     return float(total)
+
+
+def theta_d_by_fractions(d: int, horizon: int) -> Fraction:
+    """reference.theta_d_exact in exact rationals.
+
+    The meeting counts c_t, the pairs of t-letter words over d letters with
+    equal letter counts, are (t!)^2 [x^t] (sum_k x^k / (k!)^2)^d; u_t =
+    c_t / d^(2t).  The renewal equation gives f_t = u_t - sum_{s<t} f_s
+    u_(t-s), f_1 = 1/d is the hold and is dropped, and the holds fold back
+    as acc_t = acc_(t-1) / d + phi_t, theta = sum_{t<=h} acc_t."""
+    term = [Fraction(1, math.factorial(k) ** 2) for k in range(horizon + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * horizon
+    for _ in range(d):
+        power = [sum(power[i] * term[t - i] for i in range(t + 1)) for t in range(horizon + 1)]
+    counts = [power[t] * math.factorial(t) ** 2 for t in range(horizon + 1)]
+    assert all(c.denominator == 1 for c in counts)
+    u = [Fraction(c.numerator, d ** (2 * t)) for t, c in enumerate(counts)]
+    f = [Fraction(0)] * (horizon + 1)
+    for t in range(1, horizon + 1):
+        f[t] = u[t] - sum(f[s] * u[t - s] for s in range(1, t))
+    if horizon >= 1:
+        assert f[1] == Fraction(1, d)
+        f[1] = Fraction(0)
+    acc = total = Fraction(0)
+    for value in f[1:]:
+        acc = acc / d + value
+        total += acc
+    return total
 
 
 def build_table(k):

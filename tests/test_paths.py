@@ -300,13 +300,25 @@ def test_rekey_gives_the_draws_of_a_new_stream():
 
 
 def test_merged_histograms_take_bounded_memory():
-    # chunk results are summed as they finish, so 200 chunks of h = 2048
-    # hold no more memory at the peak than 25 (each chunk's three int64
-    # histograms are 48 KiB; keeping all 200 would add about 8 MiB)
+    # chunk results are summed as they finish, so 200 chunks hold no more
+    # memory at the peak than 25 (each result here is 256 KiB; keeping all
+    # 200 would add about 44 MiB)
     def peak(chunks):
-        return traced_peak(tail_estimate, 2048, 1024 * chunks, 7, threads=2)
+        return traced_peak(paths.map_chunks, lambda size, index: np.ones(2**15, dtype=np.int64),
+                           paths.PAIR_CHUNK * chunks, 1, threads=2)
 
     assert peak(200) - peak(25) < 2 * 2**20
+
+
+def test_chunk_histograms_are_as_long_as_their_largest_count():
+    # one pair meets a few times in 4096 steps: its histograms end at its
+    # vertex count, not at the horizon
+    hist = paths.pair_chunk(2, 4096, 1, 3, 0)
+    assert hist.shape[1] < 4097 and hist[1, -1] == 1
+    # map_chunks adds unequal lengths as if the shorter were zero-padded
+    total = paths.map_chunks(lambda size, index: np.ones([2, 3, 1][index], dtype=np.int64),
+                             3 * paths.PAIR_CHUNK, 1, threads=1)
+    assert total.tolist() == [3, 2, 1]
 
 
 def _brute_gh_counts(u, v):
