@@ -158,7 +158,7 @@ INTERSECTION_WORK_CAP = 2**28  # about 40 s; at most 16 MiB of counts
 FLOW_PATH_STEPS_CAP = 2**24  # about 1 s; at most 80 MiB for one box's words
 RESISTANCE_SOLVES_CAP = 2**10  # the ball and lattice caps bound each solve's box
 DYADIC_CELLS_CAP = 2**23  # 8 laws of 2^20 cells, about 0.3 s
-ZD_COLLISION_CELLS_CAP = 2**22  # twice the per-k cap, about 4 s
+ZD_COLLISION_CELLS_CAP = 2**22  # twice the per-k cap, at most about 0.8 s
 FOURIER_K_SQUARED_CAP = 2**26  # 16 times k = 2048, about 5 s
 TABLE_K_CUBED_CAP = 2**33  # 8 times k = 1024, about 5 s
 _PAIR_STEPS = ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"])
@@ -166,8 +166,8 @@ _THREADS = {"threads": ("int>=1", "1", "worker threads for Monte Carlo chunks")}
 
 
 def _zd_cells(k_list: str) -> tuple:
-    """d * (k + 1)^2 summed over the distinct k of the Z^d list, as each
-    zd_collision_probability call counts its work."""
+    """d * (k + 1)^2 summed over the distinct k of the Z^d list, the bound on
+    its terms that each zd_collision_probability call checks."""
     return ("lattice cells", ZD_COLLISION_CELLS_CAP,
             lambda c: c["d"] * sum((k + 1) ** 2 for k in c[k_list]))
 

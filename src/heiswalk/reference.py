@@ -89,20 +89,18 @@ def zd_collision_probability(d: int, k: int) -> float:
     """P[two independent oriented k-step walks on Z^d end at the same site].
 
     Each step adds a uniformly chosen basis vector, so the endpoint is a
-    multinomial count vector and the meeting probability is
-    sum_v (multinomial(k; v) / d^k)^2.  Evaluated in exact integer
-    arithmetic as a one-dimensional convolution over coordinates:
-    f[t] sums the squared multinomial prefixes that use t of the k
-    steps, and the next coordinate takes v of the k - t left, a factor
-    C(k - t, v)^2, each row of which comes from one multiplicative
-    recurrence.  The last coordinate takes all k - t, a factor 1, so its
-    pass is the sum of f.
+    multinomial count vector and the meeting probability is N_d(k) / d^(2k),
+    N_d(t) = sum_v multinomial(t; v)^2 the number of word pairs of length t
+    that meet.  It is counted in exact integers by the letter split of
+    zd_meeting_sequence (_zd_meeting_counts), and rounded once.
 
-    Each of the d - 1 passes visits at most (k + 1)(k + 2) / 2 cells, so
-    the work figure d * (k + 1)^2 above ZD_COLLISION_WORK_CAP raises
-    CapExceededError before the first pass.  The largest accepted calls
-    take about 2 s on a 2-core Xeon: 1.9 s at d = 2^21, k = 0 (one list
-    per pass) and 1.5 s at d = 4, k = 723 (wide big-integer products).
+    The split at d takes k + 1 terms, and each distinct letter count below
+    it other than 1 and 2 (at most two per halving, so at most 2 log2 d)
+    takes (k + 1)(k + 2) / 2.  The work figure d * (k + 1)^2 is thus an
+    upper bound on the terms, and above ZD_COLLISION_WORK_CAP raises
+    CapExceededError before any is done.  The largest accepted calls take
+    at most about 0.3 s on a 2-core Xeon (d = 9, k = 481), and d = 4,
+    k = 723, a single split of N_2 by N_2, takes 0.02 s.
     """
     if d < 1:
         raise ConfigError("d must be >= 1")
@@ -111,17 +109,38 @@ def zd_collision_probability(d: int, k: int) -> float:
     if (work := d * (k + 1) ** 2) > ZD_COLLISION_WORK_CAP:
         raise CapExceededError(f"d={d}, k={k}: work d*(k+1)^2 = {work} exceeds the cap "
                                f"{ZD_COLLISION_WORK_CAP}")
-    f = [1] + [0] * k
-    for _ in range(d - 1):
-        g = [0] * (k + 1)
-        for t, prev in enumerate(f):
-            if prev:
-                c = 1  # C(k - t, v)
-                for v in range(k - t + 1):
-                    g[t + v] += prev * c * c
-                    c = c * (k - t - v) // (v + 1)
-        f = g
-    return float(Fraction(sum(f), d ** (2 * k)))
+    return float(Fraction(_zd_meeting_counts(d, k), d ** (2 * k)))
+
+
+def _zd_meeting_counts(d: int, k: int) -> int:
+    """N_d(k) = sum_v multinomial(k; v)^2 over the count vectors v of Z^d.
+
+    Split the letters into a = d // 2 and b = d - a: a meeting pair of
+    words takes m letters from the first part in both words, in C(t, m)^2
+    ways, and meets within each part, so
+
+        N_d(t) = sum_m C(t, m)^2 N_a(m) N_b(t - m),
+
+    with N_1(t) = 1 and N_2(t) = C(2t, t).  The parts' counts are kept for
+    every t <= k, once per distinct letter count; the top one is taken at
+    t = k alone.
+    """
+    seqs = {1: [1] * (k + 1), 2: [math.comb(2 * t, t) for t in range(k + 1)]}
+
+    def split(letters: int, t: int) -> int:
+        a = letters // 2
+        total, c = 0, 1  # c = C(t, m)
+        for m, x, y in zip(range(t + 1), seq(a), reversed(seq(letters - a)[: t + 1])):
+            total += c * c * (x * y)
+            c = c * (t - m) // (m + 1)
+        return total
+
+    def seq(letters: int) -> list[int]:
+        if letters not in seqs:
+            seqs[letters] = [split(letters, t) for t in range(k + 1)]
+        return seqs[letters]
+
+    return seq(d)[k] if d <= 2 else split(d, k)
 
 
 def zd_meeting_sequence(d: int, horizon: int) -> np.ndarray:

@@ -12,31 +12,38 @@ functional of the law of (S, W) (TableStatistics):
     max_point_mass     max over w of P[W=w]
     conditional_match  sum over s of P[S=s] * sum over w of P[W=w|S=s]^2
 
-That law is never built.  weight_statistics grows the W-marginal by
-m_k(w) = (m_{k-1}(w) + m_{k-1}(w-(k-1))) / 2.  The words with s ones
-count by W as the Gaussian binomial [k choose s]_q (Andrews, The Theory
-of Partitions, 1976, ch. 3), whose sum of squared coefficients
-_row_square_sums takes by Parseval from its values at the M-th roots of
-unity, M prime; it visits the roots in the order of the powers of a
-primitive root of M, so every factor of a step is one contiguous slice of
-a single sin^2 table.  scan_statistics adds those rows up and takes
-count_match in closed form.
+That law is never built.  _weight_laws grows the W-marginal in counts,
+N_k(w) = N_{k-1}(w) + N_{k-1}(w-(k-1)) in float64, on the lower half
+w <= k(k-1)/4 alone: prod_j (1 + q^j) is palindromic, and each float cell
+is one sum of two cells whose mirrors sum, in the other order, to its
+mirror cell, so N(w) = N(k(k-1)/2 - w) bit for bit at every k.
+weight_statistics mirrors the half and scales it by 2^-k only at the k it
+is asked for.  The words with s ones count by W as the Gaussian binomial
+[k choose s]_q (Andrews, The Theory of Partitions, 1976, ch. 3), whose
+sum of squared coefficients _row_square_sums takes by Parseval from its
+values at the M-th roots of unity, M prime; it visits the roots in the
+order of the powers of a primitive root of M, so every factor of a step
+is one contiguous slice of a single sin^2 table.  scan_statistics adds
+those rows up and takes count_match in closed form.
 
-count_match is correctly rounded.  Each W-marginal cell is a multiple of
-2^-k formed from non-negative floats by at most k-1 additions and exact
-halvings (exact also below 2^-1022 through k = 1074), so it is exact
-while its count is below 2^53 (through k = 56), and beyond that within
-gamma_{k-1} = (k-1)u / (1 - (k-1)u), u = 2^-53, of its value (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, ch. 4), which
-cell_error reports; the sum of squares adds its own gamma_n over its n
-cells.  A row sum of squares is
-exact where its certificate (_row_square_sums) is below 1/2, which holds
-for every row through k = 26, so collision is correctly rounded there.
+count_match is correctly rounded.  Each W-marginal count is formed from
+non-negative floats by at most k-1 additions, and scaling it by 2^-k is
+exact (also below 2^-1022, through k = 1074), so each cell is the one the
+halving recursion m_k(w) = (m_{k-1}(w) + m_{k-1}(w-(k-1))) / 2 gives.  It
+is exact while its count is below 2^53 (through k = 56), and beyond that
+within gamma_{k-1} = (k-1)u / (1 - (k-1)u), u = 2^-53, of its value
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4),
+which cell_error reports; the sum of squares adds its own gamma_n over
+its n cells.  A row sum of squares is exact where its certificate
+(_row_square_sums) is below 1/2, which holds for every row through
+k = 26, so collision is correctly rounded there.
 
-Memory is O(k^2); time grows like k^3 (_row_square_sums takes about
-0.05 s at k = 512 and 0.5 s at k = 1024 on a 2-core Xeon, best of 5).
+Memory is O(k^2); time grows like k^3.  On a 2-core Xeon, best of 5,
+_row_square_sums takes about 0.04 s at k = 512 and 0.4 s at k = 1024,
+and weight_statistics([1024]) about 0.07 s, for its k^3/12 half-law
+additions.
 Both functions refuse k above TABLE_K_CAP = 1024, inside the range
-k <= 1074 where the halvings are exact.
+k <= 1074 where the scaling by 2^-k is exact.
 """
 
 from __future__ import annotations
@@ -78,9 +85,19 @@ def weight_statistics(k_values) -> dict[int, tuple[float, float]]:
         return {}
     if min(wanted) < 1:
         raise ConfigError("k must be >= 1")
-    # np.sum's pairwise order is fixed; a BLAS dot product's depends on its thread count
-    return {k: (float(law.max()), float(np.sum(law * law)))
-            for k, law in _weight_laws(max(wanted)) if k in wanted}
+    k_max = max(wanted)
+    square = np.empty(k_max * (k_max - 1) // 2 + 1)
+    out = {}
+    for k, half in _weight_laws(k_max):
+        if k in wanted:
+            # P[W = w] = N(w) 2^-k exactly; squared on the half, then mirrored
+            n, m = k * (k - 1) // 2 + 1, half.size
+            np.multiply(half, 2.0**-k, out=square[:m])
+            np.multiply(square[:m], square[:m], out=square[:m])
+            square[m:n] = square[: n - m][::-1]
+            # np.sum's pairwise order is fixed; a BLAS dot product's depends on its thread count
+            out[k] = (float(half.max()) * 2.0**-k, float(np.sum(square[:n])))
+    return out
 
 
 def cell_error(k: int, value: float) -> float:
@@ -96,18 +113,27 @@ def cell_error(k: int, value: float) -> float:
 
 
 def _weight_laws(k_max: int):
-    """Yield (k, P[W = w] for w = 0..k(k-1)/2) for k = 1..k_max.
+    """Yield (k, N(w) for w = 0..n//2) for k = 1..k_max, n = k(k-1)/2.
 
-    Each law is a view of one buffer that the next step overwrites.
+    N(w) counts the words of length k with W = w, in float64; N(w) = N(n-w)
+    bit for bit, so only the lower half is kept.  Each half is a view of one
+    of two buffers that the step after next overwrites.
     """
-    law = np.zeros(k_max * (k_max - 1) // 2 + 1)
-    law[0] = 1.0
+    half_cap = k_max * (k_max - 1) // 4 + 1
+    old, new = np.zeros(half_cap), np.zeros(half_cap)
+    old[0] = 1.0  # the empty word
+    n_old = 0  # the top weight of the old law
     for k in range(1, k_max + 1):
-        # add bit k-1, of weight k-1
-        n = k * (k - 1) // 2 + 1
-        law[k - 1 : n] += law[: n - k + 1]  # numpy buffers the overlap
-        law[:n] *= 0.5
-        yield k, law[:n]
+        # add bit k-1, of weight k-1: N_k(w) = N(w) + N(w - (k-1))
+        top = (n_old + k - 1) // 2
+        # extend the old half to w <= top by its mirror N(w) = N(n_old - w)
+        old[n_old // 2 + 1 : top + 1] = old[n_old - top : n_old - n_old // 2][::-1]
+        low = min(k - 1, top + 1)
+        new[:low] = old[:low]
+        np.add(old[low : top + 1], old[: top + 2 - k], out=new[low : top + 1])
+        old, new = new, old
+        n_old += k - 1
+        yield k, old[: top + 1]
 
 
 def _odd_prime_above(n: int) -> int:
@@ -189,9 +215,10 @@ def _row_square_sums(k: int) -> list[tuple[float, int, float]]:
     # |[k choose s]_{omega^j}|^2 = frac * 2^expo, frac in [1/2, 1) or 0
     frac, expo = np.ones(h), np.zeros(h, dtype=np.int64)
     step, bits = np.empty(h, dtype=np.intc), np.empty(h, dtype=np.int64)
-    rows = []
+    rows, c = [], 1  # c = C(k, s)
     for s in range(half + 1):
         if s:
+            c = c * (k - s + 1) // s
             a, d = up[s - 1], down[s - 1]
             if a is None:
                 frac *= 0.0
@@ -200,7 +227,6 @@ def _row_square_sums(k: int) -> list[tuple[float, int, float]]:
             frac /= s2[d : d + h]
             np.frexp(frac, out=(frac, step))
             expo += step
-        c = math.comb(k, s)
         b = c.bit_length()
         # the float64 bits of 2^(expo-2b), or of 0.0 below 2^-1022
         np.subtract(expo, 2 * b, out=bits)
@@ -230,12 +256,14 @@ def scan_statistics(k_values) -> dict[int, TableStatistics]:
     """Every TableStatistics field at each requested k."""
     out = {}
     for k, (point_mass, weighted_match) in weight_statistics(k_values).items():
-        collision, conditional = [], []
+        collision, conditional, c = [], [], 1  # c = C(k, s)
         for s, (value, b, _err) in enumerate(_row_square_sums(k)):
+            if s:
+                c = c * (k - s + 1) // s
             copies = 2 if 2 * s < k else 1  # [k choose s]_q = [k choose k-s]_q
             collision.append(copies * math.ldexp(value, 2 * b - 2 * k))
             # sum_w N^2 / (C(k,s) 2^k), with C(k,s) / 2^b correctly rounded
-            conditional.append(copies * math.ldexp(value / (math.comb(k, s) / 2**b), b - k))
+            conditional.append(copies * math.ldexp(value / (c / 2**b), b - k))
         out[k] = TableStatistics(
             k=k,
             collision=math.fsum(collision),

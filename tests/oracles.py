@@ -16,10 +16,14 @@ The group law on plain (n, m, k) tuples (multiply, inverse, word_eval over
 GENERATORS) is the scalar reference for the packed-key ball search.  The
 (S, W) table helpers (build_table, full_row, dense_mass, weight_bounds,
 conditional_match_at_count) read the full-row DP full_row_tables, which
-tables never builds; row_square_sums_by_gather takes the roots of unity
-of tables._row_square_sums in their natural order, through index gathers;
+tables never builds; weight_laws_by_halving grows the whole W-law with a
+halving pass every step, where tables keeps half of it in counts;
+row_square_sums_by_gather takes the roots of unity of
+tables._row_square_sums in their natural order, through index gathers;
 inversion_marginal and cf_magnitude_integral rederive the W-marginal and a
-bound on it from the exact characteristic function.  cos_product_by_cos
+bound on it from the exact characteristic function.  simpson_five_node
+takes the integrand on five nodes of every panel, where
+fourier._adaptive_simpson takes each shared edge once; cos_product_by_cos
 takes one np.cos per factor where fourier.cos_product rotates exp(ijx),
 and zd_collision_by_comb takes one math.comb per term and runs every
 coordinate pass in full.
@@ -39,9 +43,11 @@ from itertools import product
 import numpy as np
 
 from heiswalk import paths, reference
+from heiswalk.errors import QuadratureError
 from heiswalk.fourier import (
     _TOL_ABS,
     _TOL_REL,
+    QuadratureResult,
     _adaptive_simpson,
     _initial_edges,
     cos_product,
@@ -321,7 +327,7 @@ def srw_profile_full_box(t_max):
 
 def zd_collision_by_comb(d, k):
     """reference.zd_collision_probability(d, k): d full coordinate passes,
-    each term's binomial from math.comb."""
+    each term's binomial from math.comb, where the kernel splits the letters."""
     f = [0] * (k + 1)
     f[0] = 1
     for _ in range(d):
@@ -483,6 +489,29 @@ def full_row_tables(k_max):
             for c in (s, k - s) if 2 * s < k else (s,):
                 w_counts[c * (c - 1) // 2 :][: row.size] += row
         yield k, rows, w_counts
+
+
+def weight_laws_by_halving(k_max):
+    """Yield (k, P[W = w] for w = 0..k(k-1)/2) for k = 1..k_max: the whole
+    law, with a halving pass at every step.
+
+    The recursion tables._weight_laws replaced; each law is a view of one
+    buffer that the next step overwrites.
+    """
+    law = np.zeros(k_max * (k_max - 1) // 2 + 1)
+    law[0] = 1.0
+    for k in range(1, k_max + 1):
+        n = k * (k - 1) // 2 + 1
+        law[k - 1 : n] += law[: n - k + 1]  # numpy buffers the overlap
+        law[:n] *= 0.5
+        yield k, law[:n]
+
+
+def weight_statistics_by_halving(k_values):
+    """tables.weight_statistics from weight_laws_by_halving."""
+    wanted = set(k_values)
+    return {k: (float(law.max()), float(np.sum(law * law)))
+            for k, law in weight_laws_by_halving(max(wanted)) if k in wanted}
 
 
 def row_square_sums_by_gather(k):
@@ -709,6 +738,23 @@ def cos_product_integral_whole(k):
         _TOL_REL,
     )
     return 4.0 * res.value
+
+
+def simpson_five_node(f, edges, tol_abs, tol_rel):
+    """fourier._adaptive_simpson with f taken on five nodes of every panel,
+    a + (b - a) * {0, 1/4, 1/2, 3/4, 1}, so on each inner edge twice; the
+    tolerance is checked as there."""
+    a, b = edges[:-1], edges[1:]
+    h = b - a
+    nodes = a[:, None] + h[:, None] * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    fv = f(nodes.ravel()).reshape(nodes.shape)
+    coarse = h / 6.0 * (fv[:, 0] + 4.0 * fv[:, 2] + fv[:, 4])
+    fine = h / 12.0 * (fv[:, 0] + 4.0 * fv[:, 1] + 2.0 * fv[:, 2] + 4.0 * fv[:, 3] + fv[:, 4])
+    total = float((fine + (fine - coarse) / 15.0).sum())
+    total_err = float((np.abs(fine - coarse) / 15.0).sum())
+    if not total_err <= max(tol_abs, tol_rel * abs(total)):
+        raise QuadratureError(f"Simpson error estimate {total_err:.3g} is above tolerance")
+    return QuadratureResult(total, total_err, a.size)
 
 
 def cos_product_by_cos(k, x):

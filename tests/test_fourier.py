@@ -12,6 +12,7 @@ from oracles import (
     dense_mass,
     exact_char_function,
     inversion_marginal,
+    simpson_five_node,
     tail_rate_floor,
 )
 
@@ -22,6 +23,7 @@ from heiswalk.fourier import (
     _TOL_REL,
     FOURIER_K_CAP,
     _adaptive_simpson,
+    _initial_edges,
     cos_product,
     cos_product_integral,
     folding_distance,
@@ -70,6 +72,25 @@ def test_one_simpson_pass_meets_the_tolerance_on_every_mesh():
         for quadrature in (head_integral, tail_integral_decay):
             got = quadrature(k)
             assert got.error_estimate <= max(_TOL_ABS, _TOL_REL * got.value), (k, quadrature)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 18, 64, 256, 1024, 2048])
+def test_simpson_takes_each_node_once_with_the_same_bits(k):
+    # against the five-node rule, which evaluates every inner edge twice
+    for lo, hi in ((0.0, 1.0 / k), (1.0 / k, 0.5 * math.pi)):
+        edges = _initial_edges(k, lo, hi)
+        args = (lambda x: cos_product(k, x), edges, _TOL_ABS, _TOL_REL)
+        assert _adaptive_simpson(*args) == simpson_five_node(*args), (k, lo)
+
+
+def test_panel_end_nodes_are_the_next_panel_edges():
+    # the premise of taking each node once: b - a is exact (Sterbenz), so
+    # a + (b - a) * 1.0 == b on every head and tail mesh up to the cap
+    for k in range(1, FOURIER_K_CAP + 1):
+        for lo, hi in ((0.0, 1.0 / k), (1.0 / k, 0.5 * math.pi)):
+            edges = _initial_edges(k, lo, hi)
+            a, b = edges[:-1], edges[1:]
+            assert np.array_equal(a + (b - a) * 1.0, b), (k, lo)
 
 
 def test_a_mesh_that_misses_the_peak_raises():

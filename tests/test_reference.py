@@ -28,6 +28,7 @@ from heiswalk.reference import (
     _srw_box,
     _theta_chunk,
     _visit_keys,
+    _zd_meeting_counts,
     edge_collision_rate,
     first_renewals,
     lazy_return_probability,
@@ -67,6 +68,21 @@ def test_zd_collision_matches_comb_loop(d):
         assert zd_collision_probability(d, k) == zd_collision_by_comb(d, k)
 
 
+@pytest.mark.parametrize("d", [*range(1, 10), 16, 17])
+def test_zd_letter_split_matches_comb_loop(d):
+    # odd, even and power-of-two letter counts, and their halves
+    for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 40):
+        assert zd_collision_probability(d, k) == zd_collision_by_comb(d, k), k
+
+
+def test_zd_letter_split_closed_forms_at_the_largest_d():
+    # two one-step words meet when they take the same letter; two two-step
+    # words when they take the same letters in either order: d(2d - 1) pairs
+    d = 2**21
+    assert Fraction(_zd_meeting_counts(d, 1), d**2) == Fraction(1, d)
+    assert Fraction(_zd_meeting_counts(d, 2), d**4) == Fraction(2 * d - 1, d**3)
+
+
 def test_zd_collision_monotone():
     vals_k = [zd_collision_probability(4, k) for k in (1, 2, 4, 8, 16, 32)]
     assert all(a > b for a, b in zip(vals_k, vals_k[1:]))
@@ -77,7 +93,7 @@ def test_zd_collision_monotone():
 def test_zd_collision_cap():
     with pytest.raises(CapExceededError):
         zd_collision_probability(4, 5000)
-    # d - 1 passes over one cell each: d alone reaches the cap
+    # the work figure d * (k + 1)^2 is d alone at k = 0
     with pytest.raises(CapExceededError):
         zd_collision_probability(10**12, 0)
 

@@ -16,6 +16,8 @@ from oracles import (
     full_row_tables,
     row_square_sums_by_gather,
     weight_bounds,
+    weight_laws_by_halving,
+    weight_statistics_by_halving,
 )
 
 from heiswalk import tables
@@ -233,27 +235,46 @@ def exact_statistics(k, rows):
     }
 
 
+def _mirrored(half, k):
+    """The whole count vector N(w), w = 0..k(k-1)/2, from its lower half."""
+    n = k * (k - 1) // 2 + 1
+    return np.concatenate([half, half[: n - half.size][::-1]])
+
+
 def test_mass_equals_integer_counts_through_k56():
     # every count stays below 2^53 up to k = 56, so the W-marginal is exact
-    for (k, rows), (k_law, law) in zip(exact_tables(56), _weight_laws(56)):
+    for (k, rows), (k_law, half) in zip(exact_tables(56), _weight_laws(56)):
         assert k_law == k
-        assert cell_error(k, float(law.max())) == 0.0
+        assert cell_error(k, float(half.max()) * 2.0**-k) == 0.0
         assert max(int(r.max()) for r in rows) < 2**53
         w_counts = np.zeros(k * (k - 1) // 2 + 1, dtype=object)
         for s, row in enumerate(rows):
             w_counts[s * (s - 1) // 2 :][: row.size] += row
-        assert np.array_equal(np.ldexp(law, k), w_counts.astype(float)), k
+        assert np.array_equal(_mirrored(half, k), w_counts.astype(float)), k
 
 
 def test_w_marginal_matches_full_row_dp():
     # bit for bit while every count is exact, then to 1e-14 at every cell
-    for (k, rows, w_counts), (k_law, law) in zip(full_row_tables(200), _weight_laws(200)):
+    for (k, rows, w_counts), (k_law, half) in zip(full_row_tables(200), _weight_laws(200)):
         assert k_law == k
-        got = np.ldexp(law, k)
+        got = _mirrored(half, k)
         if k <= 56:
             assert np.array_equal(got, w_counts), k
         else:
             assert np.all(np.abs(got - w_counts) <= 1e-14 * w_counts), k
+
+
+def test_halving_recursion_is_mirror_symmetric():
+    # the premise of the half-law recursion: each float cell of the whole
+    # law is one sum whose mirror cell adds the same two floats
+    for k, law in weight_laws_by_halving(300):
+        assert np.array_equal(law, law[::-1]), k
+
+
+def test_weight_statistics_match_the_halving_recursion():
+    # counts on the mirror half, scaled at the end, give the same bits
+    ks = [*range(1, 301), 512, 1000, 1023, 1024]
+    assert weight_statistics(ks) == weight_statistics_by_halving(ks)
 
 
 def test_point_mass_bound_certified_above_k56():
