@@ -2,20 +2,20 @@
 
 Each experiment is registered once, beside its runner, in one table
 that holds its options and the total work checked before it runs.  A
-subcommand runs one experiment, writes its rows to a CSV or JSON file,
-prints a JSON summary to stdout, and records its claim verdicts, with
-the version and a hash of the resolved config, in a status file,
-replaced atomically under a lock on a sidecar `.lock` file, so runs
-sharing it lose no claims.  The Monte Carlo engine only counts: the
-runners here fit its survivor tails (paths._fit_tail), and each verdict
-is the plain JSON record that the summary prints, built from the
-statistic a runner checked, the points it rests on and the manifest.
-Runners judge nothing about how much evidence they have: a claim whose
-range holds fewer than its manifest `min_points`, or whose statistic is
-not finite, is inconclusive, neither pass nor FAIL, and its run still
-writes its rows.  `heiswalk claims` prints each
-verdict with its version and config hash.  A corrupt status file is a
-configuration error on both paths and is never overwritten.
+subcommand runs one experiment, writes its rows to one CSV file, prints
+a JSON summary that counts them to stdout, and records its claim
+verdicts, with the version and a hash of the resolved config, in a
+status file, replaced atomically under a lock on a sidecar `.lock` file,
+so runs sharing it lose no claims.  The Monte Carlo engine only counts:
+the runners here fit its survivor tails (paths._fit_tail), and each
+verdict is the plain JSON record that the summary prints, built from the
+statistic a runner checked, the points it rests on and the manifest,
+parsed once a process.  Runners judge nothing about how much evidence
+they have: a claim whose range holds fewer than its manifest
+`min_points`, or whose statistic is not finite, is inconclusive, neither
+pass nor FAIL, and its run still writes its rows.  `heiswalk claims`
+prints each verdict with its version and config hash.  A corrupt status
+file is a configuration error on both paths and is never overwritten.
 
 Exit codes: 0 success, 2 configuration error or an inconclusive claim,
 3 resource cap exceeded, 4 solver or quadrature failure, 5 at least one
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import fcntl
+import functools
 import json
 import math
 import os
@@ -40,6 +41,7 @@ import time
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,30 +65,36 @@ __all__ = ["main"]
 DEFAULT_SEED = 20260817
 STATUS_FILE = "heiswalk-claims-status.json"
 VERSION = f"heiswalk-{__version__}"
+BOUND_SLACK = 1e-12  # what point-mass-bound forgives each 1/k bound for rounding
 
 
 # ---------------------------------------------------------------- manifest
 
+_MANIFEST = resources.files("heiswalk").joinpath("claims.ini")
 
-def load_claims() -> dict:
-    """Parse the shipped claims manifest."""
+
+@functools.cache
+def load_claims() -> MappingProxyType:
+    """The shipped manifest, parsed once a process: claim id -> record, both
+    read-only; a claim naming no registered experiment is a ConfigError."""
     cp = configparser.ConfigParser()
     try:
-        text = resources.files("heiswalk").joinpath("claims.ini").read_text()
+        cp.read_string(_MANIFEST.read_text())
     except FileNotFoundError as exc:
         raise ConfigError("claims manifest is missing from the package") from exc
-    cp.read_string(text)
     claims = {}
     for cid in cp.sections():
-        claims[cid] = {
+        if (experiment := cp.get(cid, "experiment")) not in _EXPERIMENTS:
+            raise ConfigError(f"claim {cid} names unknown experiment {experiment!r}")
+        claims[cid] = MappingProxyType({
             "kind": cp.get(cid, "kind"),
             "target": cp.getfloat(cid, "target"),
             "tolerance": cp.getfloat(cid, "tolerance"),
             "min_points": cp.getint(cid, "min_points"),
-            "experiment": cp.get(cid, "experiment"),
+            "experiment": experiment,
             "statement": cp.get(cid, "statement"),
-        }
-    return claims
+        })
+    return MappingProxyType(claims)
 
 
 def _verdicts(checks: dict, claims: dict) -> list[dict]:
@@ -122,8 +130,7 @@ def _verdicts(checks: dict, claims: dict) -> list[dict]:
 # a trailing " increasing" asks it to increase strictly, " sorted" sorts it and drops repeats.
 _GLOBAL_OPTIONS = {
     "seed": ("int", str(DEFAULT_SEED), "base RNG seed"),
-    "out": ("choice:csv,json", "csv", "output format for the emitted file"),
-    "out_path": ("str", "", "output file path (default <experiment>.<format>)"),
+    "out_path": ("str", "", "output CSV path (default <experiment>.csv)"),
     "status_file": ("str", STATUS_FILE, "claim status file updated after each run"),
 }
 
@@ -307,11 +314,10 @@ def _run_bound_scan(cfg):
     k_min, k_max = cfg["k_min"], cfg["k_max"]
     if k_max < k_min:
         raise ConfigError("need --k-min <= --k-max")
-    slack = 1e-12
     rows, holds = [], True
     for k, (point_mass, match) in tables.weight_statistics(range(k_min, k_max + 1)).items():
         bound = 1.0 / k
-        holds &= point_mass <= bound + slack and match <= bound + slack
+        holds &= point_mass <= bound + BOUND_SLACK and match <= bound + BOUND_SLACK
         rows.append((k, point_mass, tables.cell_error(k, point_mass), match, bound))
     checks = {"point-mass-bound": (holds, [k_min, k_max], None)}
     header = ["k", "max_point_mass", "point_mass_error", "p_weighted_match", "bound"]
@@ -619,18 +625,18 @@ def _jsonable(value):
 
 
 def _config_hash(cfg: dict) -> str:
-    """Short sha256 of the resolved config, less the output, status-file and
-    thread options, which never change a CSV byte.  It keeps --seed, which
+    """Short sha256 of the resolved config, less the output-path, status-file
+    and thread options, which never change a CSV byte.  It keeps --seed, which
     eleven subcommands never read, so one of their CSVs can show under two
     hashes (ROADMAP.md, "A config hash that names the bytes", moves --seed
     to the runners that read it)."""
     kept = {k: v for k, v in cfg.items()
-            if k not in ("out", "out_path", "status_file", "threads")}
+            if k not in ("out_path", "status_file", "threads")}
     return sha256(json.dumps(_jsonable(kept), sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _out_path(cfg: dict) -> str:
-    return cfg["out_path"] or f"{cfg['experiment']}.{cfg['out']}"
+    return cfg["out_path"] or f"{cfg['experiment']}.csv"
 
 
 def _check_writable(path: str, failure: str) -> None:
@@ -648,30 +654,25 @@ def _check_writable(path: str, failure: str) -> None:
 
 
 def _write_outputs(cfg: dict, header, rows, fits, extras, runtime: float) -> dict:
-    summary = {
+    """Write the rows to the CSV and return the run's summary, which counts them."""
+    out_path = _out_path(cfg)
+    lines = [",".join(header)]
+    lines += [",".join(_cell(v) for v in row) for row in rows]
+    try:
+        Path(out_path).write_text("\n".join(lines) + "\n", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out-path {out_path}: {exc}") from exc
+    return {
         "config": _jsonable(cfg),
-        "results": [dict(zip(header, map(_jsonable, row))) for row in rows],
+        "rows": len(rows),
         "fits": _jsonable(fits),
         "runtime_seconds": round(runtime, 3),
         "version": VERSION,
         "config_hash": _config_hash(cfg),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        **{key: _jsonable(value) for key, value in extras.items()},
+        "out_path": out_path,
     }
-    for key, value in extras.items():
-        summary[key] = _jsonable(value)
-    out_path = _out_path(cfg)
-    if cfg["out"] == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_cell(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(summary, indent=2) + "\n"
-    try:
-        Path(out_path).write_text(text, newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out-path {out_path}: {exc}") from exc
-    summary["out_path"] = out_path
-    return summary
 
 
 def _load_status(path: Path, claims: dict) -> dict:
@@ -726,9 +727,6 @@ def _record_status(cfg: dict, fits, claims: dict) -> None:
 
 def _print_claims_table(status_file: str) -> None:
     claims = load_claims()
-    for cid, c in claims.items():
-        if c["experiment"] not in _EXPERIMENTS:
-            raise ConfigError(f"claim {cid} names unknown experiment {c['experiment']!r}")
     status = _load_status(Path(status_file), claims)
     widths = (max(len(c) for c in claims) + 2, 10, 12, 12, 22, 16, 14, 12)
     print("".join(h.ljust(w) for h, w in zip(
@@ -757,7 +755,8 @@ def _build_parser(chosen: str | None) -> argparse.ArgumentParser:
     for name, experiment in _EXPERIMENTS.items():
         if chosen not in (None, name):
             continue
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
+        # flags match in full: a prefix such as --out must not pass as --out-path
+        sp = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         for opt, (spec, default, help_text) in {**_GLOBAL_OPTIONS, **experiment.options}.items():
             sp.add_argument(
                 _flag(opt), dest=opt, default=None,
@@ -765,7 +764,7 @@ def _build_parser(chosen: str | None) -> argparse.ArgumentParser:
             )
         sp.add_argument("--config", default=None, help="key=value config file; flags win")
     if chosen is None:
-        sp = sub.add_parser("claims", help="print claim status table")
+        sp = sub.add_parser("claims", help="print claim status table", allow_abbrev=False)
         sp.add_argument("--status-file", dest="status_file", default=STATUS_FILE)
     return parser
 

@@ -1,8 +1,11 @@
 """Acceptance gate: the thirteen headline checks at their stated tolerances.
 
 Each test computes one criterion end to end at the canonical scale and
-records a PASS/FAIL line for the run summary.  Slow entries stay well
-inside their stated runtime budgets on a laptop-class machine.
+records a PASS/FAIL line for the run summary.  A criterion that shares a
+claim's window is judged as the CLI judges that claim, by cli._verdicts
+against the manifest; the others state their own windows, and say why.
+Slow entries stay well inside their stated runtime budgets on a
+laptop-class machine.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from oracles import (
     word_eval,
 )
 
-from heiswalk import fourier, paths, reference, tables
+from heiswalk import cli, fourier, paths, reference, tables
 from heiswalk.fitting import _fit_line, fit_exponential, fit_loglog
 from heiswalk.heisenberg import ball_sizes
 from heiswalk.percolation import (
@@ -32,37 +35,59 @@ from heiswalk.percolation import (
 )
 
 SEED = 20260817
+GH_KS = [32, 64, 128, 256]
 
 
 @pytest.fixture(scope="module")
 def full_scan():
-    return tables.scan_statistics([32, 64, 128, 256])
+    return tables.scan_statistics(GH_KS)
 
 
 def gh_collision_slope(scan):
-    ks = [32, 64, 128, 256]
-    return fit_loglog(ks, [scan[k].collision for k in ks]).slope
+    return fit_loglog(GH_KS, [scan[k].collision for k in GH_KS]).slope
+
+
+def judged(checks):
+    """Whether every claim of {claim id: (statistic, range)} passes as the
+    CLI judges it, and each claim's window, target +/- tolerance, as text."""
+    fits = cli._verdicts({cid: (value, range_, None) for cid, (value, range_) in checks.items()},
+                         cli.load_claims())
+    windows = {f["claim_id"]: f"{f['target']:g} +/- {f['tolerance']:g}" for f in fits}
+    return all(f["pass"] is True for f in fits), windows
+
+
+def test_gate_reads_its_windows_from_the_manifest(monkeypatch):
+    claims = cli.load_claims()
+    assert judged({"srw-return-exponent": (-2.0, [8, 48])}) == (
+        True, {"srw-return-exponent": "-2 +/- 0.3"})
+    moved = {**claims, "srw-return-exponent": {**claims["srw-return-exponent"], "target": -2.5}}
+    monkeypatch.setattr(cli, "load_claims", lambda: moved)
+    assert judged({"srw-return-exponent": (-2.0, [8, 48])}) == (
+        False, {"srw-return-exponent": "-2.5 +/- 0.3"})
 
 
 def test_criterion_01_point_mass_and_match_bounds(criterion_log):
-    slack = 1e-12
     worst = max(
         max(point_mass - 1.0 / k, match - 1.0 / k)
         for k, (point_mass, match) in tables.weight_statistics(range(2, 257)).items()
     )
+    ok, windows = judged({"point-mass-bound": (worst <= cli.BOUND_SLACK, [2, 256])})
     criterion_log(
         "criterion 01 exact 1/k bounds",
-        worst <= slack,
-        f"max excess over 1/k across k in [2,256] is {worst:.3e}",
+        ok,
+        f"max excess over 1/k across k in [2,256] is {worst:.3e} <= {cli.BOUND_SLACK:g}, "
+        f"window {windows['point-mass-bound']}",
     )
 
 
 def test_criterion_02_gh_collision_exponent(full_scan, criterion_log):
     slope = gh_collision_slope(full_scan)
+    ok, windows = judged({"gh-collision-exponent": (slope, GH_KS)})
     criterion_log(
         "criterion 02 collision exponent",
-        -2.2 <= slope <= -1.8,
-        f"log-log slope over k in {{32..256}} is {slope:.4f}, window [-2.2, -1.8]",
+        ok,
+        f"log-log slope over k in {{32..256}} is {slope:.4f}, "
+        f"window {windows['gh-collision-exponent']}",
     )
 
 
@@ -70,20 +95,24 @@ def test_criterion_03_z4_exponent_and_gap(full_scan, criterion_log):
     ks = [16, 32, 64, 128]
     z4 = fit_loglog(ks, [reference.zd_collision_probability(4, k) for k in ks]).slope
     gap = z4 - gh_collision_slope(full_scan)
+    ok, windows = judged({"zd4-collision-exponent": (z4, ks),
+                          "collision-exponent-gap": (gap, GH_KS + ks)})
     criterion_log(
         "criterion 03 four-letter exponent and gap",
-        (-1.7 <= z4 <= -1.3) and abs(gap - 0.5) <= 0.25,
-        f"slope {z4:.4f} in [-1.7, -1.3]; exponent gap {gap:.4f} = 0.5 +/- 0.25",
+        ok,
+        f"slope {z4:.4f} in {windows['zd4-collision-exponent']}; "
+        f"exponent gap {gap:.4f} in {windows['collision-exponent-gap']}",
     )
 
 
 def test_criterion_04_conditional_exponent(full_scan, criterion_log):
-    ks = [32, 64, 128, 256]
-    slope = fit_loglog(ks, [full_scan[k].conditional_match for k in ks]).slope
+    slope = fit_loglog(GH_KS, [full_scan[k].conditional_match for k in GH_KS]).slope
+    ok, windows = judged({"conditional-exponent": (slope, GH_KS)})
     criterion_log(
         "criterion 04 conditional exponent",
-        -1.7 <= slope <= -1.3,
-        f"log-log slope over k in {{32..256}} is {slope:.4f}, window [-1.7, -1.3]",
+        ok,
+        f"log-log slope over k in {{32..256}} is {slope:.4f}, "
+        f"window {windows['conditional-exponent']}",
     )
 
 
@@ -91,10 +120,12 @@ def test_criterion_05_count_match_constant(full_scan, criterion_log):
     target = 1.0 / math.sqrt(math.pi)
     value = math.sqrt(256) * full_scan[256].count_match
     rel = abs(value - target) / target
+    ok, windows = judged({"count-match-scaled": (value, [256])})
     criterion_log(
         "criterion 05 sqrt-k count match",
-        rel <= 0.02,
-        f"sqrt(256)*p = {value:.6f} vs pi^-0.5 = {target:.6f} ({100 * rel:.2f}% off)",
+        ok,
+        f"sqrt(256)*p = {value:.6f} vs pi^-0.5 = {target:.6f} ({100 * rel:.2f}% off), "
+        f"window {windows['count-match-scaled']}",
     )
 
 
@@ -108,6 +139,7 @@ def brute_mass(k):
     return counts / float(2**k)
 
 
+# no claim states enumeration or exact spot values, so they stay here
 def test_criterion_06_brute_force_equivalence(criterion_log):
     exact = True
     for k in range(1, 15):
@@ -129,6 +161,7 @@ def test_criterion_06_brute_force_equivalence(criterion_log):
     )
 
 
+# closed forms, spread and inversion error are in no claim; drop < -1 is looser than -5 +/- 4
 def test_criterion_07_fourier_chain(criterion_log):
     closed = (
         abs(fourier.cos_product_integral(1).value - 2 * math.pi) < 1e-8
@@ -152,6 +185,7 @@ def test_criterion_07_fourier_chain(criterion_log):
     )
 
 
+# dyadic-uniformity is this property at 1 +/- 0; the support rule k/2 - 1 is the runner's
 def test_criterion_08_dyadic_uniformity(criterion_log):
     results = {k: tables.dyadic_uniformity(k) for k in (4, 8, 16, 31, 256, 1000)}
     ok = all(uniform and support >= k / 2 - 1 for k, (support, uniform) in results.items())
@@ -170,12 +204,14 @@ def test_criterion_09_eit_tail(criterion_log):
     )
     ratios, pooled = paths.continuation_ratios(est.counts, min_count=50)
     worst = max((abs(r - pooled) / se for _n, r, se in ratios if se > 0), default=math.inf)
-    ok = fit.r_squared >= 0.98 and worst <= 3.0
+    ok, windows = judged({"eit-tail-linearity": (fit.r_squared, fit_ns),
+                          "eit-memorylessness": (worst, [n for n, _r, se in ratios if se > 0])})
     criterion_log(
         "criterion 09 intersection tail",
         ok,
-        f"log-survivor R^2 = {fit.r_squared:.5f} >= 0.98 on n in [1,10]; "
-        f"worst continuation-ratio deviation {worst:.2f} <= 3 standard errors",
+        f"log-survivor R^2 = {fit.r_squared:.5f} in {windows['eit-tail-linearity']} on n in "
+        f"[1,10]; worst continuation-ratio deviation {worst:.2f} standard errors in "
+        f"{windows['eit-memorylessness']}",
     )
 
 
@@ -183,10 +219,12 @@ def test_criterion_10_srw_return_exponent(criterion_log):
     profile = reference.srw_return_profile(96)
     ns = list(range(8, 49))
     slope = fit_loglog(ns, [profile.probabilities[2 * n] for n in ns]).slope
+    ok, windows = judged({"srw-return-exponent": (slope, ns)})
     criterion_log(
         "criterion 10 return probability exponent",
-        -2.3 <= slope <= -1.7,
-        f"log P(2n) vs log n slope over n in [8,48] is {slope:.4f}, window [-2.3, -1.7]",
+        ok,
+        f"log P(2n) vs log n slope over n in [8,48] is {slope:.4f}, "
+        f"window {windows['srw-return-exponent']}",
     )
 
 
@@ -196,15 +234,17 @@ def test_criterion_11_ball_growth(criterion_log):
     slope = fit_loglog(radii, [sizes[r] for r in radii]).slope
     enum1 = {word_eval(w) for t in (0, 1) for w in itertools.product(GENERATORS, repeat=t)}
     enum2 = enum1 | {word_eval(w) for w in itertools.product(GENERATORS, repeat=2)}
-    ok = 3.7 <= slope <= 4.3 and sizes[1] == len(enum1) == 5 and sizes[2] == len(enum2) == 17
+    ok, windows = judged({"ball-growth-exponent": (slope, radii)})
+    ok &= sizes[1] == len(enum1) == 5 and sizes[2] == len(enum2) == 17
     criterion_log(
         "criterion 11 ball growth",
         ok,
-        f"growth slope {slope:.4f} in [3.7, 4.3]; |ball(1)| = 5, |ball(2)| = 17 "
-        "match word enumeration",
+        f"growth slope {slope:.4f} in {windows['ball-growth-exponent']}; |ball(1)| = 5, "
+        "|ball(2)| = 17 match word enumeration",
     )
 
 
+# takes any z2 slope above 0, where z2-recurrence-slope asks for 0.35 +/- 0.25
 def test_criterion_12_resistance_mechanics(criterion_log):
     # circuit algebra
     chain = build_custom_graph([0, 1, 2], [(0, 1, 0), (1, 2, 0)])
@@ -245,6 +285,7 @@ def test_criterion_12_resistance_mechanics(criterion_log):
     )
 
 
+# thomson-bound is this property at 1 +/- 0 on its own runs; 400 paths at SEED are this scale
 def test_criterion_13_thomson_bound(criterion_log):
     margins = []
     for radius in (4, 8, 12, 16):

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import argparse
+import configparser
 import contextlib
 import csv
 import hashlib
@@ -33,6 +34,15 @@ def run(*argv):
     return main(list(argv))
 
 
+@pytest.fixture()
+def fresh_claims():
+    """load_claims with its cache emptied before and after the test, so the
+    test sees its own parse and leaves no patched manifest behind."""
+    cli.load_claims.cache_clear()
+    yield
+    cli.load_claims.cache_clear()
+
+
 def test_claims_manifest_well_formed():
     claims = load_claims()
     assert len(claims) >= 15
@@ -41,6 +51,42 @@ def test_claims_manifest_well_formed():
         assert c["tolerance"] >= 0
         assert c["experiment"]
         assert c["statement"]
+
+
+def test_claims_manifest_is_parsed_once(workdir, capsys, monkeypatch, fresh_claims):
+    parsed = []
+    read_string = configparser.ConfigParser.read_string
+    monkeypatch.setattr(configparser.ConfigParser, "read_string",
+                        lambda self, text: parsed.append(len(text)) or read_string(self, text))
+    for argv in (["dyadic", "--k-list", "4,8"], ["bound-scan", "--k-max", "8"], ["claims"],
+                 ["zd-collision", "--k-list", "4,8"]):
+        assert run(*argv) == 0
+    assert load_claims() is load_claims()
+    assert len(parsed) == 1
+
+
+def test_claims_manifest_is_read_only():
+    claims = load_claims()
+    with pytest.raises(TypeError):
+        claims["new-claim"] = {}
+    with pytest.raises(TypeError):
+        claims["dyadic-uniformity"]["target"] = 0.0
+    with pytest.raises(TypeError):
+        del claims["dyadic-uniformity"]
+    assert claims["dyadic-uniformity"]["target"] == 1.0
+
+
+def test_manifest_naming_an_unknown_experiment_is_config_error(workdir, capsys, monkeypatch,
+                                                               fresh_claims):
+    manifest = workdir / "claims.ini"
+    manifest.write_text(cli._MANIFEST.read_text().replace("experiment = dyadic\n",
+                                                          "experiment = dyadics\n"))
+    monkeypatch.setattr(cli, "_MANIFEST", manifest)
+    for argv in (["dyadic", "--k-list", "4,8"], ["claims"]):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: claim dyadic-uniformity names unknown experiment 'dyadics'\n")
+    assert not Path("dyadic.csv").exists() and not Path(STATUS_FILE).exists()
 
 
 def test_fresh_checkout_all_not_run(workdir, capsys):
@@ -88,11 +134,12 @@ def test_csv_independent_of_blas_threads(argv, tmp_path):
 
 
 def test_json_summary_structure(workdir, capsys):
-    code = run("dyadic", "--k-list", "4,8,16", "--out", "json", "--out-path", "d.json")
+    code = run("dyadic", "--k-list", "4,8,16", "--out-path", "d.csv")
     assert code == 0
-    summary = json.loads(Path("d.json").read_text())
-    for key in ("config", "results", "fits", "runtime_seconds", "version", "timestamp"):
+    summary = json.loads(capsys.readouterr().out)
+    for key in ("config", "rows", "fits", "runtime_seconds", "version", "timestamp"):
         assert key in summary
+    assert summary["rows"] == 3 and summary["out_path"] == "d.csv"
     assert summary["config"]["k_list"] == [4, 8, 16]
     assert summary["fits"] and summary["fits"][0]["claim_id"] == "dyadic-uniformity"
     assert summary["fits"][0]["pass"] is True
@@ -109,7 +156,7 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     assert run("eit-tail", "--samples", "-5") == 2
     assert run("resistance-profile", "--p", "1.7") == 2
     assert run("theta-d", "--d", "2") == 2
-    # letters are drawn as uint8, so d is capped at 256
+    # above d = 16 a letter pair a*d + b is drawn as a uint16, so d is capped at 256
     assert run("theta-d", "--d", "300") == 2
     assert run("zd-eit", "--d", "300") == 2
     # one pair has no standard error, so no growth z-score can certify a claim
@@ -178,14 +225,15 @@ def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
 
 
 def test_fourier_reports_its_error_estimates(workdir, capsys):
-    assert run("fourier", "--k-list", "16,64", "--out", "json") == 0
-    printed = json.loads(capsys.readouterr().out)
-    summary = json.loads(Path("fourier.json").read_text())
-    assert summary["error_estimate"] == printed["error_estimate"]
-    for k, row in zip((16, 64), summary["results"]):
+    assert run("fourier", "--k-list", "16,64") == 0
+    summary = json.loads(capsys.readouterr().out)
+    with open("fourier.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["k"]) for row in rows] == [16, 64]
+    for k, row in zip((16, 64), rows):
         estimate = summary["error_estimate"][str(k)]
         assert estimate == fourier.cos_product_integral(k).error_estimate
-        assert 0 < estimate <= fourier._TOL_REL * row["integral"]
+        assert 0 < estimate <= fourier._TOL_REL * float(row["integral"])
 
 
 def test_fourier_integrates_each_region_once(workdir, monkeypatch):
@@ -374,6 +422,28 @@ def test_no_subcommand_imports_scipy(workdir):
     assert report["loaded"] == []
 
 
+@pytest.mark.parametrize("argv", _SMALL_CALLS, ids=lambda argv: argv[0])
+def test_summary_counts_the_csv_rows(workdir, capsys, argv):
+    # the CSV is the one copy of the rows; stdout carries their count
+    run(*argv, "--out-path", "run.csv")
+    summary = json.loads(capsys.readouterr().out)
+    assert "results" not in summary
+    assert summary["rows"] == len(Path("run.csv").read_text().splitlines()) - 1
+
+
+def test_out_option_is_refused(workdir, capsys):
+    # one output format: --out is unknown, and no prefix of --out-path is taken for it
+    with pytest.raises(SystemExit) as exc:
+        run("dyadic", "--k-list", "4,8", "--out", "json")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out json" in capsys.readouterr().err
+    Path("run.cfg").write_text("out = json\n")
+    assert run("dyadic", "--k-list", "4,8", "--config", "run.cfg") == 2
+    assert "unknown config keys: ['out']" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == ["run.cfg"]
+    assert all("out" not in {**cli._GLOBAL_OPTIONS, **e.options} for e in cli._EXPERIMENTS.values())
+
+
 _GOLDEN = Path(__file__).with_name("golden_digests.json")
 _WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
 
@@ -396,7 +466,7 @@ def _golden_calls():
     return calls + [argv for argv in _benchmark_calls()
                     if argv[0] != "fourier" and argv not in calls]
 # the summary keys every run prints; the rest are its runner's extras
-_SUMMARY_KEYS = {"config", "results", "fits", "runtime_seconds", "version", "config_hash",
+_SUMMARY_KEYS = {"config", "rows", "fits", "runtime_seconds", "version", "config_hash",
                  "timestamp", "out_path"}
 
 
@@ -652,10 +722,10 @@ def test_failed_claim_exit_code(workdir, capsys):
      "flow-energy-taper"),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_degenerate_run_is_inconclusive(workdir, capsys, argv, claim):
-    assert run(*argv, "--out", "json") == 2
-    assert f"inconclusive: no finite statistic for {claim}" in capsys.readouterr().err
-    fit = next(f for f in json.loads(Path(f"{argv[0]}.json").read_text())["fits"]
-               if f["claim_id"] == claim)
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert f"inconclusive: no finite statistic for {claim}" in err
+    fit = next(f for f in json.loads(out)["fits"] if f["claim_id"] == claim)
     assert fit["pass"] is None and fit["slope"] == "nan"
     assert json.loads(Path(STATUS_FILE).read_text())[claim]["pass"] is None
     assert run("claims") == 0
@@ -750,8 +820,8 @@ def test_a_failed_claim_outranks_an_inconclusive_one(workdir, capsys, monkeypatc
 
 
 def test_status_entries_carry_provenance(workdir, capsys):
-    assert run("dyadic", "--k-list", "8,16", "--out", "json") == 0
-    summary = json.loads(Path("dyadic.json").read_text())
+    assert run("dyadic", "--k-list", "8,16") == 0
+    summary = json.loads(capsys.readouterr().out)
     entry = json.loads(Path(STATUS_FILE).read_text())["dyadic-uniformity"]
     assert entry["version"] == summary["version"] == f"heiswalk-{heiswalk.__version__}"
     assert entry["config"] == summary["config_hash"]
@@ -908,13 +978,14 @@ def test_claims_rejects_corrupt_status(workdir, capsys):
 
 
 def test_ball_growth_smoke(workdir, capsys):
-    code = run("ball-growth", "--r-min", "4", "--r-max", "12", "--out", "json")
+    code = run("ball-growth", "--r-min", "4", "--r-max", "12")
     assert code == 0
-    summary = json.loads(Path("ball-growth.json").read_text())
+    summary = json.loads(capsys.readouterr().out)
     fit = summary["fits"][0]
     assert fit["claim_id"] == "ball-growth-exponent"
     assert 3.7 <= fit["slope"] <= 4.3
-    sizes = {r["radius"]: r["ball_size"] for r in summary["results"]}
+    with open("ball-growth.csv") as fh:
+        sizes = {int(r["radius"]): int(r["ball_size"]) for r in csv.DictReader(fh)}
     assert sizes[1] == 5 and sizes[2] == 17
 
 
