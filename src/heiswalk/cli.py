@@ -774,10 +774,12 @@ def main(argv=None) -> int:
     # claims, --help or a typo get the full parser, which lists every subcommand
     chosen = argv[0] if argv and argv[0] in _EXPERIMENTS else None
     args = _build_parser(chosen).parse_args(argv)
+    code = 0  # what a run returns, also when the reader of its stdout has left
     try:
         if args.experiment == "claims":
             _print_claims_table(args.status_file)
-            return 0
+            sys.stdout.flush()
+            return code
         cfg = _resolve_config(args.experiment, args)
         _check_work(cfg)
         claims = load_claims()
@@ -791,15 +793,17 @@ def main(argv=None) -> int:
         fits = _verdicts(checks, claims)
         summary = _write_outputs(cfg, header, rows, fits, extras, runtime)
         _record_status(cfg, fits, claims)
-        print(json.dumps(summary, indent=2))
-        if any(f["pass"] is False for f in fits):
-            return 5
         unsettled = [f for f in fits if f["pass"] is None]
-        for f in unsettled:
+        code = 5 if any(f["pass"] is False for f in fits) else 2 if unsettled else 0
+        for f in unsettled if code == 2 else ():
             cid, got, need = f["claim_id"], len(f["range"]), claims[f["claim_id"]]["min_points"]
             print(f"inconclusive: {cid} has {got} of the {need} points it needs" if got < need
                   else f"inconclusive: no finite statistic for {cid}", file=sys.stderr)
-        return 2 if unsettled else 0
+        print(json.dumps(summary, indent=2), flush=True)
+        return code
+    except BrokenPipeError:  # stdout's reader left; the CSV and status file are written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for exit's flush
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

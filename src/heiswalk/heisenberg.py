@@ -53,8 +53,9 @@ def _sphere_keys(radius: int) -> list[np.ndarray]:
     sphere r lie in spheres r-1, r and r+1.  Every generator flips the
     parity of n + m, so sphere r holds only elements with n + m = r mod 2
     and none of them neighbours another: each new level is the set of
-    frontier neighbours minus sphere r-1.  DEFAULT_BALL_CAP guards
-    memory: the ball grows like the fourth power of the radius.
+    frontier neighbours minus sphere r-1; the four moves of the sorted
+    frontier are sorted runs (nearly so for a^+-1, whose move depends on m),
+    which a stable sort merges.  DEFAULT_BALL_CAP guards memory: |ball| ~ r^4.
     """
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
@@ -71,9 +72,9 @@ def _sphere_keys(radius: int) -> list[np.ndarray]:
         m = (frontier // z_base) % m_base - radius
         # a: (n+1, m, k-m); a^-1: (n-1, m, k+m); b, b^-1: (n, m +- 1, k)
         a_step = n_step - m
-        near = np.sort(np.concatenate(
-            [frontier + a_step, frontier - a_step, frontier + z_base, frontier - z_base]
-        ))
+        near = np.concatenate([frontier + a_step, frontier - a_step,
+                               frontier + z_base, frontier - z_base])
+        near.sort(kind="stable")
         near = near[np.concatenate(([True], near[1:] != near[:-1]))]  # faster than np.unique
         levels.append(near[~np.isin(near, previous, assume_unique=True)])
         previous = frontier

@@ -35,9 +35,10 @@ answers are classical:
   the time-n law occupies, in a z window sized for n, and the window's
   clipping error stays below the reported dropped mass.
 * srw_mutual_intersections -- Monte Carlo range intersections of two
-  independent SRWs at doubling time checkpoints (unbounded growth),
-  from each walk's first visit time to every vertex of its range;
-  fewer than two sample pairs is a ConfigError.
+  independent SRWs at doubling time checkpoints (unbounded growth): one
+  uint32 draw per pair, one sort of both walks' visits per chunk of pairs,
+  and both first visit times of each common vertex read off two adjacent
+  sorted entries; fewer than two sample pairs is a ConfigError.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ RENEWAL_HORIZON_CAP = PAIR_CHUNK_CELLS_CAP // PAIR_CHUNK
 ZD_MAX_D = 256  # above d = 16 Monte Carlo letter pairs a*d + b are drawn as uint16
 # walk steps; two (t_max // 2 + 1)^2 x (2 b_z + 1) float64 buffers, 56 MB at the cap
 SRW_TIME_CAP = 128
-# walk steps; _common_counts sorts key * 2(t+1) + position, below 2^63 up to t = 4704
+# walk steps; _sorted_visits sorts key * 2(t+1) + position, below 2^63 up to t = 4704
 INTERSECTION_TIME_CAP = 2**12
 # sample pairs per sort; each pair's counts are the same in any batch, and a
-# batch's int64 keys and scratch peak at about 3 MiB at t_max = 1024
+# batch's int64 composites and scratch peak at about 2 MiB at t_max = 1024
 INTERSECTION_CHUNK = 32
 
 
@@ -466,72 +467,66 @@ def srw_mutual_intersections(
     t_max = times[-1]
     values = np.zeros((samples, len(times)), dtype=np.int64)
     rng = stream(seed, 0)  # re-keyed to stream (seed, i) for pair i
+    # integers(0, 4, dtype=np.uint8) keeps the top two bits of each byte of its uint32 draws,
+    # low byte first, and rejects none: one uint32 call per pair gives both walks' letters
+    words = np.empty((2 * INTERSECTION_CHUNK, -(-t_max // 4)), dtype="<u4")
+    visits = np.empty((INTERSECTION_CHUNK, 2 * (t_max + 1)), dtype=np.int64)
     for lo in range(0, samples, INTERSECTION_CHUNK):
-        hi = min(lo + INTERSECTION_CHUNK, samples)
-        letters = []
-        for i in range(lo, hi):
-            rekey(rng, seed, i)
-            letters += [rng.integers(0, 4, size=t_max, dtype=np.uint8) for _ in range(2)]
-        keys = _visit_keys(np.array(letters), t_max)  # rows u0, v0, u1, v1, ...
-        values[lo:hi] = _common_counts(keys[0::2], keys[1::2], times)
-    means = values.mean(axis=0)
+        n = min(INTERSECTION_CHUNK, samples - lo)
+        for k in range(n):
+            rekey(rng, seed, lo + k)
+            words[2 * k:2 * k + 2] = rng.integers(0, 2**32, size=words[:2].shape, dtype=np.uint32)
+        rows = _sorted_visits(words[:2 * n].view(np.uint8)[:, :t_max] >> 6, visits[:n])
+        values[lo:lo + n] = _common_counts(rows, times)
     ses = values.std(axis=0, ddof=1) / math.sqrt(samples)
-    return IntersectionGrowth(times, means, ses, values)
+    return IntersectionGrowth(times, values.mean(axis=0), ses, values)
 
 
-def _visit_keys(letters: np.ndarray, t_max: int) -> np.ndarray:
-    """Position keys of walks at times 0..t, one walk per row of letters (t steps).
+def _sorted_visits(letters: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, each row one pair's visits as sorted composites key * 2(t+1) + position.
 
-    Letters 0..3 step by a, a^-1, b, b^-1.  Within t_max steps |x|, |y| <= t_max
-    and |z| <= t_max^2 / 4, so the mixed-radix key lies in
-    [0, (2 t_max + 1)^2 (2 (t_max^2 // 4) + 1)).
+    letters holds t steps of walks u0, v0, u1, v1, ...  As |x|, |y| <= t and
+    |z| <= t^2 / 4, (x, y, z) has the key ((x + t)(2t + 1) + y + t) B + z +
+    t^2 // 4, B = 2(t^2 // 4) + 1, one int64 prefix sum: a adds A - y and
+    a^-1 y - A, A = (2t + 1) B and y taken before the step; b and b^-1 add
+    +-B.  u's visit at time s takes position t - s and v's t + 1 + s, so
+    each key's entries are u's visits in reverse time, then v's in forward
+    time.  The largest composite, (2t + 1)^2 B 2(t + 1) - 1, is below 2^63
+    up to t = 4704, above INTERSECTION_TIME_CAP; int64 would wrap beyond.
     """
-    # steps first, then prefix sums in place, in one preallocated array
-    x, y, z = np.zeros((3, len(letters), letters.shape[1] + 1), dtype=np.int64)
-    x[:, 1:] = letters == 0
-    x[:, 1:] -= letters == 1
-    y[:, 1:] = letters == 2
-    y[:, 1:] -= letters == 3
+    t = letters.shape[1]
+    b = 2 * (t * t // 4) + 1
+    steps = letters.astype(np.intp)
+    y = np.take(np.array([0, 0, 1, -1], dtype=np.int16), steps)
     np.cumsum(y, axis=1, out=y)
-    # a moves z by -y and a^-1 by +y, y taken before the step
-    z[:, 1:] = -x[:, 1:] * y[:, :-1]
-    np.cumsum(x, axis=1, out=x)
-    np.cumsum(z, axis=1, out=z)
-    z_half = t_max * t_max // 4
-    return ((x + t_max) * (2 * t_max + 1) + y + t_max) * (2 * z_half + 1) + z + z_half
+    keys = out.reshape(-1, t + 1)
+    keys[:, 0] = (t * (2 * t + 1) + t) * b + t * t // 4  # the identity
+    np.take(np.array([1, -1, 0, 0]) * (2 * t + 1) * b + [0, 0, b, -b], steps, out=keys[:, 1:])
+    keys[:, 2:] -= np.take(np.array([1, -1, 0, 0], dtype=np.int16), steps[:, 1:]) * y[:, :-1]
+    np.cumsum(keys, axis=1, out=keys)
+    keys *= 2 * (t + 1)
+    out.reshape(len(out), 2, t + 1)[:] += [np.arange(t, -1, -1), np.arange(t + 1, 2 * t + 2)]
+    out.sort(axis=1)
+    return out
 
 
-def _common_counts(keys_u: np.ndarray, keys_v: np.ndarray, times) -> np.ndarray:
-    """Per row, the number of vertices visited by both walks by each checkpoint.
+def _common_counts(rows: np.ndarray, times) -> np.ndarray:
+    """Per row of _sorted_visits, how many vertices both walks visited by each checkpoint.
 
-    A vertex is common from the later of its two first visits.  Each row
-    sorts one composite per visit, key * 2 steps + position, the positions
-    counting u's visits before v's.  The composites are distinct, so
-    numpy's default sort gives the order a stable sort of the keys alone
-    would: every key's u visits, in time order, just before its v visits.
-    The first v visit right after a u visit of the same key marks a common
-    vertex, and the u run's head is u's first visit.  The composites stay
-    below 2^63 for walks of up to 4704 steps, above INTERSECTION_TIME_CAP;
-    numpy's int64 products would wrap silently beyond.
+    A vertex is common from the later of its first visits: the adjacent
+    entries where its key's u visits meet its v visits.  G_H is bipartite
+    in the parity of x + y, which is the time's, so those two composites
+    differ by an odd number and two visits of one walk by an even one.
+    Entries of one key differ by less than the width 2(t + 1); so may the
+    last of key k and the first of key k + 1, whose u time then decodes
+    above t.  Positions are decoded at the odd gaps below the width alone.
     """
-    n, steps = keys_u.shape
-    width = 2 * steps
-    keys = np.hstack([keys_u, keys_v])
-    keys *= width
-    keys += np.arange(width)
-    keys.sort(axis=1)
-    order = keys % width
-    keys //= width
-    from_v = order >= steps
-    time = np.where(from_v, order - steps, order)
-    new_key = np.ones(keys.shape, dtype=bool)
-    new_key[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    # position of the head of each key's run
-    head = np.maximum.accumulate(np.where(new_key, np.arange(width), 0), axis=1)
-    common = from_v & ~new_key
-    common[:, 1:] &= ~from_v[:, :-1]
-    row, col = np.nonzero(common)
-    both = np.maximum(time[row, head[row, col]], time[row, col])
-    bucket = np.searchsorted(np.asarray(times), both)
-    counts = np.bincount(row * len(times) + bucket, minlength=n * len(times))
-    return np.cumsum(counts.reshape(n, len(times)), axis=1)
+    width = rows.shape[1]
+    gap = rows[:, 1:] - rows[:, :-1]
+    row, col = np.nonzero((gap < width) & ((gap & 1) == 1))
+    v_time = rows[row, col + 1] % width - width // 2
+    u_time = gap[row, col] - 1 - v_time  # t less the position before
+    same = u_time < width // 2
+    bucket = np.searchsorted(np.asarray(times), np.maximum(u_time, v_time)[same])
+    counts = np.bincount(row[same] * len(times) + bucket, minlength=len(rows) * len(times))
+    return np.cumsum(counts.reshape(len(rows), len(times)), axis=1)

@@ -145,6 +145,26 @@ def test_json_summary_structure(workdir, capsys):
     assert summary["fits"][0]["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [["dyadic", "--out-path", "d.csv"], ["claims"]],
+                         ids=lambda argv: argv[0])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, argv):
+    # a reader that left before the output, as in `heiswalk dyadic | head -c 0`
+    src = str(Path(heiswalk.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heiswalk.cli", *argv, "--status-file", "status.json"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if argv[0] == "dyadic":
+        assert (tmp_path / "d.csv").read_text().startswith("k,")
+
+
 def test_empty_k_list_is_config_error(workdir, capsys):
     code = run("collision-exact", "--k-list", "", "--out-path", "x.csv")
     assert code == 2

@@ -22,12 +22,14 @@ from oracles import (
 from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk import paths, reference
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP
+from heiswalk.rng import stream
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
     RENEWAL_HORIZON_CAP,
+    _common_counts,
+    _sorted_visits,
     _srw_box,
     _theta_chunk,
-    _visit_keys,
     _zd_meeting_counts,
     edge_collision_rate,
     first_renewals,
@@ -390,11 +392,13 @@ def test_intersection_growth_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-# 130 samples cross four boundaries of the 32-pair chunks; the last case
-# ends at INTERSECTION_TIME_CAP, where the sort composites are largest
+# 130 samples cross four boundaries of the 32-pair chunks; walks of 3, 10
+# and 7 steps leave 3, 2 and 1 bytes of their last uint32 draw unused; the
+# last case ends at INTERSECTION_TIME_CAP, where the sort composites are largest
 @pytest.mark.parametrize("n_base,samples,seed,doublings",
                          [(1, 6, 2, 0), (3, 25, 1, 3), (8, 40, 5, 2), (16, 12, 9, 1),
-                          (16, 130, 3, 1), (INTERSECTION_TIME_CAP // 4, 2, 4, 2)])
+                          (16, 130, 3, 1), (3, 20, 6, 0), (5, 20, 7, 1), (7, 20, 8, 0),
+                          (INTERSECTION_TIME_CAP // 4, 2, 4, 2)])
 def test_intersections_match_step_loop(n_base, samples, seed, doublings):
     growth = srw_mutual_intersections(n_base, samples, seed, doublings)
     assert np.array_equal(growth.values, srw_intersection_values(n_base, samples, seed, doublings))
@@ -409,7 +413,7 @@ def test_intersection_counts_do_not_depend_on_the_batch(monkeypatch, chunk):
 
 def test_intersections_take_bounded_memory():
     # the default call sorts 32 pairs of 1024-step walks at a time: about
-    # 3 MiB traced, against 13.5 MiB for a batch of 128 pairs
+    # 1.9 MiB traced, against 7.5 MiB for a batch of 128 pairs
     assert traced_peak(srw_mutual_intersections, 256, 1000, 1, 2) < 7 * 2**20
 
 
@@ -424,30 +428,51 @@ def test_intersection_time_cap():
     assert growth.times[-1] == INTERSECTION_TIME_CAP
 
 
+@pytest.mark.parametrize("t_max", [1, 2, 3, 4, 5, 1023, 1024, 1025, INTERSECTION_TIME_CAP])
+def test_one_uint32_draw_gives_the_uint8_letters(t_max):
+    # srw_mutual_intersections draws a pair's two walks as raw uint32 words,
+    # in one call, and reads letter j off the top two bits of byte j
+    old, new = stream(11, 3), stream(11, 3)
+    want = [old.integers(0, 4, size=t_max, dtype=np.uint8) for _ in range(2)]
+    words = new.integers(0, 2**32, size=(2, -(-t_max // 4)), dtype=np.uint32).astype("<u4")
+    assert np.array_equal(words.view(np.uint8)[:, :t_max] >> 6, want)
+    # and leaves the generator where the two uint8 calls do
+    for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32), lambda g: g.random(3)):
+        assert np.array_equal(draw(new), draw(old))
+
+
 def test_first_visit_keys_exact_at_the_cap():
-    # walks reaching |x| = |y| = t/2 and |z| = t^2/4 at the cap: the keys
-    # decode (radix 2t+1 for x and y, 2(t^2//4)+1 for z) to the positions
+    # walks reaching |x| = |y| = t/2 and |z| = t^2/4 at the cap: each
+    # composite decodes (width 2(t+1); radix 2t+1 for x and y, 2(t^2//4)+1
+    # for z) to one visit's time and position
     t = INTERSECTION_TIME_CAP
-    z_half = t * t // 4
-    # _common_counts sorts key * 2(t+1) + position: the largest fits in int64
-    # at the cap, and first overflows at t = 4705
+    z_half, width = t * t // 4, 2 * (t + 1)
+    # the largest composite fits in int64 at the cap, and first overflows at t = 4705
     def largest_composite(t):
         return (2 * t + 1) ** 2 * (2 * (t * t // 4) + 1) * 2 * (t + 1) - 1
 
     assert largest_composite(t) < largest_composite(4704) < 2**63 <= largest_composite(4705)
     for a, b in ((0, 2), (1, 3), (0, 3), (1, 2)):
         letters = np.repeat(np.array([b, a], dtype=np.uint8), [t // 2, t // 2])
-        keys, first = np.unique(_visit_keys(letters[None], t)[0], return_index=True)
-        xy, z = np.divmod(keys, 2 * z_half + 1)
-        x, y = np.divmod(xy, 2 * t + 1)
-        got = list(zip((x - t).tolist(), (y - t).tolist(), (z - z_half).tolist()))
         walk = [(0, 0, 0)]
         for g in letters.tolist():
             wx, wy, wz = walk[-1]
             dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[g]
             walk.append((wx + dx, wy + dy, wz - dx * wy))
-        assert sorted(got) == sorted(walk)
-        assert [walk[i] for i in first.tolist()] == got
+        # u and v take the same letters, so each vertex is common from its first visit
+        row = _sorted_visits(np.stack([letters, letters]), np.empty((1, width), dtype=np.int64))
+        assert np.all(np.diff(row[0]) > 0) and row.max() <= largest_composite(t)
+        keys, position = np.divmod(row[0], width)
+        xy, z = np.divmod(keys, 2 * z_half + 1)
+        x, y = np.divmod(xy, 2 * t + 1)
+        got = zip((x - t).tolist(), (y - t).tolist(), (z - z_half).tolist())
+        from_u = position <= t
+        time = np.where(from_u, t - position, position - (t + 1)).tolist()
+        assert sorted(zip(from_u.tolist(), time, got)) == sorted(
+            (w, s, g) for w in (False, True) for s, g in enumerate(walk))
+        checkpoints = (0, 1, t // 2, t // 2 + 1, t)
+        assert _common_counts(row, checkpoints)[0].tolist() == [
+            len(set(walk[:s + 1])) for s in checkpoints]
 
 
 def test_zd_eit_tail_structure():
