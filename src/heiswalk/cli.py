@@ -7,11 +7,13 @@ a JSON summary that counts them to stdout, and records its claim
 verdicts, with the version and a hash of the resolved config, in a
 status file, replaced atomically under a lock on a sidecar `.lock` file,
 so runs sharing it lose no claims.  The Monte Carlo engine only counts:
-the runners here fit its survivor tails (paths._fit_tail), and each
-verdict is the plain JSON record that the summary prints, built from the
-statistic a runner checked, the points it rests on and the manifest,
-parsed once a process.  Runners judge nothing about how much evidence
-they have: a claim whose range holds fewer than its manifest
+the runners here take each survivor tail's ratio as its pooled
+continuation ratio (paths._fit_tail), and a log-linear fit
+(fitting.fit_exponential) serves only the R^2 of `eit-tail-linearity`.
+Each verdict is the plain JSON record that the summary prints, built
+from the statistic a runner checked, the points it rests on and the
+manifest, parsed once a process.  Runners judge nothing about how much
+evidence they have: a claim whose range holds fewer than its manifest
 `min_points`, or whose statistic is not finite, is inconclusive, neither
 pass nor FAIL, and its run still writes its rows.  `heiswalk claims`
 prints each verdict with its version and config hash.  A corrupt status
@@ -389,44 +391,29 @@ def _run_fourier(cfg):
     return ["k", "integral", "head", "tail", "k32_scaled"], rows, checks, extras
 
 
-def _tail_rows(est, min_count):
-    ratios, pooled = paths.continuation_ratios(est.counts, min_count)
-    ratio_at = {n: (r, se) for n, r, se in ratios}
-    rows = []
-    for n in sorted(est.counts):
-        r, se = ratio_at.get(n, (float("nan"), float("nan")))
-        rows.append((n, est.counts[n], r, se))
-    return rows, ratios, pooled
-
-
 @_experiment({
     "horizon": ("int>=1", "4096", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
-    "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
+    "min_count": ("int>=1", "50", "smallest survivor count of a level the tail ratio pools"),
     **_THREADS,
 }, _PAIR_STEPS)
 def _run_eit_tail(cfg):
     est = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"])
-    rows, ratios, pooled = _tail_rows(est, cfg["min_count"])
+    theta, theta_se, levels = paths._fit_tail(est.counts, cfg["min_count"])
+    ratios, _theta = paths.continuation_ratios(est.counts, cfg["min_count"])
+    ratio_at = {n: (r, se) for n, r, se in ratios}
+    rows = [(n, count, *ratio_at.get(n, (math.nan, math.nan)))
+            for n, count in sorted(est.counts.items())]
     fit_ns = [n for n in range(1, 11) if est.counts.get(n, 0) > 0]
     fit = fit_exponential(fit_ns, [est.counts[n] for n in fit_ns],
                           weights=[est.counts[n] for n in fit_ns])
     # continuation_ratios floors each variance, so every ratio has a spread
-    spreads = [abs(r - pooled) / se for _n, r, se in ratios]
-    theta, theta_se, r_squared, fit_range = paths._fit_tail(est.counts, cfg["min_count"])
+    spreads = [abs(r - theta) / se for _n, r, se in ratios]
     checks = {
         "eit-tail-linearity": (fit.r_squared, fit_ns, fit),
-        "eit-memorylessness": (max(spreads, default=math.nan), [n for n, _r, _se in ratios],
-                               None),
+        "eit-memorylessness": (max(spreads, default=math.nan), levels, None),
     }
-    extras = {
-        "theta_hat": theta,
-        "theta_se": theta_se,
-        "r_squared_full": r_squared,
-        "fit_range": fit_range,
-        "censoring_bound": est.censoring_bound,
-        "pooled_ratio": pooled,
-    }
+    extras = {"theta_hat": theta, "theta_se": theta_se, "censoring_bound": est.censoring_bound}
     return ["n", "survivors", "continuation_ratio", "ratio_se"], rows, checks, extras
 
 
@@ -452,23 +439,20 @@ def _run_theta_d(cfg):
     "d": ("int>=4", "4", "lattice dimension of the transient regime"),
     "horizon": ("int>=1", "2048", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
-    "min_count": ("int>=1", "50", "smallest survivor count used in fits"),
+    "min_count": ("int>=1", "50", "smallest survivor count of a level the tail ratio pools"),
     **_THREADS,
 }, _PAIR_STEPS)
 def _run_zd_eit(cfg):
     theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
     est = reference.zd_eit_tail(cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
                                 threads=cfg["threads"])
-    exc_theta, exc_se, _exc_r2, exc_range = paths._fit_tail(est.excursion_counts,
-                                                            cfg["min_count"])
-    edge_theta, edge_se, _edge_r2, _edge_range = paths._fit_tail(est.counts, cfg["min_count"])
+    exc_theta, exc_se, exc_range = paths._fit_tail(est.excursion_counts, cfg["min_count"])
+    edge_theta, edge_se, _edge_range = paths._fit_tail(est.counts, cfg["min_count"])
     rows = []
     for n in sorted(est.counts):
         rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
                      est.excursion_counts.get(n, 0)))
-    # no excursion fit below three re-meet levels: the range they have, no statistic
-    gap = math.nan if exc_theta is None else abs(exc_theta - theta)
-    checks = {"zd-eit-consistency": (gap, exc_range, None)}
+    checks = {"zd-eit-consistency": (abs(exc_theta - theta), exc_range, None)}
     extras = {
         "shared_edge_rate": edge_theta,
         "shared_edge_se": edge_se,

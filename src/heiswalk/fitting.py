@@ -1,10 +1,11 @@
 """Least-squares fits used by the experiment drivers.
 
-All rate claims are checked through the same two helpers so that the
-acceptance suite and the CLI cannot disagree about what "the slope" means:
-`fit_loglog` for power laws (log-log axes) and `fit_exponential` for
-geometric tails (log counts against n).  Each returns a LineFit; the
-claim verdicts are built from them in `cli._verdicts`.  Fewer than two
+Power-law claims are checked through `fit_loglog` (log-log axes), so that
+the acceptance suite and the CLI cannot disagree about what "the slope"
+means; `fit_exponential` (log counts against n) serves only the R^2 of
+the `eit-tail` linearity claim, since a geometric tail's ratio is the
+pooled continuation ratio of `paths._fit_tail`.  Each returns a LineFit;
+the claim verdicts are built from them in `cli._verdicts`.  Fewer than two
 points, or a non-finite y, give a LineFit of NaNs and no numpy warning,
 so a runner fits whatever it has and `cli._verdicts` calls the claim
 inconclusive.
@@ -26,14 +27,13 @@ class LineFit:
     slope: float
     intercept: float
     r_squared: float
-    slope_se: float
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> LineFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2 or not np.isfinite(y).all():
-        return LineFit(np.nan, np.nan, np.nan, np.nan)
+        return LineFit(np.nan, np.nan, np.nan)
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
     sw = w.sum()
     xbar = (w * x).sum() / sw
@@ -47,9 +47,7 @@ def _fit_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -
     ss_res = (w * resid**2).sum()
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    dof = max(x.size - 2, 1)
-    slope_se = float(np.sqrt(max(ss_res, 0.0) / dof / sxx))
-    return LineFit(float(slope), float(intercept), float(r2), slope_se)
+    return LineFit(float(slope), float(intercept), float(r2))
 
 
 def fit_loglog(x, y) -> LineFit:
@@ -62,7 +60,7 @@ def fit_loglog(x, y) -> LineFit:
 
 
 def fit_exponential(n, counts, weights=None) -> LineFit:
-    """Fit log counts = slope * n + intercept; exp(slope) is the geometric ratio."""
+    """Fit log counts = slope * n + intercept, optionally weighted."""
     counts = np.asarray(counts, dtype=float)
     if np.any(counts <= 0):
         raise ConfigError("exponential fit needs positive counts")

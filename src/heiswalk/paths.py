@@ -43,9 +43,10 @@ at t), vertex coincidences, and fresh re-meets after separation; two walks
 at one vertex stay together exactly when their letters agree, so the shared
 edges are the vertex meetings that are not re-meets.
 
-The engine only counts.  _fit_tail (the weighted geometric fit of a
-survivor tail) and continuation_ratios are pure functions of the counts,
-and the CLI driver calls them beside its claim verdicts.
+The engine only counts.  _fit_tail (the pooled continuation ratio of a
+survivor tail, its one estimate of a geometric tail ratio) and
+continuation_ratios are pure functions of the counts, and the CLI calls
+them beside its claim verdicts.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .fitting import LineFit, fit_exponential
 from .rng import stream
 
 __all__ = [
@@ -87,8 +87,9 @@ class TailEstimate:
     h = 4096 the figure is about 9% below the expected vertex meetings
     beyond h; shared edges, u_t/2 a step, stay below it.  On Z^d the
     constant passes 1 from d = 10, and at d = 16, h = 2048 the vertex
-    meetings in (h, 2h] alone are 24 times the figure.  The CLI driver
-    fits rates to these counts (_fit_tail).
+    meetings in (h, 2h] alone are 24 times the figure.  The CLI takes
+    each tail's pooled continuation ratio and its standard error
+    (_fit_tail).
     """
 
     horizon: int
@@ -108,19 +109,21 @@ def _survivor_counts(hist: np.ndarray) -> dict[int, int]:
 
 
 def _fit_tail(counts: dict[int, int], min_count: int):
-    """Weighted geometric fit of a survivor tail: (theta, theta_se, r_squared, fit_range).
+    """Pooled geometric ratio of a survivor tail: (theta, theta_se, levels).
 
-    theta is exp(slope) of the fit of log counts[n] against n, weighted by
-    counts[n], over fit_range, the n >= 1 with counts[n] >= min_count; the
-    statistics are None when fewer than three levels qualify.
+    levels are the n with counts[n] >= min_count and n + 1 present, and
+    theta = sum of counts[n + 1] / sum of counts[n] over them: each of
+    those counts[n] pairs is one trial of going on past n, so theta is the
+    maximum-likelihood ratio of a geometric tail cut after the last level,
+    and theta_se = sqrt(theta (1 - theta) / trials) its binomial spread.
+    Both are NaN when no level qualifies.
     """
-    ns = sorted(n for n, c in counts.items() if n >= 1 and c >= min_count)
-    if len(ns) < 3:
-        return None, None, None, ns
-    y = np.array([counts[n] for n in ns], dtype=float)
-    fit: LineFit = fit_exponential(ns, y, weights=y)
-    theta = float(np.exp(fit.slope))
-    return theta, theta * fit.slope_se, fit.r_squared, ns
+    levels = [n for n in sorted(counts) if counts[n] >= min_count and n + 1 in counts]
+    trials = sum(counts[n] for n in levels)
+    if not trials:
+        return math.nan, math.nan, levels
+    theta = sum(counts[n + 1] for n in levels) / trials
+    return theta, math.sqrt(theta * (1.0 - theta) / trials), levels
 
 
 # ---------------------------------------------------------------- engine
@@ -441,25 +444,13 @@ def tail_estimate(horizon: int, samples: int, seed: int, *, threads: int = 1) ->
 def continuation_ratios(survivor_counts: dict[int, int], min_count: int):
     """Per-level continuation probabilities of a survivor tail.
 
-    For each n with survivor_counts[n] >= min_count and n+1 present,
-    returns (n, ratio, se) rows plus the pooled ratio, where ratio is
-    counts[n+1]/counts[n] and se uses the pooled ratio's binomial spread.
-    Under a memoryless tail all ratios estimate one constant.
+    Returns an (n, ratio, se) row for each level of _fit_tail, where ratio
+    is counts[n+1]/counts[n] and se the pooled ratio's binomial spread at
+    counts[n], plus the pooled ratio, _fit_tail's theta.  Under a
+    memoryless tail all ratios estimate one constant.
     """
-    ns = [
-        n
-        for n in sorted(survivor_counts)
-        if survivor_counts[n] >= min_count and (n + 1) in survivor_counts
-    ]
-    if not ns:
-        return [], float("nan")
-    num = sum(survivor_counts[n + 1] for n in ns)
-    den = sum(survivor_counts[n] for n in ns)
-    pooled = num / den
-    rows = []
-    for n in ns:
-        c = survivor_counts[n]
-        ratio = survivor_counts[n + 1] / c
-        se = float(np.sqrt(max(pooled * (1.0 - pooled), 1e-12) / c))
-        rows.append((n, ratio, se))
+    pooled, _se, levels = _fit_tail(survivor_counts, min_count)
+    spread = max(pooled * (1.0 - pooled), 1e-12)
+    rows = [(n, survivor_counts[n + 1] / survivor_counts[n],
+             math.sqrt(spread / survivor_counts[n])) for n in levels]
     return rows, pooled

@@ -326,12 +326,13 @@ def test_zd_eit_compares_with_exact_theta(workdir, capsys, monkeypatch):
         4, summary["theta_exact"])
 
 
-def test_zd_eit_thin_tail_is_config_error(workdir, capsys):
-    # at d=6 one re-meet level reaches min_count, too few for the excursion
-    # fit, so the claim is inconclusive; the rows are still written
+def test_zd_eit_thin_tail_is_inconclusive(workdir, capsys):
+    # at d=6 the re-meet tail has two continuation levels (0 and 1) with
+    # min_count pairs, one short of the claim's min_points, so the claim is
+    # inconclusive; the rows are still written
     code = run("zd-eit", "--d", "6", "--horizon", "300", "--samples", "4000")
     assert code == 2
-    assert ("inconclusive: zd-eit-consistency has 1 of the 3 points it needs"
+    assert ("inconclusive: zd-eit-consistency has 2 of the 3 points it needs"
             in capsys.readouterr().err)
     assert Path("zd-eit.csv").exists()
     assert json.loads(Path(STATUS_FILE).read_text())["zd-eit-consistency"]["pass"] is None
@@ -478,8 +479,8 @@ def _benchmark_calls():
 
 def _golden_calls():
     """The small calls, two more, and each benchmark call not among them but
-    fourier's (see _golden_digests); min-count 5 gives the small eit-tail
-    call a full-tail fit to pin."""
+    fourier's (see _golden_digests); min-count 5 pools the small eit-tail
+    call's ratio over six levels, where the default takes three."""
     calls = _SMALL_CALLS + [["resistance-profile", "--family", "z2", "--radii", "4,8,16"],
                             ["eit-tail", "--horizon", "64", "--samples", "256",
                              "--min-count", "5"]]
@@ -770,8 +771,8 @@ _SHORT_AND_ENOUGH = {
     "eit-memorylessness": (
         ["eit-tail", "--horizon", "64", "--samples", "256", "--min-count", "200"],
         ["eit-tail", "--horizon", "64", "--samples", "256", "--min-count", "100"]),
-    # paths._fit_tail fits no level below three; the short call has two
-    "zd-eit-consistency": (["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "3"],
+    # the re-meet tail's levels 0 and 1 hold 50 pairs, and level 2 holds 17
+    "zd-eit-consistency": (["zd-eit", "--horizon", "64", "--samples", "256"],
                            ["zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "2"]),
     "z2-recurrence-slope": (["resistance-profile", "--family", "z2", "--radii", "4"],
                             ["resistance-profile", "--family", "z2", "--radii", "2,4"]),

@@ -441,6 +441,19 @@ def test_continuation_ratios_empty():
     assert rows == [] and np.isnan(pooled)
 
 
+@pytest.mark.parametrize("theta, draws", [(0.25, 20000), (0.5, 4000)])
+def test_fit_tail_standard_error_is_calibrated(theta, draws):
+    # over replicate geometric tails P(N >= n) = theta^n, the z-scores of the
+    # tail ratio against theta are unit normal: its se is its real spread
+    rng = np.random.default_rng(11)
+    z = []
+    for _ in range(300):
+        counts = paths._survivor_counts(np.bincount(rng.geometric(1.0 - theta, draws) - 1))
+        fit, se = paths._fit_tail(counts, 50)[:2]
+        z.append((fit - theta) / se)
+    assert 0.8 <= np.std(z) <= 1.2 and abs(np.mean(z)) < 0.2
+
+
 def test_tail_estimate_validation():
     with pytest.raises(ValueError):
         tail_estimate(0, 10, seed=1)
