@@ -485,8 +485,8 @@ def _run_srw_return(cfg):
     return ["t", "p_return"], rows, checks, {"dropped_mass": prof.dropped_mass}
 
 
-# a pair walks 2 * n_base * 2^doublings steps, and its own stream and count
-# row cost about 256 more; doublings past 63 fail the time cap anyway
+# a pair walks 2 * n_base * 2^doublings steps, and its count row and its share of a
+# batch's sort and stream cost about 256 more; doublings past 63 fail the time cap anyway
 @_experiment({
     "n_base": ("int>=1", "256", "first checkpoint time"),
     "samples": ("int>=1", "1000", "walk pairs"),

@@ -35,10 +35,11 @@ answers are classical:
   the time-n law occupies, in a z window sized for n, and the window's
   clipping error stays below the reported dropped mass.
 * srw_mutual_intersections -- Monte Carlo range intersections of two
-  independent SRWs at doubling time checkpoints (unbounded growth): one
-  uint32 draw per pair, one sort of both walks' visits per chunk of pairs,
-  and both first visit times of each common vertex read off two adjacent
-  sorted entries; fewer than two sample pairs is a ConfigError.
+  independent SRWs at doubling time checkpoints (unbounded growth): batch
+  b of INTERSECTION_CHUNK pairs draws its walks' letters in one call on
+  stream(seed, b) and sorts both walks' visits once, and both first visit
+  times of each common vertex are read off two adjacent sorted entries;
+  fewer than two sample pairs is a ConfigError.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 from .paths import (PAIR_CHUNK, PAIR_CHUNK_CELLS_CAP, TailEstimate, map_chunks, pair_chunk,
                     pair_tail, walk_blocks)
-from .rng import rekey, stream
+from .rng import stream
 
 __all__ = [
     "zd_collision_probability",
@@ -82,8 +83,8 @@ ZD_MAX_D = 256  # above d = 16 Monte Carlo letter pairs a*d + b are drawn as uin
 SRW_TIME_CAP = 128
 # walk steps; _sorted_visits sorts key * 2(t+1) + position, below 2^63 up to t = 4704
 INTERSECTION_TIME_CAP = 2**12
-# sample pairs per sort; each pair's counts are the same in any batch, and a
-# batch's int64 composites and scratch peak at about 2 MiB at t_max = 1024
+# sample pairs per stream and sort; batch b draws stream(seed, b), and its
+# int64 composites and scratch peak at about 2 MiB at t_max = 1024
 INTERSECTION_CHUNK = 32
 
 
@@ -466,18 +467,12 @@ def srw_mutual_intersections(
     times = (0,) + tuple(n_base * 2**i for i in range(num_doublings + 1))
     t_max = times[-1]
     values = np.zeros((samples, len(times)), dtype=np.int64)
-    rng = stream(seed, 0)  # re-keyed to stream (seed, i) for pair i
-    # integers(0, 4, dtype=np.uint8) keeps the top two bits of each byte of its uint32 draws,
-    # low byte first, and rejects none: one uint32 call per pair gives both walks' letters
-    words = np.empty((2 * INTERSECTION_CHUNK, -(-t_max // 4)), dtype="<u4")
     visits = np.empty((INTERSECTION_CHUNK, 2 * (t_max + 1)), dtype=np.int64)
     for lo in range(0, samples, INTERSECTION_CHUNK):
         n = min(INTERSECTION_CHUNK, samples - lo)
-        for k in range(n):
-            rekey(rng, seed, lo + k)
-            words[2 * k:2 * k + 2] = rng.integers(0, 2**32, size=words[:2].shape, dtype=np.uint32)
-        rows = _sorted_visits(words[:2 * n].view(np.uint8)[:, :t_max] >> 6, visits[:n])
-        values[lo:lo + n] = _common_counts(rows, times)
+        letters = stream(seed, lo // INTERSECTION_CHUNK).integers(
+            0, 4, size=(2 * n, t_max), dtype=np.uint8)
+        values[lo:lo + n] = _common_counts(_sorted_visits(letters, visits[:n]), times)
     ses = values.std(axis=0, ddof=1) / math.sqrt(samples)
     return IntersectionGrowth(times, values.mean(axis=0), ses, values)
 

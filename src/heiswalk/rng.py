@@ -7,8 +7,6 @@ Two constructions, both counter-based so results depend only on the
   the pair.  Monte Carlo drivers partition work into fixed-size chunks and
   give chunk i the stream (seed, i); merging chunk results in index order
   then reproduces a serial run no matter how many workers ran them.
-  ``rekey`` moves one such Generator to the start of another stream, for
-  loops over many small streams.
 * ``edge_uniforms(keys, seed)`` -- one uniform in [0, 1) per 64-bit key via
   a splitmix64 hash.  Used for percolation so that the uniform attached to
   an edge is a pure function of (edge identity, seed); masks at different p
@@ -19,28 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "rekey", "edge_uniforms", "split_seed"]
+__all__ = ["stream", "edge_uniforms", "split_seed"]
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for sub-stream `index` of `seed`; independent across indices."""
     return np.random.Generator(np.random.Philox(key=_key(seed, index)))
-
-
-def rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generator:
-    """gen, a Generator from stream(), moved to the start of stream(seed, index).
-
-    Its draws from here on are those of stream(seed, index).  Setting the
-    Philox state takes about 5 us on a 2-core Xeon, a new Philox about
-    17 us: its constructor first seeds a SeedSequence from OS entropy,
-    which the key then replaces.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, index)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return gen
 
 
 def _key(seed: int, index: int) -> np.ndarray:

@@ -244,9 +244,13 @@ def srw_intersection_values(n_base, samples, seed, num_doublings):
     t_max = times[-1]
     moves = ((1, 0), (-1, 0), (0, 1), (0, -1))  # (dx, dy) of a, a^-1, b, b^-1
     values = np.zeros((samples, len(times)), dtype=np.int64)
+    chunk = reference.INTERSECTION_CHUNK
     for i in range(samples):
-        rng = stream(seed, i)
-        letters = [rng.integers(0, 4, size=t_max, dtype=np.uint8) for _ in range(2)]
+        b, k = divmod(i, chunk)
+        if k == 0:  # batch b's rows are walks u0, v0, u1, v1, ...
+            batch = stream(seed, b).integers(
+                0, 4, size=(2 * min(chunk, samples - i), t_max), dtype=np.uint8)
+        letters = batch[2 * k:2 * k + 2]
         walkers = [[0, 0, 0], [0, 0, 0]]
         seen = [{(0, 0, 0)}, {(0, 0, 0)}]
         common = 1

@@ -37,7 +37,7 @@ from heiswalk.paths import (
     tail_estimate,
 )
 from heiswalk.reference import first_renewals, zd_collision_probability, zd_eit_tail
-from heiswalk.rng import rekey, stream
+from heiswalk.rng import stream
 from heiswalk.tables import scan_statistics
 
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=32)
@@ -282,21 +282,6 @@ def test_negative_seeds_have_distinct_streams():
     # keys at or above 2^63 must not pass through float64, where -1 and -2 meet
     draws = {tuple(stream(seed, 0).integers(0, 2**63, 4)) for seed in (-1, -2, 2**63, 0)}
     assert len(draws) == 4
-
-
-def test_rekey_gives_the_draws_of_a_new_stream():
-    # from any state, mid-buffer included, a re-keyed generator draws what
-    # a new stream of the same key draws
-    gen = stream(3, 0)
-    for seed, index in ((3, 0), (5, 1), (-1, 2**64 - 1), (2**63, 7), (5, 1)):
-        gen.integers(0, 4, size=13, dtype=np.uint8)
-        gen.integers(0, 2**31, dtype=np.uint32)
-        assert rekey(gen, seed, index) is gen
-        want = stream(seed, index)
-        for draw in (lambda g: g.integers(0, 4, size=1000, dtype=np.uint8),
-                     lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
-                     lambda g: g.random(5), lambda g: g.integers(0, 2**63, 4)):
-            assert np.array_equal(draw(gen), draw(want)), (seed, index)
 
 
 def test_merged_histograms_take_bounded_memory():

@@ -20,9 +20,8 @@ from oracles import (
 )
 
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk import paths, reference
+from heiswalk import paths
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP
-from heiswalk.rng import stream
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
     RENEWAL_HORIZON_CAP,
@@ -392,8 +391,8 @@ def test_intersection_growth_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-# 130 samples cross four boundaries of the 32-pair chunks; walks of 3, 10
-# and 7 steps leave 3, 2 and 1 bytes of their last uint32 draw unused; the
+# 130 samples cross four boundaries of the 32-pair batches, the last one
+# short; walks of 3, 10 and 7 steps are no whole number of uint32 words; the
 # last case ends at INTERSECTION_TIME_CAP, where the sort composites are largest
 @pytest.mark.parametrize("n_base,samples,seed,doublings",
                          [(1, 6, 2, 0), (3, 25, 1, 3), (8, 40, 5, 2), (16, 12, 9, 1),
@@ -402,13 +401,6 @@ def test_intersection_growth_deterministic():
 def test_intersections_match_step_loop(n_base, samples, seed, doublings):
     growth = srw_mutual_intersections(n_base, samples, seed, doublings)
     assert np.array_equal(growth.values, srw_intersection_values(n_base, samples, seed, doublings))
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 32, 128])
-def test_intersection_counts_do_not_depend_on_the_batch(monkeypatch, chunk):
-    want = srw_mutual_intersections(8, 130, seed=3, num_doublings=2).values
-    monkeypatch.setattr(reference, "INTERSECTION_CHUNK", chunk)
-    assert np.array_equal(srw_mutual_intersections(8, 130, seed=3, num_doublings=2).values, want)
 
 
 def test_intersections_take_bounded_memory():
@@ -426,19 +418,6 @@ def test_intersection_time_cap():
         srw_mutual_intersections(INTERSECTION_TIME_CAP // 4, 2, seed=1, num_doublings=3)
     growth = srw_mutual_intersections(INTERSECTION_TIME_CAP // 4, 2, seed=1, num_doublings=2)
     assert growth.times[-1] == INTERSECTION_TIME_CAP
-
-
-@pytest.mark.parametrize("t_max", [1, 2, 3, 4, 5, 1023, 1024, 1025, INTERSECTION_TIME_CAP])
-def test_one_uint32_draw_gives_the_uint8_letters(t_max):
-    # srw_mutual_intersections draws a pair's two walks as raw uint32 words,
-    # in one call, and reads letter j off the top two bits of byte j
-    old, new = stream(11, 3), stream(11, 3)
-    want = [old.integers(0, 4, size=t_max, dtype=np.uint8) for _ in range(2)]
-    words = new.integers(0, 2**32, size=(2, -(-t_max // 4)), dtype=np.uint32).astype("<u4")
-    assert np.array_equal(words.view(np.uint8)[:, :t_max] >> 6, want)
-    # and leaves the generator where the two uint8 calls do
-    for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32), lambda g: g.random(3)):
-        assert np.array_equal(draw(new), draw(old))
 
 
 def test_first_visit_keys_exact_at_the_cap():
