@@ -478,10 +478,16 @@ def _benchmark_calls():
 
 
 def _golden_calls():
-    """The small calls, two more, and each benchmark call not among them but
+    """The small calls, four more, and each benchmark call not among them but
     fourier's (see _golden_digests); min-count 5 pools the small eit-tail
-    call's ratio over six levels, where the default takes three."""
+    call's ratio over six levels, where the default takes three.  The two
+    low-p resistance profiles pin the order in which the Schur diagonal
+    sums its losses: at p <= 0.8 a change of that order moves the last
+    bits of their resistances, which no other call shows."""
     calls = _SMALL_CALLS + [["resistance-profile", "--family", "z2", "--radii", "4,8,16"],
+                            ["resistance-profile", "--p", "0.7"],
+                            ["resistance-profile", "--family", "z2", "--p", "0.6",
+                             "--radii", "4,8,16"],
                             ["eit-tail", "--horizon", "64", "--samples", "256",
                              "--min-count", "5"]]
     return calls + [argv for argv in _benchmark_calls()
