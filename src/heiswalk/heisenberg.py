@@ -13,7 +13,15 @@ which pins the multiplication law used throughout:
     (n, m, k) * (n', m', k') = (n + n', m + m', k + k' - m * n')
 
 Balls are capped at radius DEFAULT_BALL_CAP, far inside the signed
-64-bit range of their packed keys.
+64-bit range of their packed keys.  The sphere sizes |S(r)| have the
+rational growth series, checked by the tests up to the cap,
+
+    sum_r |S(r)| z^r = (1 + z + 4z^2 + 11z^3 + 8z^4 + 21z^5 + 6z^6 + 9z^7 + z^8)
+                       / ((1 - z)^4 (1 + z^2) (1 + z + z^2)),
+
+so |B(r)| / r^4 -> 31/72.  Every generating set of the group has a
+rational growth series (Duchin and Shapiro, "The Heisenberg group is
+pan-rational", Adv. Math. 346, 2019).
 """
 
 from __future__ import annotations

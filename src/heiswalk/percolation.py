@@ -28,10 +28,11 @@ the eliminated potentials in one pass (Reid 1972, "The use of conjugate
 gradients for systems of linear equations possessing 'Property A'").
 That takes about half the steps of a solve on the whole Laplacian.
 
-Everything here is numpy: the Schur complement in gather form (_Schur),
-the conjugate gradient loop (_solve_spd) and the frontier sweep (_sweep)
-of both cluster searches, the oriented one through the box's out-edge
-table, the solve's component through the mask's adjacency lists.
+Everything here is numpy on one neighbour table per box (BoxGraph.slots
+and .ends): the Schur complement in gather form (_Schur), the conjugate
+gradient loop (_solve_spd) and the frontier sweep (_sweep) of both
+cluster searches, the oriented one through the out-slots, the solve's
+component through the table under the mask.
 
 Transience of a ball sequence cannot be decided by any finite solve;
 resistance_profile reports the honest finite surrogate (resistance to
@@ -86,6 +87,12 @@ class BoxGraph:
 
     Those orders make every smaller ball a prefix: sub_box cuts it out
     by slicing.
+
+    The neighbour table slots[s, v] is v's s-th edge (-1 if none): its
+    out-edges by label, then its in-edges in edge order, on the boxes
+    (tail, label), in as many slots as the largest in-degree.  ends[s, v]
+    is that edge's far end, or the pad n_vertices.  A solve sums over the
+    slots in this order, its edges' order, and a closed slot adds zero.
     """
 
     def __init__(self, radius, coords, dist, tails, heads, labels, keys, n_labels):
@@ -98,9 +105,19 @@ class BoxGraph:
         self.heads = np.asarray(heads, dtype=np.int32)
         self.labels = np.asarray(labels, dtype=np.uint8)
         self.keys = np.asarray(keys, dtype=np.uint64)
-        # out_edge[v, label] = edge index or -1; each label leaves v at most once
-        self.out_edge = np.full((self.n_vertices, n_labels), -1, dtype=np.int64)
-        self.out_edge[self.tails, self.labels] = np.arange(len(self.tails))
+        # each label leaves v at most once; an in-edge's slot follows its
+        # place among the edges into its head
+        by_head = np.argsort(self.heads, kind="stable")
+        into = self.heads[by_head]
+        in_degree = np.bincount(into, minlength=self.n_vertices)
+        in_slot = n_labels + np.arange(len(into)) - (np.cumsum(in_degree) - in_degree)[into]
+        shape = (n_labels + in_degree.max(initial=0), self.n_vertices)
+        self.slots = np.full(shape, -1, dtype=np.int32)
+        self.ends = np.full(shape, self.n_vertices, dtype=np.int32)
+        self.slots[self.labels, self.tails] = np.arange(len(into))
+        self.ends[self.labels, self.tails] = self.heads
+        self.slots[in_slot, into] = by_head
+        self.ends[in_slot, into] = self.tails[by_head]
         # the ball of radius r is the first _ball_end[r] vertices, and the
         # first _edge_end[r] edges are those with tails in it
         self._ball_end = np.searchsorted(self.dist, np.arange(radius + 1), side="right")
@@ -132,7 +149,8 @@ class BoxGraph:
 
 
 def heisenberg_box(radius: int) -> BoxGraph:
-    """Word-metric ball of G_H with its a- and b-edges (labels 0, 1)."""
+    """Word-metric ball of G_H in ball_levels' order, with its a- and b-edges
+    (labels 0, 1)."""
     levels = ball_levels(radius)
     coords = np.concatenate(levels)
     dist = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
@@ -162,20 +180,22 @@ def lattice_box(d: int, radius: int) -> BoxGraph:
         room = room[row] - np.abs(c)
     if len(coords) > LATTICE_VERTEX_CAP:
         raise CapExceededError(f"lattice box has {len(coords)} vertices")
+    dist = radius - room
+    order = np.lexsort(np.vstack([coords.T[::-1], dist]))
+    coords, dist = coords[order], dist[order]
     heads = [coords + np.eye(d, dtype=np.int64)[axis] for axis in range(d)]
-    return _box_graph(f"z{d}", radius, coords, radius - room, heads, (12,) * d)
+    return _box_graph(f"z{d}", radius, coords, dist, heads, (12,) * d)
 
 
 def _box_graph(family, radius, coords, dist, heads, widths) -> BoxGraph:
-    """BoxGraph of the vertices `coords` at distances `dist`.
+    """BoxGraph of the vertices `coords` at distances `dist`, given in order
+    by (distance, coordinates).
 
     heads[label] holds each vertex's head along that label; the edge exists
     when the head is a vertex.  Vertex lookups and edge keys use the tail
     coordinates packed into signed fields of the given bit widths, with
     the label above them.
     """
-    order = np.lexsort(np.vstack([coords.T[::-1], dist]))
-    coords, dist, heads = coords[order], dist[order], [head[order] for head in heads]
     vertex_key = _pack(coords, widths)
     if (vertex_key < 0).any():
         raise CapExceededError(f"{family} box of radius {radius} does not fit the edge keys")
@@ -228,39 +248,27 @@ def percolate(graph: BoxGraph, p: float, seed: int) -> SubgraphMask:
 
 def oriented_cluster(mask: SubgraphMask) -> np.ndarray:
     """Sorted indices of the vertices reachable from the origin along open
-    directed edges, looked up in graph.out_edge as path_flow_assignment does."""
-    def step(frontier):
-        e = mask.graph.out_edge[frontier].ravel()
-        e = e[e >= 0]
-        return mask.graph.heads[e[mask.open[e]]]
-    return np.flatnonzero(_sweep(mask.graph, step))
-
-
-def _component(graph: BoxGraph, ends: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Boolean mask of the origin's component; each edge is in (ends, others) both ways."""
-    # adjacency lists: the other ends of each vertex's edges, contiguous; a
-    # stable sort is fastest here, the first half (the tails) being sorted
-    neighbours = others[np.argsort(ends, kind="stable")]
-    degree = np.bincount(ends, minlength=graph.n_vertices)
-    first = np.cumsum(degree) - degree
+    directed edges, read off each frontier's out-slots."""
+    graph, out = mask.graph, slice(mask.graph.n_labels)
+    is_open = np.append(mask.open, False)  # an empty slot, -1, reads False
 
     def step(frontier):
-        count = degree[frontier]
-        base = np.repeat(first[frontier] - (np.cumsum(count) - count), count)
-        return neighbours[base + np.arange(len(base))]
-    return _sweep(graph, step)
+        return graph.ends[out, frontier][is_open[graph.slots[out, frontier]]]
+    return np.flatnonzero(_sweep(graph, step))
 
 
 def _sweep(graph: BoxGraph, step) -> np.ndarray:
-    """Boolean mask of the vertices reached from the origin, step(frontier) giving the next."""
-    seen = np.zeros(graph.n_vertices, dtype=bool)
+    """Boolean mask of the vertices reached from the origin, step(frontier)
+    giving the next; the pad n_vertices among them is passed over."""
+    seen = np.zeros(graph.n_vertices + 1, dtype=bool)
+    seen[-1] = True
     frontier = np.array([graph.origin])
     while len(frontier):
         seen[frontier] = True
         fresh = np.zeros_like(seen)
         fresh[step(frontier)] = True
         frontier = np.flatnonzero(fresh & ~seen)
-    return seen
+    return seen[:-1]
 
 
 def effective_resistance(mask: SubgraphMask) -> float:
@@ -279,57 +287,36 @@ def effective_resistance(mask: SubgraphMask) -> float:
     graph = mask.graph
     if graph.radius < 1:
         raise ConfigError("effective resistance needs a box of radius >= 1")
-    src = graph.origin
-    # each open edge once from either end; integer counts are exact in any
-    # order, and an edge off the component touches no free vertex, nor the source
-    t, h = graph.tails[mask.open], graph.heads[mask.open]
-    ends, others = np.concatenate([t, h]), np.concatenate([h, t])
-    comp = _component(graph, ends, others)
-    shell = comp & (graph.dist == graph.radius)
-    if not shell.any():
+    n, src = graph.n_vertices, graph.origin
+    # the box's neighbour table under the mask: a closed slot reads the pad n
+    nbr = np.where(np.append(mask.open, False)[graph.slots], graph.ends, n)
+    comp = _sweep(graph, lambda frontier: nbr[:, frontier])
+    if not (comp & (graph.dist == graph.radius)).any():
         return float("inf")
 
-    role = np.zeros(graph.n_vertices, dtype=np.int8)  # 1 source, 2 ground
-    role[src] = 1
-    role[shell] = 2
-    free = comp & (role == 0)
-    at_free = free[ends]
-    deg = np.bincount(ends[at_free], minlength=graph.n_vertices).astype(float)
+    free = comp & (graph.dist < graph.radius)
+    free[src] = False
+    deg = np.count_nonzero(nbr < n, axis=0).astype(float)
     # edges touching the source push unit potential into the system
-    b = np.bincount(ends[at_free & (role[others] == 1)], minlength=graph.n_vertices).astype(float)
+    b = np.where(free, np.count_nonzero(nbr == src, axis=0), 0).astype(float)
     # eliminate the free odd vertices with no free odd neighbour: no open
     # edge joins two of them, so their block of the Laplacian is diagonal
     elim = free & (graph.dist % 2 == 1)
-    elim[ends[elim[ends] & elim[others]]] = False
+    elim &= ~np.append(elim, False)[nbr].any(axis=0)
     kept = free & ~elim
-    inner = at_free & free[others]
-    schur = _Schur.build(deg, kept, elim, ends[inner], others[inner])
-    maxiter = max(20, int(CG_ITERATIONS_PER_ROOT * math.sqrt(graph.n_vertices)))
+    schur = _Schur.build(deg, kept, elim, nbr)
+    maxiter = max(20, int(CG_ITERATIONS_PER_ROOT * math.sqrt(n)))
     phi = _solve_spd(schur, schur.rhs(b[kept], b[elim]), maxiter, math.sqrt(_dot(b, b)))
 
-    potential = np.zeros(graph.n_vertices)
+    potential = np.zeros(n)
     potential[src] = 1.0
     potential[kept] = phi
     potential[elim] = schur.recover(b[elim], phi)
-    at_src = (role[t] == 1) | (role[h] == 1)
-    other = np.where(role[t[at_src]] == 1, h[at_src], t[at_src])
-    current = float(np.sum(1.0 - potential[other]))
+    other = nbr[:, src]
+    current = float(np.sum(1.0 - potential[other[other < n]]))
     if current <= 0:
         return float("inf")
     return 1.0 / current
-
-
-def _gather_table(rows: np.ndarray, cols: np.ndarray, n_rows: int, pad: int) -> np.ndarray:
-    """Padded gather table of the edge ends (rows[j], cols[j]), rows sorted.
-
-    table[s, i] is row i's s-th column; the padding is `pad`, the slot one
-    past the gathered vector, which _gather holds at zero.
-    """
-    count = np.bincount(rows, minlength=n_rows)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
-    table = np.full((count.max(initial=0), n_rows), pad, dtype=np.intp)
-    table[slot, rows] = cols
-    return table
 
 
 def _gather(table: np.ndarray, *parts: np.ndarray) -> np.ndarray:
@@ -352,9 +339,11 @@ class _Schur:
     edge joins two eliminated vertices E, so D_E is their whole block.
     Free vertices are numbered kept first, then eliminated, each part in
     vertex order; kept_nbrs is the gather table of [A_KK A_KE] in that
-    numbering and elim_nbrs that of A_EK.  `diag` is S's diagonal: D_K
-    less c^2 / D_e for each eliminated e that c parallel edges join to
-    the kept vertex.
+    numbering, read off the masked neighbour table with the pad for any
+    other slot, and elim_nbrs that of A_EK, packed: each column's entries
+    move up past its pads, since `diag`'s bincount adds in ravel order.
+    `diag` is S's diagonal: D_K less c^2 / D_e for each eliminated e that
+    c parallel edges join to the kept vertex.
     """
 
     deg: np.ndarray
@@ -364,18 +353,21 @@ class _Schur:
     diag: np.ndarray
 
     @classmethod
-    def build(cls, deg, kept, elim, ends, others) -> _Schur:
+    def build(cls, deg, kept, elim, nbr) -> _Schur:
         """From the degrees and the kept and eliminated masks over the box's
-        vertices, and the free-to-free edge ends (ends[j], others[j])."""
+        vertices, and its neighbour table under the mask."""
         n_kept = int(kept.sum())
         n_free = n_kept + int(elim.sum())
-        col = np.where(kept, np.cumsum(kept) - 1, n_kept + np.cumsum(elim) - 1)
-        rows, cols = col[ends], col[others]
-        order = np.argsort(rows, kind="stable")  # neighbours in edge order
-        rows, cols = rows[order], cols[order]
-        split = np.searchsorted(rows, n_kept)
-        kept_nbrs = _gather_table(rows[:split], cols[:split], n_kept, n_free)
-        elim_nbrs = _gather_table(rows[split:] - n_kept, cols[split:], n_free - n_kept, n_kept)
+        col = np.full(len(kept) + 1, n_free)  # the pad and every fixed vertex
+        col[:-1][kept] = np.arange(n_kept)
+        col[:-1][elim] = np.arange(n_kept, n_free)
+        kept_nbrs = col[nbr[:, kept]]
+        # an eliminated vertex's free neighbours are all kept
+        near = col[nbr[:, elim]]
+        is_kept = near < n_kept
+        slot = np.cumsum(is_kept, axis=0) - 1
+        elim_nbrs = np.full((is_kept.sum(axis=0).max(initial=0), near.shape[1]), n_kept)
+        elim_nbrs[slot[is_kept], np.nonzero(is_kept)[1]] = near[is_kept]
         inv_elim = 1.0 / deg[elim]
         # each entry of e's column counts once per entry equal to it: c^2 in all
         mult = (elim_nbrs[:, None] == elim_nbrs[None, :]).sum(axis=1)
@@ -490,7 +482,7 @@ def path_flow_assignment(mask: SubgraphMask, num_paths: int, seed: int) -> FlowA
     at = np.full(num_paths, graph.origin)
     used = np.zeros((num_paths, r), dtype=np.int64)
     for t in range(r):
-        e = graph.out_edge[at, words[alive, t]]
+        e = graph.slots[words[alive, t], at]
         ok = e >= 0
         ok[ok] = mask.open[e[ok]]
         alive, at, e = alive[ok], graph.heads[e[ok]], e[ok]

@@ -102,7 +102,9 @@ def box_arrays(family, radius):
     """The arrays of a BoxGraph, built vertex by vertex.
 
     family is "heisenberg" or "z<d>"; returns coords, dist, tails,
-    heads, labels, keys and out_edge.
+    heads, labels, keys, and the neighbour table slots and ends: each
+    vertex's out-edges by label, then its in-edges in edge order, each
+    column padded with -1 (slots) and the vertex count (ends).
     """
     if family == "heisenberg":
         dist_map = ball_distances(radius)
@@ -137,9 +139,19 @@ def box_arrays(family, radius):
             j = index.get(head)
             if j is not None:
                 edges.append((i, j, label, key_of(v, label)))
-    out_edge = np.full((len(vertices), n_labels), -1, dtype=np.int64)
-    for e, (i, _j, label, _key) in enumerate(edges):
-        out_edge[i, label] = e
+    out_slots = [[-1] * n_labels for _ in vertices]
+    in_slots = [[] for _ in vertices]
+    for e, (i, j, label, _key) in enumerate(edges):
+        out_slots[i][label] = e
+        in_slots[j].append(e)
+    width = n_labels + max(map(len, in_slots), default=0)
+    slots = np.full((width, len(vertices)), -1, dtype=np.int64)
+    ends = np.full((width, len(vertices)), len(vertices), dtype=np.int64)
+    for v, (out, inn) in enumerate(zip(out_slots, in_slots)):
+        for s, e in enumerate(out + inn):
+            if e >= 0:
+                slots[s, v] = e
+                ends[s, v] = edges[e][1] if s < n_labels else edges[e][0]
     cols = list(zip(*edges)) if edges else [(), (), (), ()]
     return {
         "coords": np.array(vertices, dtype=np.int64).reshape(len(vertices), -1),
@@ -148,7 +160,8 @@ def box_arrays(family, radius):
         "heads": np.array(cols[1], dtype=np.int64),
         "labels": np.array(cols[2], dtype=np.int64),
         "keys": np.array(cols[3], dtype=np.uint64),
-        "out_edge": out_edge,
+        "slots": slots,
+        "ends": ends,
     }
 
 
@@ -208,7 +221,7 @@ def oriented_cluster(mask, start, limit):
     stack = [start]
     while stack:
         i = stack.pop()
-        for e in graph.out_edge[i]:
+        for e in graph.slots[: graph.n_labels, i]:
             if e >= 0 and mask.open[e]:
                 j = int(graph.heads[e])
                 if j not in seen and graph.dist[j] <= limit:
@@ -227,7 +240,7 @@ def path_flow(graph, mask, num_paths, seed):
         edge_ids = []
         i = graph.origin
         for t in range(r):
-            e = graph.out_edge[i, w[t]]
+            e = graph.slots[w[t], i]
             if e < 0 or not mask.open[e]:
                 break
             edge_ids.append(e)

@@ -118,6 +118,25 @@ def test_ball_levels_match_dict_bfs():
         assert ball_with_distances(radius) == {g: d for g, d in oracle.items() if d <= radius}
 
 
+def test_ball_levels_to_the_cap_are_sorted_and_follow_the_growth_series():
+    # the percolation boxes take ball_levels' order, by distance and then
+    # lexicographic, as their vertex order; the sphere sizes are the
+    # coefficients of the growth series in heisenberg's docstring
+    levels = ball_levels(DEFAULT_BALL_CAP)
+    for r, level in enumerate(levels):
+        step = np.diff(level, axis=0)
+        lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+        assert np.all(lead > 0), r
+    numerator = [1, 1, 4, 11, 8, 21, 6, 9, 1]
+    denominator = np.convolve(np.convolve([1, -4, 6, -4, 1], [1, 0, 1]), [1, 1, 1]).tolist()
+    series = []
+    for r in range(DEFAULT_BALL_CAP + 1):
+        below = sum(denominator[i] * series[r - i] for i in range(1, min(r, 8) + 1))
+        series.append((numerator[r] if r < len(numerator) else 0) - below)
+    assert [len(level) for level in levels] == series
+    assert ball_sizes(DEFAULT_BALL_CAP) == np.cumsum(series).tolist()
+
+
 def test_spheres_have_the_parity_of_their_radius():
     # every generator flips n + m mod 2, so no sphere holds two neighbours
     for r, level in enumerate(ball_levels(12)):

@@ -36,10 +36,11 @@ def hand_mask(graph, open_bits):
 
 
 def component(mask):
-    """Sorted vertices of the undirected search over the mask's open edges."""
-    t, h = mask.graph.tails[mask.open], mask.graph.heads[mask.open]
-    ends, others = np.concatenate([t, h]), np.concatenate([h, t])
-    return np.flatnonzero(percolation._component(mask.graph, ends, others))
+    """Sorted vertices of the undirected search over the box's neighbour
+    table under the mask, as effective_resistance runs it."""
+    g = mask.graph
+    nbr = np.where(np.append(mask.open, False)[g.slots], g.ends, g.n_vertices)
+    return np.flatnonzero(percolation._sweep(g, lambda frontier: nbr[:, frontier]))
 
 
 def test_single_edge_resistance():
@@ -283,8 +284,9 @@ def test_cg_matches_scipy_step_for_step(family, p, monkeypatch):
 
 
 def test_cg_zero_right_hand_side_returns_zeros():
+    # vertices 0 and 1 joined by one edge, in slot 0 of 0 and slot 1 of 1
     op = percolation._Schur.build(np.array([2.0, 2.0]), np.array([True, True]),
-                                  np.array([False, False]), np.array([0, 1]), np.array([1, 0]))
+                                  np.array([False, False]), np.array([[1, 2], [2, 0]]))
     assert np.array_equal(percolation._solve_spd(op, np.zeros(2), 20, 0.0), np.zeros(2))
 
 
@@ -369,7 +371,7 @@ def test_box_matches_vertex_by_vertex_builder(family, radius):
         sub = g.sub_box(r)
         assert (sub.radius, sub.origin) == (r, g.origin)
         want = oracles.box_arrays(family, r)
-        for name in ("coords", "dist", "tails", "heads", "labels", "keys", "out_edge"):
+        for name in ("coords", "dist", "tails", "heads", "labels", "keys", "slots", "ends"):
             assert np.array_equal(getattr(sub, name), want[name]), (r, name)
     assert g.sub_box(radius).n_edges == g.n_edges
     assert g.coords.dtype == np.int64 and g.keys.dtype == np.uint64
