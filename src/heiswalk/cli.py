@@ -172,13 +172,15 @@ FOURIER_K_SQUARED_CAP = 2**26  # 16 times k = 2048, about 5 s
 TABLE_K_CUBED_CAP = 2**33  # 8 times k = 1024, about 5 s
 _PAIR_STEPS = ("pair-steps", PAIR_STEPS_CAP, lambda c: c["samples"] * c["horizon"])
 _THREADS = {"threads": ("int>=1", "1", "worker threads for Monte Carlo chunks")}
+_TRANSIENT_D = {"d": ("int>=4", "4", "lattice dimension of the transient regime, "
+                      f"at most {reference.ZD_MAX_D}")}
 
 
-def _zd_cells(k_list: str) -> tuple:
-    """d * (k + 1)^2 summed over the distinct k of the Z^d list, the bound on
-    its terms that each zd_collision_probability call checks."""
+def _zd_cells(k_list: str, d: int | None = None) -> tuple:
+    """d * (k + 1)^2 summed over the distinct k of the Z^d list, d the --d option
+    unless given: the bound on its terms that each zd_collision_probability call checks."""
     return ("lattice cells", ZD_COLLISION_CELLS_CAP,
-            lambda c: c["d"] * sum((k + 1) ** 2 for k in c[k_list]))
+            lambda c: (d or c["d"]) * sum((k + 1) ** 2 for k in c[k_list]))
 
 
 def _table_k_cubed(k_list: str) -> tuple:
@@ -357,18 +359,17 @@ def _run_zd_collision(cfg):
 
 
 @_experiment({
-    "d": ("int>=1", "4", "lattice dimension for the reference slope"),
     "gh_k_list": ("intlist>=1 sorted", "32,64,128,256", "Heisenberg k values"),
-    "zd_k_list": ("intlist>=1 sorted", "16,32,64,128", "lattice k values"),
-}, _table_k_cubed("gh_k_list"), _zd_cells("zd_k_list"))
+    "zd_k_list": ("intlist>=1 sorted", "16,32,64,128", "Z^4 k values"),
+}, _table_k_cubed("gh_k_list"), _zd_cells("zd_k_list", d=4))
 def _run_collision_contrast(cfg):
-    d, gh_ks, zd_ks = cfg["d"], cfg["gh_k_list"], cfg["zd_k_list"]
+    gh_ks, zd_ks = cfg["gh_k_list"], cfg["zd_k_list"]
     stats = tables.scan_statistics(gh_ks)
     gh_fit = fit_loglog(gh_ks, [stats[k].collision for k in gh_ks])
-    zd_probs = [reference.zd_collision_probability(d, k) for k in zd_ks]
+    zd_probs = [reference.zd_collision_probability(4, k) for k in zd_ks]
     zd_fit = fit_loglog(zd_ks, zd_probs)
     rows = [("heisenberg", k, stats[k].collision) for k in gh_ks]
-    rows += [(f"z{d}", k, p) for k, p in zip(zd_ks, zd_probs)]
+    rows += [("z4", k, p) for k, p in zip(zd_ks, zd_probs)]
     checks = {"collision-exponent-gap": (zd_fit.slope - gh_fit.slope, gh_ks + zd_ks, None)}
     extras = {"gh_slope": gh_fit.slope, "zd_slope": zd_fit.slope}
     return ["family", "k", "p_collision"], rows, checks, extras
@@ -418,7 +419,7 @@ def _run_eit_tail(cfg):
 
 
 @_experiment({
-    "d": ("int>=4", "4", "lattice dimension of the transient regime"),
+    **_TRANSIENT_D,
     "horizon": ("int>=1", "10000", "steps per difference walk"),
     "samples": ("int>=1", "100000", "number of walks"),
     **_THREADS,
@@ -436,7 +437,7 @@ def _run_theta_d(cfg):
 
 
 @_experiment({
-    "d": ("int>=4", "4", "lattice dimension of the transient regime"),
+    **_TRANSIENT_D,
     "horizon": ("int>=1", "2048", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
     "min_count": ("int>=1", "50", "smallest survivor count of a level the tail ratio pools"),

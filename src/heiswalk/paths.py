@@ -28,20 +28,21 @@ give every meeting.  On G_H that state, |X| <= h and |W - t0 X| <= 3h^2/2
 at horizon h, keeps the carry-in X + 1024 (W - t0 X) below 2^59 through
 h = 2^24, the most PAIR_CHUNK_CELLS_CAP gives one pair.  Each step's letter
 pair a*d + b is drawn once (draw_pairs): the bytes of raw 64-bit words hold
-4 pairs each on G_H, 2 on Z^4 and 1 at d = 16, and any other d draws one
-bounded integer per pair.  At d = 4 a byte holds the two steps that share a
-word, so one lookup of the raw bytes builds the words; at d = 2 a byte
-holds two such step pairs, looked up in a per-position table that also
-folds in the G_H step weights 1 + 1024 i; any other d looks each step's
-pair up apart.  A chunk of PAIR_CHUNK = 1024 pairs draws from stream(seed,
-chunk index), so all horizons share one sample-path prefix.  A chunk does
-at most PAIR_CHUNK_CELLS_CAP pair-steps (exit 3 beyond); map_chunks adds
-the chunk results in chunk order as they finish, in O(threads * max count)
-memory, so no result depends on the thread count.  The tails count shared
-directed edges of path pairs (coinciding positions at t and equal letters
-at t), vertex coincidences, and fresh re-meets after separation; two walks
-at one vertex stay together exactly when their letters agree, so the shared
-edges are the vertex meetings that are not re-meets.
+4 pairs each on G_H and 2 on Z^4, and any other d draws one uint8 bounded
+integer per pair (d <= 16 keeps a*d + b below 256).  At d = 4 a byte holds
+the two steps that share a word, so one lookup of the raw bytes builds the
+words; at d = 2 a byte holds two such step pairs, looked up in a
+per-position table that also folds in the G_H step weights 1 + 1024 i; any
+other d looks each step's pair up apart.  A chunk of PAIR_CHUNK = 1024
+pairs draws from stream(seed, chunk index), so all horizons share one
+sample-path prefix.  A chunk does at most PAIR_CHUNK_CELLS_CAP pair-steps
+(exit 3 beyond); map_chunks adds the chunk results in chunk order as they
+finish, in O(threads * max count) memory, so no result depends on the
+thread count.  The tails count shared directed edges of path pairs
+(coinciding positions at t and equal letters at t), vertex coincidences,
+and fresh re-meets after separation; two walks at one vertex stay together
+exactly when their letters agree, so the shared edges are the vertex
+meetings that are not re-meets.
 
 The engine only counts.  _fit_tail (the pooled continuation ratio of a
 survivor tail, its one estimate of a geometric tail ratio) and
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -140,7 +140,6 @@ _RADIX = 1024  # a lane's fields: 10-bit Z^d coordinates, or dX below V on G_H
 _BIAS = 2**31  # added to the low lane, which then stays in 0 .. 2^32 - 1
 _MET = np.full(_HALF, _BIAS, dtype=np.int64).view(np.uint32)  # both lanes at 0
 _BYTE_ROW = 256 * np.arange(_HALF, dtype=np.uint16).reshape(-1, 64)  # d = 2: c's table row
-_LANES_LOCK = threading.Lock()  # chunk threads build one d's tables once, not each
 
 
 def map_chunks(fn, samples: int, horizon: int, threads: int):
@@ -183,17 +182,15 @@ def _add(total, part):
 def draw_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """(n, m) draws of one block's letter pairs a*d + b, a and b uniform on 0..d-1.
 
-    When d*d is 4, 16 or 256 these are the bytes of raw 64-bit words, m =
-    _BLOCK * log2(d*d) / 8: bit field i of byte k holds the pair of step
-    k + i * m, so byte k holds steps k and k + 128 at d = 4, steps k, k + 64,
-    k + 128 and k + 192 at d = 2, and step k at d = 16.  Any other d draws
-    one bounded integer per pair, m = _BLOCK, in step order.
+    At d = 2 and 4 a pair takes log2(d*d) = d bits, and these are the bytes
+    of raw 64-bit words, m = _BLOCK * d / 8: bit field i of byte k holds the
+    pair of step k + i * m, so byte k holds steps k and k + 128 at d = 4,
+    and steps k, k + 64, k + 128 and k + 192 at d = 2.  Any other d, at most
+    16, draws one uint8 bounded integer per pair, m = _BLOCK, in step order.
     """
-    cells = d * d
-    if cells not in (4, 16, 256):
-        return rng.integers(0, cells, size=(n, _BLOCK), dtype=np.uint8 if d <= 16 else np.uint16)
-    bits = cells.bit_length() - 1
-    words = rng.integers(0, 2**64, size=(n, _BLOCK * bits // 64), dtype=np.uint64)
+    if d not in (2, 4):
+        return rng.integers(0, d * d, size=(n, _BLOCK), dtype=np.uint8)
+    words = rng.integers(0, 2**64, size=(n, _BLOCK * d // 64), dtype=np.uint64)
     return words.astype("<u8", copy=False).view(np.uint8)
 
 
@@ -222,7 +219,7 @@ def _lanes(d: int, heisenberg: bool):
     the pair index a*d + b, to one step's key.
     """
     a, b = np.divmod(np.arange(d * d), d)
-    keys = []  # lane by lane: at d = 256 each is 0.5 MiB
+    keys = []  # lane by lane
     for first in range(0, d - 1, 3):
         letter = np.zeros(d, dtype=np.int64)
         coords = np.arange(first, min(first + 3, d - 1))
@@ -317,8 +314,7 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     exact through 2^24 steps, the most that map_chunks gives one pair.
     """
     rng = stream(seed, index)
-    with _LANES_LOCK:
-        tables, reach = _lanes(d, heisenberg)
+    tables, reach = _lanes(d, heisenberg)
     lanes, fields = len(tables), len(reach)
     place = (_RADIX ** np.arange(fields))[:, None]  # a lane's field weights
     state = np.zeros((lanes * fields, n), dtype=np.int64)

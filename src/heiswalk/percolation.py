@@ -137,10 +137,12 @@ class BoxGraph:
         Its vertices are a prefix, and its edges are those of the edge
         prefix with tails in it whose heads lie in it too, in the same
         order and with the same keys: the box that heisenberg_box or
-        lattice_box would build at that radius.
+        lattice_box would build at that radius; at self.radius, self.
         """
         if not 0 <= radius <= self.radius:
             raise ConfigError(f"sub-box radius must be in [0, {self.radius}], got {radius}")
+        if radius == self.radius:
+            return self
         n, e = self._ball_end[radius], self._edge_end[radius]
         kept = self.heads[:e] < n
         return BoxGraph(radius, self.coords[:n], self.dist[:n], self.tails[:e][kept],

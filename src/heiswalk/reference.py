@@ -25,9 +25,8 @@ answers are classical:
   tail implied by a renewal argument at each shared edge.
 * zd_eit_tail -- the same shared-edge tail statistic as on G_H.
   It and theta_d_estimate run on the difference-walk engine of `paths`;
-  their letter pairs a*d + b are raw bytes at d in {2, 4, 16}, a uint8
-  draw at any other d <= 16 and a uint16 draw above 16, so d above
-  ZD_MAX_D = 256 is a ConfigError.
+  their letter pairs a*d + b are raw bytes at d in {2, 4} and a uint8
+  draw at any other d, so d above ZD_MAX_D = 16 is a ConfigError.
 * srw_return_profile -- exact return probabilities of simple random
   walk on G_H (uniform on a, a^-1, b, b^-1), n^(-2) scale at even times.
   The step law is symmetric, so P_2n(e) = sum_g P_n(g)^2: a dense
@@ -78,7 +77,7 @@ __all__ = [
 ZD_COLLISION_WORK_CAP = 2**21  # d * (k + 1)^2 of zd_collision_probability
 # steps (2^14); the largest horizon a full chunk reaches under the cells cap
 RENEWAL_HORIZON_CAP = PAIR_CHUNK_CELLS_CAP // PAIR_CHUNK
-ZD_MAX_D = 256  # above d = 16 Monte Carlo letter pairs a*d + b are drawn as uint16
+ZD_MAX_D = 16  # Monte Carlo Z^d: every letter pair a*d + b fits in one byte
 # walk steps; two (t_max // 2 + 1)^2 x (2 b_z + 1) float64 buffers, 56 MB at the cap
 SRW_TIME_CAP = 128
 # walk steps; _sorted_visits sorts key * 2(t+1) + position, below 2^63 up to t = 4704

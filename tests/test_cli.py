@@ -176,9 +176,14 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     assert run("eit-tail", "--samples", "-5") == 2
     assert run("resistance-profile", "--p", "1.7") == 2
     assert run("theta-d", "--d", "2") == 2
-    # above d = 16 a letter pair a*d + b is drawn as a uint16, so d is capped at 256
-    assert run("theta-d", "--d", "300") == 2
-    assert run("zd-eit", "--d", "300") == 2
+    for experiment in ("theta-d", "zd-eit"):
+        assert run(experiment, "--d", "17") == 2
+        assert "2..16" in capsys.readouterr().err
+    # collision-contrast judges G_H against Z^4 alone, so it takes no --d
+    with pytest.raises(SystemExit) as exc:
+        run("collision-contrast", "--d", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d 3" in capsys.readouterr().err
     # one pair has no standard error, so no growth z-score can certify a claim
     assert run("srw-intersections", "--samples", "1", "--n-base", "8") == 2
     # one continuation ratio cannot show memorylessness, which is no verdict
@@ -239,7 +244,7 @@ def test_cap_exceeded_exit_code(workdir, capsys, monkeypatch):
     start = time.perf_counter()
     assert run("zd-collision", "--d", str(10**12), "--k-list", "4,8") == 3
     assert run("zd-collision", "--k-list", "724") == 3
-    assert run("collision-contrast", "--d", str(10**12), "--gh-k-list", "4,8") == 3
+    assert run("collision-contrast", "--gh-k-list", "4,8", "--zd-k-list", "724") == 3
     assert time.perf_counter() - start < 5.0
     assert "exceeds the cap" in capsys.readouterr().err
 
@@ -664,10 +669,10 @@ def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experimen
 
 
 # each capped list's work unit and library function, a call at exactly its
-# work cap, and calls over it: by one unit (every dyadic k adds an even
-# number of cells, so 2 is its least step), then far over, where each k
-# meets its per-call cap
+# work cap, and calls over it: by its least step (one unit unless noted),
+# then far over, where each k meets its per-call cap
 _CAPPED_LISTS = {
+    # every dyadic k adds an even number of cells, so 2 is its least step
     "dyadic": ("law cells", (tables, "dyadic_uniformity"),
                ["dyadic", "--k-list", ",".join(map(str, range(2**20, 2**20 + 8)))], [
         ["dyadic", "--k-list", ",".join(map(str, [*range(2**20, 2**20 + 8), 2]))]]),
@@ -675,9 +680,12 @@ _CAPPED_LISTS = {
                      ["zd-collision", "--d", "1", "--k-list", "2047"], [
         ["zd-collision", "--d", "1", "--k-list", "0,2047"],
         ["zd-collision", "--k-list", ",".join(map(str, [*range(1, 501), 724]))]]),
+    # d = 4: 4 * (2^2 + 14^2 + 54^2 + 722^2 + 724^2) is 2^22, each k under
+    # the per-call cap 2^21 (no four distinct k reach 2^22 exactly), and
+    # every k adds a multiple of 4 cells, so 4 is its least step
     "collision-contrast": ("lattice cells", (reference, "zd_collision_probability"),
-                           ["collision-contrast", "--d", "1", "--zd-k-list", "2047"], [
-        ["collision-contrast", "--d", "1", "--zd-k-list", "63,2046"]]),
+                           ["collision-contrast", "--zd-k-list", "1,13,53,721,723"], [
+        ["collision-contrast", "--zd-k-list", "3,5,17,35,722,723"]]),
     "fourier": ("k^2 units", (fourier, "cos_product_integral"), ["fourier", "--k-list", "8192"], [
         ["fourier", "--k-list", "1,8192"],
         ["fourier", "--k-list", ",".join(map(str, [*range(1, 701), 2049]))]]),
@@ -702,7 +710,7 @@ def test_list_work_cap_refuses_before_the_library_runs(workdir, capsys, monkeypa
     registered = cli._EXPERIMENTS[experiment]
     cap, figure = next((cap, figure) for u, cap, figure in registered.work if u == unit)
     assert figure(_resolved(at_cap)) == cap
-    assert figure(_resolved(over[0])) == cap + (2 if experiment == "dyadic" else 1)
+    assert figure(_resolved(over[0])) == cap + {"dyadic": 2, "collision-contrast": 4}.get(case, 1)
     with monkeypatch.context() as patch:
         ran = []
         patch.setitem(cli._EXPERIMENTS, experiment, registered._replace(

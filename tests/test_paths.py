@@ -1,11 +1,7 @@
 """Oriented path pairs: coincidence reduction and Monte Carlo tails."""
 
-import functools
 import itertools
-import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,7 +119,7 @@ def test_endpoint_hits_match_group_positions():
     assert freq * n == hits
 
 
-# d = 2, 4 and 16 unpack raw words, 3 and 8 draw bounded integers
+# d = 2 and 4 unpack raw words, 3, 8 and 16 draw bounded integers
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 def test_draw_pairs_uniform_on_letter_pairs(d):
     pairs = block_pairs(paths.draw_pairs(stream(5, 0), d, 4096), d)
@@ -140,6 +136,19 @@ def test_draw_pairs_uniform_on_letter_pairs(d):
         equal = np.count_nonzero(pairs[:, lag:] == pairs[:, :-lag])
         expected = pairs[:, lag:].size / d**2
         assert abs(equal - expected) < 5 * np.sqrt(expected)
+
+
+def test_d16_draw_reads_the_bytes_of_raw_words():
+    # the full-range uint8 draw at d = 16 reads Philox's 64-bit words byte
+    # by byte, little end first, and leaves the generator where the raw
+    # words do: Z^16 streams are those of the raw-word draw they replaced
+    for seed, index, n in [(1, 0, 1), (31, 2, 48), (-7, 5, 1024)]:
+        drawn, raw = stream(seed, index), stream(seed, index)
+        words = raw.integers(0, 2**64, size=(n, 32), dtype=np.uint64)
+        assert np.array_equal(paths.draw_pairs(drawn, 16, n),
+                              words.astype("<u8").view(np.uint8))
+        assert np.array_equal(drawn.integers(0, 2**64, size=5, dtype=np.uint64),
+                              raw.integers(0, 2**64, size=5, dtype=np.uint64))
 
 
 def _uniform_block(d, pair, walks):
@@ -249,33 +258,6 @@ def test_short_last_chunk_is_thread_invariant():
         a, b = estimate(1), estimate(2)
         assert (a.counts, a.vertex_counts, a.excursion_counts) == (
             b.counts, b.vertex_counts, b.excursion_counts)
-
-
-def test_chunk_threads_build_the_lane_tables_once(monkeypatch):
-    # eight threads start on one uncached d at once; the tables are built once
-    builds, original = [], paths._lanes.__wrapped__
-
-    def build(d, heisenberg):  # slow enough for every thread to ask for it
-        builds.append(d)
-        time.sleep(0.05)
-        return original(d, heisenberg)
-
-    monkeypatch.setattr(paths, "_lanes", functools.cache(build))
-    start = threading.Barrier(8)
-
-    def chunk(index):
-        start.wait(timeout=10)
-        return next(paths.walk_blocks(64, 1, 1, 1, index))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for future in [pool.submit(chunk, index) for index in range(8)]:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert builds == [64]
 
 
 def test_negative_seeds_have_distinct_streams():

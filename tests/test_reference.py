@@ -485,10 +485,10 @@ def test_zd_eit_validation():
         zd_eit_tail(4, 2**15, 4096, seed=1)
 
 
-# key lanes hold three coordinates each; d = 4 and 16 unpack raw words (2 and
-# 1 pairs a byte), d = 3 and 8 draw bounded integers; on Z^2 pairs often
-# meet at the 256-step block boundaries of horizon 513
-@pytest.mark.parametrize("d, horizon, lanes", [(4, 300, 1), (8, 300, 3), (20, 60, 7),
+# key lanes hold three coordinates each; d = 2 and 4 unpack raw words (4 and
+# 2 pairs a byte), d = 3, 8, 11 and 16 draw bounded integers; on Z^2 pairs
+# often meet at the 256-step block boundaries of horizon 513
+@pytest.mark.parametrize("d, horizon, lanes", [(4, 300, 1), (8, 300, 3), (11, 60, 4),
                                                (16, 300, 5), (3, 300, 1), (2, 513, 1)])
 def test_zd_pair_counts_match_per_pair_loop(d, horizon, lanes):
     assert len(paths._lanes(d, False)[0]) == lanes
@@ -516,7 +516,7 @@ def _brute_first_return(inc_i, inc_j):
 
 
 # horizons off the 256-step block grid; (8, 300) and (8, 700) need three key
-# lanes, (16, 300) five; d = 2, 4 and 16 unpack raw words, the others draw
+# lanes, (16, 300) five; d = 2 and 4 unpack raw words, the others draw
 # bounded integers.  Walks leave the blocks once they have returned: on Z^2
 # most return in the first block of (2, 513), and the rest must still
 # advance exactly over three blocks; (8, 700) shrinks three key lanes at once
