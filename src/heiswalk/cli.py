@@ -401,7 +401,7 @@ def _run_fourier(cfg):
 def _run_eit_tail(cfg):
     est = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"])
     theta, theta_se, levels = paths._fit_tail(est.counts, cfg["min_count"])
-    ratios, _theta = paths.continuation_ratios(est.counts, cfg["min_count"])
+    ratios = paths.continuation_ratios(est.counts, cfg["min_count"])
     ratio_at = {n: (r, se) for n, r, se in ratios}
     rows = [(n, count, *ratio_at.get(n, (math.nan, math.nan)))
             for n, count in sorted(est.counts.items())]
@@ -580,7 +580,7 @@ def _run_flow_energy(cfg):
         mask = percolation.percolate(graph, 1.0, seeds[0])
         assignment = percolation.path_flow_assignment(mask, cfg["num_paths"], seeds[0])
         reff = percolation.effective_resistance(mask)
-        thomson_ok &= assignment is not None and assignment.energy() >= reff - 1e-9
+        thomson_ok &= assignment.energy() >= reff - 1e-9  # at p = 1 every word survives
         rows.append((1.0, radius, "thomson", assignment.energy(), assignment.surviving, reff))
     checks = {"flow-energy-taper": (_tapers(means), radii, None),
               "thomson-bound": (thomson_ok, radii, None)}

@@ -287,7 +287,7 @@ def _scan(words: np.ndarray, carry: np.ndarray, low: np.ndarray) -> None:
 
 
 def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
-                heisenberg: bool = False, live: np.ndarray | None = None):
+                heisenberg: bool = False):
     """Yield (t0, rows, met, fresh) for each _BLOCK-step block of n difference walks.
 
     The letter pairs come from draw_pairs on stream(seed, index), a whole
@@ -306,47 +306,33 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
     last block cut short by the horizon, maybe only after it), met[r, i]
     says walk rows[r] is together after step t0 + i < horizon, and fresh[r, i]
     that it is but was not a step before, a re-meet (all start together).
-
-    live, a boolean mask over the n walks that the caller may clear between
-    blocks, limits each block to the walks still live, and the loop ends
-    once none is left.  Every block still draws all n rows, so the streams
-    do not depend on it.  The caller caps the horizon: the G_H state stays
-    exact through 2^24 steps, the most that map_chunks gives one pair.
+    The caller caps the horizon: the G_H state stays exact through 2^24
+    steps, the most that map_chunks gives one pair.
     """
     rng = stream(seed, index)
     tables, reach = _lanes(d, heisenberg)
     lanes, fields = len(tables), len(reach)
     place = (_RADIX ** np.arange(fields))[:, None]  # a lane's field weights
-    state = np.zeros((lanes * fields, n), dtype=np.int64)
+    state = np.zeros((lanes, fields, n), dtype=np.int64)
     words, spare = np.empty((2, n, _HALF), dtype=np.int64)  # spare: scratch, then candidates
     met, lane_met = np.empty((2, n, _BLOCK), dtype=bool)
     moves = np.empty((lanes, fields, n), dtype=np.int64)
-    rows, picked = slice(None), None
     before = np.ones(n, dtype=bool)  # together after the previous block's last step
     for t0 in range(0, horizon, _BLOCK):
         block = min(_BLOCK, horizon - t0)
-        drawn = draw_pairs(rng, d, n)
-        if live is not None:
-            rows = np.flatnonzero(live)
-            if not rows.size:
-                return
-            picked = np.empty_like(drawn) if picked is None else picked
-            drawn = np.take(drawn, rows, axis=0, out=picked[:rows.size], mode="clip")
-        walks, codes = len(drawn), _codes(drawn, d)
-        at = state[:, rows].reshape(lanes, fields, walks)
-        carry = (place * at).sum(axis=1)
-        sel = np.flatnonzero((np.abs(at) <= reach).all(axis=(0, 1)))
+        codes = _codes(draw_pairs(rng, d, n), d)
+        carry = (place * state).sum(axis=1)
+        sel = np.flatnonzero((np.abs(state) <= reach).all(axis=(0, 1)))
         together = met[:0]  # over sel: together in every lane so far
-        word, move = words[:walks], moves[:, :, :walks]
         for lane, table in enumerate(tables):
-            _words(table, codes, word, spare[:walks])
-            low, move[lane, 0] = _totals(word)  # the lane's move is split below
+            _words(table, codes, words, spare)
+            low, moves[lane, 0] = _totals(words)  # the lane's move is split below
             if not sel.size:
                 continue
-            if sel.size == walks:
-                scan, pick = word, slice(None)
+            if sel.size == n:
+                scan, pick = words, slice(None)
             else:
-                scan = np.take(word, sel, axis=0, out=spare[:sel.size], mode="clip")
+                scan = np.take(words, sel, axis=0, out=spare[:sel.size], mode="clip")
                 pick = sel
             _scan(scan, carry[lane, pick], low[pick])
             if lane == 0:
@@ -358,22 +344,19 @@ def walk_blocks(d: int, horizon: int, n: int, seed: int, index: int, *,
                 sel, together = sel[keep], together[keep]
         if t0 + _BLOCK < horizon:  # add the block's moves, digit by digit
             for f in range(fields - 1):
-                move[:, f + 1] = move[:, f]
-                move[:, f] = (move[:, f] + _RADIX // 2) % _RADIX - _RADIX // 2
-                move[:, f + 1] -= move[:, f]
-                move[:, f + 1] //= _RADIX
-            at += move
+                moves[:, f + 1] = moves[:, f]
+                moves[:, f] = (moves[:, f] + _RADIX // 2) % _RADIX - _RADIX // 2
+                moves[:, f + 1] -= moves[:, f]
+                moves[:, f + 1] //= _RADIX
+            state += moves
             if heisenberg:  # Y = W - t0 X at the next block's t0
-                at[0, 1] -= _BLOCK * at[0, 0]
-            if live is not None:  # at is a copy of the live walks' state
-                state[:, rows] = at.reshape(lanes * fields, walks)
+                state[0, 1] -= _BLOCK * state[0, 0]
         lanes_met = together.reshape(len(sel), _HALF, 2)  # column c, lane h: step c + h * _HALF
-        hit = sel if live is None else rows[sel]
         flags = lanes_met.transpose(0, 2, 1).reshape(len(sel), _BLOCK)[:, :block]
-        fresh = flags > np.column_stack([before[hit], flags[:, :-1]])
+        fresh = flags > np.column_stack([before[sel], flags[:, :-1]])
         before[:] = False
-        before[hit] = flags[:, -1]
-        yield t0, hit, flags, fresh
+        before[sel] = flags[:, -1]
+        yield t0, sel, flags, fresh
 
 
 def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,
@@ -442,11 +425,10 @@ def continuation_ratios(survivor_counts: dict[int, int], min_count: int):
 
     Returns an (n, ratio, se) row for each level of _fit_tail, where ratio
     is counts[n+1]/counts[n] and se the pooled ratio's binomial spread at
-    counts[n], plus the pooled ratio, _fit_tail's theta.  Under a
-    memoryless tail all ratios estimate one constant.
+    counts[n].  Under a memoryless tail all ratios estimate one constant,
+    _fit_tail's theta.
     """
     pooled, _se, levels = _fit_tail(survivor_counts, min_count)
     spread = max(pooled * (1.0 - pooled), 1e-12)
-    rows = [(n, survivor_counts[n + 1] / survivor_counts[n],
+    return [(n, survivor_counts[n + 1] / survivor_counts[n],
              math.sqrt(spread / survivor_counts[n])) for n in levels]
-    return rows, pooled

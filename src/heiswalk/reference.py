@@ -263,15 +263,12 @@ def edge_collision_rate(d: int, theta_embedded: float) -> float:
 def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndarray:
     """First-return times (0 = none by horizon) for one stream of walks.
 
-    A first return is the first fresh meeting that walk_blocks yields; the
-    walk then leaves walk_blocks' live set.
+    A first return is the first fresh meeting that walk_blocks yields.
     """
-    live = np.ones(n, dtype=bool)
     return_time = np.zeros(n, dtype=np.int64)
-    for t0, walks, _met, fresh in walk_blocks(d, horizon, n, seed, index, live=live):
-        hit = fresh.any(axis=1)
+    for t0, walks, _met, fresh in walk_blocks(d, horizon, n, seed, index):
+        hit = fresh.any(axis=1) & (return_time[walks] == 0)
         return_time[walks[hit]] = t0 + np.argmax(fresh[hit], axis=1) + 1
-        live[walks[hit]] = False
     return return_time
 
 

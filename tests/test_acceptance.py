@@ -202,7 +202,8 @@ def test_criterion_09_eit_tail(criterion_log):
     fit = fit_exponential(
         fit_ns, [est.counts[n] for n in fit_ns], weights=[est.counts[n] for n in fit_ns]
     )
-    ratios, pooled = paths.continuation_ratios(est.counts, min_count=50)
+    ratios = paths.continuation_ratios(est.counts, min_count=50)
+    pooled = paths._fit_tail(est.counts, min_count=50)[0]
     worst = max((abs(r - pooled) / se for _n, r, se in ratios if se > 0), default=math.inf)
     ok, windows = judged({"eit-tail-linearity": (fit.r_squared, fit_ns),
                           "eit-memorylessness": (worst, [n for n, _r, se in ratios if se > 0])})

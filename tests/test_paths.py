@@ -396,16 +396,16 @@ def test_z4_mean_meeting_count_matches_exact_sum():
 
 def test_continuation_ratios_geometric_input():
     counts = {0: 1600, 1: 800, 2: 400, 3: 200, 4: 100, 5: 50}
-    rows, pooled = continuation_ratios(counts, min_count=100)
+    rows = continuation_ratios(counts, min_count=100)
     assert [n for n, _, _ in rows] == [0, 1, 2, 3, 4]
     assert all(r == 0.5 for _, r, _ in rows)
-    assert pooled == 0.5
+    assert paths._fit_tail(counts, min_count=100)[0] == 0.5
     assert all(se > 0 for _, _, se in rows)
 
 
 def test_continuation_ratios_empty():
-    rows, pooled = continuation_ratios({0: 10}, min_count=50)
-    assert rows == [] and np.isnan(pooled)
+    rows = continuation_ratios({0: 10}, min_count=50)
+    assert rows == [] and np.isnan(paths._fit_tail({0: 10}, min_count=50)[0])
 
 
 @pytest.mark.parametrize("theta, draws", [(0.25, 20000), (0.5, 4000)])

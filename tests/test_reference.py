@@ -517,9 +517,11 @@ def _brute_first_return(inc_i, inc_j):
 
 # horizons off the 256-step block grid; (8, 300) and (8, 700) need three key
 # lanes, (16, 300) five; d = 2 and 4 unpack raw words, the others draw
-# bounded integers.  Walks leave the blocks once they have returned: on Z^2
-# most return in the first block of (2, 513), and the rest must still
-# advance exactly over three blocks; (8, 700) shrinks three key lanes at once
+# bounded integers.  Walks go on after they have returned: on Z^2 most
+# return in the first block of (2, 513), and their later re-meets must not
+# move that first return while the rest must still advance exactly over
+# three blocks; (8, 700) screens candidates through three key lanes over
+# three blocks
 @pytest.mark.parametrize("d, horizon, n", [(2, 300, 4000), (3, 600, 400), (4, 300, 400),
                                            (8, 300, 400), (5, 37, 400), (16, 300, 400),
                                            (2, 513, 1000), (8, 700, 400)])
@@ -530,7 +532,7 @@ def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
     assert times.tolist() == expected
     if horizon == 300 and d == 2:  # a return on block 2's first step needs the carried `before`
         assert 257 in expected
-    if horizon == 513:  # most walks leave after block 1, and some return later
+    if horizon == 513:  # most walks return in block 1, and some return later
         assert sum(0 < t <= 256 for t in expected) > n // 2 and max(expected) > 256
 
 
@@ -548,6 +550,8 @@ def test_counts_match_per_pair_loops_around_the_lane_seams(d, n):
         assert est.excursion_counts == survivors(remeets)
         times = _theta_chunk(d, horizon, n, 41, 0)
         assert times.tolist() == [_brute_first_return(u[w], v[w]) for w in range(n)]
+        # a walk returns exactly when its pair re-meets
+        assert np.count_nonzero(times) == est.excursion_counts.get(1, 0)
 
 
 def test_bad_arguments_are_config_errors():
