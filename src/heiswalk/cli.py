@@ -7,8 +7,9 @@ a JSON summary that counts them to stdout, and records its claim
 verdicts, with the version and a hash of the resolved config, in a
 status file, replaced atomically under a lock on a sidecar `.lock` file,
 so runs sharing it lose no claims.  The Monte Carlo engine only counts:
-the runners here take each survivor tail's ratio as its pooled
-continuation ratio (paths._fit_tail), and a log-linear fit
+the runners here compute every rate and censoring figure (_censoring),
+take each survivor tail's ratio as its pooled continuation ratio
+(paths._fit_tail); a log-linear fit
 (fitting.fit_exponential) serves only the R^2 of `eit-tail-linearity`.
 Each verdict is the plain JSON record that the summary prints, built
 from the statistic a runner checked, the points it rests on and the
@@ -392,6 +393,21 @@ def _run_fourier(cfg):
     return ["k", "integral", "head", "tail", "k32_scaled"], rows, checks, extras
 
 
+def _censoring(horizon: int, beta: float) -> float:
+    """h^(1-beta)/(beta-1), the integral of t^-beta beyond the horizon h, for beta > 1.
+
+    It concerns the meetings a pair would make after h, and bounds their
+    expected number only if the meeting probability u_t is at most t^-beta
+    with constant 1, which nothing checks.  On G_H (beta = 2) t^2 u_t rises
+    to 2 sqrt(3)/pi = 1.10, so at h = 4096 the figure is about 9% below the
+    expected vertex meetings beyond h; shared edges, u_t/2 a step, stay
+    below it.  On Z^d (beta = (d-1)/2) the constant passes 1 from d = 10,
+    and at d = 16, h = 2048 the vertex meetings in (h, 2h] alone are 24
+    times the figure.
+    """
+    return horizon ** (1.0 - beta) / (beta - 1.0)
+
+
 @_experiment({
     "horizon": ("int>=1", "4096", "steps per walk pair"),
     "samples": ("int>=1", "100000", "number of walk pairs"),
@@ -399,22 +415,24 @@ def _run_fourier(cfg):
     **_THREADS,
 }, _PAIR_STEPS)
 def _run_eit_tail(cfg):
-    est = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"])
-    theta, theta_se, levels = paths._fit_tail(est.counts, cfg["min_count"])
-    ratios = paths.continuation_ratios(est.counts, cfg["min_count"])
+    shared = paths.tail_estimate(cfg["horizon"], cfg["samples"], cfg["seed"],
+                                 threads=cfg["threads"])[0].tolist()
+    theta, theta_se, levels = paths._fit_tail(shared, cfg["min_count"])
+    ratios = paths.continuation_ratios(shared, cfg["min_count"])
     ratio_at = {n: (r, se) for n, r, se in ratios}
     rows = [(n, count, *ratio_at.get(n, (math.nan, math.nan)))
-            for n, count in sorted(est.counts.items())]
-    fit_ns = [n for n in range(1, 11) if est.counts.get(n, 0) > 0]
-    fit = fit_exponential(fit_ns, [est.counts[n] for n in fit_ns],
-                          weights=[est.counts[n] for n in fit_ns])
+            for n, count in enumerate(shared) if count]
+    fit_ns = [n for n, *_ in rows[1:11]]
+    fit = fit_exponential(fit_ns, [shared[n] for n in fit_ns],
+                          weights=[shared[n] for n in fit_ns])
     # continuation_ratios floors each variance, so every ratio has a spread
     spreads = [abs(r - theta) / se for _n, r, se in ratios]
     checks = {
         "eit-tail-linearity": (fit.r_squared, fit_ns, fit),
         "eit-memorylessness": (max(spreads, default=math.nan), levels, None),
     }
-    extras = {"theta_hat": theta, "theta_se": theta_se, "censoring_bound": est.censoring_bound}
+    extras = {"theta_hat": theta, "theta_se": theta_se,
+              "censoring_bound": _censoring(cfg["horizon"], 2.0)}
     return ["n", "survivors", "continuation_ratio", "ratio_se"], rows, checks, extras
 
 
@@ -425,10 +443,16 @@ def _run_eit_tail(cfg):
     **_THREADS,
 }, _PAIR_STEPS)
 def _run_theta_d(cfg):
-    theta, censoring = reference.theta_d_estimate(
+    returned, late = reference.theta_d_estimate(
         cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"], threads=cfg["threads"]
     )
+    theta = returned / cfg["samples"]
     se = math.sqrt(theta * (1.0 - theta) / cfg["samples"])
+    # the first returns after the horizon, extrapolated from those in
+    # (horizon/2, horizon] as if the first-return tail were exactly
+    # c t^-beta there, beta = (d-1)/2: an estimate, not a bound
+    beta = (cfg["d"] - 1) / 2.0
+    censoring = (late / cfg["samples"]) / (2.0 ** (beta - 1.0) - 1.0)
     rows = [(cfg["d"], cfg["horizon"], cfg["samples"], theta, se,
              theta - 1.96 * se, theta + 1.96 * se, censoring)]
     header = ["d", "horizon", "samples", "theta_hat", "theta_se", "ci_low", "ci_high",
@@ -445,14 +469,13 @@ def _run_theta_d(cfg):
 }, _PAIR_STEPS)
 def _run_zd_eit(cfg):
     theta = reference.theta_d_exact(cfg["d"], cfg["horizon"])
-    est = reference.zd_eit_tail(cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
-                                threads=cfg["threads"])
-    exc_theta, exc_se, exc_range = paths._fit_tail(est.excursion_counts, cfg["min_count"])
-    edge_theta, edge_se, _edge_range = paths._fit_tail(est.counts, cfg["min_count"])
-    rows = []
-    for n in sorted(est.counts):
-        rows.append((n, est.counts[n], est.vertex_counts.get(n, 0),
-                     est.excursion_counts.get(n, 0)))
+    tails = reference.zd_eit_tail(cfg["d"], cfg["horizon"], cfg["samples"], cfg["seed"],
+                                  threads=cfg["threads"])
+    shared, _vertices, remeets = tails.tolist()
+    exc_theta, exc_se, exc_range = paths._fit_tail(remeets, cfg["min_count"])
+    edge_theta, edge_se, _edge_range = paths._fit_tail(shared, cfg["min_count"])
+    # the rows end at the last shared-edge level; the other rows may run longer
+    rows = [(n, *column) for n, column in enumerate(tails.T.tolist()) if column[0]]
     checks = {"zd-eit-consistency": (abs(exc_theta - theta), exc_range, None)}
     extras = {
         "shared_edge_rate": edge_theta,
@@ -463,7 +486,7 @@ def _run_zd_eit(cfg):
         "excursion_z": (exc_theta - theta) / exc_se if exc_se else None,
         "predicted_edge_rate": reference.edge_collision_rate(cfg["d"], theta),
         "lazy_return_bound": reference.lazy_return_probability(cfg["d"], theta),
-        "tail_censoring_bound": est.censoring_bound,
+        "tail_censoring_bound": _censoring(cfg["horizon"], (cfg["d"] - 1) / 2.0),
     }
     header = ["n", "shared_survivors", "vertex_survivors", "excursion_survivors"]
     return header, rows, checks, extras

@@ -44,10 +44,12 @@ and fresh re-meets after separation; two walks at one vertex stay together
 exactly when their letters agree, so the shared edges are the vertex
 meetings that are not re-meets.
 
-The engine only counts.  _fit_tail (the pooled continuation ratio of a
-survivor tail, its one estimate of a geometric tail ratio) and
-continuation_ratios are pure functions of the counts, and the CLI calls
-them beside its claim verdicts.
+The engine only counts: pair_tail, and so tail_estimate, returns one int64
+array (3, m + 1) whose rows are the shared-edge, vertex and re-meet
+survivor tails, column n the pairs with at least n.  _fit_tail (the pooled
+continuation ratio of a survivor row, its one estimate of a geometric tail
+ratio) and continuation_ratios are pure functions of the counts, and the
+CLI calls them beside its claim verdicts and its censoring figures.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +65,6 @@ from .errors import CapExceededError, ConfigError
 from .rng import stream
 
 __all__ = [
-    "TailEstimate",
     "tail_estimate",
     "continuation_ratios",
     "PAIR_CHUNK", "PAIR_CHUNK_CELLS_CAP", "THREADS_CAP",
@@ -72,57 +72,22 @@ __all__ = [
     "map_chunks", "draw_pairs", "walk_blocks", "pair_chunk", "pair_tail",
 ]
 
-@dataclass
-class TailEstimate:
-    """Survivor counts of the intersection tails of sampled walk pairs.
+def _fit_tail(row: list[int], min_count: int):
+    """Pooled geometric ratio of a survivor row: (theta, theta_se, levels).
 
-    counts[n] is the number of sampled pairs with at least n shared
-    edges; vertex_counts and excursion_counts are the analogous tails for
-    vertex coincidences and for fresh re-meets after separation.
-    censoring_bound is h^(1-beta)/(beta-1), the integral of t^-beta beyond
-    the horizon h (see pair_tail).  It concerns the meetings a pair would
-    make after h, and bounds their expected number only if the meeting
-    probability u_t is at most t^-beta with constant 1, which nothing
-    checks.  On G_H (beta = 2) t^2 u_t rises to 2 sqrt(3)/pi = 1.10, so at
-    h = 4096 the figure is about 9% below the expected vertex meetings
-    beyond h; shared edges, u_t/2 a step, stay below it.  On Z^d the
-    constant passes 1 from d = 10, and at d = 16, h = 2048 the vertex
-    meetings in (h, 2h] alone are 24 times the figure.  The CLI takes
-    each tail's pooled continuation ratio and its standard error
-    (_fit_tail).
+    row[n] counts the pairs with at least n (see pair_tail).  levels are the n
+    with row[n] >= min_count and row[n + 1] > 0, and theta = sum of
+    row[n + 1] / sum of row[n] over them: each of those row[n] pairs is one
+    trial of going on past n, so theta is the maximum-likelihood ratio of a
+    geometric tail cut after the last level, and theta_se =
+    sqrt(theta (1 - theta) / trials) its binomial spread.  Both are NaN when
+    no level qualifies.
     """
-
-    horizon: int
-    samples: int
-    counts: dict[int, int]
-    vertex_counts: dict[int, int]
-    excursion_counts: dict[int, int]
-    censoring_bound: float
-
-
-def _survivor_counts(hist: np.ndarray) -> dict[int, int]:
-    """Histogram -> survivor counts {n: #values >= n} up to the largest value."""
-    nz = np.flatnonzero(hist)
-    top = int(nz[-1]) if nz.size else 0
-    tail = np.cumsum(hist[: top + 1][::-1])[::-1]
-    return {n: int(tail[n]) for n in range(top + 1)}
-
-
-def _fit_tail(counts: dict[int, int], min_count: int):
-    """Pooled geometric ratio of a survivor tail: (theta, theta_se, levels).
-
-    levels are the n with counts[n] >= min_count and n + 1 present, and
-    theta = sum of counts[n + 1] / sum of counts[n] over them: each of
-    those counts[n] pairs is one trial of going on past n, so theta is the
-    maximum-likelihood ratio of a geometric tail cut after the last level,
-    and theta_se = sqrt(theta (1 - theta) / trials) its binomial spread.
-    Both are NaN when no level qualifies.
-    """
-    levels = [n for n in sorted(counts) if counts[n] >= min_count and n + 1 in counts]
-    trials = sum(counts[n] for n in levels)
+    levels = [n for n in range(len(row) - 1) if row[n] >= min_count and row[n + 1] > 0]
+    trials = sum(row[n] for n in levels)
     if not trials:
         return math.nan, math.nan, levels
-    theta = sum(counts[n + 1] for n in levels) / trials
+    theta = sum(row[n + 1] for n in levels) / trials
     return theta, math.sqrt(theta * (1.0 - theta) / trials), levels
 
 
@@ -378,25 +343,14 @@ def pair_chunk(d: int, horizon: int, n: int, seed: int, index: int, *,
                      for c in (vertices - remeets, vertices, remeets)])
 
 
-def pair_tail(chunk_fn, horizon: int, samples: int, *, threads: int,
-              decay_exponent: float) -> TailEstimate:
-    """TailEstimate from the pair_chunk histograms of chunk_fn(size, index).
+def pair_tail(chunk_fn, horizon: int, samples: int, *, threads: int) -> np.ndarray:
+    """Survivor tails (3, m + 1) of the pair_chunk histograms of chunk_fn(size, index).
 
-    decay_exponent beta is the per-step meeting decay behind the horizon
-    censoring figure sum_{t > horizon} t^-beta <= horizon^(1-beta) / (beta-1),
-    inf for beta <= 1; it assumes u_t <= t^-beta with constant 1 (see
-    TailEstimate).  The chunks are capped as in map_chunks.
+    Rows are shared edges, vertex meetings and re-meets; column n counts the
+    pairs with at least n.  The chunks are capped as in map_chunks.
     """
-    shared, vertices, remeets = map_chunks(chunk_fn, samples, horizon, threads)
-    beta = float(decay_exponent)
-    return TailEstimate(
-        horizon=horizon,
-        samples=samples,
-        counts=_survivor_counts(shared),
-        vertex_counts=_survivor_counts(vertices),
-        excursion_counts=_survivor_counts(remeets),
-        censoring_bound=math.inf if beta <= 1.0 else horizon ** (1.0 - beta) / (beta - 1.0),
-    )
+    hist = map_chunks(chunk_fn, samples, horizon, threads)
+    return np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
 
 
 def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
@@ -404,31 +358,28 @@ def _pair_statistics_chunk(horizon: int, n_pairs: int, seed: int, index: int):
     return pair_chunk(2, horizon, n_pairs, seed, index, heisenberg=True)
 
 
-def tail_estimate(horizon: int, samples: int, seed: int, *, threads: int = 1) -> TailEstimate:
-    """Monte Carlo intersection tails for uniform path pairs on G_H.
+def tail_estimate(horizon: int, samples: int, seed: int, *, threads: int = 1) -> np.ndarray:
+    """Monte Carlo intersection tails (pair_tail) for uniform path pairs on G_H.
 
     Pairs are drawn in fixed chunks with one counter-based stream per
     chunk, so the result depends only on (horizon, samples, seed) and
-    never on the thread count.  The horizon-censoring figure (see
-    TailEstimate) takes the t^-2 decay of G_H meeting probabilities with
-    constant 1, where the true constant is 2 sqrt(3)/pi.  The chunks are
-    capped as in map_chunks, so horizons above 2^24 raise CapExceededError.
+    never on the thread count.  The chunks are capped as in map_chunks, so
+    horizons above 2^24 raise CapExceededError.
     """
     return pair_tail(
         lambda size, index: _pair_statistics_chunk(horizon, size, seed, index),
-        horizon, samples, threads=threads, decay_exponent=2.0,
+        horizon, samples, threads=threads,
     )
 
 
-def continuation_ratios(survivor_counts: dict[int, int], min_count: int):
-    """Per-level continuation probabilities of a survivor tail.
+def continuation_ratios(row: list[int], min_count: int):
+    """Per-level continuation probabilities of a survivor row.
 
     Returns an (n, ratio, se) row for each level of _fit_tail, where ratio
-    is counts[n+1]/counts[n] and se the pooled ratio's binomial spread at
-    counts[n].  Under a memoryless tail all ratios estimate one constant,
+    is row[n+1]/row[n] and se the pooled ratio's binomial spread at
+    row[n].  Under a memoryless tail all ratios estimate one constant,
     _fit_tail's theta.
     """
-    pooled, _se, levels = _fit_tail(survivor_counts, min_count)
+    pooled, _se, levels = _fit_tail(row, min_count)
     spread = max(pooled * (1.0 - pooled), 1e-12)
-    return [(n, survivor_counts[n + 1] / survivor_counts[n],
-             math.sqrt(spread / survivor_counts[n])) for n in levels]
+    return [(n, row[n + 1] / row[n], math.sqrt(spread / row[n])) for n in levels]

@@ -14,16 +14,17 @@ answers are classical:
   horizon-censored embedded return probability theta_d(h).  The pass is
   O(h^2 log d); horizons above RENEWAL_HORIZON_CAP = 2^14 raise
   CapExceededError.
-* theta_d_estimate -- Monte Carlo return probability of the difference
-  of two oriented walks, the constant governing intersection tails.  The
-  difference walk holds in place with probability 1/d; by convention a
-  return only counts once the walk has actually left the origin, i.e.
-  the estimate targets the embedded (jump-chain) return probability,
-  theta_d_exact.  Derived constants for the other conventions are
-  provided: lazy_return_probability folds the holds back in, and
-  edge_collision_rate is the exact geometric ratio of the shared-edge
-  tail implied by a renewal argument at each shared edge.
-* zd_eit_tail -- the same shared-edge tail statistic as on G_H.
+* theta_d_estimate -- Monte Carlo counts of the returns of the difference
+  of two oriented walks, whose return probability is the constant
+  governing intersection tails: how many walks return by the horizon, and
+  how many first return in its second half.  The difference walk holds in
+  place with probability 1/d; by convention a return only counts once the
+  walk has actually left the origin, i.e. the returns sample the embedded
+  (jump-chain) return probability, theta_d_exact.  Derived constants for
+  the other conventions are provided: lazy_return_probability folds the
+  holds back in, and edge_collision_rate is the exact geometric ratio of
+  the shared-edge tail implied by a renewal argument at each shared edge.
+* zd_eit_tail -- the same survivor tails as on G_H (paths.pair_tail).
   It and theta_d_estimate run on the difference-walk engine of `paths`;
   their letter pairs a*d + b are raw bytes at d in {2, 4} and a uint8
   draw at any other d, so d above ZD_MAX_D = 16 is a ConfigError.
@@ -50,8 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .paths import (PAIR_CHUNK, PAIR_CHUNK_CELLS_CAP, TailEstimate, map_chunks, pair_chunk,
-                    pair_tail, walk_blocks)
+from .paths import PAIR_CHUNK, PAIR_CHUNK_CELLS_CAP, map_chunks, pair_chunk, pair_tail, walk_blocks
 from .rng import stream
 
 __all__ = [
@@ -273,17 +273,14 @@ def _theta_chunk(d: int, horizon: int, n: int, seed: int, index: int) -> np.ndar
 
 
 def theta_d_estimate(d: int, horizon: int, samples: int, seed: int, *,
-                     threads: int = 1) -> tuple[float, float]:
-    """Monte Carlo embedded return probability of the difference walk.
+                     threads: int = 1) -> tuple[int, int]:
+    """Monte Carlo returns of the difference walk: (returned, late).
 
-    Simulates the difference of two oriented walks for `horizon` steps
-    and reports the fraction that revisit the origin after having left
-    it, plus a censoring figure for the first returns later than the
-    horizon.  It extrapolates them from the frequency of returns in
-    (horizon/2, horizon] as if the first-return tail were exactly
-    c t^(-(d-1)/2) there, so it is an estimate, not a bound; inf for d <= 3,
-    where the difference walk is recurrent.  theta_d_exact gives the value
-    this estimates.  Each chunk folds to its (returned, late) counts; the
+    Simulates the difference of two oriented walks for `horizon` steps and
+    counts the walks that revisit the origin after having left it, and
+    those whose first such return is later than horizon // 2.
+    returned / samples estimates the embedded return probability, whose
+    value theta_d_exact gives.  Each chunk folds to its two counts; the
     chunks are capped as in paths.map_chunks.
     """
     if not 2 <= d <= ZD_MAX_D:
@@ -293,13 +290,7 @@ def theta_d_estimate(d: int, horizon: int, samples: int, seed: int, *,
         times = _theta_chunk(d, horizon, size, seed, index)
         return np.array([np.count_nonzero(times), np.count_nonzero(times > horizon // 2)])
 
-    returned, late = map_chunks(counts, samples, horizon, threads).tolist()
-    theta_hat = returned / samples
-    beta = (d - 1) / 2.0
-    if beta <= 1.0:
-        return theta_hat, float("inf")
-    censoring = (late / samples) / (2.0 ** (beta - 1.0) - 1.0)
-    return theta_hat, censoring
+    return tuple(map_chunks(counts, samples, horizon, threads).tolist())
 
 
 def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):
@@ -307,22 +298,19 @@ def _zd_pair_chunk(d: int, horizon: int, n: int, seed: int, index: int):
     return pair_chunk(d, horizon, n, seed, index)
 
 
-def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *, threads: int = 1) -> TailEstimate:
-    """Intersection tails for oriented walk pairs on Z^d.
+def zd_eit_tail(d: int, horizon: int, samples: int, seed: int, *, threads: int = 1) -> np.ndarray:
+    """Intersection tails (paths.pair_tail) for oriented walk pairs on Z^d.
 
-    The same survivor counts as the Heisenberg tail_estimate; the
-    horizon-censoring figure (see paths.TailEstimate) uses the per-step
-    meeting decay (d-1)/2 with constant 1, which the Z^d meeting sequence
-    exceeds from d = 10 on, so there it bounds no vertex-meeting tail.
-    The excursion_counts tail (fresh re-meets after separation) is the
-    statistic whose geometric ratio equals the embedded return
-    probability; the shared-edge ratio equals edge_collision_rate of it.
+    The same survivor rows as the Heisenberg tail_estimate.  The re-meet
+    row (fresh re-meets after separation) is the statistic whose geometric
+    ratio equals the embedded return probability; the shared-edge ratio
+    equals edge_collision_rate of it.
     """
     if not 2 <= d <= ZD_MAX_D:
         raise ConfigError(f"d must be in 2..{ZD_MAX_D}")
     return pair_tail(
         lambda size, idx: _zd_pair_chunk(d, horizon, size, seed, idx),
-        horizon, samples, threads=threads, decay_exponent=(d - 1) / 2.0,
+        horizon, samples, threads=threads,
     )
 
 

@@ -476,9 +476,11 @@ def pair_counts(u, v):
     return shared, vertices, remeets
 
 
-def survivors(values):
-    """{n: #values >= n} for n up to the largest value."""
-    return {n: sum(1 for x in values if x >= n) for n in range(max(values) + 1)}
+def survivor_rows(*columns):
+    """[[#values >= n for n = 0..m] for each column of values], m the largest value
+    of all: the survivor rows that paths.pair_tail returns."""
+    top = max(max(values) for values in columns)
+    return [[sum(1 for x in values if x >= n) for n in range(top + 1)] for values in columns]
 
 
 def full_row_tables(k_max):

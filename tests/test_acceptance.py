@@ -197,13 +197,13 @@ def test_criterion_08_dyadic_uniformity(criterion_log):
 
 
 def test_criterion_09_eit_tail(criterion_log):
-    est = paths.tail_estimate(4096, 100_000, SEED, threads=2)
-    fit_ns = [n for n in range(1, 11) if est.counts.get(n, 0) > 0]
+    shared = paths.tail_estimate(4096, 100_000, SEED, threads=2)[0].tolist()
+    fit_ns = [n for n in range(1, min(11, len(shared))) if shared[n] > 0]
     fit = fit_exponential(
-        fit_ns, [est.counts[n] for n in fit_ns], weights=[est.counts[n] for n in fit_ns]
+        fit_ns, [shared[n] for n in fit_ns], weights=[shared[n] for n in fit_ns]
     )
-    ratios = paths.continuation_ratios(est.counts, min_count=50)
-    pooled = paths._fit_tail(est.counts, min_count=50)[0]
+    ratios = paths.continuation_ratios(shared, min_count=50)
+    pooled = paths._fit_tail(shared, min_count=50)[0]
     worst = max((abs(r - pooled) / se for _n, r, se in ratios if se > 0), default=math.inf)
     ok, windows = judged({"eit-tail-linearity": (fit.r_squared, fit_ns),
                           "eit-memorylessness": (worst, [n for n, _r, se in ratios if se > 0])})

@@ -331,6 +331,18 @@ def test_zd_eit_compares_with_exact_theta(workdir, capsys, monkeypatch):
         4, summary["theta_exact"])
 
 
+def test_zd_eit_rows_end_at_the_last_shared_edge_level(workdir):
+    # here the vertex row runs two levels past the last shared-edge level:
+    # the CSV stops at that level, and row n reads column n of the three tails
+    assert run("zd-eit", "--horizon", "64", "--samples", "256", "--min-count", "2") == 0
+    tails = reference.zd_eit_tail(4, 64, 256, cli.DEFAULT_SEED)
+    last = int(np.flatnonzero(tails[0])[-1])
+    assert tails[1, last + 1:].all() and last + 1 < tails.shape[1]
+    with open("zd-eit.csv", newline="") as fh:
+        rows = [[int(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert rows == [[n, *tails[:, n].tolist()] for n in range(last + 1)]
+
+
 def test_zd_eit_thin_tail_is_inconclusive(workdir, capsys):
     # at d=6 the re-meet tail has two continuation levels (0 and 1) with
     # min_count pairs, one short of the claim's min_points, so the claim is

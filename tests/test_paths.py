@@ -18,14 +18,14 @@ from oracles import (
     position,
     sample_word,
     shared_edges,
-    survivors,
+    survivor_rows,
     traced_peak,
     vertex_coincidences,
     weighted_sum,
     word_eval,
 )
 
-from heiswalk import paths
+from heiswalk import cli, paths
 from heiswalk.errors import CapExceededError, ConfigError
 from heiswalk.paths import (
     PAIR_CHUNK_CELLS_CAP,
@@ -197,9 +197,8 @@ def test_zd_walk_at_the_reach_of_a_block_gets_back(monkeypatch):
     # exactly the reach of a block
     blocks = iter([_uniform_block(4, 0 * 4 + 3, 1), _uniform_block(4, 3 * 4 + 0, 1)])
     monkeypatch.setattr(paths, "draw_pairs", lambda rng, d, n: next(blocks))
-    est = zd_eit_tail(4, 512, 1, seed=1)
-    assert est.vertex_counts == est.excursion_counts == {0: 1, 1: 1}
-    assert est.counts == {0: 1}
+    tails = zd_eit_tail(4, 512, 1, seed=1)
+    assert tails.tolist() == [[1, 0], [1, 1], [1, 1]]
 
 
 def test_heisenberg_horizon_cap_exits_before_drawing():
@@ -230,34 +229,28 @@ def test_gh_carry_stays_exact_at_the_largest_horizon():
 
 
 def test_tail_estimate_basic_shape():
-    est = tail_estimate(64, 3000, seed=5)
-    assert est.horizon == 64 and est.samples == 3000
-    assert est.counts[0] == 3000
-    tail = [est.counts[n] for n in sorted(est.counts)]
-    assert all(a >= b for a, b in zip(tail, tail[1:]))
+    tails = tail_estimate(64, 3000, seed=5)
+    assert tails.dtype == np.int64 and tails.shape[0] == 3
+    assert tails[:, 0].tolist() == [3000] * 3
+    assert (np.diff(tails, axis=1) <= 0).all()
     # a shared edge at t implies a vertex coincidence at t+1
-    for n, c in est.counts.items():
-        assert est.vertex_counts.get(n, 0) >= c
-    assert est.censoring_bound == pytest.approx(1.0 / 64, abs=1e-12)
+    assert (tails[1] >= tails[0]).all()
+    assert cli._censoring(64, 2.0) == pytest.approx(1.0 / 64, abs=1e-12)
 
 
 def test_tail_estimate_deterministic_and_thread_invariant():
     a = tail_estimate(128, 4096, seed=9, threads=1)
     b = tail_estimate(128, 4096, seed=9, threads=3)
-    assert a.counts == b.counts
-    assert a.vertex_counts == b.vertex_counts
-    assert a.excursion_counts == b.excursion_counts
+    assert np.array_equal(a, b)
     c = tail_estimate(128, 4096, seed=10)
-    assert c.counts != a.counts
+    assert np.trim_zeros(c[0], "b").tolist() != np.trim_zeros(a[0], "b").tolist()
 
 
 def test_short_last_chunk_is_thread_invariant():
     # 1500 pairs are a chunk of 1024 and a last chunk of 476
     for estimate in (lambda threads: tail_estimate(300, 1500, seed=3, threads=threads),
                      lambda threads: zd_eit_tail(4, 300, 1500, seed=3, threads=threads)):
-        a, b = estimate(1), estimate(2)
-        assert (a.counts, a.vertex_counts, a.excursion_counts) == (
-            b.counts, b.vertex_counts, b.excursion_counts)
+        assert np.array_equal(estimate(1), estimate(2))
 
 
 def test_negative_seeds_have_distinct_streams():
@@ -296,12 +289,10 @@ def _brute_gh_counts(u, v):
 
 
 def _assert_tail_matches_brute_force(horizon, n, seed):
-    est = tail_estimate(horizon, n, seed=seed)
+    tails = tail_estimate(horizon, n, seed=seed)
     u, v = chunk_letters(2, horizon, n, seed)
     shared, vertex, remeets = zip(*(_brute_gh_counts(u[i], v[i]) for i in range(n)))
-    assert est.counts == survivors(shared)
-    assert est.vertex_counts == survivors(vertex)
-    assert est.excursion_counts == survivors(remeets)
+    assert tails.tolist() == survivor_rows(shared, vertex, remeets)
     return u, v
 
 
@@ -337,17 +328,16 @@ def test_tail_counts_nondecreasing_in_horizon():
     # whole-block draws: every horizon sees a prefix of the same sample paths
     ests = [tail_estimate(h, 3000, seed=8) for h in (64, 256, 300, 600)]
     for short, long in zip(ests, ests[1:]):
-        for name in ("counts", "vertex_counts", "excursion_counts"):
-            longer = getattr(long, name)
-            assert all(longer.get(n, 0) >= c for n, c in getattr(short, name).items())
-    assert ests[-1].vertex_counts != ests[0].vertex_counts
+        assert long.shape[1] >= short.shape[1]
+        assert (long[:, :short.shape[1]] >= short).all()
+    assert not np.array_equal(ests[-1][1], ests[0][1])
 
 
-def _mean_and_se(survivor_counts, samples):
-    """Sample mean of a count and its standard error, from its survivor counts
+def _mean_and_se(row, samples):
+    """Sample mean of a count and its standard error, from its survivor row
     (E[X] = sum_k P(X >= k), E[X^2] = sum_k (2k - 1) P(X >= k))."""
-    mean = sum(c for k, c in survivor_counts.items() if k >= 1) / samples
-    square = sum((2 * k - 1) * c for k, c in survivor_counts.items() if k >= 1) / samples
+    mean = sum(row[1:].tolist()) / samples
+    square = sum((2 * k - 1) * c for k, c in enumerate(row.tolist()) if k >= 1) / samples
     return mean, np.sqrt((square - mean**2) / samples)
 
 
@@ -366,8 +356,8 @@ def gh_run():
 # fixed before these draws were run.
 def test_gh_mean_meeting_counts_match_exact_sums(gh_run):
     h, n, u, est = gh_run
-    for survivor_counts, exact in ((est.vertex_counts, u[1:].sum()), (est.counts, u[:h].sum() / 2)):
-        mean, se = _mean_and_se(survivor_counts, n)
+    for row, exact in ((est[1], u[1:].sum()), (est[0], u[:h].sum() / 2)):
+        mean, se = _mean_and_se(row, n)
         assert abs(mean - exact) < 4 * se
 
 
@@ -383,29 +373,35 @@ def test_gh_vertex_tail_matches_renewal_law(gh_run):
     for k in range(1, 7):
         p = law.sum()
         se = np.sqrt(p * (1 - p) / n)
-        assert abs(est.vertex_counts[k] / n - p) < 4 * se
+        assert abs(est[1, k] / n - p) < 4 * se
         law = np.convolve(law, f)[:h + 1]
 
 
 def test_z4_mean_meeting_count_matches_exact_sum():
     h, n = 64, 200_000
     est = zd_eit_tail(4, h, n, seed=7, threads=2)
-    mean, se = _mean_and_se(est.vertex_counts, n)
+    mean, se = _mean_and_se(est[1], n)
     assert abs(mean - sum(zd_collision_probability(4, t) for t in range(1, h + 1))) < 4 * se
 
 
 def test_continuation_ratios_geometric_input():
-    counts = {0: 1600, 1: 800, 2: 400, 3: 200, 4: 100, 5: 50}
+    counts = [1600, 800, 400, 200, 100, 50]
     rows = continuation_ratios(counts, min_count=100)
     assert [n for n, _, _ in rows] == [0, 1, 2, 3, 4]
     assert all(r == 0.5 for _, r, _ in rows)
     assert paths._fit_tail(counts, min_count=100)[0] == 0.5
     assert all(se > 0 for _, _, se in rows)
+    # a survivor row's trailing zeros are no levels: a level needs a next count
+    for min_count, levels in ((1, [0, 1]), (6, [0])):
+        assert continuation_ratios([10, 5, 2, 0, 0], min_count) == continuation_ratios(
+            [10, 5, 2], min_count)
+        fit = paths._fit_tail([10, 5, 2, 0, 0], min_count)
+        assert fit == paths._fit_tail([10, 5, 2], min_count) and fit[2] == levels
 
 
 def test_continuation_ratios_empty():
-    rows = continuation_ratios({0: 10}, min_count=50)
-    assert rows == [] and np.isnan(paths._fit_tail({0: 10}, min_count=50)[0])
+    rows = continuation_ratios([10], min_count=50)
+    assert rows == [] and np.isnan(paths._fit_tail([10], min_count=50)[0])
 
 
 @pytest.mark.parametrize("theta, draws", [(0.25, 20000), (0.5, 4000)])
@@ -415,7 +411,8 @@ def test_fit_tail_standard_error_is_calibrated(theta, draws):
     rng = np.random.default_rng(11)
     z = []
     for _ in range(300):
-        counts = paths._survivor_counts(np.bincount(rng.geometric(1.0 - theta, draws) - 1))
+        hist = np.bincount(rng.geometric(1.0 - theta, draws) - 1)
+        counts = np.cumsum(hist[::-1])[::-1].tolist()
         fit, se = paths._fit_tail(counts, 50)[:2]
         z.append((fit - theta) / se)
     assert 0.8 <= np.std(z) <= 1.2 and abs(np.mean(z)) < 0.2

@@ -12,7 +12,7 @@ from oracles import (
     pair_counts,
     srw_intersection_values,
     srw_profile_full_box,
-    survivors,
+    survivor_rows,
     theta_d_by_fractions,
     traced_peak,
     word_eval,
@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from heiswalk.errors import CapExceededError, ConfigError
-from heiswalk import paths
+from heiswalk import cli, paths
 from heiswalk.paths import PAIR_CHUNK_CELLS_CAP
 from heiswalk.reference import (
     INTERSECTION_TIME_CAP,
@@ -188,11 +188,11 @@ def test_theta_exact_cap_and_degenerate_inputs():
 
 def test_theta_estimate_matches_exact_dp():
     horizon = 24
-    theta, bound = theta_d_estimate(4, horizon, 60_000, seed=13)
+    returned, late = theta_d_estimate(4, horizon, 60_000, seed=13)
     exact = theta_d_exact(4, horizon)
     se = math.sqrt(exact * (1 - exact) / 60_000)
-    assert abs(theta - exact) < 4 * se
-    assert bound > 0
+    assert abs(returned / 60_000 - exact) < 4 * se
+    assert late > 0
 
 
 def test_theta_estimate_monotone_in_horizon_pathwise():
@@ -204,13 +204,6 @@ def test_theta_estimate_deterministic_and_thread_invariant():
     a = theta_d_estimate(4, 64, 40_000, seed=2, threads=1)
     b = theta_d_estimate(4, 64, 40_000, seed=2, threads=4)
     assert a == b
-
-
-def test_theta_censoring_infinite_in_low_dimension():
-    _, bound = theta_d_estimate(3, 32, 2000, seed=1)
-    assert bound == math.inf
-    _, bound4 = theta_d_estimate(4, 32, 2000, seed=1)
-    assert np.isfinite(bound4)
 
 
 def test_srw_return_spot_values():
@@ -455,21 +448,19 @@ def test_first_visit_keys_exact_at_the_cap():
 
 
 def test_zd_eit_tail_structure():
-    est = zd_eit_tail(4, 128, 4000, seed=17)
-    assert est.counts[0] == 4000
-    tail = [est.counts[n] for n in sorted(est.counts)]
-    assert all(a >= b for a, b in zip(tail, tail[1:]))
-    for n, c in est.counts.items():
-        assert est.vertex_counts.get(n, 0) >= c
-    assert est.censoring_bound == pytest.approx(128**-0.5 / 0.5, rel=1e-12)
+    tails = zd_eit_tail(4, 128, 4000, seed=17)
+    assert tails.dtype == np.int64 and tails.shape[0] == 3
+    assert tails[:, 0].tolist() == [4000] * 3
+    assert (np.diff(tails, axis=1) <= 0).all()
+    assert (tails[1] >= tails[0]).all()
+    assert cli._censoring(128, 1.5) == pytest.approx(128**-0.5 / 0.5, rel=1e-12)
 
 
 def test_zd_eit_excursion_ratio_estimates_theta():
     # the fresh re-meet tail is geometric with the embedded return rate;
     # later excursions see a shorter remaining horizon, so the finite-h
     # ratio is bracketed by the half- and full-horizon exact values
-    est = zd_eit_tail(4, 48, 30_000, seed=23)
-    c1, c2 = est.excursion_counts[1], est.excursion_counts[2]
+    c1, c2 = zd_eit_tail(4, 48, 30_000, seed=23)[2, 1:3].tolist()
     ratio = c2 / c1
     se = math.sqrt(ratio * (1 - ratio) / c1)
     assert theta_d_exact(4, 24) - 4 * se < ratio
@@ -493,12 +484,10 @@ def test_zd_eit_validation():
 def test_zd_pair_counts_match_per_pair_loop(d, horizon, lanes):
     assert len(paths._lanes(d, False)[0]) == lanes
     n = 48
-    est = zd_eit_tail(d, horizon, n, seed=31)
+    tails = zd_eit_tail(d, horizon, n, seed=31)
     u, v = chunk_letters(d, horizon, n, seed=31)
     shared, vertices, remeets = zip(*(pair_counts(u[i], v[i]) for i in range(n)))
-    assert est.counts == survivors(shared)
-    assert est.vertex_counts == survivors(vertices)
-    assert est.excursion_counts == survivors(remeets)
+    assert tails.tolist() == survivor_rows(shared, vertices, remeets)
 
 
 def _brute_first_return(inc_i, inc_j):
@@ -542,16 +531,14 @@ def test_theta_first_returns_match_per_walk_loop(d, horizon, n):
 @pytest.mark.parametrize("n", [1, 77, 500])
 def test_counts_match_per_pair_loops_around_the_lane_seams(d, n):
     for horizon in (127, 128, 129, 255, 257):
-        est = zd_eit_tail(d, horizon, n, seed=41)
+        tails = zd_eit_tail(d, horizon, n, seed=41)
         u, v = chunk_letters(d, horizon, n, seed=41)
         shared, vertices, remeets = zip(*(pair_counts(u[i], v[i]) for i in range(n)))
-        assert est.counts == survivors(shared)
-        assert est.vertex_counts == survivors(vertices)
-        assert est.excursion_counts == survivors(remeets)
+        assert tails.tolist() == survivor_rows(shared, vertices, remeets)
         times = _theta_chunk(d, horizon, n, 41, 0)
         assert times.tolist() == [_brute_first_return(u[w], v[w]) for w in range(n)]
-        # a walk returns exactly when its pair re-meets
-        assert np.count_nonzero(times) == est.excursion_counts.get(1, 0)
+        # a walk returns exactly when its pair re-meets (no column 1 if none meets)
+        assert np.count_nonzero(times) == tails[2, 1:2].sum()
 
 
 def test_bad_arguments_are_config_errors():
