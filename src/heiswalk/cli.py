@@ -8,8 +8,9 @@ verdicts, with the version and a hash of the resolved config, in a
 status file, replaced atomically under a lock on a sidecar `.lock` file,
 so runs sharing it lose no claims.  The Monte Carlo engine only counts:
 the runners here compute every rate and censoring figure (_censoring),
-take each survivor tail's ratio as its pooled continuation ratio
-(paths._fit_tail); a log-linear fit
+the means, standard errors and growth z-score of the per-pair
+intersection counts, and take each survivor tail's ratio as its pooled
+continuation ratio (paths._fit_tail); a log-linear fit
 (fitting.fit_exponential) serves only the R^2 of `eit-tail-linearity`.
 Each verdict is the plain JSON record that the summary prints, built
 from the statistic a runner checked, the points it rests on and the
@@ -510,22 +511,26 @@ def _run_srw_return(cfg):
 
 
 # a pair walks 2 * n_base * 2^doublings steps, and its count row and its share of a
-# batch's sort and stream cost about 256 more; doublings past 63 fail the time cap anyway
+# batch's sort and stream cost about 256 more; doublings past 63 fail the time cap
+# anyway.  A standard error needs two pairs.
 @_experiment({
     "n_base": ("int>=1", "256", "first checkpoint time"),
-    "samples": ("int>=1", "1000", "walk pairs"),
+    "samples": ("int>=2", "1000", "walk pairs"),
     "doublings": ("int>=1", "2", "number of checkpoint doublings after n_base"),
 }, ("walk-steps", INTERSECTION_WORK_CAP, lambda c: c["samples"] * (
     2 * (c["n_base"] << min(c["doublings"], 63)) + 256)))
 def _run_srw_intersections(cfg):
-    growth = reference.srw_mutual_intersections(
+    times, values = reference.srw_mutual_intersections(
         cfg["n_base"], cfg["samples"], cfg["seed"], cfg["doublings"]
     )
-    rows = [(t, float(m), float(se))
-            for t, m, se in zip(growth.times, growth.means, growth.std_errors)]
-    z = growth.growth_z()
+    ses = values.std(axis=0, ddof=1) / math.sqrt(cfg["samples"])
+    rows = [(t, float(m), float(se)) for t, m, se in zip(times, values.mean(axis=0), ses)]
+    # paired z of the last minus the first positive-time count; NaN with no spread
+    diff = values[:, -1].astype(float) - values[:, 1].astype(float)
+    diff_se = diff.std(ddof=1) / math.sqrt(diff.size)
+    z = float(diff.mean() / diff_se) if diff_se > 0 else math.nan
     grows = z > 3.0 if math.isfinite(z) else math.nan
-    checks = {"intersection-growth": (grows, list(growth.times), None)}
+    checks = {"intersection-growth": (grows, list(times), None)}
     return ["time", "mean_common_vertices", "se"], rows, checks, {"growth_z": z}
 
 

@@ -38,8 +38,9 @@ answers are classical:
   independent SRWs at doubling time checkpoints (unbounded growth): batch
   b of INTERSECTION_CHUNK pairs draws its walks' letters in one call on
   stream(seed, b) and sorts both walks' visits once, and both first visit
-  times of each common vertex are read off two adjacent sorted entries;
-  fewer than two sample pairs is a ConfigError.
+  times of each common vertex are read off two adjacent sorted entries.
+  It returns the checkpoint times and each pair's count at each of them;
+  the CLI computes their means, standard errors and growth z-score.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "srw_return_profile",
     "SrwReturnProfile",
     "srw_mutual_intersections",
-    "IntersectionGrowth",
     "ZD_COLLISION_WORK_CAP",
     "RENEWAL_HORIZON_CAP",
     "ZD_MAX_D",
@@ -408,41 +408,19 @@ def srw_return_profile(t_max: int) -> SrwReturnProfile:
     return SrwReturnProfile(probs, max(0.0, 1.0 - float(cur.sum())))
 
 
-@dataclass(frozen=True)
-class IntersectionGrowth:
-    """Range-intersection sizes of two independent SRWs on G_H.
-
-    values[i, j] is |range_u(times[j]) intersect range_v(times[j])| for
-    sample pair i; means and std_errors summarize the columns.
-    """
-
-    times: tuple[int, ...]
-    means: np.ndarray
-    std_errors: np.ndarray
-    values: np.ndarray
-
-    def growth_z(self) -> float:
-        """Paired z-score of the last minus the first positive-time mean; NaN with no spread."""
-        diff = self.values[:, -1].astype(float) - self.values[:, 1].astype(float)
-        se = diff.std(ddof=1) / math.sqrt(diff.size)
-        return float(diff.mean() / se) if se > 0 else math.nan
-
-
 def srw_mutual_intersections(
     n_base: int, samples: int, seed: int, num_doublings: int
-) -> IntersectionGrowth:
-    """Common range vertices of two SRWs at doubling checkpoints.
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Common range vertices of two SRWs at doubling checkpoints: (times, values).
 
-    Checkpoints are 0, n_base, 2*n_base, ..., 2^num_doublings * n_base;
-    at time 0 both ranges are {identity}, so the mean there is exactly 1.
-    A vertex is common at time T when both walks have visited it by T.
-    Fewer than two samples leave no standard error: ConfigError; a last
-    checkpoint above INTERSECTION_TIME_CAP is a CapExceededError.
+    times are 0, n_base, 2*n_base, ..., 2^num_doublings * n_base, and
+    values[i, j], int64, is |range_u(times[j]) intersect range_v(times[j])|
+    for sample pair i.  A vertex is common at time T when both walks have
+    visited it by T; at time 0 both ranges are {identity}, so column 0 is 1.
+    A last checkpoint above INTERSECTION_TIME_CAP is a CapExceededError.
     """
-    if n_base < 1:
-        raise ConfigError("n_base must be positive")
-    if samples < 2:
-        raise ConfigError(f"samples={samples}: a standard error needs at least 2 pairs")
+    if n_base < 1 or samples < 1:
+        raise ConfigError(f"n_base={n_base} and samples={samples} must be positive")
     # n_base >= 1, so 2^num_doublings alone passes the cap from that bit length on
     if (num_doublings >= INTERSECTION_TIME_CAP.bit_length()
             or n_base * 2**num_doublings > INTERSECTION_TIME_CAP):
@@ -457,8 +435,7 @@ def srw_mutual_intersections(
         letters = stream(seed, lo // INTERSECTION_CHUNK).integers(
             0, 4, size=(2 * n, t_max), dtype=np.uint8)
         values[lo:lo + n] = _common_counts(_sorted_visits(letters, visits[:n]), times)
-    ses = values.std(axis=0, ddof=1) / math.sqrt(samples)
-    return IntersectionGrowth(times, values.mean(axis=0), ses, values)
+    return times, values
 
 
 def _sorted_visits(letters: np.ndarray, out: np.ndarray) -> np.ndarray:

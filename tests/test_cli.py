@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import srw_intersection_values
 
 import heiswalk
 from heiswalk import cli, fourier, paths, percolation, reference, tables
@@ -186,6 +187,7 @@ def test_bad_value_is_config_error(workdir, capsys, monkeypatch):
     assert "unrecognized arguments: --d 3" in capsys.readouterr().err
     # one pair has no standard error, so no growth z-score can certify a claim
     assert run("srw-intersections", "--samples", "1", "--n-base", "8") == 2
+    assert "--samples" in capsys.readouterr().err
     # one continuation ratio cannot show memorylessness, which is no verdict
     assert run("eit-tail", "--samples", "60", "--horizon", "256") == 2
     assert ("inconclusive: eit-memorylessness has 1 of the 2 points it needs"
@@ -393,6 +395,24 @@ def test_resistance_mean_rows_are_np_mean_of_the_seed_rows(workdir):
         for column, kind in (("resistance", float), ("oriented_cluster_size", int)):
             want = float(np.mean([kind(r[column]) for r in per_seed]))
             assert float(row[column]) == want
+
+
+def test_intersection_estimates_are_numpy_over_the_step_loop(workdir, capsys):
+    # the library returns each pair's counts; the CLI's means, standard errors
+    # and paired growth z are numpy's over the step-by-step oracle's counts
+    assert run("srw-intersections", "--n-base", "8", "--samples", "40", "--doublings", "2",
+               "--seed", "5", "--out-path", "run.csv") == 0
+    z = json.loads(capsys.readouterr().out)["growth_z"]
+    with open("run.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    values = srw_intersection_values(8, 40, 5, 2)
+    assert [int(row["time"]) for row in rows] == [0, 8, 16, 32]
+    assert [float(row["mean_common_vertices"]) for row in rows] == values.mean(axis=0).tolist()
+    ses = (values.std(axis=0, ddof=1) / math.sqrt(40)).tolist()
+    assert [float(row["se"]) for row in rows] == ses and all(ses[1:])
+    diff = (values[:, -1] - values[:, 1]).astype(float)
+    assert z == diff.mean() / (diff.std(ddof=1) / math.sqrt(40))
+    assert round(z, 4) == 3.0635
 
 
 # a slope needs two radii and a trend in the increments three, so fewer
@@ -672,7 +692,9 @@ def test_work_cap_refuses_before_the_run(workdir, capsys, monkeypatch, experimen
     monkeypatch.setitem(cli._EXPERIMENTS, experiment, registered._replace(
         runner=lambda cfg: ran.append(cfg[option]) or (["x"], [], {}, {})))
     (_unit, cap, figure), = registered.work
-    most = cap // figure(_resolved([experiment, cli._flag(option), sized(1)]))
+    # each figure is linear in the option: size one unit from its least accepted value
+    least = cli._split_spec(registered.options[option][0])[1] or 1
+    most = cap * least // figure(_resolved([experiment, cli._flag(option), sized(least)]))
     assert run(experiment, cli._flag(option), sized(most)) == 0
     assert ran == [list(range(1, most + 1)) if listed else most]
     assert run(experiment, cli._flag(option), sized(most + 1)) == 3
