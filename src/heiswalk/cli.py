@@ -433,7 +433,7 @@ def _run_eit_tail(cfg):
         "eit-memorylessness": (max(spreads, default=math.nan), levels, None),
     }
     extras = {"theta_hat": theta, "theta_se": theta_se,
-              "censoring_bound": _censoring(cfg["horizon"], 2.0)}
+              "censoring_estimate": _censoring(cfg["horizon"], 2.0)}
     return ["n", "survivors", "continuation_ratio", "ratio_se"], rows, checks, extras
 
 
@@ -457,7 +457,7 @@ def _run_theta_d(cfg):
     rows = [(cfg["d"], cfg["horizon"], cfg["samples"], theta, se,
              theta - 1.96 * se, theta + 1.96 * se, censoring)]
     header = ["d", "horizon", "samples", "theta_hat", "theta_se", "ci_low", "ci_high",
-              "censoring_bound"]
+              "censoring_estimate"]
     return header, rows, {}, {}
 
 
@@ -487,7 +487,7 @@ def _run_zd_eit(cfg):
         "excursion_z": (exc_theta - theta) / exc_se if exc_se else None,
         "predicted_edge_rate": reference.edge_collision_rate(cfg["d"], theta),
         "lazy_return_bound": reference.lazy_return_probability(cfg["d"], theta),
-        "tail_censoring_bound": _censoring(cfg["horizon"], (cfg["d"] - 1) / 2.0),
+        "tail_censoring_estimate": _censoring(cfg["horizon"], (cfg["d"] - 1) / 2.0),
     }
     header = ["n", "shared_survivors", "vertex_survivors", "excursion_survivors"]
     return header, rows, checks, extras
